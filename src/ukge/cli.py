@@ -148,15 +148,13 @@ def cmd_stats(args) -> int:
     )
     print()
     print(f"{'relation':<30} {'count':>8} {'khs':>10} {'curvature':>10}")
+    khs = kgdata.hierarchy_scores(store)
     for rid, name in enumerate(store.relation_names):
-        try:
-            khs = f"{kgdata.krackhardt_score(store, rid):.4f}"
-        except UkgeError:
-            khs = "n/a"
-        print(f"{name:<30} {counts[rid]:>8} {khs:>10} {'external':>10}")
+        cell = "n/a" if khs[rid] is None else f"{khs[rid]:.4f}"
+        print(f"{name:<30} {counts[rid]:>8} {cell:>10} {'external':>10}")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(kgdata.stats_csv(store))
+            fh.write(kgdata.stats_csv(store, khs))
         print(f"\nwrote {args.out}")
     return EXIT_OK
 
@@ -267,11 +265,11 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _resolve_name(name: str, ids: dict | list, kind: str) -> int:
-    names = ids if isinstance(ids, list) else list(ids)
+def _resolve_name(name: str, lookup, names: list[str], kind: str) -> int:
+    """Id of ``name`` via the store's ``lookup``, with close-match hints."""
     try:
-        return names.index(name)
-    except ValueError:
+        return lookup(name)
+    except IdLookupError:
         close = difflib.get_close_matches(name, names, n=3)
         hint = f"; close matches: {', '.join(close)}" if close else ""
         raise NameLookupError(f"unknown {kind} {name!r}{hint}") from None
@@ -281,8 +279,8 @@ def cmd_predict(args) -> int:
     store = _load_store(args)
     store = kgdata.augment_inverse(store)
     m = _load_model_for_store(args, store)
-    h = _resolve_name(args.head, store.entity_names, "entity")
-    r = _resolve_name(args.rel, store.relation_names, "relation")
+    h = _resolve_name(args.head, store.entity_id, store.entity_names, "entity")
+    r = _resolve_name(args.rel, store.relation_id, store.relation_names, "relation")
     scores = model.score_candidates(m, h, r)
     k = min(args.topk, m.n_entities)
     order = np.argsort(-scores, kind="stable")[:k]

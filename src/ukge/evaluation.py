@@ -4,9 +4,11 @@ Every triple of the chosen split is scored as a tail-prediction task: all
 entities are ranked as candidate tails of (h, r, ?).  Known true tails from
 the filter splits (train, valid, test by default) are removed from the
 candidate set — except the gold tail itself — and ties are resolved
-pessimistically: the rank counts every unfiltered competitor scoring at
-least as high as the gold tail.  Head prediction is realised upstream by
-evaluating over a store augmented with inverse relations.
+pessimistically: the rank counts every unfiltered competitor not scoring
+strictly below the gold tail.  A non-finite score therefore never improves
+a rank: a NaN gold ranks last and a NaN competitor counts against the gold.
+Head prediction is realised upstream by evaluating over a store augmented
+with inverse relations.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def filtered_rank(
 ) -> int:
     """Pessimistic filtered rank of the gold tail among all entities.
 
-    rank = 1 + #{ e != t unfiltered with score(h, r, e) >= score(h, r, t) }.
+    rank = 1 + #{ e != t unfiltered with not score(h, r, e) < score(h, r, t) }.
     """
     h, r, t = (int(v) for v in triple)
     if not 0 <= t < m.n_entities:
@@ -72,7 +74,7 @@ def filtered_rank(
     if known is not None:
         allowed[known] = False
     allowed[t] = False  # the gold tail is never its own competitor
-    return 1 + int(np.count_nonzero(scores[allowed] >= scores[t]))
+    return 1 + int(np.count_nonzero(~(scores[allowed] < scores[t])))
 
 
 def aggregate_ranks(ranks, relations, ks=HITS_KS) -> EvalReport:
@@ -134,18 +136,19 @@ def evaluate(
 # --- report rendering ---------------------------------------------------------
 
 
+def _relation_name(rel: int, store: TripleStore | None) -> str:
+    if store is not None and rel < store.n_relations:
+        return store.relation_names[rel]
+    return str(rel)
+
+
 def report_csv(report: EvalReport, store: TripleStore | None = None) -> str:
     """CSV rows per relation plus a TOTAL row."""
-    def name(rel: int) -> str:
-        if store is not None and rel < store.n_relations:
-            return store.relation_names[rel]
-        return str(rel)
-
     lines = ["relation,count,mrr,hits1,hits3,hits10"]
     for rel in sorted(report.per_relation):
         rm = report.per_relation[rel]
         lines.append(
-            f"{name(rel)},{rm.count},{rm.mrr:.6f},"
+            f"{_relation_name(rel, store)},{rm.count},{rm.mrr:.6f},"
             f"{rm.hits[1]:.6f},{rm.hits[3]:.6f},{rm.hits[10]:.6f}"
         )
     lines.append(
@@ -158,16 +161,11 @@ def report_csv(report: EvalReport, store: TripleStore | None = None) -> str:
 def report_table(report: EvalReport, store: TripleStore | None = None) -> str:
     """Human-readable fixed-width table of the same numbers."""
     rows = [("relation", "count", "MRR", "H@1", "H@3", "H@10")]
-    def name(rel: int) -> str:
-        if store is not None and rel < store.n_relations:
-            return store.relation_names[rel]
-        return str(rel)
-
     for rel in sorted(report.per_relation):
         rm = report.per_relation[rel]
         rows.append(
             (
-                name(rel),
+                _relation_name(rel, store),
                 str(rm.count),
                 f"{rm.mrr:.4f}",
                 f"{rm.hits[1]:.4f}",

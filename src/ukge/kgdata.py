@@ -1,9 +1,9 @@
 """Triple stores: loading, inverse augmentation, graph statistics, synthesis.
 
 Input files are UTF-8 TSV with one ``head<TAB>relation<TAB>tail`` triple per
-line (LF endings, no header).  Dictionaries are built over the union of the
-train/valid/test splits in first-seen order, so ids are dense and stable for
-a fixed input.  Stores are treated as immutable after construction;
+line (LF or CRLF endings, no header).  Dictionaries are built over the union
+of the train/valid/test splits in first-seen order, so ids are dense and
+stable for a fixed input.  Stores are treated as immutable after construction;
 :func:`augment_inverse` returns a new store with an inverse relation (and
 reversed triples) added for every base relation, which is how head prediction
 is realised downstream.
@@ -83,7 +83,7 @@ def _parse_file(path: str) -> list[tuple[str, str, str]]:
     rows: list[tuple[str, str, str]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             fields = line.split("\t")
             if len(fields) != 3 or any(f == "" for f in fields):
                 raise ParseError(path, lineno, "expected 3 tab-separated fields")
@@ -240,16 +240,29 @@ def relation_counts(store: TripleStore) -> np.ndarray:
     return counts
 
 
-def stats_csv(store: TripleStore) -> str:
-    """Per-relation statistics as CSV: relation, count, khs."""
+def hierarchy_scores(store: TripleStore) -> list[float | None]:
+    """:func:`krackhardt_score` per relation id, ``None`` where undefined."""
+    scores: list[float | None] = []
+    for rid in range(store.n_relations):
+        try:
+            scores.append(krackhardt_score(store, rid))
+        except UndefinedMetricError:
+            scores.append(None)
+    return scores
+
+
+def stats_csv(store: TripleStore, khs: list[float | None] | None = None) -> str:
+    """Per-relation statistics as CSV: relation, count, khs.
+
+    ``khs`` takes precomputed :func:`hierarchy_scores` of ``store``.
+    """
     counts = relation_counts(store)
+    if khs is None:
+        khs = hierarchy_scores(store)
     lines = ["relation,count,khs"]
     for rid, name in enumerate(store.relation_names):
-        try:
-            khs = f"{krackhardt_score(store, rid):.6f}"
-        except UndefinedMetricError:
-            khs = ""
-        lines.append(f"{name},{counts[rid]},{khs}")
+        cell = "" if khs[rid] is None else f"{khs[rid]:.6f}"
+        lines.append(f"{name},{counts[rid]},{cell}")
     return "\n".join(lines) + "\n"
 
 

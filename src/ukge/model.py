@@ -174,6 +174,48 @@ def init(
 # --- scoring -------------------------------------------------------------------
 
 
+def parameters(m: Model) -> dict[str, np.ndarray]:
+    """The model's parameter families by name, ``delta`` as a 0-d scalar."""
+    return {
+        "entities": m.entities,
+        "biases": m.biases,
+        "theta": m.theta,
+        "phi": m.phi,
+        "mu": m.mu,
+        "delta": np.float64(m.delta),
+    }
+
+
+def score_triples(m: Model, h, r, t, leaves: dict | None = None):
+    """Scores of the triples given by broadcastable 1-d id arrays ``h, r, t``.
+
+    ``leaves`` maps the names of :func:`parameters` to autodiff tensors and
+    makes the result differentiable; without it the model's own arrays are
+    read.  Training, evaluation and predict all score through here.  The
+    head's entity map and relation operator run once per row of ``h`` and
+    ``r``, so a one-against-all query passes those with length 1.
+    """
+    params = parameters(m) if leaves is None else leaves
+    z_h = ad.take(params["entities"], h)
+    z_t = ad.take(params["entities"], t)
+    th = ad.take(params["theta"], r)
+    ph = ad.take(params["phi"], r)
+    if m.geometry == "ultra":
+        head = geometry.phi(z_h, m.sig)
+        mu = ad.take(params["mu"], r)
+        moved = operators.relation_transform(th, ph, mu, head, m.sig, m.operator)
+        tails = geometry.phi(z_t, m.sig)
+        dist = geometry.dist_manhattan(moved, tails, m.sig)
+    else:
+        # Euclidean baseline: same stages on raw vectors, boosts pinned to 0
+        mu0 = np.zeros(np.shape(r) + (m.sig.q,))
+        moved = operators.relation_transform(th, ph, mu0, z_h, m.sig, m.operator)
+        dist = ad.norm(moved - z_t, axis=-1)
+    b_h = ad.take(params["biases"][:, 0], h)
+    b_t = ad.take(params["biases"][:, 1], t)
+    return -dist * dist + b_h + b_t + params["delta"]
+
+
 def score_candidates(m: Model, h: int, r: int, candidates=None) -> np.ndarray:
     """Scores of (h, r, e) for every candidate tail ``e`` (default: all)."""
     _check_id(h, m.n_entities, "entity")
@@ -184,21 +226,7 @@ def score_candidates(m: Model, h: int, r: int, candidates=None) -> np.ndarray:
         cand = np.asarray(candidates, dtype=np.int64)
         if cand.size and (cand.min() < 0 or cand.max() >= m.n_entities):
             raise IdLookupError("candidate entity id out of range")
-    z_h = m.entities[h]
-    z_t = m.entities[cand]
-    if m.geometry == "ultra":
-        head = geometry.phi(z_h, m.sig)
-        moved = operators.relation_transform(
-            m.theta[r], m.phi[r], m.mu[r], head, m.sig, m.operator
-        )
-        tails = geometry.phi(z_t, m.sig)
-        dist = geometry.dist_manhattan(moved, tails, m.sig)
-    else:
-        moved = operators.relation_transform(
-            m.theta[r], m.phi[r], np.zeros(m.sig.q), z_h, m.sig, m.operator
-        )
-        dist = ad.norm(moved - z_t, axis=-1)
-    return -dist * dist + m.biases[h, 0] + m.biases[cand, 1] + m.delta
+    return score_triples(m, np.array([h]), np.array([r]), cand)
 
 
 def score(m: Model, h: int, r: int, t: int) -> float:

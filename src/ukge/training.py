@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import geometry, operators
 from .autodiff import Tensor
 from .errors import (
     ConfigurationError,
@@ -37,7 +36,7 @@ from .errors import (
     NonFiniteGradientError,
 )
 from .kgdata import TripleStore
-from .model import Model, apply_time_guard
+from .model import Model, apply_time_guard, parameters, score_triples
 
 PROB_CLAMP = 1e-12
 
@@ -85,14 +84,8 @@ def sample_negatives(
 ) -> np.ndarray:
     """``k`` corruptions of one triple: head or tail (fair coin) replaced
     by a uniform entity.  Deterministic under a fixed generator state."""
-    h, r, t = (int(v) for v in triple)
-    corrupt_head = rng.random(k) < 0.5
-    repl = rng.integers(0, n_entities, k)
-    out = np.empty((k, 3), dtype=np.int64)
-    out[:, 0] = np.where(corrupt_head, repl, h)
-    out[:, 1] = r
-    out[:, 2] = np.where(corrupt_head, t, repl)
-    return out
+    row = np.asarray(triple, dtype=np.int64).reshape(1, 3)
+    return _sample_negatives_batch(row, k, n_entities, rng)[0]
 
 
 def _sample_negatives_batch(
@@ -113,46 +106,15 @@ def _sample_negatives_batch(
 
 
 def _leaves(m: Model) -> dict[str, Tensor]:
-    return {
-        "entities": Tensor(m.entities, requires_grad=True),
-        "biases": Tensor(m.biases, requires_grad=True),
-        "theta": Tensor(m.theta, requires_grad=True),
-        "phi": Tensor(m.phi, requires_grad=True),
-        "mu": Tensor(m.mu, requires_grad=True),
-        "delta": Tensor(np.float64(m.delta), requires_grad=True),
-    }
-
-
-def _scores(m: Model, leaves: dict[str, Tensor], triples: np.ndarray) -> Tensor:
-    """Differentiable scores for an (N, 3) id array."""
-    h = triples[:, 0]
-    r = triples[:, 1]
-    t = triples[:, 2]
-    z_h = ad.take(leaves["entities"], h)
-    z_t = ad.take(leaves["entities"], t)
-    th = ad.take(leaves["theta"], r)
-    ph = ad.take(leaves["phi"], r)
-    if m.geometry == "ultra":
-        head = geometry.phi(z_h, m.sig)
-        mu = ad.take(leaves["mu"], r)
-        moved = operators.relation_transform(th, ph, mu, head, m.sig, m.operator)
-        tails = geometry.phi(z_t, m.sig)
-        dist = geometry.dist_manhattan(moved, tails, m.sig)
-    else:
-        # Euclidean baseline: same stages on raw vectors, boosts pinned to 0
-        mu0 = np.zeros((triples.shape[0], m.sig.q))
-        moved = operators.relation_transform(th, ph, mu0, z_h, m.sig, m.operator)
-        dist = ad.norm(moved - z_t, axis=-1)
-    b_h = ad.take(leaves["biases"], h)[:, 0]
-    b_t = ad.take(leaves["biases"], t)[:, 1]
-    return -dist * dist + b_h + b_t + leaves["delta"]
+    return {k: Tensor(v, requires_grad=True) for k, v in parameters(m).items()}
 
 
 def _loss_sum(m: Model, leaves: dict[str, Tensor], pos: np.ndarray, neg: np.ndarray):
     """Unnormalised loss sum: -(sum log p + sum log(1 - p~))."""
     n_pos = pos.shape[0]
     stacked = np.concatenate([pos, neg.reshape(-1, 3)], axis=0)
-    p = ad.clip(ad.sigmoid(_scores(m, leaves, stacked)), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    scores = score_triples(m, stacked[:, 0], stacked[:, 1], stacked[:, 2], leaves)
+    p = ad.clip(ad.sigmoid(scores), PROB_CLAMP, 1.0 - PROB_CLAMP)
     p_pos = p[:n_pos]
     p_neg = p[n_pos:]
     total = -(ad.sum_(ad.log(p_pos)))
@@ -161,19 +123,35 @@ def _loss_sum(m: Model, leaves: dict[str, Tensor], pos: np.ndarray, neg: np.ndar
     return total
 
 
-def bce_loss(m: Model, positives: np.ndarray, negatives: np.ndarray | None = None) -> float:
-    """Mean binary cross-entropy of a batch (no graph retained)."""
+def _summed_loss(m: Model, pos: np.ndarray, neg: np.ndarray):
+    """Unnormalised loss of one batch and its gradient per leaf family
+    (zeros for families the loss does not reach)."""
+    leaves = _leaves(m)
+    total = _loss_sum(m, leaves, pos, neg)
+    total.backward()
+    return float(total.value), {
+        name: np.zeros_like(leaf.value) if leaf.grad is None else leaf.grad
+        for name, leaf in leaves.items()
+    }
+
+
+def _as_batch(positives, negatives, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) positives and (N, k, 3) negatives, k = 0 when none are given."""
     pos = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     if pos.shape[0] == 0:
-        raise EmptySplitError("bce_loss: batch holds no positive triples")
+        raise EmptySplitError(f"{caller}: batch holds no positive triples")
     neg = (
         np.asarray(negatives, dtype=np.int64).reshape(pos.shape[0], -1, 3)
         if negatives is not None and np.asarray(negatives).size
         else np.empty((pos.shape[0], 0, 3), dtype=np.int64)
     )
-    leaves = _leaves(m)
-    total = _loss_sum(m, leaves, pos, neg)
-    return float(total.value) / pos.shape[0]
+    return pos, neg
+
+
+def bce_loss(m: Model, positives: np.ndarray, negatives: np.ndarray | None = None) -> float:
+    """Mean binary cross-entropy of a batch (no graph retained)."""
+    pos, neg = _as_batch(positives, negatives, "bce_loss")
+    return float(_loss_sum(m, _leaves(m), pos, neg).value) / pos.shape[0]
 
 
 def gradients(
@@ -184,24 +162,9 @@ def gradients(
     Returns arrays keyed by :data:`PARAM_FAMILIES`; entity gradients are
     split into their space and time blocks.
     """
-    pos = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
-    if pos.shape[0] == 0:
-        raise EmptySplitError("gradients: batch holds no positive triples")
-    neg = (
-        np.asarray(negatives, dtype=np.int64).reshape(pos.shape[0], -1, 3)
-        if negatives is not None and np.asarray(negatives).size
-        else np.empty((pos.shape[0], 0, 3), dtype=np.int64)
-    )
-    leaves = _leaves(m)
-    total = _loss_sum(m, leaves, pos, neg)
-    total.backward()
+    pos, neg = _as_batch(positives, negatives, "gradients")
     inv_n = 1.0 / pos.shape[0]
-    out = {}
-    for name in ("entities", "biases", "theta", "phi", "mu", "delta"):
-        g = leaves[name].grad
-        out[name] = (
-            np.zeros_like(leaves[name].value) if g is None else g * inv_n
-        )
+    out = {k: g * inv_n for k, g in _summed_loss(m, pos, neg)[1].items()}
     ent = out.pop("entities")
     out["entity_space"] = ent[:, : m.sig.p]
     out["entity_time"] = ent[:, m.sig.p :]
@@ -264,22 +227,11 @@ def _make_optimizer(cfg: TrainConfig, params: dict[str, np.ndarray]):
 def _batch_grads(m: Model, pos: np.ndarray, neg: np.ndarray, threads: int):
     """Summed (not averaged) loss value and gradients for one batch."""
     shards = min(threads, pos.shape[0])
-    blocks = np.array_split(np.arange(pos.shape[0]), shards)
-
-    def one(block: np.ndarray):
-        leaves = _leaves(m)
-        total = _loss_sum(m, leaves, pos[block], neg[block])
-        total.backward()
-        grads = {}
-        for name in ("entities", "biases", "theta", "phi", "mu", "delta"):
-            g = leaves[name].grad
-            grads[name] = np.zeros_like(leaves[name].value) if g is None else g
-        return float(total.value), grads
-
     if shards == 1:
-        return one(blocks[0])
+        return _summed_loss(m, pos, neg)
+    blocks = np.array_split(np.arange(pos.shape[0]), shards)
     with ThreadPoolExecutor(max_workers=shards) as pool:
-        results = list(pool.map(one, blocks))
+        results = list(pool.map(lambda b: _summed_loss(m, pos[b], neg[b]), blocks))
     loss = 0.0
     grads = results[0][1]
     for part_loss, part_grads in results:
@@ -310,15 +262,9 @@ def fit(
         raise EmptySplitError("fit: train split is empty")
     trained = m.clone()
     rng = np.random.default_rng(cfg.seed)
-    params = {
-        "entities": trained.entities,
-        "biases": trained.biases,
-        "theta": trained.theta,
-        "phi": trained.phi,
-        "mu": trained.mu,
-    }
-    if trained.geometry == "euclidean":
-        params = {k: v for k, v in params.items() if k != "mu"}
+    # delta is a hyperparameter; the Euclidean baseline never uses its boosts
+    frozen = ("delta",) if trained.geometry == "ultra" else ("delta", "mu")
+    params = {k: v for k, v in parameters(trained).items() if k not in frozen}
     opt = _make_optimizer(cfg, params)
     threads = cfg.effective_threads
     trace: list[float] = []

@@ -351,3 +351,24 @@ class TestParser:
     def test_unknown_flag_exits(self, workdir):
         with pytest.raises(SystemExit):
             main(["synth", "--out", "/tmp/x", "--rings", "3"])
+
+
+class TestStatsComputesHierarchyOnce:
+    def test_one_krackhardt_call_per_relation(self, workdir, tmp_path, monkeypatch):
+        from ukge import kgdata
+
+        calls = []
+        real = kgdata.krackhardt_score
+
+        def counting(store, relation):
+            calls.append(relation)
+            return real(store, relation)
+
+        monkeypatch.setattr(kgdata, "krackhardt_score", counting)
+        csv = str(tmp_path / "stats.csv")
+        rc = main(["stats", "--train", f"{workdir['data']}/train.tsv", "--out", csv])
+        assert rc == EXIT_OK
+        assert sorted(calls) == [0, 1]  # isa and next, once each
+        rows = open(csv).read().strip().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["isa", "next"]
+        assert rows[0].endswith(",1.000000")

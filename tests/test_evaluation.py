@@ -229,3 +229,31 @@ class TestReports:
         assert set(lines[1]) <= {"-", " "}
         assert lines[-1].startswith("TOTAL")
         assert "0.5833" in lines[-1]
+
+
+class TestNonFiniteScores:
+    """A non-finite score must never improve a rank."""
+
+    def test_all_nan_model_ranks_last(self):
+        m = init(S22, 6, 1, seed=3)
+        m.entities[:] = np.nan
+        store = ids_store(6, 1, train=[(0, 0, 1)], test=[(0, 0, 1)])
+        # every score is NaN: each of the 5 competitors counts against the gold
+        assert filtered_rank(m, store, (0, 0, 1), filter_splits=()) == 6
+        assert evaluate(m, store, split="test", filter_splits=()).mrr == 1.0 / 6
+
+    def test_nan_gold_ranks_last(self):
+        m = bias_model([1.0, np.nan, -3.0, 2.0])
+        store = ids_store(4, 1, train=[(0, 0, 1)])
+        assert filtered_rank(m, store, (0, 0, 1), filter_splits=()) == 4
+
+    def test_nan_competitor_counts_against_gold(self):
+        m = bias_model([5.0, 1.0, np.nan, -2.0])
+        store = ids_store(4, 1, train=[(0, 0, 0)])
+        # only the strictly lower -2 and 1 stay behind the gold 5
+        assert filtered_rank(m, store, (0, 0, 0), filter_splits=()) == 2
+
+    def test_infinite_gold_still_ranks_first(self):
+        m = bias_model([1.0, np.inf, 3.0])
+        store = ids_store(3, 1, train=[(0, 0, 1)])
+        assert filtered_rank(m, store, (0, 0, 1), filter_splits=()) == 1

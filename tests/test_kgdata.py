@@ -327,3 +327,17 @@ class TestStoreBasics:
         store = store_from([("a", "r", "b"), ("b", "s", "c")])
         assert store.n_entities == 3
         assert store.n_relations == 2
+
+
+class TestLineEndings:
+    def test_crlf_file_loads_like_its_lf_twin(self, tmp_path):
+        text = "a\tr\tb\nb\tr\tc\nc\ts\ta\n"
+        lf = write(tmp_path / "lf.tsv", text)
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        a = load_triples(lf)
+        b = load_triples(str(crlf))
+        assert b.entity_names == a.entity_names == ["a", "b", "c"]
+        assert b.relation_names == a.relation_names
+        for split in ("train", "valid", "test"):
+            np.testing.assert_array_equal(b.split(split), a.split(split))

@@ -398,3 +398,51 @@ class TestTrainConfig:
     def test_effective_threads(self):
         assert TrainConfig(threads=8).effective_threads == 8
         assert TrainConfig(threads=8, deterministic=True).effective_threads == 1
+
+
+class TestOneScoringPath:
+    """The tape scores training sees are the scores eval and predict see."""
+
+    @pytest.mark.parametrize("geometry", ["ultra", "euclidean"])
+    def test_tape_forward_equals_score_candidates_bitwise(self, geometry):
+        from ukge.model import score_candidates, score_triples
+        from ukge.training import _leaves
+
+        m = init(Signature(6, 2, 1.0), 40, 3, seed=8, geometry=geometry)
+        m.biases[:] = np.random.default_rng(8).normal(0.0, 0.5, m.biases.shape)
+        rng = np.random.default_rng(9)
+        triples = np.stack(
+            [rng.integers(0, 40, 60), rng.integers(0, 3, 60), rng.integers(0, 40, 60)],
+            axis=1,
+        )
+        tape = score_triples(
+            m, triples[:, 0], triples[:, 1], triples[:, 2], _leaves(m)
+        ).value
+        plain = np.array([score_candidates(m, h, r, [t])[0] for h, r, t in triples])
+        np.testing.assert_array_equal(tape, plain)
+        # one query against every candidate, as evaluate and predict score it
+        h, r = int(triples[0, 0]), int(triples[0, 1])
+        every = np.arange(m.n_entities)
+        tape = score_triples(
+            m, np.full(40, h), np.full(40, r), every, _leaves(m)
+        ).value
+        np.testing.assert_array_equal(tape, score_candidates(m, h, r))
+
+
+class TestSamplerStream:
+    @pytest.mark.parametrize("k", [1, 7, 50])
+    def test_one_row_matches_batch_and_reference_stream(self, k):
+        from ukge.training import _sample_negatives_batch
+
+        one = sample_negatives((3, 1, 7), k, 1000, np.random.default_rng(k))
+        batch = _sample_negatives_batch(
+            np.array([[3, 1, 7]]), k, 1000, np.random.default_rng(k)
+        )
+        np.testing.assert_array_equal(one, batch[0])
+        ref = np.random.default_rng(k)
+        coin = ref.random(k) < 0.5
+        repl = ref.integers(0, 1000, k)
+        expected = np.stack(
+            [np.where(coin, repl, 3), np.full(k, 1), np.where(coin, 7, repl)], axis=1
+        )
+        np.testing.assert_array_equal(one, expected)
