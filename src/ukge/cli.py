@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import evaluation, kgdata, model, training
+from . import evaluation, kgdata, model, operators, training
 from .errors import (
     CheckpointError,
     DigestMismatchError,
@@ -337,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--margin", type=float)
     p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--operator", choices=("rot", "ref", "rotref"))
-    p_train.add_argument("--geometry", choices=("ultra", "euclidean"))
-    p_train.add_argument("--optimizer", choices=("adam", "adagrad"))
+    p_train.add_argument("--operator", choices=operators.OPERATOR_MODES)
+    p_train.add_argument("--geometry", choices=model.GEOMETRIES)
+    p_train.add_argument("--optimizer", choices=training.OPTIMIZERS)
     p_train.add_argument("--threads", type=int)
     p_train.add_argument("--deterministic", action="store_const", const=True,
                          default=None)

@@ -73,6 +73,10 @@ class TruncatedPayloadError(CheckpointError):
     """The parameter payload is shorter than the header promises."""
 
 
+class CorruptPayloadError(CheckpointError):
+    """A payload value is NaN or infinite; names the parameter family."""
+
+
 class SignatureMismatchError(CheckpointError):
     """The checkpoint signature disagrees with the requested one."""
 

@@ -14,16 +14,20 @@ Euclidean.
 
 Checkpoints are a small binary format: magic ``UKGE``, a little-endian u32
 format version, a u32 header length, a canonical JSON header, then raw
-little-endian float64 payload arrays in the order entities, biases, theta,
-phi, mu, delta.
+little-endian float64 payload arrays in :func:`layout` order.  Loading
+checks every header field and rejects non-finite payloads; saving replaces
+the target atomically.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import io
 import json
+import math
+import os
 import struct
+import uuid
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +37,7 @@ from . import geometry, operators
 from .errors import (
     ConfigurationError,
     CorruptHeaderError,
+    CorruptPayloadError,
     DimensionError,
     IdLookupError,
     SignatureMismatchError,
@@ -48,16 +53,35 @@ FORMAT_VERSION = 1
 GEOMETRIES = ("ultra", "euclidean")
 
 
+def layout(sig: Signature, n_entities: int, n_relations: int) -> dict[str, tuple]:
+    """Shape of each parameter family, in checkpoint payload order.
+
+    Entities are points of R^{p,q} with a head-role and a tail-role bias;
+    each relation has d/2 + d/2 Givens angles (U and V stages) and q boosts;
+    ``delta`` is the one global scalar.
+    """
+    half = sig.d // 2
+    return {
+        "entities": (n_entities, sig.d),
+        "biases": (n_entities, 2),
+        "theta": (n_relations, half),
+        "phi": (n_relations, half),
+        "mu": (n_relations, sig.q),
+        "delta": (),
+    }
+
+
 @dataclass
 class Model:
-    """All trainable state of one embedding run."""
+    """All trainable state of one embedding run; array shapes follow
+    :func:`layout`."""
 
     sig: Signature
-    entities: np.ndarray  # (n_entities, d) free parameters, space then time
-    biases: np.ndarray  # (n_entities, 2): column 0 head-role, column 1 tail-role
-    theta: np.ndarray  # (n_relations, d/2) U-stage angles
-    phi: np.ndarray  # (n_relations, d/2) V-stage angles
-    mu: np.ndarray  # (n_relations, q) boost magnitudes
+    entities: np.ndarray  # free parameters, space then time
+    biases: np.ndarray  # column 0 head-role, column 1 tail-role
+    theta: np.ndarray  # U-stage Givens angles
+    phi: np.ndarray  # V-stage Givens angles
+    mu: np.ndarray  # boost magnitudes
     delta: float  # global margin
     operator: str = "rotref"
     geometry: str = "ultra"
@@ -69,17 +93,12 @@ class Model:
             raise ConfigurationError(f"unknown operator flavour {self.operator!r}")
         if self.geometry not in GEOMETRIES:
             raise ConfigurationError(f"unknown geometry {self.geometry!r}")
-        n, d = self.entities.shape
-        half = self.sig.d // 2
-        if d != self.sig.d:
-            raise DimensionError("entities array width disagrees with signature")
-        if self.biases.shape != (n, 2):
-            raise DimensionError("biases must have shape (n_entities, 2)")
-        r = self.theta.shape[0]
-        if self.theta.shape != (r, half) or self.phi.shape != (r, half):
-            raise DimensionError("Givens angle arrays must have shape (n_relations, d/2)")
-        if self.mu.shape != (r, self.sig.q):
-            raise DimensionError("mu must have shape (n_relations, q)")
+        shapes = layout(self.sig, self.n_entities, self.n_relations)
+        for name, value in parameters(self).items():
+            if np.shape(value) != shapes[name]:
+                raise DimensionError(
+                    f"{name} has shape {np.shape(value)}, expected {shapes[name]}"
+                )
 
     @property
     def n_entities(self) -> int:
@@ -94,14 +113,8 @@ class Model:
         return RelationParams(self.theta[r], self.phi[r], self.mu[r])
 
     def clone(self) -> "Model":
-        return replace(
-            self,
-            entities=self.entities.copy(),
-            biases=self.biases.copy(),
-            theta=self.theta.copy(),
-            phi=self.phi.copy(),
-            mu=self.mu.copy(),
-        )
+        arrays = {k: v.copy() for k, v in parameters(self).items() if k != "delta"}
+        return replace(self, **arrays)
 
 
 def _check_id(i: int, n: int, kind: str) -> None:
@@ -148,10 +161,10 @@ def init(
     space = rng.normal(0.0, 0.01, (n_entities, sig.p))
     time = rng.normal(0.0, 0.01, (n_entities, sig.q))
     time[:, 0] += 1.0
-    half = sig.d // 2
-    theta = rng.uniform(-np.pi, np.pi, (n_relations, half))
-    phi = rng.uniform(-np.pi, np.pi, (n_relations, half))
-    mu = rng.normal(0.0, 0.01, (n_relations, sig.q))
+    shapes = layout(sig, n_entities, n_relations)
+    theta = rng.uniform(-np.pi, np.pi, shapes["theta"])
+    phi = rng.uniform(-np.pi, np.pi, shapes["phi"])
+    mu = rng.normal(0.0, 0.01, shapes["mu"])
     if geometry == "euclidean":
         mu = np.zeros_like(mu)
     entities = np.concatenate([space, time], axis=1)
@@ -159,7 +172,7 @@ def init(
     return Model(
         sig=sig,
         entities=entities,
-        biases=np.zeros((n_entities, 2)),
+        biases=np.zeros(shapes["biases"]),
         theta=theta,
         phi=phi,
         mu=mu,
@@ -175,14 +188,11 @@ def init(
 
 
 def parameters(m: Model) -> dict[str, np.ndarray]:
-    """The model's parameter families by name, ``delta`` as a 0-d scalar."""
+    """The model's parameter families by name in :func:`layout` order,
+    ``delta`` as a 0-d scalar."""
     return {
-        "entities": m.entities,
-        "biases": m.biases,
-        "theta": m.theta,
-        "phi": m.phi,
-        "mu": m.mu,
-        "delta": np.float64(m.delta),
+        name: np.float64(m.delta) if name == "delta" else getattr(m, name)
+        for name in layout(m.sig, m.n_entities, m.n_relations)
     }
 
 
@@ -237,9 +247,19 @@ def score(m: Model, h: int, r: int, t: int) -> float:
 
 # --- checkpoints -----------------------------------------------------------------
 
+#: header field -> accepted JSON value types (bools are rejected separately)
+_HEADER_TYPES = dict(
+    p=int, q=int, alpha=(int, float), n_entities=int, n_relations=int,
+    operator=str, geometry=str, entity_digest=str, relation_digest=str,
+)
+
 
 def save(m: Model, path: str) -> None:
-    """Write a deterministic binary checkpoint (see module docstring)."""
+    """Write a deterministic binary checkpoint (see module docstring).
+
+    The bytes go to a temporary file beside ``path`` that is synced to disk
+    and then renamed over it, so ``path`` never holds a partial write.
+    """
     header = {
         "p": m.sig.p,
         "q": m.sig.q,
@@ -252,20 +272,48 @@ def save(m: Model, path: str) -> None:
         "relation_digest": m.relation_digest,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", FORMAT_VERSION))
-    buf.write(struct.pack("<I", len(blob)))
-    buf.write(blob)
-    for arr in (m.entities, m.biases, m.theta, m.phi, m.mu):
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    buf.write(np.float64(m.delta).astype("<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
+            fh.write(blob)
+            for arr in parameters(m).values():
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _read_header(blob: bytes, path: str) -> tuple[Signature, dict]:
+    """The header's signature and its other fields, every field checked."""
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise CorruptHeaderError(f"{path}: malformed header ({exc})") from exc
+    if not isinstance(header, dict) or set(header) != set(_HEADER_TYPES):
+        raise CorruptHeaderError(f"{path}: header fields are not {sorted(_HEADER_TYPES)}")
+    for key, kinds in _HEADER_TYPES.items():
+        if isinstance(header[key], bool) or not isinstance(header[key], kinds):
+            raise CorruptHeaderError(f"{path}: header field {key!r} has the wrong type")
+    if header["p"] % 2 or header["q"] % 2:
+        raise CorruptHeaderError(f"{path}: p and q must be even")
+    if header["n_entities"] < 1 or header["n_relations"] < 1:
+        raise CorruptHeaderError(f"{path}: entity and relation counts must be >= 1")
+    try:
+        sig = Signature(header.pop("p"), header.pop("q"), float(header.pop("alpha")))
+    except (ConfigurationError, OverflowError) as exc:
+        raise CorruptHeaderError(f"{path}: {exc}") from exc
+    return sig, header
 
 
 def load(path: str, expected_sig: Signature | None = None) -> Model:
-    """Read a checkpoint, verifying magic, version, and payload size."""
+    """Read a checkpoint, verifying magic, version, header, payload size and
+    that every payload value is finite."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12 or raw[:4] != MAGIC:
@@ -278,33 +326,15 @@ def load(path: str, expected_sig: Signature | None = None) -> Model:
     (hlen,) = struct.unpack_from("<I", raw, 8)
     if len(raw) < 12 + hlen:
         raise CorruptHeaderError(f"{path}: header block cut short")
-    try:
-        header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
-        sig = Signature(int(header["p"]), int(header["q"]), float(header["alpha"]))
-        n_e = int(header["n_entities"])
-        n_r = int(header["n_relations"])
-        operator = header["operator"]
-        geom = header["geometry"]
-        entity_digest = header["entity_digest"]
-        relation_digest = header["relation_digest"]
-    except (KeyError, ValueError, ConfigurationError, UnicodeDecodeError) as exc:
-        raise CorruptHeaderError(f"{path}: malformed header ({exc})") from exc
+    sig, header = _read_header(raw[12 : 12 + hlen], path)
     if expected_sig is not None and sig != expected_sig:
         raise SignatureMismatchError(
             f"{path}: checkpoint signature ({sig.p},{sig.q},alpha={sig.alpha}) "
             f"!= requested ({expected_sig.p},{expected_sig.q},"
             f"alpha={expected_sig.alpha})"
         )
-    half = sig.d // 2
-    shapes = [
-        ("entities", (n_e, sig.d)),
-        ("biases", (n_e, 2)),
-        ("theta", (n_r, half)),
-        ("phi", (n_r, half)),
-        ("mu", (n_r, sig.q)),
-        ("delta", (1,)),
-    ]
-    need = sum(int(np.prod(s)) for _, s in shapes) * 8
+    shapes = layout(sig, header.pop("n_entities"), header.pop("n_relations"))
+    need = sum(math.prod(s) for s in shapes.values()) * 8
     payload = raw[12 + hlen :]
     if len(payload) < need:
         raise TruncatedPayloadError(
@@ -314,24 +344,19 @@ def load(path: str, expected_sig: Signature | None = None) -> Model:
         raise CorruptHeaderError(f"{path}: {len(payload) - need} trailing bytes")
     arrays = {}
     offset = 0
-    for name, shape in shapes:
-        count = int(np.prod(shape))
+    for name, shape in shapes.items():
+        count = math.prod(shape)
         arrays[name] = (
             np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
             .astype(np.float64)
             .reshape(shape)
         )
+        if not np.all(np.isfinite(arrays[name])):
+            raise CorruptPayloadError(
+                f"{path}: non-finite value in parameter family {name!r}"
+            )
         offset += count * 8
-    return Model(
-        sig=sig,
-        entities=arrays["entities"],
-        biases=arrays["biases"],
-        theta=arrays["theta"],
-        phi=arrays["phi"],
-        mu=arrays["mu"],
-        delta=float(arrays["delta"][0]),
-        operator=operator,
-        geometry=geom,
-        entity_digest=entity_digest,
-        relation_digest=relation_digest,
-    )
+    try:
+        return Model(sig=sig, delta=float(arrays.pop("delta")), **arrays, **header)
+    except ConfigurationError as exc:  # unknown operator or geometry
+        raise CorruptHeaderError(f"{path}: {exc}") from exc

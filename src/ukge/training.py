@@ -55,7 +55,6 @@ class TrainConfig:
     seed: int = 0
     threads: int = 1
     deterministic: bool = False
-    grad_check: bool = False
 
     def validate(self) -> None:
         if self.batch_size < 1:
@@ -66,7 +65,7 @@ class TrainConfig:
             raise ConfigurationError("learning_rate must be positive")
         if not 0 <= self.epochs <= 1000:
             raise ConfigurationError("epochs must lie in [0, 1000]")
-        if self.optimizer not in ("adam", "adagrad"):
+        if self.optimizer not in OPTIMIZERS:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
@@ -214,11 +213,12 @@ class Adagrad:
             p -= self.lr * g / (np.sqrt(self.acc[k]) + self.eps)
 
 
+OPTIMIZERS = {"adam": Adam, "adagrad": Adagrad}
+
+
 def _make_optimizer(cfg: TrainConfig, params: dict[str, np.ndarray]):
     shapes = {k: v.shape for k, v in params.items()}
-    if cfg.optimizer == "adam":
-        return Adam(shapes, cfg.learning_rate)
-    return Adagrad(shapes, cfg.learning_rate)
+    return OPTIMIZERS[cfg.optimizer](shapes, cfg.learning_rate)
 
 
 # --- fit -------------------------------------------------------------------------
@@ -270,8 +270,6 @@ def fit(
     trace: list[float] = []
     last_good = trained.clone()
     n = triples.shape[0]
-    if cfg.grad_check and cfg.epochs > 0:
-        _spot_check_gradients(trained, triples, cfg, rng=np.random.default_rng(cfg.seed + 1))
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         epoch_loss = 0.0
@@ -311,40 +309,3 @@ def fit(
         if epoch_callback is not None:
             epoch_callback(epoch, trace[-1], trained)
     return trained, trace
-
-
-def _spot_check_gradients(
-    m: Model, triples: np.ndarray, cfg: TrainConfig, rng: np.random.Generator
-) -> None:
-    """Compare a few analytic derivatives against central differences."""
-    batch = triples[: min(4, triples.shape[0])]
-    neg = _sample_negatives_batch(batch, min(cfg.neg_samples, 4), m.n_entities, rng)
-    grads = gradients(m, batch, neg)
-    checks = [
-        ("entities", (int(batch[0, 0]), 0)),
-        ("biases", (int(batch[0, 0]), 0)),
-        ("theta", (int(batch[0, 1]), 0)),
-    ]
-    h = 1e-5
-    for family, idx in checks:
-        probe = m.clone()
-        arr = getattr(probe, family)
-        arr[idx] += h
-        up = bce_loss(probe, batch, neg)
-        arr[idx] -= 2 * h
-        down = bce_loss(probe, batch, neg)
-        fd = (up - down) / (2 * h)
-        if family == "entities":
-            analytic = (
-                grads["entity_space"][idx]
-                if idx[1] < m.sig.p
-                else grads["entity_time"][idx[0], idx[1] - m.sig.p]
-            )
-        else:
-            analytic = grads[family][idx]
-        scale = max(abs(fd), abs(analytic), 1e-8)
-        if abs(fd - analytic) / scale > 1e-3:
-            raise NonFiniteGradientError(
-                f"gradient spot check failed for {family}{idx}: "
-                f"analytic {analytic:.6e} vs finite difference {fd:.6e}"
-            )

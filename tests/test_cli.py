@@ -303,6 +303,17 @@ class TestEvalAndPredict:
         ])
         assert rc == EXIT_INPUT
 
+    def test_predict_non_finite_checkpoint(self, workdir, tmp_path, capsys):
+        bad = str(tmp_path / "nan.ukge")
+        raw = open(workdir["ckpt"], "rb").read()
+        open(bad, "wb").write(raw[:-8] + np.array(np.nan, dtype="<f8").tobytes())  # delta
+        rc = main([
+            "predict", "--model", bad, "--train", f"{workdir['data']}/train.tsv",
+            "--head", "n4", "--rel", "isa",
+        ])
+        assert rc == EXIT_INPUT
+        assert "non-finite value in parameter family 'delta'" in capsys.readouterr().err
+
     def test_predict_lists_topk(self, workdir, capsys):
         rc = main([
             "predict", "--model", workdir["ckpt"],

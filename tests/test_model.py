@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import struct
 
 import numpy as np
 import pytest
 
+from ukge import CorruptPayloadError
 from ukge.errors import (
     ConfigurationError,
     CorruptHeaderError,
@@ -355,3 +358,144 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load(str(tmp_path / "nope.ukge"))
+
+
+class TestFrozenFormat:
+    """``save`` output pinned byte for byte for a model built without RNG, so
+    that reordering or reshaping families in both ``save`` and ``load`` at
+    once cannot pass unnoticed."""
+
+    PINNED = {
+        ("ultra", "rotref"): "d365284c24bd497d15a616c2f10562a1b08c444b55ee7a9644b0cdf00def9c96",
+        ("ultra", "rot"): "cae0d6546f1cb9932a98495ccd623090de394f26bc25003c409a1ffc85440c93",
+        ("ultra", "ref"): "7dc03299c11ff9cec6b6282fee2c29707503805cd0c916dccd671d3f95f4fb3c",
+        ("euclidean", "rotref"): "6b103006ad475e20ead91590f060b5e54ba5a0fd5c95696106c9baee8ade7572",
+        ("euclidean", "rot"): "1d5e9e6721cb493ae4656101cb8bbb321b1f30b2a2d51a9f797b3970ae9e9996",
+        ("euclidean", "ref"): "b0088c6105e1ec8c7a837c079cc579daba1ed5617e6eab8eec2f5c1522f8cb34",
+    }
+
+    @pytest.mark.parametrize("geometry, operator", sorted(PINNED))
+    def test_save_bytes_are_pinned(self, tmp_path, geometry, operator):
+        # distinct values in theta, phi and mu so that swapping any two shows
+        m = tiny_model(
+            theta=np.array([[0.1, -0.2]]),
+            phi=np.array([[0.3, -0.4]]),
+            mu=np.array([[0.5, -0.6]]),
+            operator=operator,
+            geometry=geometry,
+            entity_digest="e" * 64,
+            relation_digest="r" * 64,
+        )
+        path = str(tmp_path / "m.ukge")
+        save(m, path)
+        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        assert digest == self.PINNED[geometry, operator]
+
+
+def _write_checkpoint(path: str, header, n_floats: int) -> None:
+    """A checkpoint with the given JSON header and ``n_floats`` zero values."""
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    with open(path, "wb") as fh:
+        fh.write(b"UKGE" + struct.pack("<II", 1, len(blob)) + blob)
+        fh.write(b"\x00" * 8 * n_floats)
+
+
+def _payload_floats(p: int, q: int, n_e: int, n_r: int) -> int:
+    """Values a header promises: entities, biases, theta, phi, mu, delta."""
+    return n_e * (p + q) + n_e * 2 + 2 * n_r * ((p + q) // 2) + n_r * q + 1
+
+
+class TestHeaderValidation:
+    """Every header field is checked; the payload always has the size the
+    header promises, so only the field under test is wrong."""
+
+    GOOD = dict(
+        p=2, q=2, alpha=1.0, n_entities=2, n_relations=1, operator="rot",
+        geometry="ultra", entity_digest="", relation_digest="",
+    )
+
+    BAD = {
+        "unknown operator": dict(operator="bogus"),
+        "unknown geometry": dict(geometry="flat"),
+        "integer entity digest": dict(entity_digest=5),
+        "null relation digest": dict(relation_digest=None),
+        "zero entities": dict(n_entities=0),
+        "zero relations": dict(n_relations=0),
+        "odd p": dict(p=3),
+        "odd q": dict(p=4, q=1),
+        "string dimension": dict(p="2"),
+        "boolean count": dict(n_relations=True),
+        "null alpha": dict(alpha=None),
+        "extra field": dict(comment="hello"),
+    }
+
+    def forge(self, tmp_path, header) -> str:
+        dims = [
+            header[k] if type(header.get(k)) is int else self.GOOD[k]
+            for k in ("p", "q", "n_entities", "n_relations")
+        ]
+        path = str(tmp_path / "m.ukge")
+        _write_checkpoint(path, header, _payload_floats(*dims))
+        return path
+
+    def test_good_header_loads(self, tmp_path):
+        m = load(self.forge(tmp_path, self.GOOD))
+        assert (m.n_entities, m.n_relations, m.operator) == (2, 1, "rot")
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_field_is_corrupt_header(self, tmp_path, case):
+        path = self.forge(tmp_path, {**self.GOOD, **self.BAD[case]})
+        with pytest.raises(CorruptHeaderError):
+            load(path)
+
+    def test_header_must_be_an_object(self, tmp_path):
+        path = str(tmp_path / "m.ukge")
+        _write_checkpoint(path, [2, 2], _payload_floats(2, 2, 2, 1))
+        with pytest.raises(CorruptHeaderError):
+            load(path)
+
+
+class TestNonFinitePayload:
+    #: first value of each family in the payload of ``tiny_model()``
+    OFFSETS = {"entities": 0, "biases": 8, "theta": 12, "phi": 14, "mu": 16, "delta": 18}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("family", sorted(OFFSETS))
+    def test_rejected_naming_the_family(self, tmp_path, family, bad):
+        path = str(tmp_path / "m.ukge")
+        save(tiny_model(), path)
+        raw = bytearray(open(path, "rb").read())
+        at = len(raw) - 8 * (19 - self.OFFSETS[family])
+        raw[at : at + 8] = struct.pack("<d", bad)
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(CorruptPayloadError, match=repr(family)):
+            load(path)
+
+
+class TestAtomicSave:
+    def test_failed_replace_keeps_old_bytes_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "m.ukge")
+        save(tiny_model(), path)
+        before = open(path, "rb").read()
+
+        def fail(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="simulated rename failure"):
+            save(tiny_model(delta=9.0), path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["m.ukge"]
+
+    def test_synced_before_rename(self, tmp_path, monkeypatch):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append("fsync"), real_fsync(fd)))
+        monkeypatch.setattr(
+            os, "replace", lambda a, b: (calls.append("replace"), real_replace(a, b))
+        )
+        path = str(tmp_path / "m.ukge")
+        save(tiny_model(), path)
+        assert calls == ["fsync", "replace"]
+        assert os.listdir(tmp_path) == ["m.ukge"]
+        assert load(path).delta == 0.3

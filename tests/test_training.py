@@ -325,11 +325,6 @@ class TestFit:
         assert trace_det == trace_one
         np.testing.assert_array_equal(t_det.entities, t_one.entities)
 
-    def test_grad_check_passes_on_healthy_model(self):
-        m, store = synth_setup()
-        fit(m, store, TrainConfig(epochs=1, batch_size=8, neg_samples=4,
-                                  grad_check=True))
-
     def test_nan_parameters_raise_divergence(self):
         m, store = synth_setup()
         m.entities[0, 0] = np.nan
