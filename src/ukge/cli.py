@@ -114,11 +114,7 @@ def _humanize(n: int) -> str:
     return str(n)
 
 
-def _load_store(args, require_valid=False, require_test=False) -> kgdata.TripleStore:
-    if require_valid and not args.valid:
-        raise CliError("--valid is required here")
-    if require_test and not getattr(args, "test", None):
-        raise CliError("--test is required here")
+def _load_store(args) -> kgdata.TripleStore:
     store = kgdata.load_triples(
         args.train, getattr(args, "valid", None), getattr(args, "test", None)
     )
@@ -147,11 +143,11 @@ def cmd_stats(args) -> int:
         f"test={store.test.shape[0]}"
     )
     print()
-    print(f"{'relation':<30} {'count':>8} {'khs':>10} {'curvature':>10}")
+    print(f"{'relation':<30} {'count':>8} {'khs':>10}")
     khs = kgdata.hierarchy_scores(store)
     for rid, name in enumerate(store.relation_names):
         cell = "n/a" if khs[rid] is None else f"{khs[rid]:.4f}"
-        print(f"{name:<30} {counts[rid]:>8} {cell:>10} {'external':>10}")
+        print(f"{name:<30} {counts[rid]:>8} {cell:>10}")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(kgdata.stats_csv(store, khs))
@@ -247,7 +243,7 @@ def _load_model_for_store(args, store: kgdata.TripleStore) -> model.Model:
 
 
 def cmd_eval(args) -> int:
-    store = _load_store(args, require_test=True)
+    store = _load_store(args)
     store = kgdata.augment_inverse(store)
     m = _load_model_for_store(args, store)
     filter_splits = tuple(s.strip() for s in args.filter.split(",") if s.strip())

@@ -16,10 +16,12 @@ for ``p = 0``.  Free optimisation parameters are points of
 the time component, and :func:`psi` / :func:`psi_inv` factor that map through
 an intermediate "space x sphere" representation.
 
-Distances combine two closed-form legs through the conic projection
-:func:`project_conic`: a great-circle arc between time directions at fixed
-space component, plus a hyperboloid geodesic between conic sections.  The final
-:func:`dist_manhattan` takes the cheaper of the two projection orders.
+:func:`dist_manhattan` takes the cheaper of two routes, each a great-circle
+arc between time directions at fixed space component plus a hyperboloid
+geodesic between conic sections, with both legs in closed form.  The conic
+projection :func:`project_conic` and the legs :func:`dist_sphere` and
+:func:`dist_hyper` spell the same construction out step by step, checking
+their preconditions; they are the reference the closed form is tested against.
 
 All functions accept plain float64 arrays or :class:`~ukge.autodiff.Tensor`
 nodes, with point coordinates along the last axis and arbitrary batch axes in
@@ -47,7 +49,7 @@ TOL_MANIFOLD = 1e-9
 #: Lower bound enforced on the norm of free time components.
 EPS_TIME = 1e-8
 
-# Tolerances for precondition checks on the projected-pair distance legs.
+# Tolerances for precondition checks on the reference distance legs.
 _SPHERE_RTOL = 1e-8  # |norm(u) - alpha| <= alpha * _SPHERE_RTOL in psi_inv
 _SPACE_ATOL = 1e-8  # shared-space check in dist_sphere
 _PARALLEL_RTOL = 1e-8  # same-direction check in dist_hyper
@@ -112,7 +114,8 @@ def space_radius(space, sig: Signature):
     """Radius ``sqrt(alpha^2 + |space|^2)`` of the time sphere over ``space``.
 
     This is the single shared implementation used by :func:`phi`,
-    :func:`psi_inv`, :func:`project_conic` and :func:`dist_sphere`, so that
+    :func:`psi_inv`, :func:`dist_manhattan` (as the sphere-leg radius) and the
+    reference legs :func:`project_conic` and :func:`dist_sphere`, so that
     coincident inputs produce bitwise-identical radii.
     """
     return ad.sqrt(sq_space_radius(space, sig))
@@ -207,7 +210,7 @@ def project_conic(x, y, sig: Signature):
     return ad.concat([xs_b, time_b], axis=-1)
 
 
-def dist_sphere(a, b, sig: Signature, *, check: bool = True):
+def dist_sphere(a, b, sig: Signature):
     """Great-circle distance between the time components of ``a`` and ``b``.
 
     Both points must share the same space component (the projected
@@ -217,12 +220,9 @@ def dist_sphere(a, b, sig: Signature, *, check: bool = True):
     """
     as_, at = split_spacetime(a, sig)
     bs, bt = split_spacetime(b, sig)
-    if check:
-        gap = np.max(np.abs(value_of(as_) - value_of(bs))) if value_of(as_).size else 0.0
-        if gap > _SPACE_ATOL:
-            raise PreconditionError(
-                f"dist_sphere: space components differ by {gap:.3e}"
-            )
+    gap = np.max(np.abs(value_of(as_) - value_of(bs))) if value_of(as_).size else 0.0
+    if gap > _SPACE_ATOL:
+        raise PreconditionError(f"dist_sphere: space components differ by {gap:.3e}")
     r = space_radius(as_, sig)
     cosang = ad.sum_(at * bt, axis=-1) / (ad.norm(at, axis=-1) * ad.norm(bt, axis=-1))
     return r * ad.arccos(ad.clip(cosang, -1.0, 1.0))
@@ -233,22 +233,21 @@ def cosh_argument(a, b, sig: Signature):
     return -qdot(a, b, sig) / (sig.alpha * sig.alpha)
 
 
-def dist_hyper(a, b, sig: Signature, *, check: bool = True):
+def dist_hyper(a, b, sig: Signature):
     """Hyperboloid geodesic distance ``alpha * arccosh(-<a,b>_q / alpha^2)``.
 
     Valid for points whose time components are parallel with the same sense
     (the projected configuration); the argument is clamped into [1, inf) to
     absorb roundoff.
     """
-    if check:
-        at = value_of(a)[..., sig.p :]
-        bt = value_of(b)[..., sig.p :]
-        dot = np.sum(at * bt, axis=-1)
-        nn = np.linalg.norm(at, axis=-1) * np.linalg.norm(bt, axis=-1)
-        if np.any(dot < nn * (1.0 - _PARALLEL_RTOL)):
-            raise PreconditionError(
-                "dist_hyper: time components must be parallel with equal sense"
-            )
+    at = value_of(a)[..., sig.p :]
+    bt = value_of(b)[..., sig.p :]
+    dot = np.sum(at * bt, axis=-1)
+    nn = np.linalg.norm(at, axis=-1) * np.linalg.norm(bt, axis=-1)
+    if np.any(dot < nn * (1.0 - _PARALLEL_RTOL)):
+        raise PreconditionError(
+            "dist_hyper: time components must be parallel with equal sense"
+        )
     arg = ad.clip(cosh_argument(a, b, sig), 1.0, None)
     return sig.alpha * ad.arccosh(arg)
 
@@ -256,24 +255,32 @@ def dist_hyper(a, b, sig: Signature, *, check: bool = True):
 def dist_manhattan(x, y, sig: Signature):
     """Two-leg manifold distance, minimised over the projection order.
 
-    Each candidate routes through one conic projection: a spherical arc at
-    fixed space component followed by a hyperboloid geodesic.  Exact ties
-    between the two orders take the (x -> y) branch, i.e. the one projecting
-    ``y`` onto ``x``'s conic section.  Symmetric by construction and
-    nonnegative.  Coordinatewise-identical pairs short-circuit to exactly
-    zero: the inverse trigonometric legs lose half the float precision near
-    coincidence, so without the short circuit d(x, x) lands near 1e-7
-    instead of 0.
+    Each order is a spherical arc at fixed space component followed by a
+    hyperboloid geodesic, and both legs have closed forms in the points'
+    components.  With ``r`` the :func:`space_radius` of a point, ``n`` the
+    norm of its time component, ``s = <x_s, y_s>`` and ``angle`` the angle
+    between the time components, the (x -> y) order costs
+
+        r_x * angle + alpha * arccosh((r_x * n_y - s) / alpha^2),
+
+    which equals ``dist_sphere(x, p) + dist_hyper(p, y)`` for the conic
+    projection ``p = project_conic(x, y)``; the (y -> x) order swaps the
+    roles.  Exact ties between the two orders take the (x -> y) branch.
+    Symmetric by construction and nonnegative.  Coordinatewise-identical
+    pairs short-circuit to exactly zero: the inverse trigonometric legs lose
+    half the float precision near coincidence, so without the short circuit
+    d(x, x) lands near 1e-7 instead of 0.
     """
     same = np.all(value_of(x) == value_of(y), axis=-1)
-    proj_xy = project_conic(x, y, sig)
-    leg_xy = dist_sphere(x, proj_xy, sig, check=False) + dist_hyper(
-        proj_xy, y, sig, check=False
-    )
-    proj_yx = project_conic(y, x, sig)
-    leg_yx = dist_sphere(y, proj_yx, sig, check=False) + dist_hyper(
-        proj_yx, x, sig, check=False
-    )
+    xs, xt = split_spacetime(x, sig)
+    ys, yt = split_spacetime(y, sig)
+    rx, ry = space_radius(xs, sig), space_radius(ys, sig)
+    nx, ny = ad.norm(xt, axis=-1), ad.norm(yt, axis=-1)
+    angle = ad.arccos(ad.clip(ad.sum_(xt * yt, axis=-1) / (nx * ny), -1.0, 1.0))
+    s = ad.sum_(xs * ys, axis=-1)
+    a2 = sig.alpha * sig.alpha
+    leg_xy = rx * angle + sig.alpha * ad.arccosh(ad.clip((rx * ny - s) / a2, 1.0, None))
+    leg_yx = ry * angle + sig.alpha * ad.arccosh(ad.clip((ry * nx - s) / a2, 1.0, None))
     best = ad.minimum(leg_xy, leg_yx)
     if not np.any(same):
         return best

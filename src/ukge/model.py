@@ -89,6 +89,10 @@ class Model:
     relation_digest: str = ""
 
     def __post_init__(self):
+        if self.sig.p % 2 or self.sig.q % 2:
+            raise ConfigurationError(
+                f"relation operators need even p and q, got {self.sig.p} and {self.sig.q}"
+            )
         if self.operator not in operators.OPERATOR_MODES:
             raise ConfigurationError(f"unknown operator flavour {self.operator!r}")
         if self.geometry not in GEOMETRIES:
@@ -254,9 +258,21 @@ _HEADER_TYPES = dict(
 )
 
 
+def _check_finite(families: dict, path: str) -> None:
+    """Raise :class:`CorruptPayloadError` naming the first family that holds
+    a NaN or Inf; :func:`save` and :func:`load` share it."""
+    for name, arr in families.items():
+        if not np.all(np.isfinite(arr)):
+            raise CorruptPayloadError(
+                f"{path}: non-finite value in parameter family {name!r}"
+            )
+
+
 def save(m: Model, path: str) -> None:
     """Write a deterministic binary checkpoint (see module docstring).
 
+    A model with a non-finite value raises :class:`CorruptPayloadError`
+    before anything is written, since :func:`load` would refuse the file.
     The bytes go to a temporary file beside ``path`` that is synced to disk
     and then renamed over it, so ``path`` never holds a partial write.
     """
@@ -272,6 +288,7 @@ def save(m: Model, path: str) -> None:
         "relation_digest": m.relation_digest,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    _check_finite(parameters(m), path)
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "xb") as fh:
@@ -351,11 +368,8 @@ def load(path: str, expected_sig: Signature | None = None) -> Model:
             .astype(np.float64)
             .reshape(shape)
         )
-        if not np.all(np.isfinite(arrays[name])):
-            raise CorruptPayloadError(
-                f"{path}: non-finite value in parameter family {name!r}"
-            )
         offset += count * 8
+    _check_finite(arrays, path)
     try:
         return Model(sig=sig, delta=float(arrays.pop("delta")), **arrays, **header)
     except ConfigurationError as exc:  # unknown operator or geometry

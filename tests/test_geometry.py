@@ -31,6 +31,7 @@ from ukge.geometry import (
     space_radius,
     split_spacetime,
 )
+from ukge.operators import relation_transform
 
 S11 = Signature(1, 1, 1.0)
 S21 = Signature(2, 1, 1.0)
@@ -306,6 +307,32 @@ class TestDistances:
         expect = np.minimum(route(x, y), route(y, x))
         got = np.asarray(dist_manhattan(x, y, sig))
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("p,q", [(2, 1), (2, 2), (6, 2), (28, 4)])
+    def test_closed_form_matches_projection_construction(self, rng, p, q, alpha):
+        # the conic projection and the single legs spelled out step by step,
+        # on random pairs, one-against-all rows and relation-moved points
+        sig = Signature(p, q, alpha)
+        n = 400
+        x = random_manifold_points(sig, n, rng)
+        y = random_manifold_points(sig, n, rng)
+        pairs = [(x, y), (x[:1], y)]
+        if p % 2 == 0 and q % 2 == 0:
+            half = sig.d // 2
+            moved = np.asarray(relation_transform(
+                rng.normal(size=(n, half)), rng.normal(size=(n, half)),
+                rng.normal(0.0, 0.5, (n, q)), x, sig,
+            ))
+            pairs += [(moved, y), (moved[:1], y)]
+
+        def order(a, b):
+            proj = project_conic(a, b, sig)
+            return np.asarray(dist_sphere(a, proj, sig)) + np.asarray(dist_hyper(proj, b, sig))
+
+        for a, b in pairs:
+            expect = np.minimum(order(a, b), order(b, a))
+            np.testing.assert_allclose(np.asarray(dist_manhattan(a, b, sig)), expect, rtol=1e-10)
 
     def test_projected_cosh_argument_never_dips_below_one(self, rng):
         sig = S22

@@ -184,6 +184,12 @@ class TestInit:
 
 
 class TestModelContainer:
+    @pytest.mark.parametrize("p,q", [(3, 1), (4, 1), (3, 2)])
+    def test_odd_signature_rejected(self, p, q):
+        # no relation operator exists for odd p or q, and load refuses them
+        with pytest.raises(ConfigurationError, match="even"):
+            init(Signature(p, q, 1.0), 3, 1)
+
     def test_shape_validation(self):
         good = tiny_model()
         with pytest.raises(DimensionError):
@@ -470,6 +476,22 @@ class TestNonFinitePayload:
         open(path, "wb").write(bytes(raw))
         with pytest.raises(CorruptPayloadError, match=repr(family)):
             load(path)
+
+
+    @pytest.mark.parametrize("family", sorted(OFFSETS))
+    def test_save_refuses_and_keeps_the_target(self, tmp_path, family):
+        path = str(tmp_path / "m.ukge")
+        save(tiny_model(), path)
+        before = open(path, "rb").read()
+        m = tiny_model()
+        if family == "delta":
+            m = tiny_model(delta=np.nan)
+        else:
+            getattr(m, family).flat[0] = np.nan
+        with pytest.raises(CorruptPayloadError, match=repr(family)):
+            save(m, path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["m.ukge"]
 
 
 class TestAtomicSave:
