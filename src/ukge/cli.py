@@ -39,6 +39,15 @@ EXIT_INPUT = 2
 EXIT_LOOKUP = 3
 EXIT_NUMERIC = 4
 
+
+def _parse_bool(raw: str) -> bool:
+    """``1/true/yes`` or ``0/false/no`` in any case; ValueError otherwise."""
+    word = raw.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"not a boolean: {raw!r}")
+    return word in ("1", "true", "yes")
+
+
 #: config-file keys the train command accepts, with parsers and defaults
 TRAIN_OPTIONS: dict[str, tuple] = {
     "dim": (int, 32),
@@ -54,7 +63,7 @@ TRAIN_OPTIONS: dict[str, tuple] = {
     "geometry": (str, "ultra"),
     "optimizer": (str, "adam"),
     "threads": (int, 1),
-    "deterministic": (lambda s: s.lower() in ("1", "true", "yes"), False),
+    "deterministic": (_parse_bool, False),
     "eval_every": (int, 50),
 }
 
@@ -115,9 +124,7 @@ def _humanize(n: int) -> str:
 
 
 def _load_store(args) -> kgdata.TripleStore:
-    store = kgdata.load_triples(
-        args.train, getattr(args, "valid", None), getattr(args, "test", None)
-    )
+    store = kgdata.load_triples(args.train, args.valid, args.test)
     if store.test_only_entities:
         print(
             f"note: {len(store.test_only_entities)} entities appear only in "
@@ -155,6 +162,20 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def train_config(options: dict) -> training.TrainConfig:
+    """Validated ``TrainConfig``; ``deterministic`` means one thread."""
+    cfg = training.TrainConfig(
+        batch_size=options["batch"], neg_samples=options["neg"],
+        learning_rate=options["lr"], epochs=options["epochs"],
+        optimizer=options["optimizer"], seed=options["seed"],
+        threads=options["threads"],
+    )
+    cfg.validate()
+    if options["deterministic"]:  # for fit and the periodic validation
+        cfg.threads = 1
+    return cfg
+
+
 def cmd_train(args) -> int:
     file_values = (
         load_config_file(args.config, TRAIN_OPTIONS) if args.config else {}
@@ -166,17 +187,7 @@ def cmd_train(args) -> int:
     }
     options = merge_options(defaults, file_values, flags)
     sig = _signature_from(options)  # validate configuration before any compute
-    cfg = training.TrainConfig(
-        batch_size=options["batch"],
-        neg_samples=options["neg"],
-        learning_rate=options["lr"],
-        epochs=options["epochs"],
-        optimizer=options["optimizer"],
-        seed=options["seed"],
-        threads=options["threads"],
-        deterministic=options["deterministic"],
-    )
-    cfg.validate()
+    cfg = train_config(options)
     store = _load_store(args)
     store = kgdata.augment_inverse(store)
     m = model.init(
@@ -197,7 +208,7 @@ def cmd_train(args) -> int:
         print(f"epoch {epoch + 1:>4}  loss {loss:.6f}")
         if has_valid and eval_every > 0 and (epoch + 1) % eval_every == 0:
             report = evaluation.evaluate(
-                current, store, split="valid", threads=cfg.effective_threads
+                current, store, split="valid", threads=cfg.threads
             )
             print(f"    valid MRR {report.mrr:.4f}  H@10 {report.hits[10]:.4f}")
 
@@ -272,6 +283,8 @@ def _resolve_name(name: str, lookup, names: list[str], kind: str) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.topk < 1:
+        raise CliError(f"--topk must be >= 1, got {args.topk}")
     store = _load_store(args)
     store = kgdata.augment_inverse(store)
     m = _load_model_for_store(args, store)
@@ -392,3 +405,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:  # console-script entry point
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,12 +1,12 @@
 """Triple stores: loading, inverse augmentation, graph statistics, synthesis.
 
 Input files are UTF-8 TSV with one ``head<TAB>relation<TAB>tail`` triple per
-line (LF or CRLF endings, no header).  Dictionaries are built over the union
-of the train/valid/test splits in first-seen order, so ids are dense and
-stable for a fixed input.  Stores are treated as immutable after construction;
-:func:`augment_inverse` returns a new store with an inverse relation (and
-reversed triples) added for every base relation, which is how head prediction
-is realised downstream.
+line (LF or CRLF endings, no header).  Dictionaries number the deduplicated
+train, valid and test splits, in that order, by first appearance, so ids are
+dense and stable for a fixed input.  Stores are treated as immutable after
+construction; :func:`augment_inverse` returns a new store with an inverse
+relation (and reversed triples) added for every base relation, which is how
+head prediction is realised downstream.
 """
 
 from __future__ import annotations
@@ -79,20 +79,18 @@ class TripleStore:
         return np.concatenate([self.train, self.valid, self.test], axis=0)
 
 
-def _parse_file(path: str) -> list[tuple[str, str, str]]:
-    rows: list[tuple[str, str, str]] = []
+def _parse_file(path: str) -> list[tuple[str, ...]]:
+    """One ``(head, relation, tail)`` row per line, duplicates kept.  A line
+    without three non-empty tab-separated fields once its LF or CRLF ending
+    is stripped raises :class:`ParseError` naming the file and line."""
+    rows: list[tuple[str, ...]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\r\n")
-            fields = line.split("\t")
-            if len(fields) != 3 or any(f == "" for f in fields):
+            fields = tuple(line.rstrip("\r\n").split("\t"))
+            if len(fields) != 3 or "" in fields:
                 raise ParseError(path, lineno, "expected 3 tab-separated fields")
-            rows.append((fields[0], fields[1], fields[2]))
+            rows.append(fields)
     return rows
-
-
-def _dedupe(rows: list[tuple[str, str, str]]) -> list[tuple[str, str, str]]:
-    return list(dict.fromkeys(rows))
 
 
 def load_triples(
@@ -102,47 +100,36 @@ def load_triples(
 ) -> TripleStore:
     """Load up to three TSV splits into one store.
 
-    Duplicate triples are dropped within each split (first occurrence kept).
-    Entities appearing only in the test split are allowed but recorded in
+    Every file is parsed before any split is checked, so a malformed line
+    in any split is reported ahead of an empty train split.  Duplicate
+    triples are dropped within each split (first occurrence kept), then the
+    splits are numbered in train, valid, test order with first-seen ids.
+    Entities appearing only in the test split are therefore exactly the
+    ones numbered last; they are allowed but recorded, sorted by name, in
     ``test_only_entities`` so callers can flag them.
     """
-    raw = {
-        "train": _dedupe(_parse_file(train_path)),
-        "valid": _dedupe(_parse_file(valid_path)) if valid_path else [],
-        "test": _dedupe(_parse_file(test_path)) if test_path else [],
-    }
-    if not raw["train"]:
-        raise EmptySplitError(f"{train_path}: train split is empty")
-    entity_names: list[str] = []
-    relation_names: list[str] = []
-    e_ids: dict[str, int] = {}
-    r_ids: dict[str, int] = {}
-    for split in SPLITS:
-        for h, r, t in raw[split]:
-            for name in (h, t):
-                if name not in e_ids:
-                    e_ids[name] = len(entity_names)
-                    entity_names.append(name)
-            if r not in r_ids:
-                r_ids[r] = len(relation_names)
-                relation_names.append(r)
-    seen_before_test = {
-        name for h, r, t in raw["train"] + raw["valid"] for name in (h, t)
-    }
-    test_only = sorted(
-        {name for h, r, t in raw["test"] for name in (h, t)} - seen_before_test
+    train, valid, test = (
+        list(dict.fromkeys(_parse_file(path))) if path else []
+        for path in (train_path, valid_path, test_path)
     )
-    arrays = {}
-    for split in SPLITS:
-        rows = [(e_ids[h], r_ids[r], e_ids[t]) for h, r, t in raw[split]]
-        arrays[split] = np.asarray(rows, dtype=np.int64).reshape(len(rows), 3)
+    if not train:
+        raise EmptySplitError(f"{train_path}: train split is empty")
+    entity_ids: dict[str, int] = {}
+    relation_ids: dict[str, int] = {}
+    arrays = []
+    for rows in (train, valid, test):
+        n_seen = len(entity_ids)  # ends as the entity count before test
+        ids = [
+            (entity_ids.setdefault(h, len(entity_ids)),
+             relation_ids.setdefault(r, len(relation_ids)),
+             entity_ids.setdefault(t, len(entity_ids)))
+            for h, r, t in rows
+        ]
+        arrays.append(np.asarray(ids, dtype=np.int64).reshape(len(ids), 3))
+    entity_names = list(entity_ids)
     return TripleStore(
-        entity_names=entity_names,
-        relation_names=relation_names,
-        train=arrays["train"],
-        valid=arrays["valid"],
-        test=arrays["test"],
-        test_only_entities=test_only,
+        entity_names, list(relation_ids), *arrays,
+        test_only_entities=sorted(entity_names[n_seen:]),
     )
 
 

@@ -54,7 +54,6 @@ class TrainConfig:
     optimizer: str = "adam"
     seed: int = 0
     threads: int = 1
-    deterministic: bool = False
 
     def validate(self) -> None:
         if self.batch_size < 1:
@@ -69,10 +68,6 @@ class TrainConfig:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
-
-    @property
-    def effective_threads(self) -> int:
-        return 1 if self.deterministic else self.threads
 
 
 # --- negative sampling ------------------------------------------------------
@@ -266,7 +261,6 @@ def fit(
     frozen = ("delta",) if trained.geometry == "ultra" else ("delta", "mu")
     params = {k: v for k, v in parameters(trained).items() if k not in frozen}
     opt = _make_optimizer(cfg, params)
-    threads = cfg.effective_threads
     trace: list[float] = []
     last_good = trained.clone()
     n = triples.shape[0]
@@ -278,7 +272,7 @@ def fit(
             neg = _sample_negatives_batch(
                 batch, cfg.neg_samples, trained.n_entities, rng
             )
-            loss_sum, grads = _batch_grads(trained, batch, neg, threads)
+            loss_sum, grads = _batch_grads(trained, batch, neg, cfg.threads)
             if not np.isfinite(loss_sum):
                 raise DivergenceError(
                     f"loss became non-finite in epoch {epoch}",

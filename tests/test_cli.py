@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -119,6 +121,24 @@ class TestTrain:
         assert main(args + ["--out", b]) == EXIT_OK
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_deterministic_flag_is_one_thread(self, workdir, tmp_path):
+        """``--deterministic --threads 4`` trains, and validates, exactly as
+        ``--threads 1`` does; ``--threads 4`` alone shards the batches."""
+        args = [
+            "train", "--train", f"{workdir['data']}/train.tsv",
+            "--valid", f"{workdir['data']}/valid.tsv",
+            "--dim", "4", "--time-dims", "2", "--epochs", "3", "--batch", "8",
+            "--neg", "4", "--seed", "11", "--eval-every", "1",
+        ]
+        blobs = []
+        for run, extra in (("det", ["--deterministic", "--threads", "4"]),
+                           ("one", ["--threads", "1"])):
+            out = str(tmp_path / f"{run}.ukge")
+            assert main(args + extra + ["--out", out]) == EXIT_OK
+            blobs.append((open(out, "rb").read(),
+                          open(out + ".trace.csv", "rb").read()))
+        assert blobs[0] == blobs[1]
+
     def test_custom_trace_path(self, workdir, tmp_path):
         out, trace = str(tmp_path / "m.ukge"), str(tmp_path / "t.csv")
         rc = main([
@@ -188,6 +208,24 @@ class TestConfigFile:
         cfg.write_text("epochs=soon\n")
         with pytest.raises(CliError):
             load_config_file(str(cfg), TRAIN_OPTIONS)
+
+    @pytest.mark.parametrize(
+        "raw,value",
+        [("1", True), ("TRUE", True), ("Yes", True),
+         ("0", False), ("false", False), ("NO", False)],
+    )
+    def test_boolean_words(self, tmp_path, raw, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"deterministic={raw}\n")
+        assert load_config_file(str(cfg), TRAIN_OPTIONS) == {"deterministic": value}
+
+    @pytest.mark.parametrize("raw", ["ture", "on", "2", ""])
+    def test_bad_boolean_reports_location(self, tmp_path, raw):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"epochs=3\ndeterministic={raw}\n")
+        with pytest.raises(CliError) as exc:
+            load_config_file(str(cfg), TRAIN_OPTIONS)
+        assert f"{cfg}:2" in str(exc.value)
 
     def test_missing_equals_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -314,6 +352,18 @@ class TestEvalAndPredict:
         assert rc == EXIT_INPUT
         assert "non-finite value in parameter family 'delta'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("topk", ["0", "-3"])
+    def test_predict_topk_below_one_rejected(self, workdir, capsys, topk):
+        rc = main([
+            "predict", "--model", workdir["ckpt"],
+            "--train", f"{workdir['data']}/train.tsv",
+            "--head", "n4", "--rel", "next", "--topk", topk,
+        ])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--topk must be >= 1" in captured.err
+
     def test_predict_lists_topk(self, workdir, capsys):
         rc = main([
             "predict", "--model", workdir["ckpt"],
@@ -383,3 +433,23 @@ class TestStatsComputesHierarchyOnce:
         rows = open(csv).read().strip().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["isa", "next"]
         assert rows[0].endswith(",1.000000")
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_the_cli(self, tmp_path):
+        """``python -m ukge.cli`` works from a checkout without the console
+        script installed."""
+        src = os.path.dirname(os.path.dirname(model.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = tmp_path / "toy"
+        done = subprocess.run(
+            [sys.executable, "-m", "ukge.cli", "synth", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "13 entities" in done.stdout
+        for split in ("train", "valid", "test"):
+            assert (out / f"{split}.tsv").stat().st_size > 0

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ukge.errors import (
     ConfigurationError,
@@ -97,6 +102,14 @@ class TestParsing:
         train = write(tmp_path / "t.tsv", "")
         with pytest.raises(EmptySplitError):
             load_triples(train)
+
+    def test_every_file_parses_before_the_empty_train_check(self, tmp_path):
+        train = write(tmp_path / "t.tsv", "")
+        valid = write(tmp_path / "v.tsv", "a\tr\tb\nc\tr\n")
+        with pytest.raises(ParseError) as exc:
+            load_triples(train, valid)
+        assert exc.value.path == valid
+        assert exc.value.line == 2
 
     def test_test_only_entities_recorded(self, tmp_path):
         train = write(tmp_path / "tr.tsv", "a\tr\tb\n")
@@ -341,3 +354,68 @@ class TestLineEndings:
         assert b.relation_names == a.relation_names
         for split in ("train", "valid", "test"):
             np.testing.assert_array_equal(b.split(split), a.split(split))
+
+
+names = st.text(alphabet="abxy", min_size=1, max_size=2)
+name_triples = st.tuples(names, st.sampled_from(["r", "s", "t"]), names)
+
+
+@st.composite
+def tsv_splits(draw, min_size=0):
+    """Rows of one split with some repeated, and its TSV text with a random
+    LF or CRLF ending per line (the last line may have none)."""
+    rows = draw(st.lists(name_triples, min_size=min_size, max_size=8))
+    if rows:
+        repeats = draw(st.lists(st.sampled_from(rows), max_size=4))
+        rows = draw(st.permutations(rows + repeats))
+    endings = [draw(st.sampled_from(["\n", "\r\n"])) for _ in rows]
+    if endings and draw(st.booleans()):
+        endings[-1] = ""
+    return rows, "".join("\t".join(row) + end for row, end in zip(rows, endings))
+
+
+def load_oracle(splits):
+    """The loading spec, spelled out: dedupe each split keeping first
+    occurrences, number train, valid, test in order by first appearance,
+    and list test names that train and valid never mention."""
+    entities: dict[str, int] = {}
+    relations: dict[str, int] = {}
+    arrays = []
+    for rows in splits:
+        unique = []
+        for row in rows:
+            if row not in unique:
+                unique.append(row)
+        for h, r, t in unique:
+            for name in (h, t):
+                if name not in entities:
+                    entities[name] = len(entities)
+            if r not in relations:
+                relations[r] = len(relations)
+        arrays.append([(entities[h], relations[r], entities[t]) for h, r, t in unique])
+    before_test = {name for rows in splits[:2] for h, _, t in rows for name in (h, t)}
+    test_names = {name for h, _, t in splits[2] for name in (h, t)}
+    return list(entities), list(relations), arrays, sorted(test_names - before_test)
+
+
+class TestLoadMatchesSpec:
+    @settings(max_examples=150, deadline=None)
+    @given(train=tsv_splits(min_size=1), valid=tsv_splits(), test=tsv_splits())
+    def test_against_oracle(self, train, valid, test):
+        with tempfile.TemporaryDirectory() as root:
+            paths = []
+            for split, (_, text) in zip(("train", "valid", "test"), (train, valid, test)):
+                paths.append(os.path.join(root, f"{split}.tsv"))
+                with open(paths[-1], "wb") as fh:
+                    fh.write(text.encode("utf-8"))
+            store = load_triples(*paths)
+        entities, relations, arrays, test_only = load_oracle(
+            [rows for rows, _ in (train, valid, test)]
+        )
+        assert store.entity_names == entities
+        assert store.relation_names == relations
+        assert store.test_only_entities == test_only
+        for split, expected in zip(("train", "valid", "test"), arrays):
+            got = store.split(split)
+            assert got.dtype == np.int64 and got.shape == (len(expected), 3)
+            assert got.tolist() == [list(row) for row in expected]

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from ukge.cli import TRAIN_OPTIONS, train_config
 from ukge.errors import (
     ConfigurationError,
     DivergenceError,
@@ -316,10 +317,15 @@ class TestFit:
         assert trace2 == trace2b  # fixed shard order: same thread count agrees
 
     def test_deterministic_flag_forces_single_thread(self):
+        """The train command's ``deterministic`` option reaches ``fit`` as
+        one thread, whatever ``threads`` says."""
+        options = {k: v[1] for k, v in TRAIN_OPTIONS.items()}
+        options.update(epochs=2, batch=16, neg=4, threads=8, deterministic=True)
+        det = train_config(options)
+        assert det.threads == 1
+        options.update(threads=1, deterministic=False)
+        one = train_config(options)
         m, store = synth_setup()
-        det = TrainConfig(epochs=2, batch_size=16, neg_samples=4, threads=8,
-                          deterministic=True)
-        one = TrainConfig(epochs=2, batch_size=16, neg_samples=4, threads=1)
         t_det, trace_det = fit(m, store, det)
         t_one, trace_one = fit(m, store, one)
         assert trace_det == trace_one
@@ -391,8 +397,12 @@ class TestTrainConfig:
         TrainConfig().validate()
 
     def test_effective_threads(self):
-        assert TrainConfig(threads=8).effective_threads == 8
-        assert TrainConfig(threads=8, deterministic=True).effective_threads == 1
+        """``threads`` is the thread count ``fit`` uses: no second field
+        overrides it."""
+        assert TrainConfig(threads=8).threads == 8
+        assert not hasattr(TrainConfig, "effective_threads")
+        with pytest.raises(TypeError):
+            TrainConfig(threads=8, deterministic=True)
 
 
 class TestOneScoringPath:
