@@ -282,6 +282,19 @@ def _resolve_name(name: str, lookup, names: list[str], kind: str) -> int:
         raise NameLookupError(f"unknown {kind} {name!r}{hint}") from None
 
 
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Ids of the ``k`` best scores, in the order of
+    ``np.argsort(-scores, kind="stable")[:k]``: best first, ties by id and
+    NaN last, without sorting every score."""
+    keys = -scores
+    if k >= keys.size:
+        return np.argsort(keys, kind="stable")
+    kth = np.partition(keys, k - 1)[k - 1]  # partition, like sort, puts NaN last
+    # the scores ahead of the k-th or tied with it, in id order, stably sorted
+    chosen = np.arange(keys.size) if np.isnan(kth) else np.flatnonzero(keys <= kth)
+    return chosen[np.argsort(keys[chosen], kind="stable")][:k]
+
+
 def cmd_predict(args) -> int:
     if args.topk < 1:
         raise CliError(f"--topk must be >= 1, got {args.topk}")
@@ -291,9 +304,7 @@ def cmd_predict(args) -> int:
     h = _resolve_name(args.head, store.entity_id, store.entity_names, "entity")
     r = _resolve_name(args.rel, store.relation_id, store.relation_names, "relation")
     scores = model.score_candidates(m, h, r)
-    k = min(args.topk, m.n_entities)
-    order = np.argsort(-scores, kind="stable")[:k]
-    for t in order:
+    for t in top_k(scores, args.topk):
         print(f"{store.entity_names[int(t)]}\t{scores[int(t)]:.6f}")
     return EXIT_OK
 

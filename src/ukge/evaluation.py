@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EmptySplitError, IdLookupError
 from .kgdata import TripleStore
-from .model import Model, score_candidates
+from .model import Model, candidate_tails, score_candidates
 
 HITS_KS = (1, 3, 10)
 
@@ -41,15 +41,27 @@ class EvalReport:
 
 
 def build_filter_index(
-    store: TripleStore, splits=("train", "valid", "test")
+    store: TripleStore, splits=("train", "valid", "test"), keys=None
 ) -> dict[tuple[int, int], np.ndarray]:
-    """Map (head, relation) to the sorted array of its known true tails."""
-    tails: dict[tuple[int, int], set[int]] = {}
-    for split in splits:
-        for h, r, t in store.split(split):
-            tails.setdefault((int(h), int(r)), set()).add(int(t))
+    """Map (head, relation) to the sorted array of its known true tails.
+
+    ``keys``, an (n, 2) array of (head, relation) rows, restricts the index
+    to those pairs; a pair without a known tail has no entry either way.
+    """
+    triples = np.concatenate(
+        [store.split(name) for name in splits] + [np.empty((0, 3), dtype=np.int64)]
+    )
+    if keys is not None:
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+        # each (head, relation) pair as one integer, head * width + relation
+        width = 1 + max(int(triples[:, 1].max(initial=0)), int(keys[:, 1].max(initial=0)))
+        pairs = triples[:, 0] * width + triples[:, 1]
+        triples = triples[np.isin(pairs, keys[:, 0] * width + keys[:, 1])]
+    rows = np.unique(triples, axis=0)  # sorted by head, relation, tail
+    starts = np.flatnonzero(np.any(np.diff(rows[:, :2], axis=0, prepend=-1) != 0, axis=1))
     return {
-        key: np.fromiter(sorted(vals), dtype=np.int64) for key, vals in tails.items()
+        (h, r): known
+        for (h, r), known in zip(rows[starts, :2].tolist(), np.split(rows[:, 2], starts[1:]))
     }
 
 
@@ -59,6 +71,7 @@ def filtered_rank(
     triple,
     filter_splits=("train", "valid", "test"),
     _index: dict[tuple[int, int], np.ndarray] | None = None,
+    _tails: tuple | None = None,
 ) -> int:
     """Pessimistic filtered rank of the gold tail among all entities.
 
@@ -67,10 +80,11 @@ def filtered_rank(
     h, r, t = (int(v) for v in triple)
     if not 0 <= t < m.n_entities:
         raise IdLookupError(f"entity id {t} out of range")
-    index = build_filter_index(store, filter_splits) if _index is None else _index
-    scores = score_candidates(m, h, r)
+    if _index is None:  # standalone: index this query's pair only
+        _index = build_filter_index(store, filter_splits, keys=[(h, r)])
+    scores = score_candidates(m, h, r, tails=_tails)
     allowed = np.ones(m.n_entities, dtype=bool)
-    known = index.get((h, r))
+    known = _index.get((h, r))
     if known is not None:
         allowed[known] = False
     allowed[t] = False  # the gold tail is never its own competitor
@@ -109,17 +123,22 @@ def evaluate(
 ) -> EvalReport:
     """Rank every triple of ``split`` and aggregate the metrics.
 
+    The tail side of the scores (:func:`ukge.model.candidate_tails`) and the
+    filter index of the split's (head, relation) pairs are built once per
+    call and shared by every query.
+
     For the standard protocol (head and tail prediction) pass a store that
     has been augmented with inverse relations.
     """
     triples = store.split(split)
     if triples.shape[0] == 0:
         raise EmptySplitError(f"evaluate: split {split!r} is empty")
-    index = build_filter_index(store, filter_splits)
+    index = build_filter_index(store, filter_splits, keys=triples[:, :2])
+    tails = candidate_tails(m)  # shared read-only by every query and thread
 
     def rank_block(block: np.ndarray) -> list[int]:
         return [
-            filtered_rank(m, store, row, filter_splits, _index=index)
+            filtered_rank(m, store, row, filter_splits, _index=index, _tails=tails)
             for row in block
         ]
 

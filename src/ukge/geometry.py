@@ -252,6 +252,36 @@ def dist_hyper(a, b, sig: Signature):
     return sig.alpha * ad.arccosh(arg)
 
 
+def point_terms(x, sig: Signature):
+    """The terms of :func:`dist_manhattan` that depend on one point only:
+    ``(space, time, r, n)``, with ``r`` the :func:`space_radius` and ``n``
+    the time norm.  One-against-all scoring computes them once for every
+    candidate tail and hands them to :func:`manhattan_legs` per query."""
+    xs, xt = split_spacetime(x, sig)
+    return xs, xt, space_radius(xs, sig), ad.norm(xt, axis=-1)
+
+
+def manhattan_legs(tx, ty, sig: Signature):
+    """:func:`dist_manhattan` of two points given by their :func:`point_terms`."""
+    xs, xt, rx, nx = tx
+    ys, yt, ry, ny = ty
+    angle = ad.arccos(ad.clip(ad.sum_(xt * yt, axis=-1) / (nx * ny), -1.0, 1.0))
+    s = ad.sum_(xs * ys, axis=-1)
+    a2 = sig.alpha * sig.alpha
+    leg_xy = rx * angle + sig.alpha * ad.arccosh(ad.clip((rx * ny - s) / a2, 1.0, None))
+    leg_yx = ry * angle + sig.alpha * ad.arccosh(ad.clip((ry * nx - s) / a2, 1.0, None))
+    best = ad.minimum(leg_xy, leg_yx)
+    # coincident rows share their first coordinate: compare whole rows only
+    # where that column matches
+    same = value_of(xs)[..., 0] == value_of(ys)[..., 0]
+    if np.any(same):
+        same &= np.all(value_of(xs) == value_of(ys), axis=-1)
+        same &= np.all(value_of(xt) == value_of(yt), axis=-1)
+    if not np.any(same):
+        return best
+    return ad.where(same, np.zeros(np.shape(same)), best)
+
+
 def dist_manhattan(x, y, sig: Signature):
     """Two-leg manifold distance, minimised over the projection order.
 
@@ -269,19 +299,7 @@ def dist_manhattan(x, y, sig: Signature):
     Symmetric by construction and nonnegative.  Coordinatewise-identical
     pairs short-circuit to exactly zero: the inverse trigonometric legs lose
     half the float precision near coincidence, so without the short circuit
-    d(x, x) lands near 1e-7 instead of 0.
+    d(x, x) lands near 1e-7 instead of 0.  The per-point terms come from
+    :func:`point_terms` and the legs from :func:`manhattan_legs`.
     """
-    same = np.all(value_of(x) == value_of(y), axis=-1)
-    xs, xt = split_spacetime(x, sig)
-    ys, yt = split_spacetime(y, sig)
-    rx, ry = space_radius(xs, sig), space_radius(ys, sig)
-    nx, ny = ad.norm(xt, axis=-1), ad.norm(yt, axis=-1)
-    angle = ad.arccos(ad.clip(ad.sum_(xt * yt, axis=-1) / (nx * ny), -1.0, 1.0))
-    s = ad.sum_(xs * ys, axis=-1)
-    a2 = sig.alpha * sig.alpha
-    leg_xy = rx * angle + sig.alpha * ad.arccosh(ad.clip((rx * ny - s) / a2, 1.0, None))
-    leg_yx = ry * angle + sig.alpha * ad.arccosh(ad.clip((ry * nx - s) / a2, 1.0, None))
-    best = ad.minimum(leg_xy, leg_yx)
-    if not np.any(same):
-        return best
-    return ad.where(same, np.zeros(np.shape(same)), best)
+    return manhattan_legs(point_terms(x, sig), point_terms(y, sig), sig)

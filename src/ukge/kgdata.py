@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,8 +48,15 @@ class TripleStore:
     def __post_init__(self):
         if self.n_base_relations == 0:
             self.n_base_relations = len(self.relation_names)
-        self._entity_ids = {name: i for i, name in enumerate(self.entity_names)}
-        self._relation_ids = {name: i for i, name in enumerate(self.relation_names)}
+
+    # name -> id maps, built on the first lookup rather than per construction
+    @cached_property
+    def _entity_ids(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.entity_names)}
+
+    @cached_property
+    def _relation_ids(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.relation_names)}
 
     @property
     def n_entities(self) -> int:

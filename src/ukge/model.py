@@ -200,47 +200,81 @@ def parameters(m: Model) -> dict[str, np.ndarray]:
     }
 
 
-def score_triples(m: Model, h, r, t, leaves: dict | None = None):
-    """Scores of the triples given by broadcastable 1-d id arrays ``h, r, t``.
-
-    ``leaves`` maps the names of :func:`parameters` to autodiff tensors and
-    makes the result differentiable; without it the model's own arrays are
-    read.  Training, evaluation and predict all score through here.  The
-    head's entity map and relation operator run once per row of ``h`` and
-    ``r``, so a one-against-all query passes those with length 1.
-    """
-    params = parameters(m) if leaves is None else leaves
+def _moved_heads(m: Model, params: dict, h, r):
+    """The heads of rows ``h`` moved by their relations ``r``: phi, then the
+    relation operator (ultra), or the operator on the raw vectors with the
+    boosts pinned to 0 (euclidean)."""
     z_h = ad.take(params["entities"], h)
-    z_t = ad.take(params["entities"], t)
     th = ad.take(params["theta"], r)
     ph = ad.take(params["phi"], r)
     if m.geometry == "ultra":
         head = geometry.phi(z_h, m.sig)
         mu = ad.take(params["mu"], r)
-        moved = operators.relation_transform(th, ph, mu, head, m.sig, m.operator)
-        tails = geometry.phi(z_t, m.sig)
-        dist = geometry.dist_manhattan(moved, tails, m.sig)
-    else:
-        # Euclidean baseline: same stages on raw vectors, boosts pinned to 0
-        mu0 = np.zeros(np.shape(r) + (m.sig.q,))
-        moved = operators.relation_transform(th, ph, mu0, z_h, m.sig, m.operator)
-        dist = ad.norm(moved - z_t, axis=-1)
+        return operators.relation_transform(th, ph, mu, head, m.sig, m.operator)
+    mu0 = np.zeros(np.shape(r) + (m.sig.q,))
+    return operators.relation_transform(th, ph, mu0, z_h, m.sig, m.operator)
+
+
+def _score(params: dict, dist, h, b_t):
+    """``s = -d^2 + b_h + b_t + delta`` for distances ``dist`` of heads ``h``."""
     b_h = ad.take(params["biases"][:, 0], h)
-    b_t = ad.take(params["biases"][:, 1], t)
     return -dist * dist + b_h + b_t + params["delta"]
 
 
-def score_candidates(m: Model, h: int, r: int, candidates=None) -> np.ndarray:
-    """Scores of (h, r, e) for every candidate tail ``e`` (default: all)."""
-    _check_id(h, m.n_entities, "entity")
-    _check_id(r, m.n_relations, "relation")
+def score_triples(m: Model, h, r, t, leaves: dict | None = None):
+    """Scores of the triples given by broadcastable 1-d id arrays ``h, r, t``.
+
+    ``leaves`` maps the names of :func:`parameters` to autodiff tensors and
+    makes the result differentiable; without it the model's own arrays are
+    read.  Training scores through here and :func:`score_candidates` shares
+    its head side and its score formula, so one triple gets the same bits
+    from both.
+    """
+    params = parameters(m) if leaves is None else leaves
+    moved = _moved_heads(m, params, h, r)
+    z_t = ad.take(params["entities"], t)
+    if m.geometry == "ultra":
+        # through dist_manhattan, the distance boundary perfbench traces
+        dist = geometry.dist_manhattan(moved, geometry.phi(z_t, m.sig), m.sig)
+    else:
+        dist = ad.norm(moved - z_t, axis=-1)
+    return _score(params, dist, h, ad.take(params["biases"][:, 1], t))
+
+
+def candidate_tails(m: Model, candidates=None) -> tuple:
+    """``(side, tail biases)`` of the candidate tails (default: all), where
+    ``side`` is the :func:`geometry.point_terms` of their manifold points
+    (ultra) or their raw vectors (euclidean); it is the same for every
+    query, so :func:`ukge.evaluation.evaluate` builds it once per call."""
     if candidates is None:
         cand = np.arange(m.n_entities)
     else:
         cand = np.asarray(candidates, dtype=np.int64)
         if cand.size and (cand.min() < 0 or cand.max() >= m.n_entities):
             raise IdLookupError("candidate entity id out of range")
-    return score_triples(m, np.array([h]), np.array([r]), cand)
+    z_t = m.entities[cand]
+    if m.geometry == "ultra":
+        z_t = geometry.point_terms(geometry.phi(z_t, m.sig), m.sig)
+    return z_t, m.biases[cand, 1]
+
+
+def score_candidates(
+    m: Model, h: int, r: int, candidates=None, *, tails=None
+) -> np.ndarray:
+    """Scores of (h, r, e) for every candidate tail ``e`` (default: all),
+    bit for bit those of :func:`score_triples`.  ``tails`` from
+    :func:`candidate_tails` stands in for ``candidates``."""
+    _check_id(h, m.n_entities, "entity")
+    _check_id(r, m.n_relations, "relation")
+    side, b_t = candidate_tails(m, candidates) if tails is None else tails
+    params = parameters(m)
+    h, r = np.array([h]), np.array([r])
+    moved = _moved_heads(m, params, h, r)
+    if m.geometry == "ultra":
+        dist = geometry.manhattan_legs(geometry.point_terms(moved, m.sig), side, m.sig)
+    else:
+        dist = ad.norm(moved - side, axis=-1)
+    return _score(params, dist, h, b_t)
 
 
 def score(m: Model, h: int, r: int, t: int) -> float:

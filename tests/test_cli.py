@@ -23,6 +23,7 @@ from ukge.cli import (
     load_config_file,
     main,
     merge_options,
+    top_k,
 )
 from ukge.geometry import Signature
 
@@ -453,3 +454,22 @@ class TestModuleEntryPoint:
         assert "13 entities" in done.stdout
         for split in ("train", "valid", "test"):
             assert (out / f"{split}.tsv").stat().st_size > 0
+
+
+class TestTopK:
+    """``predict`` prints the order of a full stable sort without one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scores=st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.inf, -np.inf]),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_equals_stable_argsort(self, scores):
+        scores = np.array(scores)
+        for k in range(1, scores.size + 2):
+            np.testing.assert_array_equal(
+                top_k(scores, k), np.argsort(-scores, kind="stable")[:k]
+            )

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ukge.errors import EmptySplitError, IdLookupError
 from ukge.evaluation import (
@@ -16,8 +21,17 @@ from ukge.evaluation import (
     report_table,
 )
 from ukge.geometry import Signature
-from ukge.kgdata import TripleStore, augment_inverse, make_synthetic
-from ukge.model import Model, init, score
+from ukge.kgdata import SPLITS, TripleStore, augment_inverse, make_synthetic
+from ukge.model import (
+    GEOMETRIES,
+    Model,
+    candidate_tails,
+    init,
+    score,
+    score_candidates,
+    score_triples,
+)
+from ukge.operators import OPERATOR_MODES
 
 from conftest import assert_close
 
@@ -257,3 +271,114 @@ class TestNonFiniteScores:
         m = bias_model([1.0, np.inf, 3.0])
         store = ids_store(3, 1, train=[(0, 0, 1)])
         assert filtered_rank(m, store, (0, 0, 1), filter_splits=()) == 1
+
+
+def filter_index_oracle(store, splits):
+    """The filter index spelled out as a dict of sets."""
+    tails: dict[tuple[int, int], set[int]] = {}
+    for split in splits:
+        for h, r, t in store.split(split):
+            tails.setdefault((int(h), int(r)), set()).add(int(t))
+    return {key: np.array(sorted(vals), dtype=np.int64) for key, vals in tails.items()}
+
+
+def assert_same_index(got, expected):
+    assert set(got) == set(expected)
+    for key, known in expected.items():
+        assert got[key].dtype == np.int64
+        np.testing.assert_array_equal(got[key], known)
+
+
+@st.composite
+def id_stores(draw):
+    """Stores whose splits draw from one pool of triples, so triples repeat
+    within and across splits; any split may be empty."""
+    pool = draw(st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 5)), max_size=12
+    ))
+    splits = [
+        draw(st.lists(st.sampled_from(pool), max_size=10)) if pool else []
+        for _ in SPLITS
+    ]
+    return ids_store(6, 4, *splits)
+
+
+class TestFilterIndexMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        store=id_stores(),
+        keys=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=6),
+    )
+    def test_full_and_restricted(self, store, keys):
+        for n in range(len(SPLITS) + 1):
+            for splits in itertools.combinations(SPLITS, n):
+                expected = filter_index_oracle(store, splits)
+                assert_same_index(build_filter_index(store, splits), expected)
+                assert_same_index(
+                    build_filter_index(store, splits, keys=keys),
+                    {key: v for key, v in expected.items() if key in set(keys)},
+                )
+
+
+class TestEvaluateMatchesPairPath:
+    """evaluate scores each query against one shared tail side; its ranks
+    must equal ranks built from the pair path, where ``score_triples``
+    scores every (h, r, e) row on its own."""
+
+    def setup(self, geometry, operator):
+        store = augment_inverse(make_synthetic(seed=2))
+        n = store.n_entities
+        m = init(Signature(6, 2), n, store.n_relations, seed=5,
+                 operator=operator, geometry=geometry)
+        rng = np.random.default_rng(6)
+        m.entities[:] = rng.normal(0.0, 1.0, m.entities.shape)
+        m.biases[:] = rng.normal(0.0, 1.0, m.biases.shape)
+        # relation 0 is the identity for rot and ref, and entity 1 copies
+        # entity 0 with its tail bias: (0, 0, 0) and (0, 0, 1) hit the exact
+        # zero distance, and 0 and 1 tie as tails of every query
+        m.theta[0] = m.phi[0] = m.mu[0] = 0.0
+        m.entities[1] = m.entities[0]
+        m.biases[1, 1] = m.biases[0, 1]
+        m.entities[2] = np.nan  # a NaN tail, and a NaN head
+        extra = [(0, 0, 1), (1, 0, 0), (0, 0, 0), (2, 1, 3), (4, 1, 2), (5, 3, 2)]
+        store = replace(store, test=np.concatenate([store.test, extra]))
+        return m, store
+
+    def pair_ranks(self, m, store):
+        index = filter_index_oracle(store, SPLITS)
+        every = np.arange(m.n_entities)
+        ranks = []
+        for h, r, t in store.test:
+            scores = score_triples(m, np.full(every.size, h), np.full(every.size, r), every)
+            allowed = np.ones(every.size, dtype=bool)
+            allowed[index[(h, r)]] = False
+            allowed[t] = False
+            ranks.append(1 + int(np.count_nonzero(~(scores[allowed] < scores[t]))))
+        return ranks
+
+    @pytest.mark.parametrize("operator", sorted(OPERATOR_MODES))
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_ranks_bitwise(self, geometry, operator):
+        m, store = self.setup(geometry, operator)
+        expected = self.pair_ranks(m, store)
+        assert [filtered_rank(m, store, row) for row in store.test] == expected
+        report = evaluate(m, store)
+        assert report == aggregate_ranks(expected, store.test[:, 1])
+        assert evaluate(m, store, threads=2) == report
+        if operator != "rotref":  # the identity relation really meets the short circuit
+            assert score(m, 0, 0, 1) == m.biases[0, 0] + m.biases[1, 1] + m.delta
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_precomputed_tails_equal_candidate_rows(self, geometry):
+        m, _ = self.setup(geometry, "rotref")
+        cand = np.array([7, 1, 0, 2, 7])
+        for h, r in [(0, 0), (3, 2), (2, 1)]:
+            rows = score_triples(m, np.full(cand.size, h), np.full(cand.size, r), cand)
+            np.testing.assert_array_equal(score_candidates(m, h, r, cand), rows)
+            np.testing.assert_array_equal(
+                score_candidates(m, h, r, tails=candidate_tails(m, cand)), rows
+            )
+            np.testing.assert_array_equal(
+                score_candidates(m, h, r), score_candidates(m, h, r, tails=candidate_tails(m))
+            )
+

@@ -260,6 +260,16 @@ class TestDistances:
                 np.asarray(dist_manhattan(x, x.copy(), sig)), 0.0
             )
 
+    def test_manhattan_rows_sharing_the_first_coordinate_are_apart(self, rng):
+        # coincidence is decided on whole rows, not on the first coordinate
+        for sig in (S22, Signature(6, 2, 1.0)):
+            z = random_free_params(sig, sig.d - 1, rng)
+            moved = z.copy()
+            moved[np.arange(sig.d - 1), np.arange(1, sig.d)] += 0.5
+            x, y = np.asarray(phi(z, sig)), np.asarray(phi(moved, sig))
+            np.testing.assert_array_equal(x[:, 0], y[:, 0])
+            assert np.all(np.asarray(dist_manhattan(x, y, sig)) >= 1e-7)
+
     def test_manhattan_distinguishes_distinct_points(self, rng):
         x = random_manifold_points(S22, 200, rng)
         y = random_manifold_points(S22, 200, rng)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -419,3 +420,47 @@ class TestLoadMatchesSpec:
             got = store.split(split)
             assert got.dtype == np.int64 and got.shape == (len(expected), 3)
             assert got.tolist() == [list(row) for row in expected]
+
+
+class TestLazyNameMaps:
+    """Name -> id maps are built on the first lookup, once per store."""
+
+    def stores(self):
+        base = store_from([("a", "r", "b"), ("b", "s", "c")])
+        return {
+            "base": base,
+            "augmented": augment_inverse(base),
+            "replaced": replace(base, entity_names=["x", "y", "z"]),
+        }
+
+    def test_construction_builds_no_map(self):
+        for store in self.stores().values():
+            assert "_entity_ids" not in vars(store)
+            assert "_relation_ids" not in vars(store)
+
+    def test_lookups_match_the_name_lists(self):
+        for kind, store in self.stores().items():
+            for i, name in enumerate(store.entity_names):
+                assert store.entity_id(name) == i, kind
+            for i, name in enumerate(store.relation_names):
+                assert store.relation_id(name) == i, kind
+            with pytest.raises(IdLookupError):
+                store.entity_id("nobody")
+            with pytest.raises(IdLookupError):
+                store.relation_id("nothing")
+        assert self.stores()["augmented"].relation_id("s_inv") == 3
+
+    def test_replace_after_a_lookup_maps_the_new_names(self):
+        base = self.stores()["base"]
+        assert base.entity_id("a") == 0
+        renamed = replace(base, entity_names=["x", "y", "z"])
+        assert renamed.entity_id("z") == 2
+        with pytest.raises(IdLookupError):
+            renamed.entity_id("a")
+
+    def test_map_built_once(self):
+        store = self.stores()["base"]
+        store.entity_id("a")
+        first = vars(store)["_entity_ids"]
+        store.entity_id("c")
+        assert vars(store)["_entity_ids"] is first
