@@ -13,6 +13,8 @@ with inverse relations.
 
 from __future__ import annotations
 
+import csv
+import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -162,19 +164,19 @@ def _relation_name(rel: int, store: TripleStore | None) -> str:
 
 
 def report_csv(report: EvalReport, store: TripleStore | None = None) -> str:
-    """CSV rows per relation plus a TOTAL row."""
-    lines = ["relation,count,mrr,hits1,hits3,hits10"]
+    """CSV rows per relation plus a TOTAL row.  A name with a comma, quote
+    or line break is quoted."""
+    def cells(m: RelationMetrics | EvalReport) -> list[str]:
+        return [f"{m.mrr:.6f}"] + [f"{m.hits[k]:.6f}" for k in HITS_KS]
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["relation", "count", "mrr", "hits1", "hits3", "hits10"])
     for rel in sorted(report.per_relation):
         rm = report.per_relation[rel]
-        lines.append(
-            f"{_relation_name(rel, store)},{rm.count},{rm.mrr:.6f},"
-            f"{rm.hits[1]:.6f},{rm.hits[3]:.6f},{rm.hits[10]:.6f}"
-        )
-    lines.append(
-        f"TOTAL,{report.triple_count},{report.mrr:.6f},"
-        f"{report.hits[1]:.6f},{report.hits[3]:.6f},{report.hits[10]:.6f}"
-    )
-    return "\n".join(lines) + "\n"
+        writer.writerow([_relation_name(rel, store), rm.count, *cells(rm)])
+    writer.writerow(["TOTAL", report.triple_count, *cells(report)])
+    return out.getvalue()
 
 
 def report_table(report: EvalReport, store: TripleStore | None = None) -> str:

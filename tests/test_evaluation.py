@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from dataclasses import replace
 
@@ -235,6 +237,16 @@ class TestReports:
         store = ids_store(2, 2, train=[(0, 0, 1), (0, 1, 1)])
         out = report_csv(self.report(), store)
         assert out.split("\n")[1].startswith("r0,")
+
+    def test_csv_quotes_names_with_commas_and_quotes(self):
+        names = ["part of, whole", 'say "hi"']
+        store = TripleStore(
+            ["a", "b"], names, np.asarray([(0, 0, 1), (0, 1, 1)]),
+            np.empty((0, 3), np.int64), np.empty((0, 3), np.int64),
+        )
+        rows = list(csv.reader(io.StringIO(report_csv(self.report(), store))))
+        assert [len(row) for row in rows] == [6] * 4
+        assert [row[0] for row in rows] == ["relation", *names, "TOTAL"]
 
     def test_table_layout(self):
         out = report_table(self.report())

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import tempfile
+import tracemalloc
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +26,7 @@ from ukge.errors import (
 from ukge.kgdata import (
     TripleStore,
     augment_inverse,
+    hierarchy_scores,
     krackhardt_score,
     load_triples,
     make_synthetic,
@@ -202,6 +207,51 @@ def closure_khs(edges, n):
     return one_way / total if total else None
 
 
+def krackhardt_bfs_oracle(store, relation):
+    """The hierarchy score by BFS from every node, keeping every reachable
+    set: quadratic in time and memory, so only for small graphs."""
+    if not 0 <= relation < store.n_relations:
+        raise IdLookupError(f"relation id {relation} out of range")
+    triples = store.all_triples()
+    edges = triples[triples[:, 1] == relation]
+    if edges.shape[0] == 0:
+        raise UndefinedMetricError(
+            f"relation {store.relation_names[relation]!r} has no edges"
+        )
+    adj: dict[int, list[int]] = {}
+    nodes: set[int] = set()
+    for h, _, t in edges:
+        adj.setdefault(int(h), []).append(int(t))
+        nodes.add(int(h))
+        nodes.add(int(t))
+    reach: dict[int, set[int]] = {}
+    for u in nodes:
+        seen: set[int] = set()
+        queue = deque(adj.get(u, ()))
+        seen.update(adj.get(u, ()))
+        while queue:
+            v = queue.popleft()
+            for w in adj.get(v, ()):
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        reach[u] = seen
+    total = 0
+    one_way = 0
+    for u in nodes:
+        for v in reach[u]:
+            if v == u:
+                continue
+            total += 1
+            if u not in reach[v]:
+                one_way += 1
+    if total == 0:
+        raise UndefinedMetricError(
+            f"relation {store.relation_names[relation]!r} connects no ordered pairs"
+        )
+    return one_way / total
+
+
 class TestKrackhardt:
     def test_chain_is_fully_hierarchical(self):
         store = store_from([("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d")])
@@ -270,6 +320,106 @@ class TestKrackhardt:
         lines = out.strip().split("\n")
         assert lines[0] == "relation,count,khs"
         assert lines[1] == "isa,2,1.000000"
+
+
+@st.composite
+def relation_graphs(draw):
+    """A store over up to 12 entities plus a few that no edge touches.
+    Relation 0 joins chains, cycles and loose nodes over disjoint blocks
+    and adds self-loops; random edges of relations 0-2 come on top.  Every
+    edge lands in one or more splits, possibly more than once in one."""
+    n = draw(st.integers(2, 12))
+    nodes = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4)))
+    edges = []
+    for a, b in zip([0, *cuts], [*cuts, n]):
+        block = nodes[a:b]
+        kind = draw(st.sampled_from(["chain", "cycle", "loose"]))
+        if kind != "loose":
+            edges += [(u, 0, v) for u, v in zip(block, block[1:])]
+        if kind == "cycle":
+            edges.append((block[-1], 0, block[0]))
+    edges += [(v, 0, v) for v in draw(st.lists(st.sampled_from(nodes), max_size=3))]
+    node = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(node, st.integers(0, 2), node), max_size=10))
+    splits: list[list[tuple[int, int, int]]] = [[], [], []]
+    for edge in edges:
+        for where in draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)):
+            splits[where].append(edge)
+    arrays = [
+        np.asarray(draw(st.permutations(rows)), dtype=np.int64).reshape(len(rows), 3)
+        for rows in splits
+    ]
+    n_untouched = draw(st.integers(0, 3))
+    return TripleStore(
+        [f"e{i}" for i in range(n + n_untouched)], ["r0", "r1", "r2"], *arrays
+    )
+
+
+def assert_matches_bfs(store, relation):
+    """Exactly the BFS oracle's float, or UndefinedMetricError from both."""
+    try:
+        expected = krackhardt_bfs_oracle(store, relation)
+    except UndefinedMetricError:
+        with pytest.raises(UndefinedMetricError):
+            krackhardt_score(store, relation)
+    else:
+        assert krackhardt_score(store, relation) == expected
+
+
+def cycle_or_chain(n, closed):
+    """One relation over n entities: i -> i + 1, and n - 1 -> 0 if closed."""
+    heads = np.arange(n if closed else n - 1)
+    edges = np.stack([heads, np.zeros_like(heads), (heads + 1) % n], axis=1)
+    return TripleStore([f"e{i}" for i in range(n)], ["r"], edges, edges[:0], edges[:0])
+
+
+class TestKrackhardtMatchesBfs:
+    @settings(max_examples=300, deadline=None)
+    @given(store=relation_graphs())
+    def test_random_digraphs(self, store):
+        for relation in range(store.n_relations):
+            assert_matches_bfs(store, relation)
+
+    def test_synthetic_stores(self):
+        for store in (
+            make_synthetic(),
+            make_synthetic(levels=5, branching=4, seed=1),
+            make_synthetic(levels=4, branching=3, cycle=5, seed=2),
+        ):
+            assert hierarchy_scores(store) == [
+                krackhardt_bfs_oracle(store, r) for r in range(store.n_relations)
+            ]
+
+
+class TestKrackhardtScale:
+    """Cost checks that need no clock."""
+
+    def test_ring_memory_is_not_quadratic(self):
+        # the BFS keeps all 4096 * 4096 reachable pairs: about 514 MB
+        store = cycle_or_chain(4096, closed=True)
+        tracemalloc.start()
+        try:
+            assert krackhardt_score(store, 0) == 0.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_long_chain_needs_no_recursion(self):
+        # 20,000 nested calls would pass Python's default recursion limit
+        assert krackhardt_score(cycle_or_chain(20_000, closed=False), 0) == 1.0
+
+
+class TestStatsCsvQuoting:
+    def test_names_with_commas_and_quotes(self):
+        store = store_from([("a", "part of, whole", "b"), ("b", 'say "hi"', "c")])
+        rows = list(csv.reader(io.StringIO(stats_csv(store))))
+        assert rows == [
+            ["relation", "count", "khs"],
+            ["part of, whole", "1", "1.000000"],
+            ['say "hi"', "1", "1.000000"],
+        ]
 
 
 class TestSynthetic:
