@@ -10,8 +10,13 @@ Subcommands:
 
 Exit codes: 0 success, 2 input error (files, configuration, checkpoints),
 3 lookup error (unknown names or ids), 4 numeric failure during training.
-Options may come from a ``key=value`` config file; explicit flags override
-file values, which override built-in defaults.
+:data:`TRAIN_OPTIONS` states each ``train`` option once, as a flag and as a
+key of the ``key=value`` config file, with its allowed values; explicit
+flags override file values, which override built-in defaults.  A bad key
+or value in the file (``optimizer = sgd``) is an input error at
+``path:line``, as is ``eval --threads`` or ``predict --topk`` below 1; all
+are raised before any TSV is read.  Data holding both ``x`` and ``x_inv``,
+the name of the inverse of ``x``, is an input error too.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import evaluation, kgdata, model, operators, training
 from .errors import (
-    CheckpointError,
+    ConfigurationError,
     DigestMismatchError,
     IdLookupError,
     NameLookupError,
@@ -48,23 +53,24 @@ def _parse_bool(raw: str) -> bool:
     return word in ("1", "true", "yes")
 
 
-#: config-file keys the train command accepts, with parsers and defaults
+#: train options, key -> (parser, default, allowed values or None for any);
+#: each is a config-file key and, dashed, a flag (``time_dims``, ``--time-dims``)
 TRAIN_OPTIONS: dict[str, tuple] = {
-    "dim": (int, 32),
-    "time_dims": (int, 2),
-    "alpha": (float, 1.0),
-    "lr": (float, 5e-3),
-    "batch": (int, 500),
-    "neg": (int, 50),
-    "epochs": (int, 200),
-    "margin": (float, 6.0),
-    "seed": (int, 0),
-    "operator": (str, "rotref"),
-    "geometry": (str, "ultra"),
-    "optimizer": (str, "adam"),
-    "threads": (int, 1),
-    "deterministic": (_parse_bool, False),
-    "eval_every": (int, 50),
+    "dim": (int, 32, None),
+    "time_dims": (int, 2, None),
+    "alpha": (float, 1.0, None),
+    "lr": (float, 5e-3, None),
+    "batch": (int, 500, None),
+    "neg": (int, 50, None),
+    "epochs": (int, 200, None),
+    "margin": (float, 6.0, None),
+    "seed": (int, 0, None),
+    "operator": (str, "rotref", tuple(operators.OPERATOR_MODES)),
+    "geometry": (str, "ultra", model.GEOMETRIES),
+    "optimizer": (str, "adam", tuple(training.OPTIMIZERS)),
+    "threads": (int, 1, None),
+    "deterministic": (_parse_bool, False, None),  # a bare switch as a flag
+    "eval_every": (int, 50, None),
 }
 
 
@@ -73,7 +79,8 @@ class CliError(UkgeError):
 
 
 def load_config_file(path: str, known: dict[str, tuple]) -> dict:
-    """Parse ``key=value`` lines; unknown keys are rejected."""
+    """Parse ``key=value`` lines against ``known``, shaped like :data:`TRAIN_OPTIONS`;
+    a key or value it does not accept raises :class:`CliError` at ``path:line``."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -87,11 +94,16 @@ def load_config_file(path: str, known: dict[str, tuple]) -> dict:
             raw = raw.strip()
             if key not in known:
                 raise CliError(f"{path}:{lineno}: unknown option {key!r}")
-            caster = known[key][0]
+            parse, _, allowed = known[key]
             try:
-                values[key] = caster(raw)
+                values[key] = parse(raw)
             except ValueError as exc:
                 raise CliError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
+            if allowed is not None and values[key] not in allowed:
+                raise CliError(
+                    f"{path}:{lineno}: bad value for {key}: {raw!r} "
+                    f"(choose from {', '.join(allowed)})"
+                )
     return values
 
 
@@ -106,15 +118,14 @@ def merge_options(
 
 
 def _signature_from(options: dict) -> Signature:
-    d = options["dim"]
-    q = options["time_dims"]
-    if d % 2 or q % 2:
-        raise CliError(f"--dim and --time-dims must be even, got {d}/{q}")
-    if q < 1 or d - q < q:
-        raise CliError(
-            f"need dim - time_dims >= time_dims >= 1, got dim={d}, time_dims={q}"
-        )
-    return Signature(d - q, q, options["alpha"])
+    """The signature (dim - time_dims, time_dims, alpha), with even p and q."""
+    d, q = options["dim"], options["time_dims"]
+    try:
+        sig = Signature(d - q, q, options["alpha"])
+        operators.require_even(sig)
+    except ConfigurationError as exc:
+        raise CliError(f"dim={d}, time_dims={q}: {exc}") from exc
+    return sig
 
 
 def _humanize(n: int) -> str:
@@ -181,10 +192,7 @@ def cmd_train(args) -> int:
         load_config_file(args.config, TRAIN_OPTIONS) if args.config else {}
     )
     defaults = {k: v[1] for k, v in TRAIN_OPTIONS.items()}
-    flags = {
-        k: getattr(args, k)
-        for k in TRAIN_OPTIONS
-    }
+    flags = {k: getattr(args, k) for k in TRAIN_OPTIONS}
     options = merge_options(defaults, file_values, flags)
     sig = _signature_from(options)  # validate configuration before any compute
     cfg = train_config(options)
@@ -254,6 +262,8 @@ def _load_model_for_store(args, store: kgdata.TripleStore) -> model.Model:
 
 
 def cmd_eval(args) -> int:
+    if args.threads < 1:
+        raise CliError(f"--threads must be >= 1, got {args.threads}")
     store = _load_store(args)
     store = kgdata.augment_inverse(store)
     m = _load_model_for_store(args, store)
@@ -340,30 +350,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--out", help="write per-relation CSV here")
     p_stats.set_defaults(func=cmd_stats)
 
-    p_train = sub.add_parser("train", help="fit a model and write a checkpoint")
+    p_train = sub.add_parser("train", help="fit a model and write a checkpoint",
+                             description="dim - time_dims >= time_dims >= 2, both even")
     p_train.add_argument("--train", required=True)
     p_train.add_argument("--valid")
     p_train.add_argument("--test")
     p_train.add_argument("--out", required=True, help="checkpoint path")
     p_train.add_argument("--config", help="key=value options file")
     p_train.add_argument("--trace", help="loss trace CSV path")
-    p_train.add_argument("--dim", type=int, help="ambient dimension d (even)")
-    p_train.add_argument("--time-dims", dest="time_dims", type=int,
-                         help="time dimensions q (even, q <= d - q)")
-    p_train.add_argument("--alpha", type=float)
-    p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--batch", type=int)
-    p_train.add_argument("--neg", type=int)
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--margin", type=float)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--operator", choices=operators.OPERATOR_MODES)
-    p_train.add_argument("--geometry", choices=model.GEOMETRIES)
-    p_train.add_argument("--optimizer", choices=training.OPTIMIZERS)
-    p_train.add_argument("--threads", type=int)
-    p_train.add_argument("--deterministic", action="store_const", const=True,
-                         default=None)
-    p_train.add_argument("--eval-every", dest="eval_every", type=int)
+    # unset flags stay None, so that merge_options keeps file values
+    for key, (parse, default, allowed) in TRAIN_OPTIONS.items():
+        flag, help_ = "--" + key.replace("_", "-"), f"default: {default}"
+        if parse is _parse_bool:
+            p_train.add_argument(flag, action="store_const", const=True, help=help_)
+        else:
+            p_train.add_argument(flag, type=parse, choices=allowed, help=help_)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="filtered ranking metrics")
@@ -409,7 +410,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (UkgeError, CheckpointError, OSError) as exc:
+    except (UkgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

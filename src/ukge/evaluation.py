@@ -163,19 +163,21 @@ def _relation_name(rel: int, store: TripleStore | None) -> str:
     return str(rel)
 
 
+def _cells(m: RelationMetrics | EvalReport, digits: int) -> list[str]:
+    """MRR then Hits@K for each of :data:`HITS_KS`, to ``digits`` decimals."""
+    return [f"{v:.{digits}f}" for v in (m.mrr, *(m.hits[k] for k in HITS_KS))]
+
+
 def report_csv(report: EvalReport, store: TripleStore | None = None) -> str:
     """CSV rows per relation plus a TOTAL row.  A name with a comma, quote
     or line break is quoted."""
-    def cells(m: RelationMetrics | EvalReport) -> list[str]:
-        return [f"{m.mrr:.6f}"] + [f"{m.hits[k]:.6f}" for k in HITS_KS]
-
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["relation", "count", "mrr", "hits1", "hits3", "hits10"])
     for rel in sorted(report.per_relation):
         rm = report.per_relation[rel]
-        writer.writerow([_relation_name(rel, store), rm.count, *cells(rm)])
-    writer.writerow(["TOTAL", report.triple_count, *cells(report)])
+        writer.writerow([_relation_name(rel, store), rm.count, *_cells(rm, 6)])
+    writer.writerow(["TOTAL", report.triple_count, *_cells(report, 6)])
     return out.getvalue()
 
 
@@ -184,26 +186,8 @@ def report_table(report: EvalReport, store: TripleStore | None = None) -> str:
     rows = [("relation", "count", "MRR", "H@1", "H@3", "H@10")]
     for rel in sorted(report.per_relation):
         rm = report.per_relation[rel]
-        rows.append(
-            (
-                _relation_name(rel, store),
-                str(rm.count),
-                f"{rm.mrr:.4f}",
-                f"{rm.hits[1]:.4f}",
-                f"{rm.hits[3]:.4f}",
-                f"{rm.hits[10]:.4f}",
-            )
-        )
-    rows.append(
-        (
-            "TOTAL",
-            str(report.triple_count),
-            f"{report.mrr:.4f}",
-            f"{report.hits[1]:.4f}",
-            f"{report.hits[3]:.4f}",
-            f"{report.hits[10]:.4f}",
-        )
-    )
+        rows.append((_relation_name(rel, store), str(rm.count), *_cells(rm, 4)))
+    rows.append(("TOTAL", str(report.triple_count), *_cells(report, 4)))
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     out = []
     for i, row in enumerate(rows):

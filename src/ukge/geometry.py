@@ -61,7 +61,7 @@ class Signature:
 
     ``p`` counts space dimensions, ``q`` time dimensions; ``p >= q >= 1`` and
     ``alpha > 0``.  Relation operators additionally require ``p`` and ``q``
-    even, which is enforced where those operators are built.
+    even, a rule that :func:`ukge.operators.require_even` states.
     """
 
     p: int

@@ -6,7 +6,8 @@ train, valid and test splits, in that order, by first appearance, so ids are
 dense and stable for a fixed input.  Stores are treated as immutable after
 construction; :func:`augment_inverse` returns a new store with an inverse
 relation (and reversed triples) added for every base relation, which is how
-head prediction is realised downstream.
+head prediction is realised downstream.  The inverse of ``x`` is named
+``x_inv``, so a store holding both ``x`` and ``x_inv`` is refused.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     EmptySplitError,
     IdLookupError,
     ParseError,
+    PreconditionError,
     StateError,
     UndefinedMetricError,
 )
@@ -149,10 +151,16 @@ def augment_inverse(store: TripleStore) -> TripleStore:
     in the same order (inverse id = base id + n_base).  Every split gains the
     reversed copy of each of its triples, so training sees both directions
     and evaluation can realise head prediction as tail prediction under the
-    inverse relation.
+    inverse relation.  A relation named like an inverse (``x`` and ``x_inv``)
+    raises :class:`PreconditionError`.
     """
     if store.augmented:
         raise StateError("store is already augmented with inverse relations")
+    inverse_names = [name + INVERSE_SUFFIX for name in store.relation_names]
+    clash = sorted(set(inverse_names).intersection(store.relation_names))
+    if clash:
+        base = clash[0].removesuffix(INVERSE_SUFFIX)
+        raise PreconditionError(f"relation {clash[0]!r} clashes with the inverse of {base!r}")
     n_base = store.n_relations
     def reverse(arr: np.ndarray) -> np.ndarray:
         if arr.size == 0:
@@ -161,8 +169,7 @@ def augment_inverse(store: TripleStore) -> TripleStore:
         return np.concatenate([arr, rev], axis=0)
     return TripleStore(
         entity_names=list(store.entity_names),
-        relation_names=list(store.relation_names)
-        + [name + INVERSE_SUFFIX for name in store.relation_names],
+        relation_names=list(store.relation_names) + inverse_names,
         train=reverse(store.train),
         valid=reverse(store.valid),
         test=reverse(store.test),

@@ -89,10 +89,7 @@ class Model:
     relation_digest: str = ""
 
     def __post_init__(self):
-        if self.sig.p % 2 or self.sig.q % 2:
-            raise ConfigurationError(
-                f"relation operators need even p and q, got {self.sig.p} and {self.sig.q}"
-            )
+        operators.require_even(self.sig)
         if self.operator not in operators.OPERATOR_MODES:
             raise ConfigurationError(f"unknown operator flavour {self.operator!r}")
         if self.geometry not in GEOMETRIES:
@@ -351,12 +348,11 @@ def _read_header(blob: bytes, path: str) -> tuple[Signature, dict]:
     for key, kinds in _HEADER_TYPES.items():
         if isinstance(header[key], bool) or not isinstance(header[key], kinds):
             raise CorruptHeaderError(f"{path}: header field {key!r} has the wrong type")
-    if header["p"] % 2 or header["q"] % 2:
-        raise CorruptHeaderError(f"{path}: p and q must be even")
     if header["n_entities"] < 1 or header["n_relations"] < 1:
         raise CorruptHeaderError(f"{path}: entity and relation counts must be >= 1")
     try:
         sig = Signature(header.pop("p"), header.pop("q"), float(header.pop("alpha")))
+        operators.require_even(sig)
     except (ConfigurationError, OverflowError) as exc:
         raise CorruptHeaderError(f"{path}: {exc}") from exc
     return sig, header

@@ -167,6 +167,15 @@ def givens_apply(angles, v, mode: str):
     return ad.reshape(ad.stack_last(a2, b2), vshape)
 
 
+def require_even(sig: Signature) -> None:
+    """Raise :class:`ConfigurationError` unless ``p`` and ``q`` are even: the
+    Givens stages pair consecutive coordinates, space and time apart."""
+    if sig.p % 2 or sig.q % 2:
+        raise ConfigurationError(
+            f"relation operators need even p and q, got p={sig.p}, q={sig.q}"
+        )
+
+
 def block_orthogonal_apply(angles, x, sig: Signature, mode: str):
     """Apply the block Givens stage to full ambient points.
 
@@ -174,10 +183,7 @@ def block_orthogonal_apply(angles, x, sig: Signature, mode: str):
     even, the space and time blocks are handled in one pass — the first p/2
     angles act on space pairs and the remaining q/2 on time pairs.
     """
-    if sig.p % 2 or sig.q % 2:
-        raise ConfigurationError(
-            f"Givens stages need even p and q, got ({sig.p},{sig.q})"
-        )
+    require_even(sig)
     if value_of(x).shape[-1] != sig.d:
         raise DimensionError(
             f"block_orthogonal_apply: expected points of dimension {sig.d}"

@@ -103,8 +103,10 @@ def _leaves(m: Model) -> dict[str, Tensor]:
     return {k: Tensor(v, requires_grad=True) for k, v in parameters(m).items()}
 
 
-def _loss_sum(m: Model, leaves: dict[str, Tensor], pos: np.ndarray, neg: np.ndarray):
-    """Unnormalised loss sum: -(sum log p + sum log(1 - p~))."""
+def _loss_sum(m: Model, leaves: dict, pos: np.ndarray, neg: np.ndarray):
+    """Unnormalised loss sum: -(sum log p + sum log(1 - p~)).  ``leaves`` are
+    tensors (:func:`_leaves`) for a differentiable sum, or the plain
+    :func:`parameters` for its value alone."""
     n_pos = pos.shape[0]
     stacked = np.concatenate([pos, neg.reshape(-1, 3)], axis=0)
     scores = score_triples(m, stacked[:, 0], stacked[:, 1], stacked[:, 2], leaves)
@@ -112,7 +114,7 @@ def _loss_sum(m: Model, leaves: dict[str, Tensor], pos: np.ndarray, neg: np.ndar
     p_pos = p[:n_pos]
     p_neg = p[n_pos:]
     total = -(ad.sum_(ad.log(p_pos)))
-    if p_neg.value.size:
+    if neg.size:
         total = total - ad.sum_(ad.log(1.0 - p_neg))
     return total
 
@@ -143,9 +145,10 @@ def _as_batch(positives, negatives, caller: str) -> tuple[np.ndarray, np.ndarray
 
 
 def bce_loss(m: Model, positives: np.ndarray, negatives: np.ndarray | None = None) -> float:
-    """Mean binary cross-entropy of a batch (no graph retained)."""
+    """Mean binary cross-entropy of a batch, scored on the plain parameter
+    arrays, so no tape is built."""
     pos, neg = _as_batch(positives, negatives, "bce_loss")
-    return float(_loss_sum(m, _leaves(m), pos, neg).value) / pos.shape[0]
+    return float(_loss_sum(m, parameters(m), pos, neg)) / pos.shape[0]
 
 
 def gradients(

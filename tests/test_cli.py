@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from ukge.cli import (
     CliError,
     TRAIN_OPTIONS,
     _signature_from,
+    build_parser,
     load_config_file,
     main,
     merge_options,
@@ -193,9 +197,11 @@ class TestTrain:
 class TestConfigFile:
     def test_file_values_and_comments(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\n\nlr = 0.25\nepochs=7\ndeterministic=true\n")
+        cfg.write_text("# comment\n\nlr = 0.25\nepochs=7\ndeterministic=true\n"
+                       "operator = rot\ngeometry=euclidean\noptimizer=adagrad\n")
         values = load_config_file(str(cfg), TRAIN_OPTIONS)
-        assert values == {"lr": 0.25, "epochs": 7, "deterministic": True}
+        assert values == {"lr": 0.25, "epochs": 7, "deterministic": True,
+                          "operator": "rot", "geometry": "euclidean", "optimizer": "adagrad"}
 
     def test_unknown_key_reports_location(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -227,6 +233,21 @@ class TestConfigFile:
         with pytest.raises(CliError) as exc:
             load_config_file(str(cfg), TRAIN_OPTIONS)
         assert f"{cfg}:2" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "key,raw", [("operator", "foo"), ("geometry", "foo"), ("optimizer", "sgd")]
+    )
+    def test_disallowed_value_reports_location_first(self, tmp_path, capsys, key, raw):
+        """The config value is rejected with its file and line before any
+        TSV is opened, so a missing train file does not hide it."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"epochs=1\n{key} = {raw}\n")
+        rc = main([
+            "train", "--train", str(tmp_path / "missing.tsv"),
+            "--out", str(tmp_path / "m.ukge"), "--config", str(cfg),
+        ])
+        assert rc == EXIT_INPUT
+        assert f"{cfg}:2: bad value for {key}: {raw!r}" in capsys.readouterr().err
 
     def test_missing_equals_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -365,6 +386,19 @@ class TestEvalAndPredict:
         assert captured.out == ""
         assert "--topk must be >= 1" in captured.err
 
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_eval_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        """Rejected before any file is read, as ``predict --topk`` is."""
+        missing = str(tmp_path / "missing")
+        rc = main([
+            "eval", "--model", f"{missing}.ukge", "--train", f"{missing}.tsv",
+            "--test", f"{missing}.tsv", "--threads", threads,
+        ])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--threads must be >= 1, got {threads}" in captured.err
+
     def test_predict_lists_topk(self, workdir, capsys):
         rc = main([
             "predict", "--model", workdir["ckpt"],
@@ -413,6 +447,84 @@ class TestParser:
     def test_unknown_flag_exits(self, workdir):
         with pytest.raises(SystemExit):
             main(["synth", "--out", "/tmp/x", "--rings", "3"])
+
+
+class TestInverseNameClash:
+    """Data holding both ``x`` and ``x_inv`` would give two relations the
+    name ``x_inv``, and ``--rel x_inv`` would rank the inverse of ``x``."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        path = tmp_path / "clash.tsv"
+        path.write_text("a\tx\tb\nb\tx_inv\tc\nc\tx\ta\n")
+        return str(path)
+
+    def test_train_rejected(self, data, tmp_path, capsys):
+        rc = main([
+            "train", "--train", data, "--out", str(tmp_path / "m.ukge"),
+            "--dim", "4", "--time-dims", "2", "--epochs", "1",
+        ])
+        assert rc == EXIT_INPUT
+        assert "'x_inv'" in capsys.readouterr().err
+
+    def test_predict_rejected(self, data, tmp_path, capsys):
+        ckpt = str(tmp_path / "m.ukge")
+        model.save(model.init(Signature(2, 2), 3, 4), ckpt)  # x, x_inv and inverses
+        rc = main([
+            "predict", "--model", ckpt, "--train", data, "--head", "a", "--rel", "x_inv",
+        ])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'x_inv'" in captured.err
+
+
+def _train_subparser() -> argparse.ArgumentParser:
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return sub.choices["train"]
+
+
+class TestOptionTable:
+    """``TRAIN_OPTIONS`` is the only declaration of a train option."""
+
+    def test_train_flags_are_generated_from_the_table(self):
+        flags = {s for a in _train_subparser()._actions for s in a.option_strings}
+        generated = {"--" + key.replace("_", "-") for key in TRAIN_OPTIONS}
+        assert len(generated) == 15
+        assert flags == generated | {
+            "--train", "--valid", "--test", "--out", "--config", "--trace", "-h", "--help",
+        }
+
+    def test_each_flag_sets_its_key_with_the_allowed_values(self):
+        actions = _train_subparser()._option_string_actions
+        for key, (_, _, allowed) in TRAIN_OPTIONS.items():
+            action = actions["--" + key.replace("_", "-")]
+            assert (action.dest, action.choices, action.default) == (key, allowed, None)
+
+
+def _readme_commands() -> list[list[str]]:
+    """Each ``ukge ...`` command line of the README, continuations joined,
+    without the program name."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8").replace("\\\n", " ")
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in text.splitlines()
+        if line.lstrip().startswith("ukge ")
+    ]
+
+
+class TestReadmeCommands:
+    def test_commands_found(self):
+        assert {argv[0] for argv in _readme_commands()} == {
+            "synth", "stats", "train", "eval", "predict",
+        }
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+    def test_command_parses(self, argv):
+        build_parser().parse_args(argv)
 
 
 class TestStatsComputesHierarchyOnce:

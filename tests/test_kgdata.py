@@ -20,6 +20,7 @@ from ukge.errors import (
     EmptySplitError,
     IdLookupError,
     ParseError,
+    PreconditionError,
     StateError,
     UndefinedMetricError,
 )
@@ -188,6 +189,18 @@ class TestAugmentation:
         augment_inverse(store)
         assert store.relation_names == ["r"]
         assert not store.augmented
+
+    @pytest.mark.parametrize(
+        "relations,clash",
+        [(["x", "x_inv"], "x_inv"), (["x_inv", "x"], "x_inv"),
+         (["y", "x_inv", "x_inv_inv"], "x_inv_inv")],
+    )
+    def test_inverse_name_clash_rejected(self, relations, clash):
+        """Two relations would share the name ``x_inv``, and a lookup of it
+        would silently pick the inverse of ``x``."""
+        store = store_from([("a", r, "b") for r in relations])
+        with pytest.raises(PreconditionError, match=repr(clash)):
+            augment_inverse(store)
 
 
 def closure_khs(edges, n):

@@ -31,6 +31,7 @@ from ukge.operators import (
     relation_apply,
     relation_param_count,
     relation_transform,
+    require_even,
     signature_matrix,
 )
 
@@ -147,6 +148,15 @@ class TestGivens:
     def test_block_stage_needs_even_signature(self):
         with pytest.raises(ConfigurationError):
             block_orthogonal_apply(np.zeros(2), np.zeros(4), Signature(3, 1, 1.0), ROTATION)
+
+    @pytest.mark.parametrize("p,q", [(2, 2), (4, 2), (6, 4)])
+    def test_even_signatures_pass(self, p, q):
+        require_even(Signature(p, q, 1.0))
+
+    @pytest.mark.parametrize("p,q", [(3, 1), (4, 1), (3, 2), (5, 5)])
+    def test_odd_signatures_rejected(self, p, q):
+        with pytest.raises(ConfigurationError, match="even"):
+            require_even(Signature(p, q, 1.0))
 
 
 # --- hyperbolic rotation stage --------------------------------------------------

@@ -374,6 +374,32 @@ class TestFit:
             fit(m, empty, TrainConfig(epochs=1))
 
 
+class TestPlainLoss:
+    """``bce_loss`` scores the plain arrays: no tape, the tape's bits."""
+
+    @pytest.mark.parametrize("geometry", ["ultra", "euclidean"])
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_equals_summed_loss_bitwise(self, geometry, k, monkeypatch):
+        from ukge import training
+
+        m = init(Signature(6, 2, 1.0), 30, 4, seed=3, geometry=geometry)
+        rng = np.random.default_rng(4)
+        m.entities[:] = rng.normal(0.0, 1.0, m.entities.shape)
+        m.biases[:] = rng.normal(0.0, 0.5, m.biases.shape)
+        pos = np.stack(
+            [rng.integers(0, 30, 40), rng.integers(0, 4, 40), rng.integers(0, 30, 40)],
+            axis=1,
+        )
+        neg = training._sample_negatives_batch(pos, k, 30, rng)
+        taped = training._summed_loss(m, pos, neg)[0] / pos.shape[0]
+
+        def no_tape(m):
+            raise AssertionError("bce_loss built autodiff leaves")
+
+        monkeypatch.setattr(training, "_leaves", no_tape)
+        assert bce_loss(m, pos, neg) == taped
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize(
         "kwargs",
