@@ -27,7 +27,6 @@ __all__ = [
     "Tensor",
     "value_of",
     "sqrt",
-    "exp",
     "log",
     "cos",
     "sin",
@@ -101,9 +100,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
     # -- reverse sweep ------------------------------------------------------
 
@@ -187,15 +183,6 @@ class Tensor:
             return ((a, -g),)
         return Tensor(-a.value, _parents=(a,), _vjp=vjp)
 
-    def __pow__(self, n):
-        if not isinstance(n, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        a = self
-        out = a.value ** n
-        def vjp(g):
-            return ((a, g * n * a.value ** (n - 1)),)
-        return Tensor(out, _parents=(a,), _vjp=vjp)
-
     def __getitem__(self, key):
         a = self
         out = a.value[key]
@@ -237,10 +224,6 @@ def _unary(x, forward, backward):
 
 def sqrt(x):
     return _unary(x, np.sqrt, lambda v, out: 0.5 / out)
-
-
-def exp(x):
-    return _unary(x, np.exp, lambda v, out: out)
 
 
 def log(x):

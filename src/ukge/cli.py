@@ -13,10 +13,13 @@ Exit codes: 0 success, 2 input error (files, configuration, checkpoints),
 :data:`TRAIN_OPTIONS` states each ``train`` option once, as a flag and as a
 key of the ``key=value`` config file, with its allowed values; explicit
 flags override file values, which override built-in defaults.  A bad key
-or value in the file (``optimizer = sgd``) is an input error at
-``path:line``, as is ``eval --threads`` or ``predict --topk`` below 1; all
-are raised before any TSV is read.  Data holding both ``x`` and ``x_inv``,
-the name of the inverse of ``x``, is an input error too.
+or value in the file (``optimizer = sgd``, or ``epochs = 5000`` outside the
+bound ``TrainConfig.validate`` states) is an input error at ``path:line``.
+A negative ``seed`` (also for ``synth``) or a non-finite ``margin`` is an
+input error from a flag or the file, as is ``eval --threads`` or
+``predict --topk`` below 1; all are raised before any TSV is read.  Data
+holding both ``x`` and ``x_inv``, the name of the inverse of ``x``, is an
+input error too.
 """
 
 from __future__ import annotations
@@ -74,15 +77,31 @@ TRAIN_OPTIONS: dict[str, tuple] = {
 }
 
 
+#: the ``TrainConfig`` field of each train option that has one
+_CONFIG_FIELDS = dict(
+    batch="batch_size", neg="neg_samples", lr="learning_rate", epochs="epochs",
+    optimizer="optimizer", seed="seed", threads="threads",
+)
+
+
 class CliError(UkgeError):
     """Input-level problem detected by the CLI itself."""
+
+
+def _check_bounds(key: str, value) -> None:
+    """Raise :class:`ConfigurationError` when ``value`` breaks a bound of option
+    ``key``; ``dim`` and ``time_dims`` are checked together, once merged."""
+    if key in _CONFIG_FIELDS:
+        training.TrainConfig(**{_CONFIG_FIELDS[key]: value}).validate()
+    elif key == "margin":
+        model.check_margin(value)
 
 
 def load_config_file(path: str, known: dict[str, tuple]) -> dict:
     """Parse ``key=value`` lines against ``known``, shaped like :data:`TRAIN_OPTIONS`;
     a key or value it does not accept raises :class:`CliError` at ``path:line``."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is skipped
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -99,11 +118,14 @@ def load_config_file(path: str, known: dict[str, tuple]) -> dict:
                 values[key] = parse(raw)
             except ValueError as exc:
                 raise CliError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
-            if allowed is not None and values[key] not in allowed:
+            try:
+                if allowed is not None and values[key] not in allowed:
+                    raise ConfigurationError(f"choose from {', '.join(allowed)}")
+                _check_bounds(key, values[key])
+            except ConfigurationError as exc:
                 raise CliError(
-                    f"{path}:{lineno}: bad value for {key}: {raw!r} "
-                    f"(choose from {', '.join(allowed)})"
-                )
+                    f"{path}:{lineno}: bad value for {key}: {raw!r} ({exc})"
+                ) from exc
     return values
 
 
@@ -175,12 +197,7 @@ def cmd_stats(args) -> int:
 
 def train_config(options: dict) -> training.TrainConfig:
     """Validated ``TrainConfig``; ``deterministic`` means one thread."""
-    cfg = training.TrainConfig(
-        batch_size=options["batch"], neg_samples=options["neg"],
-        learning_rate=options["lr"], epochs=options["epochs"],
-        optimizer=options["optimizer"], seed=options["seed"],
-        threads=options["threads"],
-    )
+    cfg = training.TrainConfig(**{f: options[k] for k, f in _CONFIG_FIELDS.items()})
     cfg.validate()
     if options["deterministic"]:  # for fit and the periodic validation
         cfg.threads = 1
@@ -196,6 +213,7 @@ def cmd_train(args) -> int:
     options = merge_options(defaults, file_values, flags)
     sig = _signature_from(options)  # validate configuration before any compute
     cfg = train_config(options)
+    model.check_margin(options["margin"])
     store = _load_store(args)
     store = kgdata.augment_inverse(store)
     m = model.init(
@@ -246,18 +264,15 @@ def _load_model_for_store(args, store: kgdata.TripleStore) -> model.Model:
             f"{m.n_relations} relations, store has {store.n_entities} / "
             f"{store.n_relations}"
         )
-    if m.entity_digest and m.entity_digest != model.dictionary_digest(store.entity_names):
-        raise DigestMismatchError(
-            "entity dictionary digest mismatch: the checkpoint was trained "
-            "on different entity files (or a different ordering)"
-        )
-    if m.relation_digest and m.relation_digest != model.dictionary_digest(
-        store.relation_names
+    for kind, stored, names in (
+        ("entity", m.entity_digest, store.entity_names),
+        ("relation", m.relation_digest, store.relation_names),
     ):
-        raise DigestMismatchError(
-            "relation dictionary digest mismatch: the checkpoint was trained "
-            "on different relation files"
-        )
+        if stored and stored != model.dictionary_digest(names):
+            raise DigestMismatchError(
+                f"{kind} dictionary digest mismatch: the checkpoint was trained "
+                f"on different {kind} files (or a different ordering)"
+            )
     return m
 
 

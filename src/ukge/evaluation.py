@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptySplitError, IdLookupError
 from .kgdata import TripleStore
-from .model import Model, candidate_tails, score_candidates
+from .model import Model, candidate_tails, map_row_blocks, score_candidates
 
 HITS_KS = (1, 3, 10)
 
@@ -93,8 +92,9 @@ def filtered_rank(
     return 1 + int(np.count_nonzero(~(scores[allowed] < scores[t])))
 
 
-def aggregate_ranks(ranks, relations, ks=HITS_KS) -> EvalReport:
-    """Fold per-triple ranks into global and per-relation MRR / Hits@K."""
+def aggregate_ranks(ranks, relations) -> EvalReport:
+    """Fold per-triple ranks into global and per-relation MRR and Hits@K for
+    each K of :data:`HITS_KS`."""
     ranks = np.asarray(ranks, dtype=np.int64)
     relations = np.asarray(relations, dtype=np.int64)
     if ranks.size == 0:
@@ -105,12 +105,12 @@ def aggregate_ranks(ranks, relations, ks=HITS_KS) -> EvalReport:
         sel = relations == rel
         per_relation[int(rel)] = RelationMetrics(
             mrr=float(np.mean(rr[sel])),
-            hits={k: float(np.mean(ranks[sel] <= k)) for k in ks},
+            hits={k: float(np.mean(ranks[sel] <= k)) for k in HITS_KS},
             count=int(np.count_nonzero(sel)),
         )
     return EvalReport(
         mrr=float(np.mean(rr)),
-        hits={k: float(np.mean(ranks <= k)) for k in ks},
+        hits={k: float(np.mean(ranks <= k)) for k in HITS_KS},
         triple_count=int(ranks.size),
         per_relation=per_relation,
     )
@@ -138,19 +138,14 @@ def evaluate(
     index = build_filter_index(store, filter_splits, keys=triples[:, :2])
     tails = candidate_tails(m)  # shared read-only by every query and thread
 
-    def rank_block(block: np.ndarray) -> list[int]:
+    def rank_block(rows: slice) -> list[int]:
         return [
             filtered_rank(m, store, row, filter_splits, _index=index, _tails=tails)
-            for row in block
+            for row in triples[rows]
         ]
 
-    if threads <= 1:
-        ranks = rank_block(triples)
-    else:
-        blocks = np.array_split(triples, min(threads, triples.shape[0]))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(rank_block, blocks))
-        ranks = [r for part in parts for r in part]
+    parts = map_row_blocks(rank_block, triples.shape[0], threads)
+    ranks = [r for part in parts for r in part]
     return aggregate_ranks(ranks, triples[:, 1])
 
 

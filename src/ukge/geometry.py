@@ -105,11 +105,6 @@ def qdot(x, y, sig: Signature):
     return ad.sum_(xs * ys, axis=-1) - ad.sum_(xt * yt, axis=-1)
 
 
-def sq_space_radius(space, sig: Signature):
-    """``alpha^2 + |space|^2`` — squared radius of the conic section."""
-    return ad.sumsq(space, axis=-1) + sig.alpha * sig.alpha
-
-
 def space_radius(space, sig: Signature):
     """Radius ``sqrt(alpha^2 + |space|^2)`` of the time sphere over ``space``.
 
@@ -118,7 +113,7 @@ def space_radius(space, sig: Signature):
     reference legs :func:`project_conic` and :func:`dist_sphere`, so that
     coincident inputs produce bitwise-identical radii.
     """
-    return ad.sqrt(sq_space_radius(space, sig))
+    return ad.sqrt(ad.sumsq(space, axis=-1) + sig.alpha * sig.alpha)
 
 
 def manifold_defect(x, sig: Signature) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Triple stores: loading, inverse augmentation, graph statistics, synthesis.
 
 Input files are UTF-8 TSV with one ``head<TAB>relation<TAB>tail`` triple per
-line (LF or CRLF endings, no header).  Dictionaries number the deduplicated
-train, valid and test splits, in that order, by first appearance, so ids are
-dense and stable for a fixed input.  Stores are treated as immutable after
-construction; :func:`augment_inverse` returns a new store with an inverse
-relation (and reversed triples) added for every base relation, which is how
-head prediction is realised downstream.  The inverse of ``x`` is named
-``x_inv``, so a store holding both ``x`` and ``x_inv`` is refused.
+line (LF or CRLF endings, no header; a leading byte order mark is skipped).
+Dictionaries number the deduplicated train, valid and test splits, in that
+order, by first appearance, so ids are dense and stable for a fixed input.
+Stores are treated as immutable after construction; :func:`augment_inverse`
+returns a new store with an inverse relation (and reversed triples) added
+for every base relation, which is how head prediction is realised
+downstream.  The inverse of ``x`` is named ``x_inv``, so a store holding
+both ``x`` and ``x_inv`` is refused.
 """
 
 from __future__ import annotations
@@ -91,11 +92,12 @@ class TripleStore:
 
 
 def _parse_file(path: str) -> list[tuple[str, ...]]:
-    """One ``(head, relation, tail)`` row per line, duplicates kept.  A line
-    without three non-empty tab-separated fields once its LF or CRLF ending
-    is stripped raises :class:`ParseError` naming the file and line."""
+    """One ``(head, relation, tail)`` row per line, duplicates kept.  A
+    leading UTF-8 byte order mark is skipped.  A line without three
+    non-empty tab-separated fields once its LF or CRLF ending is stripped
+    raises :class:`ParseError` naming the file and line."""
     rows: list[tuple[str, ...]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for lineno, line in enumerate(fh, 1):
             fields = tuple(line.rstrip("\r\n").split("\t"))
             if len(fields) != 3 or "" in fields:
@@ -365,6 +367,8 @@ def make_synthetic(
         raise ConfigurationError("make_synthetic: need at least 2 levels")
     if branching < 1:
         raise ConfigurationError("make_synthetic: branching must be >= 1")
+    if seed < 0:
+        raise ConfigurationError(f"make_synthetic: seed must be >= 0, got {seed}")
     names: list[str] = ["n0"]
     parents: list[int] = []
     prev_level = [0]

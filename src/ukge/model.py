@@ -28,6 +28,7 @@ import math
 import os
 import struct
 import uuid
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -136,6 +137,12 @@ def apply_time_guard(entities: np.ndarray, sig: Signature) -> None:
         time[small, 0] += EPS_TIME
 
 
+def check_margin(delta: float) -> None:
+    """Raise :class:`ConfigurationError` unless the margin ``delta`` is finite."""
+    if not math.isfinite(delta):
+        raise ConfigurationError(f"margin must be finite, got {delta}")
+
+
 def init(
     sig: Signature,
     n_entities: int,
@@ -154,9 +161,14 @@ def init(
     time coordinate is shifted by +1 so the time-norm floor holds; biases
     start at zero; Givens angles are uniform on (-pi, pi); boosts are
     N(0, 0.01^2) (zero for the Euclidean baseline, which never uses them).
+    A non-finite ``delta`` or a negative ``seed`` raises
+    :class:`ConfigurationError`.
     """
     if n_entities < 1 or n_relations < 1:
         raise ConfigurationError("need at least one entity and one relation")
+    check_margin(delta)
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     # fixed draw order: entity space, entity time, theta, phi, mu
     space = rng.normal(0.0, 0.01, (n_entities, sig.p))
@@ -278,6 +290,18 @@ def score(m: Model, h: int, r: int, t: int) -> float:
     """Score of one triple (see module docstring for the formula)."""
     _check_id(t, m.n_entities, "entity")
     return float(score_candidates(m, h, r, np.array([t]))[0])
+
+
+def map_row_blocks(fn, n_rows: int, threads: int) -> list:
+    """``fn(rows)`` for each of ``min(threads, n_rows)`` contiguous row slices
+    (``np.array_split`` sizes), results in block order; the blocks run on a
+    thread pool, a single block inline."""
+    k = max(1, min(threads, n_rows))
+    if k == 1:
+        return [fn(slice(0, n_rows))]
+    blocks = [slice(b[0], b[-1] + 1) for b in np.array_split(np.arange(n_rows), k)]
+    with ThreadPoolExecutor(max_workers=k) as pool:
+        return list(pool.map(fn, blocks))
 
 
 # --- checkpoints -----------------------------------------------------------------

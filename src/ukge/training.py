@@ -22,7 +22,6 @@ deterministic too (different counts may differ in float summation order).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ from .errors import (
     NonFiniteGradientError,
 )
 from .kgdata import TripleStore
-from .model import Model, apply_time_guard, parameters, score_triples
+from .model import Model, apply_time_guard, map_row_blocks, parameters, score_triples
 
 PROB_CLAMP = 1e-12
 
@@ -68,6 +67,8 @@ class TrainConfig:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
 
 # --- negative sampling ------------------------------------------------------
@@ -214,29 +215,18 @@ class Adagrad:
 OPTIMIZERS = {"adam": Adam, "adagrad": Adagrad}
 
 
-def _make_optimizer(cfg: TrainConfig, params: dict[str, np.ndarray]):
-    shapes = {k: v.shape for k, v in params.items()}
-    return OPTIMIZERS[cfg.optimizer](shapes, cfg.learning_rate)
-
-
 # --- fit -------------------------------------------------------------------------
 
 
 def _batch_grads(m: Model, pos: np.ndarray, neg: np.ndarray, threads: int):
     """Summed (not averaged) loss value and gradients for one batch."""
-    shards = min(threads, pos.shape[0])
-    if shards == 1:
-        return _summed_loss(m, pos, neg)
-    blocks = np.array_split(np.arange(pos.shape[0]), shards)
-    with ThreadPoolExecutor(max_workers=shards) as pool:
-        results = list(pool.map(lambda b: _summed_loss(m, pos[b], neg[b]), blocks))
-    loss = 0.0
-    grads = results[0][1]
-    for part_loss, part_grads in results:
-        if part_grads is not grads:
-            for k in grads:
-                grads[k] = grads[k] + part_grads[k]
+    parts = map_row_blocks(
+        lambda rows: _summed_loss(m, pos[rows], neg[rows]), pos.shape[0], threads
+    )
+    loss, grads = parts[0]
+    for part_loss, part_grads in parts[1:]:
         loss += part_loss
+        grads = {k: grads[k] + part_grads[k] for k in grads}
     return loss, grads
 
 
@@ -263,7 +253,8 @@ def fit(
     # delta is a hyperparameter; the Euclidean baseline never uses its boosts
     frozen = ("delta",) if trained.geometry == "ultra" else ("delta", "mu")
     params = {k: v for k, v in parameters(trained).items() if k not in frozen}
-    opt = _make_optimizer(cfg, params)
+    shapes = {k: v.shape for k, v in params.items()}
+    opt = OPTIMIZERS[cfg.optimizer](shapes, cfg.learning_rate)
     trace: list[float] = []
     last_good = trained.clone()
     n = triples.shape[0]

@@ -177,6 +177,25 @@ class TestTrain:
         ])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--seed", "-1"], "seed must be >= 0"),
+            (["--margin", "nan"], "margin must be finite"),
+            (["--margin", "inf"], "margin must be finite"),
+        ],
+    )
+    def test_bad_seed_or_margin_flag_rejected_first(
+        self, tmp_path, capsys, flags, named
+    ):
+        """Rejected before any TSV is read, so a missing file does not hide it."""
+        out = str(tmp_path / "m.ukge")
+        rc = main(["train", "--train", str(tmp_path / "missing.tsv"), "--out", out,
+                   *flags])
+        assert rc == EXIT_INPUT
+        assert named in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_numeric(self, workdir, tmp_path, capsys):
         out = str(tmp_path / "boom.ukge")
@@ -202,6 +221,11 @@ class TestConfigFile:
         values = load_config_file(str(cfg), TRAIN_OPTIONS)
         assert values == {"lr": 0.25, "epochs": 7, "deterministic": True,
                           "operator": "rot", "geometry": "euclidean", "optimizer": "adagrad"}
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfepochs = 7\n")
+        assert load_config_file(str(cfg), TRAIN_OPTIONS) == {"epochs": 7}
 
     def test_unknown_key_reports_location(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -248,6 +272,36 @@ class TestConfigFile:
         ])
         assert rc == EXIT_INPUT
         assert f"{cfg}:2: bad value for {key}: {raw!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,raw,bound",
+        [
+            ("epochs", "5000", "epochs must lie in [0, 1000]"),
+            ("batch", "0", "batch_size must be >= 1"),
+            ("neg", "0", "neg_samples must be >= 1"),
+            ("lr", "-0.1", "learning_rate must be positive"),
+            ("lr", "nan", "learning_rate must be positive"),
+            ("threads", "0", "threads must be >= 1"),
+            ("seed", "-2", "seed must be >= 0"),
+            ("margin", "nan", "margin must be finite"),
+            ("margin", "inf", "margin must be finite"),
+        ],
+    )
+    def test_out_of_bounds_value_reports_location_first(
+        self, tmp_path, capsys, key, raw, bound
+    ):
+        """A number outside the bound ``TrainConfig.validate`` (or
+        ``model.check_margin``) states is rejected at its file and line
+        before any TSV is opened."""
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(f"{key} = {raw}\n")
+        rc = main([
+            "train", "--train", str(tmp_path / "missing.tsv"),
+            "--out", str(tmp_path / "m.ukge"), "--config", str(cfg),
+        ])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{cfg}:1: bad value for {key}: {raw!r} ({bound}" in err
 
     def test_missing_equals_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -351,6 +405,36 @@ class TestEvalAndPredict:
         ])
         assert rc == EXIT_INPUT
         assert "entities" in capsys.readouterr().err
+
+    @staticmethod
+    def renamed_data(workdir, tmp_path, old: str, new: str) -> str:
+        """The workdir TSVs with every field ``old`` renamed ``new``: a store
+        of the same size whose dictionary digests differ."""
+        out = tmp_path / "renamed"
+        out.mkdir()
+        for split in ("train", "valid", "test"):
+            rows = Path(workdir["data"], f"{split}.tsv").read_text().splitlines()
+            fields = [[new if f == old else f for f in row.split("\t")] for row in rows]
+            text = "".join("\t".join(f) + "\n" for f in fields)
+            (out / f"{split}.tsv").write_text(text)
+        return str(out)
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize(
+        "old,new,kind", [("n1", "m1", "entity"), ("next", "succ", "relation")]
+    )
+    def test_digest_mismatch_names_the_dictionary(
+        self, workdir, tmp_path, capsys, command, old, new, kind
+    ):
+        data = self.renamed_data(workdir, tmp_path, old, new)
+        args = [command, "--model", workdir["ckpt"], "--train", f"{data}/train.tsv",
+                "--valid", f"{data}/valid.tsv", "--test", f"{data}/test.tsv"]
+        if command == "predict":
+            args += ["--head", "n4", "--rel", "isa"]
+        assert main(args) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{kind} dictionary digest mismatch" in captured.err
 
     def test_eval_corrupt_checkpoint(self, workdir, tmp_path, capsys):
         bad = str(tmp_path / "bad.ukge")

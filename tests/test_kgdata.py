@@ -485,6 +485,8 @@ class TestSynthetic:
             make_synthetic(cycle=1)
         with pytest.raises(ConfigurationError):
             make_synthetic(cycle=10)
+        with pytest.raises(ConfigurationError):
+            make_synthetic(seed=-1)
 
     def test_two_levels(self):
         store = make_synthetic(levels=2, branching=4)
@@ -518,6 +520,17 @@ class TestLineEndings:
         assert b.relation_names == a.relation_names
         for split in ("train", "valid", "test"):
             np.testing.assert_array_equal(b.split(split), a.split(split))
+
+    def test_bom_file_loads_like_its_plain_twin(self, tmp_path):
+        text = "a\tr\tb\nb\tr\ta\n"
+        plain = write(tmp_path / "plain.tsv", text)
+        bom = tmp_path / "bom.tsv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        a = load_triples(plain)
+        b = load_triples(str(bom))
+        assert b.entity_names == a.entity_names == ["a", "b"]
+        assert b.relation_names == a.relation_names
+        np.testing.assert_array_equal(b.train, a.train)
 
 
 names = st.text(alphabet="abxy", min_size=1, max_size=2)

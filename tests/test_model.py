@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from ukge.model import (
     dictionary_digest,
     init,
     load,
+    map_row_blocks,
     save,
     score,
     score_candidates,
@@ -182,6 +184,15 @@ class TestInit:
         with pytest.raises(ConfigurationError):
             init(S22, 2, 1, geometry="projective")
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_margin_rejected(self, delta):
+        with pytest.raises(ConfigurationError, match="margin must be finite"):
+            init(S22, 2, 1, delta=delta)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            init(S22, 2, 1, seed=-1)
+
 
 class TestModelContainer:
     @pytest.mark.parametrize("p,q", [(3, 1), (4, 1), (3, 2)])
@@ -227,6 +238,21 @@ class TestModelContainer:
         apply_time_guard(entities, S22)
         assert entities[0, 2] == EPS_TIME
         np.testing.assert_array_equal(entities[1], [1.0, 2.0, 3.0, 4.0])
+
+
+class TestMapRowBlocks:
+    @pytest.mark.parametrize(
+        "n_rows,threads", [(7, 1), (7, 3), (2, 5), (10, 4), (1, 8)]
+    )
+    def test_blocks_follow_array_split_in_order(self, n_rows, threads):
+        rows = np.arange(n_rows)
+        parts = map_row_blocks(lambda s: rows[s].tolist(), n_rows, threads)
+        assert parts == [b.tolist() for b in np.array_split(rows, min(threads, n_rows))]
+
+    def test_one_block_runs_inline_on_the_whole_range(self):
+        caller = threading.get_ident()
+        seen = map_row_blocks(lambda s: (s, threading.get_ident()), 5, 1)
+        assert seen == [(slice(0, 5), caller)]
 
 
 class TestDigest:

@@ -413,6 +413,7 @@ class TestTrainConfig:
             dict(epochs=1001),
             dict(optimizer="sgd"),
             dict(threads=0),
+            dict(seed=-1),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
