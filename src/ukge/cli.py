@@ -15,9 +15,10 @@ key of the ``key=value`` config file, with its allowed values; explicit
 flags override file values, which override built-in defaults.  A bad key
 or value in the file (``optimizer = sgd``, or ``epochs = 5000`` outside the
 bound ``TrainConfig.validate`` states) is an input error at ``path:line``.
-A negative ``seed`` (also for ``synth``) or a non-finite ``margin`` is an
-input error from a flag or the file, as is ``eval --threads`` or
-``predict --topk`` below 1; all are raised before any TSV is read.  Data
+A negative ``seed`` (also for ``synth``) or ``eval_every``, or a non-finite
+``margin``, is an input error from a flag or the file, as is
+``eval --threads`` or ``predict --topk`` below 1; all are raised before any
+TSV is read.  Data
 holding both ``x`` and ``x_inv``, the name of the inverse of ``x``, is an
 input error too.
 """
@@ -95,6 +96,8 @@ def _check_bounds(key: str, value) -> None:
         training.TrainConfig(**{_CONFIG_FIELDS[key]: value}).validate()
     elif key == "margin":
         model.check_margin(value)
+    elif key == "eval_every" and value < 0:
+        raise ConfigurationError(f"eval_every must be >= 0, got {value}")
 
 
 def load_config_file(path: str, known: dict[str, tuple]) -> dict:
@@ -213,7 +216,8 @@ def cmd_train(args) -> int:
     options = merge_options(defaults, file_values, flags)
     sig = _signature_from(options)  # validate configuration before any compute
     cfg = train_config(options)
-    model.check_margin(options["margin"])
+    for key in ("margin", "eval_every"):
+        _check_bounds(key, options[key])
     store = _load_store(args)
     store = kgdata.augment_inverse(store)
     m = model.init(

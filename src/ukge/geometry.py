@@ -25,7 +25,10 @@ their preconditions; they are the reference the closed form is tested against.
 
 All functions accept plain float64 arrays or :class:`~ukge.autodiff.Tensor`
 nodes, with point coordinates along the last axis and arbitrary batch axes in
-front.
+front.  The exceptions are the training kernel's vector-Jacobian products
+(:func:`phi_vjp`, :func:`point_terms_vjp`, :func:`manhattan_legs_vjp`), which
+take plain arrays and the intermediates that :func:`phi_forward` and
+:func:`manhattan_legs_forward` keep.
 """
 
 from __future__ import annotations
@@ -168,20 +171,53 @@ def phi(z, sig: Signature):
     added to their first time coordinate before mapping, so the map never
     divides by zero during optimisation.
     """
+    return phi_forward(z, sig)[0]
+
+
+def phi_forward(z, sig: Signature):
+    """:func:`phi` and the intermediates :func:`phi_vjp` reads: the space
+    block, the (bumped) time block, its norm and direction, and the radius as
+    a column."""
     _check_last_dim(z, sig.d, "phi")
     s, t = z[..., : sig.p], z[..., sig.p :]
-    tval = value_of(t)
-    small = np.linalg.norm(tval, axis=-1) < EPS_TIME
+    norm = ad.norm(t, axis=-1, keepdims=True)
+    small = value_of(norm)[..., 0] < EPS_TIME
     if np.any(small):
-        bump = np.zeros_like(tval)
+        bump = np.zeros(value_of(t).shape)
         bump[..., 0] = np.where(small, EPS_TIME, 0.0)
         t = t + bump
+        norm = ad.norm(t, axis=-1, keepdims=True)
     # normalise first: for q = 1 this makes the time coordinate exactly
     # +/- radius, so projections of coincident points collapse exactly
-    unit = t / ad.norm(t, axis=-1, keepdims=True)
+    unit = t / norm
     radius = space_radius(s, sig)
     scale = ad.reshape(radius, value_of(radius).shape + (1,))
-    return ad.concat([s, unit * scale], axis=-1)
+    return ad.concat([s, unit * scale], axis=-1), (s, t, norm, unit, scale)
+
+
+def phi_vjp(saved, g: np.ndarray, sig: Signature) -> np.ndarray:
+    """Gradient with respect to the free parameters ``z`` given the gradient
+    ``g`` of :func:`phi_forward`'s output; ``saved`` is its intermediates.
+
+    Plain arrays only.  The products and sums are those of the autodiff
+    tape's reverse sweep, in its order: each block receives its direct
+    share first and then both factors of its own sum of squares, so the
+    result matches the tape bit for bit.  The ``EPS_TIME`` bump is a
+    constant shift and passes the time gradient through unchanged.
+    """
+    s, t, norm, unit, scale = saved
+    g_s, g_ut = g[..., : sig.p], g[..., sig.p :]
+    g_unit = g_ut * scale
+    g_scale = (g_ut * unit).sum(axis=-1, keepdims=True)
+    g_norm = (-g_unit * t / (norm * norm)).sum(axis=-1, keepdims=True)
+    g_tt = (g_norm * (0.5 / norm)) * t
+    g_ss = (g_scale * (0.5 / scale)) * s
+    g_z = np.empty(g.shape)
+    np.add(g_s, g_ss, out=g_z[..., : sig.p])
+    g_z[..., : sig.p] += g_ss
+    np.add(g_unit / norm, g_tt, out=g_z[..., sig.p :])
+    g_z[..., sig.p :] += g_tt
+    return g_z
 
 
 # --- conic projection and distances -----------------------------------------
@@ -256,25 +292,107 @@ def point_terms(x, sig: Signature):
     return xs, xt, space_radius(xs, sig), ad.norm(xt, axis=-1)
 
 
+def point_terms_vjp(terms, g_terms, sig: Signature) -> np.ndarray:
+    """Gradient with respect to the point given :func:`point_terms`'
+    ``terms`` and the gradients ``g_terms`` of them that
+    :func:`manhattan_legs_vjp` returns.
+
+    The order of the additions is the tape's: in the space block the two
+    factors of ``|space|^2`` come before the legs' share, in the time block
+    the legs' share comes before the two factors of ``|time|^2``.
+    """
+    xs, xt, r, n = terms
+    g_space, g_time, g_r, g_n = g_terms
+    g_x = np.empty(xs.shape[:-1] + (sig.d,))
+    g_s, g_t = g_x[..., : sig.p], g_x[..., sig.p :]
+    np.multiply((g_r * (0.5 / r))[..., None], xs, out=g_s)
+    g_s += g_s
+    g_s += g_space
+    g_tt = (g_n * (0.5 / n))[..., None] * xt
+    np.add(g_time, g_tt, out=g_t)
+    g_t += g_tt
+    return g_x
+
+
 def manhattan_legs(tx, ty, sig: Signature):
     """:func:`dist_manhattan` of two points given by their :func:`point_terms`."""
+    return manhattan_legs_forward(tx, ty, sig)[0]
+
+
+def manhattan_legs_forward(tx, ty, sig: Signature):
+    """:func:`manhattan_legs` and the intermediates
+    :func:`manhattan_legs_vjp` reads.  These include every guard's input:
+    the cosine before its ``arccos`` clamp, the two ``arccosh`` arguments
+    before theirs, the branch choice ``first`` (the x -> y order is taken,
+    ties included) and the coincident rows ``same`` (None when there are
+    none)."""
     xs, xt, rx, nx = tx
     ys, yt, ry, ny = ty
-    angle = ad.arccos(ad.clip(ad.sum_(xt * yt, axis=-1) / (nx * ny), -1.0, 1.0))
+    dot = ad.sum_(xt * yt, axis=-1)
+    nn = nx * ny
+    cos = dot / nn
+    angle = ad.arccos(ad.clip(cos, -1.0, 1.0))
     s = ad.sum_(xs * ys, axis=-1)
     a2 = sig.alpha * sig.alpha
-    leg_xy = rx * angle + sig.alpha * ad.arccosh(ad.clip((rx * ny - s) / a2, 1.0, None))
-    leg_yx = ry * angle + sig.alpha * ad.arccosh(ad.clip((ry * nx - s) / a2, 1.0, None))
-    best = ad.minimum(leg_xy, leg_yx)
+    arg_xy = (rx * ny - s) / a2
+    arg_yx = (ry * nx - s) / a2
+    leg_xy = rx * angle + sig.alpha * ad.arccosh(ad.clip(arg_xy, 1.0, None))
+    leg_yx = ry * angle + sig.alpha * ad.arccosh(ad.clip(arg_yx, 1.0, None))
+    first = value_of(leg_xy) <= value_of(leg_yx)
+    best = ad.where(first, leg_xy, leg_yx)
     # coincident rows share their first coordinate: compare whole rows only
     # where that column matches
     same = value_of(xs)[..., 0] == value_of(ys)[..., 0]
     if np.any(same):
         same &= np.all(value_of(xs) == value_of(ys), axis=-1)
         same &= np.all(value_of(xt) == value_of(yt), axis=-1)
-    if not np.any(same):
-        return best
-    return ad.where(same, np.zeros(np.shape(same)), best)
+    if np.any(same):
+        best = ad.where(same, np.zeros(np.shape(same)), best)
+    else:
+        same = None
+    return best, (dot, nn, cos, angle, arg_xy, arg_yx, first, same)
+
+
+def _arccosh_leg_vjp(g_leg, arg, sig: Signature):
+    """Gradient of ``alpha * arccosh(clip(arg, 1))`` at ``arg``: zero where
+    the clamp holds ``arg`` at 1."""
+    c = np.clip(arg, 1.0, None)
+    t = c * c - 1.0
+    d = np.where(t > 0.0, 1.0 / np.sqrt(np.where(t > 0.0, t, 1.0)), 0.0)
+    return (g_leg * sig.alpha) * d * (arg > 1.0)
+
+
+def manhattan_legs_vjp(tx, ty, saved, g: np.ndarray, sig: Signature):
+    """Gradients of the :func:`point_terms` of both points given the
+    gradient ``g`` of the distance; ``saved`` comes from
+    :func:`manhattan_legs_forward`.  Plain arrays only.
+
+    Returns two ``(space, time, r, n)`` tuples for :func:`point_terms_vjp`.
+    A clamped ``arccos`` or ``arccosh`` passes zero gradient, the branch not
+    taken gets none, and coincident rows get none at all, as on the tape.
+    """
+    xs, xt, rx, nx = tx
+    ys, yt, ry, ny = ty
+    dot, nn, cos, angle, arg_xy, arg_yx, first, same = saved
+    if same is not None:
+        g = np.where(same, 0.0, g)
+    g_xy = np.where(first, g, 0.0)
+    g_yx = np.where(first, 0.0, g)
+    a2 = sig.alpha * sig.alpha
+    g_d1 = _arccosh_leg_vjp(g_xy, arg_xy, sig) / a2
+    g_d2 = _arccosh_leg_vjp(g_yx, arg_yx, sig) / a2
+    g_angle = g_xy * rx + g_yx * ry
+    c = np.clip(cos, -1.0, 1.0)
+    t = 1.0 - c * c
+    d = np.where(t > 0.0, -1.0 / np.sqrt(np.where(t > 0.0, t, 1.0)), 0.0)
+    g_cos = g_angle * d * ((cos > -1.0) & (cos < 1.0))
+    g_dot = (g_cos / nn)[..., None]
+    g_nn = -g_cos * dot / (nn * nn)
+    g_s = (-g_d1 - g_d2)[..., None]
+    return (
+        (g_s * ys, g_dot * yt, g_xy * angle + g_d1 * ny, g_nn * ny + g_d2 * ry),
+        (g_s * xs, g_dot * xt, g_yx * angle + g_d2 * nx, g_nn * nx + g_d1 * rx),
+    )
 
 
 def dist_manhattan(x, y, sig: Signature):

@@ -235,9 +235,11 @@ def score_triples(m: Model, h, r, t, leaves: dict | None = None):
 
     ``leaves`` maps the names of :func:`parameters` to autodiff tensors and
     makes the result differentiable; without it the model's own arrays are
-    read.  Training scores through here and :func:`score_candidates` shares
-    its head side and its score formula, so one triple gets the same bits
-    from both.
+    read.  The training kernel's forward pass (:mod:`ukge.training`)
+    repeats these stages, keeping their intermediates, and its tests hold
+    it to these bits on the tape.  :func:`score_candidates` shares the head
+    side and the score formula, so one triple gets the same bits from all
+    three.
     """
     params = parameters(m) if leaves is None else leaves
     moved = _moved_heads(m, params, h, r)

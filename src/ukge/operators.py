@@ -16,7 +16,9 @@ variants use rotations or reflections for both stages.
 Dense d x d realisations are only materialised for verification
 (:func:`as_dense`, :func:`j_orth_defect`, :func:`lorentz_boost`); the apply
 path touches O(d) elements per point, which :func:`count_operations` can
-measure.
+measure.  The training kernel runs the same stages through
+:func:`transform_forward`, which keeps their intermediates, and gets its
+gradients from :func:`transform_vjp`; both take plain arrays only.
 """
 
 from __future__ import annotations
@@ -152,11 +154,15 @@ def givens_apply(angles, v, mode: str):
         raise DimensionError(
             f"givens_apply: expected {m} angles for length {vshape[-1]}, got {ashape[-1]}"
         )
-    pairs = ad.reshape(v, vshape[:-1] + (m, 2))
+    return _givens(ad.cos(angles), ad.sin(angles), v, mode)
+
+
+def _givens(c, s, v, mode: str):
+    """The Givens blocks with cosines ``c`` and sines ``s`` applied to ``v``."""
+    vshape = value_of(v).shape
+    pairs = ad.reshape(v, vshape[:-1] + (vshape[-1] // 2, 2))
     a = pairs[..., 0]
     b = pairs[..., 1]
-    c = ad.cos(angles)
-    s = ad.sin(angles)
     if mode == ROTATION:
         a2 = c * a - s * b
         b2 = s * a + c * b
@@ -165,6 +171,33 @@ def givens_apply(angles, v, mode: str):
         b2 = s * a - c * b
     _count(2 * value_of(c).size + 2 * value_of(a2).size + value_of(v).size)
     return ad.reshape(ad.stack_last(a2, b2), vshape)
+
+
+def _givens_vjp(c, s, v, g, mode: str):
+    """Gradients of angles and input of :func:`_givens` given the output
+    gradient ``g``, with the tape's products and sums."""
+    shape = v.shape[:-1] + (v.shape[-1] // 2, 2)
+    pairs = v.reshape(shape)
+    a, b = pairs[..., 0], pairs[..., 1]
+    g2 = g.reshape(shape)
+    ga, gb = g2[..., 0], g2[..., 1]
+    g_v = np.empty(shape)
+    out_a, out_b = g_v[..., 0], g_v[..., 1]
+    np.multiply(ga, c, out=out_a)
+    out_a += gb * s
+    if mode == ROTATION:
+        g_c = ga * a + gb * b
+        g_s = gb * a - ga * b
+        np.multiply(gb, c, out=out_b)
+        out_b -= ga * s
+    else:
+        g_c = ga * a - gb * b
+        g_s = ga * b + gb * a
+        np.multiply(ga, s, out=out_b)
+        out_b -= gb * c
+    g_s *= c
+    g_s -= g_c * s
+    return g_s, g_v.reshape(v.shape)
 
 
 def require_even(sig: Signature) -> None:
@@ -201,15 +234,35 @@ def hyper_rot_apply(mu, x, sig: Signature):
         raise DimensionError(f"hyper_rot_apply: expected points of dimension {sig.d}")
     if value_of(mu).shape[-1] != sig.q:
         raise DimensionError(f"hyper_rot_apply: expected {sig.q} boost magnitudes")
+    return _boost(ad.cosh(mu), ad.sinh(mu), x, sig)
+
+
+def _boost(ch, sh, x, sig: Signature):
+    """The boost with ``cosh`` and ``sinh`` of its magnitudes ``ch``, ``sh``."""
     a = x[..., : sig.q]
     mid = x[..., sig.q : sig.p]
     t = x[..., sig.p :]
-    ch = ad.cosh(mu)
-    sh = ad.sinh(mu)
     a2 = ch * a + sh * t
     t2 = sh * a + ch * t
     _count(2 * value_of(ch).size + 2 * value_of(a2).size + value_of(x).size)
     return ad.concat([a2, mid, t2], axis=-1)
+
+
+def _boost_vjp(ch, sh, x, g, sig: Signature, mu_grad: bool):
+    """Gradients of magnitudes (None unless ``mu_grad``) and input of
+    :func:`_boost` given the output gradient ``g``, with the tape's products
+    and sums.  The input gradient is written into ``g``'s own buffer: the
+    untouched middle block is its gradient already."""
+    a, t = x[..., : sig.q], x[..., sig.p :]
+    ga, gt = g[..., : sig.q], g[..., sig.p :]
+    g_mu = None
+    if mu_grad:
+        g_mu = (ga * a + gt * t) * sh
+        g_mu += (ga * t + gt * a) * ch
+    g_a = ga * ch + gt * sh
+    gt[...] = ga * sh + gt * ch
+    ga[...] = g_a
+    return g_mu, g
 
 
 def relation_transform(theta, phi, mu, x, sig: Signature, operator: str = "rotref"):
@@ -224,6 +277,40 @@ def relation_transform(theta, phi, mu, x, sig: Signature, operator: str = "rotre
     y = block_orthogonal_apply(phi, x, sig, v_mode)
     y = hyper_rot_apply(mu, y, sig)
     return block_orthogonal_apply(theta, y, sig, u_mode)
+
+
+def transform_forward(theta, phi, mu, rows, x, sig: Signature, operator: str):
+    """:func:`relation_transform` of points ``x`` under the relations
+    ``rows`` given per-relation parameter arrays, on plain arrays, with the
+    intermediates :func:`transform_vjp` reads: each stage's input and the
+    cosines and sines of its angles or boosts.
+
+    The cosines and sines are taken once per relation and then gathered per
+    row; being elementwise, they carry the bits of the per-row values
+    :func:`relation_transform` computes.
+    """
+    u_mode, v_mode = OPERATOR_MODES[operator]
+    cv, sv = np.cos(phi)[rows], np.sin(phi)[rows]
+    y1 = _givens(cv, sv, x, v_mode)
+    ch, sh = np.cosh(mu)[rows], np.sinh(mu)[rows]
+    y2 = _boost(ch, sh, y1, sig)
+    cu, su = np.cos(theta)[rows], np.sin(theta)[rows]
+    return _givens(cu, su, y2, u_mode), ((cv, sv, x), (ch, sh, y1), (cu, su, y2))
+
+
+def transform_vjp(saved, g: np.ndarray, sig: Signature, operator: str, mu_grad: bool):
+    """Per-row gradients ``(theta, phi, mu, x)`` of
+    :func:`transform_forward` given the gradient ``g`` of its output, stage
+    by stage in reverse: U, H, V.  Each stage replays the autodiff tape's
+    products and sums, so the result matches it bit for bit.  Boosts held
+    constant (the Euclidean baseline pins them to 0) take ``mu_grad=False``
+    and get None."""
+    u_mode, v_mode = OPERATOR_MODES[operator]
+    (cv, sv, x), (ch, sh, y1), (cu, su, y2) = saved
+    g_theta, g = _givens_vjp(cu, su, y2, g, u_mode)
+    g_mu, g = _boost_vjp(ch, sh, y1, g, sig, mu_grad)
+    g_phi, g = _givens_vjp(cv, sv, x, g, v_mode)
+    return g_theta, g_phi, g_mu, g
 
 
 def relation_apply(r: RelationParams, x, sig: Signature, operator: str = "rotref"):

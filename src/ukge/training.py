@@ -8,10 +8,16 @@ into [1e-12, 1 - 1e-12], a batch of N positives with negatives N_i minimises
     L = -(1/N) * sum_i [ log p_i + sum_j log(1 - p_ij) ].
 
 Gradients flow through the full score pipeline (manifold map, relation
-operator, two-leg distance with its clamps and branch selection) by
-reverse-mode differentiation; clamped values contribute zero gradient and
-distance-branch ties follow the first branch.  The global margin ``delta``
-is a hyperparameter: its gradient is reported by :func:`gradients` but
+operator, two-leg distance with its clamps and branch selection) by a
+hand-written kernel: one forward pass on the plain parameter arrays keeps
+its intermediates, then the vector-Jacobian product of each stage runs in
+reverse, each one next to its forward in :mod:`ukge.geometry` and
+:mod:`ukge.operators`.  Clamped values contribute zero gradient and
+distance-branch ties follow the first branch.  The kernel replays the
+operations of the reverse-mode tape in :mod:`ukge.autodiff` in the tape's
+order, so its loss and gradients equal the tape's bit for bit; the tape
+itself is only the tests' oracle.  The global margin ``delta`` is a
+hyperparameter: its gradient is reported by :func:`gradients` but
 :func:`fit` never updates it.
 
 Determinism: given a seed and fixed worker partitioning, shuffles, negative
@@ -26,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from . import geometry, operators
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -35,7 +40,7 @@ from .errors import (
     NonFiniteGradientError,
 )
 from .kgdata import TripleStore
-from .model import Model, apply_time_guard, map_row_blocks, parameters, score_triples
+from .model import Model, apply_time_guard, map_row_blocks, parameters
 
 PROB_CLAMP = 1e-12
 
@@ -97,39 +102,123 @@ def _sample_negatives_batch(
     return out
 
 
-# --- loss graph ---------------------------------------------------------------
+# --- loss kernel --------------------------------------------------------------
 
 
-def _leaves(m: Model) -> dict[str, Tensor]:
-    return {k: Tensor(v, requires_grad=True) for k, v in parameters(m).items()}
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic function, split by sign so that ``exp`` never overflows."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    e = np.exp(v[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
 
 
-def _loss_sum(m: Model, leaves: dict, pos: np.ndarray, neg: np.ndarray):
-    """Unnormalised loss sum: -(sum log p + sum log(1 - p~)).  ``leaves`` are
-    tensors (:func:`_leaves`) for a differentiable sum, or the plain
-    :func:`parameters` for its value alone."""
+def _loss_sum(m: Model, params: dict, pos: np.ndarray, neg: np.ndarray):
+    """Unnormalised loss sum -(sum log p + sum log(1 - p~)) of a batch scored
+    on the plain arrays ``params`` (:func:`parameters`), and the intermediates
+    :func:`_loss_grads` reads.
+
+    The scores are those of :func:`ukge.model.score_triples`, bit for bit:
+    the same stages run here in the same order, keeping what their VJPs need.
+    """
+    sig = m.sig
     n_pos = pos.shape[0]
     stacked = np.concatenate([pos, neg.reshape(-1, 3)], axis=0)
-    scores = score_triples(m, stacked[:, 0], stacked[:, 1], stacked[:, 2], leaves)
-    p = ad.clip(ad.sigmoid(scores), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    p_pos = p[:n_pos]
-    p_neg = p[n_pos:]
-    total = -(ad.sum_(ad.log(p_pos)))
+    h, r, t = stacked[:, 0], stacked[:, 1], stacked[:, 2]
+    z_h, z_t = params["entities"][h], params["entities"][t]
+    if m.geometry == "ultra":
+        z_h, phi_h = geometry.phi_forward(z_h, sig)
+        mu = params["mu"]
+    else:  # boosts pinned to 0, run as score_triples runs them
+        mu = np.zeros_like(params["mu"])
+    moved, ops = operators.transform_forward(
+        params["theta"], params["phi"], mu, r, z_h, sig, m.operator
+    )
+    if m.geometry == "ultra":
+        tail, phi_t = geometry.phi_forward(z_t, sig)
+        tx, ty = geometry.point_terms(moved, sig), geometry.point_terms(tail, sig)
+        dist, legs = geometry.manhattan_legs_forward(tx, ty, sig)
+        side = (phi_h, phi_t, tx, ty, legs)
+    else:
+        diff = moved - z_t
+        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        side = diff
+    b_h, b_t = params["biases"][h, 0], params["biases"][t, 1]
+    prob = _sigmoid(-dist * dist + b_h + b_t + params["delta"])
+    p = np.clip(prob, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    total = -np.sum(np.log(p[:n_pos]))
     if neg.size:
-        total = total - ad.sum_(ad.log(1.0 - p_neg))
-    return total
+        total = total - np.sum(np.log(1.0 - p[n_pos:]))
+    return total, (h, r, t, n_pos, p, prob, dist, ops, side)
+
+
+def _scatter_rows(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
+    """Rows of ``g`` summed into ``n_rows`` rows by ``idx``: one flat
+    ``bincount``, which adds in row order exactly as ``np.add.at`` does."""
+    cols = g.shape[1]
+    flat = (idx[:, None] * cols + np.arange(cols)).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=n_rows * cols).reshape(
+        n_rows, cols
+    )
+
+
+def _loss_grads(m: Model, saved) -> dict[str, np.ndarray]:
+    """Gradient of :func:`_loss_sum`'s total per family of
+    :func:`parameters`, from its intermediates ``saved``.
+
+    The VJPs run in reverse: probability clamp and sigmoid, score, distance,
+    the operator's U, H and V stages, ``phi``, then one scatter per gathered
+    family.  Each replays the autodiff tape's operations in its order, so
+    the gradients equal the tape's bit for bit; ``tests/tape_oracle.py``
+    holds the tape version they are tested against.  Clamped values pass
+    zero gradient.
+    """
+    sig = m.sig
+    h, r, t, n_pos, p, prob, dist, ops, side = saved
+    # d total / d p: -1/p for positives, 1/(1 - p) for negatives
+    g_p = np.concatenate([-(1.0 / p[:n_pos]), 1.0 / (1.0 - p[n_pos:])])
+    inside = (prob > PROB_CLAMP) & (prob < 1.0 - PROB_CLAMP)
+    g_score = g_p * inside * (prob * (1.0 - prob))
+    # the score's (-d) * d: d gets g * (-d) from the product and -(g * d)
+    # through the negation, two equal terms
+    g_dist = g_score * -dist
+    g_dist = g_dist + g_dist
+    if m.geometry == "ultra":
+        phi_h, phi_t, tx, ty, legs = side
+        g_tx, g_ty = geometry.manhattan_legs_vjp(tx, ty, legs, g_dist, sig)
+        g_moved = geometry.point_terms_vjp(tx, g_tx, sig)
+        g_tail = geometry.point_terms_vjp(ty, g_ty, sig)
+    else:
+        # d = sqrt(sum(diff * diff)): one term per factor of the product
+        g_moved = (g_dist * (0.5 / dist))[:, None] * side
+        g_moved = g_moved + g_moved
+        g_tail = -g_moved
+    g_theta, g_phi, g_mu, g_head = operators.transform_vjp(
+        ops, g_moved, sig, m.operator, mu_grad=m.geometry == "ultra"
+    )
+    if m.geometry == "ultra":
+        g_head = geometry.phi_vjp(phi_h, g_head, sig)
+        g_tail = geometry.phi_vjp(phi_t, g_tail, sig)
+    n, k = m.n_entities, m.n_relations
+    return {
+        "entities": _scatter_rows(h, g_head, n) + _scatter_rows(t, g_tail, n),
+        "biases": np.stack(
+            [np.bincount(h, g_score, n), np.bincount(t, g_score, n)], axis=1
+        ),
+        "theta": _scatter_rows(r, g_theta, k),
+        "phi": _scatter_rows(r, g_phi, k),
+        "mu": np.zeros_like(m.mu) if g_mu is None else _scatter_rows(r, g_mu, k),
+        "delta": g_score.sum(),
+    }
 
 
 def _summed_loss(m: Model, pos: np.ndarray, neg: np.ndarray):
-    """Unnormalised loss of one batch and its gradient per leaf family
-    (zeros for families the loss does not reach)."""
-    leaves = _leaves(m)
-    total = _loss_sum(m, leaves, pos, neg)
-    total.backward()
-    return float(total.value), {
-        name: np.zeros_like(leaf.value) if leaf.grad is None else leaf.grad
-        for name, leaf in leaves.items()
-    }
+    """Unnormalised loss of one batch and its gradient per family of
+    :func:`parameters` (zeros for families the loss does not reach)."""
+    total, saved = _loss_sum(m, parameters(m), pos, neg)
+    return float(total), _loss_grads(m, saved)
 
 
 def _as_batch(positives, negatives, caller: str) -> tuple[np.ndarray, np.ndarray]:
@@ -146,10 +235,10 @@ def _as_batch(positives, negatives, caller: str) -> tuple[np.ndarray, np.ndarray
 
 
 def bce_loss(m: Model, positives: np.ndarray, negatives: np.ndarray | None = None) -> float:
-    """Mean binary cross-entropy of a batch, scored on the plain parameter
-    arrays, so no tape is built."""
+    """Mean binary cross-entropy of a batch: the loss kernel's forward pass
+    alone."""
     pos, neg = _as_batch(positives, negatives, "bce_loss")
-    return float(_loss_sum(m, parameters(m), pos, neg)) / pos.shape[0]
+    return float(_loss_sum(m, parameters(m), pos, neg)[0]) / pos.shape[0]
 
 
 def gradients(

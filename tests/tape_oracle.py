@@ -1,0 +1,45 @@
+"""The autodiff tape version of the training loss: the oracle that the
+hand-written kernel in :mod:`ukge.training` is tested against.
+
+It scores through :func:`ukge.model.score_triples` with tensor leaves and
+differentiates by one reverse sweep of :meth:`ukge.autodiff.Tensor.backward`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ukge import autodiff as ad
+from ukge.autodiff import Tensor
+from ukge.model import Model, parameters, score_triples
+from ukge.training import PROB_CLAMP
+
+
+def _leaves(m: Model) -> dict[str, Tensor]:
+    return {k: Tensor(v, requires_grad=True) for k, v in parameters(m).items()}
+
+
+def _loss_sum(m: Model, leaves: dict, pos: np.ndarray, neg: np.ndarray):
+    """Unnormalised loss sum -(sum log p + sum log(1 - p~)) on the tape."""
+    n_pos = pos.shape[0]
+    stacked = np.concatenate([pos, neg.reshape(-1, 3)], axis=0)
+    scores = score_triples(m, stacked[:, 0], stacked[:, 1], stacked[:, 2], leaves)
+    p = ad.clip(ad.sigmoid(scores), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    p_pos = p[:n_pos]
+    p_neg = p[n_pos:]
+    total = -(ad.sum_(ad.log(p_pos)))
+    if neg.size:
+        total = total - ad.sum_(ad.log(1.0 - p_neg))
+    return total
+
+
+def _summed_loss(m: Model, pos: np.ndarray, neg: np.ndarray):
+    """Unnormalised loss of one batch and its gradient per leaf family
+    (zeros for families the loss does not reach)."""
+    leaves = _leaves(m)
+    total = _loss_sum(m, leaves, pos, neg)
+    total.backward()
+    return float(total.value), {
+        name: np.zeros_like(leaf.value) if leaf.grad is None else leaf.grad
+        for name, leaf in leaves.items()
+    }

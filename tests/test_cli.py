@@ -183,6 +183,7 @@ class TestTrain:
             (["--seed", "-1"], "seed must be >= 0"),
             (["--margin", "nan"], "margin must be finite"),
             (["--margin", "inf"], "margin must be finite"),
+            (["--eval-every", "-5"], "eval_every must be >= 0"),
         ],
     )
     def test_bad_seed_or_margin_flag_rejected_first(
@@ -285,6 +286,7 @@ class TestConfigFile:
             ("seed", "-2", "seed must be >= 0"),
             ("margin", "nan", "margin must be finite"),
             ("margin", "inf", "margin must be finite"),
+            ("eval_every", "-5", "eval_every must be >= 0"),
         ],
     )
     def test_out_of_bounds_value_reports_location_first(

@@ -1,0 +1,198 @@
+"""The hand-written loss kernel of ``ukge.training`` against the autodiff
+tape: the loss and every gradient family must agree bit for bit, including
+where a numeric guard fires."""
+
+from __future__ import annotations
+
+import inspect
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tape_oracle import _summed_loss as tape_summed_loss
+from ukge import autodiff, geometry, operators, training
+from ukge.geometry import EPS_TIME, Signature
+from ukge.model import Model, init, layout, score_triples
+from ukge.training import PROB_CLAMP
+
+OPERATORS = ("rotref", "rot", "ref")
+GEOMETRIES = ("ultra", "euclidean")
+S22 = Signature(2, 2, 1.0)
+
+
+def assert_kernel_equals_tape(m, pos, neg):
+    loss, grads = training._summed_loss(m, pos, neg)
+    tape_loss, tape_grads = tape_summed_loss(m, pos, neg)
+    assert loss == tape_loss
+    assert list(grads) == list(tape_grads) == list(layout(m.sig, 1, 1))
+    for name, expected in tape_grads.items():
+        assert np.shape(grads[name]) == np.shape(expected), name
+        assert np.array_equal(grads[name], expected), name
+
+
+def random_model(sig, geometry, operator, rng, n_entities=12, n_relations=3, scale=1.0):
+    m = init(sig, n_entities, n_relations, seed=int(rng.integers(1 << 30)),
+             geometry=geometry, operator=operator, delta=float(rng.normal(0.0, 3.0)))
+    m.entities[:] = rng.normal(0.0, scale, m.entities.shape)
+    m.biases[:] = rng.normal(0.0, 0.5, m.biases.shape)
+    if geometry == "ultra":
+        m.mu[:] = rng.normal(0.0, 0.5, m.mu.shape)
+    return m
+
+
+def random_batch(m, rng, n, k):
+    pos = np.stack(
+        [rng.integers(0, m.n_entities, n), rng.integers(0, m.n_relations, n),
+         rng.integers(0, m.n_entities, n)],
+        axis=1,
+    )
+    return pos, training._sample_negatives_batch(pos, k, m.n_entities, rng)
+
+
+class TestKernelEqualsTape:
+    @pytest.mark.parametrize("pq", [(2, 2), (6, 2), (4, 4)])
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("operator", OPERATORS)
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_random_batch(self, pq, geometry, operator, k):
+        rng = np.random.default_rng([pq[0], pq[1], k, OPERATORS.index(operator)])
+        m = random_model(Signature(*pq), geometry, operator, rng)
+        # 12 entities and 3 relations: heads, tails and relations repeat
+        pos, neg = random_batch(m, rng, 30, k)
+        assert_kernel_equals_tape(m, pos, neg)
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_repeated_triples_and_ids(self, geometry):
+        rng = np.random.default_rng(5)
+        m = random_model(Signature(4, 2), geometry, "rotref", rng, n_entities=3)
+        pos = np.array([[0, 0, 1]] * 4 + [[1, 0, 0], [2, 1, 2], [2, 2, 2]])
+        neg = training._sample_negatives_batch(pos, 3, m.n_entities, rng)
+        assert_kernel_equals_tape(m, pos, neg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pq=st.sampled_from([(2, 2), (4, 2), (4, 4), (6, 2)]),
+        geometry=st.sampled_from(GEOMETRIES),
+        operator=st.sampled_from(OPERATORS),
+        n=st.integers(1, 12),
+        k=st.integers(0, 4),
+        scale=st.sampled_from([0.01, 1.0, 5.0]),
+    )
+    def test_hypothesis_batches(self, seed, pq, geometry, operator, n, k, scale):
+        rng = np.random.default_rng(seed)
+        m = random_model(Signature(*pq), geometry, operator, rng, scale=scale)
+        pos, neg = random_batch(m, rng, n, k)
+        assert_kernel_equals_tape(m, pos, neg)
+
+
+def plain_model(entities, operator="rot", delta=0.0, angles=0.0, mu=0.0):
+    """A one-relation model on S22 with the given entity rows; zero angles
+    and boosts make the relation the identity."""
+    entities = np.asarray(entities, dtype=np.float64)
+    return Model(
+        sig=S22, entities=entities, biases=np.zeros((entities.shape[0], 2)),
+        theta=np.full((1, 2), angles), phi=np.full((1, 2), -angles),
+        mu=np.full((1, 2), mu), delta=delta, operator=operator,
+    )
+
+
+def leg_terms(m, triples):
+    """The guard inputs of the plain distance of ``triples``, through the
+    public forward functions."""
+    h, r, t = np.asarray(triples).T
+    head = geometry.phi(m.entities[h], m.sig)
+    moved = operators.relation_transform(
+        m.theta[r], m.phi[r], m.mu[r], head, m.sig, m.operator
+    )
+    tx = geometry.point_terms(moved, m.sig)
+    ty = geometry.point_terms(geometry.phi(m.entities[t], m.sig), m.sig)
+    _, (_, _, cos, angle, arg_xy, arg_yx, _, same) = geometry.manhattan_legs_forward(
+        tx, ty, m.sig
+    )
+    alpha = m.sig.alpha
+    leg_xy = tx[2] * angle + alpha * np.arccosh(np.clip(arg_xy, 1.0, None))
+    leg_yx = ty[2] * angle + alpha * np.arccosh(np.clip(arg_yx, 1.0, None))
+    return cos, arg_xy, arg_yx, leg_xy == leg_yx, same
+
+
+class TestGuards:
+    """One batch per numeric guard; each asserts that its guard fires."""
+
+    NEG = np.array([[[0, 0, 1], [1, 0, 0]], [[2, 0, 1], [1, 0, 2]]])
+
+    def test_time_norm_bump(self):
+        m = plain_model(
+            [[0.3, -0.2, 1e-10, 0.0], [0.1, 0.4, 0.8, 0.6], [-0.5, 0.2, 0.0, 1.0]],
+            operator="rotref", angles=0.7, mu=0.3,
+        )
+        assert np.linalg.norm(m.entities[0, 2:]) < EPS_TIME
+        pos = np.array([[0, 0, 1], [1, 0, 0]])
+        assert_kernel_equals_tape(m, pos, self.NEG)
+
+    def test_coincident_rows(self):
+        m = plain_model([[0.3, -0.2, 1.0, 0.5], [0.1, 0.4, 0.8, 0.6], [0.0, 0.0, 0.0, 1.0]])
+        pos = np.array([[0, 0, 0], [1, 0, 1]])
+        same = leg_terms(m, pos)[4]
+        assert same is not None and np.all(same)
+        assert_kernel_equals_tape(m, pos, self.NEG)
+
+    def test_arccos_clamp(self):
+        # parallel and antiparallel time blocks: the cosine is exactly +-1
+        m = plain_model([[0.3, 0.1, 2.0, 0.0], [-0.2, 0.5, 0.7, 0.0], [0.4, 0.0, -0.7, 0.0]])
+        pos = np.array([[0, 0, 1], [0, 0, 2]])
+        cos = leg_terms(m, pos)[0]
+        np.testing.assert_array_equal(cos, [1.0, -1.0])
+        assert_kernel_equals_tape(m, pos, self.NEG)
+
+    def test_arccosh_clamp(self):
+        m = plain_model([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.2, 0.1, 1.0, 1.0]])
+        pos = np.array([[0, 0, 1], [1, 0, 0]])
+        _, arg_xy, arg_yx, _, _ = leg_terms(m, pos)
+        assert np.all(arg_xy <= 1.0) and np.all(arg_yx <= 1.0)
+        assert_kernel_equals_tape(m, pos, self.NEG)
+
+    def test_exact_leg_tie(self):
+        # mirrored space blocks and orthogonal times: both orders cost the same
+        m = plain_model([[0.3, 0.4, 1.0, 0.0], [0.4, 0.3, 0.0, 1.0], [0.2, 0.1, 1.0, 1.0]])
+        pos = np.array([[0, 0, 1], [1, 0, 0]])
+        _, arg_xy, _, tie, _ = leg_terms(m, pos)
+        assert np.all(tie) and np.all(arg_xy > 1.0)
+        assert_kernel_equals_tape(m, pos, self.NEG)
+
+    @pytest.mark.parametrize("delta", [60.0, -60.0])
+    def test_saturated_probability(self, delta):
+        m = plain_model(
+            [[0.3, -0.2, 1.0, 0.5], [0.1, 0.4, 0.8, 0.6], [-0.5, 0.2, 0.0, 1.0]],
+            operator="rotref", angles=0.7, mu=0.3, delta=delta,
+        )
+        pos = np.array([[0, 0, 1], [1, 0, 2]])
+        stacked = np.concatenate([pos, self.NEG.reshape(-1, 3)])
+        prob = 1.0 / (1.0 + np.exp(-score_triples(m, *stacked.T)))
+        assert np.all((prob <= PROB_CLAMP) | (prob >= 1.0 - PROB_CLAMP))
+        assert_kernel_equals_tape(m, pos, self.NEG)
+
+
+class TestNoTape:
+    def test_training_does_not_import_autodiff(self):
+        assert not any(
+            value is autodiff or getattr(value, "__module__", None) == "ukge.autodiff"
+            for value in vars(training).values()
+        )
+        source = inspect.getsource(training)
+        assert not re.search(r"^\s*(from|import)\s.*autodiff", source, re.MULTILINE)
+
+    def test_loss_and_gradients_build_no_tensors(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        m = random_model(Signature(4, 2), "ultra", "rotref", rng)
+        pos, neg = random_batch(m, rng, 6, 2)
+
+        def no_tape(*args, **kwargs):
+            raise AssertionError("built an autodiff tensor")
+
+        monkeypatch.setattr(autodiff.Tensor, "__init__", no_tape)
+        assert np.isfinite(training.bce_loss(m, pos, neg))
+        assert all(np.all(np.isfinite(g)) for g in training.gradients(m, pos, neg).values())
