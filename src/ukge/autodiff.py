@@ -2,19 +2,27 @@
 
 A :class:`Tensor` wraps an ndarray and remembers how it was produced; calling
 :meth:`Tensor.backward` runs one reverse sweep and accumulates gradients on
-every node that requires them.  Every function in this module also accepts
-plain ndarrays (or scalars) and then simply computes with numpy, so numerical
-code written against this module runs unchanged in differentiable and plain
-modes.
+every node that requires them.  Tensors enter plain numpy code through
+NumPy's dispatch protocols (NEP 13 ``__array_ufunc__`` and NEP 18
+``__array_function__``): the arithmetic operators, the ufuncs of
+``_UFUNCS`` and the functions of ``_FUNCTIONS`` record a node, so the
+package's numpy code is differentiated as written.  Any other numpy
+operation on a Tensor raises ``TypeError`` instead of dropping a gradient.
+Comparisons return plain bool arrays, ``np.shape`` and ``np.size`` read the
+value, and ``np.asarray(t)`` is ``t.value``.  :func:`sigmoid` is the one op
+called by name.
 
 Conventions used throughout:
 
 * everything is float64; values are never promoted to other dtypes,
 * broadcasting follows numpy; gradients are summed back to parent shapes,
-* ``clip`` passes gradients only on the *open* interval between its bounds,
-  so clamped values (including values sitting exactly on a bound) receive
-  zero gradient,
-* ``minimum(a, b)`` routes the gradient to ``a`` on exact ties.
+* ``np.clip`` passes gradients only on the *open* interval between its
+  bounds, so clamped values (including values sitting exactly on a bound)
+  receive zero gradient,
+* ``np.arccos`` and ``np.arccosh`` report a zero derivative at the ends of
+  their domains, where the true one is infinite,
+* ``np.where`` routes the gradient by its plain boolean condition, and
+  fancy indexing accumulates repeated rows with ``np.add.at``.
 """
 
 from __future__ import annotations
@@ -22,40 +30,15 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.mixins import NDArrayOperatorsMixin
 
-__all__ = [
-    "Tensor",
-    "value_of",
-    "sqrt",
-    "log",
-    "cos",
-    "sin",
-    "cosh",
-    "sinh",
-    "arccos",
-    "arccosh",
-    "sigmoid",
-    "clip",
-    "where",
-    "minimum",
-    "sum_",
-    "concat",
-    "stack_last",
-    "reshape",
-    "broadcast_to",
-    "take",
-    "sumsq",
-    "norm",
-]
+from .training import _sigmoid
+
+__all__ = ["Tensor", "sigmoid"]
 
 
 def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
-
-
-def value_of(x) -> np.ndarray:
-    """The underlying ndarray of a Tensor, or ``x`` itself as float64."""
-    return x.value if isinstance(x, Tensor) else _as_array(x)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -71,14 +54,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-class Tensor:
+class Tensor(NDArrayOperatorsMixin):
     """A node in the differentiation graph."""
 
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp")
-
-    # Never let numpy coerce a Tensor inside ufuncs; defer to our own
-    # reflected operators instead.
-    __array_ufunc__ = None
 
     def __init__(
         self,
@@ -100,6 +79,26 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
+
+    # -- numpy protocols -----------------------------------------------------
+
+    def __array__(self, dtype=None, copy=None):
+        """The value, for ``np.asarray``; reading it records nothing."""
+        return np.array(self.value, dtype=dtype, copy=copy)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        if ufunc in _COMPARISONS:
+            return ufunc(*(_value(x) for x in inputs))
+        rule = _UFUNCS.get(ufunc)
+        return NotImplemented if rule is None else rule(*inputs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func in _QUERIES:
+            return func(*(_value(x) for x in args), **kwargs)
+        rule = _FUNCTIONS.get(func)
+        return NotImplemented if rule is None else rule(*args, **kwargs)
 
     # -- reverse sweep ------------------------------------------------------
 
@@ -131,58 +130,6 @@ class Tensor:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        a, b = self, _wrap(other)
-        out = a.value + b.value
-        def vjp(g):
-            return ((a, _unbroadcast(g, a.value.shape)), (b, _unbroadcast(g, b.value.shape)))
-        return Tensor(out, _parents=(a, b), _vjp=vjp)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b = self, _wrap(other)
-        out = a.value - b.value
-        def vjp(g):
-            return ((a, _unbroadcast(g, a.value.shape)), (b, _unbroadcast(-g, b.value.shape)))
-        return Tensor(out, _parents=(a, b), _vjp=vjp)
-
-    def __rsub__(self, other):
-        return _wrap(other).__sub__(self)
-
-    def __mul__(self, other):
-        a, b = self, _wrap(other)
-        out = a.value * b.value
-        def vjp(g):
-            return (
-                (a, _unbroadcast(g * b.value, a.value.shape)),
-                (b, _unbroadcast(g * a.value, b.value.shape)),
-            )
-        return Tensor(out, _parents=(a, b), _vjp=vjp)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a, b = self, _wrap(other)
-        out = a.value / b.value
-        def vjp(g):
-            return (
-                (a, _unbroadcast(g / b.value, a.value.shape)),
-                (b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)),
-            )
-        return Tensor(out, _parents=(a, b), _vjp=vjp)
-
-    def __rtruediv__(self, other):
-        return _wrap(other).__truediv__(self)
-
-    def __neg__(self):
-        a = self
-        def vjp(g):
-            return ((a, -g),)
-        return Tensor(-a.value, _parents=(a,), _vjp=vjp)
-
     def __getitem__(self, key):
         a = self
         out = a.value[key]
@@ -200,6 +147,10 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _value(x):
+    return x.value if isinstance(x, Tensor) else x
+
+
 def _is_basic_index(key) -> bool:
     """True when ``key`` uses only ints/slices/Ellipsis (no index arrays)."""
     parts = key if isinstance(key, tuple) else (key,)
@@ -212,81 +163,58 @@ def _is_basic_index(key) -> bool:
 # -- elementwise functions ---------------------------------------------------
 
 
-def _unary(x, forward, backward):
-    """Build a unary op; ``backward(value, out)`` returns the local derivative."""
-    if not isinstance(x, Tensor):
-        return forward(_as_array(x))
-    out = forward(x.value)
+def _binary(forward, da, db):
+    """A binary op; ``da(g, a, b)`` and ``db(g, a, b)`` map the output
+    gradient to its operands' before their broadcasting is undone."""
+    def op(a, b):
+        a, b = _wrap(a), _wrap(b)
+        def vjp(g):
+            return (
+                (a, _unbroadcast(da(g, a.value, b.value), a.shape)),
+                (b, _unbroadcast(db(g, a.value, b.value), b.shape)),
+            )
+        return Tensor(forward(a.value, b.value), _parents=(a, b), _vjp=vjp)
+    return op
+
+
+def _unary(forward, backward):
+    """A unary op; ``backward(value, out)`` returns the local derivative."""
+    def op(x):
+        out = forward(x.value)
+        def vjp(g):
+            return ((x, g * backward(x.value, out)),)
+        return Tensor(out, _parents=(x,), _vjp=vjp)
+    return op
+
+
+#: the logistic function of a Tensor, the kernel's own split by sign
+sigmoid = _unary(_sigmoid, lambda v, out: out * (1.0 - out))
+
+
+def _arccos_deriv(v, out):
+    """Inputs are expected pre-clamped into [-1, 1]; at the ends the true
+    derivative is infinite, and zero is reported instead (consistent with
+    the zero-gradient-when-clamped convention)."""
+    t = 1.0 - v * v
+    safe = np.where(t > 0.0, t, 1.0)
+    return np.where(t > 0.0, -1.0 / np.sqrt(safe), 0.0)
+
+
+def _arccosh_deriv(v, out):
+    """Zero at x == 1, the clamped end of the domain."""
+    t = v * v - 1.0
+    safe = np.where(t > 0.0, t, 1.0)
+    return np.where(t > 0.0, 1.0 / np.sqrt(safe), 0.0)
+
+
+def _negative(x):
     def vjp(g):
-        return ((x, g * backward(x.value, out)),)
-    return Tensor(out, _parents=(x,), _vjp=vjp)
+        return ((x, -g),)
+    return Tensor(-x.value, _parents=(x,), _vjp=vjp)
 
 
-def sqrt(x):
-    return _unary(x, np.sqrt, lambda v, out: 0.5 / out)
-
-
-def log(x):
-    return _unary(x, np.log, lambda v, out: 1.0 / v)
-
-
-def cos(x):
-    return _unary(x, np.cos, lambda v, out: -np.sin(v))
-
-
-def sin(x):
-    return _unary(x, np.sin, lambda v, out: np.cos(v))
-
-
-def cosh(x):
-    return _unary(x, np.cosh, lambda v, out: np.sinh(v))
-
-
-def sinh(x):
-    return _unary(x, np.sinh, lambda v, out: np.cosh(v))
-
-
-def _expit(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    e = np.exp(v[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def sigmoid(x):
-    return _unary(x, _expit, lambda v, out: out * (1.0 - out))
-
-
-def arccos(x):
-    """Inverse cosine whose derivative is defined as 0 at the domain ends.
-
-    Inputs are expected to be pre-clamped into [-1, 1]; values landing
-    exactly on the ends would have an infinite true derivative, and this
-    op deliberately reports zero there instead (consistent with the
-    zero-gradient-when-clamped convention).
-    """
-    def deriv(v, out):
-        t = 1.0 - v * v
-        safe = np.where(t > 0.0, t, 1.0)
-        return np.where(t > 0.0, -1.0 / np.sqrt(safe), 0.0)
-    return _unary(x, np.arccos, deriv)
-
-
-def arccosh(x):
-    """Inverse hyperbolic cosine; derivative defined as 0 at x == 1."""
-    def deriv(v, out):
-        t = v * v - 1.0
-        safe = np.where(t > 0.0, t, 1.0)
-        return np.where(t > 0.0, 1.0 / np.sqrt(safe), 0.0)
-    return _unary(x, np.arccosh, deriv)
-
-
-def clip(x, lo=None, hi=None):
+def _clip(x, lo=None, hi=None):
     """Clamp into [lo, hi]; gradient flows only strictly inside the bounds."""
-    if not isinstance(x, Tensor):
-        return np.clip(_as_array(x), lo, hi)
     out = np.clip(x.value, lo, hi)
     inside = np.ones(x.value.shape, dtype=bool)
     if lo is not None:
@@ -298,106 +226,90 @@ def clip(x, lo=None, hi=None):
     return Tensor(out, _parents=(x,), _vjp=vjp)
 
 
-# -- selection ---------------------------------------------------------------
-
-
-def where(cond, a, b):
+def _where(cond, a, b):
     """Elementwise selection; ``cond`` is a plain boolean array."""
     cond = np.asarray(cond, dtype=bool)
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return np.where(cond, a, b)
     a, b = _wrap(a), _wrap(b)
     out = np.where(cond, a.value, b.value)
     def vjp(g):
         return (
-            (a, _unbroadcast(np.where(cond, g, 0.0), a.value.shape)),
-            (b, _unbroadcast(np.where(cond, 0.0, g), b.value.shape)),
+            (a, _unbroadcast(np.where(cond, g, 0.0), a.shape)),
+            (b, _unbroadcast(np.where(cond, 0.0, g), b.shape)),
         )
     return Tensor(out, _parents=(a, b), _vjp=vjp)
-
-
-def minimum(a, b):
-    """Elementwise minimum; exact ties take the first argument's branch."""
-    return where(value_of(a) <= value_of(b), a, b)
 
 
 # -- reductions and shape ops -------------------------------------------------
 
 
-def sum_(x, axis=None, keepdims: bool = False):
-    if not isinstance(x, Tensor):
-        return np.sum(_as_array(x), axis=axis, keepdims=keepdims)
+def _sum(x, axis=None, keepdims: bool = False):
     out = np.sum(x.value, axis=axis, keepdims=keepdims)
     def vjp(g):
-        if axis is None:
-            return ((x, np.broadcast_to(g, x.value.shape).copy()),)
-        g2 = g if keepdims else np.expand_dims(g, axis)
-        return ((x, np.broadcast_to(g2, x.value.shape).copy()),)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return ((x, np.broadcast_to(g, x.shape).copy()),)
     return Tensor(out, _parents=(x,), _vjp=vjp)
 
 
-def reshape(x, shape):
-    if not isinstance(x, Tensor):
-        return np.reshape(_as_array(x), shape)
-    out = x.value.reshape(shape)
+def _reshape(x, shape):
     def vjp(g):
-        return ((x, g.reshape(x.value.shape)),)
-    return Tensor(out, _parents=(x,), _vjp=vjp)
+        return ((x, g.reshape(x.shape)),)
+    return Tensor(x.value.reshape(shape), _parents=(x,), _vjp=vjp)
 
 
-def broadcast_to(x, shape):
-    if not isinstance(x, Tensor):
-        return np.broadcast_to(_as_array(x), shape)
-    out = np.broadcast_to(x.value, shape)
+def _broadcast_to(x, shape):
     def vjp(g):
-        return ((x, _unbroadcast(g, x.value.shape)),)
-    return Tensor(np.array(out), _parents=(x,), _vjp=vjp)
+        return ((x, _unbroadcast(g, x.shape)),)
+    return Tensor(np.array(np.broadcast_to(x.value, shape)), _parents=(x,), _vjp=vjp)
 
 
-def concat(parts, axis: int = -1):
-    if not any(isinstance(p, Tensor) for p in parts):
-        return np.concatenate([_as_array(p) for p in parts], axis=axis)
+def _concatenate(parts, axis: int = 0):
     parts = [_wrap(p) for p in parts]
     values = [p.value for p in parts]
-    out = np.concatenate(values, axis=axis)
-    sizes = [v.shape[axis] for v in values]
-    offsets = np.cumsum(sizes)[:-1]
+    offsets = np.cumsum([v.shape[axis] for v in values])[:-1]
     def vjp(g):
-        pieces = np.split(g, offsets, axis=axis)
-        return tuple(zip(parts, pieces))
+        return tuple(zip(parts, np.split(g, offsets, axis=axis)))
+    return Tensor(np.concatenate(values, axis=axis), _parents=tuple(parts), _vjp=vjp)
+
+
+def _stack(parts, axis: int = 0):
+    parts = [_wrap(p) for p in parts]
+    def vjp(g):
+        return tuple(zip(parts, np.moveaxis(g, axis, 0)))
+    out = np.stack([p.value for p in parts], axis=axis)
     return Tensor(out, _parents=tuple(parts), _vjp=vjp)
 
 
-def stack_last(a, b):
-    """Stack two equally-shaped arrays along a new trailing axis."""
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return np.stack([_as_array(a), _as_array(b)], axis=-1)
-    a, b = _wrap(a), _wrap(b)
-    out = np.stack([a.value, b.value], axis=-1)
-    def vjp(g):
-        return ((a, g[..., 0]), (b, g[..., 1]))
-    return Tensor(out, _parents=(a, b), _vjp=vjp)
+#: ufunc -> rule recording it; any other ufunc raises TypeError
+_UFUNCS = {
+    np.add: _binary(np.add, lambda g, a, b: g, lambda g, a, b: g),
+    np.subtract: _binary(np.subtract, lambda g, a, b: g, lambda g, a, b: -g),
+    np.multiply: _binary(np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a),
+    np.divide: _binary(np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)),
+    np.negative: _negative,
+    np.sqrt: _unary(np.sqrt, lambda v, out: 0.5 / out),
+    np.log: _unary(np.log, lambda v, out: 1.0 / v),
+    np.cos: _unary(np.cos, lambda v, out: -np.sin(v)),
+    np.sin: _unary(np.sin, lambda v, out: np.cos(v)),
+    np.cosh: _unary(np.cosh, lambda v, out: np.sinh(v)),
+    np.sinh: _unary(np.sinh, lambda v, out: np.cosh(v)),
+    np.arccos: _unary(np.arccos, _arccos_deriv),
+    np.arccosh: _unary(np.arccosh, _arccosh_deriv),
+}
 
+#: comparisons read values and return plain bool arrays
+_COMPARISONS = (np.less, np.less_equal, np.greater, np.greater_equal, np.equal, np.not_equal)
 
-def take(x, idx):
-    """Gather rows by integer index; gradients accumulate over repeats."""
-    idx = np.asarray(idx)
-    if not isinstance(x, Tensor):
-        return _as_array(x)[idx]
-    out = x.value[idx]
-    def vjp(g):
-        full = np.zeros_like(x.value)
-        np.add.at(full, idx, g)
-        return ((x, full),)
-    return Tensor(out, _parents=(x,), _vjp=vjp)
+#: array function -> rule recording it; any other function raises TypeError
+_FUNCTIONS = {
+    np.clip: _clip,
+    np.where: _where,
+    np.sum: _sum,
+    np.reshape: _reshape,
+    np.broadcast_to: _broadcast_to,
+    np.concatenate: _concatenate,
+    np.stack: _stack,
+}
 
-
-# -- composed helpers ---------------------------------------------------------
-
-
-def sumsq(x, axis=-1, keepdims: bool = False):
-    return sum_(x * x, axis=axis, keepdims=keepdims)
-
-
-def norm(x, axis=-1, keepdims: bool = False):
-    return sqrt(sumsq(x, axis=axis, keepdims=keepdims))
+#: array functions that only read shapes
+_QUERIES = (np.shape, np.size)

@@ -15,8 +15,9 @@ key of the ``key=value`` config file, with its allowed values; explicit
 flags override file values, which override built-in defaults.  A bad key
 or value in the file (``optimizer = sgd``, or ``epochs = 5000`` outside the
 bound ``TrainConfig.validate`` states) is an input error at ``path:line``.
-A negative ``seed`` (also for ``synth``) or ``eval_every``, or a non-finite
-``margin``, is an input error from a flag or the file, as is
+A negative ``seed`` (also for ``synth``) or ``eval_every``, a non-finite
+``margin`` or an ``alpha`` that is not positive and finite is an input
+error from a flag or the file, as is
 ``eval --threads`` or ``predict --topk`` below 1; all are raised before any
 TSV is read.  Data
 holding both ``x`` and ``x_inv``, the name of the inverse of ``x``, is an
@@ -41,7 +42,7 @@ from .errors import (
     NumericError,
     UkgeError,
 )
-from .geometry import Signature
+from .geometry import Signature, check_alpha
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -91,11 +92,15 @@ class CliError(UkgeError):
 
 def _check_bounds(key: str, value) -> None:
     """Raise :class:`ConfigurationError` when ``value`` breaks a bound of option
-    ``key``; ``dim`` and ``time_dims`` are checked together, once merged."""
+    ``key``.  ``dim`` and ``time_dims`` are checked together, once merged,
+    because a flag may complete the file's pair (``time_dims = 20`` in the
+    file with ``--dim 64``)."""
     if key in _CONFIG_FIELDS:
         training.TrainConfig(**{_CONFIG_FIELDS[key]: value}).validate()
     elif key == "margin":
         model.check_margin(value)
+    elif key == "alpha":
+        check_alpha(value)
     elif key == "eval_every" and value < 0:
         raise ConfigurationError(f"eval_every must be >= 0, got {value}")
 
@@ -214,10 +219,10 @@ def cmd_train(args) -> int:
     defaults = {k: v[1] for k, v in TRAIN_OPTIONS.items()}
     flags = {k: getattr(args, k) for k in TRAIN_OPTIONS}
     options = merge_options(defaults, file_values, flags)
+    for key in ("alpha", "margin", "eval_every"):
+        _check_bounds(key, options[key])
     sig = _signature_from(options)  # validate configuration before any compute
     cfg = train_config(options)
-    for key in ("margin", "eval_every"):
-        _check_bounds(key, options[key])
     store = _load_store(args)
     store = kgdata.augment_inverse(store)
     m = model.init(

@@ -23,12 +23,12 @@ projection :func:`project_conic` and the legs :func:`dist_sphere` and
 :func:`dist_hyper` spell the same construction out step by step, checking
 their preconditions; they are the reference the closed form is tested against.
 
-All functions accept plain float64 arrays or :class:`~ukge.autodiff.Tensor`
-nodes, with point coordinates along the last axis and arbitrary batch axes in
-front.  The exceptions are the training kernel's vector-Jacobian products
-(:func:`phi_vjp`, :func:`point_terms_vjp`, :func:`manhattan_legs_vjp`), which
-take plain arrays and the intermediates that :func:`phi_forward` and
-:func:`manhattan_legs_forward` keep.
+All functions are plain numpy, with point coordinates along the last axis
+and batch axes in front.  The training kernel's vector-Jacobian products
+(:func:`phi_vjp`, :func:`point_terms_vjp`, :func:`manhattan_legs_vjp`) take
+the intermediates that :func:`phi_forward` and :func:`manhattan_legs_forward`
+keep.  Scoring takes every Euclidean norm from :func:`norm`, so training,
+evaluation and the autodiff tape round them alike.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import value_of
 from .errors import (
     ConfigurationError,
     DegeneratePointError,
@@ -78,8 +76,7 @@ class Signature:
             raise ConfigurationError(
                 f"signature requires p >= q >= 1, got p={self.p}, q={self.q}"
             )
-        if not (self.alpha > 0.0 and np.isfinite(self.alpha)):
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
+        check_alpha(self.alpha)
 
     @property
     def d(self) -> int:
@@ -87,8 +84,21 @@ class Signature:
         return self.p + self.q
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise :class:`ConfigurationError` unless the radius ``alpha`` is
+    positive and finite."""
+    if not (alpha > 0.0 and np.isfinite(alpha)):
+        raise ConfigurationError(f"alpha must be positive, got {alpha}")
+
+
+def norm(x, axis=-1, keepdims: bool = False):
+    """Euclidean norm ``sqrt(sum(x * x))`` along ``axis``.  Not
+    ``np.linalg.norm``, which rounds differently."""
+    return np.sqrt(np.sum(x * x, axis=axis, keepdims=keepdims))
+
+
 def _check_last_dim(x, expect: int, name: str) -> None:
-    shape = value_of(x).shape
+    shape = np.shape(x)
     if len(shape) == 0 or shape[-1] != expect:
         raise DimensionError(f"{name}: expected last dimension {expect}, got shape {shape}")
 
@@ -105,7 +115,7 @@ def qdot(x, y, sig: Signature):
     _check_last_dim(y, sig.d, "qdot")
     xs, xt = x[..., : sig.p], x[..., sig.p :]
     ys, yt = y[..., : sig.p], y[..., sig.p :]
-    return ad.sum_(xs * ys, axis=-1) - ad.sum_(xt * yt, axis=-1)
+    return np.sum(xs * ys, axis=-1) - np.sum(xt * yt, axis=-1)
 
 
 def space_radius(space, sig: Signature):
@@ -116,12 +126,12 @@ def space_radius(space, sig: Signature):
     reference legs :func:`project_conic` and :func:`dist_sphere`, so that
     coincident inputs produce bitwise-identical radii.
     """
-    return ad.sqrt(ad.sumsq(space, axis=-1) + sig.alpha * sig.alpha)
+    return np.sqrt(np.sum(space * space, axis=-1) + sig.alpha * sig.alpha)
 
 
 def manifold_defect(x, sig: Signature) -> np.ndarray:
     """Absolute deviation ``| <x,x>_q + alpha^2 |`` (diagnostic, plain arrays)."""
-    v = value_of(x)
+    v = np.asarray(x, dtype=np.float64)
     _check_last_dim(v, sig.d, "manifold_defect")
     return np.abs(qdot(v, v, sig) + sig.alpha * sig.alpha)
 
@@ -141,10 +151,10 @@ def psi(x, sig: Signature):
     radius-``alpha`` sphere in the time block.
     """
     s, t = split_spacetime(x, sig)
-    tn = value_of(ad.norm(t, axis=-1))
+    tn = np.asarray(norm(t))
     if np.any(tn == 0.0) or not np.all(np.isfinite(tn)):
         raise DegeneratePointError("psi: zero-norm time component")
-    unit = t / ad.norm(t, axis=-1, keepdims=True)
+    unit = t / norm(t, keepdims=True)
     return s, unit * sig.alpha
 
 
@@ -152,14 +162,14 @@ def psi_inv(z, sig: Signature):
     """Inverse of :func:`psi`: lift (space, sphere-time) back to the manifold."""
     v, u = z
     _check_last_dim(u, sig.q, "psi_inv")
-    un = value_of(ad.norm(u, axis=-1))
+    un = np.asarray(norm(u))
     if np.any(np.abs(un - sig.alpha) > _SPHERE_RTOL * sig.alpha):
         raise PreconditionError(
             "psi_inv: time factor must lie on the sphere of radius alpha"
         )
     radius = space_radius(v, sig)
-    scale = ad.reshape(radius, value_of(radius).shape + (1,)) / sig.alpha
-    return ad.concat([v, u * scale], axis=-1)
+    scale = np.reshape(radius, np.shape(radius) + (1,)) / sig.alpha
+    return np.concatenate([v, u * scale], axis=-1)
 
 
 def phi(z, sig: Signature):
@@ -180,27 +190,27 @@ def phi_forward(z, sig: Signature):
     a column."""
     _check_last_dim(z, sig.d, "phi")
     s, t = z[..., : sig.p], z[..., sig.p :]
-    norm = ad.norm(t, axis=-1, keepdims=True)
-    small = value_of(norm)[..., 0] < EPS_TIME
+    tn = norm(t, keepdims=True)
+    small = (tn < EPS_TIME)[..., 0]
     if np.any(small):
-        bump = np.zeros(value_of(t).shape)
+        bump = np.zeros(np.shape(t))
         bump[..., 0] = np.where(small, EPS_TIME, 0.0)
         t = t + bump
-        norm = ad.norm(t, axis=-1, keepdims=True)
+        tn = norm(t, keepdims=True)
     # normalise first: for q = 1 this makes the time coordinate exactly
     # +/- radius, so projections of coincident points collapse exactly
-    unit = t / norm
+    unit = t / tn
     radius = space_radius(s, sig)
-    scale = ad.reshape(radius, value_of(radius).shape + (1,))
-    return ad.concat([s, unit * scale], axis=-1), (s, t, norm, unit, scale)
+    scale = np.reshape(radius, np.shape(radius) + (1,))
+    return np.concatenate([s, unit * scale], axis=-1), (s, t, tn, unit, scale)
 
 
 def phi_vjp(saved, g: np.ndarray, sig: Signature) -> np.ndarray:
     """Gradient with respect to the free parameters ``z`` given the gradient
     ``g`` of :func:`phi_forward`'s output; ``saved`` is its intermediates.
 
-    Plain arrays only.  The products and sums are those of the autodiff
-    tape's reverse sweep, in its order: each block receives its direct
+    The products and sums are those of the autodiff tape's reverse sweep
+    over :func:`phi_forward`, in its order: each block receives its direct
     share first and then both factors of its own sum of squares, so the
     result matches the tape bit for bit.  The ``EPS_TIME`` bump is a
     constant shift and passes the time gradient through unchanged.
@@ -233,12 +243,12 @@ def project_conic(x, y, sig: Signature):
     xs, _ = split_spacetime(x, sig)
     _, yt = split_spacetime(y, sig)
     radius = space_radius(xs, sig)
-    unit = yt / ad.norm(yt, axis=-1, keepdims=True)
-    time = unit * ad.reshape(radius, value_of(radius).shape + (1,))
-    batch = np.broadcast_shapes(value_of(xs).shape[:-1], value_of(time).shape[:-1])
-    xs_b = ad.broadcast_to(xs, batch + (sig.p,))
-    time_b = ad.broadcast_to(time, batch + (sig.q,))
-    return ad.concat([xs_b, time_b], axis=-1)
+    unit = yt / norm(yt, keepdims=True)
+    time = unit * np.reshape(radius, np.shape(radius) + (1,))
+    batch = np.broadcast_shapes(np.shape(xs)[:-1], np.shape(time)[:-1])
+    xs_b = np.broadcast_to(xs, batch + (sig.p,))
+    time_b = np.broadcast_to(time, batch + (sig.q,))
+    return np.concatenate([xs_b, time_b], axis=-1)
 
 
 def dist_sphere(a, b, sig: Signature):
@@ -251,12 +261,12 @@ def dist_sphere(a, b, sig: Signature):
     """
     as_, at = split_spacetime(a, sig)
     bs, bt = split_spacetime(b, sig)
-    gap = np.max(np.abs(value_of(as_) - value_of(bs))) if value_of(as_).size else 0.0
+    gap = np.max(np.abs(np.asarray(as_) - np.asarray(bs))) if np.size(as_) else 0.0
     if gap > _SPACE_ATOL:
         raise PreconditionError(f"dist_sphere: space components differ by {gap:.3e}")
     r = space_radius(as_, sig)
-    cosang = ad.sum_(at * bt, axis=-1) / (ad.norm(at, axis=-1) * ad.norm(bt, axis=-1))
-    return r * ad.arccos(ad.clip(cosang, -1.0, 1.0))
+    cosang = np.sum(at * bt, axis=-1) / (norm(at) * norm(bt))
+    return r * np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
 def cosh_argument(a, b, sig: Signature):
@@ -271,16 +281,16 @@ def dist_hyper(a, b, sig: Signature):
     (the projected configuration); the argument is clamped into [1, inf) to
     absorb roundoff.
     """
-    at = value_of(a)[..., sig.p :]
-    bt = value_of(b)[..., sig.p :]
+    at = np.asarray(a)[..., sig.p :]
+    bt = np.asarray(b)[..., sig.p :]
     dot = np.sum(at * bt, axis=-1)
     nn = np.linalg.norm(at, axis=-1) * np.linalg.norm(bt, axis=-1)
     if np.any(dot < nn * (1.0 - _PARALLEL_RTOL)):
         raise PreconditionError(
             "dist_hyper: time components must be parallel with equal sense"
         )
-    arg = ad.clip(cosh_argument(a, b, sig), 1.0, None)
-    return sig.alpha * ad.arccosh(arg)
+    arg = np.clip(cosh_argument(a, b, sig), 1.0, None)
+    return sig.alpha * np.arccosh(arg)
 
 
 def point_terms(x, sig: Signature):
@@ -289,7 +299,7 @@ def point_terms(x, sig: Signature):
     the time norm.  One-against-all scoring computes them once for every
     candidate tail and hands them to :func:`manhattan_legs` per query."""
     xs, xt = split_spacetime(x, sig)
-    return xs, xt, space_radius(xs, sig), ad.norm(xt, axis=-1)
+    return xs, xt, space_radius(xs, sig), norm(xt)
 
 
 def point_terms_vjp(terms, g_terms, sig: Signature) -> np.ndarray:
@@ -328,26 +338,26 @@ def manhattan_legs_forward(tx, ty, sig: Signature):
     none)."""
     xs, xt, rx, nx = tx
     ys, yt, ry, ny = ty
-    dot = ad.sum_(xt * yt, axis=-1)
+    dot = np.sum(xt * yt, axis=-1)
     nn = nx * ny
     cos = dot / nn
-    angle = ad.arccos(ad.clip(cos, -1.0, 1.0))
-    s = ad.sum_(xs * ys, axis=-1)
+    angle = np.arccos(np.clip(cos, -1.0, 1.0))
+    s = np.sum(xs * ys, axis=-1)
     a2 = sig.alpha * sig.alpha
     arg_xy = (rx * ny - s) / a2
     arg_yx = (ry * nx - s) / a2
-    leg_xy = rx * angle + sig.alpha * ad.arccosh(ad.clip(arg_xy, 1.0, None))
-    leg_yx = ry * angle + sig.alpha * ad.arccosh(ad.clip(arg_yx, 1.0, None))
-    first = value_of(leg_xy) <= value_of(leg_yx)
-    best = ad.where(first, leg_xy, leg_yx)
+    leg_xy = rx * angle + sig.alpha * np.arccosh(np.clip(arg_xy, 1.0, None))
+    leg_yx = ry * angle + sig.alpha * np.arccosh(np.clip(arg_yx, 1.0, None))
+    first = leg_xy <= leg_yx
+    best = np.where(first, leg_xy, leg_yx)
     # coincident rows share their first coordinate: compare whole rows only
     # where that column matches
-    same = value_of(xs)[..., 0] == value_of(ys)[..., 0]
+    same = xs[..., 0] == ys[..., 0]
     if np.any(same):
-        same &= np.all(value_of(xs) == value_of(ys), axis=-1)
-        same &= np.all(value_of(xt) == value_of(yt), axis=-1)
+        same &= np.all(xs == ys, axis=-1)
+        same &= np.all(xt == yt, axis=-1)
     if np.any(same):
-        best = ad.where(same, np.zeros(np.shape(same)), best)
+        best = np.where(same, np.zeros(np.shape(same)), best)
     else:
         same = None
     return best, (dot, nn, cos, angle, arg_xy, arg_yx, first, same)
@@ -365,7 +375,7 @@ def _arccosh_leg_vjp(g_leg, arg, sig: Signature):
 def manhattan_legs_vjp(tx, ty, saved, g: np.ndarray, sig: Signature):
     """Gradients of the :func:`point_terms` of both points given the
     gradient ``g`` of the distance; ``saved`` comes from
-    :func:`manhattan_legs_forward`.  Plain arrays only.
+    :func:`manhattan_legs_forward`.
 
     Returns two ``(space, time, r, n)`` tuples for :func:`point_terms_vjp`.
     A clamped ``arccos`` or ``arccosh`` passes zero gradient, the branch not

@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import geometry, operators
 from .errors import (
     ConfigurationError,
@@ -143,6 +142,12 @@ def check_margin(delta: float) -> None:
         raise ConfigurationError(f"margin must be finite, got {delta}")
 
 
+def check_threads(threads: int) -> None:
+    """Raise :class:`ConfigurationError` unless ``threads`` is at least 1."""
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+
+
 def init(
     sig: Signature,
     n_entities: int,
@@ -213,12 +218,12 @@ def _moved_heads(m: Model, params: dict, h, r):
     """The heads of rows ``h`` moved by their relations ``r``: phi, then the
     relation operator (ultra), or the operator on the raw vectors with the
     boosts pinned to 0 (euclidean)."""
-    z_h = ad.take(params["entities"], h)
-    th = ad.take(params["theta"], r)
-    ph = ad.take(params["phi"], r)
+    z_h = params["entities"][h]
+    th = params["theta"][r]
+    ph = params["phi"][r]
     if m.geometry == "ultra":
         head = geometry.phi(z_h, m.sig)
-        mu = ad.take(params["mu"], r)
+        mu = params["mu"][r]
         return operators.relation_transform(th, ph, mu, head, m.sig, m.operator)
     mu0 = np.zeros(np.shape(r) + (m.sig.q,))
     return operators.relation_transform(th, ph, mu0, z_h, m.sig, m.operator)
@@ -226,30 +231,30 @@ def _moved_heads(m: Model, params: dict, h, r):
 
 def _score(params: dict, dist, h, b_t):
     """``s = -d^2 + b_h + b_t + delta`` for distances ``dist`` of heads ``h``."""
-    b_h = ad.take(params["biases"][:, 0], h)
+    b_h = params["biases"][:, 0][h]
     return -dist * dist + b_h + b_t + params["delta"]
 
 
 def score_triples(m: Model, h, r, t, leaves: dict | None = None):
     """Scores of the triples given by broadcastable 1-d id arrays ``h, r, t``.
 
-    ``leaves`` maps the names of :func:`parameters` to autodiff tensors and
-    makes the result differentiable; without it the model's own arrays are
-    read.  The training kernel's forward pass (:mod:`ukge.training`)
-    repeats these stages, keeping their intermediates, and its tests hold
-    it to these bits on the tape.  :func:`score_candidates` shares the head
-    side and the score formula, so one triple gets the same bits from all
-    three.
+    ``leaves`` maps the names of :func:`parameters` to arrays that stand in
+    for the model's own; the tests pass autodiff tensors, which differentiate
+    this numpy code as written.  The training kernel's forward pass
+    (:mod:`ukge.training`) repeats these stages, keeping their
+    intermediates, and its tests hold it to these bits on the tape.
+    :func:`score_candidates` shares the head side and the score formula, so
+    one triple gets the same bits from all three.
     """
     params = parameters(m) if leaves is None else leaves
     moved = _moved_heads(m, params, h, r)
-    z_t = ad.take(params["entities"], t)
+    z_t = params["entities"][t]
     if m.geometry == "ultra":
         # through dist_manhattan, the distance boundary perfbench traces
         dist = geometry.dist_manhattan(moved, geometry.phi(z_t, m.sig), m.sig)
     else:
-        dist = ad.norm(moved - z_t, axis=-1)
-    return _score(params, dist, h, ad.take(params["biases"][:, 1], t))
+        dist = geometry.norm(moved - z_t)
+    return _score(params, dist, h, params["biases"][:, 1][t])
 
 
 def candidate_tails(m: Model, candidates=None) -> tuple:
@@ -284,7 +289,7 @@ def score_candidates(
     if m.geometry == "ultra":
         dist = geometry.manhattan_legs(geometry.point_terms(moved, m.sig), side, m.sig)
     else:
-        dist = ad.norm(moved - side, axis=-1)
+        dist = geometry.norm(moved - side)
     return _score(params, dist, h, b_t)
 
 
@@ -297,7 +302,9 @@ def score(m: Model, h: int, r: int, t: int) -> float:
 def map_row_blocks(fn, n_rows: int, threads: int) -> list:
     """``fn(rows)`` for each of ``min(threads, n_rows)`` contiguous row slices
     (``np.array_split`` sizes), results in block order; the blocks run on a
-    thread pool, a single block inline."""
+    thread pool, a single block inline.  ``threads`` below 1 raises
+    :class:`ConfigurationError` (see :func:`check_threads`)."""
+    check_threads(threads)
     k = max(1, min(threads, n_rows))
     if k == 1:
         return [fn(slice(0, n_rows))]

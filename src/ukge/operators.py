@@ -18,7 +18,7 @@ Dense d x d realisations are only materialised for verification
 path touches O(d) elements per point, which :func:`count_operations` can
 measure.  The training kernel runs the same stages through
 :func:`transform_forward`, which keeps their intermediates, and gets its
-gradients from :func:`transform_vjp`; both take plain arrays only.
+gradients from :func:`transform_vjp`.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import value_of
 from .errors import ConfigurationError, DimensionError
 from .geometry import Signature
 
@@ -145,22 +143,22 @@ def givens_apply(angles, v, mode: str):
     """
     if mode not in (ROTATION, REFLECTION):
         raise ConfigurationError(f"unknown Givens mode {mode!r}")
-    vshape = value_of(v).shape
+    vshape = np.shape(v)
     if vshape[-1] % 2:
         raise DimensionError("givens_apply: vector length must be even")
     m = vshape[-1] // 2
-    ashape = value_of(angles).shape
+    ashape = np.shape(angles)
     if ashape[-1] != m:
         raise DimensionError(
             f"givens_apply: expected {m} angles for length {vshape[-1]}, got {ashape[-1]}"
         )
-    return _givens(ad.cos(angles), ad.sin(angles), v, mode)
+    return _givens(np.cos(angles), np.sin(angles), v, mode)
 
 
 def _givens(c, s, v, mode: str):
     """The Givens blocks with cosines ``c`` and sines ``s`` applied to ``v``."""
-    vshape = value_of(v).shape
-    pairs = ad.reshape(v, vshape[:-1] + (vshape[-1] // 2, 2))
+    vshape = np.shape(v)
+    pairs = np.reshape(v, vshape[:-1] + (vshape[-1] // 2, 2))
     a = pairs[..., 0]
     b = pairs[..., 1]
     if mode == ROTATION:
@@ -169,8 +167,8 @@ def _givens(c, s, v, mode: str):
     else:
         a2 = c * a + s * b
         b2 = s * a - c * b
-    _count(2 * value_of(c).size + 2 * value_of(a2).size + value_of(v).size)
-    return ad.reshape(ad.stack_last(a2, b2), vshape)
+    _count(2 * np.size(c) + 2 * np.size(a2) + np.size(v))
+    return np.reshape(np.stack([a2, b2], axis=-1), vshape)
 
 
 def _givens_vjp(c, s, v, g, mode: str):
@@ -217,7 +215,7 @@ def block_orthogonal_apply(angles, x, sig: Signature, mode: str):
     angles act on space pairs and the remaining q/2 on time pairs.
     """
     require_even(sig)
-    if value_of(x).shape[-1] != sig.d:
+    if np.shape(x)[-1] != sig.d:
         raise DimensionError(
             f"block_orthogonal_apply: expected points of dimension {sig.d}"
         )
@@ -230,11 +228,11 @@ def hyper_rot_apply(mu, x, sig: Signature):
     Each coupled pair transforms by ``[[cosh m, sinh m], [sinh m, cosh m]]``;
     space dims beyond ``q`` pass through unchanged.
     """
-    if value_of(x).shape[-1] != sig.d:
+    if np.shape(x)[-1] != sig.d:
         raise DimensionError(f"hyper_rot_apply: expected points of dimension {sig.d}")
-    if value_of(mu).shape[-1] != sig.q:
+    if np.shape(mu)[-1] != sig.q:
         raise DimensionError(f"hyper_rot_apply: expected {sig.q} boost magnitudes")
-    return _boost(ad.cosh(mu), ad.sinh(mu), x, sig)
+    return _boost(np.cosh(mu), np.sinh(mu), x, sig)
 
 
 def _boost(ch, sh, x, sig: Signature):
@@ -244,8 +242,8 @@ def _boost(ch, sh, x, sig: Signature):
     t = x[..., sig.p :]
     a2 = ch * a + sh * t
     t2 = sh * a + ch * t
-    _count(2 * value_of(ch).size + 2 * value_of(a2).size + value_of(x).size)
-    return ad.concat([a2, mid, t2], axis=-1)
+    _count(2 * np.size(ch) + 2 * np.size(a2) + np.size(x))
+    return np.concatenate([a2, mid, t2], axis=-1)
 
 
 def _boost_vjp(ch, sh, x, g, sig: Signature, mu_grad: bool):
@@ -281,9 +279,9 @@ def relation_transform(theta, phi, mu, x, sig: Signature, operator: str = "rotre
 
 def transform_forward(theta, phi, mu, rows, x, sig: Signature, operator: str):
     """:func:`relation_transform` of points ``x`` under the relations
-    ``rows`` given per-relation parameter arrays, on plain arrays, with the
-    intermediates :func:`transform_vjp` reads: each stage's input and the
-    cosines and sines of its angles or boosts.
+    ``rows`` given per-relation parameter arrays, with the intermediates
+    :func:`transform_vjp` reads: each stage's input and the cosines and
+    sines of its angles or boosts.
 
     The cosines and sines are taken once per relation and then gathered per
     row; being elementwise, they carry the bits of the per-row values
@@ -301,10 +299,11 @@ def transform_forward(theta, phi, mu, rows, x, sig: Signature, operator: str):
 def transform_vjp(saved, g: np.ndarray, sig: Signature, operator: str, mu_grad: bool):
     """Per-row gradients ``(theta, phi, mu, x)`` of
     :func:`transform_forward` given the gradient ``g`` of its output, stage
-    by stage in reverse: U, H, V.  Each stage replays the autodiff tape's
-    products and sums, so the result matches it bit for bit.  Boosts held
-    constant (the Euclidean baseline pins them to 0) take ``mu_grad=False``
-    and get None."""
+    by stage in reverse: U, H, V.  Each stage replays the products and sums
+    that the autodiff tape records when it differentiates :func:`_givens`
+    and :func:`_boost`, so the result matches the tape bit for bit.  Boosts
+    held constant (the Euclidean baseline pins them to 0) take
+    ``mu_grad=False`` and get None."""
     u_mode, v_mode = OPERATOR_MODES[operator]
     (cv, sv, x), (ch, sh, y1), (cu, su, y2) = saved
     g_theta, g = _givens_vjp(cu, su, y2, g, u_mode)

@@ -13,10 +13,11 @@ hand-written kernel: one forward pass on the plain parameter arrays keeps
 its intermediates, then the vector-Jacobian product of each stage runs in
 reverse, each one next to its forward in :mod:`ukge.geometry` and
 :mod:`ukge.operators`.  Clamped values contribute zero gradient and
-distance-branch ties follow the first branch.  The kernel replays the
-operations of the reverse-mode tape in :mod:`ukge.autodiff` in the tape's
-order, so its loss and gradients equal the tape's bit for bit; the tape
-itself is only the tests' oracle.  The global margin ``delta`` is a
+distance-branch ties follow the first branch.  The reverse-mode tape of
+:mod:`ukge.autodiff` differentiates the same numpy forward code through
+NumPy's dispatch protocols; the kernel replays the operations it records in
+its order, so its loss and gradients equal the tape's bit for bit.  The
+tape itself is only the tests' oracle and no production module imports it.  The global margin ``delta`` is a
 hyperparameter: its gradient is reported by :func:`gradients` but
 :func:`fit` never updates it.
 
@@ -40,7 +41,7 @@ from .errors import (
     NonFiniteGradientError,
 )
 from .kgdata import TripleStore
-from .model import Model, apply_time_guard, map_row_blocks, parameters
+from .model import Model, apply_time_guard, check_threads, map_row_blocks, parameters
 
 PROB_CLAMP = 1e-12
 
@@ -70,8 +71,7 @@ class TrainConfig:
             raise ConfigurationError("epochs must lie in [0, 1000]")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
-        if self.threads < 1:
-            raise ConfigurationError("threads must be >= 1")
+        check_threads(self.threads)
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
 
@@ -142,9 +142,8 @@ def _loss_sum(m: Model, params: dict, pos: np.ndarray, neg: np.ndarray):
         dist, legs = geometry.manhattan_legs_forward(tx, ty, sig)
         side = (phi_h, phi_t, tx, ty, legs)
     else:
-        diff = moved - z_t
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        side = diff
+        side = moved - z_t
+        dist = geometry.norm(side)
     b_h, b_t = params["biases"][h, 0], params["biases"][t, 1]
     prob = _sigmoid(-dist * dist + b_h + b_t + params["delta"])
     p = np.clip(prob, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -170,10 +169,10 @@ def _loss_grads(m: Model, saved) -> dict[str, np.ndarray]:
 
     The VJPs run in reverse: probability clamp and sigmoid, score, distance,
     the operator's U, H and V stages, ``phi``, then one scatter per gathered
-    family.  Each replays the autodiff tape's operations in its order, so
-    the gradients equal the tape's bit for bit; ``tests/tape_oracle.py``
-    holds the tape version they are tested against.  Clamped values pass
-    zero gradient.
+    family.  Each replays, in order, the operations that the autodiff tape
+    records when it runs :func:`ukge.model.score_triples` on tensor leaves,
+    so the gradients equal the tape's bit for bit; ``tests/tape_oracle.py``
+    holds that tape loss.  Clamped values pass zero gradient.
     """
     sig = m.sig
     h, r, t, n_pos, p, prob, dist, ops, side = saved
@@ -191,7 +190,7 @@ def _loss_grads(m: Model, saved) -> dict[str, np.ndarray]:
         g_moved = geometry.point_terms_vjp(tx, g_tx, sig)
         g_tail = geometry.point_terms_vjp(ty, g_ty, sig)
     else:
-        # d = sqrt(sum(diff * diff)): one term per factor of the product
+        # d = norm(side): one term per factor of side * side
         g_moved = (g_dist * (0.5 / dist))[:, None] * side
         g_moved = g_moved + g_moved
         g_tail = -g_moved

@@ -1,8 +1,10 @@
 """The autodiff tape version of the training loss: the oracle that the
 hand-written kernel in :mod:`ukge.training` is tested against.
 
-It scores through :func:`ukge.model.score_triples` with tensor leaves and
-differentiates by one reverse sweep of :meth:`ukge.autodiff.Tensor.backward`.
+It scores through :func:`ukge.model.score_triples` with tensor leaves, so
+the tape records the package's own numpy code through NumPy's dispatch
+protocols, and differentiates by one reverse sweep of
+:meth:`ukge.autodiff.Tensor.backward`.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ def _loss_sum(m: Model, leaves: dict, pos: np.ndarray, neg: np.ndarray):
     n_pos = pos.shape[0]
     stacked = np.concatenate([pos, neg.reshape(-1, 3)], axis=0)
     scores = score_triples(m, stacked[:, 0], stacked[:, 1], stacked[:, 2], leaves)
-    p = ad.clip(ad.sigmoid(scores), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    p = np.clip(ad.sigmoid(scores), PROB_CLAMP, 1.0 - PROB_CLAMP)
     p_pos = p[:n_pos]
     p_neg = p[n_pos:]
-    total = -(ad.sum_(ad.log(p_pos)))
+    total = -(np.sum(np.log(p_pos)))
     if neg.size:
-        total = total - ad.sum_(ad.log(1.0 - p_neg))
+        total = total - np.sum(np.log(1.0 - p_neg))
     return total
 
 

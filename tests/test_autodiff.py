@@ -1,19 +1,22 @@
-"""Reverse-mode engine: every op against central finite differences."""
+"""Reverse-mode engine: every op against central finite differences, and
+the NumPy dispatch protocols through which tensors enter numpy code."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import central_diff
 from ukge import autodiff as ad
 from ukge.autodiff import Tensor
+from ukge.geometry import norm
 
 
 def grad_of(f, x0, seed=None):
     """Gradient of ``sum(f(x))`` at ``x0`` via the tape."""
     t = Tensor(np.asarray(x0, dtype=np.float64), requires_grad=True)
     out = f(t)
-    total = ad.sum_(out) if out.value.shape != () else out
+    total = np.sum(out) if out.value.shape != () else out
     total.backward(seed)
     return t.grad
 
@@ -21,7 +24,7 @@ def grad_of(f, x0, seed=None):
 def check_against_fd(f, x0, rtol=1e-6, atol=1e-9, h=1e-6):
     analytic = grad_of(f, x0)
     def scalar(v):
-        return float(np.sum(ad.value_of(f(Tensor(v)))))
+        return float(np.sum(np.asarray(f(Tensor(v)))))
     numeric = central_diff(scalar, np.asarray(x0, float), h)
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
 
@@ -40,7 +43,7 @@ class TestArithmetic:
         b0 = rng.normal(size=(1, 4))
         a = Tensor(a0, requires_grad=True)
         b = Tensor(b0, requires_grad=True)
-        ad.sum_(a * b).backward()
+        np.sum(a * b).backward()
         np.testing.assert_allclose(a.grad, np.full((3, 1), b0.sum()))
         np.testing.assert_allclose(b.grad, np.full((1, 4), a0.sum()))
 
@@ -65,13 +68,8 @@ class TestArithmetic:
 class TestUnaryOps:
     def test_smooth_ops_match_fd(self, rng):
         x = rng.uniform(0.2, 2.0, size=7)
-        for op in (ad.sqrt, ad.log, ad.cos, ad.sin, ad.cosh, ad.sinh, ad.sigmoid):
+        for op in (np.sqrt, np.log, np.cos, np.sin, np.cosh, np.sinh, ad.sigmoid):
             check_against_fd(op, x, rtol=1e-5)
-
-    def test_plain_arrays_pass_through(self, rng):
-        x = rng.uniform(0.2, 2.0, size=5)
-        assert isinstance(ad.log(x), np.ndarray)
-        np.testing.assert_allclose(ad.log(x), np.log(x))
 
     def test_sigmoid_is_stable_at_large_inputs(self):
         v = np.array([-800.0, 800.0])
@@ -81,20 +79,20 @@ class TestUnaryOps:
 
     def test_arccos_interior_matches_fd(self, rng):
         x = rng.uniform(-0.9, 0.9, size=9)
-        check_against_fd(ad.arccos, x, rtol=1e-5)
+        check_against_fd(np.arccos, x, rtol=1e-5)
 
     def test_arccos_boundary_has_zero_gradient(self):
         t = Tensor(np.array([-1.0, 1.0]), requires_grad=True)
-        out = ad.arccos(t)
-        ad.sum_(out).backward()
+        out = np.arccos(t)
+        np.sum(out).backward()
         np.testing.assert_allclose(out.value, [np.pi, 0.0])
         np.testing.assert_array_equal(t.grad, [0.0, 0.0])
 
     def test_arccosh_interior_and_boundary(self, rng):
         x = rng.uniform(1.1, 4.0, size=9)
-        check_against_fd(ad.arccosh, x, rtol=1e-5)
+        check_against_fd(np.arccosh, x, rtol=1e-5)
         t = Tensor(np.array([1.0]), requires_grad=True)
-        out = ad.arccosh(t)
+        out = np.arccosh(t)
         out.backward(np.ones(1))
         assert float(out.value[0]) == 0.0
         assert float(t.grad[0]) == 0.0
@@ -103,15 +101,15 @@ class TestUnaryOps:
 class TestClipWhereMinimum:
     def test_clip_gradient_only_strictly_inside(self):
         t = Tensor(np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), requires_grad=True)
-        out = ad.clip(t, -1.0, 1.0)
-        ad.sum_(out).backward()
+        out = np.clip(t, -1.0, 1.0)
+        np.sum(out).backward()
         np.testing.assert_allclose(out.value, [-1.0, -1.0, 0.0, 1.0, 1.0])
         np.testing.assert_array_equal(t.grad, [0.0, 0.0, 1.0, 0.0, 0.0])
 
     def test_clip_one_sided(self):
         t = Tensor(np.array([0.5, 1.0, 2.0]), requires_grad=True)
-        out = ad.clip(t, 1.0, None)
-        ad.sum_(out).backward()
+        out = np.clip(t, 1.0, None)
+        np.sum(out).backward()
         np.testing.assert_allclose(out.value, [1.0, 1.0, 2.0])
         np.testing.assert_array_equal(t.grad, [0.0, 0.0, 1.0])
 
@@ -119,64 +117,51 @@ class TestClipWhereMinimum:
         cond = np.array([True, False, True])
         a = Tensor(rng.normal(size=3), requires_grad=True)
         b = Tensor(rng.normal(size=3), requires_grad=True)
-        ad.sum_(ad.where(cond, a, b)).backward()
+        np.sum(np.where(cond, a, b)).backward()
         np.testing.assert_array_equal(a.grad, [1.0, 0.0, 1.0])
         np.testing.assert_array_equal(b.grad, [0.0, 1.0, 0.0])
-
-    def test_minimum_tie_takes_first_argument(self):
-        a = Tensor(np.array([1.0, 5.0]), requires_grad=True)
-        b = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        ad.sum_(ad.minimum(a, b)).backward()
-        np.testing.assert_array_equal(a.grad, [1.0, 0.0])
-        np.testing.assert_array_equal(b.grad, [0.0, 1.0])
-
-    def test_minimum_matches_fd_off_ties(self, rng):
-        x = rng.normal(size=6)
-        y = rng.normal(size=6)
-        check_against_fd(lambda t: ad.minimum(t, Tensor(y)), x)
-        check_against_fd(lambda t: ad.minimum(Tensor(y), t), x)
 
 
 class TestShapeOps:
     def test_sum_axis_and_keepdims(self, rng):
         x = rng.normal(size=(2, 3, 4))
-        check_against_fd(lambda t: ad.sum_(t, axis=1), x)
-        check_against_fd(lambda t: ad.sum_(t, axis=-1, keepdims=True), x)
-        check_against_fd(lambda t: ad.sum_(t), x)
+        check_against_fd(lambda t: np.sum(t, axis=1), x)
+        check_against_fd(lambda t: np.sum(t, axis=-1, keepdims=True), x)
+        check_against_fd(lambda t: np.sum(t), x)
 
     def test_reshape_roundtrip(self, rng):
         x = rng.normal(size=(2, 6))
-        check_against_fd(lambda t: ad.reshape(t, (3, 4)) * 2.0, x)
+        check_against_fd(lambda t: np.reshape(t, (3, 4)) * 2.0, x)
 
     def test_broadcast_to(self, rng):
         x = rng.normal(size=(3, 1))
         t = Tensor(x, requires_grad=True)
-        out = ad.broadcast_to(t, (3, 5))
-        ad.sum_(out).backward()
+        out = np.broadcast_to(t, (3, 5))
+        np.sum(out).backward()
         np.testing.assert_allclose(t.grad, np.full((3, 1), 5.0))
 
     def test_concat_splits_gradient(self, rng):
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-        out = ad.concat([a, b], axis=-1)
+        out = np.concatenate([a, b], axis=-1)
         seed = rng.normal(size=(2, 5))
-        ad.sum_(out * seed).backward()
+        np.sum(out * seed).backward()
         np.testing.assert_allclose(a.grad, seed[:, :3])
         np.testing.assert_allclose(b.grad, seed[:, 3:])
 
     def test_stack_last(self, rng):
         a = Tensor(rng.normal(size=(4,)), requires_grad=True)
         b = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        out = ad.stack_last(a, b)
+        out = np.stack([a, b], axis=-1)
         assert out.value.shape == (4, 2)
-        ad.sum_(out[..., 0] * 2.0 + out[..., 1] * 3.0).backward()
+        np.sum(out[..., 0] * 2.0 + out[..., 1] * 3.0).backward()
         np.testing.assert_array_equal(a.grad, np.full(4, 2.0))
         np.testing.assert_array_equal(b.grad, np.full(4, 3.0))
 
     def test_getitem_basic_slice(self, rng):
         x = rng.normal(size=(4, 5))
         t = Tensor(x, requires_grad=True)
-        ad.sum_(t[1:3, ::2]).backward()
+        np.sum(t[1:3, ::2]).backward()
         expect = np.zeros((4, 5))
         expect[1:3, ::2] = 1.0
         np.testing.assert_array_equal(t.grad, expect)
@@ -184,7 +169,7 @@ class TestShapeOps:
     def test_getitem_fancy_accumulates_repeats(self, rng):
         t = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         idx = np.array([0, 0, 3])
-        ad.sum_(t[idx]).backward()
+        np.sum(t[idx]).backward()
         expect = np.zeros((4, 2))
         expect[0] = 2.0
         expect[3] = 1.0
@@ -193,9 +178,9 @@ class TestShapeOps:
     def test_take_accumulates_repeats(self, rng):
         t = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         idx = np.array([2, 2, 2, 0])
-        out = ad.take(t, idx)
+        out = t[idx]
         assert out.value.shape == (4, 3)
-        ad.sum_(out).backward()
+        np.sum(out).backward()
         expect = np.zeros((5, 3))
         expect[2] = 3.0
         expect[0] = 1.0
@@ -203,9 +188,9 @@ class TestShapeOps:
 
     def test_norm_and_sumsq(self, rng):
         x = rng.normal(size=(3, 4)) + 0.1
-        check_against_fd(lambda t: ad.sumsq(t, axis=-1), x)
-        check_against_fd(lambda t: ad.norm(t, axis=-1), x, rtol=1e-5)
-        check_against_fd(lambda t: ad.norm(t, axis=-1, keepdims=True) * 2.0, x, rtol=1e-5)
+        check_against_fd(lambda t: np.sum(t * t, axis=-1), x)
+        check_against_fd(lambda t: norm(t, axis=-1), x, rtol=1e-5)
+        check_against_fd(lambda t: norm(t, axis=-1, keepdims=True) * 2.0, x, rtol=1e-5)
 
 
 class TestBackwardMechanics:
@@ -220,13 +205,30 @@ class TestBackwardMechanics:
     def test_no_grad_leaf_stays_none(self, rng):
         a = Tensor(rng.normal(size=3), requires_grad=True)
         b = Tensor(rng.normal(size=3))
-        ad.sum_(a * b).backward()
+        np.sum(a * b).backward()
         assert b.grad is None
 
-    def test_value_of(self):
-        assert isinstance(ad.value_of(Tensor(np.ones(2))), np.ndarray)
-        assert isinstance(ad.value_of(np.ones(2)), np.ndarray)
-        assert ad.value_of(3.0) == 3.0
+
+class TestProtocols:
+    @pytest.mark.parametrize(
+        "op",
+        [np.exp, np.abs, np.linalg.norm, lambda t: np.add(t, 1.0, out=np.empty(3))],
+        ids=["exp", "abs", "linalg.norm", "out"],
+    )
+    def test_op_without_a_rule_raises(self, op):
+        with pytest.raises(TypeError):
+            op(Tensor(np.ones(3), requires_grad=True))
+
+    def test_comparison_returns_plain_bools(self):
+        t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        for out in (t < 1.5, t <= np.ones(2), 1.5 > t, t == t, t != 2.0):
+            assert type(out) is np.ndarray and out.dtype == bool
+        np.testing.assert_array_equal(t < 1.5, [True, False])
+
+    def test_asarray_is_the_value(self):
+        t = Tensor(np.ones((2, 3)), requires_grad=True)
+        assert np.asarray(t) is t.value
+        assert np.shape(t) == (2, 3) and np.size(t) == 6
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,7 +242,7 @@ def test_composite_expression_matches_fd(xs, ws):
     w = np.asarray(ws[:n])
 
     def f(t):
-        return ad.sum_(ad.sigmoid(t * w) + ad.cos(t) * 0.5 + ad.sqrt(t * t + 1.0))
+        return np.sum(ad.sigmoid(t * w) + np.cos(t) * 0.5 + np.sqrt(t * t + 1.0))
 
     analytic = grad_of(f, x)
     numeric = central_diff(lambda v: float(f(Tensor(v)).value), x, h=1e-6)

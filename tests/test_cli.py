@@ -184,6 +184,7 @@ class TestTrain:
             (["--margin", "nan"], "margin must be finite"),
             (["--margin", "inf"], "margin must be finite"),
             (["--eval-every", "-5"], "eval_every must be >= 0"),
+            (["--alpha", "nan"], "alpha must be positive"),
         ],
     )
     def test_bad_seed_or_margin_flag_rejected_first(
@@ -287,14 +288,17 @@ class TestConfigFile:
             ("margin", "nan", "margin must be finite"),
             ("margin", "inf", "margin must be finite"),
             ("eval_every", "-5", "eval_every must be >= 0"),
+            ("alpha", "nan", "alpha must be positive"),
+            ("alpha", "-1", "alpha must be positive"),
+            ("alpha", "0", "alpha must be positive"),
         ],
     )
     def test_out_of_bounds_value_reports_location_first(
         self, tmp_path, capsys, key, raw, bound
     ):
         """A number outside the bound ``TrainConfig.validate`` (or
-        ``model.check_margin``) states is rejected at its file and line
-        before any TSV is opened."""
+        ``model.check_margin``, ``geometry.check_alpha``) states is rejected
+        at its file and line before any TSV is opened."""
         cfg = tmp_path / "e.cfg"
         cfg.write_text(f"{key} = {raw}\n")
         rc = main([
@@ -499,6 +503,36 @@ class TestEvalAndPredict:
         scores = [float(l.split("\t")[1]) for l in lines]
         assert scores == sorted(scores, reverse=True)
         assert all(l.split("\t")[0].startswith("n") for l in lines)
+
+    @pytest.mark.parametrize("geometry", model.GEOMETRIES)
+    def test_eval_and_predict_build_no_tensors(self, workdir, capsys, monkeypatch, geometry):
+        """``evaluate``, ``score_candidates`` and ``predict`` score plain
+        arrays: building an autodiff tensor fails them."""
+        from ukge import autodiff, evaluation, kgdata
+
+        store = kgdata.augment_inverse(kgdata.load_triples(
+            *(f"{workdir['data']}/{split}.tsv" for split in ("train", "valid", "test"))
+        ))
+        m = model.init(Signature(2, 2), store.n_entities, store.n_relations,
+                       seed=3, geometry=geometry)
+        ckpt = str(workdir["root"] / f"plain-{geometry}.ukge")
+        model.save(m, ckpt)
+
+        def no_tape(*args, **kwargs):
+            raise AssertionError("built an autodiff tensor")
+
+        monkeypatch.setattr(autodiff.Tensor, "__init__", no_tape)
+        assert 0.0 < evaluation.evaluate(m, store, threads=2).mrr <= 1.0
+        assert np.all(np.isfinite(model.score_candidates(m, 0, 1)))
+        rc = main([
+            "predict", "--model", ckpt,
+            "--train", f"{workdir['data']}/train.tsv",
+            "--valid", f"{workdir['data']}/valid.tsv",
+            "--test", f"{workdir['data']}/test.tsv",
+            "--head", "n4", "--rel", "next", "--topk", "3",
+        ])
+        assert rc == EXIT_OK
+        assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
     def test_predict_unknown_entity_suggests(self, workdir, capsys):
         rc = main([

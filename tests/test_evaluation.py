@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ukge.errors import EmptySplitError, IdLookupError
+from ukge.errors import ConfigurationError, EmptySplitError, IdLookupError
 from ukge.evaluation import (
     EvalReport,
     aggregate_ranks,
@@ -202,6 +202,13 @@ class TestEvaluate:
         many = evaluate(m, store, threads=3)
         assert one.mrr == many.mrr
         assert one.hits == many.hits
+
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_threads_below_one_rejected(self, threads):
+        """``map_row_blocks`` states the rule for ``evaluate`` and ``fit``."""
+        m, store = self.hand_setup()
+        with pytest.raises(ConfigurationError, match="threads must be >= 1"):
+            evaluate(m, store, threads=threads)
 
     def test_valid_split_selectable(self):
         m, store = self.hand_setup()

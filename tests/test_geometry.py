@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import central_diff, random_free_params, random_manifold_points
-from ukge import autodiff as ad
 from ukge.autodiff import Tensor
 from ukge.errors import (
     ConfigurationError,
@@ -148,7 +147,7 @@ class TestDiffeomorphism:
         w = rng.normal(size=(3, sig.d))
 
         def f(z):
-            return ad.sum_(phi(z, sig) * w)
+            return np.sum(phi(z, sig) * w)
 
         t = Tensor(z0, requires_grad=True)
         f(t).backward()
@@ -360,7 +359,7 @@ class TestDistances:
 
         def f(z):
             d = dist_manhattan(phi(z, sig), y, sig)
-            return ad.sum_(d * d)
+            return np.sum(d * d)
 
         t = Tensor(z1, requires_grad=True)
         f(t).backward()

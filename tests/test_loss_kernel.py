@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import inspect
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tape_oracle import _summed_loss as tape_summed_loss
+import ukge
 from ukge import autodiff, geometry, operators, training
 from ukge.geometry import EPS_TIME, Signature
 from ukge.model import Model, init, layout, score_triples
@@ -184,6 +186,16 @@ class TestNoTape:
         )
         source = inspect.getsource(training)
         assert not re.search(r"^\s*(from|import)\s.*autodiff", source, re.MULTILINE)
+
+    def test_only_autodiff_imports_autodiff(self):
+        """The tape is the tests' oracle: no production module imports it."""
+        importers = [
+            path.name
+            for path in sorted(Path(ukge.__file__).parent.rglob("*.py"))
+            if path.name != "autodiff.py"
+            and re.search(r"^\s*(from|import)\s.*autodiff", path.read_text(), re.MULTILINE)
+        ]
+        assert importers == []
 
     def test_loss_and_gradients_build_no_tensors(self, monkeypatch):
         rng = np.random.default_rng(3)

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ukge import autodiff as ad
-from ukge.autodiff import Tensor, value_of
+from ukge.autodiff import Tensor
 from ukge.errors import ConfigurationError, DimensionError
 from ukge.geometry import Signature, manifold_defect, qdot
 from ukge.operators import (
@@ -325,7 +324,7 @@ class TestRelationOperator:
         f = Tensor(phi0, requires_grad=True)
         m = Tensor(mu0, requires_grad=True)
         out = relation_transform(t, f, m, x, S22)
-        ad.sum_(out * w).backward()
+        np.sum(out * w).backward()
         assert_close(
             t.grad, central_diff(lambda a: loss_np(a, phi0, mu0), theta0), rtol=1e-6
         )
