@@ -14,14 +14,13 @@ Exit codes: 0 success, 2 input error (files, configuration, checkpoints),
 key of the ``key=value`` config file, with its allowed values; explicit
 flags override file values, which override built-in defaults.  A bad key
 or value in the file (``optimizer = sgd``, or ``epochs = 5000`` outside the
-bound ``TrainConfig.validate`` states) is an input error at ``path:line``.
-A negative ``seed`` (also for ``synth``) or ``eval_every``, a non-finite
-``margin`` or an ``alpha`` that is not positive and finite is an input
-error from a flag or the file, as is
+bound ``TrainConfig.validate`` states), or a key set twice, is an input
+error at ``path:line``.  A negative ``seed`` (also for ``synth``) or
+``eval_every``, a non-finite ``margin`` or an ``alpha`` that is not
+positive and finite is an input error from a flag or the file, as is
 ``eval --threads`` or ``predict --topk`` below 1; all are raised before any
-TSV is read.  Data
-holding both ``x`` and ``x_inv``, the name of the inverse of ``x``, is an
-input error too.
+TSV is read.  Data holding both ``x`` and ``x_inv``, the name of the
+inverse of ``x``, is an input error too.
 """
 
 from __future__ import annotations
@@ -105,10 +104,11 @@ def _check_bounds(key: str, value) -> None:
         raise ConfigurationError(f"eval_every must be >= 0, got {value}")
 
 
-def load_config_file(path: str, known: dict[str, tuple]) -> dict:
-    """Parse ``key=value`` lines against ``known``, shaped like :data:`TRAIN_OPTIONS`;
-    a key or value it does not accept raises :class:`CliError` at ``path:line``."""
-    values = {}
+def load_config_file(path: str) -> dict:
+    """Parse ``key=value`` lines against :data:`TRAIN_OPTIONS`; a key or value
+    it does not accept, or a key set twice, raises :class:`CliError` at
+    ``path:line``."""
+    values, first_line = {}, {}
     with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is skipped
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -119,9 +119,14 @@ def load_config_file(path: str, known: dict[str, tuple]) -> dict:
             key, _, raw = line.partition("=")
             key = key.strip()
             raw = raw.strip()
-            if key not in known:
+            if key not in TRAIN_OPTIONS:
                 raise CliError(f"{path}:{lineno}: unknown option {key!r}")
-            parse, _, allowed = known[key]
+            if key in first_line:
+                raise CliError(
+                    f"{path}:{lineno}: {key} is already set at line {first_line[key]}"
+                )
+            first_line[key] = lineno
+            parse, _, allowed = TRAIN_OPTIONS[key]
             try:
                 values[key] = parse(raw)
             except ValueError as exc:
@@ -213,9 +218,7 @@ def train_config(options: dict) -> training.TrainConfig:
 
 
 def cmd_train(args) -> int:
-    file_values = (
-        load_config_file(args.config, TRAIN_OPTIONS) if args.config else {}
-    )
+    file_values = load_config_file(args.config) if args.config else {}
     defaults = {k: v[1] for k, v in TRAIN_OPTIONS.items()}
     flags = {k: getattr(args, k) for k in TRAIN_OPTIONS}
     options = merge_options(defaults, file_values, flags)

@@ -77,10 +77,6 @@ class CorruptPayloadError(CheckpointError):
     """A payload value is NaN or infinite; names the parameter family."""
 
 
-class SignatureMismatchError(CheckpointError):
-    """The checkpoint signature disagrees with the requested one."""
-
-
 class DigestMismatchError(CheckpointError):
     """Checkpoint dictionaries do not match the provided triple store."""
 

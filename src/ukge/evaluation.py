@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySplitError, IdLookupError
+from .errors import EmptySplitError
 from .kgdata import TripleStore
-from .model import Model, candidate_tails, map_row_blocks, score_candidates
+from .model import Model, candidate_tails, check_ids, check_store, map_row_blocks
+from .model import score_candidates
 
 HITS_KS = (1, 3, 10)
 
@@ -79,8 +80,7 @@ def filtered_rank(
     rank = 1 + #{ e != t unfiltered with not score(h, r, e) < score(h, r, t) }.
     """
     h, r, t = (int(v) for v in triple)
-    if not 0 <= t < m.n_entities:
-        raise IdLookupError(f"entity id {t} out of range")
+    check_ids(t, m.n_entities, "entity")
     if _index is None:  # standalone: index this query's pair only
         _index = build_filter_index(store, filter_splits, keys=[(h, r)])
     scores = score_candidates(m, h, r, tails=_tails)
@@ -130,8 +130,10 @@ def evaluate(
     call and shared by every query.
 
     For the standard protocol (head and tail prediction) pass a store that
-    has been augmented with inverse relations.
+    has been augmented with inverse relations.  A store with more entities
+    or relations than ``m`` raises :class:`IdLookupError` up front.
     """
+    check_store(m, store)
     triples = store.split(split)
     if triples.shape[0] == 0:
         raise EmptySplitError(f"evaluate: split {split!r} is empty")

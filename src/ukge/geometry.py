@@ -91,10 +91,10 @@ def check_alpha(alpha: float) -> None:
         raise ConfigurationError(f"alpha must be positive, got {alpha}")
 
 
-def norm(x, axis=-1, keepdims: bool = False):
-    """Euclidean norm ``sqrt(sum(x * x))`` along ``axis``.  Not
+def norm(x, keepdims: bool = False):
+    """Euclidean norm ``sqrt(sum(x * x))`` along the last axis.  Not
     ``np.linalg.norm``, which rounds differently."""
-    return np.sqrt(np.sum(x * x, axis=axis, keepdims=keepdims))
+    return np.sqrt(np.sum(x * x, axis=-1, keepdims=keepdims))
 
 
 def _check_last_dim(x, expect: int, name: str) -> None:

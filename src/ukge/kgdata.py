@@ -46,12 +46,7 @@ class TripleStore:
     valid: np.ndarray
     test: np.ndarray
     augmented: bool = False
-    n_base_relations: int = 0
     test_only_entities: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.n_base_relations == 0:
-            self.n_base_relations = len(self.relation_names)
 
     # name -> id maps, built on the first lookup rather than per construction
     @cached_property
@@ -176,7 +171,6 @@ def augment_inverse(store: TripleStore) -> TripleStore:
         valid=reverse(store.valid),
         test=reverse(store.test),
         augmented=True,
-        n_base_relations=n_base,
         test_only_entities=list(store.test_only_entities),
     )
 
@@ -369,31 +363,22 @@ def make_synthetic(
         raise ConfigurationError("make_synthetic: branching must be >= 1")
     if seed < 0:
         raise ConfigurationError(f"make_synthetic: seed must be >= 0, got {seed}")
-    names: list[str] = ["n0"]
-    parents: list[int] = []
-    prev_level = [0]
-    for _ in range(levels - 1):
-        new_level = []
-        for parent in prev_level:
-            for _ in range(branching):
-                child = len(names)
-                names.append(f"n{child}")
-                parents.append(parent)
-                new_level.append(child)
-        prev_level = new_level
-    leaves = prev_level
-    isa = [(child, 0, parents[child - 1]) for child in range(1, len(names))]
+    # nodes numbered level by level: node c's parent is (c - 1) // branching,
+    # and the leaves are the last branching**(levels - 1) ids
+    n_leaves = branching ** (levels - 1)
+    n_nodes = sum(branching**k for k in range(levels))
     if cycle is None:
-        cycle = len(leaves)
-    if not 2 <= cycle <= len(leaves):
+        cycle = n_leaves
+    if not 2 <= cycle <= n_leaves:
         raise ConfigurationError(
-            f"make_synthetic: cycle must be in [2, {len(leaves)}], got {cycle}"
+            f"make_synthetic: cycle must be in [2, {n_leaves}], got {cycle}"
         )
-    ring_nodes = leaves[:cycle]
-    ring = [
-        (ring_nodes[i], 1, ring_nodes[(i + 1) % cycle]) for i in range(cycle)
-    ]
-    triples = np.asarray(isa + ring, dtype=np.int64)
+    child = np.arange(1, n_nodes, dtype=np.int64)
+    ring = np.arange(n_nodes - n_leaves, n_nodes - n_leaves + cycle, dtype=np.int64)
+    triples = np.concatenate([
+        np.stack([child, np.zeros_like(child), (child - 1) // branching], axis=1),
+        np.stack([ring, np.ones_like(ring), np.roll(ring, -1)], axis=1),
+    ])
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(triples))
     triples = triples[perm]
@@ -401,7 +386,7 @@ def make_synthetic(
     n_train = int(n * 0.8)
     n_valid = int(n * 0.1)
     return TripleStore(
-        entity_names=names,
+        entity_names=[f"n{i}" for i in range(n_nodes)],
         relation_names=["isa", "next"],
         train=triples[:n_train],
         valid=triples[n_train : n_train + n_valid],

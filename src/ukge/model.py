@@ -40,12 +40,10 @@ from .errors import (
     CorruptPayloadError,
     DimensionError,
     IdLookupError,
-    SignatureMismatchError,
     TruncatedPayloadError,
     VersionMismatchError,
 )
 from .geometry import EPS_TIME, Signature
-from .operators import RelationParams
 
 MAGIC = b"UKGE"
 FORMAT_VERSION = 1
@@ -109,18 +107,28 @@ class Model:
     def n_relations(self) -> int:
         return self.theta.shape[0]
 
-    def relation_params(self, r: int) -> RelationParams:
-        _check_id(r, self.n_relations, "relation")
-        return RelationParams(self.theta[r], self.phi[r], self.mu[r])
-
     def clone(self) -> "Model":
         arrays = {k: v.copy() for k, v in parameters(self).items() if k != "delta"}
         return replace(self, **arrays)
 
 
-def _check_id(i: int, n: int, kind: str) -> None:
-    if not 0 <= int(i) < n:
-        raise IdLookupError(f"{kind} id {i} out of range [0, {n})")
+def check_ids(ids, n: int, kind: str) -> None:
+    """Raise :class:`IdLookupError` naming the first of ``ids`` (an id or an
+    array of them) that lies outside ``[0, n)``."""
+    ids = np.asarray(ids)
+    bad = ids[(ids < 0) | (ids >= n)]
+    if bad.size:
+        raise IdLookupError(f"{kind} id {bad.flat[0]} out of range [0, {n})")
+
+
+def check_store(m: Model, store) -> None:
+    """Raise :class:`IdLookupError` when ``store`` numbers more entities or
+    relations than ``m`` has rows for."""
+    if store.n_entities > m.n_entities or store.n_relations > m.n_relations:
+        raise IdLookupError(
+            f"store has {store.n_entities} entities / {store.n_relations} "
+            f"relations, model {m.n_entities} / {m.n_relations}"
+        )
 
 
 def dictionary_digest(names: list[str]) -> str:
@@ -214,49 +222,6 @@ def parameters(m: Model) -> dict[str, np.ndarray]:
     }
 
 
-def _moved_heads(m: Model, params: dict, h, r):
-    """The heads of rows ``h`` moved by their relations ``r``: phi, then the
-    relation operator (ultra), or the operator on the raw vectors with the
-    boosts pinned to 0 (euclidean)."""
-    z_h = params["entities"][h]
-    th = params["theta"][r]
-    ph = params["phi"][r]
-    if m.geometry == "ultra":
-        head = geometry.phi(z_h, m.sig)
-        mu = params["mu"][r]
-        return operators.relation_transform(th, ph, mu, head, m.sig, m.operator)
-    mu0 = np.zeros(np.shape(r) + (m.sig.q,))
-    return operators.relation_transform(th, ph, mu0, z_h, m.sig, m.operator)
-
-
-def _score(params: dict, dist, h, b_t):
-    """``s = -d^2 + b_h + b_t + delta`` for distances ``dist`` of heads ``h``."""
-    b_h = params["biases"][:, 0][h]
-    return -dist * dist + b_h + b_t + params["delta"]
-
-
-def score_triples(m: Model, h, r, t, leaves: dict | None = None):
-    """Scores of the triples given by broadcastable 1-d id arrays ``h, r, t``.
-
-    ``leaves`` maps the names of :func:`parameters` to arrays that stand in
-    for the model's own; the tests pass autodiff tensors, which differentiate
-    this numpy code as written.  The training kernel's forward pass
-    (:mod:`ukge.training`) repeats these stages, keeping their
-    intermediates, and its tests hold it to these bits on the tape.
-    :func:`score_candidates` shares the head side and the score formula, so
-    one triple gets the same bits from all three.
-    """
-    params = parameters(m) if leaves is None else leaves
-    moved = _moved_heads(m, params, h, r)
-    z_t = params["entities"][t]
-    if m.geometry == "ultra":
-        # through dist_manhattan, the distance boundary perfbench traces
-        dist = geometry.dist_manhattan(moved, geometry.phi(z_t, m.sig), m.sig)
-    else:
-        dist = geometry.norm(moved - z_t)
-    return _score(params, dist, h, params["biases"][:, 1][t])
-
-
 def candidate_tails(m: Model, candidates=None) -> tuple:
     """``(side, tail biases)`` of the candidate tails (default: all), where
     ``side`` is the :func:`geometry.point_terms` of their manifold points
@@ -266,37 +231,40 @@ def candidate_tails(m: Model, candidates=None) -> tuple:
         cand = np.arange(m.n_entities)
     else:
         cand = np.asarray(candidates, dtype=np.int64)
-        if cand.size and (cand.min() < 0 or cand.max() >= m.n_entities):
-            raise IdLookupError("candidate entity id out of range")
+        check_ids(cand, m.n_entities, "entity")
     z_t = m.entities[cand]
     if m.geometry == "ultra":
         z_t = geometry.point_terms(geometry.phi(z_t, m.sig), m.sig)
     return z_t, m.biases[cand, 1]
 
 
-def score_candidates(
-    m: Model, h: int, r: int, candidates=None, *, tails=None
-) -> np.ndarray:
-    """Scores of (h, r, e) for every candidate tail ``e`` (default: all),
-    bit for bit those of :func:`score_triples`.  ``tails`` from
-    :func:`candidate_tails` stands in for ``candidates``."""
-    _check_id(h, m.n_entities, "entity")
-    _check_id(r, m.n_relations, "relation")
-    side, b_t = candidate_tails(m, candidates) if tails is None else tails
-    params = parameters(m)
-    h, r = np.array([h]), np.array([r])
-    moved = _moved_heads(m, params, h, r)
+def score_candidates(m: Model, h: int, r: int, *, tails=None) -> np.ndarray:
+    """Scores ``s = -d^2 + b_h + b_t + delta`` of (h, r, e) for every tail
+    ``e`` of ``tails`` (:func:`candidate_tails`, default: all entities).
+
+    The head is moved by phi, then the relation operator (ultra), or by the
+    operator on its raw vector with the boosts pinned to 0 (euclidean).  The
+    training kernel's forward pass (:mod:`ukge.training`) runs the same
+    stages on whole batches, so one triple gets the same bits from both.
+    """
+    check_ids(h, m.n_entities, "entity")
+    check_ids(r, m.n_relations, "relation")
+    side, b_t = candidate_tails(m) if tails is None else tails
+    z_h, th, ph = m.entities[[h]], m.theta[[r]], m.phi[[r]]
     if m.geometry == "ultra":
+        head = geometry.phi(z_h, m.sig)
+        moved = operators.relation_transform(th, ph, m.mu[[r]], head, m.sig, m.operator)
         dist = geometry.manhattan_legs(geometry.point_terms(moved, m.sig), side, m.sig)
     else:
+        mu0 = np.zeros((1, m.sig.q))
+        moved = operators.relation_transform(th, ph, mu0, z_h, m.sig, m.operator)
         dist = geometry.norm(moved - side)
-    return _score(params, dist, h, b_t)
+    return -dist * dist + m.biases[h, 0] + b_t + m.delta
 
 
 def score(m: Model, h: int, r: int, t: int) -> float:
     """Score of one triple (see module docstring for the formula)."""
-    _check_id(t, m.n_entities, "entity")
-    return float(score_candidates(m, h, r, np.array([t]))[0])
+    return float(score_candidates(m, h, r, tails=candidate_tails(m, [t]))[0])
 
 
 def map_row_blocks(fn, n_rows: int, threads: int) -> list:
@@ -391,7 +359,7 @@ def _read_header(blob: bytes, path: str) -> tuple[Signature, dict]:
     return sig, header
 
 
-def load(path: str, expected_sig: Signature | None = None) -> Model:
+def load(path: str) -> Model:
     """Read a checkpoint, verifying magic, version, header, payload size and
     that every payload value is finite."""
     with open(path, "rb") as fh:
@@ -407,12 +375,6 @@ def load(path: str, expected_sig: Signature | None = None) -> Model:
     if len(raw) < 12 + hlen:
         raise CorruptHeaderError(f"{path}: header block cut short")
     sig, header = _read_header(raw[12 : 12 + hlen], path)
-    if expected_sig is not None and sig != expected_sig:
-        raise SignatureMismatchError(
-            f"{path}: checkpoint signature ({sig.p},{sig.q},alpha={sig.alpha}) "
-            f"!= requested ({expected_sig.p},{expected_sig.q},"
-            f"alpha={expected_sig.alpha})"
-        )
     shapes = layout(sig, header.pop("n_entities"), header.pop("n_relations"))
     need = sum(math.prod(s) for s in shapes.values()) * 8
     payload = raw[12 + hlen :]

@@ -115,13 +115,13 @@ class RelationParams:
             )
 
     @classmethod
-    def random(cls, sig: Signature, rng: np.random.Generator, mu_scale: float = 1.0):
-        """Angles uniform on (-pi, pi), boosts normal with scale ``mu_scale``."""
+    def random(cls, sig: Signature, rng: np.random.Generator):
+        """Angles uniform on (-pi, pi), boosts standard normal."""
         half = sig.d // 2
         return cls(
             theta=rng.uniform(-np.pi, np.pi, half),
             phi=rng.uniform(-np.pi, np.pi, half),
-            mu=rng.normal(0.0, mu_scale, sig.q),
+            mu=rng.normal(0.0, 1.0, sig.q),
         )
 
 

@@ -17,7 +17,8 @@ distance-branch ties follow the first branch.  The reverse-mode tape of
 :mod:`ukge.autodiff` differentiates the same numpy forward code through
 NumPy's dispatch protocols; the kernel replays the operations it records in
 its order, so its loss and gradients equal the tape's bit for bit.  The
-tape itself is only the tests' oracle and no production module imports it.  The global margin ``delta`` is a
+tape itself is only the tests' oracle (``tests/tape_oracle.py``) and no
+production module imports it.  The global margin ``delta`` is a
 hyperparameter: its gradient is reported by :func:`gradients` but
 :func:`fit` never updates it.
 
@@ -41,7 +42,8 @@ from .errors import (
     NonFiniteGradientError,
 )
 from .kgdata import TripleStore
-from .model import Model, apply_time_guard, check_threads, map_row_blocks, parameters
+from .model import Model, apply_time_guard, check_ids, check_store, check_threads
+from .model import map_row_blocks, parameters
 
 PROB_CLAMP = 1e-12
 
@@ -120,8 +122,9 @@ def _loss_sum(m: Model, params: dict, pos: np.ndarray, neg: np.ndarray):
     on the plain arrays ``params`` (:func:`parameters`), and the intermediates
     :func:`_loss_grads` reads.
 
-    The scores are those of :func:`ukge.model.score_triples`, bit for bit:
-    the same stages run here in the same order, keeping what their VJPs need.
+    The scores are those of the tape oracle (``tests/tape_oracle.py``), bit
+    for bit: the same stages run here in the same order, keeping what their
+    VJPs need.
     """
     sig = m.sig
     n_pos = pos.shape[0]
@@ -131,7 +134,7 @@ def _loss_sum(m: Model, params: dict, pos: np.ndarray, neg: np.ndarray):
     if m.geometry == "ultra":
         z_h, phi_h = geometry.phi_forward(z_h, sig)
         mu = params["mu"]
-    else:  # boosts pinned to 0, run as score_triples runs them
+    else:  # boosts pinned to 0, as tests/tape_oracle.py scores them
         mu = np.zeros_like(params["mu"])
     moved, ops = operators.transform_forward(
         params["theta"], params["phi"], mu, r, z_h, sig, m.operator
@@ -170,9 +173,9 @@ def _loss_grads(m: Model, saved) -> dict[str, np.ndarray]:
     The VJPs run in reverse: probability clamp and sigmoid, score, distance,
     the operator's U, H and V stages, ``phi``, then one scatter per gathered
     family.  Each replays, in order, the operations that the autodiff tape
-    records when it runs :func:`ukge.model.score_triples` on tensor leaves,
-    so the gradients equal the tape's bit for bit; ``tests/tape_oracle.py``
-    holds that tape loss.  Clamped values pass zero gradient.
+    records when the oracle of ``tests/tape_oracle.py`` scores on tensor
+    leaves, so the gradients equal the tape's bit for bit.  Clamped values
+    pass zero gradient.
     """
     sig = m.sig
     h, r, t, n_pos, p, prob, dist, ops, side = saved
@@ -220,8 +223,9 @@ def _summed_loss(m: Model, pos: np.ndarray, neg: np.ndarray):
     return float(total), _loss_grads(m, saved)
 
 
-def _as_batch(positives, negatives, caller: str) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 3) positives and (N, k, 3) negatives, k = 0 when none are given."""
+def _as_batch(m: Model, positives, negatives, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) positives and (N, k, 3) negatives, k = 0 when none are given;
+    an id outside ``m`` raises :class:`IdLookupError`."""
     pos = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     if pos.shape[0] == 0:
         raise EmptySplitError(f"{caller}: batch holds no positive triples")
@@ -230,13 +234,16 @@ def _as_batch(positives, negatives, caller: str) -> tuple[np.ndarray, np.ndarray
         if negatives is not None and np.asarray(negatives).size
         else np.empty((pos.shape[0], 0, 3), dtype=np.int64)
     )
+    ids = np.concatenate([pos, neg.reshape(-1, 3)])
+    check_ids(ids[:, ::2], m.n_entities, "entity")
+    check_ids(ids[:, 1], m.n_relations, "relation")
     return pos, neg
 
 
 def bce_loss(m: Model, positives: np.ndarray, negatives: np.ndarray | None = None) -> float:
     """Mean binary cross-entropy of a batch: the loss kernel's forward pass
     alone."""
-    pos, neg = _as_batch(positives, negatives, "bce_loss")
+    pos, neg = _as_batch(m, positives, negatives, "bce_loss")
     return float(_loss_sum(m, parameters(m), pos, neg)[0]) / pos.shape[0]
 
 
@@ -248,7 +255,7 @@ def gradients(
     Returns arrays keyed by :data:`PARAM_FAMILIES`; entity gradients are
     split into their space and time blocks.
     """
-    pos, neg = _as_batch(positives, negatives, "gradients")
+    pos, neg = _as_batch(m, positives, negatives, "gradients")
     inv_n = 1.0 / pos.shape[0]
     out = {k: g * inv_n for k, g in _summed_loss(m, pos, neg)[1].items()}
     ent = out.pop("entities")
@@ -330,9 +337,11 @@ def fit(
 
     The input model is left untouched.  Losses going non-finite abort with
     :class:`DivergenceError` carrying the last epoch's parameters; non-finite
-    gradients abort naming the offending parameter family.
+    gradients abort naming the offending parameter family.  A store with more
+    entities or relations than ``m`` raises :class:`IdLookupError` up front.
     """
     cfg.validate()
+    check_store(m, store)
     triples = store.train
     if triples.shape[0] == 0:
         raise EmptySplitError("fit: train split is empty")

@@ -1,9 +1,10 @@
 """The autodiff tape version of the training loss: the oracle that the
 hand-written kernel in :mod:`ukge.training` is tested against.
 
-It scores through :func:`ukge.model.score_triples` with tensor leaves, so
-the tape records the package's own numpy code through NumPy's dispatch
-protocols, and differentiates by one reverse sweep of
+It scores through :func:`score_triples` with tensor leaves, so the tape
+records the package's own numpy stages (``geometry.phi``,
+``operators.relation_transform``, ``geometry.dist_manhattan``) through
+NumPy's dispatch protocols, and differentiates by one reverse sweep of
 :meth:`ukge.autodiff.Tensor.backward`.
 """
 
@@ -12,9 +13,33 @@ from __future__ import annotations
 import numpy as np
 
 from ukge import autodiff as ad
+from ukge import geometry, operators
 from ukge.autodiff import Tensor
-from ukge.model import Model, parameters, score_triples
+from ukge.model import Model, parameters
 from ukge.training import PROB_CLAMP
+
+
+def score_triples(m: Model, h, r, t, leaves: dict | None = None):
+    """Scores of the triples given by broadcastable 1-d id arrays ``h, r, t``.
+
+    ``leaves`` maps the names of :func:`ukge.model.parameters` to arrays
+    that stand in for the model's own (default: the model's arrays); tensor
+    leaves put the scoring on the tape.  The stages and the score formula
+    are those of :func:`ukge.model.score_candidates` and of the training
+    kernel's forward pass, which the tests hold to these bits.
+    """
+    p = parameters(m) if leaves is None else leaves
+    z_h, th, ph = p["entities"][h], p["theta"][r], p["phi"][r]
+    if m.geometry == "ultra":
+        head = geometry.phi(z_h, m.sig)
+        moved = operators.relation_transform(th, ph, p["mu"][r], head, m.sig, m.operator)
+        dist = geometry.dist_manhattan(moved, geometry.phi(p["entities"][t], m.sig), m.sig)
+    else:  # boosts pinned to 0, Euclidean distance on the raw vectors
+        mu0 = np.zeros(np.shape(r) + (m.sig.q,))
+        moved = operators.relation_transform(th, ph, mu0, z_h, m.sig, m.operator)
+        dist = geometry.norm(moved - p["entities"][t])
+    b_t = p["biases"][:, 1][t]
+    return -dist * dist + p["biases"][:, 0][h] + b_t + p["delta"]
 
 
 def _leaves(m: Model) -> dict[str, Tensor]:

@@ -220,27 +220,27 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\n\nlr = 0.25\nepochs=7\ndeterministic=true\n"
                        "operator = rot\ngeometry=euclidean\noptimizer=adagrad\n")
-        values = load_config_file(str(cfg), TRAIN_OPTIONS)
+        values = load_config_file(str(cfg))
         assert values == {"lr": 0.25, "epochs": 7, "deterministic": True,
                           "operator": "rot", "geometry": "euclidean", "optimizer": "adagrad"}
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"\xef\xbb\xbfepochs = 7\n")
-        assert load_config_file(str(cfg), TRAIN_OPTIONS) == {"epochs": 7}
+        assert load_config_file(str(cfg)) == {"epochs": 7}
 
     def test_unknown_key_reports_location(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("lr=0.1\nbogus=3\n")
         with pytest.raises(CliError) as exc:
-            load_config_file(str(cfg), TRAIN_OPTIONS)
+            load_config_file(str(cfg))
         assert f"{cfg}:2" in str(exc.value)
 
     def test_bad_value_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs=soon\n")
         with pytest.raises(CliError):
-            load_config_file(str(cfg), TRAIN_OPTIONS)
+            load_config_file(str(cfg))
 
     @pytest.mark.parametrize(
         "raw,value",
@@ -250,14 +250,14 @@ class TestConfigFile:
     def test_boolean_words(self, tmp_path, raw, value):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"deterministic={raw}\n")
-        assert load_config_file(str(cfg), TRAIN_OPTIONS) == {"deterministic": value}
+        assert load_config_file(str(cfg)) == {"deterministic": value}
 
     @pytest.mark.parametrize("raw", ["ture", "on", "2", ""])
     def test_bad_boolean_reports_location(self, tmp_path, raw):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"epochs=3\ndeterministic={raw}\n")
         with pytest.raises(CliError) as exc:
-            load_config_file(str(cfg), TRAIN_OPTIONS)
+            load_config_file(str(cfg))
         assert f"{cfg}:2" in str(exc.value)
 
     @pytest.mark.parametrize(
@@ -309,11 +309,18 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"{cfg}:1: bad value for {key}: {raw!r} ({bound}" in err
 
+    def test_repeated_key_reports_both_lines(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 3\nlr = 0.1\nepochs = 7\n")
+        with pytest.raises(CliError) as exc:
+            load_config_file(str(cfg))
+        assert f"{cfg}:3: epochs is already set at line 1" in str(exc.value)
+
     def test_missing_equals_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs\n")
         with pytest.raises(CliError):
-            load_config_file(str(cfg), TRAIN_OPTIONS)
+            load_config_file(str(cfg))
 
     def test_flags_beat_file_beats_defaults(self, workdir, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -31,9 +31,9 @@ from ukge.model import (
     init,
     score,
     score_candidates,
-    score_triples,
 )
 from ukge.operators import OPERATOR_MODES
+from tape_oracle import score_triples
 
 from conftest import assert_close
 
@@ -210,6 +210,17 @@ class TestEvaluate:
         with pytest.raises(ConfigurationError, match="threads must be >= 1"):
             evaluate(m, store, threads=threads)
 
+    def test_store_larger_than_model_rejected(self):
+        """A known tail past the model's rows is refused up front, and so is
+        a relation the model lacks, even one no triple uses."""
+        m, _ = self.hand_setup()
+        for store in (
+            ids_store(5, 2, train=[(1, 0, 4)], test=[(1, 0, 0)]),
+            ids_store(4, 3, train=[(1, 0, 3)], test=[(1, 0, 0)]),
+        ):
+            with pytest.raises(IdLookupError, match="store has"):
+                evaluate(m, store)
+
     def test_valid_split_selectable(self):
         m, store = self.hand_setup()
         with pytest.raises(EmptySplitError):
@@ -341,8 +352,8 @@ class TestFilterIndexMatchesOracle:
 
 class TestEvaluateMatchesPairPath:
     """evaluate scores each query against one shared tail side; its ranks
-    must equal ranks built from the pair path, where ``score_triples``
-    scores every (h, r, e) row on its own."""
+    must equal ranks built from the pair path, where the tape oracle's
+    ``score_triples`` scores every (h, r, e) row on its own."""
 
     def setup(self, geometry, operator):
         store = augment_inverse(make_synthetic(seed=2))
@@ -393,7 +404,6 @@ class TestEvaluateMatchesPairPath:
         cand = np.array([7, 1, 0, 2, 7])
         for h, r in [(0, 0), (3, 2), (2, 1)]:
             rows = score_triples(m, np.full(cand.size, h), np.full(cand.size, r), cand)
-            np.testing.assert_array_equal(score_candidates(m, h, r, cand), rows)
             np.testing.assert_array_equal(
                 score_candidates(m, h, r, tails=candidate_tails(m, cand)), rows
             )

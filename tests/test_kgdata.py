@@ -157,7 +157,6 @@ class TestAugmentation:
         store = store_from([("a", "r0", "b"), ("b", "r1", "c")])
         aug = augment_inverse(store)
         assert aug.relation_names == ["r0", "r1", "r0_inv", "r1_inv"]
-        assert aug.n_base_relations == 2
         assert aug.augmented
         # reversed copies appended in order, inverse id = base + 2
         np.testing.assert_array_equal(

@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tape_oracle import _summed_loss as tape_summed_loss
+from tape_oracle import score_triples
 import ukge
 from ukge import autodiff, geometry, operators, training
 from ukge.geometry import EPS_TIME, Signature
-from ukge.model import Model, init, layout, score_triples
+from ukge.model import Model, init, layout
 from ukge.training import PROB_CLAMP
 
 OPERATORS = ("rotref", "rot", "ref")

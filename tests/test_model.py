@@ -17,7 +17,6 @@ from ukge.errors import (
     CorruptHeaderError,
     DimensionError,
     IdLookupError,
-    SignatureMismatchError,
     TruncatedPayloadError,
     VersionMismatchError,
 )
@@ -25,6 +24,7 @@ from ukge.geometry import EPS_TIME, Signature
 from ukge.model import (
     Model,
     apply_time_guard,
+    candidate_tails,
     dictionary_digest,
     init,
     load,
@@ -102,7 +102,7 @@ class TestScoring:
     def test_candidate_subset(self):
         m = init(S62, 7, 3, seed=5)
         full = score_candidates(m, 2, 1)
-        sub = score_candidates(m, 2, 1, np.array([4, 0, 6]))
+        sub = score_candidates(m, 2, 1, tails=candidate_tails(m, [4, 0, 6]))
         assert_close(sub, full[[4, 0, 6]], rtol=0, atol=0)
 
     def test_id_range_checks(self):
@@ -114,7 +114,7 @@ class TestScoring:
         with pytest.raises(IdLookupError):
             score(m, 0, 0, 5)
         with pytest.raises(IdLookupError):
-            score_candidates(m, 0, 0, np.array([0, 2]))
+            candidate_tails(m, np.array([0, 2]))
 
     def test_euclidean_distance_path(self):
         m = tiny_model(
@@ -217,14 +217,6 @@ class TestModelContainer:
         assert m.n_entities == 7
         assert m.n_relations == 3
 
-    def test_relation_params_accessor(self):
-        m = init(S62, 4, 3, seed=1)
-        r = m.relation_params(2)
-        np.testing.assert_array_equal(r.theta, m.theta[2])
-        np.testing.assert_array_equal(r.mu, m.mu[2])
-        with pytest.raises(IdLookupError):
-            m.relation_params(3)
-
     def test_clone_is_independent(self):
         m = init(S62, 4, 2, seed=1)
         c = m.clone()
@@ -303,14 +295,6 @@ class TestCheckpoint:
         save(m, p1)
         save(load(p1), p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
-
-    def test_expected_signature(self, tmp_path):
-        m = init(S22, 2, 1, seed=0)
-        path = str(tmp_path / "m.ukge")
-        save(m, path)
-        load(path, expected_sig=S22)  # matching is fine
-        with pytest.raises(SignatureMismatchError):
-            load(path, expected_sig=Signature(4, 2, 1.0))
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "m.ukge")

@@ -449,5 +449,6 @@ class TestOperationCounting:
 )
 def test_operator_always_j_orthogonal(seed, flavour, pq):
     sig = Signature(pq[0], pq[1], 1.0)
-    r = RelationParams.random(sig, np.random.default_rng(seed), mu_scale=2.0)
+    r = RelationParams.random(sig, np.random.default_rng(seed))
+    r.mu *= 2.0  # boosts of scale 2
     assert j_orth_defect(as_dense(r, sig, flavour), sig) < 1e-9

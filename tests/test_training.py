@@ -12,6 +12,7 @@ from ukge.errors import (
     ConfigurationError,
     DivergenceError,
     EmptySplitError,
+    IdLookupError,
     NonFiniteGradientError,
 )
 from ukge.geometry import EPS_TIME, Signature
@@ -112,6 +113,22 @@ class TestLoss:
             bce_loss(identity_model(), np.empty((0, 3), dtype=np.int64))
         with pytest.raises(EmptySplitError):
             gradients(identity_model(), np.empty((0, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "pos,neg",
+        [
+            ([[-1, 0, 1]], None),  # would index the last entity
+            ([[0, 0, 10**6]], None),
+            ([[0, 1, 0]], None),
+            ([[0, 0, 0]], [[[0, 0, 1], [0, 0, -2]]]),
+            ([[0, 0, 0]], [[[0, -1, 1]]]),
+        ],
+    )
+    def test_ids_outside_the_model_rejected(self, pos, neg):
+        m = identity_model(n_entities=2)
+        for loss_or_grads in (bce_loss, gradients):
+            with pytest.raises(IdLookupError, match="id -?[0-9]+ out of range"):
+                loss_or_grads(m, pos, neg)
 
 
 def finite_difference_grads(m, pos, neg, h=1e-5):
@@ -363,12 +380,24 @@ class TestFit:
             fit(m, store, TrainConfig(epochs=1, batch_size=1, neg_samples=2))
         assert "entities" in str(exc.value)
 
+    def test_store_larger_than_model_rejected(self):
+        """Checked before the first batch, not met as an IndexError in one."""
+        m, store = synth_setup()
+        cfg = TrainConfig(epochs=1, batch_size=8, neg_samples=2)
+        for n_entities, n_relations in [
+            (store.n_entities - 1, store.n_relations),
+            (store.n_entities, store.n_relations - 1),
+        ]:
+            small = init(m.sig, n_entities, n_relations, seed=0)
+            with pytest.raises(IdLookupError, match="store has"):
+                fit(small, store, cfg)
+
     def test_empty_train_split(self):
         m, store = synth_setup()
         empty = type(store)(
             store.entity_names, store.relation_names,
             np.empty((0, 3), dtype=np.int64), store.valid, store.test,
-            augmented=True, n_base_relations=store.n_base_relations,
+            augmented=True,
         )
         with pytest.raises(EmptySplitError):
             fit(m, empty, TrainConfig(epochs=1))
@@ -438,8 +467,8 @@ class TestOneScoringPath:
 
     @pytest.mark.parametrize("geometry", ["ultra", "euclidean"])
     def test_tape_forward_equals_score_candidates_bitwise(self, geometry):
-        from tape_oracle import _leaves
-        from ukge.model import score_candidates, score_triples
+        from tape_oracle import _leaves, score_triples
+        from ukge.model import score, score_candidates
 
         m = init(Signature(6, 2, 1.0), 40, 3, seed=8, geometry=geometry)
         m.biases[:] = np.random.default_rng(8).normal(0.0, 0.5, m.biases.shape)
@@ -451,7 +480,7 @@ class TestOneScoringPath:
         tape = score_triples(
             m, triples[:, 0], triples[:, 1], triples[:, 2], _leaves(m)
         ).value
-        plain = np.array([score_candidates(m, h, r, [t])[0] for h, r, t in triples])
+        plain = np.array([score(m, h, r, t) for h, r, t in triples])
         np.testing.assert_array_equal(tape, plain)
         # one query against every candidate, as evaluate and predict score it
         h, r = int(triples[0, 0]), int(triples[0, 1])
