@@ -20,7 +20,8 @@ error at ``path:line``.  A negative ``seed`` (also for ``synth``) or
 positive and finite is an input error from a flag or the file, as is
 ``eval --threads`` or ``predict --topk`` below 1; all are raised before any
 TSV is read.  Data holding both ``x`` and ``x_inv``, the name of the
-inverse of ``x``, is an input error too.
+inverse of ``x``, is an input error too, as is a TSV or config-file line
+that is not valid UTF-8.  ``predict`` reads only the names from the TSVs.
 """
 
 from __future__ import annotations
@@ -107,38 +108,38 @@ def _check_bounds(key: str, value) -> None:
 def load_config_file(path: str) -> dict:
     """Parse ``key=value`` lines against :data:`TRAIN_OPTIONS`; a key or value
     it does not accept, or a key set twice, raises :class:`CliError` at
-    ``path:line``."""
+    ``path:line``, and a line that is not valid UTF-8 a
+    :class:`~ukge.errors.ParseError` there."""
     values, first_line = {}, {}
-    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is skipped
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in TRAIN_OPTIONS:
-                raise CliError(f"{path}:{lineno}: unknown option {key!r}")
-            if key in first_line:
-                raise CliError(
-                    f"{path}:{lineno}: {key} is already set at line {first_line[key]}"
-                )
-            first_line[key] = lineno
-            parse, _, allowed = TRAIN_OPTIONS[key]
-            try:
-                values[key] = parse(raw)
-            except ValueError as exc:
-                raise CliError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
-            try:
-                if allowed is not None and values[key] not in allowed:
-                    raise ConfigurationError(f"choose from {', '.join(allowed)}")
-                _check_bounds(key, values[key])
-            except ConfigurationError as exc:
-                raise CliError(
-                    f"{path}:{lineno}: bad value for {key}: {raw!r} ({exc})"
-                ) from exc
+    for lineno, line in kgdata.text_lines(path):  # a leading BOM is skipped
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected key=value")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        if key not in TRAIN_OPTIONS:
+            raise CliError(f"{path}:{lineno}: unknown option {key!r}")
+        if key in first_line:
+            raise CliError(
+                f"{path}:{lineno}: {key} is already set at line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        parse, _, allowed = TRAIN_OPTIONS[key]
+        try:
+            values[key] = parse(raw)
+        except ValueError as exc:
+            raise CliError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
+        try:
+            if allowed is not None and values[key] not in allowed:
+                raise ConfigurationError(f"choose from {', '.join(allowed)}")
+            _check_bounds(key, values[key])
+        except ConfigurationError as exc:
+            raise CliError(
+                f"{path}:{lineno}: bad value for {key}: {raw!r} ({exc})"
+            ) from exc
     return values
 
 
@@ -169,14 +170,14 @@ def _humanize(n: int) -> str:
     return str(n)
 
 
+def _note_test_only(count: int) -> None:
+    if count:
+        print(f"note: {count} entities appear only in the test split", file=sys.stderr)
+
+
 def _load_store(args) -> kgdata.TripleStore:
     store = kgdata.load_triples(args.train, args.valid, args.test)
-    if store.test_only_entities:
-        print(
-            f"note: {len(store.test_only_entities)} entities appear only in "
-            f"the test split",
-            file=sys.stderr,
-        )
+    _note_test_only(len(store.test_only_entities))
     return store
 
 
@@ -268,17 +269,21 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model_for_store(args, store: kgdata.TripleStore) -> model.Model:
+def _load_model_for_store(
+    args, entity_names: list[str], relation_names: list[str]
+) -> model.Model:
+    """The checkpoint ``args.model``, checked against the name dictionaries
+    of the augmented store: their sizes, then their digests."""
     m = model.load(args.model)
-    if m.n_entities != store.n_entities or m.n_relations != store.n_relations:
+    if m.n_entities != len(entity_names) or m.n_relations != len(relation_names):
         raise DigestMismatchError(
             f"checkpoint was trained on {m.n_entities} entities / "
-            f"{m.n_relations} relations, store has {store.n_entities} / "
-            f"{store.n_relations}"
+            f"{m.n_relations} relations, store has {len(entity_names)} / "
+            f"{len(relation_names)}"
         )
     for kind, stored, names in (
-        ("entity", m.entity_digest, store.entity_names),
-        ("relation", m.relation_digest, store.relation_names),
+        ("entity", m.entity_digest, entity_names),
+        ("relation", m.relation_digest, relation_names),
     ):
         if stored and stored != model.dictionary_digest(names):
             raise DigestMismatchError(
@@ -293,7 +298,7 @@ def cmd_eval(args) -> int:
         raise CliError(f"--threads must be >= 1, got {args.threads}")
     store = _load_store(args)
     store = kgdata.augment_inverse(store)
-    m = _load_model_for_store(args, store)
+    m = _load_model_for_store(args, store.entity_names, store.relation_names)
     filter_splits = tuple(s.strip() for s in args.filter.split(",") if s.strip())
     for s in filter_splits:
         if s not in kgdata.SPLITS:
@@ -309,11 +314,11 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _resolve_name(name: str, lookup, names: list[str], kind: str) -> int:
-    """Id of ``name`` via the store's ``lookup``, with close-match hints."""
+def _resolve_name(name: str, names: list[str], kind: str) -> int:
+    """Id of ``name`` in ``names``, with close-match hints."""
     try:
-        return lookup(name)
-    except IdLookupError:
+        return names.index(name)
+    except ValueError:
         close = difflib.get_close_matches(name, names, n=3)
         hint = f"; close matches: {', '.join(close)}" if close else ""
         raise NameLookupError(f"unknown {kind} {name!r}{hint}") from None
@@ -335,14 +340,16 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
 def cmd_predict(args) -> int:
     if args.topk < 1:
         raise CliError(f"--topk must be >= 1, got {args.topk}")
-    store = _load_store(args)
-    store = kgdata.augment_inverse(store)
-    m = _load_model_for_store(args, store)
-    h = _resolve_name(args.head, store.entity_id, store.entity_names, "entity")
-    r = _resolve_name(args.rel, store.relation_id, store.relation_names, "relation")
+    # only the names: the checkpoint's digests tie them to the training data
+    entities, relations, n_seen = kgdata.load_names(args.train, args.valid, args.test)
+    _note_test_only(len(entities) - n_seen)
+    relations = relations + kgdata.inverse_names(relations)
+    m = _load_model_for_store(args, entities, relations)
+    h = _resolve_name(args.head, entities, "entity")
+    r = _resolve_name(args.rel, relations, "relation")
     scores = model.score_candidates(m, h, r)
     for t in top_k(scores, args.topk):
-        print(f"{store.entity_names[int(t)]}\t{scores[int(t)]:.6f}")
+        print(f"{entities[int(t)]}\t{scores[int(t)]:.6f}")
     return EXIT_OK
 
 

@@ -79,8 +79,10 @@ def filtered_rank(
 
     rank = 1 + #{ e != t unfiltered with not score(h, r, e) < score(h, r, t) }.
     """
-    h, r, t = (int(v) for v in triple)
-    check_ids(t, m.n_entities, "entity")
+    h, r, t = triple
+    check_ids([h, t], m.n_entities, "entity")
+    check_ids(r, m.n_relations, "relation")
+    h, r, t = int(h), int(r), int(t)
     if _index is None:  # standalone: index this query's pair only
         _index = build_filter_index(store, filter_splits, keys=[(h, r)])
     scores = score_candidates(m, h, r, tails=_tails)

@@ -1,7 +1,8 @@
 """Triple stores: loading, inverse augmentation, graph statistics, synthesis.
 
 Input files are UTF-8 TSV with one ``head<TAB>relation<TAB>tail`` triple per
-line (LF or CRLF endings, no header; a leading byte order mark is skipped).
+line (LF or CRLF endings, no header; a leading byte order mark is skipped;
+bytes that are not UTF-8 are an error at their line).
 Dictionaries number the deduplicated train, valid and test splits, in that
 order, by first appearance, so ids are dense and stable for a fixed input.
 Stores are treated as immutable after construction; :func:`augment_inverse`
@@ -13,8 +14,10 @@ both ``x`` and ``x_inv`` is refused.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -86,19 +89,72 @@ class TripleStore:
         return np.concatenate([self.train, self.valid, self.test], axis=0)
 
 
+#: the characters that ``errors="surrogateescape"`` decodes bytes outside UTF-8 to
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def text_lines(path: str):
+    """``(line number, line)`` for each line of a UTF-8 text file, ending
+    kept.  A line ends at LF, CRLF or a lone CR; a leading byte order mark
+    is skipped.  A line that is not valid UTF-8 raises :class:`ParseError`
+    naming the file and line."""
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.isascii() and _UNDECODED.search(line):
+                raise ParseError(path, lineno, "not valid UTF-8")
+            yield lineno, line
+
+
 def _parse_file(path: str) -> list[tuple[str, ...]]:
     """One ``(head, relation, tail)`` row per line, duplicates kept.  A
-    leading UTF-8 byte order mark is skipped.  A line without three
-    non-empty tab-separated fields once its LF or CRLF ending is stripped
-    raises :class:`ParseError` naming the file and line."""
+    line without three non-empty tab-separated fields once its LF or CRLF
+    ending is stripped raises :class:`ParseError` naming the file and line,
+    as does one that is not valid UTF-8."""
     rows: list[tuple[str, ...]] = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        for lineno, line in enumerate(fh, 1):
-            fields = tuple(line.rstrip("\r\n").split("\t"))
-            if len(fields) != 3 or "" in fields:
-                raise ParseError(path, lineno, "expected 3 tab-separated fields")
-            rows.append(fields)
+    for lineno, line in text_lines(path):
+        fields = tuple(line.rstrip("\r\n").split("\t"))
+        if len(fields) != 3 or "" in fields:
+            raise ParseError(path, lineno, "expected 3 tab-separated fields")
+        rows.append(fields)
     return rows
+
+
+def _read_fields(path: str) -> list[str]:
+    """The fields of a TSV file in file order, three per line: ``h0, r0, t0,
+    h1, ...``, duplicates kept.
+
+    The whole file is read once and checked in bulk: valid UTF-8, no CR,
+    and every line two tabs around three non-empty fields.  Any other file
+    goes through :func:`_parse_file`'s line loop, which reads CRLF and lone
+    CR endings and raises the :class:`ParseError` for a bad line."""
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    if not data:
+        return []
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero((buf == 9) | (buf == 10))  # the byte after each field
+    if (
+        b"\r" not in data
+        and ends.size % 3 == 0
+        and np.all(buf[ends].reshape(-1, 3) == (9, 9, 10))
+        and np.diff(ends, prepend=-1).min() > 1
+    ):
+        try:
+            return data[:-1].decode("utf-8").replace("\n", "\t").split("\t")
+        except UnicodeDecodeError:
+            pass
+    return [field for row in _parse_file(path) for field in row]
+
+
+def _read_splits(train_path, valid_path, test_path) -> list[list[str]]:
+    """:func:`_read_fields` of each given split (``[]`` for a missing one);
+    every file is read before an empty train split is refused."""
+    splits = [_read_fields(path) if path else [] for path in (train_path, valid_path, test_path)]
+    if not splits[0]:
+        raise EmptySplitError(f"{train_path}: train split is empty")
+    return splits
 
 
 def load_triples(
@@ -116,22 +172,16 @@ def load_triples(
     ones numbered last; they are allowed but recorded, sorted by name, in
     ``test_only_entities`` so callers can flag them.
     """
-    train, valid, test = (
-        list(dict.fromkeys(_parse_file(path))) if path else []
-        for path in (train_path, valid_path, test_path)
-    )
-    if not train:
-        raise EmptySplitError(f"{train_path}: train split is empty")
     entity_ids: dict[str, int] = {}
     relation_ids: dict[str, int] = {}
     arrays = []
-    for rows in (train, valid, test):
+    for fields in _read_splits(train_path, valid_path, test_path):
         n_seen = len(entity_ids)  # ends as the entity count before test
         ids = [
             (entity_ids.setdefault(h, len(entity_ids)),
              relation_ids.setdefault(r, len(relation_ids)),
              entity_ids.setdefault(t, len(entity_ids)))
-            for h, r, t in rows
+            for h, r, t in dict.fromkeys(zip(fields[0::3], fields[1::3], fields[2::3]))
         ]
         arrays.append(np.asarray(ids, dtype=np.int64).reshape(len(ids), 3))
     entity_names = list(entity_ids)
@@ -139,6 +189,37 @@ def load_triples(
         entity_names, list(relation_ids), *arrays,
         test_only_entities=sorted(entity_names[n_seen:]),
     )
+
+
+def load_names(
+    train_path: str,
+    valid_path: str | None = None,
+    test_path: str | None = None,
+) -> tuple[list[str], list[str], int]:
+    """``(entity names, relation names, entities seen before the test
+    split)`` of :func:`load_triples` on the same files, with the same
+    errors, without building the triples.  Deduplication keeps first
+    occurrences, so it never changes the first-seen order of names."""
+    entities: dict[str, None] = {}
+    relations: dict[str, None] = {}
+    for fields in _read_splits(train_path, valid_path, test_path):
+        n_seen = len(entities)
+        relations.update(dict.fromkeys(fields[1::3]))
+        del fields[1::3]  # heads and tails, interleaved in file order
+        entities.update(dict.fromkeys(fields))
+    return list(entities), list(relations), n_seen
+
+
+def inverse_names(relation_names: list[str]) -> list[str]:
+    """The inverse relation's name for each of ``relation_names``, in order
+    (``x`` -> ``x_inv``).  A relation named like an inverse, ``x`` beside
+    ``x_inv``, raises :class:`PreconditionError`."""
+    inverses = [name + INVERSE_SUFFIX for name in relation_names]
+    clash = sorted(set(inverses).intersection(relation_names))
+    if clash:
+        base = clash[0].removesuffix(INVERSE_SUFFIX)
+        raise PreconditionError(f"relation {clash[0]!r} clashes with the inverse of {base!r}")
+    return inverses
 
 
 def augment_inverse(store: TripleStore) -> TripleStore:
@@ -153,11 +234,7 @@ def augment_inverse(store: TripleStore) -> TripleStore:
     """
     if store.augmented:
         raise StateError("store is already augmented with inverse relations")
-    inverse_names = [name + INVERSE_SUFFIX for name in store.relation_names]
-    clash = sorted(set(inverse_names).intersection(store.relation_names))
-    if clash:
-        base = clash[0].removesuffix(INVERSE_SUFFIX)
-        raise PreconditionError(f"relation {clash[0]!r} clashes with the inverse of {base!r}")
+    inverses = inverse_names(store.relation_names)
     n_base = store.n_relations
     def reverse(arr: np.ndarray) -> np.ndarray:
         if arr.size == 0:
@@ -166,7 +243,7 @@ def augment_inverse(store: TripleStore) -> TripleStore:
         return np.concatenate([arr, rev], axis=0)
     return TripleStore(
         entity_names=list(store.entity_names),
-        relation_names=list(store.relation_names) + inverse_names,
+        relation_names=list(store.relation_names) + inverses,
         train=reverse(store.train),
         valid=reverse(store.valid),
         test=reverse(store.test),

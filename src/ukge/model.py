@@ -114,8 +114,11 @@ class Model:
 
 def check_ids(ids, n: int, kind: str) -> None:
     """Raise :class:`IdLookupError` naming the first of ``ids`` (an id or an
-    array of them) that lies outside ``[0, n)``."""
+    array of them) that lies outside ``[0, n)``, or when they are not of an
+    integer type (``bool`` and ``float`` are not)."""
     ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu" and ids.size:
+        raise IdLookupError(f"{kind} ids must be integers, got {ids.dtype}")
     bad = ids[(ids < 0) | (ids >= n)]
     if bad.size:
         raise IdLookupError(f"{kind} id {bad.flat[0]} out of range [0, {n})")
@@ -123,12 +126,16 @@ def check_ids(ids, n: int, kind: str) -> None:
 
 def check_store(m: Model, store) -> None:
     """Raise :class:`IdLookupError` when ``store`` numbers more entities or
-    relations than ``m`` has rows for."""
+    relations than ``m`` has rows for, or a triple of a split holds an id
+    outside the store's dictionaries."""
     if store.n_entities > m.n_entities or store.n_relations > m.n_relations:
         raise IdLookupError(
             f"store has {store.n_entities} entities / {store.n_relations} "
             f"relations, model {m.n_entities} / {m.n_relations}"
         )
+    for split in (store.train, store.valid, store.test):
+        check_ids(split[:, ::2], store.n_entities, "entity")
+        check_ids(split[:, 1], store.n_relations, "relation")
 
 
 def dictionary_digest(names: list[str]) -> str:
@@ -230,8 +237,9 @@ def candidate_tails(m: Model, candidates=None) -> tuple:
     if candidates is None:
         cand = np.arange(m.n_entities)
     else:
-        cand = np.asarray(candidates, dtype=np.int64)
+        cand = np.asarray(candidates)
         check_ids(cand, m.n_entities, "entity")
+        cand = cand.astype(np.int64, copy=False)
     z_t = m.entities[cand]
     if m.geometry == "ultra":
         z_t = geometry.point_terms(geometry.phi(z_t, m.sig), m.sig)

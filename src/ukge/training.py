@@ -225,19 +225,19 @@ def _summed_loss(m: Model, pos: np.ndarray, neg: np.ndarray):
 
 def _as_batch(m: Model, positives, negatives, caller: str) -> tuple[np.ndarray, np.ndarray]:
     """(N, 3) positives and (N, k, 3) negatives, k = 0 when none are given;
-    an id outside ``m`` raises :class:`IdLookupError`."""
-    pos = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
+    an id outside ``m``, or not an integer, raises :class:`IdLookupError`."""
+    pos = np.asarray(positives).reshape(-1, 3)
     if pos.shape[0] == 0:
         raise EmptySplitError(f"{caller}: batch holds no positive triples")
     neg = (
-        np.asarray(negatives, dtype=np.int64).reshape(pos.shape[0], -1, 3)
+        np.asarray(negatives).reshape(pos.shape[0], -1, 3)
         if negatives is not None and np.asarray(negatives).size
         else np.empty((pos.shape[0], 0, 3), dtype=np.int64)
     )
-    ids = np.concatenate([pos, neg.reshape(-1, 3)])
-    check_ids(ids[:, ::2], m.n_entities, "entity")
-    check_ids(ids[:, 1], m.n_relations, "relation")
-    return pos, neg
+    for ids in (pos, neg.reshape(-1, 3)):
+        check_ids(ids[:, ::2], m.n_entities, "entity")
+        check_ids(ids[:, 1], m.n_relations, "relation")
+    return pos.astype(np.int64, copy=False), neg.astype(np.int64, copy=False)
 
 
 def bce_loss(m: Model, positives: np.ndarray, negatives: np.ndarray | None = None) -> float:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ukge import model
+from ukge import kgdata, model
 from ukge.cli import (
     EXIT_INPUT,
     EXIT_LOOKUP,
@@ -29,6 +29,7 @@ from ukge.cli import (
     merge_options,
     top_k,
 )
+from ukge.errors import ParseError
 from ukge.geometry import Signature
 
 
@@ -80,6 +81,25 @@ class TestSynthAndStats:
     def test_missing_file_is_input_error(self, capsys):
         assert main(["stats", "--train", "/nonexistent.tsv"]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    @pytest.mark.parametrize("command", ["stats", "train", "predict"])
+    def test_non_utf8_tsv_is_input_error(self, tmp_path, capsys, bom, command):
+        """Reported at ``path:line``; it used to be a UnicodeDecodeError
+        traceback with exit 1."""
+        data = tmp_path / "bad.tsv"
+        data.write_bytes(bom + b"a\tr\tb\n\xff\tr\tc\n")
+        argv = {
+            "stats": ["stats", "--train", str(data)],
+            "train": ["train", "--train", str(data), "--out", str(tmp_path / "m.ukge"),
+                      "--dim", "4", "--time-dims", "2", "--epochs", "1"],
+            "predict": ["predict", "--model", str(tmp_path / "m.ukge"), "--train", str(data),
+                        "--head", "a", "--rel", "r"],
+        }[command]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {data}:2: not valid UTF-8\n"
 
 
 class TestTrain:
@@ -228,6 +248,18 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"\xef\xbb\xbfepochs = 7\n")
         assert load_config_file(str(cfg)) == {"epochs": 7}
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_non_utf8_reports_location(self, tmp_path, capsys, bom):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(bom + b"epochs = 1\n\xff = 2\n")
+        with pytest.raises(ParseError) as exc:
+            load_config_file(str(cfg))
+        assert str(exc.value) == f"{cfg}:2: not valid UTF-8"
+        rc = main(["train", "--train", "unread.tsv", "--out", str(tmp_path / "m.ukge"),
+                   "--config", str(cfg)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {cfg}:2: not valid UTF-8\n"
 
     def test_unknown_key_reports_location(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -540,6 +572,58 @@ class TestEvalAndPredict:
         ])
         assert rc == EXIT_OK
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+    def test_predict_reads_no_triples(self, workdir, capsys, monkeypatch):
+        """``predict`` needs only the name dictionaries: it never builds a
+        store, and prints what it printed when it did."""
+        from ukge import kgdata
+
+        argv = [
+            "predict", "--model", workdir["ckpt"],
+            "--train", f"{workdir['data']}/train.tsv",
+            "--valid", f"{workdir['data']}/valid.tsv",
+            "--test", f"{workdir['data']}/test.tsv",
+            "--head", "n7", "--rel", "isa_inv", "--topk", "5",
+        ]
+        assert main(argv) == EXIT_OK
+        expected = capsys.readouterr()
+
+        def no_store(*args, **kwargs):
+            raise AssertionError("built a triple store")
+
+        monkeypatch.setattr(kgdata, "load_triples", no_store)
+        monkeypatch.setattr(kgdata, "augment_inverse", no_store)
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == expected
+        assert len(expected.out.splitlines()) == 5
+
+    def test_predict_on_crlf_bom_copy_prints_the_same(self, tmp_path, capsys):
+        """Line endings and a byte order mark change no output, the note on
+        test-only entities included."""
+        texts = {"train": "a\tr\tb\nb\ts\tc\nc\tr\ta\n", "valid": "b\tr\ta\n",
+                 "test": "c\ts\td\n"}
+        outputs = []
+        for copy, encode in (
+            ("lf", lambda t: t.encode("utf-8")),
+            ("crlf-bom", lambda t: b"\xef\xbb\xbf" + t.replace("\n", "\r\n").encode("utf-8")),
+        ):
+            paths = []
+            for split, text in texts.items():
+                paths += [f"--{split}", str(tmp_path / f"{copy}-{split}.tsv")]
+                (tmp_path / f"{copy}-{split}.tsv").write_bytes(encode(text))
+            if copy == "lf":  # one checkpoint, trained on the LF names
+                store = kgdata.augment_inverse(kgdata.load_triples(*paths[1::2]))
+                ckpt = str(tmp_path / "m.ukge")
+                model.save(model.init(
+                    Signature(2, 2), store.n_entities, store.n_relations, seed=1,
+                    entity_digest=model.dictionary_digest(store.entity_names),
+                    relation_digest=model.dictionary_digest(store.relation_names),
+                ), ckpt)
+            rc = main(["predict", "--model", ckpt, *paths, "--head", "a", "--rel", "s_inv"])
+            outputs.append((rc, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].err == "note: 1 entities appear only in the test split\n"
+        assert len(outputs[0][1].out.splitlines()) == 4
 
     def test_predict_unknown_entity_suggests(self, workdir, capsys):
         rc = main([

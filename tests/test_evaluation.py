@@ -221,6 +221,25 @@ class TestEvaluate:
             with pytest.raises(IdLookupError, match="store has"):
                 evaluate(m, store)
 
+    @pytest.mark.parametrize("split", ["train", "valid", "test"])
+    @pytest.mark.parametrize("row, kind", [
+        ((1, 0, 5), "entity"), ((-1, 0, 2), "entity"), ((1, 2, 2), "relation"),
+    ])
+    def test_triple_ids_outside_the_store_rejected(self, split, row, kind):
+        """A hand-built store's triples are checked against its dictionaries
+        up front; ``(1, 0, 5)`` in a 4-entity store used to pass and then
+        raise a bare IndexError in ``filtered_rank``."""
+        m, _ = self.hand_setup()
+        rows = dict(train=[(1, 0, 3)], valid=[], test=[(1, 0, 0)])
+        rows[split] = rows[split] + [row]
+        with pytest.raises(IdLookupError, match=f"{kind} id -?[0-9]+ out of range"):
+            evaluate(m, ids_store(4, 2, **rows))
+
+    def test_float_triple_rejected(self):
+        m, store = self.hand_setup()
+        with pytest.raises(IdLookupError, match="must be integers"):
+            filtered_rank(m, store, (1, 0, 0.5))
+
     def test_valid_split_selectable(self):
         m, store = self.hand_setup()
         with pytest.raises(EmptySplitError):

@@ -26,9 +26,13 @@ from ukge.errors import (
 )
 from ukge.kgdata import (
     TripleStore,
+    _parse_file,
+    _read_fields,
     augment_inverse,
     hierarchy_scores,
+    inverse_names,
     krackhardt_score,
+    load_names,
     load_triples,
     make_synthetic,
     relation_counts,
@@ -200,6 +204,13 @@ class TestAugmentation:
         store = store_from([("a", r, "b") for r in relations])
         with pytest.raises(PreconditionError, match=repr(clash)):
             augment_inverse(store)
+        with pytest.raises(PreconditionError, match=repr(clash)):
+            inverse_names(relations)
+
+    def test_inverse_names_are_the_augmented_tail(self):
+        store = store_from([("a", "x", "b"), ("b", "y", "a")])
+        assert inverse_names(store.relation_names) == ["x_inv", "y_inv"]
+        assert augment_inverse(store).relation_names == ["x", "y", "x_inv", "y_inv"]
 
 
 def closure_khs(edges, n):
@@ -572,6 +583,133 @@ def load_oracle(splits):
     before_test = {name for rows in splits[:2] for h, _, t in rows for name in (h, t)}
     test_names = {name for h, _, t in splits[2] for name in (h, t)}
     return list(entities), list(relations), arrays, sorted(test_names - before_test)
+
+
+class TestNotUtf8:
+    """Bytes outside UTF-8 are an input error at their line, not a
+    UnicodeDecodeError traceback."""
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    @pytest.mark.parametrize("load", [load_triples, load_names])
+    def test_reported_at_its_line(self, tmp_path, bom, load):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(bom + b"a\tr\tb\n\xff\tr\tc\n")
+        with pytest.raises(ParseError) as exc:
+            load(str(path))
+        assert str(exc.value) == f"{path}:2: not valid UTF-8"
+
+    def test_a_bad_line_ahead_is_reported_first(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"a\tr\tb\r\na\tr\r\nb\tr\tc\n" * 100 + b"\xc3\tr\ta\n")
+        with pytest.raises(ParseError) as exc:
+            load_triples(str(path))
+        assert exc.value.line == 2
+        path.write_bytes(b"a\tr\tb\r\n" * 5000 + b"a\tr\t\xe2\x82\r\n")
+        with pytest.raises(ParseError, match=":5001: not valid UTF-8"):
+            load_triples(str(path))
+
+
+#: names without tab, LF or CR; the line loop ends lines at LF and CR only,
+#: so NEL, LS, FF and a BOM inside a line are parts of a name
+RAW_NAMES = ["a", "b", "c", "\u00e9", "x\x85", "\u2028", "\ufeffd", "e\x0cf"]
+
+
+@st.composite
+def raw_tsvs(draw):
+    """Bytes of a TSV file, mostly well-formed: LF, CRLF or mixed endings
+    with lone CRs, repeated rows, an optional BOM and final newline, and
+    now and then an empty line, a 2- or 4-field line, an empty field or a
+    byte that breaks UTF-8."""
+    style = draw(st.sampled_from(["lf", "lf", "crlf", "mixed"]))
+    endings = {"lf": ["\n"], "crlf": ["\r\n"], "mixed": ["\n", "\r\n", "\r"]}[style]
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        fields = [draw(st.sampled_from(RAW_NAMES)) for _ in range(3)]
+        flaw = draw(st.sampled_from([None] * 12 + ["two", "four", "empty", "blank"]))
+        if flaw == "two":
+            fields.pop()
+        elif flaw == "four":
+            fields.append("a")
+        elif flaw == "empty":
+            fields[draw(st.integers(0, 2))] = ""
+        elif flaw == "blank":
+            fields = []
+        lines.append("\t".join(fields) + draw(st.sampled_from(endings)))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(lines[-1])
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    data = "".join(lines).encode("utf-8")
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])) + data[at:]
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    return data
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+class TestWholeFileReader:
+    @settings(max_examples=300, deadline=None)
+    @given(data=raw_tsvs())
+    def test_matches_the_line_loop(self, data):
+        """The bulk check and split give the line loop's fields, and hand
+        every file it does not accept to the loop for the same error."""
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "t.tsv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            loop = outcome(lambda: [f for row in _parse_file(path) for f in row])
+            assert outcome(_read_fields, path) == loop
+
+    def test_bulk_path_skips_the_line_loop(self, tmp_path, monkeypatch):
+        import ukge.kgdata as kgdata
+
+        def no_loop(path):
+            raise AssertionError("took the line loop")
+
+        path = write(tmp_path / "t.tsv", "a\tr\tb\nb\tr\u00e9\tc")
+        monkeypatch.setattr(kgdata, "_parse_file", no_loop)
+        assert _read_fields(path) == ["a", "r", "b", "b", "r\u00e9", "c"]
+        assert _read_fields(write(tmp_path / "e.tsv", "")) == []
+
+
+class TestLoadNames:
+    @settings(max_examples=200, deadline=None)
+    @given(splits=st.lists(raw_tsvs(), min_size=3, max_size=3), given_=st.sampled_from(
+        [(True, True, True), (True, False, True), (True, True, False), (True, False, False)]
+    ))
+    def test_matches_load_triples(self, splits, given_):
+        """The names, their order and the test-only count of
+        :func:`load_triples`, or the same error with the same message."""
+        with tempfile.TemporaryDirectory() as root:
+            paths = []
+            for split, data, present in zip(("train", "valid", "test"), splits, given_):
+                paths.append(os.path.join(root, f"{split}.tsv") if present else None)
+                if present:
+                    with open(paths[-1], "wb") as fh:
+                        fh.write(data)
+            names = outcome(load_names, *paths)
+            store = outcome(load_triples, *paths)
+        if isinstance(store, TripleStore):
+            entities, relations, n_seen = names
+            assert entities == store.entity_names
+            assert relations == store.relation_names
+            assert sorted(entities[n_seen:]) == store.test_only_entities
+        else:
+            assert names == store
+
+    def test_test_only_entities_counted(self, tmp_path):
+        train = write(tmp_path / "tr.tsv", "a\tr\tb\n")
+        test = write(tmp_path / "te.tsv", "b\ts\tq\nz\tr\ta\n")
+        assert load_names(train, None, test) == (["a", "b", "q", "z"], ["r", "s"], 2)
 
 
 class TestLoadMatchesSpec:

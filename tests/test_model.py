@@ -116,6 +116,26 @@ class TestScoring:
         with pytest.raises(IdLookupError):
             candidate_tails(m, np.array([0, 2]))
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [1.7, 0.9, np.float64(0.0), True, np.array([0.0])])
+    def test_non_integer_ids_rejected(self, position, bad):
+        """A float or bool id is refused in every position, not truncated
+        (``score(m, 0, 0, 1.7)`` used to score tail 1)."""
+        m = tiny_model()
+        ids = [0, 0, 1]
+        ids[position] = bad
+        with pytest.raises(IdLookupError, match="must be integers"):
+            score(m, *ids)
+
+    def test_integer_types_accepted(self):
+        m = tiny_model()
+        expected = score(m, 0, 0, 1)
+        for ids in ((np.int32(0), np.uint8(0), np.int64(1)), (np.array(0), 0, np.array(1))):
+            assert score(m, *ids) == expected
+        np.testing.assert_array_equal(
+            candidate_tails(m, np.array([1], dtype=np.uint16))[1], candidate_tails(m, [1])[1]
+        )
+
     def test_euclidean_distance_path(self):
         m = tiny_model(
             geometry="euclidean",

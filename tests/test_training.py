@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,6 +129,17 @@ class TestLoss:
         m = identity_model(n_entities=2)
         for loss_or_grads in (bce_loss, gradients):
             with pytest.raises(IdLookupError, match="id -?[0-9]+ out of range"):
+                loss_or_grads(m, pos, neg)
+
+    @pytest.mark.parametrize("pos,neg", [
+        ([[0, 0, 1.5]], None),  # would score tail 1
+        ([[0, 0, 0]], [[[0, 0.5, 1]]]),
+        (np.array([[True, False, True]]), None),
+    ])
+    def test_non_integer_ids_rejected(self, pos, neg):
+        m = identity_model(n_entities=2)
+        for loss_or_grads in (bce_loss, gradients):
+            with pytest.raises(IdLookupError, match="must be integers"):
                 loss_or_grads(m, pos, neg)
 
 
@@ -391,6 +403,13 @@ class TestFit:
             small = init(m.sig, n_entities, n_relations, seed=0)
             with pytest.raises(IdLookupError, match="store has"):
                 fit(small, store, cfg)
+
+    def test_triple_ids_outside_the_store_rejected(self):
+        m, store = synth_setup()
+        bad = store.train.copy()
+        bad[0, 2] = store.n_entities
+        with pytest.raises(IdLookupError, match=f"entity id {store.n_entities} out of range"):
+            fit(m, replace(store, train=bad), TrainConfig(epochs=1, batch_size=8, neg_samples=2))
 
     def test_empty_train_split(self):
         m, store = synth_setup()
