@@ -22,6 +22,19 @@ production module imports it.  The global margin ``delta`` is a
 hyperparameter: its gradient is reported by :func:`gradients` but
 :func:`fit` never updates it.
 
+A batch is scored in blocks of positives, each with its negatives, of about
+:data:`BLOCK_ROWS` scored rows, so that the hundred or so elementwise passes
+of the forward and VJP stages run on cache-sized arrays.  Every stage is
+row-wise, so a block's per-row results are those of one pass over the whole
+batch; they are written into the batch's row order, and the loss sums and
+the gradient scatters then run once over those arrays.  Each float
+operation is thus the unblocked pass's, in its order, and the block size
+moves no bit of the loss or the gradients.  The one batch-wide step of the
+forward, the ``EPS_TIME`` bump of :func:`geometry.phi_forward`, adds
+``+0.0`` to the other rows of its block; that changes only an exact
+``-0.0`` time coordinate into ``+0.0``, a sign of zero that no later
+operation turns into a different value.
+
 Determinism: given a seed and fixed worker partitioning, shuffles, negative
 draws, loss traces, and final parameters are reproducible bit for bit.
 Multi-threaded batches shard rows in fixed order, so a given thread count is
@@ -37,6 +50,7 @@ import numpy as np
 from . import geometry, operators
 from .errors import (
     ConfigurationError,
+    DimensionError,
     DivergenceError,
     EmptySplitError,
     NonFiniteGradientError,
@@ -46,6 +60,10 @@ from .model import Model, apply_time_guard, check_ids, check_store, check_thread
 from .model import map_row_blocks, parameters
 
 PROB_CLAMP = 1e-12
+
+# Scored rows per block of _summed_loss: a block's (rows x d) float64
+# intermediates (512 KB at d = 32) stay in a core's L2 cache.
+BLOCK_ROWS = 2048
 
 PARAM_FAMILIES = ("entity_space", "entity_time", "biases", "theta", "phi", "mu", "delta")
 
@@ -120,7 +138,7 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 def _loss_sum(m: Model, params: dict, pos: np.ndarray, neg: np.ndarray):
     """Unnormalised loss sum -(sum log p + sum log(1 - p~)) of a batch scored
     on the plain arrays ``params`` (:func:`parameters`), and the intermediates
-    :func:`_loss_grads` reads.
+    :func:`_row_grads` reads.
 
     The scores are those of the tape oracle (``tests/tape_oracle.py``), bit
     for bit: the same stages run here in the same order, keeping what their
@@ -150,10 +168,16 @@ def _loss_sum(m: Model, params: dict, pos: np.ndarray, neg: np.ndarray):
     b_h, b_t = params["biases"][h, 0], params["biases"][t, 1]
     prob = _sigmoid(-dist * dist + b_h + b_t + params["delta"])
     p = np.clip(prob, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return _log_loss(p, n_pos), (h, r, t, n_pos, p, prob, dist, ops, side)
+
+
+def _log_loss(p: np.ndarray, n_pos: int):
+    """-(sum log p + sum log(1 - p~)) of clamped probabilities, the
+    ``n_pos`` positives first."""
     total = -np.sum(np.log(p[:n_pos]))
-    if neg.size:
+    if p.shape[0] > n_pos:
         total = total - np.sum(np.log(1.0 - p[n_pos:]))
-    return total, (h, r, t, n_pos, p, prob, dist, ops, side)
+    return total
 
 
 def _scatter_rows(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
@@ -166,16 +190,17 @@ def _scatter_rows(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
     )
 
 
-def _loss_grads(m: Model, saved) -> dict[str, np.ndarray]:
-    """Gradient of :func:`_loss_sum`'s total per family of
-    :func:`parameters`, from its intermediates ``saved``.
+def _row_grads(m: Model, saved):
+    """Per-row gradients of :func:`_loss_sum`'s total, from its
+    intermediates ``saved``: ``(g_score, g_head, g_tail, g_theta, g_phi,
+    g_mu)``, one row per scored triple in the order :func:`_loss_sum` stacks
+    them (``g_mu`` is None where the boosts are pinned).
 
     The VJPs run in reverse: probability clamp and sigmoid, score, distance,
-    the operator's U, H and V stages, ``phi``, then one scatter per gathered
-    family.  Each replays, in order, the operations that the autodiff tape
-    records when the oracle of ``tests/tape_oracle.py`` scores on tensor
-    leaves, so the gradients equal the tape's bit for bit.  Clamped values
-    pass zero gradient.
+    the operator's U, H and V stages, then ``phi``.  Each replays, in order,
+    the operations that the autodiff tape records when the oracle of
+    ``tests/tape_oracle.py`` scores on tensor leaves, so the gradients equal
+    the tape's bit for bit.  Clamped values pass zero gradient.
     """
     sig = m.sig
     h, r, t, n_pos, p, prob, dist, ops, side = saved
@@ -203,37 +228,72 @@ def _loss_grads(m: Model, saved) -> dict[str, np.ndarray]:
     if m.geometry == "ultra":
         g_head = geometry.phi_vjp(phi_h, g_head, sig)
         g_tail = geometry.phi_vjp(phi_t, g_tail, sig)
-    n, k = m.n_entities, m.n_relations
-    return {
-        "entities": _scatter_rows(h, g_head, n) + _scatter_rows(t, g_tail, n),
-        "biases": np.stack(
-            [np.bincount(h, g_score, n), np.bincount(t, g_score, n)], axis=1
-        ),
-        "theta": _scatter_rows(r, g_theta, k),
-        "phi": _scatter_rows(r, g_phi, k),
-        "mu": np.zeros_like(m.mu) if g_mu is None else _scatter_rows(r, g_mu, k),
-        "delta": g_score.sum(),
-    }
+    return g_score, g_head, g_tail, g_theta, g_phi, g_mu
 
 
 def _summed_loss(m: Model, pos: np.ndarray, neg: np.ndarray):
     """Unnormalised loss of one batch and its gradient per family of
-    :func:`parameters` (zeros for families the loss does not reach)."""
-    total, saved = _loss_sum(m, parameters(m), pos, neg)
-    return float(total), _loss_grads(m, saved)
+    :func:`parameters` (zeros for families the loss does not reach).
+
+    The batch is scored in blocks of :data:`BLOCK_ROWS` rows (module
+    docstring).  Each block's probabilities and per-row gradients land in
+    batch order, positives first; the loss sums and the scatters then run
+    once over the whole batch, as on one unblocked pass.
+    """
+    params = parameters(m)
+    n_pos, k = neg.shape[:2]
+    step = max(1, BLOCK_ROWS // (k + 1))
+    rows = None
+    for i in range(0, n_pos, step):
+        j = min(i + step, n_pos)
+        _, saved = _loss_sum(m, params, pos[i:j], neg[i:j])
+        block = (saved[4],) + _row_grads(m, saved)
+        if rows is None:
+            rows = [None if b is None else np.empty((n_pos * (k + 1),) + b.shape[1:])
+                    for b in block]
+        for out, b in zip(rows, block):
+            if out is not None:
+                out[i:j] = b[: j - i]
+                out[n_pos + i * k : n_pos + j * k] = b[j - i :]
+    p, g_score, g_head, g_tail, g_theta, g_phi, g_mu = rows
+    stacked = np.concatenate([pos, neg.reshape(-1, 3)], axis=0)
+    h, r, t = stacked[:, 0], stacked[:, 1], stacked[:, 2]
+    n, n_rel = m.n_entities, m.n_relations
+    return float(_log_loss(p, n_pos)), {
+        "entities": _scatter_rows(h, g_head, n) + _scatter_rows(t, g_tail, n),
+        "biases": np.stack(
+            [np.bincount(h, g_score, n), np.bincount(t, g_score, n)], axis=1
+        ),
+        "theta": _scatter_rows(r, g_theta, n_rel),
+        "phi": _scatter_rows(r, g_phi, n_rel),
+        "mu": np.zeros_like(m.mu) if g_mu is None else _scatter_rows(r, g_mu, n_rel),
+        "delta": g_score.sum(),
+    }
 
 
 def _as_batch(m: Model, positives, negatives, caller: str) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 3) positives and (N, k, 3) negatives, k = 0 when none are given;
-    an id outside ``m``, or not an integer, raises :class:`IdLookupError`."""
-    pos = np.asarray(positives).reshape(-1, 3)
+    """(N, 3) positives and (N, k, 3) negatives, k = 0 when none are given.
+
+    Positives that are not whole triples, or negatives that are not whole
+    triples for each positive, raise :class:`DimensionError`; an id outside
+    ``m``, or not an integer, raises :class:`IdLookupError`."""
+    pos = np.asarray(positives)
+    if pos.size % 3:
+        raise DimensionError(
+            f"{caller}: positives of shape {pos.shape} are not whole (h, r, t) triples"
+        )
+    pos = pos.reshape(-1, 3)
     if pos.shape[0] == 0:
         raise EmptySplitError(f"{caller}: batch holds no positive triples")
-    neg = (
-        np.asarray(negatives).reshape(pos.shape[0], -1, 3)
-        if negatives is not None and np.asarray(negatives).size
-        else np.empty((pos.shape[0], 0, 3), dtype=np.int64)
-    )
+    neg = np.asarray([] if negatives is None else negatives)
+    if neg.size % (3 * pos.shape[0]):
+        raise DimensionError(
+            f"{caller}: negatives of shape {neg.shape} do not split into the same "
+            f"number of (h, r, t) triples for each of {pos.shape[0]} positives"
+        )
+    if not neg.size:
+        neg = np.empty((pos.shape[0], 0, 3), dtype=np.int64)
+    neg = neg.reshape(pos.shape[0], -1, 3)
     for ids in (pos, neg.reshape(-1, 3)):
         check_ids(ids[:, ::2], m.n_entities, "entity")
         check_ids(ids[:, 1], m.n_relations, "relation")
@@ -280,16 +340,29 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros(s) for k, s in shapes.items()}
         self.v = {k: np.zeros(s) for k, s in shapes.items()}
+        self._work = {k: (np.empty(s), np.empty(s)) for k, s in shapes.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        """One update in place, with the operations and rounding of
+        ``m = b1 * m + (1 - b1) * g``, ``v = b2 * v + (1 - b2) * g * g`` and
+        ``p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)``."""
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
         for k, p in params.items():
-            g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            p -= self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.eps)
+            g, m, v = grads[k], self.m[k], self.v[k]
+            a, b = self._work[k]
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, g, out=a)
+            v *= self.beta2
+            np.multiply(1.0 - self.beta2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, b1c, out=a)
+            a *= self.lr
+            np.divide(v, b2c, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            p -= np.divide(a, b, out=a)
 
 
 class Adagrad:
@@ -299,12 +372,19 @@ class Adagrad:
         self.lr = lr
         self.eps = eps
         self.acc = {k: np.zeros(s) for k, s in shapes.items()}
+        self._work = {k: (np.empty(s), np.empty(s)) for k, s in shapes.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        """One update in place, with the operations and rounding of
+        ``acc += g * g`` and ``p -= lr * g / (sqrt(acc) + eps)``."""
         for k, p in params.items():
-            g = grads[k]
-            self.acc[k] += g * g
-            p -= self.lr * g / (np.sqrt(self.acc[k]) + self.eps)
+            g, acc = grads[k], self.acc[k]
+            a, b = self._work[k]
+            acc += np.multiply(g, g, out=a)
+            np.multiply(self.lr, g, out=a)
+            np.sqrt(acc, out=b)
+            b += self.eps
+            p -= np.divide(a, b, out=a)
 
 
 OPTIMIZERS = {"adam": Adam, "adagrad": Adagrad}

@@ -209,3 +209,69 @@ class TestNoTape:
         monkeypatch.setattr(autodiff.Tensor, "__init__", no_tape)
         assert np.isfinite(training.bce_loss(m, pos, neg))
         assert all(np.all(np.isfinite(g)) for g in training.gradients(m, pos, neg).values())
+
+
+class TestBlocks:
+    """``_summed_loss`` scores a batch in blocks of ``BLOCK_ROWS`` scored
+    rows; the block size must not move a bit of the loss or the gradients."""
+
+    @staticmethod
+    def block_rows(monkeypatch, positives, k):
+        """Blocks of ``positives`` positives with their ``k`` negatives."""
+        monkeypatch.setattr(training, "BLOCK_ROWS", positives * (k + 1))
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("operator", OPERATORS)
+    @pytest.mark.parametrize("positives", [1, 4])  # 30 = 7 x 4 + a ragged 2
+    def test_kernel_equals_tape_in_blocks(self, monkeypatch, geometry, operator, positives):
+        rng = np.random.default_rng([positives, OPERATORS.index(operator)])
+        m = random_model(Signature(4, 2), geometry, operator, rng)
+        pos, neg = random_batch(m, rng, 30, 5)
+        self.block_rows(monkeypatch, positives, 5)
+        assert_kernel_equals_tape(m, pos, neg)
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_no_negatives(self, monkeypatch, geometry):
+        rng = np.random.default_rng(11)
+        m = random_model(Signature(4, 2), geometry, "rotref", rng)
+        pos, neg = random_batch(m, rng, 10, 0)
+        assert neg.shape == (10, 0, 3)
+        self.block_rows(monkeypatch, 3, 0)
+        assert_kernel_equals_tape(m, pos, neg)
+
+    def test_ids_repeated_across_blocks(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        m = random_model(Signature(4, 2), "ultra", "rotref", rng, n_entities=3)
+        pos = np.array([[0, 0, 1], [1, 0, 0], [0, 0, 1], [2, 1, 2], [0, 0, 1]])
+        neg = np.tile(np.array([[[0, 0, 2], [1, 0, 1]]]), (5, 1, 1))
+        self.block_rows(monkeypatch, 1, 2)
+        assert_kernel_equals_tape(m, pos, neg)
+
+    def test_time_bump_and_negative_zero_in_different_blocks(self, monkeypatch):
+        """The ``EPS_TIME`` bump adds ``+0.0`` to every other row of its
+        block, which turns an exact ``-0.0`` time coordinate into ``+0.0``
+        on the tape's one batch but not in the kernel's other block."""
+        m = plain_model(
+            [[0.3, -0.2, 1e-10, 0.0], [0.1, 0.4, 0.8, 0.6], [-0.5, 0.2, -0.0, 1.0]],
+            operator="rotref", angles=0.7, mu=0.3,
+        )
+        assert np.linalg.norm(m.entities[0, 2:]) < EPS_TIME
+        assert np.signbit(m.entities[2, 2])
+        pos = np.array([[0, 0, 1], [2, 0, 1]])
+        neg = np.array([[[0, 0, 0], [1, 0, 0]], [[2, 0, 2], [1, 0, 2]]])
+        self.block_rows(monkeypatch, 1, 2)
+        assert_kernel_equals_tape(m, pos, neg)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_batch_grads_equal_unblocked(self, monkeypatch, threads):
+        rng = np.random.default_rng(13)
+        m = random_model(Signature(6, 2), "ultra", "rotref", rng, n_entities=20)
+        pos, neg = random_batch(m, rng, 41, 4)
+        monkeypatch.setattr(training, "BLOCK_ROWS", 10**9)
+        loss, grads = training._batch_grads(m, pos, neg, threads)
+        self.block_rows(monkeypatch, 3, 4)
+        blocked_loss, blocked_grads = training._batch_grads(m, pos, neg, threads)
+        assert blocked_loss == loss
+        assert list(blocked_grads) == list(grads)
+        for name, expected in grads.items():
+            assert np.array_equal(blocked_grads[name], expected), name

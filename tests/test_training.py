@@ -11,6 +11,7 @@ import pytest
 from ukge.cli import TRAIN_OPTIONS, train_config
 from ukge.errors import (
     ConfigurationError,
+    DimensionError,
     DivergenceError,
     EmptySplitError,
     IdLookupError,
@@ -20,6 +21,7 @@ from ukge.geometry import EPS_TIME, Signature
 from ukge.kgdata import augment_inverse, make_synthetic
 from ukge.model import Model, init
 from ukge.training import (
+    OPTIMIZERS,
     Adagrad,
     Adam,
     PARAM_FAMILIES,
@@ -142,6 +144,17 @@ class TestLoss:
             with pytest.raises(IdLookupError, match="must be integers"):
                 loss_or_grads(m, pos, neg)
 
+    @pytest.mark.parametrize("pos,neg,shape", [
+        ([0, 0, 1, 2], None, r"positives of shape \(4,\)"),
+        ([[0, 0, 1], [1, 0, 2]], [[0, 0, 2]] * 3, r"negatives of shape \(3, 3\)"),
+        ([[0, 0, 1]], [0, 0], r"negatives of shape \(2,\)"),
+    ])
+    def test_malformed_batch_shapes_rejected(self, pos, neg, shape):
+        m = identity_model(n_entities=3)
+        for loss_or_grads in (bce_loss, gradients):
+            with pytest.raises(DimensionError, match=shape):
+                loss_or_grads(m, pos, neg)
+
 
 def finite_difference_grads(m, pos, neg, h=1e-5):
     """Central differences of the batch loss in every parameter family."""
@@ -257,6 +270,34 @@ class TestOptimizers:
         opt.step(p, {"w": np.array([0.0])})
         assert opt.t == 2
         assert_close(opt.m["w"], [0.09], rtol=1e-12)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "adagrad"])
+    def test_in_place_steps_match_the_plain_formulas(self, optimizer):
+        """The allocation-free steps keep every operation and operand order
+        of the textbook updates, so they match them bit for bit."""
+        rng = np.random.default_rng(21)
+        shapes = {"w": (40, 8), "b": (40, 2), "s": (3,)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref = {k: v.copy() for k, v in params.items()}
+        opt = OPTIMIZERS[optimizer](shapes, lr=5e-3)
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        b1, b2 = 0.9, 0.999
+        for t in range(1, 41):
+            grads = {k: rng.normal(0.0, 10.0 ** rng.integers(-6, 3), s)
+                     for k, s in shapes.items()}
+            opt.step(params, grads)
+            for k, g in grads.items():
+                if optimizer == "adam":
+                    b1c, b2c = 1.0 - b1**t, 1.0 - b2**t
+                    m[k] = b1 * m[k] + (1.0 - b1) * g
+                    v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                    ref[k] -= 5e-3 * (m[k] / b1c) / (np.sqrt(v[k] / b2c) + 1e-8)
+                else:
+                    v[k] += g * g
+                    ref[k] -= 5e-3 * g / (np.sqrt(v[k]) + 1e-10)
+            for k in shapes:
+                assert np.array_equal(params[k], ref[k]), (t, k)
 
 
 def synth_setup(geometry="ultra", operator="rot", seed=0):
