@@ -18,8 +18,9 @@ bound ``TrainConfig.validate`` states), or a key set twice, is an input
 error at ``path:line``.  A negative ``seed`` (also for ``synth``) or
 ``eval_every``, a non-finite ``margin`` or an ``alpha`` that is not
 positive and finite is an input error from a flag or the file, as is
-``eval --threads`` or ``predict --topk`` below 1; all are raised before any
-TSV is read.  Data holding both ``x`` and ``x_inv``, the name of the
+``eval --threads`` or ``predict --topk`` below 1, or an ``eval --filter``
+split that is not ``train``, ``valid`` or ``test``; all are raised before
+any TSV is read.  Data holding both ``x`` and ``x_inv``, the name of the
 inverse of ``x``, is an input error too, as is a TSV or config-file line
 that is not valid UTF-8.  ``predict`` reads only the names from the TSVs.
 """
@@ -296,13 +297,13 @@ def _load_model_for_store(
 def cmd_eval(args) -> int:
     if args.threads < 1:
         raise CliError(f"--threads must be >= 1, got {args.threads}")
-    store = _load_store(args)
-    store = kgdata.augment_inverse(store)
-    m = _load_model_for_store(args, store.entity_names, store.relation_names)
     filter_splits = tuple(s.strip() for s in args.filter.split(",") if s.strip())
     for s in filter_splits:
         if s not in kgdata.SPLITS:
             raise CliError(f"unknown filter split {s!r}")
+    store = _load_store(args)
+    store = kgdata.augment_inverse(store)
+    m = _load_model_for_store(args, store.entity_names, store.relation_names)
     report = evaluation.evaluate(
         m, store, split="test", filter_splits=filter_splits, threads=args.threads
     )

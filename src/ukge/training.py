@@ -22,7 +22,7 @@ production module imports it.  The global margin ``delta`` is a
 hyperparameter: its gradient is reported by :func:`gradients` but
 :func:`fit` never updates it.
 
-A batch is scored in blocks of positives, each with its negatives, of about
+A batch is scored in blocks of positives, each with its negatives, of at most
 :data:`BLOCK_ROWS` scored rows, so that the hundred or so elementwise passes
 of the forward and VJP stages run on cache-sized arrays.  Every stage is
 row-wise, so a block's per-row results are those of one pass over the whole
@@ -35,10 +35,10 @@ forward, the ``EPS_TIME`` bump of :func:`geometry.phi_forward`, adds
 ``-0.0`` time coordinate into ``+0.0``, a sign of zero that no later
 operation turns into a different value.
 
-Determinism: given a seed and fixed worker partitioning, shuffles, negative
-draws, loss traces, and final parameters are reproducible bit for bit.
-Multi-threaded batches shard rows in fixed order, so a given thread count is
-deterministic too (different counts may differ in float summation order).
+Determinism: given a seed, shuffles, negative draws, loss traces and final
+parameters are reproducible bit for bit.  Threads score contiguous runs of
+the blocks, at least one block per thread, so every thread count gives the
+same bits too.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .model import map_row_blocks, parameters
 
 PROB_CLAMP = 1e-12
 
-# Scored rows per block of _summed_loss: a block's (rows x d) float64
+# Scored rows per block of _scored_rows: a block's (rows x d) float64
 # intermediates (512 KB at d = 32) stay in a core's L2 cache.
 BLOCK_ROWS = 2048
 
@@ -174,10 +174,7 @@ def _loss_sum(m: Model, params: dict, pos: np.ndarray, neg: np.ndarray):
 def _log_loss(p: np.ndarray, n_pos: int):
     """-(sum log p + sum log(1 - p~)) of clamped probabilities, the
     ``n_pos`` positives first."""
-    total = -np.sum(np.log(p[:n_pos]))
-    if p.shape[0] > n_pos:
-        total = total - np.sum(np.log(1.0 - p[n_pos:]))
-    return total
+    return -np.sum(np.log(p[:n_pos])) - np.sum(np.log(1.0 - p[n_pos:]))
 
 
 def _scatter_rows(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
@@ -231,35 +228,46 @@ def _row_grads(m: Model, saved):
     return g_score, g_head, g_tail, g_theta, g_phi, g_mu
 
 
-def _summed_loss(m: Model, pos: np.ndarray, neg: np.ndarray):
-    """Unnormalised loss of one batch and its gradient per family of
-    :func:`parameters` (zeros for families the loss does not reach).
-
-    The batch is scored in blocks of :data:`BLOCK_ROWS` rows (module
-    docstring).  Each block's probabilities and per-row gradients land in
-    batch order, positives first; the loss sums and the scatters then run
-    once over the whole batch, as on one unblocked pass.
-    """
+def _scored_rows(m: Model, pos: np.ndarray, neg: np.ndarray, threads: int = 1,
+                 grads: bool = True) -> list:
+    """The one cut of a batch (module docstring): per-row ``p`` of
+    :func:`_loss_sum` and, with ``grads``, the per-row gradients of
+    :func:`_row_grads`, in batch order, positives first.  Each thread of
+    :func:`map_row_blocks` scores a contiguous run of blocks into disjoint
+    slices of these arrays."""
     params = parameters(m)
     n_pos, k = neg.shape[:2]
-    step = max(1, BLOCK_ROWS // (k + 1))
-    rows = None
-    for i in range(0, n_pos, step):
-        j = min(i + step, n_pos)
-        _, saved = _loss_sum(m, params, pos[i:j], neg[i:j])
-        block = (saved[4],) + _row_grads(m, saved)
-        if rows is None:
-            rows = [None if b is None else np.empty((n_pos * (k + 1),) + b.shape[1:])
-                    for b in block]
-        for out, b in zip(rows, block):
-            if out is not None:
-                out[i:j] = b[: j - i]
-                out[n_pos + i * k : n_pos + j * k] = b[j - i :]
-    p, g_score, g_head, g_tail, g_theta, g_phi, g_mu = rows
+    widths = [()]
+    if grads:  # g_score, g_head, g_tail, g_theta, g_phi, g_mu (None if pinned)
+        ent = m.entities.shape[1:]
+        widths += [(), ent, ent, m.theta.shape[1:], m.phi.shape[1:],
+                   m.mu.shape[1:] if m.geometry == "ultra" else None]
+    rows = [None if w is None else np.empty((n_pos * (k + 1),) + w) for w in widths]
+    step = max(1, min(BLOCK_ROWS // (k + 1), -(-n_pos // threads)))
+
+    def run(blocks: slice) -> None:
+        for i in range(blocks.start * step, blocks.stop * step, step):
+            j = min(i + step, n_pos)
+            _, saved = _loss_sum(m, params, pos[i:j], neg[i:j])
+            block = (saved[4],) + (_row_grads(m, saved) if grads else ())
+            for out, b in zip(rows, block):
+                if out is not None:
+                    out[i:j] = b[: j - i]
+                    out[n_pos + i * k : n_pos + j * k] = b[j - i :]
+
+    map_row_blocks(run, -(-n_pos // step), threads)
+    return rows
+
+
+def _batch_grads(m: Model, pos: np.ndarray, neg: np.ndarray, threads: int = 1):
+    """Unnormalised loss of one batch and its gradient per family of
+    :func:`parameters` (zeros for families the loss does not reach): the
+    sums and scatters run once over :func:`_scored_rows`' arrays."""
+    p, g_score, g_head, g_tail, g_theta, g_phi, g_mu = _scored_rows(m, pos, neg, threads)
     stacked = np.concatenate([pos, neg.reshape(-1, 3)], axis=0)
     h, r, t = stacked[:, 0], stacked[:, 1], stacked[:, 2]
     n, n_rel = m.n_entities, m.n_relations
-    return float(_log_loss(p, n_pos)), {
+    return float(_log_loss(p, pos.shape[0])), {
         "entities": _scatter_rows(h, g_head, n) + _scatter_rows(t, g_tail, n),
         "biases": np.stack(
             [np.bincount(h, g_score, n), np.bincount(t, g_score, n)], axis=1
@@ -304,7 +312,8 @@ def bce_loss(m: Model, positives: np.ndarray, negatives: np.ndarray | None = Non
     """Mean binary cross-entropy of a batch: the loss kernel's forward pass
     alone."""
     pos, neg = _as_batch(m, positives, negatives, "bce_loss")
-    return float(_loss_sum(m, parameters(m), pos, neg)[0]) / pos.shape[0]
+    (p,) = _scored_rows(m, pos, neg, grads=False)
+    return float(_log_loss(p, pos.shape[0])) / pos.shape[0]
 
 
 def gradients(
@@ -317,7 +326,7 @@ def gradients(
     """
     pos, neg = _as_batch(m, positives, negatives, "gradients")
     inv_n = 1.0 / pos.shape[0]
-    out = {k: g * inv_n for k, g in _summed_loss(m, pos, neg)[1].items()}
+    out = {k: g * inv_n for k, g in _batch_grads(m, pos, neg)[1].items()}
     ent = out.pop("entities")
     out["entity_space"] = ent[:, : m.sig.p]
     out["entity_time"] = ent[:, m.sig.p :]
@@ -391,18 +400,6 @@ OPTIMIZERS = {"adam": Adam, "adagrad": Adagrad}
 
 
 # --- fit -------------------------------------------------------------------------
-
-
-def _batch_grads(m: Model, pos: np.ndarray, neg: np.ndarray, threads: int):
-    """Summed (not averaged) loss value and gradients for one batch."""
-    parts = map_row_blocks(
-        lambda rows: _summed_loss(m, pos[rows], neg[rows]), pos.shape[0], threads
-    )
-    loss, grads = parts[0]
-    for part_loss, part_grads in parts[1:]:
-        loss += part_loss
-        grads = {k: grads[k] + part_grads[k] for k in grads}
-    return loss, grads
 
 
 def fit(

@@ -148,7 +148,8 @@ class TestTrain:
 
     def test_deterministic_flag_is_one_thread(self, workdir, tmp_path):
         """``--deterministic --threads 4`` trains, and validates, exactly as
-        ``--threads 1`` does; ``--threads 4`` alone shards the batches."""
+        ``--threads 1`` does, and so does ``--threads 3``: every thread
+        count writes the same checkpoint and trace bytes."""
         args = [
             "train", "--train", f"{workdir['data']}/train.tsv",
             "--valid", f"{workdir['data']}/valid.tsv",
@@ -157,12 +158,13 @@ class TestTrain:
         ]
         blobs = []
         for run, extra in (("det", ["--deterministic", "--threads", "4"]),
-                           ("one", ["--threads", "1"])):
+                           ("one", ["--threads", "1"]),
+                           ("three", ["--threads", "3"])):
             out = str(tmp_path / f"{run}.ukge")
             assert main(args + extra + ["--out", out]) == EXIT_OK
             blobs.append((open(out, "rb").read(),
                           open(out + ".trace.csv", "rb").read()))
-        assert blobs[0] == blobs[1]
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_custom_trace_path(self, workdir, tmp_path):
         out, trace = str(tmp_path / "m.ukge"), str(tmp_path / "t.csv")
@@ -527,6 +529,17 @@ class TestEvalAndPredict:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"--threads must be >= 1, got {threads}" in captured.err
+
+    def test_eval_bad_filter_split_rejected_before_any_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        rc = main([
+            "eval", "--model", f"{missing}.ukge", "--train", f"{missing}.tsv",
+            "--test", f"{missing}.tsv", "--filter", "train,holdout",
+        ])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown filter split 'holdout'" in captured.err
 
     def test_predict_lists_topk(self, workdir, capsys):
         rc = main([

@@ -27,7 +27,7 @@ S22 = Signature(2, 2, 1.0)
 
 
 def assert_kernel_equals_tape(m, pos, neg):
-    loss, grads = training._summed_loss(m, pos, neg)
+    loss, grads = training._batch_grads(m, pos, neg)
     tape_loss, tape_grads = tape_summed_loss(m, pos, neg)
     assert loss == tape_loss
     assert list(grads) == list(tape_grads) == list(layout(m.sig, 1, 1))
@@ -212,8 +212,9 @@ class TestNoTape:
 
 
 class TestBlocks:
-    """``_summed_loss`` scores a batch in blocks of ``BLOCK_ROWS`` scored
-    rows; the block size must not move a bit of the loss or the gradients."""
+    """``_batch_grads`` scores a batch in blocks of at most ``BLOCK_ROWS``
+    scored rows, at least one per thread; neither the block size nor the
+    thread count may move a bit of the loss or the gradients."""
 
     @staticmethod
     def block_rows(monkeypatch, positives, k):
@@ -262,16 +263,20 @@ class TestBlocks:
         self.block_rows(monkeypatch, 1, 2)
         assert_kernel_equals_tape(m, pos, neg)
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_batch_grads_equal_unblocked(self, monkeypatch, threads):
+        """Blocked on ``threads`` threads equals unblocked on one thread, also
+        with more threads than blocks: 9 positives with no negatives make 3
+        blocks of 3 on one thread."""
         rng = np.random.default_rng(13)
         m = random_model(Signature(6, 2), "ultra", "rotref", rng, n_entities=20)
-        pos, neg = random_batch(m, rng, 41, 4)
-        monkeypatch.setattr(training, "BLOCK_ROWS", 10**9)
-        loss, grads = training._batch_grads(m, pos, neg, threads)
-        self.block_rows(monkeypatch, 3, 4)
-        blocked_loss, blocked_grads = training._batch_grads(m, pos, neg, threads)
-        assert blocked_loss == loss
-        assert list(blocked_grads) == list(grads)
-        for name, expected in grads.items():
-            assert np.array_equal(blocked_grads[name], expected), name
+        for n, k in ((41, 4), (9, 0)):
+            pos, neg = random_batch(m, rng, n, k)
+            monkeypatch.setattr(training, "BLOCK_ROWS", 10**9)
+            loss, grads = training._batch_grads(m, pos, neg, 1)
+            self.block_rows(monkeypatch, 3, k)
+            blocked_loss, blocked_grads = training._batch_grads(m, pos, neg, threads)
+            assert blocked_loss == loss
+            assert list(blocked_grads) == list(grads)
+            for name, expected in grads.items():
+                assert np.array_equal(blocked_grads[name], expected), name

@@ -19,7 +19,7 @@ from ukge.errors import (
 )
 from ukge.geometry import EPS_TIME, Signature
 from ukge.kgdata import augment_inverse, make_synthetic
-from ukge.model import Model, init
+from ukge.model import Model, init, parameters
 from ukge.training import (
     OPTIMIZERS,
     Adagrad,
@@ -377,14 +377,23 @@ class TestFit:
         _, trace = fit(m, store, cfg)
         assert trace[-1] < 0.7 * trace[0]
 
-    def test_thread_counts_run_and_agree_in_shape(self):
-        m, store = synth_setup()
-        cfg2 = TrainConfig(epochs=2, batch_size=16, neg_samples=4, threads=2)
-        t2, trace2 = fit(m, store, cfg2)
-        assert len(trace2) == 2
-        cfg2b = TrainConfig(epochs=2, batch_size=16, neg_samples=4, threads=2)
-        _, trace2b = fit(m, store, cfg2b)
-        assert trace2 == trace2b  # fixed shard order: same thread count agrees
+    @pytest.mark.parametrize("geometry", ["ultra", "euclidean"])
+    def test_thread_counts_agree_bitwise(self, geometry):
+        """Every thread count trains the bits of one thread.  32 triples in
+        batches of 10 end with a batch of 2 positives, fewer than 3 or 5
+        threads."""
+        m, store = synth_setup(geometry=geometry)
+        runs = [
+            fit(m, store, TrainConfig(epochs=3, batch_size=10, neg_samples=4,
+                                      threads=threads))
+            for threads in (1, 2, 3, 5)
+        ]
+        one, trace_one = runs[0]
+        assert len(trace_one) == 3
+        for trained, trace in runs[1:]:
+            assert trace == trace_one
+            for name in ("entities", "biases", "theta", "phi", "mu"):
+                assert np.array_equal(getattr(trained, name), getattr(one, name)), name
 
     def test_deterministic_flag_forces_single_thread(self):
         """The train command's ``deterministic`` option reaches ``fit`` as
@@ -488,6 +497,35 @@ class TestPlainLoss:
 
         monkeypatch.setattr(autodiff.Tensor, "__init__", no_tape)
         assert bce_loss(m, pos, neg) == taped
+
+    @pytest.mark.parametrize("geometry", ["ultra", "euclidean"])
+    def test_walks_the_blocks_without_vjps(self, geometry, monkeypatch):
+        """``bce_loss`` scores the batch in the blocks of ``_batch_grads``,
+        runs no VJP, and gives the bits of one unblocked pass."""
+        from ukge import training
+
+        m = init(Signature(6, 2, 1.0), 30, 4, seed=3, geometry=geometry)
+        rng = np.random.default_rng(6)
+        pos = np.stack(
+            [rng.integers(0, 30, 11), rng.integers(0, 4, 11), rng.integers(0, 30, 11)],
+            axis=1,
+        )
+        neg = training._sample_negatives_batch(pos, 4, 30, rng)
+        unblocked = training._loss_sum(m, parameters(m), pos, neg)[0] / pos.shape[0]
+        loss_sum, positives = training._loss_sum, []
+
+        def spy(m, params, pos, neg):
+            positives.append(pos.shape[0])
+            return loss_sum(m, params, pos, neg)
+
+        def no_vjp(*args):
+            raise AssertionError("bce_loss ran the VJPs")
+
+        monkeypatch.setattr(training, "BLOCK_ROWS", 3 * (4 + 1))
+        monkeypatch.setattr(training, "_loss_sum", spy)
+        monkeypatch.setattr(training, "_row_grads", no_vjp)
+        assert bce_loss(m, pos, neg) == unblocked
+        assert max(positives) <= 3 and sum(positives) == 11
 
 
 class TestTrainConfig:
