@@ -19,10 +19,11 @@ error at ``path:line``.  A negative ``seed`` (also for ``synth``) or
 ``eval_every``, a non-finite ``margin`` or an ``alpha`` that is not
 positive and finite is an input error from a flag or the file, as is
 ``eval --threads`` or ``predict --topk`` below 1, or an ``eval --filter``
-split that is not ``train``, ``valid`` or ``test``; all are raised before
-any TSV is read.  Data holding both ``x`` and ``x_inv``, the name of the
-inverse of ``x``, is an input error too, as is a TSV or config-file line
-that is not valid UTF-8.  ``predict`` reads only the names from the TSVs.
+split that is not ``train``, ``valid`` or ``test``, or an output path in a
+missing directory; all are raised before any TSV is read.  Data holding
+both ``x`` and ``x_inv``, the name of the inverse of ``x``, is an input
+error too, as is a TSV or config-file line that is not valid UTF-8.
+``predict`` reads only the names from the TSVs.
 """
 
 from __future__ import annotations
@@ -176,6 +177,13 @@ def _note_test_only(count: int) -> None:
         print(f"note: {count} entities appear only in the test split", file=sys.stderr)
 
 
+def _check_out_dirs(*paths) -> None:
+    """Raise :class:`CliError` for an output path in a missing directory."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise CliError(f"cannot write {path}: no such directory")
+
+
 def _load_store(args) -> kgdata.TripleStore:
     store = kgdata.load_triples(args.train, args.valid, args.test)
     _note_test_only(len(store.test_only_entities))
@@ -186,6 +194,7 @@ def _load_store(args) -> kgdata.TripleStore:
 
 
 def cmd_stats(args) -> int:
+    _check_out_dirs(args.out)
     store = _load_store(args)
     counts = kgdata.relation_counts(store)
     print(
@@ -205,7 +214,7 @@ def cmd_stats(args) -> int:
         print(f"{name:<30} {counts[rid]:>8} {cell:>10}")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(kgdata.stats_csv(store, khs))
+            fh.write(kgdata.stats_csv(store, counts, khs))
         print(f"\nwrote {args.out}")
     return EXIT_OK
 
@@ -228,6 +237,8 @@ def cmd_train(args) -> int:
         _check_bounds(key, options[key])
     sig = _signature_from(options)  # validate configuration before any compute
     cfg = train_config(options)
+    trace_path = args.trace or args.out + ".trace.csv"
+    _check_out_dirs(args.out, trace_path)
     store = _load_store(args)
     store = kgdata.augment_inverse(store)
     m = model.init(
@@ -261,7 +272,6 @@ def cmd_train(args) -> int:
             print(f"aborted; last good checkpoint written to {args.out}", file=sys.stderr)
         raise
     model.save(trained, args.out)
-    trace_path = args.trace or args.out + ".trace.csv"
     with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("epoch,loss\n")
         for i, loss in enumerate(trace):
@@ -301,6 +311,7 @@ def cmd_eval(args) -> int:
     for s in filter_splits:
         if s not in kgdata.SPLITS:
             raise CliError(f"unknown filter split {s!r}")
+    _check_out_dirs(args.per_relation)
     store = _load_store(args)
     store = kgdata.augment_inverse(store)
     m = _load_model_for_store(args, store.entity_names, store.relation_names)
@@ -396,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     # unset flags stay None, so that merge_options keeps file values
     for key, (parse, default, allowed) in TRAIN_OPTIONS.items():
         flag, help_ = "--" + key.replace("_", "-"), f"default: {default}"
-        if parse is _parse_bool:
+        if parse is _parse_bool:  # --deterministic, the only boolean
+            help_ = "same as --threads 1; every --threads count writes the same bytes"
             p_train.add_argument(flag, action="store_const", const=True, help=help_)
         else:
             p_train.add_argument(flag, type=parse, choices=allowed, help=help_)

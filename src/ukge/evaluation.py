@@ -43,22 +43,19 @@ class EvalReport:
 
 
 def build_filter_index(
-    store: TripleStore, splits=("train", "valid", "test"), keys=None
+    store: TripleStore, splits, keys
 ) -> dict[tuple[int, int], np.ndarray]:
-    """Map (head, relation) to the sorted array of its known true tails.
-
-    ``keys``, an (n, 2) array of (head, relation) rows, restricts the index
-    to those pairs; a pair without a known tail has no entry either way.
-    """
+    """Map each (head, relation) row of ``keys``, an (n, 2) array, to the
+    sorted array of its known true tails in ``splits``; a pair without a
+    known tail has no entry."""
     triples = np.concatenate(
         [store.split(name) for name in splits] + [np.empty((0, 3), dtype=np.int64)]
     )
-    if keys is not None:
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-        # each (head, relation) pair as one integer, head * width + relation
-        width = 1 + max(int(triples[:, 1].max(initial=0)), int(keys[:, 1].max(initial=0)))
-        pairs = triples[:, 0] * width + triples[:, 1]
-        triples = triples[np.isin(pairs, keys[:, 0] * width + keys[:, 1])]
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+    # each (head, relation) pair as one integer, head * width + relation
+    width = 1 + max(int(triples[:, 1].max(initial=0)), int(keys[:, 1].max(initial=0)))
+    pairs = triples[:, 0] * width + triples[:, 1]
+    triples = triples[np.isin(pairs, keys[:, 0] * width + keys[:, 1])]
     rows = np.unique(triples, axis=0)  # sorted by head, relation, tail
     starts = np.flatnonzero(np.any(np.diff(rows[:, :2], axis=0, prepend=-1) != 0, axis=1))
     return {
@@ -156,36 +153,30 @@ def evaluate(
 # --- report rendering ---------------------------------------------------------
 
 
-def _relation_name(rel: int, store: TripleStore | None) -> str:
-    if store is not None and rel < store.n_relations:
-        return store.relation_names[rel]
-    return str(rel)
-
-
 def _cells(m: RelationMetrics | EvalReport, digits: int) -> list[str]:
     """MRR then Hits@K for each of :data:`HITS_KS`, to ``digits`` decimals."""
     return [f"{v:.{digits}f}" for v in (m.mrr, *(m.hits[k] for k in HITS_KS))]
 
 
-def report_csv(report: EvalReport, store: TripleStore | None = None) -> str:
-    """CSV rows per relation plus a TOTAL row.  A name with a comma, quote
-    or line break is quoted."""
+def report_csv(report: EvalReport, store: TripleStore) -> str:
+    """CSV rows per relation, named from ``store``, plus a TOTAL row.  A name
+    with a comma, quote or line break is quoted."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["relation", "count", "mrr", "hits1", "hits3", "hits10"])
     for rel in sorted(report.per_relation):
         rm = report.per_relation[rel]
-        writer.writerow([_relation_name(rel, store), rm.count, *_cells(rm, 6)])
+        writer.writerow([store.relation_names[rel], rm.count, *_cells(rm, 6)])
     writer.writerow(["TOTAL", report.triple_count, *_cells(report, 6)])
     return out.getvalue()
 
 
-def report_table(report: EvalReport, store: TripleStore | None = None) -> str:
+def report_table(report: EvalReport, store: TripleStore) -> str:
     """Human-readable fixed-width table of the same numbers."""
     rows = [("relation", "count", "MRR", "H@1", "H@3", "H@10")]
     for rel in sorted(report.per_relation):
         rm = report.per_relation[rel]
-        rows.append((_relation_name(rel, store), str(rm.count), *_cells(rm, 4)))
+        rows.append((store.relation_names[rel], str(rm.count), *_cells(rm, 4)))
     rows.append(("TOTAL", str(report.triple_count), *_cells(report, 4)))
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     out = []

@@ -136,9 +136,9 @@ def manifold_defect(x, sig: Signature) -> np.ndarray:
     return np.abs(qdot(v, v, sig) + sig.alpha * sig.alpha)
 
 
-def on_manifold(x, sig: Signature, tol: float = TOL_MANIFOLD):
-    """Whether ``x`` satisfies the manifold equation within ``tol``."""
-    return manifold_defect(x, sig) <= tol
+def on_manifold(x, sig: Signature):
+    """Whether ``x`` satisfies the manifold equation within :data:`TOL_MANIFOLD`."""
+    return manifold_defect(x, sig) <= TOL_MANIFOLD
 
 
 # --- diffeomorphism with the free parameter space ---------------------------

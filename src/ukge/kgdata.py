@@ -399,15 +399,11 @@ def hierarchy_scores(store: TripleStore) -> list[float | None]:
     return scores
 
 
-def stats_csv(store: TripleStore, khs: list[float | None] | None = None) -> str:
-    """Per-relation statistics as CSV: relation, count, khs.  A name with a
-    comma, quote or line break is quoted.
-
-    ``khs`` takes precomputed :func:`hierarchy_scores` of ``store``.
-    """
-    counts = relation_counts(store)
-    if khs is None:
-        khs = hierarchy_scores(store)
+def stats_csv(store: TripleStore, counts: np.ndarray, khs: list[float | None]) -> str:
+    """Per-relation statistics as CSV: relation, count, khs, from the
+    :func:`relation_counts` and :func:`hierarchy_scores` of ``store``.  An
+    undefined score is an empty cell; a name with a comma, quote or line
+    break is quoted."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["relation", "count", "khs"])

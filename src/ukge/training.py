@@ -340,12 +340,10 @@ def gradients(
 class Adam:
     """Adam with the standard bias-corrected moments."""
 
-    def __init__(self, shapes: dict[str, tuple], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, shapes: dict[str, tuple], lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros(s) for k, s in shapes.items()}
         self.v = {k: np.zeros(s) for k, s in shapes.items()}
@@ -356,30 +354,31 @@ class Adam:
         ``m = b1 * m + (1 - b1) * g``, ``v = b2 * v + (1 - b2) * g * g`` and
         ``p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)``."""
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - self.BETA1**self.t
+        b2c = 1.0 - self.BETA2**self.t
         for k, p in params.items():
             g, m, v = grads[k], self.m[k], self.v[k]
             a, b = self._work[k]
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=a)
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=a)
+            m *= self.BETA1
+            m += np.multiply(1.0 - self.BETA1, g, out=a)
+            v *= self.BETA2
+            np.multiply(1.0 - self.BETA2, g, out=a)
             v += np.multiply(a, g, out=a)
             np.divide(m, b1c, out=a)
             a *= self.lr
             np.divide(v, b2c, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += self.EPS
             p -= np.divide(a, b, out=a)
 
 
 class Adagrad:
     """Adagrad with per-coordinate accumulated squared gradients."""
 
-    def __init__(self, shapes: dict[str, tuple], lr: float, eps: float = 1e-10):
+    EPS = 1e-10
+
+    def __init__(self, shapes: dict[str, tuple], lr: float):
         self.lr = lr
-        self.eps = eps
         self.acc = {k: np.zeros(s) for k, s in shapes.items()}
         self._work = {k: (np.empty(s), np.empty(s)) for k, s in shapes.items()}
 
@@ -392,7 +391,7 @@ class Adagrad:
             acc += np.multiply(g, g, out=a)
             np.multiply(self.lr, g, out=a)
             np.sqrt(acc, out=b)
-            b += self.eps
+            b += self.EPS
             p -= np.divide(a, b, out=a)
 
 

@@ -78,6 +78,18 @@ class TestSynthAndStats:
         lines = open(csv).read().strip().splitlines()
         assert lines[0] == "relation,count,khs"
 
+    def test_undefined_hierarchy_score_row(self, tmp_path, capsys):
+        """A relation of self-loops only connects no ordered pair: its score
+        prints as n/a and leaves the CSV cell empty."""
+        data = tmp_path / "loops.tsv"
+        data.write_text("a\tisa\tb\na\tsame\ta\nb\tsame\tb\n")
+        csv = str(tmp_path / "stats.csv")
+        assert main(["stats", "--train", str(data), "--out", csv]) == EXIT_OK
+        out = capsys.readouterr().out
+        same_line = next(l for l in out.splitlines() if l.startswith("same"))
+        assert same_line.split() == ["same", "2", "n/a"]
+        assert open(csv).read().splitlines()[1:] == ["isa,1,1.000000", "same,2,"]
+
     def test_missing_file_is_input_error(self, capsys):
         assert main(["stats", "--train", "/nonexistent.tsv"]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
@@ -770,6 +782,49 @@ class TestStatsComputesHierarchyOnce:
         rows = open(csv).read().strip().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["isa", "next"]
         assert rows[0].endswith(",1.000000")
+
+    def test_one_relation_count(self, workdir, tmp_path, monkeypatch):
+        """``stats --out`` writes the counts that the table printed."""
+        from ukge import kgdata
+
+        calls = []
+        real = kgdata.relation_counts
+
+        def counting(store):
+            calls.append(store)
+            return real(store)
+
+        monkeypatch.setattr(kgdata, "relation_counts", counting)
+        csv = str(tmp_path / "stats.csv")
+        rc = main(["stats", "--train", f"{workdir['data']}/train.tsv", "--out", csv])
+        assert rc == EXIT_OK
+        assert len(calls) == 1
+
+
+class TestMissingOutputDirectory:
+    """An output path in a missing directory is an input error raised before
+    any data file is read, not after training or evaluation has run."""
+
+    @pytest.mark.parametrize("case", ["train-out", "train-trace", "eval", "stats"])
+    def test_rejected_before_any_work(self, workdir, tmp_path, capsys, case):
+        data = workdir["data"]
+        ckpt = str(tmp_path / "m.ukge")
+        bad = str(tmp_path / "missing" / "x.out")
+        train = ["train", "--train", f"{data}/train.tsv", "--dim", "4",
+                 "--time-dims", "2", "--epochs", "1", "--batch", "8", "--neg", "2"]
+        argv = {
+            "train-out": train + ["--out", bad],
+            "train-trace": train + ["--out", ckpt, "--trace", bad],
+            "eval": ["eval", "--model", workdir["ckpt"], "--train", f"{data}/train.tsv",
+                     "--valid", f"{data}/valid.tsv", "--test", f"{data}/test.tsv",
+                     "--per-relation", bad],
+            "stats": ["stats", "--train", f"{data}/train.tsv", "--out", bad],
+        }[case]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no epoch line, table or summary
+        assert bad in captured.err
+        assert not os.path.exists(ckpt)
 
 
 class TestModuleEntryPoint:

@@ -254,7 +254,7 @@ class TestEvaluate:
 
     def test_index_helper_layout(self):
         _, store = self.hand_setup()
-        index = build_filter_index(store)
+        index = build_filter_index(store, SPLITS, store.all_triples()[:, :2])
         np.testing.assert_array_equal(index[(1, 0)], [0, 3])
         assert (0, 1) not in index
 
@@ -263,8 +263,15 @@ class TestReports:
     def report(self):
         return aggregate_ranks([1, 2, 4], [0, 1, 0])
 
+    def numbered_store(self):
+        """Relations named by their ids."""
+        return TripleStore(
+            ["a", "b"], ["0", "1"], np.asarray([(0, 0, 1), (0, 1, 1)]),
+            np.empty((0, 3), np.int64), np.empty((0, 3), np.int64),
+        )
+
     def test_csv_layout(self):
-        out = report_csv(self.report())
+        out = report_csv(self.report(), self.numbered_store())
         lines = out.strip().split("\n")
         assert lines[0] == "relation,count,mrr,hits1,hits3,hits10"
         assert lines[1].startswith("0,2,0.625000")
@@ -286,7 +293,7 @@ class TestReports:
         assert [row[0] for row in rows] == ["relation", *names, "TOTAL"]
 
     def test_table_layout(self):
-        out = report_table(self.report())
+        out = report_table(self.report(), self.numbered_store())
         lines = out.strip().split("\n")
         assert lines[0].split() == ["relation", "count", "MRR", "H@1", "H@3", "H@10"]
         assert set(lines[1]) <= {"-", " "}
@@ -359,10 +366,11 @@ class TestFilterIndexMatchesOracle:
         keys=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=6),
     )
     def test_full_and_restricted(self, store, keys):
+        every_pair = list(itertools.product(range(6), range(4)))
         for n in range(len(SPLITS) + 1):
             for splits in itertools.combinations(SPLITS, n):
                 expected = filter_index_oracle(store, splits)
-                assert_same_index(build_filter_index(store, splits), expected)
+                assert_same_index(build_filter_index(store, splits, every_pair), expected)
                 assert_same_index(
                     build_filter_index(store, splits, keys=keys),
                     {key: v for key, v in expected.items() if key in set(keys)},

@@ -339,7 +339,7 @@ class TestKrackhardt:
 
     def test_stats_csv_layout(self):
         store = store_from([("a", "isa", "b"), ("b", "isa", "c")])
-        out = stats_csv(store)
+        out = stats_csv(store, relation_counts(store), hierarchy_scores(store))
         lines = out.strip().split("\n")
         assert lines[0] == "relation,count,khs"
         assert lines[1] == "isa,2,1.000000"
@@ -437,7 +437,8 @@ class TestKrackhardtScale:
 class TestStatsCsvQuoting:
     def test_names_with_commas_and_quotes(self):
         store = store_from([("a", "part of, whole", "b"), ("b", 'say "hi"', "c")])
-        rows = list(csv.reader(io.StringIO(stats_csv(store))))
+        out = stats_csv(store, relation_counts(store), hierarchy_scores(store))
+        rows = list(csv.reader(io.StringIO(out)))
         assert rows == [
             ["relation", "count", "khs"],
             ["part of, whole", "1", "1.000000"],

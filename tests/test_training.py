@@ -256,12 +256,14 @@ class TestOptimizers:
 
     def test_adagrad_steps(self):
         p = {"w": np.array([1.0])}
-        opt = Adagrad({"w": (1,)}, lr=0.5, eps=0.0)
+        opt = Adagrad({"w": (1,)}, lr=0.5)
+        eps = 1e-10
         opt.step(p, {"w": np.array([2.0])})
-        assert_close(p["w"], [0.5], rtol=1e-12)  # 1 - 0.5 * 2/2
+        first = 1.0 - 0.5 * 2.0 / (2.0 + eps)
+        assert_close(p["w"], [first], rtol=1e-12)  # 1 - 0.5 * 2/(2 + eps)
         opt.step(p, {"w": np.array([2.0])})
-        # accumulator now 8: step = 0.5 * 2 / sqrt(8)
-        assert_close(p["w"], [0.5 - 1.0 / np.sqrt(8.0)], rtol=1e-12)
+        # accumulator now 8: step = 0.5 * 2 / (sqrt(8) + eps)
+        assert_close(p["w"], [first - 1.0 / (np.sqrt(8.0) + eps)], rtol=1e-12)
 
     def test_adam_moment_decay(self):
         opt = Adam({"w": (1,)}, lr=1.0)
@@ -418,6 +420,20 @@ class TestFit:
         assert exc.value.epoch == 0
         # last_good holds the state before the failed epoch: the start here
         assert np.isnan(exc.value.last_good.entities[0, 0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("optimizer", ["adam", "adagrad"])
+    def test_overflowing_step_raises_divergence(self, optimizer):
+        """A finite loss and finite gradients, but ``lr * g`` overflows in
+        the optimizer step: the end-of-epoch check names the family."""
+        m, store = synth_setup()
+        cfg = TrainConfig(epochs=2, batch_size=store.train.shape[0], neg_samples=4,
+                          learning_rate=1.7e308, optimizer=optimizer)
+        with pytest.raises(DivergenceError, match="'theta' became non-finite") as exc:
+            fit(m, store, cfg)
+        assert exc.value.epoch == 0
+        for name in ("entities", "biases", "theta", "phi", "mu"):
+            assert np.all(np.isfinite(getattr(exc.value.last_good, name))), name
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_coincident_entities_raise_gradient_error(self):
