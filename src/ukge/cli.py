@@ -19,8 +19,9 @@ error at ``path:line``.  A negative ``seed`` (also for ``synth``) or
 ``eval_every``, a non-finite ``margin`` or an ``alpha`` that is not
 positive and finite is an input error from a flag or the file, as is
 ``eval --threads`` or ``predict --topk`` below 1, or an ``eval --filter``
-split that is not ``train``, ``valid`` or ``test``, or an output path in a
-missing directory; all are raised before any TSV is read.  Data holding
+split that is not ``train``, ``valid`` or ``test``, or an output path that
+is a directory, lies in a missing one, or names an input file or another
+output; all are raised before any TSV is read.  Data holding
 both ``x`` and ``x_inv``, the name of the inverse of ``x``, is an input
 error too, as is a TSV or config-file line that is not valid UTF-8.
 ``predict`` reads only the names from the TSVs.
@@ -29,7 +30,6 @@ error too, as is a TSV or config-file line that is not valid UTF-8.
 from __future__ import annotations
 
 import argparse
-import difflib
 import os
 import sys
 
@@ -61,21 +61,22 @@ def _parse_bool(raw: str) -> bool:
 
 
 #: train options, key -> (parser, default, allowed values or None for any);
-#: each is a config-file key and, dashed, a flag (``time_dims``, ``--time-dims``)
+#: each is a config-file key and, dashed, a flag (``time_dims``, ``--time-dims``).
+#: An option with a ``TrainConfig`` field takes its default from there.
 TRAIN_OPTIONS: dict[str, tuple] = {
     "dim": (int, 32, None),
     "time_dims": (int, 2, None),
     "alpha": (float, 1.0, None),
-    "lr": (float, 5e-3, None),
-    "batch": (int, 500, None),
-    "neg": (int, 50, None),
-    "epochs": (int, 200, None),
+    "lr": (float, training.TrainConfig.learning_rate, None),
+    "batch": (int, training.TrainConfig.batch_size, None),
+    "neg": (int, training.TrainConfig.neg_samples, None),
+    "epochs": (int, training.TrainConfig.epochs, None),
     "margin": (float, 6.0, None),
-    "seed": (int, 0, None),
+    "seed": (int, training.TrainConfig.seed, None),
     "operator": (str, "rotref", tuple(operators.OPERATOR_MODES)),
     "geometry": (str, "ultra", model.GEOMETRIES),
-    "optimizer": (str, "adam", tuple(training.OPTIMIZERS)),
-    "threads": (int, 1, None),
+    "optimizer": (str, training.TrainConfig.optimizer, tuple(training.OPTIMIZERS)),
+    "threads": (int, training.TrainConfig.threads, None),
     "deterministic": (_parse_bool, False, None),  # a bare switch as a flag
     "eval_every": (int, 50, None),
 }
@@ -177,11 +178,24 @@ def _note_test_only(count: int) -> None:
         print(f"note: {count} entities appear only in the test split", file=sys.stderr)
 
 
-def _check_out_dirs(*paths) -> None:
-    """Raise :class:`CliError` for an output path in a missing directory."""
-    for path in filter(None, paths):
+def _check_outputs(args, **outputs) -> None:
+    """Raise :class:`CliError` for an output path (``None`` when unset) that
+    is an existing directory, lies in a missing directory, or resolves to an
+    input file of ``args`` or to an earlier output."""
+    taken = {os.path.realpath(path): option
+             for option in ("train", "valid", "test", "config", "model")
+             if (path := getattr(args, option, None))}
+    for option, path in outputs.items():
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if os.path.isdir(path):
+            raise CliError(f"cannot write {path}: it is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise CliError(f"cannot write {path}: no such directory")
+        if real in taken:
+            raise CliError(f"cannot write {path}: it is also --{taken[real]}")
+        taken[real] = option.replace("_", "-")
 
 
 def _load_store(args) -> kgdata.TripleStore:
@@ -194,7 +208,7 @@ def _load_store(args) -> kgdata.TripleStore:
 
 
 def cmd_stats(args) -> int:
-    _check_out_dirs(args.out)
+    _check_outputs(args, out=args.out)
     store = _load_store(args)
     counts = kgdata.relation_counts(store)
     print(
@@ -229,6 +243,8 @@ def train_config(options: dict) -> training.TrainConfig:
 
 
 def cmd_train(args) -> int:
+    trace_path = args.trace or args.out + ".trace.csv"
+    _check_outputs(args, out=args.out, trace=trace_path)
     file_values = load_config_file(args.config) if args.config else {}
     defaults = {k: v[1] for k, v in TRAIN_OPTIONS.items()}
     flags = {k: getattr(args, k) for k in TRAIN_OPTIONS}
@@ -237,8 +253,6 @@ def cmd_train(args) -> int:
         _check_bounds(key, options[key])
     sig = _signature_from(options)  # validate configuration before any compute
     cfg = train_config(options)
-    trace_path = args.trace or args.out + ".trace.csv"
-    _check_out_dirs(args.out, trace_path)
     store = _load_store(args)
     store = kgdata.augment_inverse(store)
     m = model.init(
@@ -311,7 +325,7 @@ def cmd_eval(args) -> int:
     for s in filter_splits:
         if s not in kgdata.SPLITS:
             raise CliError(f"unknown filter split {s!r}")
-    _check_out_dirs(args.per_relation)
+    _check_outputs(args, per_relation=args.per_relation)
     store = _load_store(args)
     store = kgdata.augment_inverse(store)
     m = _load_model_for_store(args, store.entity_names, store.relation_names)
@@ -324,16 +338,6 @@ def cmd_eval(args) -> int:
             fh.write(evaluation.report_csv(report, store))
         print(f"wrote {args.per_relation}")
     return EXIT_OK
-
-
-def _resolve_name(name: str, names: list[str], kind: str) -> int:
-    """Id of ``name`` in ``names``, with close-match hints."""
-    try:
-        return names.index(name)
-    except ValueError:
-        close = difflib.get_close_matches(name, names, n=3)
-        hint = f"; close matches: {', '.join(close)}" if close else ""
-        raise NameLookupError(f"unknown {kind} {name!r}{hint}") from None
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -357,8 +361,8 @@ def cmd_predict(args) -> int:
     _note_test_only(len(entities) - n_seen)
     relations = relations + kgdata.inverse_names(relations)
     m = _load_model_for_store(args, entities, relations)
-    h = _resolve_name(args.head, entities, "entity")
-    r = _resolve_name(args.rel, relations, "relation")
+    h = kgdata.name_id(args.head, entities, "entity")
+    r = kgdata.name_id(args.rel, relations, "relation")
     scores = model.score_candidates(m, h, r)
     for t in top_k(scores, args.topk):
         print(f"{entities[int(t)]}\t{scores[int(t)]:.6f}")

@@ -14,7 +14,9 @@ which degenerates to the hyperbolic hyperboloid for ``q = 1`` and to a sphere
 for ``p = 0``.  Free optimisation parameters are points of
 ``R^p x (R^q minus 0)``; :func:`phi` carries them onto the manifold by rescaling
 the time component, and :func:`psi` / :func:`psi_inv` factor that map through
-an intermediate "space x sphere" representation.
+an intermediate "space x sphere" representation.  :data:`EPS_TIME` floors
+the time norm: :func:`phi` bumps a row below it, and :func:`apply_time_guard`
+lifts the same rows of a parameter table in place.
 
 :func:`dist_manhattan` takes the cheaper of two routes, each a great-circle
 arc between time directions at fixed space component plus a hyperboloid
@@ -203,6 +205,15 @@ def phi_forward(z, sig: Signature):
     radius = space_radius(s, sig)
     scale = np.reshape(radius, np.shape(radius) + (1,))
     return np.concatenate([s, unit * scale], axis=-1), (s, t, tn, unit, scale)
+
+
+def apply_time_guard(entities: np.ndarray, sig: Signature) -> None:
+    """In place: add :data:`EPS_TIME` to the first time coordinate of each
+    row whose time norm fell below it, the rows :func:`phi_forward` bumps."""
+    time = entities[:, sig.p :]
+    small = norm(time) < EPS_TIME
+    if np.any(small):
+        time[small, 0] += EPS_TIME
 
 
 def phi_vjp(saved, g: np.ndarray, sig: Signature) -> np.ndarray:

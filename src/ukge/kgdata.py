@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import codecs
 import csv
+import difflib
 import io
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import (
     ConfigurationError,
     EmptySplitError,
     IdLookupError,
+    NameLookupError,
     ParseError,
     PreconditionError,
     StateError,
@@ -51,15 +52,6 @@ class TripleStore:
     augmented: bool = False
     test_only_entities: list[str] = field(default_factory=list)
 
-    # name -> id maps, built on the first lookup rather than per construction
-    @cached_property
-    def _entity_ids(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.entity_names)}
-
-    @cached_property
-    def _relation_ids(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.relation_names)}
-
     @property
     def n_entities(self) -> int:
         return len(self.entity_names)
@@ -74,19 +66,24 @@ class TripleStore:
         return getattr(self, name)
 
     def entity_id(self, name: str) -> int:
-        try:
-            return self._entity_ids[name]
-        except KeyError:
-            raise IdLookupError(f"unknown entity {name!r}") from None
+        return name_id(name, self.entity_names, "entity")
 
     def relation_id(self, name: str) -> int:
-        try:
-            return self._relation_ids[name]
-        except KeyError:
-            raise IdLookupError(f"unknown relation {name!r}") from None
+        return name_id(name, self.relation_names, "relation")
 
     def all_triples(self) -> np.ndarray:
         return np.concatenate([self.train, self.valid, self.test], axis=0)
+
+
+def name_id(name: str, names: list[str], kind: str) -> int:
+    """Id of ``name`` in ``names``; an unknown name raises
+    :class:`NameLookupError` listing up to three close matches."""
+    try:
+        return names.index(name)
+    except ValueError:
+        close = difflib.get_close_matches(name, names, n=3)
+        hint = f"; close matches: {', '.join(close)}" if close else ""
+        raise NameLookupError(f"unknown {kind} {name!r}{hint}") from None
 
 
 #: the characters that ``errors="surrogateescape"`` decodes bytes outside UTF-8 to
@@ -432,8 +429,8 @@ def make_synthetic(
     """
     if levels < 2:
         raise ConfigurationError("make_synthetic: need at least 2 levels")
-    if branching < 1:
-        raise ConfigurationError("make_synthetic: branching must be >= 1")
+    if branching < 2:  # one leaf cannot carry a ring
+        raise ConfigurationError(f"make_synthetic: branching must be >= 2, got {branching}")
     if seed < 0:
         raise ConfigurationError(f"make_synthetic: seed must be >= 0, got {seed}")
     # nodes numbered level by level: node c's parent is (c - 1) // branching,

@@ -2,8 +2,10 @@
 
 Entities are free parameters in ``R^d`` (space block then time block) that
 :func:`ukge.geometry.phi` carries onto the pseudo-hyperboloid; each also
-carries a head-role and a tail-role bias scalar.  Relations act through the
-O(d) operators of :mod:`ukge.operators`.  A triple (h, r, t) scores
+carries a head-role and a tail-role bias scalar.  :func:`init` lifts their
+time norms to the floor with :func:`ukge.geometry.apply_time_guard`, as
+``ultra`` training does after each step.  Relations act through the O(d)
+operators of :mod:`ukge.operators`.  A triple (h, r, t) scores
 
     s = -dist(f_r(phi(e_h)), phi(e_t))^2 + b_h + b_t + delta,
 
@@ -43,7 +45,7 @@ from .errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from .geometry import EPS_TIME, Signature
+from .geometry import Signature, apply_time_guard
 
 MAGIC = b"UKGE"
 FORMAT_VERSION = 1
@@ -141,14 +143,6 @@ def check_store(m: Model, store) -> None:
 def dictionary_digest(names: list[str]) -> str:
     """Stable digest of a name dictionary in id order."""
     return hashlib.sha256("\n".join(names).encode("utf-8")).hexdigest()
-
-
-def apply_time_guard(entities: np.ndarray, sig: Signature) -> None:
-    """In place: lift any time component whose norm fell below the floor."""
-    time = entities[:, sig.p :]
-    small = np.linalg.norm(time, axis=-1) < EPS_TIME
-    if np.any(small):
-        time[small, 0] += EPS_TIME
 
 
 def check_margin(delta: float) -> None:

@@ -9,9 +9,11 @@ consecutive coordinate pairs (rotations preserve orientation, reflections
 flip it and are involutions) and ``H`` couples space coordinate ``i`` with
 time coordinate ``p + i`` through a cosh/sinh shear.  All three stages
 preserve the signature scalar product, so they map the pseudo-hyperboloid to
-itself.  The operator family comes in three flavours: the default uses a
-rotation stage for ``U`` and a reflection stage for ``V``; the ablation
-variants use rotations or reflections for both stages.
+itself; :func:`block_orthogonal_apply` is a Givens stage and
+:func:`hyper_rot_apply` the boost.  The operator family comes in three
+flavours: the default uses a rotation stage for ``U`` and a reflection
+stage for ``V``; the ablation variants use rotations or reflections for
+both stages.
 
 Dense d x d realisations are only materialised for verification
 (:func:`as_dense`, :func:`j_orth_defect`, :func:`lorentz_boost`); the apply
@@ -133,30 +135,10 @@ def relation_param_count(sig: Signature) -> int:
 # --- the three stages ----------------------------------------------------------
 
 
-def givens_apply(angles, v, mode: str):
-    """Apply 2x2 Givens blocks over consecutive pairs of ``v``.
-
-    Rotation blocks map a pair (a, b) to
-    ``(a cos t - b sin t, a sin t + b cos t)``; reflection blocks to
-    ``(a cos t + b sin t, a sin t - b cos t)``.  ``angles`` may carry batch
-    axes matching ``v``'s.
-    """
-    if mode not in (ROTATION, REFLECTION):
-        raise ConfigurationError(f"unknown Givens mode {mode!r}")
-    vshape = np.shape(v)
-    if vshape[-1] % 2:
-        raise DimensionError("givens_apply: vector length must be even")
-    m = vshape[-1] // 2
-    ashape = np.shape(angles)
-    if ashape[-1] != m:
-        raise DimensionError(
-            f"givens_apply: expected {m} angles for length {vshape[-1]}, got {ashape[-1]}"
-        )
-    return _givens(np.cos(angles), np.sin(angles), v, mode)
-
-
 def _givens(c, s, v, mode: str):
-    """The Givens blocks with cosines ``c`` and sines ``s`` applied to ``v``."""
+    """The 2x2 Givens blocks with cosines ``c`` and sines ``s`` applied over
+    consecutive pairs of ``v``.  Rotation blocks map a pair (a, b) to
+    ``(a c - b s, a s + b c)``; reflection blocks to ``(a c + b s, a s - b c)``."""
     vshape = np.shape(v)
     pairs = np.reshape(v, vshape[:-1] + (vshape[-1] // 2, 2))
     a = pairs[..., 0]
@@ -208,18 +190,22 @@ def require_even(sig: Signature) -> None:
 
 
 def block_orthogonal_apply(angles, x, sig: Signature, mode: str):
-    """Apply the block Givens stage to full ambient points.
+    """Apply the block Givens stage (see :func:`_givens`) to full ambient
+    points; ``angles`` may carry batch axes matching ``x``'s.
 
     Requires ``p`` and ``q`` even; because pairing is consecutive and ``p`` is
     even, the space and time blocks are handled in one pass — the first p/2
     angles act on space pairs and the remaining q/2 on time pairs.
     """
+    if mode not in (ROTATION, REFLECTION):
+        raise ConfigurationError(f"unknown Givens mode {mode!r}")
     require_even(sig)
-    if np.shape(x)[-1] != sig.d:
+    if np.shape(x)[-1] != sig.d or np.shape(angles)[-1] != sig.d // 2:
         raise DimensionError(
-            f"block_orthogonal_apply: expected points of dimension {sig.d}"
+            f"block_orthogonal_apply: expected points of dimension {sig.d} "
+            f"and {sig.d // 2} angles, got {np.shape(x)[-1]} and {np.shape(angles)[-1]}"
         )
-    return givens_apply(angles, x, mode)
+    return _givens(np.cos(angles), np.sin(angles), x, mode)
 
 
 def hyper_rot_apply(mu, x, sig: Signature):

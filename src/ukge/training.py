@@ -55,8 +55,9 @@ from .errors import (
     EmptySplitError,
     NonFiniteGradientError,
 )
+from .geometry import apply_time_guard
 from .kgdata import TripleStore
-from .model import Model, apply_time_guard, check_ids, check_store, check_threads
+from .model import Model, check_ids, check_store, check_threads
 from .model import map_row_blocks, parameters
 
 PROB_CLAMP = 1e-12

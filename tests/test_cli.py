@@ -28,9 +28,11 @@ from ukge.cli import (
     main,
     merge_options,
     top_k,
+    train_config,
 )
 from ukge.errors import ParseError
 from ukge.geometry import Signature
+from ukge.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -739,6 +741,10 @@ class TestOptionTable:
             action = actions["--" + key.replace("_", "-")]
             assert (action.dest, action.choices, action.default) == (key, allowed, None)
 
+    def test_train_defaults_are_the_config_defaults(self):
+        defaults = {k: v[1] for k, v in TRAIN_OPTIONS.items()}
+        assert train_config(defaults) == TrainConfig()
+
 
 def _readme_commands() -> list[list[str]]:
     """Each ``ukge ...`` command line of the README, continuations joined,
@@ -825,6 +831,62 @@ class TestMissingOutputDirectory:
         assert captured.out == ""  # no epoch line, table or summary
         assert bad in captured.err
         assert not os.path.exists(ckpt)
+
+
+class TestUnsafeOutputPath:
+    """An output path that is an existing directory, one of the command's
+    inputs or another of its outputs is an input error raised before any
+    file is read; no input is overwritten and nothing is written."""
+
+    CASES = [
+        "train-trace-is-out", "train-out-is-dir", "train-trace-is-dir",
+        "train-out-is-config", "stats-out-is-train", "stats-out-links-to-train",
+        "stats-out-is-dir", "eval-per-relation-is-model", "eval-per-relation-is-dir",
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refused_before_any_work(self, workdir, tmp_path, capsys, case):
+        # private copies of the inputs, so that a write to one would show
+        for split in ("train", "valid", "test"):
+            (tmp_path / f"{split}.tsv").write_bytes(
+                Path(workdir["data"], f"{split}.tsv").read_bytes()
+            )
+        tsv = str(tmp_path / "train.tsv")
+        ckpt = str(tmp_path / "m.ukge")
+        Path(ckpt).write_bytes(Path(workdir["ckpt"]).read_bytes())
+        config = tmp_path / "run.cfg"
+        config.write_text("epochs = 1\n")
+        os.symlink(tsv, tmp_path / "link.tsv")
+        a_dir = str(tmp_path / "a_dir")
+        os.mkdir(a_dir)
+        new = str(tmp_path / "new.ukge")
+        train = ["train", "--train", tsv, "--dim", "4", "--time-dims", "2",
+                 "--epochs", "1", "--batch", "8", "--neg", "2"]
+        evaluate = ["eval", "--model", ckpt, "--train", tsv,
+                    "--test", str(tmp_path / "test.tsv")]
+        argv, bad = {
+            "train-trace-is-out": (train + ["--out", new, "--trace", new], new),
+            "train-out-is-dir": (train + ["--out", a_dir], a_dir),
+            "train-trace-is-dir": (train + ["--out", new, "--trace", a_dir], a_dir),
+            "train-out-is-config": (train + ["--config", str(config), "--out", str(config)],
+                                    str(config)),
+            "stats-out-is-train": (["stats", "--train", tsv, "--out", tsv], tsv),
+            "stats-out-links-to-train": (
+                ["stats", "--train", tsv, "--out", str(tmp_path / "link.tsv")],
+                str(tmp_path / "link.tsv"),
+            ),
+            "stats-out-is-dir": (["stats", "--train", tsv, "--out", a_dir], a_dir),
+            "eval-per-relation-is-model": (evaluate + ["--per-relation", ckpt], ckpt),
+            "eval-per-relation-is-dir": (evaluate + ["--per-relation", a_dir], a_dir),
+        }[case]
+        before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no epoch line, table or summary
+        assert f"cannot write {bad}" in captured.err
+        after = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert after == before
+        assert os.listdir(a_dir) == []
 
 
 class TestModuleEntryPoint:

@@ -16,6 +16,7 @@ from ukge.errors import (
 from ukge.geometry import (
     EPS_TIME,
     Signature,
+    apply_time_guard,
     cosh_argument,
     dist_hyper,
     dist_manhattan,
@@ -23,6 +24,7 @@ from ukge.geometry import (
     manifold_defect,
     on_manifold,
     phi,
+    phi_forward,
     project_conic,
     psi,
     psi_inv,
@@ -117,6 +119,32 @@ class TestDiffeomorphism:
         out = np.asarray(phi(z, S22))
         assert np.all(np.isfinite(out))
         assert manifold_defect(out, S22) <= 1e-9
+
+    def test_guard_lifts_exactly_the_rows_phi_bumps(self, rng):
+        """One floor: ``apply_time_guard`` lifts the rows whose time norm
+        ``phi_forward`` finds below :data:`EPS_TIME`, just below, at and
+        just above it, and ``phi_forward`` bumps none of them afterwards."""
+        ulp = np.spacing(EPS_TIME)
+        edge = EPS_TIME + ulp * np.arange(-3, 4)  # at EPS_TIME and 3 ulp either side
+        unit = np.abs(rng.normal(size=(50, 2)))  # first coordinate >= 0
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        time = np.concatenate([
+            np.stack([edge, np.zeros_like(edge)], axis=1),
+            np.stack([np.zeros_like(edge), edge], axis=1),
+            (unit[:, None, :] * edge[:, None]).reshape(-1, 2),
+            [[0.0, 0.0]],
+        ])
+        z = np.concatenate([rng.normal(size=time.shape), time], axis=1)
+
+        def bumped(z):
+            return np.any(phi_forward(z, S22)[1][1] != z[:, 2:], axis=1)
+
+        would_bump = bumped(z)
+        assert 0 < np.count_nonzero(would_bump) < len(z)
+        guarded = z.copy()
+        apply_time_guard(guarded, S22)
+        np.testing.assert_array_equal(np.any(guarded != z, axis=1), would_bump)
+        assert not np.any(bumped(guarded))
 
     def test_psi_example(self):
         s, u = psi(np.array([3.0, np.sqrt(10.0)]), S11)

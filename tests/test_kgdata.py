@@ -19,6 +19,7 @@ from ukge.errors import (
     ConfigurationError,
     EmptySplitError,
     IdLookupError,
+    NameLookupError,
     ParseError,
     PreconditionError,
     StateError,
@@ -130,10 +131,13 @@ class TestParsing:
 
     def test_unknown_lookup(self, tmp_path):
         store = load_triples(write(tmp_path / "t.tsv", "a\tr\tb\n"))
-        with pytest.raises(IdLookupError):
+        with pytest.raises(NameLookupError):
             store.entity_id("nope")
-        with pytest.raises(IdLookupError):
+        with pytest.raises(NameLookupError):
             store.relation_id("nope")
+        store = load_triples(write(tmp_path / "u.tsv", "alpha\thas_part\tbeta\n"))
+        with pytest.raises(NameLookupError, match="close matches: has_part"):
+            store.relation_id("has_prat")
 
     def test_unknown_split_name(self, tmp_path):
         store = load_triples(write(tmp_path / "t.tsv", "a\tr\tb\n"))
@@ -499,6 +503,12 @@ class TestSynthetic:
         with pytest.raises(ConfigurationError):
             make_synthetic(seed=-1)
 
+    def test_one_child_per_node_names_branching(self):
+        """One leaf cannot carry a ring: the error names ``branching``, not
+        the ``cycle`` the caller never gave."""
+        with pytest.raises(ConfigurationError, match="branching must be >= 2, got 1"):
+            make_synthetic(branching=1)
+
     def test_two_levels(self):
         store = make_synthetic(levels=2, branching=4)
         assert store.n_entities == 5
@@ -737,7 +747,7 @@ class TestLoadMatchesSpec:
 
 
 class TestLazyNameMaps:
-    """Name -> id maps are built on the first lookup, once per store."""
+    """Name lookups read the store's current name lists."""
 
     def stores(self):
         base = store_from([("a", "r", "b"), ("b", "s", "c")])
@@ -747,20 +757,15 @@ class TestLazyNameMaps:
             "replaced": replace(base, entity_names=["x", "y", "z"]),
         }
 
-    def test_construction_builds_no_map(self):
-        for store in self.stores().values():
-            assert "_entity_ids" not in vars(store)
-            assert "_relation_ids" not in vars(store)
-
     def test_lookups_match_the_name_lists(self):
         for kind, store in self.stores().items():
             for i, name in enumerate(store.entity_names):
                 assert store.entity_id(name) == i, kind
             for i, name in enumerate(store.relation_names):
                 assert store.relation_id(name) == i, kind
-            with pytest.raises(IdLookupError):
+            with pytest.raises(NameLookupError):
                 store.entity_id("nobody")
-            with pytest.raises(IdLookupError):
+            with pytest.raises(NameLookupError):
                 store.relation_id("nothing")
         assert self.stores()["augmented"].relation_id("s_inv") == 3
 
@@ -769,12 +774,5 @@ class TestLazyNameMaps:
         assert base.entity_id("a") == 0
         renamed = replace(base, entity_names=["x", "y", "z"])
         assert renamed.entity_id("z") == 2
-        with pytest.raises(IdLookupError):
+        with pytest.raises(NameLookupError):
             renamed.entity_id("a")
-
-    def test_map_built_once(self):
-        store = self.stores()["base"]
-        store.entity_id("a")
-        first = vars(store)["_entity_ids"]
-        store.entity_id("c")
-        assert vars(store)["_entity_ids"] is first

@@ -23,7 +23,6 @@ from ukge.operators import (
     as_dense,
     block_orthogonal_apply,
     count_operations,
-    givens_apply,
     hyper_rot_apply,
     j_orth_defect,
     lorentz_boost,
@@ -86,32 +85,40 @@ def dense_oracle(r: RelationParams, sig: Signature, operator: str) -> np.ndarray
 class TestGivens:
     def test_rotation_quarter_turn(self):
         # (1, 2) rotated by pi/2 lands on (-2, 1)
-        out = givens_apply(np.array([np.pi / 2]), np.array([1.0, 2.0]), ROTATION)
-        assert_close(out, [-2.0, 1.0], atol=1e-15)
+        out = block_orthogonal_apply(
+            np.full(2, np.pi / 2), np.array([1.0, 2.0, 1.0, 2.0]), S22, ROTATION
+        )
+        assert_close(out, [-2.0, 1.0, -2.0, 1.0], atol=1e-15)
 
     def test_reflection_quarter_turn(self):
         # reflection at pi/2 swaps the pair
-        out = givens_apply(np.array([np.pi / 2]), np.array([1.0, 2.0]), REFLECTION)
-        assert_close(out, [2.0, 1.0], atol=1e-15)
+        out = block_orthogonal_apply(
+            np.full(2, np.pi / 2), np.array([1.0, 2.0, 1.0, 2.0]), S22, REFLECTION
+        )
+        assert_close(out, [2.0, 1.0, 2.0, 1.0], atol=1e-15)
 
     def test_reflection_at_zero_negates_second(self):
-        out = givens_apply(np.zeros(2), np.array([1.0, 2.0, 3.0, 4.0]), REFLECTION)
+        out = block_orthogonal_apply(
+            np.zeros(2), np.array([1.0, 2.0, 3.0, 4.0]), S22, REFLECTION
+        )
         assert_close(out, [1.0, -2.0, 3.0, -4.0])
 
     def test_rotation_at_zero_is_identity(self):
         v = np.array([1.0, 2.0, 3.0, 4.0])
-        assert_close(givens_apply(np.zeros(2), v, ROTATION), v)
+        assert_close(block_orthogonal_apply(np.zeros(2), v, S22, ROTATION), v)
 
     def test_rotation_inverse(self, rng):
         t = rng.uniform(-np.pi, np.pi, 3)
         v = rng.normal(size=(5, 6))
-        back = givens_apply(-t, givens_apply(t, v, ROTATION), ROTATION)
+        there = block_orthogonal_apply(t, v, S42, ROTATION)
+        back = block_orthogonal_apply(-t, there, S42, ROTATION)
         assert_close(back, v, atol=1e-14)
 
     def test_reflection_involution(self, rng):
         t = rng.uniform(-np.pi, np.pi, 3)
         v = rng.normal(size=(5, 6))
-        back = givens_apply(t, givens_apply(t, v, REFLECTION), REFLECTION)
+        there = block_orthogonal_apply(t, v, S42, REFLECTION)
+        back = block_orthogonal_apply(t, there, S42, REFLECTION)
         assert_close(back, v, atol=1e-14)
 
     def test_rotation_angles_add(self, rng):
@@ -119,30 +126,32 @@ class TestGivens:
         t1 = rng.uniform(-np.pi, np.pi, 2)
         t2 = rng.uniform(-np.pi, np.pi, 2)
         v = rng.normal(size=4)
-        chained = givens_apply(t1, givens_apply(t2, v, ROTATION), ROTATION)
-        direct = givens_apply(t1 + t2, v, ROTATION)
+        chained = block_orthogonal_apply(
+            t1, block_orthogonal_apply(t2, v, S22, ROTATION), S22, ROTATION
+        )
+        direct = block_orthogonal_apply(t1 + t2, v, S22, ROTATION)
         assert_close(chained, direct, atol=1e-14)
 
     def test_preserves_euclidean_norm(self, rng):
         v = rng.normal(size=(7, 6))
         t = rng.uniform(-np.pi, np.pi, 3)
         for mode in (ROTATION, REFLECTION):
-            out = np.asarray(givens_apply(t, v, mode))
+            out = np.asarray(block_orthogonal_apply(t, v, S42, mode))
             assert_close(
                 np.linalg.norm(out, axis=-1), np.linalg.norm(v, axis=-1), rtol=1e-13
             )
 
     def test_odd_length_rejected(self):
         with pytest.raises(DimensionError):
-            givens_apply(np.zeros(1), np.zeros(3), ROTATION)
+            block_orthogonal_apply(np.zeros(2), np.zeros(3), S22, ROTATION)
 
     def test_angle_count_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            givens_apply(np.zeros(3), np.zeros(4), ROTATION)
+            block_orthogonal_apply(np.zeros(3), np.zeros(4), S22, ROTATION)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
-            givens_apply(np.zeros(2), np.zeros(4), "shear")
+            block_orthogonal_apply(np.zeros(2), np.zeros(4), S22, "shear")
 
     def test_block_stage_needs_even_signature(self):
         with pytest.raises(ConfigurationError):
