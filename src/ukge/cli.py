@@ -60,9 +60,13 @@ def _parse_bool(raw: str) -> bool:
     return word in ("1", "true", "yes")
 
 
+#: the keyword defaults of ``model.init``
+_INIT = model.init.__kwdefaults__
+
 #: train options, key -> (parser, default, allowed values or None for any);
 #: each is a config-file key and, dashed, a flag (``time_dims``, ``--time-dims``).
-#: An option with a ``TrainConfig`` field takes its default from there.
+#: An option with a ``TrainConfig`` field or a ``model.init`` keyword takes
+#: its default from there.
 TRAIN_OPTIONS: dict[str, tuple] = {
     "dim": (int, 32, None),
     "time_dims": (int, 2, None),
@@ -71,10 +75,10 @@ TRAIN_OPTIONS: dict[str, tuple] = {
     "batch": (int, training.TrainConfig.batch_size, None),
     "neg": (int, training.TrainConfig.neg_samples, None),
     "epochs": (int, training.TrainConfig.epochs, None),
-    "margin": (float, 6.0, None),
+    "margin": (float, _INIT["delta"], None),
     "seed": (int, training.TrainConfig.seed, None),
-    "operator": (str, "rotref", tuple(operators.OPERATOR_MODES)),
-    "geometry": (str, "ultra", model.GEOMETRIES),
+    "operator": (str, _INIT["operator"], tuple(operators.OPERATOR_MODES)),
+    "geometry": (str, _INIT["geometry"], model.GEOMETRIES),
     "optimizer": (str, training.TrainConfig.optimizer, tuple(training.OPTIMIZERS)),
     "threads": (int, training.TrainConfig.threads, None),
     "deterministic": (_parse_bool, False, None),  # a bare switch as a flag

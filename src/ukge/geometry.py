@@ -15,8 +15,8 @@ for ``p = 0``.  Free optimisation parameters are points of
 ``R^p x (R^q minus 0)``; :func:`phi` carries them onto the manifold by rescaling
 the time component, and :func:`psi` / :func:`psi_inv` factor that map through
 an intermediate "space x sphere" representation.  :data:`EPS_TIME` floors
-the time norm: :func:`phi` bumps a row below it, and :func:`apply_time_guard`
-lifts the same rows of a parameter table in place.
+the time norm: :func:`phi` bumps a row below it by :func:`floor_shift`, and
+:func:`apply_time_guard` lifts the same rows of a parameter table in place.
 
 :func:`dist_manhattan` takes the cheaper of two routes, each a great-circle
 arc between time directions at fixed space component plus a hyperboloid
@@ -26,7 +26,12 @@ projection :func:`project_conic` and the legs :func:`dist_sphere` and
 their preconditions; they are the reference the closed form is tested against.
 
 All functions are plain numpy, with point coordinates along the last axis
-and batch axes in front.  The training kernel's vector-Jacobian products
+and batch axes in front, except those of one-against-all scoring
+(:func:`point_terms_columns`, :func:`manhattan_legs_columns`): they keep the
+candidates coordinate-major, one row per coordinate, and
+:func:`dot_columns` sums their dot products over whole rows in the order
+``np.sum`` adds one C-ordered row, so a candidate gets the bits the
+row-wise functions give it.  The training kernel's vector-Jacobian products
 (:func:`phi_vjp`, :func:`point_terms_vjp`, :func:`manhattan_legs_vjp`) take
 the intermediates that :func:`phi_forward` and :func:`manhattan_legs_forward`
 keep.  Scoring takes every Euclidean norm from :func:`norm`, so training,
@@ -97,6 +102,52 @@ def norm(x, keepdims: bool = False):
     """Euclidean norm ``sqrt(sum(x * x))`` along the last axis.  Not
     ``np.linalg.norm``, which rounds differently."""
     return np.sqrt(np.sum(x * x, axis=-1, keepdims=keepdims))
+
+
+#: numpy's pairwise summation sums a row of 8 to this many elements with
+#: eight accumulators, and halves a longer row
+_PAIRWISE_BLOCK = 128
+
+
+def dot_columns(x, y):
+    """``np.sum(x.T * y.T, axis=-1)``, bit for bit, for coordinate-major
+    operands: ``x`` and ``y`` hold one row per coordinate, ``k`` rows each,
+    and broadcast to ``(k, N)``.
+
+    The products of a column are added in the order numpy's pairwise
+    summation adds one C-ordered row: below 8 in sequence from ``+0.0``; up
+    to :data:`_PAIRWISE_BLOCK`, eight partial sums over the coordinates
+    ``j mod 8``, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then
+    the rest in order and ``+0.0`` last; above it, each half alike.  Only a
+    NaN's sign may differ, as numpy's compiled loop picks which of two NaNs
+    an addition keeps.  (``np.sum`` of an F-ordered product would add in
+    sequence instead.)  ``tests/test_geometry.py`` pins this order to the
+    installed numpy's.
+    """
+    k = len(x)
+    if k > _PAIRWISE_BLOCK:
+        half = k // 2 - (k // 2) % 8
+        return dot_columns(x[:half], y[:half]) + dot_columns(x[half:], y[half:])
+    prod = np.empty(np.broadcast_shapes(np.shape(x)[1:], np.shape(y)[1:]))
+
+    def term(j):
+        return np.multiply(x[j], y[j], out=prod)
+
+    if k < 8:
+        out = np.zeros(prod.shape)
+        for j in range(k):
+            out += term(j)
+        return out
+    acc = [x[j] * y[j] for j in range(8)]
+    end = k - k % 8
+    for j in range(8, end):
+        acc[j % 8] += term(j)
+    r0, r1, r2, r3, r4, r5, r6, r7 = acc
+    out = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for j in range(end, k):
+        out += term(j)
+    out += 0.0  # the reduction's start value: a -0.0 sum becomes +0.0
+    return out
 
 
 def _check_last_dim(x, expect: int, name: str) -> None:
@@ -180,8 +231,9 @@ def phi(z, sig: Signature):
     Computes ``(s, sqrt(alpha^2 + |s|^2) * t / |t|)`` — the composition of
     :func:`psi` (extended to all of ``R^p x R^q_*``) with :func:`psi_inv`.
     Rows whose time norm has fallen below :data:`EPS_TIME` get that amount
-    added to their first time coordinate before mapping, so the map never
-    divides by zero during optimisation.
+    added to their first time coordinate, with the coordinate's sign
+    (:func:`floor_shift`), before mapping, so the map never divides by a
+    norm below the floor during optimisation.
     """
     return phi_forward(z, sig)[0]
 
@@ -196,7 +248,7 @@ def phi_forward(z, sig: Signature):
     small = (tn < EPS_TIME)[..., 0]
     if np.any(small):
         bump = np.zeros(np.shape(t))
-        bump[..., 0] = np.where(small, EPS_TIME, 0.0)
+        bump[..., 0] = np.where(small, floor_shift(t[..., 0]), 0.0)
         t = t + bump
         tn = norm(t, keepdims=True)
     # normalise first: for q = 1 this makes the time coordinate exactly
@@ -207,13 +259,21 @@ def phi_forward(z, sig: Signature):
     return np.concatenate([s, unit * scale], axis=-1), (s, t, tn, unit, scale)
 
 
+def floor_shift(t0):
+    """The shift that lifts a time block below :data:`EPS_TIME` with first
+    coordinate ``t0``: ``EPS_TIME`` with the sign of ``t0`` (``+`` for
+    ``-0.0``), so the shifted norm is at least the floor."""
+    return np.where(t0 < 0.0, -EPS_TIME, EPS_TIME)
+
+
 def apply_time_guard(entities: np.ndarray, sig: Signature) -> None:
-    """In place: add :data:`EPS_TIME` to the first time coordinate of each
-    row whose time norm fell below it, the rows :func:`phi_forward` bumps."""
+    """In place: shift the first time coordinate of each row whose time norm
+    fell below :data:`EPS_TIME` by :func:`floor_shift`, the rows
+    :func:`phi_forward` bumps."""
     time = entities[:, sig.p :]
     small = norm(time) < EPS_TIME
     if np.any(small):
-        time[small, 0] += EPS_TIME
+        time[small, 0] += floor_shift(time[small, 0])
 
 
 def phi_vjp(saved, g: np.ndarray, sig: Signature) -> np.ndarray:
@@ -307,10 +367,35 @@ def dist_hyper(a, b, sig: Signature):
 def point_terms(x, sig: Signature):
     """The terms of :func:`dist_manhattan` that depend on one point only:
     ``(space, time, r, n)``, with ``r`` the :func:`space_radius` and ``n``
-    the time norm.  One-against-all scoring computes them once for every
-    candidate tail and hands them to :func:`manhattan_legs` per query."""
+    the time norm.  One-against-all scoring takes a query's from here and
+    its candidates' from :func:`point_terms_columns`."""
     xs, xt = split_spacetime(x, sig)
     return xs, xt, space_radius(xs, sig), norm(xt)
+
+
+def point_terms_columns(z, sig: Signature):
+    """:func:`point_terms` of :func:`phi` of the free parameters ``z``, all
+    coordinate-major: ``z`` is ``(d, N)``, one row per coordinate, and the
+    result is ``(space, time, r, n)`` with ``space`` of shape ``(p, N)``,
+    ``time`` of shape ``(q, N)`` and ``r``, ``n`` of shape ``(N,)``.
+
+    The arithmetic is :func:`phi_forward`'s and :func:`point_terms`', with
+    every sum of squares from :func:`dot_columns`, so each column gets the
+    bits that the row-wise functions give its row.  As in
+    :func:`phi_forward`, a column below the time-norm floor makes the bump
+    add ``+0.0`` to every time coordinate of the batch.
+    """
+    s, t = z[: sig.p], z[sig.p :]
+    tn = np.sqrt(dot_columns(t, t))
+    small = tn < EPS_TIME
+    if np.any(small):
+        bump = np.zeros(t.shape)
+        bump[0] = np.where(small, floor_shift(t[0]), 0.0)
+        t = t + bump
+        tn = np.sqrt(dot_columns(t, t))
+    r = np.sqrt(dot_columns(s, s) + sig.alpha * sig.alpha)
+    time = t / tn * r
+    return s, time, r, np.sqrt(dot_columns(time, time))
 
 
 def point_terms_vjp(terms, g_terms, sig: Signature) -> np.ndarray:
@@ -335,13 +420,9 @@ def point_terms_vjp(terms, g_terms, sig: Signature) -> np.ndarray:
     return g_x
 
 
-def manhattan_legs(tx, ty, sig: Signature):
-    """:func:`dist_manhattan` of two points given by their :func:`point_terms`."""
-    return manhattan_legs_forward(tx, ty, sig)[0]
-
-
 def manhattan_legs_forward(tx, ty, sig: Signature):
-    """:func:`manhattan_legs` and the intermediates
+    """:func:`dist_manhattan` of two points given by their
+    :func:`point_terms`, and the intermediates
     :func:`manhattan_legs_vjp` reads.  These include every guard's input:
     the cosine before its ``arccos`` clamp, the two ``arccosh`` arguments
     before theirs, the branch choice ``first`` (the x -> y order is taken,
@@ -349,11 +430,41 @@ def manhattan_legs_forward(tx, ty, sig: Signature):
     none)."""
     xs, xt, rx, nx = tx
     ys, yt, ry, ny = ty
-    dot = np.sum(xt * yt, axis=-1)
+    # coincident rows share their first coordinate: compare whole rows only
+    # where that column matches
+    same = xs[..., 0] == ys[..., 0]
+    if np.any(same):
+        same &= np.all(xs == ys, axis=-1)
+        same &= np.all(xt == yt, axis=-1)
+    dot, s = np.sum(xt * yt, axis=-1), np.sum(xs * ys, axis=-1)
+    return _legs_forward(dot, s, rx, nx, ry, ny, same, sig)
+
+
+def manhattan_legs_columns(tx, side, sig: Signature):
+    """:func:`dist_manhattan` from one point to each of ``N`` candidates:
+    ``tx`` is the :func:`point_terms` of one row, ``side`` the
+    coordinate-major terms of the candidates from
+    :func:`point_terms_columns`.  :func:`dot_columns` gives both dot
+    products the row-wise bits, so every candidate's distance equals the
+    row-wise one."""
+    xs, xt, rx, nx = tx
+    ys, yt, ry, ny = side
+    xs, xt = np.reshape(xs, (-1, 1)), np.reshape(xt, (-1, 1))
+    same = ys[0] == xs[0]
+    if np.any(same):
+        same &= np.all(ys == xs, axis=0)
+        same &= np.all(yt == xt, axis=0)
+    dot, s = dot_columns(xt, yt), dot_columns(xs, ys)
+    return _legs_forward(dot, s, rx, nx, ry, ny, same, sig)[0]
+
+
+def _legs_forward(dot, s, rx, nx, ry, ny, same, sig: Signature):
+    """The legs of :func:`manhattan_legs_forward` given the time dot
+    product ``dot``, the space dot product ``s`` and the coincident rows
+    ``same``."""
     nn = nx * ny
     cos = dot / nn
     angle = np.arccos(np.clip(cos, -1.0, 1.0))
-    s = np.sum(xs * ys, axis=-1)
     a2 = sig.alpha * sig.alpha
     arg_xy = (rx * ny - s) / a2
     arg_yx = (ry * nx - s) / a2
@@ -361,12 +472,6 @@ def manhattan_legs_forward(tx, ty, sig: Signature):
     leg_yx = ry * angle + sig.alpha * np.arccosh(np.clip(arg_yx, 1.0, None))
     first = leg_xy <= leg_yx
     best = np.where(first, leg_xy, leg_yx)
-    # coincident rows share their first coordinate: compare whole rows only
-    # where that column matches
-    same = xs[..., 0] == ys[..., 0]
-    if np.any(same):
-        same &= np.all(xs == ys, axis=-1)
-        same &= np.all(xt == yt, axis=-1)
     if np.any(same):
         best = np.where(same, np.zeros(np.shape(same)), best)
     else:
@@ -434,6 +539,6 @@ def dist_manhattan(x, y, sig: Signature):
     pairs short-circuit to exactly zero: the inverse trigonometric legs lose
     half the float precision near coincidence, so without the short circuit
     d(x, x) lands near 1e-7 instead of 0.  The per-point terms come from
-    :func:`point_terms` and the legs from :func:`manhattan_legs`.
+    :func:`point_terms` and the legs from :func:`manhattan_legs_forward`.
     """
-    return manhattan_legs(point_terms(x, sig), point_terms(y, sig), sig)
+    return manhattan_legs_forward(point_terms(x, sig), point_terms(y, sig), sig)[0]

@@ -9,10 +9,13 @@ operators of :mod:`ukge.operators`.  A triple (h, r, t) scores
 
     s = -dist(f_r(phi(e_h)), phi(e_t))^2 + b_h + b_t + delta,
 
-with ``delta`` a global margin.  The ``geometry="euclidean"`` variant is a
-baseline at identical parameter count: the same Givens stages act on the raw
-parameter vectors, boosts are pinned to zero, and the distance is plain
-Euclidean.
+with ``delta`` a global margin.  Ranking scores one query against all
+candidate tails: :func:`candidate_tails` lays the tails' terms out
+coordinate-major once, and :func:`score_candidates` gets each candidate the
+bits of the row-wise score that training computes.  The
+``geometry="euclidean"`` variant is a baseline at identical parameter
+count: the same Givens stages act on the raw parameter vectors, boosts are
+pinned to zero, and the distance is plain Euclidean.
 
 Checkpoints are a small binary format: magic ``UKGE``, a little-endian u32
 format version, a u32 header length, a canonical JSON header, then raw
@@ -224,20 +227,23 @@ def parameters(m: Model) -> dict[str, np.ndarray]:
 
 
 def candidate_tails(m: Model, candidates=None) -> tuple:
-    """``(side, tail biases)`` of the candidate tails (default: all), where
-    ``side`` is the :func:`geometry.point_terms` of their manifold points
-    (ultra) or their raw vectors (euclidean); it is the same for every
-    query, so :func:`ukge.evaluation.evaluate` builds it once per call."""
+    """``(side, tail biases)`` of the candidate tails (default: all).  For
+    ultra, ``side`` is the :func:`geometry.point_terms_columns` of their
+    free parameters, coordinate-major, built from one transposed copy of
+    their rows; for euclidean it is their raw vectors.  It is the same for
+    every query, so :func:`ukge.evaluation.evaluate` builds it once per
+    call."""
     if candidates is None:
-        cand = np.arange(m.n_entities)
+        cand = slice(None)
     else:
         cand = np.asarray(candidates)
         check_ids(cand, m.n_entities, "entity")
         cand = cand.astype(np.int64, copy=False)
-    z_t = m.entities[cand]
     if m.geometry == "ultra":
-        z_t = geometry.point_terms(geometry.phi(z_t, m.sig), m.sig)
-    return z_t, m.biases[cand, 1]
+        side = geometry.point_terms_columns(m.entities.T[:, cand].copy(), m.sig)
+    else:
+        side = m.entities[cand]
+    return side, m.biases[cand, 1]
 
 
 def score_candidates(m: Model, h: int, r: int, *, tails=None) -> np.ndarray:
@@ -256,7 +262,7 @@ def score_candidates(m: Model, h: int, r: int, *, tails=None) -> np.ndarray:
     if m.geometry == "ultra":
         head = geometry.phi(z_h, m.sig)
         moved = operators.relation_transform(th, ph, m.mu[[r]], head, m.sig, m.operator)
-        dist = geometry.manhattan_legs(geometry.point_terms(moved, m.sig), side, m.sig)
+        dist = geometry.manhattan_legs_columns(geometry.point_terms(moved, m.sig), side, m.sig)
     else:
         mu0 = np.zeros((1, m.sig.q))
         moved = operators.relation_transform(th, ph, mu0, z_h, m.sig, m.operator)

@@ -7,6 +7,11 @@ import pytest
 
 from ukge.geometry import Signature, phi
 
+#: signatures for the one-against-all scoring pins: fewer than 8 space
+#: coordinates, and 8 or more space or time coordinates, where numpy sums a
+#: row with eight accumulators
+SCORING_SIGNATURES = [Signature(6, 2), Signature(10, 2), Signature(16, 8), Signature(28, 4)]
+
 
 def random_free_params(sig: Signature, n: int, rng, scale: float = 2.0) -> np.ndarray:
     """Unconstrained parameter rows with time norms safely away from zero."""

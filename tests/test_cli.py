@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import shlex
 import subprocess
@@ -744,6 +745,14 @@ class TestOptionTable:
     def test_train_defaults_are_the_config_defaults(self):
         defaults = {k: v[1] for k, v in TRAIN_OPTIONS.items()}
         assert train_config(defaults) == TrainConfig()
+
+    def test_model_defaults_are_the_init_defaults(self):
+        """``margin``, ``operator`` and ``geometry`` default to the keyword
+        defaults of ``model.init``, which ``cmd_train`` passes them to."""
+        init = inspect.signature(model.init).parameters
+        for key, keyword in (("margin", "delta"), ("operator", "operator"),
+                             ("geometry", "geometry")):
+            assert TRAIN_OPTIONS[key][1] == init[keyword].default
 
 
 def _readme_commands() -> list[list[str]]:

@@ -35,7 +35,7 @@ from ukge.model import (
 from ukge.operators import OPERATOR_MODES
 from tape_oracle import score_triples
 
-from conftest import assert_close
+from conftest import SCORING_SIGNATURES, assert_close
 
 S22 = Signature(2, 2, 1.0)
 
@@ -382,11 +382,10 @@ class TestEvaluateMatchesPairPath:
     must equal ranks built from the pair path, where the tape oracle's
     ``score_triples`` scores every (h, r, e) row on its own."""
 
-    def setup(self, geometry, operator):
+    def setup(self, geometry, operator, sig=Signature(6, 2)):
         store = augment_inverse(make_synthetic(seed=2))
         n = store.n_entities
-        m = init(Signature(6, 2), n, store.n_relations, seed=5,
-                 operator=operator, geometry=geometry)
+        m = init(sig, n, store.n_relations, seed=5, operator=operator, geometry=geometry)
         rng = np.random.default_rng(6)
         m.entities[:] = rng.normal(0.0, 1.0, m.entities.shape)
         m.biases[:] = rng.normal(0.0, 1.0, m.biases.shape)
@@ -397,6 +396,10 @@ class TestEvaluateMatchesPairPath:
         m.entities[1] = m.entities[0]
         m.biases[1, 1] = m.biases[0, 1]
         m.entities[2] = np.nan  # a NaN tail, and a NaN head
+        # a time block below the floor, whose bump turns the -0.0 time
+        # coordinate of entity 4 into +0.0 in every batch that holds both
+        m.entities[3, sig.p :] = 0.0
+        m.entities[4, -1] = -0.0
         extra = [(0, 0, 1), (1, 0, 0), (0, 0, 0), (2, 1, 3), (4, 1, 2), (5, 3, 2)]
         store = replace(store, test=np.concatenate([store.test, extra]))
         return m, store
@@ -427,14 +430,24 @@ class TestEvaluateMatchesPairPath:
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_precomputed_tails_equal_candidate_rows(self, geometry):
-        m, _ = self.setup(geometry, "rotref")
-        cand = np.array([7, 1, 0, 2, 7])
-        for h, r in [(0, 0), (3, 2), (2, 1)]:
-            rows = score_triples(m, np.full(cand.size, h), np.full(cand.size, r), cand)
-            np.testing.assert_array_equal(
-                score_candidates(m, h, r, tails=candidate_tails(m, cand)), rows
-            )
-            np.testing.assert_array_equal(
-                score_candidates(m, h, r), score_candidates(m, h, r, tails=candidate_tails(m))
-            )
+        """Also with 8 or more space or time coordinates, where the dot
+        products take numpy's eight-accumulator branch, and with the
+        bumped entity 3, the -0.0 coordinate of entity 4 and, for the
+        identity relation 0 of ``rot``, the copies 0 and 1 of head 0."""
+        for sig, operator in itertools.product(SCORING_SIGNATURES, ["rotref", "rot"]):
+            m, _ = self.setup(geometry, operator, sig)
+            cand = np.array([7, 1, 0, 2, 7, 3, 4])
+            every = np.arange(m.n_entities)
+            for h, r in [(0, 0), (3, 2), (2, 1), (4, 0)]:
+                rows = score_triples(m, np.full(cand.size, h), np.full(cand.size, r), cand)
+                np.testing.assert_array_equal(
+                    score_candidates(m, h, r, tails=candidate_tails(m, cand)), rows
+                )
+                rows = score_triples(m, np.full(every.size, h), np.full(every.size, r), every)
+                np.testing.assert_array_equal(score_candidates(m, h, r), rows)
+            if operator == "rot":  # the moved head 0 meets candidates 0 and 1
+                np.testing.assert_array_equal(
+                    score_candidates(m, 0, 0, tails=candidate_tails(m, [0, 1])),
+                    m.biases[0, 0] + m.biases[[0, 1], 1] + m.delta,
+                )
 

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_diff, random_free_params, random_manifold_points
+from conftest import (
+    SCORING_SIGNATURES,
+    central_diff,
+    random_free_params,
+    random_manifold_points,
+)
 from ukge.autodiff import Tensor
 from ukge.errors import (
     ConfigurationError,
@@ -21,10 +26,14 @@ from ukge.geometry import (
     dist_hyper,
     dist_manhattan,
     dist_sphere,
+    dot_columns,
+    manhattan_legs_columns,
     manifold_defect,
     on_manifold,
     phi,
     phi_forward,
+    point_terms,
+    point_terms_columns,
     project_conic,
     psi,
     psi_inv,
@@ -145,6 +154,20 @@ class TestDiffeomorphism:
         apply_time_guard(guarded, S22)
         np.testing.assert_array_equal(np.any(guarded != z, axis=1), would_bump)
         assert not np.any(bumped(guarded))
+
+    @pytest.mark.parametrize("t0", [-0.999e-8, -0.5e-8, -0.0, 0.0, 0.5e-8, 0.999e-8])
+    def test_one_shift_reaches_the_floor(self, t0):
+        """The shift takes the first time coordinate's sign, so one guard
+        call lifts the norm to the floor; adding ``+EPS_TIME`` to
+        ``-0.999e-8`` left a norm of ``1e-11``."""
+        z = np.array([[0.5, -0.5, t0, 0.0]])
+        guarded = z.copy()
+        apply_time_guard(guarded, S22)
+        assert np.linalg.norm(guarded[0, 2:]) >= EPS_TIME
+        assert np.signbit(guarded[0, 2]) == (t0 < 0.0)
+        tn = phi_forward(z, S22)[1][2]
+        assert tn[0, 0] >= EPS_TIME
+        np.testing.assert_array_equal(phi_forward(guarded, S22)[0], phi(z, S22))
 
     def test_psi_example(self):
         s, u = psi(np.array([3.0, np.sqrt(10.0)]), S11)
@@ -398,6 +421,87 @@ class TestDistances:
 
         numeric = central_diff(scalar, z1, h=1e-6)
         np.testing.assert_allclose(t.grad, numeric, rtol=1e-4, atol=1e-7)
+
+
+def assert_same_bits(actual, expected):
+    """Equal bit for bit, where a NaN matches any NaN: numpy's compiled
+    loops pick which of two NaNs an addition keeps."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    np.testing.assert_array_equal(actual[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
+class TestCoordinateMajor:
+    """``dot_columns`` and ``point_terms_columns`` give each column the bits
+    that ``np.sum`` and the row-wise functions give its row."""
+
+    SPECIAL = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, 1.0])
+
+    def rows(self, k, rng):
+        """Rows of k values: mixed magnitudes, a tenth of them special, and
+        rows of all -0.0, all +0.0, one inf, opposite infs and one NaN."""
+        x = rng.normal(size=(60, k)) * 10.0 ** rng.integers(-12, 13, size=(60, k))
+        mask = rng.random(x.shape) < 0.1
+        x[mask] = rng.choice(self.SPECIAL, np.count_nonzero(mask))
+        x[0], x[1] = -0.0, 0.0
+        x[2, k // 2] = np.inf
+        x[3, 0], x[3, -1] = np.inf, -np.inf
+        x[4, k - 1] = np.nan
+        return x
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_dot_columns_is_np_sum_of_rows(self, k):
+        """Every k from 1 to 40, so both summation branches and every
+        remainder of k mod 8; a numpy that sums a row in another order
+        fails here instead of splitting eval bits from training bits."""
+        rng = np.random.default_rng(k)
+        x, y = self.rows(k, rng), self.rows(k, rng)
+        y[:2] = 1.0  # the -0.0 and +0.0 rows keep their sign in x * y
+        expected = np.sum(x * y, axis=-1)
+        assert not np.signbit(expected[0])  # a row of -0.0 sums to +0.0
+        for xc, yc in ((x.T, y.T), (np.ascontiguousarray(x.T), np.ascontiguousarray(y.T))):
+            assert_same_bits(dot_columns(xc, yc), expected)
+        # one row against every row, as one-against-all scoring sums it
+        assert_same_bits(dot_columns(x[5][:, None], y.T.copy()), np.sum(x[5] * y, axis=-1))
+
+    @pytest.mark.parametrize("k", [129, 300])
+    def test_dot_columns_halves_long_rows(self, k):
+        rng = np.random.default_rng(k)
+        x, y = rng.normal(size=(20, k)), rng.normal(size=(20, k))
+        assert_same_bits(dot_columns(x.T.copy(), y.T.copy()), np.sum(x * y, axis=-1))
+
+    @pytest.mark.parametrize("sig", [S22] + SCORING_SIGNATURES)
+    def test_point_terms_columns_equal_rows(self, sig):
+        """Also with a row below the time-norm floor, whose bump turns the
+        batch's -0.0 time coordinates into +0.0, and without one."""
+        rng = np.random.default_rng(sig.d)
+        z = rng.normal(0.0, 2.0, (40, sig.d))
+        z[3, sig.p :] = 0.0
+        z[4, sig.p :] = -0.0
+        z[5, sig.p :], z[5, sig.p] = 0.0, -0.5e-8
+        z[6, sig.p + sig.q - 1] = -0.0
+        z[7] = z[8]
+        for rows in (z, z[6:]):
+            expected = point_terms(phi(rows, sig), sig)
+            got = point_terms_columns(rows.T.copy(), sig)
+            for e, g in zip(expected, got):
+                assert_same_bits(np.asarray(g).T, e)
+
+    @pytest.mark.parametrize("sig", SCORING_SIGNATURES)
+    def test_legs_columns_equal_legs(self, sig):
+        """One point against every candidate, a copy of it among them at
+        exact zero distance."""
+        rng = np.random.default_rng(sig.d)
+        z = rng.normal(0.0, 2.0, (50, sig.d))
+        z[10, sig.p + sig.q - 1] = -0.0
+        x = phi(z[[10]], sig)
+        cols = point_terms_columns(z.T.copy(), sig)
+        got = manhattan_legs_columns(point_terms(x, sig), cols, sig)
+        assert_same_bits(got, dist_manhattan(x, phi(z, sig), sig))
+        assert got[10] == 0.0 and np.count_nonzero(got == 0.0) == 1
 
 
 class TestSpaceRadius:

@@ -32,7 +32,7 @@ from ukge.training import (
     sample_negatives,
 )
 
-from conftest import assert_close
+from conftest import SCORING_SIGNATURES, assert_close
 
 S22 = Signature(2, 2, 1.0)
 
@@ -581,11 +581,21 @@ class TestOneScoringPath:
 
     @pytest.mark.parametrize("geometry", ["ultra", "euclidean"])
     def test_tape_forward_equals_score_candidates_bitwise(self, geometry):
+        """Also with 8 or more space or time coordinates, where the dot
+        products take numpy's eight-accumulator branch, and with a time
+        block below the floor (entity 5) and a -0.0 time coordinate
+        (entity 6) among the candidates."""
+        for sig in SCORING_SIGNATURES:
+            self.check_signature(sig, geometry)
+
+    def check_signature(self, sig, geometry):
         from tape_oracle import _leaves, score_triples
         from ukge.model import score, score_candidates
 
-        m = init(Signature(6, 2, 1.0), 40, 3, seed=8, geometry=geometry)
+        m = init(sig, 40, 3, seed=8, geometry=geometry)
         m.biases[:] = np.random.default_rng(8).normal(0.0, 0.5, m.biases.shape)
+        m.entities[5, sig.p :] = 0.0
+        m.entities[6, -1] = -0.0
         rng = np.random.default_rng(9)
         triples = np.stack(
             [rng.integers(0, 40, 60), rng.integers(0, 3, 60), rng.integers(0, 40, 60)],
@@ -603,6 +613,15 @@ class TestOneScoringPath:
             m, np.full(40, h), np.full(40, r), every, _leaves(m)
         ).value
         np.testing.assert_array_equal(tape, score_candidates(m, h, r))
+        # a candidate equal to the moved head is at exact zero distance
+        if geometry == "ultra":
+            m.operator = "rot"
+            m.theta[r] = m.phi[r] = m.mu[r] = 0.0
+            m.entities[7] = m.entities[h]
+            scores = score_candidates(m, h, r)
+            tape = score_triples(m, np.full(40, h), np.full(40, r), every, _leaves(m)).value
+            np.testing.assert_array_equal(tape, scores)
+            assert scores[7] == m.biases[h, 0] + m.biases[7, 1] + m.delta
 
 
 class TestSamplerStream:
