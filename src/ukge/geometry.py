@@ -26,16 +26,17 @@ projection :func:`project_conic` and the legs :func:`dist_sphere` and
 their preconditions; they are the reference the closed form is tested against.
 
 All functions are plain numpy, with point coordinates along the last axis
-and batch axes in front, except those of one-against-all scoring
-(:func:`point_terms_columns`, :func:`manhattan_legs_columns`): they keep the
-candidates coordinate-major, one row per coordinate, and
-:func:`dot_columns` sums their dot products over whole rows in the order
-``np.sum`` adds one C-ordered row, so a candidate gets the bits the
-row-wise functions give it.  The training kernel's vector-Jacobian products
-(:func:`phi_vjp`, :func:`point_terms_vjp`, :func:`manhattan_legs_vjp`) take
-the intermediates that :func:`phi_forward` and :func:`manhattan_legs_forward`
-keep.  Scoring takes every Euclidean norm from :func:`norm`, so training,
-evaluation and the autodiff tape round them alike.
+and batch axes in front, except the ``*_columns`` functions of scoring,
+which the training kernel and one-against-all evaluation share: they keep
+points coordinate-major, one row per coordinate, and :func:`dot_columns`
+sums their dot products over whole rows in the order ``np.sum`` adds one
+C-ordered row, so each point gets the bits the row-wise functions give
+it.  :func:`point_terms_columns` and :func:`manhattan_legs_columns` keep,
+when asked, the intermediates that the kernel's vector-Jacobian products
+(:func:`phi_columns_vjp`, :func:`point_terms_columns_vjp`,
+:func:`manhattan_legs_columns_vjp`) read.  The row-wise functions
+(:func:`phi`, :func:`dist_manhattan`) are the reference that the autodiff
+tape differentiates and the tests compare with.
 """
 
 from __future__ import annotations
@@ -125,10 +126,13 @@ def dot_columns(x, y):
     installed numpy's.
     """
     k = len(x)
+    shape = np.broadcast_shapes(np.shape(x)[1:], np.shape(y)[1:])
+    if shape == (1,):  # one column: a C-ordered row, summed by np.sum itself
+        return np.sum((np.reshape(x, (k, 1)) * np.reshape(y, (k, 1))).T, axis=-1)
     if k > _PAIRWISE_BLOCK:
         half = k // 2 - (k // 2) % 8
         return dot_columns(x[:half], y[:half]) + dot_columns(x[half:], y[half:])
-    prod = np.empty(np.broadcast_shapes(np.shape(x)[1:], np.shape(y)[1:]))
+    prod = np.empty(shape)
 
     def term(j):
         return np.multiply(x[j], y[j], out=prod)
@@ -239,9 +243,8 @@ def phi(z, sig: Signature):
 
 
 def phi_forward(z, sig: Signature):
-    """:func:`phi` and the intermediates :func:`phi_vjp` reads: the space
-    block, the (bumped) time block, its norm and direction, and the radius as
-    a column."""
+    """:func:`phi` and its intermediates: the space block, the (bumped) time
+    block, its norm and direction, and the radius as a column."""
     _check_last_dim(z, sig.d, "phi")
     s, t = z[..., : sig.p], z[..., sig.p :]
     tn = norm(t, keepdims=True)
@@ -274,31 +277,6 @@ def apply_time_guard(entities: np.ndarray, sig: Signature) -> None:
     small = norm(time) < EPS_TIME
     if np.any(small):
         time[small, 0] += floor_shift(time[small, 0])
-
-
-def phi_vjp(saved, g: np.ndarray, sig: Signature) -> np.ndarray:
-    """Gradient with respect to the free parameters ``z`` given the gradient
-    ``g`` of :func:`phi_forward`'s output; ``saved`` is its intermediates.
-
-    The products and sums are those of the autodiff tape's reverse sweep
-    over :func:`phi_forward`, in its order: each block receives its direct
-    share first and then both factors of its own sum of squares, so the
-    result matches the tape bit for bit.  The ``EPS_TIME`` bump is a
-    constant shift and passes the time gradient through unchanged.
-    """
-    s, t, norm, unit, scale = saved
-    g_s, g_ut = g[..., : sig.p], g[..., sig.p :]
-    g_unit = g_ut * scale
-    g_scale = (g_ut * unit).sum(axis=-1, keepdims=True)
-    g_norm = (-g_unit * t / (norm * norm)).sum(axis=-1, keepdims=True)
-    g_tt = (g_norm * (0.5 / norm)) * t
-    g_ss = (g_scale * (0.5 / scale)) * s
-    g_z = np.empty(g.shape)
-    np.add(g_s, g_ss, out=g_z[..., : sig.p])
-    g_z[..., : sig.p] += g_ss
-    np.add(g_unit / norm, g_tt, out=g_z[..., sig.p :])
-    g_z[..., sig.p :] += g_tt
-    return g_z
 
 
 # --- conic projection and distances -----------------------------------------
@@ -373,11 +351,13 @@ def point_terms(x, sig: Signature):
     return xs, xt, space_radius(xs, sig), norm(xt)
 
 
-def point_terms_columns(z, sig: Signature):
+def point_terms_columns(z, sig: Signature, keep: bool = False):
     """:func:`point_terms` of :func:`phi` of the free parameters ``z``, all
     coordinate-major: ``z`` is ``(d, N)``, one row per coordinate, and the
     result is ``(space, time, r, n)`` with ``space`` of shape ``(p, N)``,
-    ``time`` of shape ``(q, N)`` and ``r``, ``n`` of shape ``(N,)``.
+    ``time`` of shape ``(q, N)`` and ``r``, ``n`` of shape ``(N,)``.  With
+    ``keep`` it comes with the intermediates that :func:`phi_columns_vjp`
+    reads: the (bumped) time block, its norm and its direction.
 
     The arithmetic is :func:`phi_forward`'s and :func:`point_terms`', with
     every sum of squares from :func:`dot_columns`, so each column gets the
@@ -394,14 +374,16 @@ def point_terms_columns(z, sig: Signature):
         t = t + bump
         tn = np.sqrt(dot_columns(t, t))
     r = np.sqrt(dot_columns(s, s) + sig.alpha * sig.alpha)
-    time = t / tn * r
-    return s, time, r, np.sqrt(dot_columns(time, time))
+    unit = t / tn
+    time = unit * r
+    terms = s, time, r, np.sqrt(dot_columns(time, time))
+    return (terms, (t, tn, unit)) if keep else terms
 
 
-def point_terms_vjp(terms, g_terms, sig: Signature) -> np.ndarray:
-    """Gradient with respect to the point given :func:`point_terms`'
-    ``terms`` and the gradients ``g_terms`` of them that
-    :func:`manhattan_legs_vjp` returns.
+def point_terms_columns_vjp(terms, g_terms, sig: Signature) -> np.ndarray:
+    """Gradient with respect to a coordinate-major point, ``(d, N)``, given
+    its ``terms`` ``(space, time, r, n)`` and the gradients ``g_terms`` of
+    them that :func:`manhattan_legs_columns_vjp` returns.
 
     The order of the additions is the tape's: in the space block the two
     factors of ``|space|^2`` come before the legs' share, in the time block
@@ -409,21 +391,51 @@ def point_terms_vjp(terms, g_terms, sig: Signature) -> np.ndarray:
     """
     xs, xt, r, n = terms
     g_space, g_time, g_r, g_n = g_terms
-    g_x = np.empty(xs.shape[:-1] + (sig.d,))
-    g_s, g_t = g_x[..., : sig.p], g_x[..., sig.p :]
-    np.multiply((g_r * (0.5 / r))[..., None], xs, out=g_s)
+    g_x = np.empty((sig.d,) + np.shape(r))
+    g_s, g_t = g_x[: sig.p], g_x[sig.p :]
+    np.multiply(g_r * (0.5 / r), xs, out=g_s)
     g_s += g_s
     g_s += g_space
-    g_tt = (g_n * (0.5 / n))[..., None] * xt
+    g_tt = (g_n * (0.5 / n)) * xt
     np.add(g_time, g_tt, out=g_t)
     g_t += g_tt
     return g_x
 
 
+def phi_columns_vjp(terms, saved, g: np.ndarray, sig: Signature) -> np.ndarray:
+    """Gradient with respect to the free parameters ``z`` of
+    :func:`point_terms_columns` given the gradient ``g``, ``(d, N)``, of the
+    point ``phi(z)``; ``terms`` and ``saved`` are what it returned with
+    ``keep``.
+
+    The products and sums are those of the autodiff tape's reverse sweep
+    over :func:`phi_forward`, in its order, with each sum over a block from
+    :func:`dot_columns`: each block receives its direct share first and then
+    both factors of its own sum of squares, so the result matches the tape
+    bit for bit.  The ``EPS_TIME`` bump is a constant shift and passes the
+    time gradient through unchanged.
+    """
+    s, _, r, _ = terms
+    t, tn, unit = saved
+    g_s, g_ut = g[: sig.p], g[sig.p :]
+    g_unit = g_ut * r
+    g_scale = dot_columns(g_ut, unit)
+    # x * 1.0 is x: dot_columns sums the terms in np.sum's order
+    g_norm = dot_columns(-g_unit * t / (tn * tn), np.ones((sig.q, 1)))
+    g_tt = (g_norm * (0.5 / tn)) * t
+    g_ss = (g_scale * (0.5 / r)) * s
+    g_z = np.empty(g.shape)
+    np.add(g_s, g_ss, out=g_z[: sig.p])
+    g_z[: sig.p] += g_ss
+    np.add(g_unit / tn, g_tt, out=g_z[sig.p :])
+    g_z[sig.p :] += g_tt
+    return g_z
+
+
 def manhattan_legs_forward(tx, ty, sig: Signature):
     """:func:`dist_manhattan` of two points given by their
-    :func:`point_terms`, and the intermediates
-    :func:`manhattan_legs_vjp` reads.  These include every guard's input:
+    :func:`point_terms`, and the intermediates of its legs.  These include
+    every guard's input:
     the cosine before its ``arccos`` clamp, the two ``arccosh`` arguments
     before theirs, the branch choice ``first`` (the x -> y order is taken,
     ties included) and the coincident rows ``same`` (None when there are
@@ -440,22 +452,26 @@ def manhattan_legs_forward(tx, ty, sig: Signature):
     return _legs_forward(dot, s, rx, nx, ry, ny, same, sig)
 
 
-def manhattan_legs_columns(tx, side, sig: Signature):
-    """:func:`dist_manhattan` from one point to each of ``N`` candidates:
-    ``tx`` is the :func:`point_terms` of one row, ``side`` the
-    coordinate-major terms of the candidates from
-    :func:`point_terms_columns`.  :func:`dot_columns` gives both dot
-    products the row-wise bits, so every candidate's distance equals the
-    row-wise one."""
+def manhattan_legs_columns(tx, side, sig: Signature, keep: bool = False):
+    """:func:`dist_manhattan` between points and their candidates, from
+    coordinate-major terms: ``side`` is ``(space, time, r, n)`` of ``N``
+    candidates as :func:`point_terms_columns` gives them, and ``tx`` either
+    the same of ``N`` points or the :func:`point_terms` of one point, which
+    every candidate then meets.  :func:`dot_columns` gives both dot
+    products the row-wise bits, so every distance equals the row-wise one.
+    With ``keep`` it comes with the intermediates that
+    :func:`manhattan_legs_columns_vjp` reads (see
+    :func:`manhattan_legs_forward`)."""
     xs, xt, rx, nx = tx
     ys, yt, ry, ny = side
-    xs, xt = np.reshape(xs, (-1, 1)), np.reshape(xt, (-1, 1))
+    xs, xt = np.reshape(xs, (len(ys), -1)), np.reshape(xt, (len(yt), -1))
     same = ys[0] == xs[0]
     if np.any(same):
         same &= np.all(ys == xs, axis=0)
         same &= np.all(yt == xt, axis=0)
     dot, s = dot_columns(xt, yt), dot_columns(xs, ys)
-    return _legs_forward(dot, s, rx, nx, ry, ny, same, sig)[0]
+    dist, saved = _legs_forward(dot, s, rx, nx, ry, ny, same, sig)
+    return (dist, saved) if keep else dist
 
 
 def _legs_forward(dot, s, rx, nx, ry, ny, same, sig: Signature):
@@ -488,14 +504,15 @@ def _arccosh_leg_vjp(g_leg, arg, sig: Signature):
     return (g_leg * sig.alpha) * d * (arg > 1.0)
 
 
-def manhattan_legs_vjp(tx, ty, saved, g: np.ndarray, sig: Signature):
-    """Gradients of the :func:`point_terms` of both points given the
+def manhattan_legs_columns_vjp(tx, ty, saved, g: np.ndarray, sig: Signature):
+    """Gradients of the coordinate-major terms of both points given the
     gradient ``g`` of the distance; ``saved`` comes from
-    :func:`manhattan_legs_forward`.
+    :func:`manhattan_legs_columns` with ``keep``.
 
-    Returns two ``(space, time, r, n)`` tuples for :func:`point_terms_vjp`.
-    A clamped ``arccos`` or ``arccosh`` passes zero gradient, the branch not
-    taken gets none, and coincident rows get none at all, as on the tape.
+    Returns two ``(space, time, r, n)`` tuples for
+    :func:`point_terms_columns_vjp`.  A clamped ``arccos`` or ``arccosh``
+    passes zero gradient, the branch not taken gets none, and coincident
+    points get none at all, as on the tape.
     """
     xs, xt, rx, nx = tx
     ys, yt, ry, ny = ty
@@ -512,9 +529,9 @@ def manhattan_legs_vjp(tx, ty, saved, g: np.ndarray, sig: Signature):
     t = 1.0 - c * c
     d = np.where(t > 0.0, -1.0 / np.sqrt(np.where(t > 0.0, t, 1.0)), 0.0)
     g_cos = g_angle * d * ((cos > -1.0) & (cos < 1.0))
-    g_dot = (g_cos / nn)[..., None]
+    g_dot = g_cos / nn
     g_nn = -g_cos * dot / (nn * nn)
-    g_s = (-g_d1 - g_d2)[..., None]
+    g_s = -g_d1 - g_d2
     return (
         (g_s * ys, g_dot * yt, g_xy * angle + g_d1 * ny, g_nn * ny + g_d2 * ry),
         (g_s * xs, g_dot * xt, g_yx * angle + g_d2 * nx, g_nn * nx + g_d1 * rx),

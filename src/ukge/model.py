@@ -11,8 +11,9 @@ operators of :mod:`ukge.operators`.  A triple (h, r, t) scores
 
 with ``delta`` a global margin.  Ranking scores one query against all
 candidate tails: :func:`candidate_tails` lays the tails' terms out
-coordinate-major once, and :func:`score_candidates` gets each candidate the
-bits of the row-wise score that training computes.  The
+coordinate-major once, with the function that builds the training
+kernel's tail side, and :func:`score_candidates` gets each candidate the
+bits of the score that training computes.  The
 ``geometry="euclidean"`` variant is a baseline at identical parameter
 count: the same Givens stages act on the raw parameter vectors, boosts are
 pinned to zero, and the distance is plain Euclidean.
@@ -253,7 +254,8 @@ def score_candidates(m: Model, h: int, r: int, *, tails=None) -> np.ndarray:
     The head is moved by phi, then the relation operator (ultra), or by the
     operator on its raw vector with the boosts pinned to 0 (euclidean).  The
     training kernel's forward pass (:mod:`ukge.training`) runs the same
-    stages on whole batches, so one triple gets the same bits from both.
+    stages coordinate-major on whole batches, so one triple gets the same
+    bits from both.
     """
     check_ids(h, m.n_entities, "entity")
     check_ids(r, m.n_relations, "relation")

@@ -16,11 +16,12 @@ stage for ``V``; the ablation variants use rotations or reflections for
 both stages.
 
 Dense d x d realisations are only materialised for verification
-(:func:`as_dense`, :func:`j_orth_defect`, :func:`lorentz_boost`); the apply
-path touches O(d) elements per point, which :func:`count_operations` can
-measure.  The training kernel runs the same stages through
-:func:`transform_forward`, which keeps their intermediates, and gets its
-gradients from :func:`transform_vjp`.
+(:func:`as_dense`, :func:`j_orth_defect`); the apply path touches O(d)
+elements per point, which :func:`count_operations` can measure.  The
+training kernel runs the same stages on coordinate-major points, one row
+per coordinate, through :func:`transform_columns`, which keeps their
+intermediates and counts the elements the row form counts, and gets its
+gradients from :func:`transform_columns_vjp`.
 """
 
 from __future__ import annotations
@@ -135,34 +136,33 @@ def relation_param_count(sig: Signature) -> int:
 # --- the three stages ----------------------------------------------------------
 
 
-def _givens(c, s, v, mode: str):
-    """The 2x2 Givens blocks with cosines ``c`` and sines ``s`` applied over
-    consecutive pairs of ``v``.  Rotation blocks map a pair (a, b) to
-    ``(a c - b s, a s + b c)``; reflection blocks to ``(a c + b s, a s - b c)``."""
-    vshape = np.shape(v)
-    pairs = np.reshape(v, vshape[:-1] + (vshape[-1] // 2, 2))
-    a = pairs[..., 0]
-    b = pairs[..., 1]
+def _givens(c, s, a, b, mode: str):
+    """The 2x2 Givens blocks with cosines ``c`` and sines ``s`` applied to
+    the pairs (a, b): rotation blocks give ``(a c - b s, a s + b c)``,
+    reflection blocks ``(a c + b s, a s - b c)``."""
     if mode == ROTATION:
-        a2 = c * a - s * b
-        b2 = s * a + c * b
+        a2, b2 = c * a - s * b, s * a + c * b
     else:
-        a2 = c * a + s * b
-        b2 = s * a - c * b
-    _count(2 * np.size(c) + 2 * np.size(a2) + np.size(v))
-    return np.reshape(np.stack([a2, b2], axis=-1), vshape)
+        a2, b2 = c * a + s * b, s * a - c * b
+    _count(2 * np.size(c) + 2 * np.size(a2) + 2 * np.size(a))
+    return a2, b2
 
 
-def _givens_vjp(c, s, v, g, mode: str):
-    """Gradients of angles and input of :func:`_givens` given the output
-    gradient ``g``, with the tape's products and sums."""
-    shape = v.shape[:-1] + (v.shape[-1] // 2, 2)
-    pairs = v.reshape(shape)
-    a, b = pairs[..., 0], pairs[..., 1]
-    g2 = g.reshape(shape)
-    ga, gb = g2[..., 0], g2[..., 1]
-    g_v = np.empty(shape)
-    out_a, out_b = g_v[..., 0], g_v[..., 1]
+def _givens_columns(c, s, v, mode: str) -> np.ndarray:
+    """A Givens stage on coordinate-major points ``v`` of shape (d, N): rows
+    ``2i`` and ``2i + 1`` pair, with cosines and sines of shape (d/2, N)."""
+    out = np.empty(v.shape)
+    out[0::2], out[1::2] = _givens(c, s, v[0::2], v[1::2], mode)
+    return out
+
+
+def _givens_columns_vjp(c, s, v, g, mode: str):
+    """Gradients of angles and input of :func:`_givens_columns` given the
+    output gradient ``g``, with the tape's products and sums."""
+    a, b = v[0::2], v[1::2]
+    ga, gb = g[0::2], g[1::2]
+    g_v = np.empty(v.shape)
+    out_a, out_b = g_v[0::2], g_v[1::2]
     np.multiply(ga, c, out=out_a)
     out_a += gb * s
     if mode == ROTATION:
@@ -177,7 +177,7 @@ def _givens_vjp(c, s, v, g, mode: str):
         out_b -= gb * c
     g_s *= c
     g_s -= g_c * s
-    return g_s, g_v.reshape(v.shape)
+    return g_s, g_v
 
 
 def require_even(sig: Signature) -> None:
@@ -190,8 +190,9 @@ def require_even(sig: Signature) -> None:
 
 
 def block_orthogonal_apply(angles, x, sig: Signature, mode: str):
-    """Apply the block Givens stage (see :func:`_givens`) to full ambient
-    points; ``angles`` may carry batch axes matching ``x``'s.
+    """Apply the block Givens stage (see :func:`_givens`) over consecutive
+    pairs of full ambient points; ``angles`` may carry batch axes matching
+    ``x``'s.
 
     Requires ``p`` and ``q`` even; because pairing is consecutive and ``p`` is
     even, the space and time blocks are handled in one pass — the first p/2
@@ -205,7 +206,10 @@ def block_orthogonal_apply(angles, x, sig: Signature, mode: str):
             f"block_orthogonal_apply: expected points of dimension {sig.d} "
             f"and {sig.d // 2} angles, got {np.shape(x)[-1]} and {np.shape(angles)[-1]}"
         )
-    return _givens(np.cos(angles), np.sin(angles), x, mode)
+    shape = np.shape(x)
+    pairs = np.reshape(x, shape[:-1] + (shape[-1] // 2, 2))
+    a2, b2 = _givens(np.cos(angles), np.sin(angles), pairs[..., 0], pairs[..., 1], mode)
+    return np.reshape(np.stack([a2, b2], axis=-1), shape)
 
 
 def hyper_rot_apply(mu, x, sig: Signature):
@@ -232,13 +236,23 @@ def _boost(ch, sh, x, sig: Signature):
     return np.concatenate([a2, mid, t2], axis=-1)
 
 
-def _boost_vjp(ch, sh, x, g, sig: Signature, mu_grad: bool):
+def _boost_columns(ch, sh, x, sig: Signature) -> np.ndarray:
+    """The boost on coordinate-major points ``x`` of shape (d, N): rows
+    ``i`` and ``p + i`` couple, with ``cosh`` and ``sinh`` of shape (q, N)."""
+    a, t = x[: sig.q], x[sig.p :]
+    a2 = ch * a + sh * t
+    t2 = sh * a + ch * t
+    _count(2 * np.size(ch) + 2 * np.size(a2) + np.size(x))
+    return np.concatenate([a2, x[sig.q : sig.p], t2])
+
+
+def _boost_columns_vjp(ch, sh, x, g, sig: Signature, mu_grad: bool):
     """Gradients of magnitudes (None unless ``mu_grad``) and input of
-    :func:`_boost` given the output gradient ``g``, with the tape's products
-    and sums.  The input gradient is written into ``g``'s own buffer: the
-    untouched middle block is its gradient already."""
-    a, t = x[..., : sig.q], x[..., sig.p :]
-    ga, gt = g[..., : sig.q], g[..., sig.p :]
+    :func:`_boost_columns` given the output gradient ``g``, with the tape's
+    products and sums.  The input gradient is written into ``g``'s own
+    buffer: the untouched middle rows are their gradient already."""
+    a, t = x[: sig.q], x[sig.p :]
+    ga, gt = g[: sig.q], g[sig.p :]
     g_mu = None
     if mu_grad:
         g_mu = (ga * a + gt * t) * sh
@@ -263,28 +277,33 @@ def relation_transform(theta, phi, mu, x, sig: Signature, operator: str = "rotre
     return block_orthogonal_apply(theta, y, sig, u_mode)
 
 
-def transform_forward(theta, phi, mu, rows, x, sig: Signature, operator: str):
-    """:func:`relation_transform` of points ``x`` under the relations
-    ``rows`` given per-relation parameter arrays, with the intermediates
-    :func:`transform_vjp` reads: each stage's input and the cosines and
-    sines of its angles or boosts.
+def transform_columns(theta, phi, mu, rows, x, sig: Signature, operator: str):
+    """:func:`relation_transform` of coordinate-major points ``x`` of shape
+    (d, N) under the relations ``rows``, given per-relation parameter
+    arrays, with the intermediates :func:`transform_columns_vjp` reads:
+    each stage's input and the cosines and sines of its angles or boosts.
 
     The cosines and sines are taken once per relation and then gathered per
-    row; being elementwise, they carry the bits of the per-row values
-    :func:`relation_transform` computes.
+    column; being elementwise, they carry the bits of the per-row values
+    :func:`relation_transform` computes, and every stage adds and multiplies
+    as its row form does.
     """
     u_mode, v_mode = OPERATOR_MODES[operator]
-    cv, sv = np.cos(phi)[rows], np.sin(phi)[rows]
-    y1 = _givens(cv, sv, x, v_mode)
-    ch, sh = np.cosh(mu)[rows], np.sinh(mu)[rows]
-    y2 = _boost(ch, sh, y1, sig)
-    cu, su = np.cos(theta)[rows], np.sin(theta)[rows]
-    return _givens(cu, su, y2, u_mode), ((cv, sv, x), (ch, sh, y1), (cu, su, y2))
+
+    def gather(values):
+        return np.take(values.T, rows, axis=1)
+
+    cv, sv = gather(np.cos(phi)), gather(np.sin(phi))
+    y1 = _givens_columns(cv, sv, x, v_mode)
+    ch, sh = gather(np.cosh(mu)), gather(np.sinh(mu))
+    y2 = _boost_columns(ch, sh, y1, sig)
+    cu, su = gather(np.cos(theta)), gather(np.sin(theta))
+    return _givens_columns(cu, su, y2, u_mode), ((cv, sv, x), (ch, sh, y1), (cu, su, y2))
 
 
-def transform_vjp(saved, g: np.ndarray, sig: Signature, operator: str, mu_grad: bool):
-    """Per-row gradients ``(theta, phi, mu, x)`` of
-    :func:`transform_forward` given the gradient ``g`` of its output, stage
+def transform_columns_vjp(saved, g, sig: Signature, operator: str, mu_grad: bool):
+    """Per-column gradients ``(theta, phi, mu, x)`` of
+    :func:`transform_columns` given the gradient ``g`` of its output, stage
     by stage in reverse: U, H, V.  Each stage replays the products and sums
     that the autodiff tape records when it differentiates :func:`_givens`
     and :func:`_boost`, so the result matches the tape bit for bit.  Boosts
@@ -292,9 +311,9 @@ def transform_vjp(saved, g: np.ndarray, sig: Signature, operator: str, mu_grad: 
     ``mu_grad=False`` and get None."""
     u_mode, v_mode = OPERATOR_MODES[operator]
     (cv, sv, x), (ch, sh, y1), (cu, su, y2) = saved
-    g_theta, g = _givens_vjp(cu, su, y2, g, u_mode)
-    g_mu, g = _boost_vjp(ch, sh, y1, g, sig, mu_grad)
-    g_phi, g = _givens_vjp(cv, sv, x, g, v_mode)
+    g_theta, g = _givens_columns_vjp(cu, su, y2, g, u_mode)
+    g_mu, g = _boost_columns_vjp(ch, sh, y1, g, sig, mu_grad)
+    g_phi, g = _givens_columns_vjp(cv, sv, x, g, v_mode)
     return g_theta, g_phi, g_mu, g
 
 
@@ -329,35 +348,3 @@ def j_orth_defect(matrix: np.ndarray, sig: Signature) -> float:
         raise DimensionError(f"j_orth_defect: expected a {sig.d}x{sig.d} matrix")
     j = signature_matrix(sig)
     return float(np.max(np.abs(m.T @ j @ m - j)))
-
-
-def lorentz_boost(b: np.ndarray, sig: Signature | None = None) -> np.ndarray:
-    """Dense boost matrix for the one-time-dimension (q = 1) case.
-
-    Returns ``[[sqrt(I + b b^T), b], [b^T, sqrt(1 + |b|^2)]]`` where the
-    matrix square root has the closed form ``I + c b b^T`` with
-    ``c = (sqrt(1 + |b|^2) - 1) / |b|^2``.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 1 or b.size == 0:
-        raise DimensionError("lorentz_boost: b must be a nonempty vector")
-    if sig is not None:
-        if sig.q != 1:
-            raise ConfigurationError("lorentz_boost requires signature with q = 1")
-        if sig.p != b.size:
-            raise DimensionError(
-                f"lorentz_boost: expected b of length {sig.p}, got {b.size}"
-            )
-    p = b.size
-    nsq = float(b @ b)
-    gamma = np.sqrt(1.0 + nsq)
-    if nsq == 0.0:
-        top = np.eye(p)
-    else:
-        top = np.eye(p) + ((gamma - 1.0) / nsq) * np.outer(b, b)
-    out = np.empty((p + 1, p + 1))
-    out[:p, :p] = top
-    out[:p, p] = b
-    out[p, :p] = b
-    out[p, p] = gamma
-    return out

@@ -12,8 +12,14 @@ operator, two-leg distance with its clamps and branch selection) by a
 hand-written kernel: one forward pass on the plain parameter arrays keeps
 its intermediates, then the vector-Jacobian product of each stage runs in
 reverse, each one next to its forward in :mod:`ukge.geometry` and
-:mod:`ukge.operators`.  Clamped values contribute zero gradient and
-distance-branch ties follow the first branch.  The reverse-mode tape of
+:mod:`ukge.operators`.  The kernel is coordinate-major: a block holds one
+row per coordinate and one column per scored triple, so every pass runs
+over whole rows, and each sum over coordinates is
+:func:`geometry.dot_columns`, which adds in ``np.sum``'s order.  Its tail
+side is :func:`geometry.point_terms_columns`, the function that builds
+evaluation's candidate side in :func:`model.candidate_tails`.  Clamped
+values contribute zero gradient and distance-branch ties follow the first
+branch.  The reverse-mode tape of
 :mod:`ukge.autodiff` differentiates the same numpy forward code through
 NumPy's dispatch protocols; the kernel replays the operations it records in
 its order, so its loss and gradients equal the tape's bit for bit.  The
@@ -24,14 +30,15 @@ hyperparameter: its gradient is reported by :func:`gradients` but
 
 A batch is scored in blocks of positives, each with its negatives, of at most
 :data:`BLOCK_ROWS` scored rows, so that the hundred or so elementwise passes
-of the forward and VJP stages run on cache-sized arrays.  Every stage is
-row-wise, so a block's per-row results are those of one pass over the whole
-batch; they are written into the batch's row order, and the loss sums and
-the gradient scatters then run once over those arrays.  Each float
-operation is thus the unblocked pass's, in its order, and the block size
-moves no bit of the loss or the gradients.  The one batch-wide step of the
-forward, the ``EPS_TIME`` bump of :func:`geometry.phi_forward`, adds
-``+0.0`` to the other rows of its block; that changes only an exact
+of the forward and VJP stages run on cache-sized arrays.  Every stage acts
+on each scored triple alone, so a block's per-triple results are those of
+one pass over the whole batch; they are written into the batch's order,
+and the loss sums and the gradient scatters, one ``bincount`` per
+coordinate, then run once over those arrays.  Each float operation is
+thus the unblocked pass's, in its order, and the block size moves no bit
+of the loss or the gradients.  The one batch-wide step of the
+forward, the ``EPS_TIME`` bump of :func:`geometry.point_terms_columns`, adds
+``+0.0`` to the other triples of its block; that changes only an exact
 ``-0.0`` time coordinate into ``+0.0``, a sign of zero that no later
 operation turns into a different value.
 
@@ -62,7 +69,7 @@ from .model import map_row_blocks, parameters
 
 PROB_CLAMP = 1e-12
 
-# Scored rows per block of _scored_rows: a block's (rows x d) float64
+# Scored triples per block of _scored_rows: a block's (d x triples) float64
 # intermediates (512 KB at d = 32) stay in a core's L2 cache.
 BLOCK_ROWS = 2048
 
@@ -139,33 +146,38 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 def _loss_sum(m: Model, params: dict, pos: np.ndarray, neg: np.ndarray):
     """Unnormalised loss sum -(sum log p + sum log(1 - p~)) of a batch scored
     on the plain arrays ``params`` (:func:`parameters`), and the intermediates
-    :func:`_row_grads` reads.
+    :func:`_row_grads` reads, coordinate-major: one row per coordinate, one
+    column per scored triple.
 
     The scores are those of the tape oracle (``tests/tape_oracle.py``), bit
     for bit: the same stages run here in the same order, keeping what their
-    VJPs need.
+    VJPs need.  The tail side is built as :func:`model.candidate_tails`
+    builds it, by :func:`geometry.point_terms_columns`.
     """
     sig = m.sig
     n_pos = pos.shape[0]
     stacked = np.concatenate([pos, neg.reshape(-1, 3)], axis=0)
     h, r, t = stacked[:, 0], stacked[:, 1], stacked[:, 2]
-    z_h, z_t = params["entities"][h], params["entities"][t]
+    z_h, z_t = params["entities"][h].T.copy(), params["entities"][t].T.copy()
     if m.geometry == "ultra":
-        z_h, phi_h = geometry.phi_forward(z_h, sig)
+        head, phi_h = geometry.point_terms_columns(z_h, sig, keep=True)
+        z_h = np.concatenate(head[:2])
         mu = params["mu"]
     else:  # boosts pinned to 0, as tests/tape_oracle.py scores them
         mu = np.zeros_like(params["mu"])
-    moved, ops = operators.transform_forward(
+    moved, ops = operators.transform_columns(
         params["theta"], params["phi"], mu, r, z_h, sig, m.operator
     )
     if m.geometry == "ultra":
-        tail, phi_t = geometry.phi_forward(z_t, sig)
-        tx, ty = geometry.point_terms(moved, sig), geometry.point_terms(tail, sig)
-        dist, legs = geometry.manhattan_legs_forward(tx, ty, sig)
-        side = (phi_h, phi_t, tx, ty, legs)
+        ty, phi_t = geometry.point_terms_columns(z_t, sig, keep=True)
+        xs, xt = moved[: sig.p], moved[sig.p :]
+        rx = np.sqrt(geometry.dot_columns(xs, xs) + sig.alpha * sig.alpha)
+        tx = (xs, xt, rx, np.sqrt(geometry.dot_columns(xt, xt)))
+        dist, legs = geometry.manhattan_legs_columns(tx, ty, sig, keep=True)
+        side = (head, phi_h, ty, phi_t, tx, legs)
     else:
         side = moved - z_t
-        dist = geometry.norm(side)
+        dist = np.sqrt(geometry.dot_columns(side, side))
     b_h, b_t = params["biases"][h, 0], params["biases"][t, 1]
     prob = _sigmoid(-dist * dist + b_h + b_t + params["delta"])
     p = np.clip(prob, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -178,21 +190,12 @@ def _log_loss(p: np.ndarray, n_pos: int):
     return -np.sum(np.log(p[:n_pos])) - np.sum(np.log(1.0 - p[n_pos:]))
 
 
-def _scatter_rows(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
-    """Rows of ``g`` summed into ``n_rows`` rows by ``idx``: one flat
-    ``bincount``, which adds in row order exactly as ``np.add.at`` does."""
-    cols = g.shape[1]
-    flat = (idx[:, None] * cols + np.arange(cols)).ravel()
-    return np.bincount(flat, weights=g.ravel(), minlength=n_rows * cols).reshape(
-        n_rows, cols
-    )
-
-
 def _row_grads(m: Model, saved):
     """Per-row gradients of :func:`_loss_sum`'s total, from its
     intermediates ``saved``: ``(g_score, g_head, g_tail, g_theta, g_phi,
-    g_mu)``, one row per scored triple in the order :func:`_loss_sum` stacks
-    them (``g_mu`` is None where the boosts are pinned).
+    g_mu)``, one column per scored triple in the order :func:`_loss_sum`
+    stacks them and one row per coordinate (``g_mu`` is None where the
+    boosts are pinned).
 
     The VJPs run in reverse: probability clamp and sigmoid, score, distance,
     the operator's U, H and V stages, then ``phi``.  Each replays, in order,
@@ -211,21 +214,22 @@ def _row_grads(m: Model, saved):
     g_dist = g_score * -dist
     g_dist = g_dist + g_dist
     if m.geometry == "ultra":
-        phi_h, phi_t, tx, ty, legs = side
-        g_tx, g_ty = geometry.manhattan_legs_vjp(tx, ty, legs, g_dist, sig)
-        g_moved = geometry.point_terms_vjp(tx, g_tx, sig)
-        g_tail = geometry.point_terms_vjp(ty, g_ty, sig)
+        head, phi_h, ty, phi_t, tx, legs = side
+        g_tx, g_ty = geometry.manhattan_legs_columns_vjp(tx, ty, legs, g_dist, sig)
+        g_moved = geometry.point_terms_columns_vjp(tx, g_tx, sig)
+        g_tail = geometry.phi_columns_vjp(
+            ty, phi_t, geometry.point_terms_columns_vjp(ty, g_ty, sig), sig
+        )
     else:
         # d = norm(side): one term per factor of side * side
-        g_moved = (g_dist * (0.5 / dist))[:, None] * side
+        g_moved = (g_dist * (0.5 / dist)) * side
         g_moved = g_moved + g_moved
         g_tail = -g_moved
-    g_theta, g_phi, g_mu, g_head = operators.transform_vjp(
+    g_theta, g_phi, g_mu, g_head = operators.transform_columns_vjp(
         ops, g_moved, sig, m.operator, mu_grad=m.geometry == "ultra"
     )
     if m.geometry == "ultra":
-        g_head = geometry.phi_vjp(phi_h, g_head, sig)
-        g_tail = geometry.phi_vjp(phi_t, g_tail, sig)
+        g_head = geometry.phi_columns_vjp(head, phi_h, g_head, sig)
     return g_score, g_head, g_tail, g_theta, g_phi, g_mu
 
 
@@ -233,9 +237,9 @@ def _scored_rows(m: Model, pos: np.ndarray, neg: np.ndarray, threads: int = 1,
                  grads: bool = True) -> list:
     """The one cut of a batch (module docstring): per-row ``p`` of
     :func:`_loss_sum` and, with ``grads``, the per-row gradients of
-    :func:`_row_grads`, in batch order, positives first.  Each thread of
-    :func:`map_row_blocks` scores a contiguous run of blocks into disjoint
-    slices of these arrays."""
+    :func:`_row_grads`, one column per scored triple in batch order,
+    positives first.  Each thread of :func:`map_row_blocks` scores a
+    contiguous run of blocks into disjoint columns of these arrays."""
     params = parameters(m)
     n_pos, k = neg.shape[:2]
     widths = [()]
@@ -243,7 +247,7 @@ def _scored_rows(m: Model, pos: np.ndarray, neg: np.ndarray, threads: int = 1,
         ent = m.entities.shape[1:]
         widths += [(), ent, ent, m.theta.shape[1:], m.phi.shape[1:],
                    m.mu.shape[1:] if m.geometry == "ultra" else None]
-    rows = [None if w is None else np.empty((n_pos * (k + 1),) + w) for w in widths]
+    rows = [None if w is None else np.empty(w + (n_pos * (k + 1),)) for w in widths]
     step = max(1, min(BLOCK_ROWS // (k + 1), -(-n_pos // threads)))
 
     def run(blocks: slice) -> None:
@@ -253,11 +257,18 @@ def _scored_rows(m: Model, pos: np.ndarray, neg: np.ndarray, threads: int = 1,
             block = (saved[4],) + (_row_grads(m, saved) if grads else ())
             for out, b in zip(rows, block):
                 if out is not None:
-                    out[i:j] = b[: j - i]
-                    out[n_pos + i * k : n_pos + j * k] = b[j - i :]
+                    out[..., i:j] = b[..., : j - i]
+                    out[..., n_pos + i * k : n_pos + j * k] = b[..., j - i :]
 
     map_row_blocks(run, -(-n_pos // step), threads)
     return rows
+
+
+def _scatter(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
+    """Columns of the coordinate-major ``g`` summed into ``n_rows`` columns
+    by ``idx``: one ``bincount`` per coordinate, which adds in column order
+    exactly as ``np.add.at`` does."""
+    return np.array([np.bincount(idx, row, n_rows) for row in g])
 
 
 def _batch_grads(m: Model, pos: np.ndarray, neg: np.ndarray, threads: int = 1):
@@ -268,14 +279,17 @@ def _batch_grads(m: Model, pos: np.ndarray, neg: np.ndarray, threads: int = 1):
     stacked = np.concatenate([pos, neg.reshape(-1, 3)], axis=0)
     h, r, t = stacked[:, 0], stacked[:, 1], stacked[:, 2]
     n, n_rel = m.n_entities, m.n_relations
+    entities = np.empty((m.sig.d, n))  # heads and tails apart, then added
+    for out, g_h, g_t in zip(entities, g_head, g_tail):
+        np.add(np.bincount(h, g_h, n), np.bincount(t, g_t, n), out=out)
     return float(_log_loss(p, pos.shape[0])), {
-        "entities": _scatter_rows(h, g_head, n) + _scatter_rows(t, g_tail, n),
+        "entities": entities.T,
         "biases": np.stack(
             [np.bincount(h, g_score, n), np.bincount(t, g_score, n)], axis=1
         ),
-        "theta": _scatter_rows(r, g_theta, n_rel),
-        "phi": _scatter_rows(r, g_phi, n_rel),
-        "mu": np.zeros_like(m.mu) if g_mu is None else _scatter_rows(r, g_mu, n_rel),
+        "theta": _scatter(r, g_theta, n_rel).T,
+        "phi": _scatter(r, g_phi, n_rel).T,
+        "mu": np.zeros_like(m.mu) if g_mu is None else _scatter(r, g_mu, n_rel).T,
         "delta": g_score.sum(),
     }
 
@@ -448,14 +462,14 @@ def fit(
                     epoch=epoch,
                 )
             inv_b = 1.0 / batch.shape[0]
-            scaled = {k: grads[k] * inv_b for k in params}
-            for k in params:
-                if not np.all(np.isfinite(scaled[k])):
+            for k in params:  # in place: the arrays are this batch's own
+                grads[k] *= inv_b
+                if not np.all(np.isfinite(grads[k])):
                     raise NonFiniteGradientError(
                         f"non-finite gradient in parameter family {k!r} "
                         f"(epoch {epoch})"
                     )
-            opt.step(params, scaled)
+            opt.step(params, grads)
             if trained.geometry == "ultra":
                 apply_time_guard(trained.entities, trained.sig)
             epoch_loss += loss_sum

@@ -466,12 +466,22 @@ class TestCoordinateMajor:
             assert_same_bits(dot_columns(xc, yc), expected)
         # one row against every row, as one-against-all scoring sums it
         assert_same_bits(dot_columns(x[5][:, None], y.T.copy()), np.sum(x[5] * y, axis=-1))
+        self.check_single_columns(x, y)
+
+    @staticmethod
+    def check_single_columns(x, y):
+        """Each row alone as one column, as one-triple scoring sums it."""
+        for xi, yi in zip(x, y):
+            assert_same_bits(
+                dot_columns(xi[:, None], yi[:, None]), np.sum(xi * yi, keepdims=True)
+            )
 
     @pytest.mark.parametrize("k", [129, 300])
     def test_dot_columns_halves_long_rows(self, k):
         rng = np.random.default_rng(k)
         x, y = rng.normal(size=(20, k)), rng.normal(size=(20, k))
         assert_same_bits(dot_columns(x.T.copy(), y.T.copy()), np.sum(x * y, axis=-1))
+        self.check_single_columns(x, y)
 
     @pytest.mark.parametrize("sig", [S22] + SCORING_SIGNATURES)
     def test_point_terms_columns_equal_rows(self, sig):

@@ -25,7 +25,6 @@ from ukge.operators import (
     count_operations,
     hyper_rot_apply,
     j_orth_defect,
-    lorentz_boost,
     relation_apply,
     relation_param_count,
     relation_transform,
@@ -34,6 +33,7 @@ from ukge.operators import (
 )
 
 from conftest import assert_close, random_manifold_points
+from dense_boost import lorentz_boost
 
 S11 = Signature(1, 1, 1.0)
 S22 = Signature(2, 2, 1.0)
