@@ -191,7 +191,7 @@ def _log_loss(p: np.ndarray, n_pos: int):
 
 
 def _row_grads(m: Model, saved):
-    """Per-row gradients of :func:`_loss_sum`'s total, from its
+    """Per-triple gradients of :func:`_loss_sum`'s total, from its
     intermediates ``saved``: ``(g_score, g_head, g_tail, g_theta, g_phi,
     g_mu)``, one column per scored triple in the order :func:`_loss_sum`
     stacks them and one row per coordinate (``g_mu`` is None where the
@@ -235,8 +235,8 @@ def _row_grads(m: Model, saved):
 
 def _scored_rows(m: Model, pos: np.ndarray, neg: np.ndarray, threads: int = 1,
                  grads: bool = True) -> list:
-    """The one cut of a batch (module docstring): per-row ``p`` of
-    :func:`_loss_sum` and, with ``grads``, the per-row gradients of
+    """The one cut of a batch (module docstring): the ``p`` of
+    :func:`_loss_sum` and, with ``grads``, the gradients of
     :func:`_row_grads`, one column per scored triple in batch order,
     positives first.  Each thread of :func:`map_row_blocks` scores a
     contiguous run of blocks into disjoint columns of these arrays."""
@@ -248,7 +248,7 @@ def _scored_rows(m: Model, pos: np.ndarray, neg: np.ndarray, threads: int = 1,
         widths += [(), ent, ent, m.theta.shape[1:], m.phi.shape[1:],
                    m.mu.shape[1:] if m.geometry == "ultra" else None]
     # one allocation for all: numpy asks for huge pages from 4 MB up, which
-    # spares the thousands of page faults that first writes to 4 KB pages cost
+    # spares the thousands of faults of first writes to 4 KB pages
     sizes = [0 if w is None else int(np.prod(w)) for w in widths]
     buf = np.empty((sum(sizes), n_pos * (k + 1)))
     ends = np.cumsum(sizes)
