@@ -31,12 +31,14 @@ which the training kernel and one-against-all evaluation share: they keep
 points coordinate-major, one row per coordinate, and :func:`dot_columns`
 sums their dot products over whole rows in the order ``np.sum`` adds one
 C-ordered row, so each point gets the bits the row-wise functions give
-it.  :func:`point_terms_columns` and :func:`manhattan_legs_columns` keep,
-when asked, the intermediates that the kernel's vector-Jacobian products
+it.  Scoring takes a point's terms from :func:`terms_columns` (points on
+the manifold) or :func:`point_terms_columns` (free parameters) and the
+distance from :func:`manhattan_legs_columns`; the last two keep, when
+asked, the intermediates that the kernel's vector-Jacobian products
 (:func:`phi_columns_vjp`, :func:`point_terms_columns_vjp`,
-:func:`manhattan_legs_columns_vjp`) read.  The row-wise functions
-(:func:`phi`, :func:`dist_manhattan`) are the reference that the autodiff
-tape differentiates and the tests compare with.
+:func:`manhattan_legs_columns_vjp`) read.  The row-wise :func:`phi` and
+:func:`dist_manhattan` return their values alone: they are the reference
+that the autodiff tape differentiates and the tests compare with.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def dot_columns(x, y):
     k = len(x)
     shape = np.broadcast_shapes(np.shape(x)[1:], np.shape(y)[1:])
     if shape == (1,):  # one column: a C-ordered row, summed by np.sum itself
-        return np.sum((np.reshape(x, (k, 1)) * np.reshape(y, (k, 1))).T, axis=-1)
+        return np.sum(x.T * y.T, axis=-1)
     if k > _PAIRWISE_BLOCK:
         half = k // 2 - (k // 2) % 8
         return dot_columns(x[:half], y[:half]) + dot_columns(x[half:], y[half:])
@@ -239,12 +241,6 @@ def phi(z, sig: Signature):
     (:func:`floor_shift`), before mapping, so the map never divides by a
     norm below the floor during optimisation.
     """
-    return phi_forward(z, sig)[0]
-
-
-def phi_forward(z, sig: Signature):
-    """:func:`phi` and its intermediates: the space block, the (bumped) time
-    block, its norm and direction, and the radius as a column."""
     _check_last_dim(z, sig.d, "phi")
     s, t = z[..., : sig.p], z[..., sig.p :]
     tn = norm(t, keepdims=True)
@@ -259,7 +255,7 @@ def phi_forward(z, sig: Signature):
     unit = t / tn
     radius = space_radius(s, sig)
     scale = np.reshape(radius, np.shape(radius) + (1,))
-    return np.concatenate([s, unit * scale], axis=-1), (s, t, tn, unit, scale)
+    return np.concatenate([s, unit * scale], axis=-1)
 
 
 def floor_shift(t0):
@@ -272,7 +268,7 @@ def floor_shift(t0):
 def apply_time_guard(entities: np.ndarray, sig: Signature) -> None:
     """In place: shift the first time coordinate of each row whose time norm
     fell below :data:`EPS_TIME` by :func:`floor_shift`, the rows
-    :func:`phi_forward` bumps."""
+    :func:`phi` bumps."""
     time = entities[:, sig.p :]
     small = norm(time) < EPS_TIME
     if np.any(small):
@@ -342,27 +338,28 @@ def dist_hyper(a, b, sig: Signature):
     return sig.alpha * np.arccosh(arg)
 
 
-def point_terms(x, sig: Signature):
-    """The terms of :func:`dist_manhattan` that depend on one point only:
+def terms_columns(x, sig: Signature):
+    """The terms of :func:`dist_manhattan` that depend on one point only,
+    for on-manifold points ``x`` held coordinate-major as ``(d, N)``:
     ``(space, time, r, n)``, with ``r`` the :func:`space_radius` and ``n``
-    the time norm.  One-against-all scoring takes a query's from here and
-    its candidates' from :func:`point_terms_columns`."""
-    xs, xt = split_spacetime(x, sig)
-    return xs, xt, space_radius(xs, sig), norm(xt)
+    the time :func:`norm` of each column, both of shape ``(N,)`` and from
+    :func:`dot_columns`, so each column gets the bits its row would."""
+    s, t = x[: sig.p], x[sig.p :]
+    return s, t, np.sqrt(dot_columns(s, s) + sig.alpha * sig.alpha), np.sqrt(dot_columns(t, t))
 
 
 def point_terms_columns(z, sig: Signature, keep: bool = False):
-    """:func:`point_terms` of :func:`phi` of the free parameters ``z``, all
-    coordinate-major: ``z`` is ``(d, N)``, one row per coordinate, and the
+    """:func:`terms_columns` of :func:`phi` of the free parameters ``z``,
+    all coordinate-major: ``z`` is ``(d, N)``, one row per coordinate, and the
     result is ``(space, time, r, n)`` with ``space`` of shape ``(p, N)``,
     ``time`` of shape ``(q, N)`` and ``r``, ``n`` of shape ``(N,)``.  With
     ``keep`` it comes with the intermediates that :func:`phi_columns_vjp`
     reads: the (bumped) time block, its norm and its direction.
 
-    The arithmetic is :func:`phi_forward`'s and :func:`point_terms`', with
-    every sum of squares from :func:`dot_columns`, so each column gets the
-    bits that the row-wise functions give its row.  As in
-    :func:`phi_forward`, a column below the time-norm floor makes the bump
+    The arithmetic is :func:`phi`'s and :func:`terms_columns`', with every
+    sum of squares from :func:`dot_columns`, so each column gets the bits
+    that :func:`phi`, :func:`space_radius` and :func:`norm` give its row.
+    As in :func:`phi`, a column below the time-norm floor makes the bump
     add ``+0.0`` to every time coordinate of the batch.
     """
     s, t = z[: sig.p], z[sig.p :]
@@ -409,7 +406,7 @@ def phi_columns_vjp(terms, saved, g: np.ndarray, sig: Signature) -> np.ndarray:
     ``keep``.
 
     The products and sums are those of the autodiff tape's reverse sweep
-    over :func:`phi_forward`, in its order, with each sum over a block from
+    over :func:`phi`, in its order, with each sum over a block from
     :func:`dot_columns`: each block receives its direct share first and then
     both factors of its own sum of squares, so the result matches the tape
     bit for bit.  The ``EPS_TIME`` bump is a constant shift and passes the
@@ -432,39 +429,17 @@ def phi_columns_vjp(terms, saved, g: np.ndarray, sig: Signature) -> np.ndarray:
     return g_z
 
 
-def manhattan_legs_forward(tx, ty, sig: Signature):
-    """:func:`dist_manhattan` of two points given by their
-    :func:`point_terms`, and the intermediates of its legs.  These include
-    every guard's input:
-    the cosine before its ``arccos`` clamp, the two ``arccosh`` arguments
-    before theirs, the branch choice ``first`` (the x -> y order is taken,
-    ties included) and the coincident rows ``same`` (None when there are
-    none)."""
-    xs, xt, rx, nx = tx
-    ys, yt, ry, ny = ty
-    # coincident rows share their first coordinate: compare whole rows only
-    # where that column matches
-    same = xs[..., 0] == ys[..., 0]
-    if np.any(same):
-        same &= np.all(xs == ys, axis=-1)
-        same &= np.all(xt == yt, axis=-1)
-    dot, s = np.sum(xt * yt, axis=-1), np.sum(xs * ys, axis=-1)
-    return _legs_forward(dot, s, rx, nx, ry, ny, same, sig)
-
-
 def manhattan_legs_columns(tx, side, sig: Signature, keep: bool = False):
     """:func:`dist_manhattan` between points and their candidates, from
     coordinate-major terms: ``side`` is ``(space, time, r, n)`` of ``N``
     candidates as :func:`point_terms_columns` gives them, and ``tx`` either
-    the same of ``N`` points or the :func:`point_terms` of one point, which
-    every candidate then meets.  :func:`dot_columns` gives both dot
-    products the row-wise bits, so every distance equals the row-wise one.
-    With ``keep`` it comes with the intermediates that
-    :func:`manhattan_legs_columns_vjp` reads (see
-    :func:`manhattan_legs_forward`)."""
+    the same of ``N`` points or the :func:`terms_columns` of one point, a
+    ``(d, 1)`` column that every candidate then meets.  :func:`dot_columns`
+    gives both dot products the row-wise bits, so every distance equals the
+    row-wise one.  With ``keep`` it comes with the intermediates that
+    :func:`manhattan_legs_columns_vjp` reads (see :func:`_legs_forward`)."""
     xs, xt, rx, nx = tx
     ys, yt, ry, ny = side
-    xs, xt = np.reshape(xs, (len(ys), -1)), np.reshape(xt, (len(yt), -1))
     same = ys[0] == xs[0]
     if np.any(same):
         same &= np.all(ys == xs, axis=0)
@@ -475,9 +450,13 @@ def manhattan_legs_columns(tx, side, sig: Signature, keep: bool = False):
 
 
 def _legs_forward(dot, s, rx, nx, ry, ny, same, sig: Signature):
-    """The legs of :func:`manhattan_legs_forward` given the time dot
-    product ``dot``, the space dot product ``s`` and the coincident rows
-    ``same``."""
+    """The distance of :func:`dist_manhattan` given the time dot product
+    ``dot``, the space dot product ``s``, both points' radii ``r`` and time
+    norms ``n`` and the coincident rows ``same``, with the intermediates of
+    its legs.  These include every guard's input: the cosine before its
+    ``arccos`` clamp, the two ``arccosh`` arguments before theirs, the
+    branch choice ``first`` (the x -> y order is taken, ties included) and
+    ``same`` (None when there are none)."""
     nn = nx * ny
     cos = dot / nn
     angle = np.arccos(np.clip(cos, -1.0, 1.0))
@@ -555,7 +534,19 @@ def dist_manhattan(x, y, sig: Signature):
     Symmetric by construction and nonnegative.  Coordinatewise-identical
     pairs short-circuit to exactly zero: the inverse trigonometric legs lose
     half the float precision near coincidence, so without the short circuit
-    d(x, x) lands near 1e-7 instead of 0.  The per-point terms come from
-    :func:`point_terms` and the legs from :func:`manhattan_legs_forward`.
+    d(x, x) lands near 1e-7 instead of 0.  The per-point terms are
+    :func:`terms_columns`' row by row, and the legs come from
+    :func:`_legs_forward`, which :func:`manhattan_legs_columns` shares.
     """
-    return manhattan_legs_forward(point_terms(x, sig), point_terms(y, sig), sig)[0]
+    xs, xt = split_spacetime(x, sig)
+    rx, nx = space_radius(xs, sig), norm(xt)
+    ys, yt = split_spacetime(y, sig)
+    ry, ny = space_radius(ys, sig), norm(yt)
+    # coincident rows share their first coordinate: compare whole rows only
+    # where that column matches
+    same = xs[..., 0] == ys[..., 0]
+    if np.any(same):
+        same &= np.all(xs == ys, axis=-1)
+        same &= np.all(xt == yt, axis=-1)
+    dot, s = np.sum(xt * yt, axis=-1), np.sum(xs * ys, axis=-1)
+    return _legs_forward(dot, s, rx, nx, ry, ny, same, sig)[0]

@@ -10,10 +10,12 @@ operators of :mod:`ukge.operators`.  A triple (h, r, t) scores
     s = -dist(f_r(phi(e_h)), phi(e_t))^2 + b_h + b_t + delta,
 
 with ``delta`` a global margin.  Ranking scores one query against all
-candidate tails: :func:`candidate_tails` lays the tails' terms out
-coordinate-major once, with the function that builds the training
-kernel's tail side, and :func:`score_candidates` gets each candidate the
-bits of the score that training computes.  The
+candidate tails: :func:`candidate_tails` lays the tails out
+coordinate-major once (for ultra their terms, with the function that
+builds the training kernel's tail side), and :func:`score_candidates`
+takes the query head's terms from :func:`ukge.geometry.terms_columns`, as
+the kernel does, so each candidate gets the bits of the score that
+training computes.  The
 ``geometry="euclidean"`` variant is a baseline at identical parameter
 count: the same Givens stages act on the raw parameter vectors, boosts are
 pinned to zero, and the distance is plain Euclidean.
@@ -228,22 +230,20 @@ def parameters(m: Model) -> dict[str, np.ndarray]:
 
 
 def candidate_tails(m: Model, candidates=None) -> tuple:
-    """``(side, tail biases)`` of the candidate tails (default: all).  For
-    ultra, ``side`` is the :func:`geometry.point_terms_columns` of their
-    free parameters, coordinate-major, built from one transposed copy of
-    their rows; for euclidean it is their raw vectors.  It is the same for
-    every query, so :func:`ukge.evaluation.evaluate` builds it once per
-    call."""
+    """``(side, tail biases)`` of the candidate tails (default: all).
+    ``side`` comes from one transposed copy of their free parameters,
+    ``(d, N)``: for ultra it is their :func:`geometry.point_terms_columns`,
+    for euclidean the copy itself.  It is the same for every query, so
+    :func:`ukge.evaluation.evaluate` builds it once per call."""
     if candidates is None:
         cand = slice(None)
     else:
         cand = np.asarray(candidates)
         check_ids(cand, m.n_entities, "entity")
         cand = cand.astype(np.int64, copy=False)
+    side = m.entities.T[:, cand].copy()
     if m.geometry == "ultra":
-        side = geometry.point_terms_columns(m.entities.T[:, cand].copy(), m.sig)
-    else:
-        side = m.entities[cand]
+        side = geometry.point_terms_columns(side, m.sig)
     return side, m.biases[cand, 1]
 
 
@@ -252,10 +252,12 @@ def score_candidates(m: Model, h: int, r: int, *, tails=None) -> np.ndarray:
     ``e`` of ``tails`` (:func:`candidate_tails`, default: all entities).
 
     The head is moved by phi, then the relation operator (ultra), or by the
-    operator on its raw vector with the boosts pinned to 0 (euclidean).  The
-    training kernel's forward pass (:mod:`ukge.training`) runs the same
-    stages coordinate-major on whole batches, so one triple gets the same
-    bits from both.
+    operator on its raw vector with the boosts pinned to 0 (euclidean), and
+    meets the candidates as one ``(d, 1)`` column: its terms come from
+    :func:`geometry.terms_columns`, and every sum over coordinates from
+    :func:`geometry.dot_columns`.  The training kernel's forward pass
+    (:mod:`ukge.training`) runs the same stages coordinate-major on whole
+    batches, so one triple gets the same bits from both.
     """
     check_ids(h, m.n_entities, "entity")
     check_ids(r, m.n_relations, "relation")
@@ -264,11 +266,11 @@ def score_candidates(m: Model, h: int, r: int, *, tails=None) -> np.ndarray:
     if m.geometry == "ultra":
         head = geometry.phi(z_h, m.sig)
         moved = operators.relation_transform(th, ph, m.mu[[r]], head, m.sig, m.operator)
-        dist = geometry.manhattan_legs_columns(geometry.point_terms(moved, m.sig), side, m.sig)
+        dist = geometry.manhattan_legs_columns(geometry.terms_columns(moved.T, m.sig), side, m.sig)
     else:
         mu0 = np.zeros((1, m.sig.q))
-        moved = operators.relation_transform(th, ph, mu0, z_h, m.sig, m.operator)
-        dist = geometry.norm(moved - side)
+        diff = operators.relation_transform(th, ph, mu0, z_h, m.sig, m.operator).T - side
+        dist = np.sqrt(geometry.dot_columns(diff, diff))
     return -dist * dist + m.biases[h, 0] + b_t + m.delta
 
 

@@ -225,25 +225,23 @@ def hyper_rot_apply(mu, x, sig: Signature):
     return _boost(np.cosh(mu), np.sinh(mu), x, sig)
 
 
+def _shear(ch, sh, a, mid, t, axis: int):
+    """The boosted blocks ``(ch a + sh t, mid, sh a + ch t)`` joined along
+    ``axis``: the coupled pairs (a, t) and the rows ``mid`` left as they are."""
+    a2, t2 = ch * a + sh * t, sh * a + ch * t
+    _count(2 * np.size(ch) + 2 * np.size(a2) + np.size(a) + np.size(mid) + np.size(t))
+    return np.concatenate([a2, mid, t2], axis=axis)
+
+
 def _boost(ch, sh, x, sig: Signature):
     """The boost with ``cosh`` and ``sinh`` of its magnitudes ``ch``, ``sh``."""
-    a = x[..., : sig.q]
-    mid = x[..., sig.q : sig.p]
-    t = x[..., sig.p :]
-    a2 = ch * a + sh * t
-    t2 = sh * a + ch * t
-    _count(2 * np.size(ch) + 2 * np.size(a2) + np.size(x))
-    return np.concatenate([a2, mid, t2], axis=-1)
+    return _shear(ch, sh, x[..., : sig.q], x[..., sig.q : sig.p], x[..., sig.p :], -1)
 
 
 def _boost_columns(ch, sh, x, sig: Signature) -> np.ndarray:
     """The boost on coordinate-major points ``x`` of shape (d, N): rows
     ``i`` and ``p + i`` couple, with ``cosh`` and ``sinh`` of shape (q, N)."""
-    a, t = x[: sig.q], x[sig.p :]
-    a2 = ch * a + sh * t
-    t2 = sh * a + ch * t
-    _count(2 * np.size(ch) + 2 * np.size(a2) + np.size(x))
-    return np.concatenate([a2, x[sig.q : sig.p], t2])
+    return _shear(ch, sh, x[: sig.q], x[sig.q : sig.p], x[sig.p :], 0)
 
 
 def _boost_columns_vjp(ch, sh, x, g, sig: Signature, mu_grad: bool):

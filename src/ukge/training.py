@@ -170,9 +170,7 @@ def _loss_sum(m: Model, params: dict, pos: np.ndarray, neg: np.ndarray):
     )
     if m.geometry == "ultra":
         ty, phi_t = geometry.point_terms_columns(z_t, sig, keep=True)
-        xs, xt = moved[: sig.p], moved[sig.p :]
-        rx = np.sqrt(geometry.dot_columns(xs, xs) + sig.alpha * sig.alpha)
-        tx = (xs, xt, rx, np.sqrt(geometry.dot_columns(xt, xt)))
+        tx = geometry.terms_columns(moved, sig)
         dist, legs = geometry.manhattan_legs_columns(tx, ty, sig, keep=True)
         side = (head, phi_h, ty, phi_t, tx, legs)
     else:

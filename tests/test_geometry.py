@@ -29,10 +29,9 @@ from ukge.geometry import (
     dot_columns,
     manhattan_legs_columns,
     manifold_defect,
+    norm,
     on_manifold,
     phi,
-    phi_forward,
-    point_terms,
     point_terms_columns,
     project_conic,
     psi,
@@ -40,6 +39,7 @@ from ukge.geometry import (
     qdot,
     space_radius,
     split_spacetime,
+    terms_columns,
 )
 from ukge.operators import relation_transform
 
@@ -131,8 +131,9 @@ class TestDiffeomorphism:
 
     def test_guard_lifts_exactly_the_rows_phi_bumps(self, rng):
         """One floor: ``apply_time_guard`` lifts the rows whose time norm
-        ``phi_forward`` finds below :data:`EPS_TIME`, just below, at and
-        just above it, and ``phi_forward`` bumps none of them afterwards."""
+        ``phi`` finds below :data:`EPS_TIME`, just below, at and just above
+        it, and ``phi`` bumps none of them afterwards; the bumped time block
+        is the one ``point_terms_columns`` keeps."""
         ulp = np.spacing(EPS_TIME)
         edge = EPS_TIME + ulp * np.arange(-3, 4)  # at EPS_TIME and 3 ulp either side
         unit = np.abs(rng.normal(size=(50, 2)))  # first coordinate >= 0
@@ -146,7 +147,8 @@ class TestDiffeomorphism:
         z = np.concatenate([rng.normal(size=time.shape), time], axis=1)
 
         def bumped(z):
-            return np.any(phi_forward(z, S22)[1][1] != z[:, 2:], axis=1)
+            time = point_terms_columns(z.T.copy(), S22, keep=True)[1][0]
+            return np.any(time != z[:, 2:].T, axis=0)
 
         would_bump = bumped(z)
         assert 0 < np.count_nonzero(would_bump) < len(z)
@@ -165,9 +167,9 @@ class TestDiffeomorphism:
         apply_time_guard(guarded, S22)
         assert np.linalg.norm(guarded[0, 2:]) >= EPS_TIME
         assert np.signbit(guarded[0, 2]) == (t0 < 0.0)
-        tn = phi_forward(z, S22)[1][2]
-        assert tn[0, 0] >= EPS_TIME
-        np.testing.assert_array_equal(phi_forward(guarded, S22)[0], phi(z, S22))
+        tn = point_terms_columns(z.T.copy(), S22, keep=True)[1][1]
+        assert tn[0] >= EPS_TIME
+        np.testing.assert_array_equal(phi(guarded, S22), phi(z, S22))
 
     def test_psi_example(self):
         s, u = psi(np.array([3.0, np.sqrt(10.0)]), S11)
@@ -483,10 +485,20 @@ class TestCoordinateMajor:
         assert_same_bits(dot_columns(x.T.copy(), y.T.copy()), np.sum(x * y, axis=-1))
         self.check_single_columns(x, y)
 
+    @staticmethod
+    def check_row_terms(got, x, sig):
+        """``terms_columns`` of the points ``x`` (rows) against the blocks,
+        the ``space_radius`` and the ``norm`` of the same rows."""
+        xs, xt = split_spacetime(x, sig)
+        for g, e in zip(got, (xs.T, xt.T, space_radius(xs, sig), norm(xt))):
+            assert_same_bits(g, e)
+
     @pytest.mark.parametrize("sig", [S22] + SCORING_SIGNATURES)
     def test_point_terms_columns_equal_rows(self, sig):
         """Also with a row below the time-norm floor, whose bump turns the
-        batch's -0.0 time coordinates into +0.0, and without one."""
+        batch's -0.0 time coordinates into +0.0, and without one; and
+        ``terms_columns`` of each point alone, the single column that
+        one-triple scoring and a query head take."""
         rng = np.random.default_rng(sig.d)
         z = rng.normal(0.0, 2.0, (40, sig.d))
         z[3, sig.p :] = 0.0
@@ -495,10 +507,14 @@ class TestCoordinateMajor:
         z[6, sig.p + sig.q - 1] = -0.0
         z[7] = z[8]
         for rows in (z, z[6:]):
-            expected = point_terms(phi(rows, sig), sig)
+            x = phi(rows, sig)
+            expected = terms_columns(x.T.copy(), sig)
+            self.check_row_terms(expected, x, sig)
             got = point_terms_columns(rows.T.copy(), sig)
             for e, g in zip(expected, got):
-                assert_same_bits(np.asarray(g).T, e)
+                assert_same_bits(g, e)
+        for x in phi(z, sig)[:, None]:
+            self.check_row_terms(terms_columns(x.T, sig), x, sig)
 
     @pytest.mark.parametrize("sig", SCORING_SIGNATURES)
     def test_legs_columns_equal_legs(self, sig):
@@ -509,7 +525,7 @@ class TestCoordinateMajor:
         z[10, sig.p + sig.q - 1] = -0.0
         x = phi(z[[10]], sig)
         cols = point_terms_columns(z.T.copy(), sig)
-        got = manhattan_legs_columns(point_terms(x, sig), cols, sig)
+        got = manhattan_legs_columns(terms_columns(x.T, sig), cols, sig)
         assert_same_bits(got, dist_manhattan(x, phi(z, sig), sig))
         assert got[10] == 0.0 and np.count_nonzero(got == 0.0) == 1
 

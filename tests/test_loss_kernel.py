@@ -111,10 +111,10 @@ def leg_terms(m, triples):
     moved = operators.relation_transform(
         m.theta[r], m.phi[r], m.mu[r], head, m.sig, m.operator
     )
-    tx = geometry.point_terms(moved, m.sig)
-    ty = geometry.point_terms(geometry.phi(m.entities[t], m.sig), m.sig)
-    _, (_, _, cos, angle, arg_xy, arg_yx, _, same) = geometry.manhattan_legs_forward(
-        tx, ty, m.sig
+    tx = geometry.terms_columns(moved.T.copy(), m.sig)
+    ty = geometry.terms_columns(geometry.phi(m.entities[t], m.sig).T.copy(), m.sig)
+    _, (_, _, cos, angle, arg_xy, arg_yx, _, same) = geometry.manhattan_legs_columns(
+        tx, ty, m.sig, keep=True
     )
     alpha = m.sig.alpha
     leg_xy = tx[2] * angle + alpha * np.arccosh(np.clip(arg_xy, 1.0, None))
