@@ -114,8 +114,8 @@ _PAIRWISE_BLOCK = 128
 
 def dot_columns(x, y):
     """``np.sum(x.T * y.T, axis=-1)``, bit for bit, for coordinate-major
-    operands: ``x`` and ``y`` hold one row per coordinate, ``k`` rows each,
-    and broadcast to ``(k, N)``.
+    operands: ``x`` and ``y`` are 2-d arrays with one row per coordinate,
+    ``k`` rows each, and ``N`` or 1 columns.
 
     The products of a column are added in the order numpy's pairwise
     summation adds one C-ordered row: below 8 in sequence from ``+0.0``; up
@@ -127,14 +127,15 @@ def dot_columns(x, y):
     sequence instead.)  ``tests/test_geometry.py`` pins this order to the
     installed numpy's.
     """
-    k = len(x)
-    shape = np.broadcast_shapes(np.shape(x)[1:], np.shape(y)[1:])
-    if shape == (1,):  # one column: a C-ordered row, summed by np.sum itself
+    k, n = x.shape
+    if n == 1:
+        n = y.shape[1]
+    if n == 1:  # one column: a C-ordered row, summed by np.sum itself
         return np.sum(x.T * y.T, axis=-1)
     if k > _PAIRWISE_BLOCK:
         half = k // 2 - (k // 2) % 8
         return dot_columns(x[:half], y[:half]) + dot_columns(x[half:], y[half:])
-    prod = np.empty(shape)
+    prod = np.empty(n)
 
     def term(j):
         return np.multiply(x[j], y[j], out=prod)

@@ -22,9 +22,13 @@ pinned to zero, and the distance is plain Euclidean.
 
 Checkpoints are a small binary format: magic ``UKGE``, a little-endian u32
 format version, a u32 header length, a canonical JSON header, then raw
-little-endian float64 payload arrays in :func:`layout` order.  Loading
-checks every header field and rejects non-finite payloads; saving replaces
-the target atomically.
+little-endian float64 payload arrays in :func:`layout` order.  A checkpoint
+must be a regular file, as every file :func:`save` writes is.  Loading
+reads and checks the prefix and every header field, compares the payload
+size the header promises with the file's size before it allocates
+anything, then reads the payload into one float64 array whose slices are
+the families, and rejects non-finite values; saving writes each family
+from its own buffer and replaces the target atomically.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import struct
 import uuid
 from concurrent.futures import ThreadPoolExecutor
@@ -57,6 +62,11 @@ MAGIC = b"UKGE"
 FORMAT_VERSION = 1
 
 GEOMETRIES = ("ultra", "euclidean")
+
+#: rows of the entity table that :func:`candidate_tails` transposes at a
+#: time: a (1024, d) block stays in cache, where one strided copy of the
+#: whole table does not
+TRANSPOSE_BLOCK = 1024
 
 
 def layout(sig: Signature, n_entities: int, n_relations: int) -> dict[str, tuple]:
@@ -232,16 +242,22 @@ def parameters(m: Model) -> dict[str, np.ndarray]:
 def candidate_tails(m: Model, candidates=None) -> tuple:
     """``(side, tail biases)`` of the candidate tails (default: all).
     ``side`` comes from one transposed copy of their free parameters,
-    ``(d, N)``: for ultra it is their :func:`geometry.point_terms_columns`,
-    for euclidean the copy itself.  It is the same for every query, so
+    ``(d, N)``, filled :data:`TRANSPOSE_BLOCK` rows at a time: for ultra it
+    is their :func:`geometry.point_terms_columns`, for euclidean the copy
+    itself.  It is the same for every query, so
     :func:`ukge.evaluation.evaluate` builds it once per call."""
     if candidates is None:
-        cand = slice(None)
+        cand, n = slice(None), m.n_entities
     else:
         cand = np.asarray(candidates)
         check_ids(cand, m.n_entities, "entity")
-        cand = cand.astype(np.int64, copy=False)
-    side = m.entities.T[:, cand].copy()
+        cand = cand.astype(np.int64, copy=False).reshape(-1)
+        n = cand.size
+    side = np.empty((m.sig.d, n))
+    for lo in range(0, n, TRANSPOSE_BLOCK):
+        hi = min(lo + TRANSPOSE_BLOCK, n)
+        rows = m.entities[lo:hi] if candidates is None else m.entities[cand[lo:hi]]
+        side[:, lo:hi] = rows.T
     if m.geometry == "ultra":
         side = geometry.point_terms_columns(side, m.sig)
     return side, m.biases[cand, 1]
@@ -340,7 +356,7 @@ def save(m: Model, path: str) -> None:
             fh.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
             fh.write(blob)
             for arr in parameters(m).values():
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(arr, dtype="<f8"))  # its buffer, no copy
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -372,40 +388,46 @@ def _read_header(blob: bytes, path: str) -> tuple[Signature, dict]:
 
 
 def load(path: str) -> Model:
-    """Read a checkpoint, verifying magic, version, header, payload size and
-    that every payload value is finite."""
+    """Read a checkpoint in the order the module docstring gives, verifying
+    magic, version, header, payload size and that every value is finite."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12 or raw[:4] != MAGIC:
-        raise CorruptHeaderError(f"{path}: not a UKGE checkpoint")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(
-            f"{path}: format version {version}, expected {FORMAT_VERSION}"
-        )
-    (hlen,) = struct.unpack_from("<I", raw, 8)
-    if len(raw) < 12 + hlen:
-        raise CorruptHeaderError(f"{path}: header block cut short")
-    sig, header = _read_header(raw[12 : 12 + hlen], path)
-    shapes = layout(sig, header.pop("n_entities"), header.pop("n_relations"))
-    need = sum(math.prod(s) for s in shapes.values()) * 8
-    payload = raw[12 + hlen :]
-    if len(payload) < need:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {len(payload)} bytes, header promises {need}"
-        )
-    if len(payload) > need:
-        raise CorruptHeaderError(f"{path}: {len(payload) - need} trailing bytes")
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise CorruptHeaderError(f"{path}: not a regular file")
+        size = info.st_size
+        prefix = fh.read(12)
+        if len(prefix) < 12 or prefix[:4] != MAGIC:
+            raise CorruptHeaderError(f"{path}: not a UKGE checkpoint")
+        version, hlen = struct.unpack_from("<II", prefix, 4)
+        if version != FORMAT_VERSION:
+            raise VersionMismatchError(
+                f"{path}: format version {version}, expected {FORMAT_VERSION}"
+            )
+        if size < 12 + hlen:
+            raise CorruptHeaderError(f"{path}: header block cut short")
+        sig, header = _read_header(fh.read(hlen), path)
+        shapes = layout(sig, header.pop("n_entities"), header.pop("n_relations"))
+        need = sum(math.prod(s) for s in shapes.values()) * 8
+        held = size - 12 - hlen
+        if held < need:
+            raise TruncatedPayloadError(
+                f"{path}: payload holds {held} bytes, header promises {need}"
+            )
+        if held > need:
+            raise CorruptHeaderError(f"{path}: {held - need} trailing bytes")
+        payload = np.empty(need // 8, dtype="<f8")
+        got = fh.readinto(memoryview(payload).cast("B"))
+        if got < need:  # the file shrank since fstat
+            raise TruncatedPayloadError(
+                f"{path}: payload holds {got} bytes, header promises {need}"
+            )
+    payload = payload.astype(np.float64, copy=False)  # no copy on little-endian hosts
     arrays = {}
     offset = 0
     for name, shape in shapes.items():
         count = math.prod(shape)
-        arrays[name] = (
-            np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-            .astype(np.float64)
-            .reshape(shape)
-        )
-        offset += count * 8
+        arrays[name] = payload[offset : offset + count].reshape(shape)
+        offset += count
     _check_finite(arrays, path)
     try:
         return Model(sig=sig, delta=float(arrays.pop("delta")), **arrays, **header)

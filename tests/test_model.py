@@ -7,6 +7,8 @@ import json
 import os
 import struct
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +22,10 @@ from ukge.errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from ukge.geometry import EPS_TIME, Signature
+from ukge.geometry import EPS_TIME, Signature, point_terms_columns
+from ukge.kgdata import augment_inverse, make_synthetic
 from ukge.model import (
+    TRANSPOSE_BLOCK,
     Model,
     apply_time_guard,
     candidate_tails,
@@ -29,10 +33,12 @@ from ukge.model import (
     init,
     load,
     map_row_blocks,
+    parameters,
     save,
     score,
     score_candidates,
 )
+from ukge.training import TrainConfig, fit
 
 from conftest import assert_close
 
@@ -148,6 +154,51 @@ class TestScoring:
         flat = tiny_model(geometry="euclidean")
         boosted = tiny_model(geometry="euclidean", mu=np.full((1, 2), 1.7))
         assert score(flat, 0, 0, 1) == score(boosted, 0, 0, 1)
+
+
+def same_bits(actual, expected) -> bool:
+    """Equal shapes and equal bytes in C order (no NaN occurs here)."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    return actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
+
+
+class TestCandidateTails:
+    """The side is the transposed candidate table, whatever the candidate
+    count is relative to the block that ``candidate_tails`` transposes."""
+
+    COUNTS = [1, TRANSPOSE_BLOCK - 1, TRANSPOSE_BLOCK, TRANSPOSE_BLOCK + 1,
+              2 * TRANSPOSE_BLOCK + 3]
+
+    @pytest.mark.parametrize("subset", [False, True], ids=["all", "subset"])
+    @pytest.mark.parametrize("geometry", ["ultra", "euclidean"])
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_side_is_the_transposed_table(self, monkeypatch, count, geometry, subset):
+        rng = np.random.default_rng(count)
+        n_entities = count + 7 if subset else count
+        m = init(S62, n_entities, 2, seed=count, geometry=geometry)
+        m.entities += rng.normal(0.0, 1.0, m.entities.shape)
+        m.biases[:] = rng.normal(0.0, 1.0, m.biases.shape)
+        cand = rng.permutation(n_entities)[:count] if subset else None
+        expected = m.entities.T if cand is None else m.entities.T[:, cand]
+        seen = []
+
+        def capture(z, sig, keep=False):
+            seen.append(z.copy())
+            return point_terms_columns(z, sig, keep)
+
+        monkeypatch.setattr("ukge.geometry.point_terms_columns", capture)
+        side, b_t = candidate_tails(m, cand)
+        assert same_bits(b_t, m.biases[:, 1] if cand is None else m.biases[cand, 1])
+        if geometry == "euclidean":
+            assert seen == []
+            assert same_bits(side, expected)
+        else:
+            (raw,) = seen
+            assert same_bits(raw, expected)
+            want = point_terms_columns(expected.copy(), S62)
+            assert len(side) == len(want)
+            for got, term in zip(side, want):
+                assert same_bits(got, term)
 
 
 class TestInit:
@@ -394,6 +445,71 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load(str(tmp_path / "nope.ukge"))
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_not_a_regular_file(self):
+        with pytest.raises(CorruptHeaderError, match="not a regular file"):
+            load(os.devnull)
+
+    def test_huge_promise_is_truncated_before_any_allocation(self, tmp_path):
+        """The header's payload size is checked against the file's before
+        the payload buffer exists: a promise of 2**40 entities (far beyond
+        memory) raises at once, allocating next to nothing."""
+        header = {
+            "p": 2, "q": 2, "alpha": 1.0, "n_entities": 2**40, "n_relations": 1,
+            "operator": "rot", "geometry": "ultra",
+            "entity_digest": "", "relation_digest": "",
+        }
+        path = str(tmp_path / "m.ukge")
+        _write_checkpoint(path, header, _payload_floats(2, 2, 2, 1))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(TruncatedPayloadError, match="header promises"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 5.0
+        assert peak < 1 << 20
+
+    def test_file_shrinking_while_read_is_truncated(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "m.ukge")
+        save(init(S22, 2, 1), path)
+        real_fstat = os.fstat
+
+        def fstat_then_shrink(fd):
+            info = real_fstat(fd)
+            os.truncate(path, info.st_size - 8)
+            return info
+
+        monkeypatch.setattr(os, "fstat", fstat_then_shrink)
+        with pytest.raises(TruncatedPayloadError, match="header promises"):
+            load(path)
+
+    def test_loaded_families_are_separate_native_arrays(self, tmp_path):
+        _, back = self.roundtrip(init(S62, 9, 4, seed=3), tmp_path)
+        families = [v for k, v in parameters(back).items() if k != "delta"]
+        for arr in families:
+            assert arr.dtype == np.float64 and arr.dtype.isnative
+            assert arr.flags.writeable and arr.flags.aligned
+            assert arr.flags.c_contiguous
+        for i, a in enumerate(families):
+            for b in families[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        assert type(back.delta) is float
+
+    @pytest.mark.parametrize("geometry", ["ultra", "euclidean"])
+    def test_fit_on_loaded_model_writes_the_same_bytes(self, tmp_path, geometry):
+        store = augment_inverse(make_synthetic(seed=0))
+        m = init(S22, store.n_entities, store.n_relations, delta=2.0, seed=4,
+                 operator="rotref", geometry=geometry)
+        _, back = self.roundtrip(m, tmp_path)
+        cfg = TrainConfig(epochs=2, batch_size=8, neg_samples=4, seed=5)
+        p1, p2 = str(tmp_path / "a"), str(tmp_path / "b")
+        save(fit(m, store, cfg)[0], p1)
+        save(fit(back, store, cfg)[0], p2)
+        assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
 class TestFrozenFormat:
