@@ -5,6 +5,10 @@ line (LF or CRLF endings, no header; a leading byte order mark is skipped;
 bytes that are not UTF-8 are an error at their line).
 Dictionaries number the deduplicated train, valid and test splits, in that
 order, by first appearance, so ids are dense and stable for a fixed input.
+Names are numbered by their UTF-8 bytes in numpy, not as Python strings:
+each field becomes a key of 8-byte words, one sort groups equal keys, and
+each distinct name is decoded once.  For valid UTF-8, equal bytes are equal
+strings, so the numbering is the one string keys would give.
 Stores are treated as immutable after construction; :func:`augment_inverse`
 returns a new store with an inverse relation (and reversed triples) added
 for every base relation, which is how head prediction is realised
@@ -116,42 +120,147 @@ def _parse_file(path: str) -> list[tuple[str, ...]]:
     return rows
 
 
-def _read_fields(path: str) -> list[str]:
-    """The fields of a TSV file in file order, three per line: ``h0, r0, t0,
-    h1, ...``, duplicates kept.
+def _read_fields(path: str) -> tuple[bytes, np.ndarray]:
+    """``(data, ends)`` of a TSV split: its UTF-8 bytes as LF-ended lines of
+    three tab-separated fields, and the offset of the tab or LF after each
+    field, three per line in file order, duplicates kept.
 
     The whole file is read once and checked in bulk: valid UTF-8, no CR,
     and every line two tabs around three non-empty fields.  Any other file
     goes through :func:`_parse_file`'s line loop, which reads CRLF and lone
-    CR endings and raises the :class:`ParseError` for a bad line."""
+    CR endings and raises the :class:`ParseError` for a bad line; its rows
+    are then written back as such bytes."""
     with open(path, "rb") as fh:
         data = fh.read().removeprefix(codecs.BOM_UTF8)
     if not data:
-        return []
+        return data, np.empty(0, dtype=np.intp)
     if not data.endswith(b"\n"):
         data += b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero((buf == 9) | (buf == 10))  # the byte after each field
+    ends = np.flatnonzero((buf == 9) | (buf == 10))
     if (
         b"\r" not in data
         and ends.size % 3 == 0
         and np.all(buf[ends].reshape(-1, 3) == (9, 9, 10))
         and np.diff(ends, prepend=-1).min() > 1
+        and _is_utf8(data)
     ):
-        try:
-            return data[:-1].decode("utf-8").replace("\n", "\t").split("\t")
-        except UnicodeDecodeError:
-            pass
-    return [field for row in _parse_file(path) for field in row]
+        return data, ends
+    data = "".join("\t".join(row) + "\n" for row in _parse_file(path)).encode("utf-8")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    return data, np.flatnonzero((buf == 9) | (buf == 10))
 
 
-def _read_splits(train_path, valid_path, test_path) -> list[list[str]]:
-    """:func:`_read_fields` of each given split (``[]`` for a missing one);
-    every file is read before an empty train split is refused."""
-    splits = [_read_fields(path) if path else [] for path in (train_path, valid_path, test_path)]
-    if not splits[0]:
+def _is_utf8(data: bytes) -> bool:
+    """Whether ``data`` decodes as UTF-8, ASCII checked first."""
+    if data.isascii():
+        return True
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _read_splits(train_path, valid_path, test_path):
+    """The fields of the given splits, one split after another:
+    ``(buf, starts, lengths, rows, nul)``.  ``buf`` holds the bytes of
+    :func:`_read_fields` of every split, then zeros enough for
+    :func:`_name_keys`; each field is ``buf[starts[i]:starts[i] +
+    lengths[i]]``, three per line; ``rows`` counts each split's lines (0 for
+    a missing split); ``nul`` tells whether any field holds a NUL byte.
+    Every file is read before an empty train split is refused."""
+    none = (b"", np.empty(0, dtype=np.intp))
+    splits = [_read_fields(path) if path else none for path in (train_path, valid_path, test_path)]
+    if not splits[0][1].size:
         raise EmptySplitError(f"{train_path}: train split is empty")
-    return splits
+    offsets = np.cumsum([0] + [len(split_data) for split_data, _ in splits])
+    ends = np.concatenate([split_ends + at for (_, split_ends), at in zip(splits, offsets)])
+    data = b"".join(split_data for split_data, _ in splits)
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    lengths = ends - starts
+    buf = np.frombuffer(data + bytes(8 * _words(lengths.max())), dtype=np.uint8)
+    return buf, starts, lengths, [split_ends.size // 3 for _, split_ends in splits], b"\0" in data
+
+
+def _words(length) -> int:
+    """The uint64 words that ``length`` bytes fill."""
+    return -(-int(length) // 8)
+
+
+#: ``_MASKS[n]`` keeps the first ``n`` bytes of a little-endian uint64 word
+_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+
+def _name_keys(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, nul: bool) -> np.ndarray:
+    """One key per field, equal for two fields exactly when their bytes are:
+    the bytes as little-endian uint64 words, zero-padded to the longest
+    field's word count, then the length if any field holds a NUL byte (zero
+    padding alone makes ``a`` and ``a\\0`` equal).  A key of one word is a
+    1-D array, a longer one a (fields, words) array."""
+    width = _words(lengths.max())
+    # every offset of buf read as a little-endian word, unaligned
+    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    keys = np.empty((starts.size, width + nul), dtype=np.uint64)
+    for k in range(width):
+        keys[:, k] = words[starts + 8 * k] & _MASKS[np.clip(lengths - 8 * k, 0, 8)]
+    if nul:
+        keys[:, width] = lengths
+    return keys[:, 0] if keys.shape[1] == 1 else keys
+
+
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, ids)`` of the rows of ``keys``, a 1-D array or one key per
+    row: ``first`` holds the index of each distinct key's first row, in
+    ascending order, and ``ids`` gives each row the position of its key in
+    ``first``, so keys are numbered 0, 1, ... by first appearance."""
+    if not len(keys):
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    order = np.argsort(keys) if keys.ndim == 1 else np.lexsort(keys.T)
+    ranked = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    changed = ranked[1:] != ranked[:-1]
+    new[1:] = changed if keys.ndim == 1 else changed.any(axis=1)
+    # argsort is not stable: the first row of a key is its group's least index
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    by_sight = np.argsort(first)
+    rank = np.empty_like(by_sight)
+    rank[by_sight] = np.arange(by_sight.size)
+    ids = np.empty_like(order)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return first[by_sight], ids
+
+
+def _decode(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
+    """The UTF-8 fields at ``starts`` with ``lengths``, in order, decoded in
+    one call from their bytes."""
+    spans = lengths + 1  # each field with the tab or LF after it
+    stops = np.cumsum(spans)
+    chunk = buf[np.arange(stops[-1]) + np.repeat(starts - stops + spans, spans)]
+    chunk[stops - 1] = 9
+    return chunk[:-1].tobytes().decode("utf-8").split("\t")
+
+
+def _number(buf, starts, lengths, nul) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``(names, first, ids)``: the distinct fields at ``starts`` in order
+    of first appearance, and :func:`_first_seen` of their keys."""
+    first, ids = _first_seen(_name_keys(buf, starts, lengths, nul))
+    return _decode(buf, starts[first], lengths[first]), first, ids
+
+
+def _numbered(train_path, valid_path, test_path):
+    """``(entity names, relation names, n_seen, entity ids, relation ids,
+    rows)`` of the given splits: names numbered in train, valid, test order
+    by first appearance (heads before tails within a line), the entities
+    seen before the test split, the (lines, 2) head and tail ids, the
+    relation id per line, and each split's line count."""
+    buf, starts, lengths, rows, nul = _read_splits(train_path, valid_path, test_path)
+    heads_tails = np.arange(starts.size).reshape(-1, 3)[:, 0::2].ravel()
+    entities, first, entity_ids = _number(buf, starts[heads_tails], lengths[heads_tails], nul)
+    relations, _, relation_ids = _number(buf, starts[1::3], lengths[1::3], nul)
+    n_seen = int(np.searchsorted(first, 2 * (rows[0] + rows[1])))
+    return entities, relations, n_seen, entity_ids.reshape(-1, 2), relation_ids, rows
 
 
 def load_triples(
@@ -169,22 +278,20 @@ def load_triples(
     ones numbered last; they are allowed but recorded, sorted by name, in
     ``test_only_entities`` so callers can flag them.
     """
-    entity_ids: dict[str, int] = {}
-    relation_ids: dict[str, int] = {}
+    entities, relations, n_seen, entity_ids, relation_ids, rows = _numbered(
+        train_path, valid_path, test_path
+    )
+    triples = np.empty((relation_ids.size, 3), dtype=np.int64)
+    triples[:, 0::2] = entity_ids
+    triples[:, 1] = relation_ids
+    n_e, n_r = len(entities), len(relations)
     arrays = []
-    for fields in _read_splits(train_path, valid_path, test_path):
-        n_seen = len(entity_ids)  # ends as the entity count before test
-        ids = [
-            (entity_ids.setdefault(h, len(entity_ids)),
-             relation_ids.setdefault(r, len(relation_ids)),
-             entity_ids.setdefault(t, len(entity_ids)))
-            for h, r, t in dict.fromkeys(zip(fields[0::3], fields[1::3], fields[2::3]))
-        ]
-        arrays.append(np.asarray(ids, dtype=np.int64).reshape(len(ids), 3))
-    entity_names = list(entity_ids)
+    packed = n_e * n_r * n_e <= 2**63  # (h, r, t) fits one int64 key
+    for part in np.split(triples, np.cumsum(rows)[:-1]):
+        keys = (part[:, 0] * n_r + part[:, 1]) * n_e + part[:, 2] if packed else part
+        arrays.append(part[_first_seen(keys)[0]])
     return TripleStore(
-        entity_names, list(relation_ids), *arrays,
-        test_only_entities=sorted(entity_names[n_seen:]),
+        entities, relations, *arrays, test_only_entities=sorted(entities[n_seen:])
     )
 
 
@@ -197,14 +304,7 @@ def load_names(
     split)`` of :func:`load_triples` on the same files, with the same
     errors, without building the triples.  Deduplication keeps first
     occurrences, so it never changes the first-seen order of names."""
-    entities: dict[str, None] = {}
-    relations: dict[str, None] = {}
-    for fields in _read_splits(train_path, valid_path, test_path):
-        n_seen = len(entities)
-        relations.update(dict.fromkeys(fields[1::3]))
-        del fields[1::3]  # heads and tails, interleaved in file order
-        entities.update(dict.fromkeys(fields))
-    return list(entities), list(relations), n_seen
+    return _numbered(train_path, valid_path, test_path)[:3]
 
 
 def inverse_names(relation_names: list[str]) -> list[str]:

@@ -287,7 +287,8 @@ def _batch_grads(m: Model, pos: np.ndarray, neg: np.ndarray, threads: int = 1):
     for out, g_h, g_t in zip(entities, g_head, g_tail):
         np.add(np.bincount(h, g_h, n), np.bincount(t, g_t, n), out=out)
     return float(_log_loss(p, pos.shape[0])), {
-        "entities": entities.T,
+        # C order, like the optimizer's moments, which it reads beside them
+        "entities": np.ascontiguousarray(entities.T),
         "biases": np.stack(
             [np.bincount(h, g_score, n), np.bincount(t, g_score, n)], axis=1
         ),

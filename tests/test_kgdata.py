@@ -27,6 +27,7 @@ from ukge.errors import (
 )
 from ukge.kgdata import (
     TripleStore,
+    _first_seen,
     _parse_file,
     _read_fields,
     augment_inverse,
@@ -554,7 +555,20 @@ class TestLineEndings:
         np.testing.assert_array_equal(b.train, a.train)
 
 
-names = st.text(alphabet="abxy", min_size=1, max_size=2)
+#: names that only whole-name byte equality tells apart: longer than one
+#: 8-byte word, byte prefixes of each other, multi-byte characters across a
+#: word boundary (bytes 7-8 of "abcdefg\u00e9", 6-8 of "abcdef\u20ac", 5-8
+#: of "abcde\U0001f600"), NULs
+WORD_NAMES = [
+    "abcdefgh", "abcdefghi", "abcdefgh\x00", "a\x00", "\x00", "\x00a",
+    "abcdefg\u00e9", "abcdefgh\u00e9", "abcdef\u20ac", "abcdef\u20acx",
+    "\u20ac" * 6, "abcde\U0001f600", "abcde\U0001f600 and more", "x" * 40,
+]
+names = st.one_of(
+    st.text(alphabet="abxy", min_size=1, max_size=2),
+    st.sampled_from(WORD_NAMES),
+    st.text(alphabet="ab\x00\u00e9\u20ac", min_size=1, max_size=12),
+)
 name_triples = st.tuples(names, st.sampled_from(["r", "s", "t"]), names)
 
 
@@ -622,7 +636,7 @@ class TestNotUtf8:
 
 #: names without tab, LF or CR; the line loop ends lines at LF and CR only,
 #: so NEL, LS, FF and a BOM inside a line are parts of a name
-RAW_NAMES = ["a", "b", "c", "\u00e9", "x\x85", "\u2028", "\ufeffd", "e\x0cf"]
+RAW_NAMES = ["a", "b", "c", "\u00e9", "x\x85", "\u2028", "\ufeffd", "e\x0cf", *WORD_NAMES]
 
 
 @st.composite
@@ -678,18 +692,74 @@ class TestWholeFileReader:
             with open(path, "wb") as fh:
                 fh.write(data)
             loop = outcome(lambda: [f for row in _parse_file(path) for f in row])
-            assert outcome(_read_fields, path) == loop
+            assert outcome(read_fields, path) == loop
 
     def test_bulk_path_skips_the_line_loop(self, tmp_path, monkeypatch):
-        import ukge.kgdata as kgdata
-
-        def no_loop(path):
-            raise AssertionError("took the line loop")
-
         path = write(tmp_path / "t.tsv", "a\tr\tb\nb\tr\u00e9\tc")
-        monkeypatch.setattr(kgdata, "_parse_file", no_loop)
-        assert _read_fields(path) == ["a", "r", "b", "b", "r\u00e9", "c"]
-        assert _read_fields(write(tmp_path / "e.tsv", "")) == []
+        forbid_line_loop(monkeypatch)
+        assert read_fields(path) == ["a", "r", "b", "b", "r\u00e9", "c"]
+        assert read_fields(write(tmp_path / "e.tsv", "")) == []
+
+    def test_loaders_skip_the_line_loop_on_long_names(self, tmp_path, monkeypatch):
+        """A well-formed LF file of 9- to 40-byte names never reaches the
+        line loop, in either loader, and numbers its names as the spec does."""
+        rng = np.random.default_rng(0)
+        name = lambda: "n" * int(rng.integers(8, 40)) + str(rng.integers(4))
+        splits = [
+            [(name(), "relation_" + str(rng.integers(3)), name()) for _ in range(size)]
+            for size in (300, 60, 60)
+        ]
+        paths = [
+            write(tmp_path / f"{split}.tsv", "".join("\t".join(row) + "\n" for row in rows))
+            for split, rows in zip(("train", "valid", "test"), splits)
+        ]
+        forbid_line_loop(monkeypatch)
+        store = load_triples(*paths)
+        entities, relations, arrays, test_only = load_oracle(splits)
+        assert {len(name.encode()) for name in entities} <= set(range(9, 41))
+        assert store.entity_names == entities and store.relation_names == relations
+        assert store.test_only_entities == test_only
+        for split, expected in zip(("train", "valid", "test"), arrays):
+            assert store.split(split).tolist() == [list(row) for row in expected]
+        assert load_names(*paths) == (entities, relations, len(entities) - len(test_only))
+
+
+def read_fields(path):
+    """The fields of :func:`_read_fields`, decoded, in file order."""
+    data, ends = _read_fields(path)
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    return [data[a:b].decode("utf-8") for a, b in zip(starts.tolist(), ends.tolist())]
+
+
+def forbid_line_loop(monkeypatch):
+    import ukge.kgdata as kgdata
+
+    def no_loop(path):
+        raise AssertionError("took the line loop")
+
+    monkeypatch.setattr(kgdata, "_parse_file", no_loop)
+
+
+class TestByteNumbering:
+    """Names are numbered by their whole UTF-8 bytes."""
+
+    def test_a_nul_byte_makes_another_name(self, tmp_path):
+        path = write(tmp_path / "t.tsv", "a\tr\ta\x00\na\x00\tr\x00\ta\n")
+        store = load_triples(path)
+        assert store.entity_names == ["a", "a\x00"]
+        assert store.relation_names == ["r", "r\x00"]
+        assert store.train.tolist() == [[0, 0, 1], [1, 1, 0]]
+        assert load_names(path) == (["a", "a\x00"], ["r", "r\x00"], 2)
+
+    def test_word_keys_number_like_packed_keys(self):
+        rng = np.random.default_rng(1)
+        rows = rng.integers(0, 3, size=(50, 3))
+        first, ids = _first_seen(rows)
+        packed_first, packed_ids = _first_seen((rows[:, 0] * 3 + rows[:, 1]) * 3 + rows[:, 2])
+        assert first.tolist() == packed_first.tolist()
+        assert ids.tolist() == packed_ids.tolist()
+        seen = list(dict.fromkeys(map(tuple, rows.tolist())))
+        assert [seen.index(tuple(row)) for row in rows.tolist()] == ids.tolist()
 
 
 class TestLoadNames:
