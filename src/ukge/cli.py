@@ -24,12 +24,17 @@ is a directory, lies in a missing one, or names an input file or another
 output; all are raised before any TSV is read.  Data holding
 both ``x`` and ``x_inv``, the name of the inverse of ``x``, is an input
 error too, as is a TSV or config-file line that is not valid UTF-8.
-``predict`` reads only the names from the TSVs.
+``predict`` reads only the names from the TSVs, as UTF-8 bytes: it
+checks the entity digest on those bytes, finds ``--head`` among them and
+decodes only the names it prints (all of them for an unknown ``--head``).
+The argument parser is built once per process, and :func:`main` looks its
+subcommand's function up by name when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -299,22 +304,23 @@ def cmd_train(args) -> int:
 
 
 def _load_model_for_store(
-    args, entity_names: list[str], relation_names: list[str]
+    args, sizes: tuple[int, int], digests: tuple[str, str]
 ) -> model.Model:
     """The checkpoint ``args.model``, checked against the name dictionaries
-    of the augmented store: their sizes, then their digests."""
+    of the augmented store: their ``sizes`` (entities, relations), then
+    their ``digests``, which the caller computes with
+    :func:`model.dictionary_digest` or, from the names' bytes,
+    :func:`model.joined_digest`."""
     m = model.load(args.model)
-    if m.n_entities != len(entity_names) or m.n_relations != len(relation_names):
+    if (m.n_entities, m.n_relations) != sizes:
         raise DigestMismatchError(
             f"checkpoint was trained on {m.n_entities} entities / "
-            f"{m.n_relations} relations, store has {len(entity_names)} / "
-            f"{len(relation_names)}"
+            f"{m.n_relations} relations, store has {sizes[0]} / {sizes[1]}"
         )
-    for kind, stored, names in (
-        ("entity", m.entity_digest, entity_names),
-        ("relation", m.relation_digest, relation_names),
+    for kind, stored, digest in zip(
+        ("entity", "relation"), (m.entity_digest, m.relation_digest), digests
     ):
-        if stored and stored != model.dictionary_digest(names):
+        if stored and stored != digest:
             raise DigestMismatchError(
                 f"{kind} dictionary digest mismatch: the checkpoint was trained "
                 f"on different {kind} files (or a different ordering)"
@@ -332,7 +338,8 @@ def cmd_eval(args) -> int:
     _check_outputs(args, per_relation=args.per_relation)
     store = _load_store(args)
     store = kgdata.augment_inverse(store)
-    m = _load_model_for_store(args, store.entity_names, store.relation_names)
+    digests = tuple(map(model.dictionary_digest, (store.entity_names, store.relation_names)))
+    m = _load_model_for_store(args, (store.n_entities, store.n_relations), digests)
     report = evaluation.evaluate(
         m, store, split="test", filter_splits=filter_splits, threads=args.threads
     )
@@ -360,11 +367,17 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
 def cmd_predict(args) -> int:
     if args.topk < 1:
         raise CliError(f"--topk must be >= 1, got {args.topk}")
-    # only the names: the checkpoint's digests tie them to the training data
-    entities, relations, n_seen = kgdata.load_names(args.train, args.valid, args.test)
+    # only the names, as UTF-8 bytes: the checkpoint's digests tie them to
+    # the training data, and only the names printed are decoded
+    entities, relations, n_seen = kgdata.read_names(args.train, args.valid, args.test)
     _note_test_only(len(entities) - n_seen)
-    relations = relations + kgdata.inverse_names(relations)
-    m = _load_model_for_store(args, entities, relations)
+    relations = list(relations)
+    relations += kgdata.inverse_names(relations)
+    m = _load_model_for_store(
+        args,
+        (len(entities), len(relations)),
+        (model.joined_digest(entities.joined), model.dictionary_digest(relations)),
+    )
     h = kgdata.name_id(args.head, entities, "entity")
     r = kgdata.name_id(args.rel, relations, "relation")
     scores = model.score_candidates(m, h, r)
@@ -402,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--valid")
     p_stats.add_argument("--test")
     p_stats.add_argument("--out", help="write per-relation CSV here")
-    p_stats.set_defaults(func=cmd_stats)
 
     p_train = sub.add_parser("train", help="fit a model and write a checkpoint",
                              description="dim - time_dims >= time_dims >= 2, both even")
@@ -420,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
             p_train.add_argument(flag, action="store_const", const=True, help=help_)
         else:
             p_train.add_argument(flag, type=parse, choices=allowed, help=help_)
-    p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="filtered ranking metrics")
     p_eval.add_argument("--model", required=True)
@@ -431,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--per-relation", dest="per_relation",
                         help="write per-relation CSV here")
     p_eval.add_argument("--threads", type=int, default=1)
-    p_eval.set_defaults(func=cmd_eval)
 
     p_pred = sub.add_parser("predict", help="top-K tail completions")
     p_pred.add_argument("--model", required=True)
@@ -441,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--head", required=True)
     p_pred.add_argument("--rel", required=True)
     p_pred.add_argument("--topk", type=int, default=10)
-    p_pred.set_defaults(func=cmd_predict)
 
     p_synth = sub.add_parser("synth", help="write the synthetic toy dataset")
     p_synth.add_argument("--levels", type=int, default=3)
@@ -449,16 +458,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--cycle", type=int, default=None)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.set_defaults(func=cmd_synth)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up when called, so a wrapper set on the module takes effect
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (IdLookupError, NameLookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LOOKUP

@@ -6,9 +6,13 @@ bytes that are not UTF-8 are an error at their line).
 Dictionaries number the deduplicated train, valid and test splits, in that
 order, by first appearance, so ids are dense and stable for a fixed input.
 Names are numbered by their UTF-8 bytes in numpy, not as Python strings:
-each field becomes a key of 8-byte words, one sort groups equal keys, and
-each distinct name is decoded once.  For valid UTF-8, equal bytes are equal
-strings, so the numbering is the one string keys would give.
+each field becomes a key of 8-byte words, and one sort groups equal keys
+and finds each distinct name's first field.  :func:`load_triples` numbers
+every field from there; :func:`read_names`, which ``predict`` calls,
+numbers none.  The distinct names are gathered into one buffer of UTF-8
+bytes, an LF after each (:class:`Names`), that is decoded in one call or a
+name at a time.  For valid UTF-8, equal bytes are equal strings, so the
+numbering is the one string keys would give.
 Stores are treated as immutable after construction; :func:`augment_inverse`
 returns a new store with an inverse relation (and reversed triples) added
 for every base relation, which is how head prediction is realised
@@ -23,6 +27,7 @@ import csv
 import difflib
 import io
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +95,47 @@ def name_id(name: str, names: list[str], kind: str) -> int:
         raise NameLookupError(f"unknown {kind} {name!r}{hint}") from None
 
 
+class Names(Sequence):
+    """A name dictionary held as the UTF-8 bytes of its names: ``data`` is
+    an LF, then each name in id order followed by an LF, and ``bounds`` the
+    offsets of those LFs, so name ``i`` is ``data[bounds[i] + 1:bounds[i +
+    1]]``.  No name holds an LF.  A name is decoded when it is read, and
+    iterating decodes them all in one call; :meth:`index` finds a name
+    among the bytes, so :func:`name_id` decodes nothing for a known name."""
+
+    def __init__(self, data: bytes, bounds: np.ndarray):
+        self.data, self.bounds = data, bounds
+
+    def __len__(self) -> int:
+        return self.bounds.size - 1
+
+    def __getitem__(self, i: int) -> str:
+        i = range(len(self))[i]
+        return self.data[self.bounds[i] + 1 : self.bounds[i + 1]].decode("utf-8")
+
+    def __iter__(self):
+        return iter(self.data[1:-1].decode("utf-8").split("\n"))
+
+    @property
+    def joined(self) -> memoryview:
+        """The names' UTF-8 bytes in id order joined by LF, not copied."""
+        return memoryview(self.data)[1:-1]
+
+    def index(self, name: str) -> int:
+        """The id of ``name``; :class:`ValueError` when no name has its
+        UTF-8 bytes, and for a ``name`` that holds an LF or that UTF-8
+        cannot encode (a lone surrogate)."""
+        try:
+            key = name.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which no name holds
+            raise ValueError(f"{name!r} is not a name") from None
+        # an LF on both sides matches whole names only
+        at = -1 if b"\n" in key else self.data.find(b"\n" + key + b"\n")
+        if at < 0:
+            raise ValueError(f"{name!r} is not a name")
+        return int(np.searchsorted(self.bounds, at))
+
+
 #: the characters that ``errors="surrogateescape"`` decodes bytes outside UTF-8 to
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
@@ -141,7 +187,10 @@ def _read_fields(path: str) -> tuple[bytes, np.ndarray]:
     if (
         b"\r" not in data
         and ends.size % 3 == 0
-        and np.all(buf[ends].reshape(-1, 3) == (9, 9, 10))
+        # tab, tab, LF on each line, checked a column at a time
+        and np.all(buf[ends[0::3]] == 9)
+        and np.all(buf[ends[1::3]] == 9)
+        and np.all(buf[ends[2::3]] == 10)
         and np.diff(ends, prepend=-1).min() > 1
         and _is_utf8(data)
     ):
@@ -164,10 +213,12 @@ def _is_utf8(data: bytes) -> bool:
 
 def _read_splits(train_path, valid_path, test_path):
     """The fields of the given splits, one split after another:
-    ``(buf, starts, lengths, rows, nul)``.  ``buf`` holds the bytes of
+    ``(buf, rows, nul, entities, relations)``.  ``buf`` holds the bytes of
     :func:`_read_fields` of every split, then zeros enough for
-    :func:`_name_keys`; each field is ``buf[starts[i]:starts[i] +
-    lengths[i]]``, three per line; ``rows`` counts each split's lines (0 for
+    :func:`_name_keys`; ``entities`` is the ``(starts, lengths)`` of the
+    head and tail fields in file order (heads before tails within a line)
+    and ``relations`` that of the relation fields, each field being
+    ``buf[start:start + length]``; ``rows`` counts each split's lines (0 for
     a missing split); ``nul`` tells whether any field holds a NUL byte.
     Every file is read before an empty train split is refused."""
     none = (b"", np.empty(0, dtype=np.intp))
@@ -180,7 +231,10 @@ def _read_splits(train_path, valid_path, test_path):
     starts = np.concatenate([[0], ends[:-1] + 1])
     lengths = ends - starts
     buf = np.frombuffer(data + bytes(8 * _words(lengths.max())), dtype=np.uint8)
-    return buf, starts, lengths, [split_ends.size // 3 for _, split_ends in splits], b"\0" in data
+    rows = [split_ends.size // 3 for _, split_ends in splits]
+    by_kind = [a.reshape(-1, 3) for a in (starts, lengths)]
+    entities = tuple(a[:, 0::2].ravel() for a in by_kind)
+    return buf, rows, b"\0" in data, entities, tuple(a[:, 1] for a in by_kind)
 
 
 def _words(length) -> int:
@@ -209,13 +263,10 @@ def _name_keys(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, nul: bo
     return keys[:, 0] if keys.shape[1] == 1 else keys
 
 
-def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(first, ids)`` of the rows of ``keys``, a 1-D array or one key per
-    row: ``first`` holds the index of each distinct key's first row, in
-    ascending order, and ``ids`` gives each row the position of its key in
-    ``first``, so keys are numbered 0, 1, ... by first appearance."""
-    if not len(keys):
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+def _key_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, new, first)`` of ``keys``, a non-empty 1-D array or one
+    key per row: the rows sorted by key, where each run of equal keys
+    starts in that order, and each distinct key's first row, by key."""
     order = np.argsort(keys) if keys.ndim == 1 else np.lexsort(keys.T)
     ranked = keys[order]
     new = np.empty(len(keys), dtype=bool)
@@ -223,7 +274,26 @@ def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     changed = ranked[1:] != ranked[:-1]
     new[1:] = changed if keys.ndim == 1 else changed.any(axis=1)
     # argsort is not stable: the first row of a key is its group's least index
-    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    return order, new, np.minimum.reduceat(order, np.flatnonzero(new))
+
+
+def _first_rows(keys: np.ndarray) -> np.ndarray:
+    """The index of each distinct key's first row in ``keys``, a 1-D array
+    or one key per row, in ascending order: the ``first`` of
+    :func:`_first_seen`, without an id for every row."""
+    if not len(keys):
+        return np.empty(0, dtype=np.intp)
+    return np.sort(_key_groups(keys)[2])
+
+
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, ids)`` of the rows of ``keys``, a 1-D array or one key per
+    row: ``first`` holds the index of each distinct key's first row, in
+    ascending order, and ``ids`` gives each row the position of its key in
+    ``first``, so keys are numbered 0, 1, ... by first appearance."""
+    if not len(keys):
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    order, new, first = _key_groups(keys)
     by_sight = np.argsort(first)
     rank = np.empty_like(by_sight)
     rank[by_sight] = np.arange(by_sight.size)
@@ -232,35 +302,15 @@ def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[by_sight], ids
 
 
-def _decode(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
-    """The UTF-8 fields at ``starts`` with ``lengths``, in order, decoded in
-    one call from their bytes."""
-    spans = lengths + 1  # each field with the tab or LF after it
-    stops = np.cumsum(spans)
-    chunk = buf[np.arange(stops[-1]) + np.repeat(starts - stops + spans, spans)]
-    chunk[stops - 1] = 9
-    return chunk[:-1].tobytes().decode("utf-8").split("\t")
-
-
-def _number(buf, starts, lengths, nul) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """``(names, first, ids)``: the distinct fields at ``starts`` in order
-    of first appearance, and :func:`_first_seen` of their keys."""
-    first, ids = _first_seen(_name_keys(buf, starts, lengths, nul))
-    return _decode(buf, starts[first], lengths[first]), first, ids
-
-
-def _numbered(train_path, valid_path, test_path):
-    """``(entity names, relation names, n_seen, entity ids, relation ids,
-    rows)`` of the given splits: names numbered in train, valid, test order
-    by first appearance (heads before tails within a line), the entities
-    seen before the test split, the (lines, 2) head and tail ids, the
-    relation id per line, and each split's line count."""
-    buf, starts, lengths, rows, nul = _read_splits(train_path, valid_path, test_path)
-    heads_tails = np.arange(starts.size).reshape(-1, 3)[:, 0::2].ravel()
-    entities, first, entity_ids = _number(buf, starts[heads_tails], lengths[heads_tails], nul)
-    relations, _, relation_ids = _number(buf, starts[1::3], lengths[1::3], nul)
-    n_seen = int(np.searchsorted(first, 2 * (rows[0] + rows[1])))
-    return entities, relations, n_seen, entity_ids.reshape(-1, 2), relation_ids, rows
+def _names(buf: np.ndarray, fields: tuple[np.ndarray, np.ndarray], first: np.ndarray) -> Names:
+    """The fields of ``fields`` (starts, lengths) at the indices ``first``,
+    in that order, gathered from ``buf`` into one :class:`Names`."""
+    starts, lengths = fields[0][first], fields[1][first]
+    spans = lengths + 1  # each name with the LF after it
+    bounds = np.concatenate([[0], np.cumsum(spans)])
+    chunk = buf[np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], spans)]
+    chunk[bounds[1:] - 1] = 10
+    return Names(b"\n" + chunk.tobytes(), bounds)
 
 
 def load_triples(
@@ -278,20 +328,47 @@ def load_triples(
     ones numbered last; they are allowed but recorded, sorted by name, in
     ``test_only_entities`` so callers can flag them.
     """
-    entities, relations, n_seen, entity_ids, relation_ids, rows = _numbered(
+    buf, rows, nul, entity_fields, relation_fields = _read_splits(
         train_path, valid_path, test_path
     )
+    first, entity_ids = _first_seen(_name_keys(buf, *entity_fields, nul))
+    relation_first, relation_ids = _first_seen(_name_keys(buf, *relation_fields, nul))
+    entities = list(_names(buf, entity_fields, first))
+    relations = list(_names(buf, relation_fields, relation_first))
+    n_seen = int(np.searchsorted(first, 2 * (rows[0] + rows[1])))
     triples = np.empty((relation_ids.size, 3), dtype=np.int64)
-    triples[:, 0::2] = entity_ids
+    triples[:, 0::2] = entity_ids.reshape(-1, 2)
     triples[:, 1] = relation_ids
     n_e, n_r = len(entities), len(relations)
     arrays = []
     packed = n_e * n_r * n_e <= 2**63  # (h, r, t) fits one int64 key
     for part in np.split(triples, np.cumsum(rows)[:-1]):
         keys = (part[:, 0] * n_r + part[:, 1]) * n_e + part[:, 2] if packed else part
-        arrays.append(part[_first_seen(keys)[0]])
+        arrays.append(part[_first_rows(keys)])
     return TripleStore(
         entities, relations, *arrays, test_only_entities=sorted(entities[n_seen:])
+    )
+
+
+def read_names(
+    train_path: str,
+    valid_path: str | None = None,
+    test_path: str | None = None,
+) -> tuple[Names, Names, int]:
+    """``(entity names, relation names, entities seen before the test
+    split)`` of :func:`load_triples` on the same files, with the same
+    errors, as :class:`Names`: the distinct names' UTF-8 bytes, none of
+    them decoded.  It builds no triples and numbers no field; it finds each
+    distinct name's first field.  Deduplication keeps first occurrences, so
+    it never changes the first-seen order of names."""
+    buf, rows, nul, entity_fields, relation_fields = _read_splits(
+        train_path, valid_path, test_path
+    )
+    first = _first_rows(_name_keys(buf, *entity_fields, nul))
+    relation_first = _first_rows(_name_keys(buf, *relation_fields, nul))
+    n_seen = int(np.searchsorted(first, 2 * (rows[0] + rows[1])))
+    return (
+        _names(buf, entity_fields, first), _names(buf, relation_fields, relation_first), n_seen
     )
 
 
@@ -300,11 +377,12 @@ def load_names(
     valid_path: str | None = None,
     test_path: str | None = None,
 ) -> tuple[list[str], list[str], int]:
-    """``(entity names, relation names, entities seen before the test
-    split)`` of :func:`load_triples` on the same files, with the same
-    errors, without building the triples.  Deduplication keeps first
-    occurrences, so it never changes the first-seen order of names."""
-    return _numbered(train_path, valid_path, test_path)[:3]
+    """:func:`read_names` with every name decoded: the names and the count
+    of entities seen before the test split that :func:`load_triples` gives
+    on the same files, with the same errors, without building the
+    triples."""
+    entities, relations, n_seen = read_names(train_path, valid_path, test_path)
+    return list(entities), list(relations), n_seen
 
 
 def inverse_names(relation_names: list[str]) -> list[str]:

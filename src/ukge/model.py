@@ -156,9 +156,16 @@ def check_store(m: Model, store) -> None:
         check_ids(split[:, 1], store.n_relations, "relation")
 
 
+def joined_digest(joined) -> str:
+    """The digest of a name dictionary given as ``joined``, the UTF-8 bytes
+    of its names in id order joined by LF: their SHA-256, in hex."""
+    return hashlib.sha256(joined).hexdigest()
+
+
 def dictionary_digest(names: list[str]) -> str:
-    """Stable digest of a name dictionary in id order."""
-    return hashlib.sha256("\n".join(names).encode("utf-8")).hexdigest()
+    """Stable digest of a name dictionary in id order (:func:`joined_digest`
+    of the names joined by LF)."""
+    return joined_digest("\n".join(names).encode("utf-8"))
 
 
 def check_margin(delta: float) -> None:

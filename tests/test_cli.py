@@ -31,7 +31,7 @@ from ukge.cli import (
     top_k,
     train_config,
 )
-from ukge.errors import ParseError
+from ukge.errors import NameLookupError, ParseError
 from ukge.geometry import Signature
 from ukge.training import TrainConfig
 
@@ -671,6 +671,84 @@ class TestEvalAndPredict:
             "--head", "n4", "--rel", "nextt",
         ])
         assert rc == EXIT_LOOKUP
+
+
+class TestPredictFindsWholeNames:
+    """``predict`` looks ``--head`` up among the names' UTF-8 bytes and
+    decodes only what it prints, yet prints what a lookup in the decoded
+    store prints, for every name and for names that are not there."""
+
+    TRAIN = "n12\tr\tn1\nn1\tr\ta\x00b\na\x00b\ts\tn12\n\u00e9\u20ac\tr\tn1\nxn1\ts\tlast\n"
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("names")
+        train = root / "train.tsv"
+        train.write_bytes(self.TRAIN.encode("utf-8"))
+        store = kgdata.augment_inverse(kgdata.load_triples(str(train)))
+        assert store.entity_names == ["n12", "n1", "a\x00b", "\u00e9\u20ac", "xn1", "last"]
+        m = model.init(
+            Signature(2, 2), store.n_entities, store.n_relations, seed=5,
+            entity_digest=model.dictionary_digest(store.entity_names),
+            relation_digest=model.dictionary_digest(store.relation_names),
+        )
+        ckpt = str(root / "m.ukge")
+        model.save(m, ckpt)
+        return {"train": str(train), "ckpt": ckpt, "store": store, "m": m}
+
+    @staticmethod
+    def from_store(store, m, head, rel, topk):
+        """Exit code, stdout and stderr of a lookup in the decoded store."""
+        try:
+            h, r = store.entity_id(head), store.relation_id(rel)
+        except NameLookupError as exc:
+            return EXIT_LOOKUP, "", f"error: {exc}\n"
+        scores = model.score_candidates(m, h, r)
+        lines = [f"{store.entity_names[t]}\t{scores[t]:.6f}\n" for t in top_k(scores, topk)]
+        return EXIT_OK, "".join(lines), ""
+
+    @pytest.mark.parametrize("head", [
+        "n12", "n1", "a\x00b", "\u00e9\u20ac", "xn1", "last",
+        "n", "a", "a\x00", "\u00e9", "x", "n1\nn12", "n12\nn1", "n1\n", "\nn1", "n1\tn12",
+        "", "\udcff", "nope",
+    ])
+    @pytest.mark.parametrize("rel", ["r", "s_inv", "q"])
+    def test_prints_what_the_store_prints(self, data, capsys, head, rel):
+        rc = main(["predict", "--model", data["ckpt"], "--train", data["train"],
+                   "--head", head, "--rel", rel, "--topk", "4"])
+        out = capsys.readouterr()
+        assert (rc, out.out, out.err) == self.from_store(data["store"], data["m"], head, rel, 4)
+
+    @pytest.mark.parametrize("head, err", [
+        ("n1\nn2", "error: unknown entity 'n1\\nn2'; close matches: n12\n"),
+        ("\udcff", "error: unknown entity '\\udcff'\n"),
+    ])
+    def test_unknown_head_message(self, workdir, capsys, head, err):
+        """A head holding an LF, or one that UTF-8 cannot encode, is an
+        unknown entity as the decoded names report it: not a crash, and not
+        a match across two names."""
+        rc = main(["predict", "--model", workdir["ckpt"],
+                   "--train", f"{workdir['data']}/train.tsv",
+                   "--head", head, "--rel", "isa"])
+        assert (rc, capsys.readouterr().err) == (EXIT_LOOKUP, err)
+
+
+class TestOneParser:
+    def test_built_once(self):
+        from ukge import cli
+
+        assert cli._parser() is cli._parser()
+
+    def test_command_looked_up_when_called(self, tmp_path, monkeypatch):
+        """A wrapper set on the module after the parser is built is the one
+        called, as a tracer that patches ``cli.cmd_synth`` needs."""
+        from ukge import cli
+
+        cli._parser()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_synth", lambda args: calls.append(args.out) or 7)
+        assert main(["synth", "--out", str(tmp_path)]) == 7
+        assert calls == [str(tmp_path)]
 
 
 class TestParser:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ukge import model
 from ukge.errors import (
     ConfigurationError,
     EmptySplitError,
@@ -37,6 +38,7 @@ from ukge.kgdata import (
     load_names,
     load_triples,
     make_synthetic,
+    read_names,
     relation_counts,
     stats_csv,
     write_split_tsv,
@@ -700,6 +702,15 @@ class TestWholeFileReader:
         assert read_fields(path) == ["a", "r", "b", "b", "r\u00e9", "c"]
         assert read_fields(write(tmp_path / "e.tsv", "")) == []
 
+    @pytest.mark.parametrize("text, line", [("a\tb\nc\n", 1), ("a\tr\tb\nc\td\ne\n", 2)])
+    def test_short_lines_that_add_up_to_three_fields(self, tmp_path, text, line):
+        """A line of two fields then one of one end in tab, LF, LF, as many
+        ends as one line of three fields: the bulk check refuses them, and
+        the line loop reports the first short line."""
+        with pytest.raises(ParseError, match="expected 3 tab-separated fields") as exc:
+            read_fields(write(tmp_path / "t.tsv", text))
+        assert exc.value.line == line
+
     def test_loaders_skip_the_line_loop_on_long_names(self, tmp_path, monkeypatch):
         """A well-formed LF file of 9- to 40-byte names never reaches the
         line loop, in either loader, and numbers its names as the spec does."""
@@ -791,6 +802,42 @@ class TestLoadNames:
         train = write(tmp_path / "tr.tsv", "a\tr\tb\n")
         test = write(tmp_path / "te.tsv", "b\ts\tq\nz\tr\ta\n")
         assert load_names(train, None, test) == (["a", "b", "q", "z"], ["r", "s"], 2)
+
+
+class TestReadNames:
+    """:func:`read_names` holds the names of :func:`load_triples` as UTF-8
+    bytes: their digest is the digest of the decoded names, and each name
+    is found and read alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(train=tsv_splits(min_size=1), valid=tsv_splits(),
+           raw=st.lists(st.tuples(*[st.sampled_from(RAW_NAMES)] * 3), max_size=6),
+           bom=st.booleans())
+    def test_bytes_are_the_loaded_names(self, train, valid, raw, bom):
+        test = "".join("\t".join(row) + "\n" for row in raw)
+        with tempfile.TemporaryDirectory() as root:
+            paths = []
+            for split, text in zip(("train", "valid", "test"), (train[1], valid[1], test)):
+                paths.append(os.path.join(root, f"{split}.tsv"))
+                with open(paths[-1], "wb") as fh:
+                    fh.write(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+            entities, relations, n_seen = read_names(*paths)
+            store = load_triples(*paths)
+            names = load_names(*paths)
+        assert n_seen == store.n_entities - len(store.test_only_entities)
+        assert names == (store.entity_names, store.relation_names, n_seen)
+        for got, expected in ((entities, store.entity_names), (relations, store.relation_names)):
+            assert model.joined_digest(got.joined) == model.dictionary_digest(expected)
+            assert len(got) == len(expected) and list(got) == expected
+            for i, name in enumerate(expected):
+                assert got[i] == name and got.index(name) == i
+            for absent in {name[:-1] for name in expected} | {name + "\n" for name in expected}:
+                if absent not in expected:
+                    with pytest.raises(ValueError):
+                        got.index(absent)
+            if len(expected) > 1:
+                with pytest.raises(ValueError):
+                    got.index("\n".join(expected[:2]))
 
 
 class TestLoadMatchesSpec:
