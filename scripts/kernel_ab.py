@@ -1,4 +1,5 @@
-"""A/B timing of one training batch between two ``src/`` trees.
+"""A/B timing of one training batch and of one-query scoring between two
+``src/`` trees.
 
     python scripts/kernel_ab.py PARENT_SRC CHANGE_SRC [--pairs 4] [--reps 15]
 
@@ -10,10 +11,13 @@ first batch of ``training.fit`` from them (500 positives with 50 negatives
 each at ``Signature(28, 4)``) and times ``training._batch_grads`` on it,
 ``--reps`` times after one warm-up call.  Inside each call it also sums
 the time spent in ``_loss_sum`` and in ``_row_grads``; the scatter is the
-batch's time outside ``_scored_rows``.  It prints the per-process medians
-of each, their medians over the pairs, and the change's batch time as a
-share of the parent's in each pair.  Both trees must give the same loss
-and gradients, bit for bit, or the script fails.
+batch's time outside ``_scored_rows``.  Then it times, ``10 * --reps``
+calls each after one warm-up call, ``model.score`` of the batch's first
+triple and ``model.score_candidates`` of its head and relation against
+all 21,845 entities.  It prints the per-process medians of each, their
+medians over the pairs, and the change's batch, score and candidate times
+as a share of the parent's in each pair.  Both trees must give the same
+loss, gradients and scores, bit for bit, or the script fails.
 
 With ``--json PATH`` the results are also written to ``PATH``.
 """
@@ -31,17 +35,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("loss_sum", "row_grads", "scatter", "batch")
+QUERIES = ("score", "candidates")  # model.score and model.score_candidates
 
 
 def worker(args) -> None:
-    """Time one side; write medians and the batch's loss and gradients."""
+    """Time one side; write medians, the batch's loss and gradients and the
+    scores."""
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
     from time import perf_counter
 
     import numpy as np
 
     import workloads
-    from ukge import training
+    from ukge import model, training
 
     with tempfile.TemporaryDirectory() as workdir:
         store, m, cfg = workloads.train_setup(workloads.FULL, args.seed, workdir)
@@ -64,7 +70,7 @@ def worker(args) -> None:
     training._loss_sum = timed("loss_sum", training._loss_sum)
     training._row_grads = timed("row_grads", training._row_grads)
     training._scored_rows = timed("scored", training._scored_rows)
-    samples = {name: [] for name in STAGES}
+    samples = {name: [] for name in STAGES + QUERIES}
     for rep in range(args.reps + 1):
         for name in spent:
             spent[name] = 0.0
@@ -76,7 +82,19 @@ def worker(args) -> None:
             samples["row_grads"].append(spent["row_grads"])
             samples["scatter"].append(batch_s - spent["scored"])
             samples["batch"].append(batch_s)
-    np.savez(args.out, loss=np.float64(loss), **grads)
+    h, r, t = (int(v) for v in batch[0])
+    queries = {
+        "score": lambda: model.score(m, h, r, t),
+        "candidates": lambda: model.score_candidates(m, h, r),
+    }
+    scores = {}
+    for name, call in queries.items():
+        for rep in range(10 * args.reps + 1):
+            start = perf_counter()
+            scores[name] = call()
+            if rep:
+                samples[name].append(perf_counter() - start)
+    np.savez(args.out, loss=np.float64(loss), **grads, **scores)
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
         json.dump({name: 1e3 * statistics.median(v) for name, v in samples.items()}, fh)
 
@@ -132,26 +150,30 @@ def main() -> None:
                 runs[side].append(run_side(sides[side], args.seed, args.reps, out))
             a, b = (os.path.join(tmp, f"{side}{i}.npz") for side in sides)
             if not same_bits(a, b):
-                sys.exit(f"pair {i}: loss or gradients differ between the trees")
-    ratios = [c["batch"] / p["batch"] for p, c in zip(runs["parent"], runs["change"])]
+                sys.exit(f"pair {i}: loss, gradients or scores differ between the trees")
+    ratios = {
+        name: [c[name] / p[name] for p, c in zip(runs["parent"], runs["change"])]
+        for name in ("batch",) + QUERIES
+    }
     result = {
         "seed": args.seed,
         "pairs": args.pairs,
         "reps_per_process": args.reps,
         "per_process_medians_ms": runs,
         "medians_ms": {
-            side: {s: statistics.median(r[s] for r in runs[side]) for s in STAGES}
+            side: {s: statistics.median(r[s] for r in runs[side]) for s in STAGES + QUERIES}
             for side in sides
         },
-        "batch_ratio_per_pair": ratios,
+        "ratio_per_pair": ratios,
         "bits_equal": True,
     }
-    print(f"{'ms':<10}" + "".join(f"{s:>12}" for s in STAGES))
+    print(f"{'ms':<10}" + "".join(f"{s:>12}" for s in STAGES + QUERIES))
     for side in sides:
         med = result["medians_ms"][side]
-        print(f"{side:<10}" + "".join(f"{med[s]:>12.2f}" for s in STAGES))
-    print("change/parent batch time per pair:", " ".join(f"{r:.3f}" for r in ratios))
-    print("loss and gradients equal bit for bit in every pair")
+        print(f"{side:<10}" + "".join(f"{med[s]:>12.3f}" for s in STAGES + QUERIES))
+    for name, per_pair in ratios.items():
+        print(f"change/parent {name} time per pair:", " ".join(f"{r:.3f}" for r in per_pair))
+    print("loss, gradients and scores equal bit for bit in every pair")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=1)

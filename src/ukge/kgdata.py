@@ -372,19 +372,6 @@ def read_names(
     )
 
 
-def load_names(
-    train_path: str,
-    valid_path: str | None = None,
-    test_path: str | None = None,
-) -> tuple[list[str], list[str], int]:
-    """:func:`read_names` with every name decoded: the names and the count
-    of entities seen before the test split that :func:`load_triples` gives
-    on the same files, with the same errors, without building the
-    triples."""
-    entities, relations, n_seen = read_names(train_path, valid_path, test_path)
-    return list(entities), list(relations), n_seen
-
-
 def inverse_names(relation_names: list[str]) -> list[str]:
     """The inverse relation's name for each of ``relation_names``, in order
     (``x`` -> ``x_inv``).  A relation named like an inverse, ``x`` beside

@@ -9,16 +9,14 @@ operators of :mod:`ukge.operators`.  A triple (h, r, t) scores
 
     s = -dist(f_r(phi(e_h)), phi(e_t))^2 + b_h + b_t + delta,
 
-with ``delta`` a global margin.  Ranking scores one query against all
-candidate tails: :func:`candidate_tails` lays the tails out
-coordinate-major once (for ultra their terms, with the function that
-builds the training kernel's tail side), and :func:`score_candidates`
-takes the query head's terms from :func:`ukge.geometry.terms_columns`, as
-the kernel does, so each candidate gets the bits of the score that
-training computes.  The
-``geometry="euclidean"`` variant is a baseline at identical parameter
-count: the same Givens stages act on the raw parameter vectors, boosts are
-pinned to zero, and the distance is plain Euclidean.
+with ``delta`` a global margin.  :func:`score_columns` is the one forward
+of every score, coordinate-major: the training kernel runs it on blocks of
+triples, a column each, and ranking on one query head, a single column,
+against the tails that :func:`candidate_tails` lays out once, so a triple
+gets the same bits wherever it is scored.  The ``geometry="euclidean"``
+variant is a baseline at identical parameter count: the same Givens stages
+act on the raw parameter vectors, boosts are pinned to zero, and the
+distance is plain Euclidean.
 
 Checkpoints are a small binary format: magic ``UKGE``, a little-endian u32
 format version, a u32 header length, a canonical JSON header, then raw
@@ -246,13 +244,15 @@ def parameters(m: Model) -> dict[str, np.ndarray]:
     }
 
 
-def candidate_tails(m: Model, candidates=None) -> tuple:
-    """``(side, tail biases)`` of the candidate tails (default: all).
-    ``side`` comes from one transposed copy of their free parameters,
-    ``(d, N)``, filled :data:`TRANSPOSE_BLOCK` rows at a time: for ultra it
-    is their :func:`geometry.point_terms_columns`, for euclidean the copy
-    itself.  It is the same for every query, so
-    :func:`ukge.evaluation.evaluate` builds it once per call."""
+def candidate_tails(m: Model, candidates=None, keep: bool = False) -> tuple:
+    """``(side, tail biases)`` of the candidate tails (default: all), the
+    tail side of :func:`score_columns`.  ``side`` comes from one transposed
+    copy of their free parameters, ``(d, N)``, filled
+    :data:`TRANSPOSE_BLOCK` rows at a time: for ultra it is their
+    :func:`geometry.point_terms_columns`, with ``keep`` together with the
+    intermediates that :func:`geometry.phi_columns_vjp` reads, and for
+    euclidean the copy itself.  :func:`ukge.evaluation.evaluate` builds it
+    once for every query, the training kernel once per block."""
     if candidates is None:
         cand, n = slice(None), m.n_entities
     else:
@@ -266,35 +266,48 @@ def candidate_tails(m: Model, candidates=None) -> tuple:
         rows = m.entities[lo:hi] if candidates is None else m.entities[cand[lo:hi]]
         side[:, lo:hi] = rows.T
     if m.geometry == "ultra":
-        side = geometry.point_terms_columns(side, m.sig)
+        side = geometry.point_terms_columns(side, m.sig, keep)
     return side, m.biases[cand, 1]
 
 
-def score_candidates(m: Model, h: int, r: int, *, tails=None) -> np.ndarray:
-    """Scores ``s = -d^2 + b_h + b_t + delta`` of (h, r, e) for every tail
-    ``e`` of ``tails`` (:func:`candidate_tails`, default: all entities).
+def score_columns(m: Model, h, r, side, b_t, keep: bool = False):
+    """Scores ``s = -d^2 + b_h + b_t + delta`` of the heads ``h`` under the
+    relations ``r`` (id arrays of ``N`` or of one) against the tails
+    ``side`` and ``b_t`` of :func:`candidate_tails` with the same ``keep``:
+    one column per pair, or one head that meets every tail.
 
-    The head is moved by phi, then the relation operator (ultra), or by the
-    operator on its raw vector with the boosts pinned to 0 (euclidean), and
-    meets the candidates as one ``(d, 1)`` column: its terms come from
-    :func:`geometry.terms_columns`, and every sum over coordinates from
-    :func:`geometry.dot_columns`.  The training kernel's forward pass
-    (:mod:`ukge.training`) runs the same stages coordinate-major on whole
-    batches, so one triple gets the same bits from both.
-    """
+    The head is moved by phi (:func:`geometry.point_terms_columns`), then
+    by the relation operator (:func:`operators.transform_columns`), and
+    meets the tails by :func:`geometry.manhattan_legs_columns`; euclidean
+    moves the raw vector with the boosts pinned to 0 and takes the
+    Euclidean distance.  With ``keep`` it returns ``(s, d, ops, saved)``,
+    what :func:`ukge.training._row_grads` reads."""
+    sig = m.sig
+    z = m.entities[h].T.copy()
+    if m.geometry == "ultra":
+        head, phi_h = geometry.point_terms_columns(z, sig, keep=True)
+        z, mu = np.concatenate(head[:2]), m.mu
+    else:
+        mu = np.zeros_like(m.mu)
+    moved, ops = operators.transform_columns(m.theta, m.phi, mu, r, z, sig, m.operator)
+    if m.geometry == "ultra":
+        tx = geometry.terms_columns(moved, sig)
+        dist, legs = geometry.manhattan_legs_columns(tx, side[0] if keep else side, sig, keep=True)
+        saved = (head, phi_h, side, tx, legs)
+    else:
+        saved = moved - side
+        dist = np.sqrt(geometry.dot_columns(saved, saved))
+    s = -dist * dist + m.biases[h, 0] + b_t + m.delta
+    return (s, dist, ops, saved) if keep else s
+
+
+def score_candidates(m: Model, h: int, r: int, *, tails=None) -> np.ndarray:
+    """:func:`score_columns` of (h, r, e) for every tail ``e`` of ``tails``
+    (:func:`candidate_tails`, default: all entities): the head is one
+    ``(d, 1)`` column that meets every candidate."""
     check_ids(h, m.n_entities, "entity")
     check_ids(r, m.n_relations, "relation")
-    side, b_t = candidate_tails(m) if tails is None else tails
-    z_h, th, ph = m.entities[[h]], m.theta[[r]], m.phi[[r]]
-    if m.geometry == "ultra":
-        head = geometry.phi(z_h, m.sig)
-        moved = operators.relation_transform(th, ph, m.mu[[r]], head, m.sig, m.operator)
-        dist = geometry.manhattan_legs_columns(geometry.terms_columns(moved.T, m.sig), side, m.sig)
-    else:
-        mu0 = np.zeros((1, m.sig.q))
-        diff = operators.relation_transform(th, ph, mu0, z_h, m.sig, m.operator).T - side
-        dist = np.sqrt(geometry.dot_columns(diff, diff))
-    return -dist * dist + m.biases[h, 0] + b_t + m.delta
+    return score_columns(m, [h], [r], *(candidate_tails(m) if tails is None else tails))
 
 
 def score(m: Model, h: int, r: int, t: int) -> float:

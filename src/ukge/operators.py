@@ -17,11 +17,12 @@ both stages.
 
 Dense d x d realisations are only materialised for verification
 (:func:`as_dense`, :func:`j_orth_defect`); the apply path touches O(d)
-elements per point, which :func:`count_operations` can measure.  The
-training kernel runs the same stages on coordinate-major points, one row
-per coordinate, through :func:`transform_columns`, which keeps their
-intermediates and counts the elements the row form counts, and gets its
-gradients from :func:`transform_columns_vjp`.
+elements per point, which :func:`count_operations` can measure.  Every
+score (:func:`ukge.model.score_columns`) runs the same stages on
+coordinate-major points, one row per coordinate, through
+:func:`transform_columns`, which keeps their intermediates and counts the
+elements the row form counts; training gets their gradients from
+:func:`transform_columns_vjp`.
 """
 
 from __future__ import annotations
@@ -281,21 +282,22 @@ def transform_columns(theta, phi, mu, rows, x, sig: Signature, operator: str):
     arrays, with the intermediates :func:`transform_columns_vjp` reads:
     each stage's input and the cosines and sines of its angles or boosts.
 
-    The cosines and sines are taken once per relation and then gathered per
-    column; being elementwise, they carry the bits of the per-row values
-    :func:`relation_transform` computes, and every stage adds and multiplies
-    as its row form does.
+    The cosines and sines are taken of the smaller of the relation table
+    and the gathered columns; being elementwise, they carry the bits of the
+    per-row values :func:`relation_transform` computes either way, and
+    every stage adds and multiplies as its row form does.
     """
     u_mode, v_mode = OPERATOR_MODES[operator]
+    few = np.size(rows) < len(theta)
 
-    def gather(values):
-        return np.take(values.T, rows, axis=1)
+    def gather(fn, values):
+        return fn(values[rows].T) if few else np.take(fn(values).T, rows, axis=1)
 
-    cv, sv = gather(np.cos(phi)), gather(np.sin(phi))
+    cv, sv = gather(np.cos, phi), gather(np.sin, phi)
     y1 = _givens_columns(cv, sv, x, v_mode)
-    ch, sh = gather(np.cosh(mu)), gather(np.sinh(mu))
+    ch, sh = gather(np.cosh, mu), gather(np.sinh, mu)
     y2 = _boost_columns(ch, sh, y1, sig)
-    cu, su = gather(np.cos(theta)), gather(np.sin(theta))
+    cu, su = gather(np.cos, theta), gather(np.sin, theta)
     return _givens_columns(cu, su, y2, u_mode), ((cv, sv, x), (ch, sh, y1), (cu, su, y2))
 
 

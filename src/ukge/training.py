@@ -9,18 +9,14 @@ into [1e-12, 1 - 1e-12], a batch of N positives with negatives N_i minimises
 
 Gradients flow through the full score pipeline (manifold map, relation
 operator, two-leg distance with its clamps and branch selection) by a
-hand-written kernel: one forward pass on the plain parameter arrays keeps
-its intermediates, then the vector-Jacobian product of each stage runs in
+hand-written kernel: its forward pass is :func:`model.score_columns`, the
+forward that evaluation and ``predict`` score with, run on a block of
+triples with its intermediates kept, one row per coordinate and one column
+per scored triple; then the vector-Jacobian product of each stage runs in
 reverse, each one next to its forward in :mod:`ukge.geometry` and
-:mod:`ukge.operators`.  The kernel is coordinate-major: a block holds one
-row per coordinate and one column per scored triple, so every pass runs
-over whole rows, and each sum over coordinates is
-:func:`geometry.dot_columns`, which adds in ``np.sum``'s order.  Its tail
-side is :func:`geometry.point_terms_columns`, the function that builds
-evaluation's candidate side in :func:`model.candidate_tails`.  Clamped
-values contribute zero gradient and distance-branch ties follow the first
-branch.  The reverse-mode tape of
-:mod:`ukge.autodiff` differentiates the same numpy forward code through
+:mod:`ukge.operators`.  Clamped values contribute zero gradient and
+distance-branch ties follow the first branch.  The reverse-mode tape of
+:mod:`ukge.autodiff` differentiates the row-wise reference stages through
 NumPy's dispatch protocols; the kernel replays the operations it records in
 its order, so its loss and gradients equal the tape's bit for bit.  The
 tape itself is only the tests' oracle (``tests/tape_oracle.py``) and no
@@ -64,8 +60,8 @@ from .errors import (
 )
 from .geometry import apply_time_guard
 from .kgdata import TripleStore
-from .model import Model, check_ids, check_store, check_threads
-from .model import map_row_blocks, parameters
+from .model import Model, candidate_tails, check_ids, check_store, check_threads
+from .model import map_row_blocks, parameters, score_columns
 
 PROB_CLAMP = 1e-12
 
@@ -144,42 +140,22 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 
 
 def _loss_sum(m: Model, params: dict, pos: np.ndarray, neg: np.ndarray):
-    """Unnormalised loss sum -(sum log p + sum log(1 - p~)) of a batch scored
-    on the plain arrays ``params`` (:func:`parameters`), and the intermediates
-    :func:`_row_grads` reads, coordinate-major: one row per coordinate, one
-    column per scored triple.
+    """Unnormalised loss sum -(sum log p + sum log(1 - p~)) of a batch and
+    the intermediates :func:`_row_grads` reads, coordinate-major: one row
+    per coordinate, one column per scored triple, positives first.
 
-    The scores are those of the tape oracle (``tests/tape_oracle.py``), bit
-    for bit: the same stages run here in the same order, keeping what their
-    VJPs need.  The tail side is built as :func:`model.candidate_tails`
-    builds it, by :func:`geometry.point_terms_columns`.
+    The scores are :func:`model.score_columns` of the triples' heads and
+    relations against their tails, built by :func:`model.candidate_tails`;
+    this adds the sigmoid, the clamp and the log loss.  ``params`` is
+    :func:`parameters` of ``m``, whose arrays the forward reads from ``m``.
     """
-    sig = m.sig
     n_pos = pos.shape[0]
     stacked = np.concatenate([pos, neg.reshape(-1, 3)], axis=0)
-    h, r, t = stacked[:, 0], stacked[:, 1], stacked[:, 2]
-    z_h, z_t = params["entities"][h].T.copy(), params["entities"][t].T.copy()
-    if m.geometry == "ultra":
-        head, phi_h = geometry.point_terms_columns(z_h, sig, keep=True)
-        z_h = np.concatenate(head[:2])
-        mu = params["mu"]
-    else:  # boosts pinned to 0, as tests/tape_oracle.py scores them
-        mu = np.zeros_like(params["mu"])
-    moved, ops = operators.transform_columns(
-        params["theta"], params["phi"], mu, r, z_h, sig, m.operator
-    )
-    if m.geometry == "ultra":
-        ty, phi_t = geometry.point_terms_columns(z_t, sig, keep=True)
-        tx = geometry.terms_columns(moved, sig)
-        dist, legs = geometry.manhattan_legs_columns(tx, ty, sig, keep=True)
-        side = (head, phi_h, ty, phi_t, tx, legs)
-    else:
-        side = moved - z_t
-        dist = np.sqrt(geometry.dot_columns(side, side))
-    b_h, b_t = params["biases"][h, 0], params["biases"][t, 1]
-    prob = _sigmoid(-dist * dist + b_h + b_t + params["delta"])
+    tails = candidate_tails(m, stacked[:, 2], keep=True)
+    scores, dist, ops, side = score_columns(m, stacked[:, 0], stacked[:, 1], *tails, keep=True)
+    prob = _sigmoid(scores)
     p = np.clip(prob, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return _log_loss(p, n_pos), (h, r, t, n_pos, p, prob, dist, ops, side)
+    return _log_loss(p, n_pos), (p, n_pos, prob, dist, ops, side)
 
 
 def _log_loss(p: np.ndarray, n_pos: int):
@@ -202,7 +178,7 @@ def _row_grads(m: Model, saved):
     the tape's bit for bit.  Clamped values pass zero gradient.
     """
     sig = m.sig
-    h, r, t, n_pos, p, prob, dist, ops, side = saved
+    p, n_pos, prob, dist, ops, side = saved
     # d total / d p: -1/p for positives, 1/(1 - p) for negatives
     g_p = np.concatenate([-(1.0 / p[:n_pos]), 1.0 / (1.0 - p[n_pos:])])
     inside = (prob > PROB_CLAMP) & (prob < 1.0 - PROB_CLAMP)
@@ -212,7 +188,7 @@ def _row_grads(m: Model, saved):
     g_dist = g_score * -dist
     g_dist = g_dist + g_dist
     if m.geometry == "ultra":
-        head, phi_h, ty, phi_t, tx, legs = side
+        head, phi_h, (ty, phi_t), tx, legs = side
         g_tx, g_ty = geometry.manhattan_legs_columns_vjp(tx, ty, legs, g_dist, sig)
         g_moved = geometry.point_terms_columns_vjp(tx, g_tx, sig)
         g_tail = geometry.phi_columns_vjp(
@@ -258,7 +234,7 @@ def _scored_rows(m: Model, pos: np.ndarray, neg: np.ndarray, threads: int = 1,
         for i in range(blocks.start * step, blocks.stop * step, step):
             j = min(i + step, n_pos)
             _, saved = _loss_sum(m, params, pos[i:j], neg[i:j])
-            block = (saved[4],) + (_row_grads(m, saved) if grads else ())
+            block = saved[:1] + (_row_grads(m, saved) if grads else ())
             for out, b in zip(rows, block):
                 if out is not None:
                     out[..., i:j] = b[..., : j - i]

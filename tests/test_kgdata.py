@@ -35,7 +35,6 @@ from ukge.kgdata import (
     hierarchy_scores,
     inverse_names,
     krackhardt_score,
-    load_names,
     load_triples,
     make_synthetic,
     read_names,
@@ -48,6 +47,13 @@ from ukge.kgdata import (
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def load_names(*paths):
+    """:func:`read_names` with every name decoded: ``(entity names, relation
+    names, entities seen before the test split)`` as lists of strings."""
+    entities, relations, n_seen = read_names(*paths)
+    return list(entities), list(relations), n_seen
 
 
 def store_from(train, valid=None, test=None):

@@ -30,6 +30,7 @@ from ukge.operators import (
     relation_transform,
     require_even,
     signature_matrix,
+    transform_columns,
 )
 
 from conftest import assert_close, random_manifold_points
@@ -257,6 +258,22 @@ class TestRelationOperator:
                 fast = np.asarray(relation_apply(r, x, sig, flavour))
                 assert_close(fast, x @ m.T, atol=1e-10)
                 assert_close(as_dense(r, sig, flavour), m, atol=1e-12)
+
+    @pytest.mark.parametrize("columns", [1, 2, 5, 6, 40])
+    def test_columns_equal_the_rows_bitwise(self, rng, columns):
+        """``transform_columns`` gives each column the bits that
+        ``relation_transform`` gives its row, with fewer columns than the
+        5 relations (trig of the gathered columns) or at least as many
+        (trig of the relation table)."""
+        sig = Signature(6, 2, 1.0)
+        theta, phi = rng.normal(size=(2, 5, sig.d // 2))
+        mu = rng.normal(size=(5, sig.q))
+        rows = rng.integers(0, 5, columns)
+        x = rng.normal(size=(columns, sig.d))
+        for flavour in OPERATOR_MODES:
+            moved, _ = transform_columns(theta, phi, mu, rows, x.T.copy(), sig, flavour)
+            expected = relation_transform(theta[rows], phi[rows], mu[rows], x, sig, flavour)
+            np.testing.assert_array_equal(moved, expected.T)
 
     def test_j_orthogonal_all_flavours(self, rng):
         for sig in (S22, S62, Signature(28, 4, 1.0)):

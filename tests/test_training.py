@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from ukge.errors import (
 from ukge.geometry import EPS_TIME, Signature
 from ukge.kgdata import augment_inverse, make_synthetic
 from ukge.model import Model, init, parameters
+from ukge.operators import OPERATOR_MODES
 from ukge.training import (
     OPTIMIZERS,
     Adagrad,
@@ -585,14 +587,14 @@ class TestOneScoringPath:
         products take numpy's eight-accumulator branch, and with a time
         block below the floor (entity 5) and a -0.0 time coordinate
         (entity 6) among the candidates."""
-        for sig in SCORING_SIGNATURES:
-            self.check_signature(sig, geometry)
+        for sig, operator in itertools.product(SCORING_SIGNATURES, OPERATOR_MODES):
+            self.check_signature(sig, geometry, operator)
 
-    def check_signature(self, sig, geometry):
-        from tape_oracle import _leaves, score_triples
-        from ukge.model import score, score_candidates
-
-        m = init(sig, 40, 3, seed=8, geometry=geometry)
+    @staticmethod
+    def model_and_triples(sig, geometry, operator):
+        """A model with a time block below the floor (entity 5) and a -0.0
+        time coordinate (entity 6), and 60 triples over it."""
+        m = init(sig, 40, 3, seed=8, geometry=geometry, operator=operator)
         m.biases[:] = np.random.default_rng(8).normal(0.0, 0.5, m.biases.shape)
         m.entities[5, sig.p :] = 0.0
         m.entities[6, -1] = -0.0
@@ -601,6 +603,13 @@ class TestOneScoringPath:
             [rng.integers(0, 40, 60), rng.integers(0, 3, 60), rng.integers(0, 40, 60)],
             axis=1,
         )
+        return m, triples
+
+    def check_signature(self, sig, geometry, operator):
+        from tape_oracle import _leaves, score_triples
+        from ukge.model import score, score_candidates
+
+        m, triples = self.model_and_triples(sig, geometry, operator)
         tape = score_triples(
             m, triples[:, 0], triples[:, 1], triples[:, 2], _leaves(m)
         ).value
@@ -622,6 +631,60 @@ class TestOneScoringPath:
             tape = score_triples(m, np.full(40, h), np.full(40, r), every, _leaves(m)).value
             np.testing.assert_array_equal(tape, scores)
             assert scores[7] == m.biases[h, 0] + m.biases[7, 1] + m.delta
+
+    @pytest.mark.parametrize("geometry", ["ultra", "euclidean"])
+    def test_kernel_forward_equals_score_candidates_bitwise(self, geometry):
+        """The ``p`` of the kernel's forward is the clamped sigmoid of the
+        score that ``score_candidates`` gives each row's tail."""
+        from ukge import training
+        from ukge.model import score_candidates
+
+        for sig, operator in itertools.product(SCORING_SIGNATURES, OPERATOR_MODES):
+            m, triples = self.model_and_triples(sig, geometry, operator)
+            pos, neg = triples[:20], triples[20:].reshape(20, 2, 3)
+            p = training._loss_sum(m, parameters(m), pos, neg)[1][0]
+            stacked = np.concatenate([pos, neg.reshape(-1, 3)])
+            scores = np.array([score_candidates(m, h, r)[t] for h, r, t in stacked])
+            expected = np.clip(
+                training._sigmoid(scores), training.PROB_CLAMP, 1.0 - training.PROB_CLAMP
+            )
+            np.testing.assert_array_equal(p, expected)
+
+
+def forbid_row_wise(monkeypatch):
+    """Make the row-wise manifold map and relation operator raise: they are
+    the tape's reference, and production scoring never calls them."""
+    from ukge import geometry, operators
+
+    def row_wise(*args, **kwargs):
+        raise AssertionError("scored through a row-wise stage")
+
+    for owner, name in [(geometry, "phi"), (operators, "relation_transform"),
+                        (operators, "block_orthogonal_apply"), (operators, "hyper_rot_apply")]:
+        monkeypatch.setattr(owner, name, row_wise)
+
+
+class TestScoringSkipsRowWise:
+    """Train, evaluate and predict all score through the coordinate-major
+    forward of ``model.score_columns``."""
+
+    @pytest.mark.parametrize("geometry", ["ultra", "euclidean"])
+    def test_runs_with_the_row_wise_stages_gone(self, geometry, monkeypatch):
+        from ukge import training
+        from ukge.evaluation import evaluate
+        from ukge.model import score, score_candidates
+
+        m, store = synth_setup(geometry, "rotref")
+        pos = store.train[:12]
+        neg = training._sample_negatives_batch(pos, 3, m.n_entities, np.random.default_rng(2))
+        forbid_row_wise(monkeypatch)
+        h, r, t = (int(v) for v in pos[0])
+        assert np.all(np.isfinite(score_candidates(m, h, r)))
+        assert np.isfinite(score(m, h, r, t))
+        assert 0.0 < evaluate(m, store).mrr <= 1.0
+        assert np.isfinite(bce_loss(m, pos, neg))
+        loss, grads = training._batch_grads(m, pos, neg)
+        assert np.isfinite(loss) and all(np.all(np.isfinite(g)) for g in grads.values())
 
 
 class TestSamplerStream:
