@@ -1,5 +1,5 @@
-"""A/B timing of one training batch and of one-query scoring between two
-``src/`` trees.
+"""A/B timing of one training batch, of one-query scoring and of one
+``evaluate`` call between two ``src/`` trees.
 
     python scripts/kernel_ab.py PARENT_SRC CHANGE_SRC [--pairs 4] [--reps 15]
 
@@ -19,12 +19,26 @@ medians over the pairs, and the change's batch, score and candidate times
 as a share of the parent's in each pair.  Both trees must give the same
 loss, gradients and scores, bit for bit, or the script fails.
 
+Sub-millisecond medians of separate processes spread too widely on a small
+shared host, so the query figures are also timed with both trees imported
+in this process under two package names, calls alternating: it builds the
+query-22k inputs with ``perfbench/workloads.query_setup`` (the same seed),
+loads each tree's store and model from them, takes the first chunk of
+``EVAL_CHUNK`` test queries as ``workloads._query_chunks`` builds them, and
+times ``--reps`` calls of ``evaluation.evaluate`` on it and ``10 * --reps``
+calls of ``model.score_candidates`` of its first query, each after one
+warm-up call.  It prints each side's median and the median of the change's
+time as a share of the parent call next to it.  Both trees must return
+equal ``EvalReport``s and the same scores bit for bit, or the script fails.
+
 With ``--json PATH`` the results are also written to ``PATH``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import importlib.util
 import json
 import os
 import statistics
@@ -36,6 +50,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("loss_sum", "row_grads", "scatter", "batch")
 QUERIES = ("score", "candidates")  # model.score and model.score_candidates
+SHARED = ("evaluate", "candidates")  # timed with both trees in one process
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def worker(args) -> None:
@@ -100,16 +116,91 @@ def worker(args) -> None:
 
 
 def run_side(src: str, seed: int, reps: int, out: str) -> dict:
-    env = dict(os.environ)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
     subprocess.run(
         [sys.executable, __file__, "--worker", "--src", src, "--seed", str(seed),
          "--reps", str(reps), "--out", out],
-        env=env, check=True,
+        check=True,
     )
     with open(out + ".json", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def import_tree(src: str, name: str):
+    """The ``ukge`` package of the ``src/`` tree ``src``, imported as ``name``."""
+    init = Path(src).resolve() / "ukge" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def side_calls(package, paths: dict, ckpt: str, seed: int) -> dict:
+    """The calls of :data:`SHARED` on the query-22k inputs, run by ``package``."""
+    import workloads
+
+    kgdata = package.kgdata
+    store = kgdata.augment_inverse(
+        kgdata.load_triples(paths["train"], paths["valid"], paths["test"])
+    )
+    chunk = workloads._query_chunks(store, workloads.EVAL_CHUNK, seed)[0]
+    m = package.model.load(ckpt)
+    h, r = (int(v) for v in chunk.test[0, :2])
+    return {
+        "evaluate": lambda: dataclasses.asdict(package.evaluation.evaluate(m, chunk)),
+        "candidates": lambda: package.model.score_candidates(m, h, r),
+    }
+
+
+def shared_process(sides: dict, seed: int, reps: int) -> dict:
+    """Time :data:`SHARED` with both trees imported in this process, calls
+    alternating (see the module docstring); exit unless both trees return
+    the same reports and scores."""
+    sys.path[:0] = [str(Path(sides["change"]).resolve()), str(ROOT / "perfbench")]
+    from time import perf_counter
+
+    import numpy as np
+
+    import workloads
+
+    with tempfile.TemporaryDirectory() as workdir:
+        inputs = workloads.query_setup(workloads.FULL, seed, workdir)
+        calls = {
+            side: side_calls(import_tree(src, f"ukge_{side}"), inputs.paths, inputs.ckpt, seed)
+            for side, src in sides.items()
+        }
+    samples = {side: {name: [] for name in SHARED} for side in sides}
+    ratios: dict[str, list[float]] = {name: [] for name in SHARED}
+    for name, count in zip(SHARED, (reps, 10 * reps)):
+        for rep in range(count + 1):
+            order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
+            took, got = {}, {}
+            for side in order:
+                start = perf_counter()
+                got[side] = calls[side][name]()
+                took[side] = perf_counter() - start
+            if name == "evaluate":
+                equal = got["parent"] == got["change"]
+            else:
+                equal = np.array_equal(got["parent"].view(np.uint64),
+                                       got["change"].view(np.uint64))
+            if not equal:
+                sys.exit(f"{name}: the trees differ when both run in one process")
+            if rep:  # the first call warms up
+                for side in sides:
+                    samples[side][name].append(took[side])
+                ratios[name].append(took["change"] / took["parent"])
+    return {
+        "medians_ms": {
+            side: {name: 1e3 * statistics.median(v) for name, v in samples[side].items()}
+            for side in sides
+        },
+        "ratio_median": {name: statistics.median(v) for name, v in ratios.items()},
+        "calls": {name: len(v) for name, v in ratios.items()},
+        "queries_per_evaluate": workloads.EVAL_CHUNK,
+    }
 
 
 def same_bits(a: str, b: str) -> bool:
@@ -140,6 +231,7 @@ def main() -> None:
         return
     if not (args.parent and args.change):
         parser.error("give the parent's and the change's src/ directories")
+    os.environ.update(dict.fromkeys(BLAS_VARS, "1"))  # before numpy is imported
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
@@ -155,6 +247,7 @@ def main() -> None:
         name: [c[name] / p[name] for p, c in zip(runs["parent"], runs["change"])]
         for name in ("batch",) + QUERIES
     }
+    shared = shared_process(sides, args.seed, args.reps)
     result = {
         "seed": args.seed,
         "pairs": args.pairs,
@@ -165,6 +258,7 @@ def main() -> None:
             for side in sides
         },
         "ratio_per_pair": ratios,
+        "one_process": shared,
         "bits_equal": True,
     }
     print(f"{'ms':<10}" + "".join(f"{s:>12}" for s in STAGES + QUERIES))
@@ -174,6 +268,14 @@ def main() -> None:
     for name, per_pair in ratios.items():
         print(f"change/parent {name} time per pair:", " ".join(f"{r:.3f}" for r in per_pair))
     print("loss, gradients and scores equal bit for bit in every pair")
+    calls = shared["calls"]
+    print(f"one process, calls alternating ({calls['evaluate']} evaluate calls of "
+          f"{shared['queries_per_evaluate']} queries, {calls['candidates']} score_candidates):")
+    for name in SHARED:
+        med = {side: shared["medians_ms"][side][name] for side in sides}
+        print(f"  {name:<11} parent {med['parent']:.3f} ms, change {med['change']:.3f} ms, "
+              f"change/parent per call median {shared['ratio_median'][name]:.3f}")
+    print("  equal reports and scores in every call")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=1)

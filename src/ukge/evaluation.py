@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import EmptySplitError
 from .kgdata import TripleStore
-from .model import Model, candidate_tails, check_ids, check_store, map_row_blocks
-from .model import score_candidates
+from .model import Model, candidate_tails, check_ids, check_store, head_column
+from .model import map_row_blocks, move_heads, score_candidates
 
 HITS_KS = (1, 3, 10)
 
@@ -71,10 +71,12 @@ def filtered_rank(
     filter_splits=("train", "valid", "test"),
     _index: dict[tuple[int, int], np.ndarray] | None = None,
     _tails: tuple | None = None,
+    _head: tuple | None = None,
 ) -> int:
     """Pessimistic filtered rank of the gold tail among all entities.
 
-    rank = 1 + #{ e != t unfiltered with not score(h, r, e) < score(h, r, t) }.
+    rank = 1 + #{ e != t unfiltered with not score(h, r, e) < score(h, r, t) },
+    counted over all entities less the known tails, without a mask.
     """
     h, r, t = triple
     check_ids([h, t], m.n_entities, "entity")
@@ -82,13 +84,15 @@ def filtered_rank(
     h, r, t = int(h), int(r), int(t)
     if _index is None:  # standalone: index this query's pair only
         _index = build_filter_index(store, filter_splits, keys=[(h, r)])
-    scores = score_candidates(m, h, r, tails=_tails)
-    allowed = np.ones(m.n_entities, dtype=bool)
+    scores = score_candidates(m, h, r, tails=_tails, _head=_head)
+    gold = scores[t]
+    # not gold < gold holds even for a NaN gold: the gold counts itself once
+    rank = scores.size - np.count_nonzero(scores < gold)
     known = _index.get((h, r))
     if known is not None:
-        allowed[known] = False
-    allowed[t] = False  # the gold tail is never its own competitor
-    return 1 + int(np.count_nonzero(~(scores[allowed] < scores[t])))
+        known = known[known != t]
+        rank -= known.size - np.count_nonzero(scores[known] < gold)
+    return int(rank)
 
 
 def aggregate_ranks(ranks, relations) -> EvalReport:
@@ -124,9 +128,10 @@ def evaluate(
 ) -> EvalReport:
     """Rank every triple of ``split`` and aggregate the metrics.
 
-    The tail side of the scores (:func:`ukge.model.candidate_tails`) and the
+    The moved heads of all queries (:func:`ukge.model.move_heads`), the
+    tail side of the scores (:func:`ukge.model.candidate_tails`) and the
     filter index of the split's (head, relation) pairs are built once per
-    call and shared by every query.
+    call; each query meets the shared tail side with its own head column.
 
     For the standard protocol (head and tail prediction) pass a store that
     has been augmented with inverse relations.  A store with more entities
@@ -136,13 +141,15 @@ def evaluate(
     triples = store.split(split)
     if triples.shape[0] == 0:
         raise EmptySplitError(f"evaluate: split {split!r} is empty")
+    heads = move_heads(m, triples[:, 0], triples[:, 1])
     index = build_filter_index(store, filter_splits, keys=triples[:, :2])
     tails = candidate_tails(m)  # shared read-only by every query and thread
 
     def rank_block(rows: slice) -> list[int]:
         return [
-            filtered_rank(m, store, row, filter_splits, _index=index, _tails=tails)
-            for row in triples[rows]
+            filtered_rank(m, store, triples[i], filter_splits, _index=index, _tails=tails,
+                          _head=head_column(heads, i))
+            for i in range(rows.start, rows.stop)
         ]
 
     parts = map_row_blocks(rank_block, triples.shape[0], threads)

@@ -9,14 +9,14 @@ operators of :mod:`ukge.operators`.  A triple (h, r, t) scores
 
     s = -dist(f_r(phi(e_h)), phi(e_t))^2 + b_h + b_t + delta,
 
-with ``delta`` a global margin.  :func:`score_columns` is the one forward
-of every score, coordinate-major: the training kernel runs it on blocks of
-triples, a column each, and ranking on one query head, a single column,
-against the tails that :func:`candidate_tails` lays out once, so a triple
-gets the same bits wherever it is scored.  The ``geometry="euclidean"``
-variant is a baseline at identical parameter count: the same Givens stages
-act on the raw parameter vectors, boosts are pinned to zero, and the
-distance is plain Euclidean.
+with ``delta`` a global margin.  Every score is one coordinate-major
+forward in two halves, :func:`move_heads` then :func:`meet_tails` against
+the tails that :func:`candidate_tails` lays out: training runs both on
+blocks of triples, evaluation each column of its moved query heads against
+shared tails, so a triple gets the same bits wherever it is scored.  The
+``geometry="euclidean"`` variant is a baseline at identical parameter
+count: the same Givens stages act on the raw parameter vectors, boosts are
+pinned to zero, and the distance is plain Euclidean.
 
 Checkpoints are a small binary format: magic ``UKGE``, a little-endian u32
 format version, a u32 header length, a canonical JSON header, then raw
@@ -246,7 +246,7 @@ def parameters(m: Model) -> dict[str, np.ndarray]:
 
 def candidate_tails(m: Model, candidates=None, keep: bool = False) -> tuple:
     """``(side, tail biases)`` of the candidate tails (default: all), the
-    tail side of :func:`score_columns`.  ``side`` comes from one transposed
+    tail side of :func:`meet_tails`.  ``side`` comes from one transposed
     copy of their free parameters, ``(d, N)``, filled
     :data:`TRANSPOSE_BLOCK` rows at a time: for ultra it is their
     :func:`geometry.point_terms_columns`, with ``keep`` together with the
@@ -270,44 +270,64 @@ def candidate_tails(m: Model, candidates=None, keep: bool = False) -> tuple:
     return side, m.biases[cand, 1]
 
 
-def score_columns(m: Model, h, r, side, b_t, keep: bool = False):
-    """Scores ``s = -d^2 + b_h + b_t + delta`` of the heads ``h`` under the
-    relations ``r`` (id arrays of ``N`` or of one) against the tails
-    ``side`` and ``b_t`` of :func:`candidate_tails` with the same ``keep``:
-    one column per pair, or one head that meets every tail.
-
-    The head is moved by phi (:func:`geometry.point_terms_columns`), then
-    by the relation operator (:func:`operators.transform_columns`), and
-    meets the tails by :func:`geometry.manhattan_legs_columns`; euclidean
-    moves the raw vector with the boosts pinned to 0 and takes the
-    Euclidean distance.  With ``keep`` it returns ``(s, d, ops, saved)``,
-    what :func:`ukge.training._row_grads` reads."""
+def move_heads(m: Model, h, r, keep: bool = False) -> tuple:
+    """``(x, b_h)``: the heads ``h`` moved under the relations ``r`` (id
+    arrays of one length), a column each with its sums from
+    :func:`geometry.dot_columns`, so the same bits in a block of any width,
+    and their head biases.  Ultra moves by phi
+    (:func:`geometry.point_terms_columns`), then the relation operator
+    (:func:`operators.transform_columns`), and ``x`` is the
+    :func:`geometry.terms_columns` of the result; euclidean moves the raw
+    vector with the boosts pinned to 0.  With ``keep`` it returns ``(x, b_h,
+    ops, point)``, ``point`` phi's terms and intermediates (None for
+    euclidean), what :func:`ukge.training._row_grads` reads."""
     sig = m.sig
     z = m.entities[h].T.copy()
+    point = None
     if m.geometry == "ultra":
-        head, phi_h = geometry.point_terms_columns(z, sig, keep=True)
-        z, mu = np.concatenate(head[:2]), m.mu
+        point = geometry.point_terms_columns(z, sig, keep=True)
+        z, mu = np.concatenate(point[0][:2]), m.mu
     else:
         mu = np.zeros_like(m.mu)
-    moved, ops = operators.transform_columns(m.theta, m.phi, mu, r, z, sig, m.operator)
+    x, ops = operators.transform_columns(m.theta, m.phi, mu, r, z, sig, m.operator)
     if m.geometry == "ultra":
-        tx = geometry.terms_columns(moved, sig)
-        dist, legs = geometry.manhattan_legs_columns(tx, side[0] if keep else side, sig, keep=True)
-        saved = (head, phi_h, side, tx, legs)
+        x = geometry.terms_columns(x, sig)
+    b_h = m.biases[h, 0]
+    return (x, b_h, ops, point) if keep else (x, b_h)
+
+
+def head_column(heads: tuple, i: int) -> tuple:
+    """Column ``i`` of the moved heads ``(x, b_h)`` of :func:`move_heads`."""
+    (x, b_h), col = heads, slice(i, i + 1)
+    return (tuple(a[..., col] for a in x) if isinstance(x, tuple) else x[:, col]), b_h[col]
+
+
+def meet_tails(m: Model, x, b_h, side, b_t, keep: bool = False):
+    """Scores ``s = -d^2 + b_h + b_t + delta`` of the moved heads ``x, b_h``
+    (:func:`move_heads`) against the tails ``side, b_t`` of
+    :func:`candidate_tails` with the same ``keep``: one column per pair, or
+    one head column that meets every tail, by
+    :func:`geometry.manhattan_legs_columns` or the Euclidean distance.  With
+    ``keep`` it returns ``(s, d, saved)``, ``saved`` the legs'
+    intermediates or the euclidean difference."""
+    if m.geometry == "ultra":
+        side = side[0] if keep else side
+        dist, saved = geometry.manhattan_legs_columns(x, side, m.sig, keep=True)
     else:
-        saved = moved - side
+        saved = x - side
         dist = np.sqrt(geometry.dot_columns(saved, saved))
-    s = -dist * dist + m.biases[h, 0] + b_t + m.delta
-    return (s, dist, ops, saved) if keep else s
+    s = -dist * dist + b_h + b_t + m.delta
+    return (s, dist, saved) if keep else s
 
 
-def score_candidates(m: Model, h: int, r: int, *, tails=None) -> np.ndarray:
-    """:func:`score_columns` of (h, r, e) for every tail ``e`` of ``tails``
+def score_candidates(m: Model, h: int, r: int, *, tails=None, _head=None) -> np.ndarray:
+    """:func:`meet_tails` of (h, r, e) for every tail ``e`` of ``tails``
     (:func:`candidate_tails`, default: all entities): the head is one
-    ``(d, 1)`` column that meets every candidate."""
+    ``(d, 1)`` column of :func:`move_heads`, or ``_head`` if moved already."""
     check_ids(h, m.n_entities, "entity")
     check_ids(r, m.n_relations, "relation")
-    return score_columns(m, [h], [r], *(candidate_tails(m) if tails is None else tails))
+    head = move_heads(m, [h], [r]) if _head is None else _head
+    return meet_tails(m, *head, *(candidate_tails(m) if tails is None else tails))
 
 
 def score(m: Model, h: int, r: int, t: int) -> float:

@@ -18,7 +18,7 @@ both stages.
 Dense d x d realisations are only materialised for verification
 (:func:`as_dense`, :func:`j_orth_defect`); the apply path touches O(d)
 elements per point, which :func:`count_operations` can measure.  Every
-score (:func:`ukge.model.score_columns`) runs the same stages on
+score (:func:`ukge.model.move_heads`) runs the same stages on
 coordinate-major points, one row per coordinate, through
 :func:`transform_columns`, which keeps their intermediates and counts the
 elements the row form counts; training gets their gradients from

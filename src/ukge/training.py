@@ -9,13 +9,14 @@ into [1e-12, 1 - 1e-12], a batch of N positives with negatives N_i minimises
 
 Gradients flow through the full score pipeline (manifold map, relation
 operator, two-leg distance with its clamps and branch selection) by a
-hand-written kernel: its forward pass is :func:`model.score_columns`, the
-forward that evaluation and ``predict`` score with, run on a block of
-triples with its intermediates kept, one row per coordinate and one column
-per scored triple; then the vector-Jacobian product of each stage runs in
-reverse, each one next to its forward in :mod:`ukge.geometry` and
-:mod:`ukge.operators`.  Clamped values contribute zero gradient and
-distance-branch ties follow the first branch.  The reverse-mode tape of
+hand-written kernel: its forward pass is :func:`model.move_heads` then
+:func:`model.meet_tails`, the forward that evaluation and ``predict``
+score with, run on a block of triples with its intermediates kept, one row
+per coordinate and one column per scored triple; then the vector-Jacobian
+product of each stage runs in reverse, each one next to its forward in
+:mod:`ukge.geometry` and :mod:`ukge.operators`.  Clamped values
+contribute zero gradient and distance-branch ties follow the first
+branch.  The reverse-mode tape of
 :mod:`ukge.autodiff` differentiates the row-wise reference stages through
 NumPy's dispatch protocols; the kernel replays the operations it records in
 its order, so its loss and gradients equal the tape's bit for bit.  The
@@ -61,7 +62,7 @@ from .errors import (
 from .geometry import apply_time_guard
 from .kgdata import TripleStore
 from .model import Model, candidate_tails, check_ids, check_store, check_threads
-from .model import map_row_blocks, parameters, score_columns
+from .model import map_row_blocks, meet_tails, move_heads, parameters
 
 PROB_CLAMP = 1e-12
 
@@ -144,18 +145,20 @@ def _loss_sum(m: Model, params: dict, pos: np.ndarray, neg: np.ndarray):
     the intermediates :func:`_row_grads` reads, coordinate-major: one row
     per coordinate, one column per scored triple, positives first.
 
-    The scores are :func:`model.score_columns` of the triples' heads and
-    relations against their tails, built by :func:`model.candidate_tails`;
-    this adds the sigmoid, the clamp and the log loss.  ``params`` is
-    :func:`parameters` of ``m``, whose arrays the forward reads from ``m``.
+    The scores are :func:`model.meet_tails` of the triples' heads and
+    relations, moved by :func:`model.move_heads`, against their tails,
+    built by :func:`model.candidate_tails`; this adds the sigmoid, the
+    clamp and the log loss.  ``params`` is :func:`parameters` of ``m``,
+    whose arrays the forward reads from ``m``.
     """
     n_pos = pos.shape[0]
     stacked = np.concatenate([pos, neg.reshape(-1, 3)], axis=0)
     tails = candidate_tails(m, stacked[:, 2], keep=True)
-    scores, dist, ops, side = score_columns(m, stacked[:, 0], stacked[:, 1], *tails, keep=True)
+    x, b_h, ops, point = move_heads(m, stacked[:, 0], stacked[:, 1], keep=True)
+    scores, dist, met = meet_tails(m, x, b_h, *tails, keep=True)
     prob = _sigmoid(scores)
     p = np.clip(prob, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return _log_loss(p, n_pos), (p, n_pos, prob, dist, ops, side)
+    return _log_loss(p, n_pos), (p, n_pos, prob, dist, ops, point, tails[0], x, met)
 
 
 def _log_loss(p: np.ndarray, n_pos: int):
@@ -178,7 +181,7 @@ def _row_grads(m: Model, saved):
     the tape's bit for bit.  Clamped values pass zero gradient.
     """
     sig = m.sig
-    p, n_pos, prob, dist, ops, side = saved
+    p, n_pos, prob, dist, ops, point, side, tx, met = saved
     # d total / d p: -1/p for positives, 1/(1 - p) for negatives
     g_p = np.concatenate([-(1.0 / p[:n_pos]), 1.0 / (1.0 - p[n_pos:])])
     inside = (prob > PROB_CLAMP) & (prob < 1.0 - PROB_CLAMP)
@@ -188,22 +191,22 @@ def _row_grads(m: Model, saved):
     g_dist = g_score * -dist
     g_dist = g_dist + g_dist
     if m.geometry == "ultra":
-        head, phi_h, (ty, phi_t), tx, legs = side
-        g_tx, g_ty = geometry.manhattan_legs_columns_vjp(tx, ty, legs, g_dist, sig)
+        ty, phi_t = side
+        g_tx, g_ty = geometry.manhattan_legs_columns_vjp(tx, ty, met, g_dist, sig)
         g_moved = geometry.point_terms_columns_vjp(tx, g_tx, sig)
         g_tail = geometry.phi_columns_vjp(
             ty, phi_t, geometry.point_terms_columns_vjp(ty, g_ty, sig), sig
         )
     else:
-        # d = norm(side): one term per factor of side * side
-        g_moved = (g_dist * (0.5 / dist)) * side
+        # d = norm(met): one term per factor of met * met
+        g_moved = (g_dist * (0.5 / dist)) * met
         g_moved = g_moved + g_moved
         g_tail = -g_moved
     g_theta, g_phi, g_mu, g_head = operators.transform_columns_vjp(
         ops, g_moved, sig, m.operator, mu_grad=m.geometry == "ultra"
     )
     if m.geometry == "ultra":
-        g_head = geometry.phi_columns_vjp(head, phi_h, g_head, sig)
+        g_head = geometry.phi_columns_vjp(*point, g_head, sig)
     return g_score, g_head, g_tail, g_theta, g_phi, g_mu
 
 

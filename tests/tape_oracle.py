@@ -25,8 +25,9 @@ def score_triples(m: Model, h, r, t, leaves: dict | None = None):
     ``leaves`` maps the names of :func:`ukge.model.parameters` to arrays
     that stand in for the model's own (default: the model's arrays); tensor
     leaves put the scoring on the tape.  The stages and the score formula
-    are those of :func:`ukge.model.score_columns`, the forward of training,
-    evaluation and ``predict``, which the tests hold to these bits.
+    are those of :func:`ukge.model.move_heads` and
+    :func:`ukge.model.meet_tails`, the forward of training, evaluation and
+    ``predict``, which the tests hold to these bits.
     """
     p = parameters(m) if leaves is None else leaves
     z_h, th, ph = p["entities"][h], p["theta"][r], p["phi"][r]

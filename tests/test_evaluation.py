@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ukge.errors import ConfigurationError, EmptySplitError, IdLookupError
@@ -329,6 +329,93 @@ class TestNonFiniteScores:
         assert filtered_rank(m, store, (0, 0, 1), filter_splits=()) == 1
 
 
+#: hand-built scores: ties, signed zeros, NaN and both infinities
+RANK_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]),
+    st.floats(-4.0, 4.0),
+)
+
+
+@st.composite
+def rank_cases(draw):
+    """(scores, gold, known tails, filter splits) of one query (0, 0, gold)."""
+    scores = draw(st.lists(RANK_SCORES, min_size=1, max_size=12))
+    gold = draw(st.integers(0, len(scores) - 1))
+    known = draw(st.sets(st.integers(0, len(scores) - 1)))
+    splits = draw(st.sampled_from([SPLITS, ()]))
+    return scores, gold, known, splits
+
+
+class TestCountedRank:
+    """filtered_rank counts the competitors over all entities less those
+    over the known tails; the rank must equal the mask formula's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rank_cases())
+    @example(([1.0, 1.0, 1.0], 1, {0}, SPLITS))  # ties with the gold
+    @example(([np.nan, 2.0, -1.0, np.nan], 0, {0, 2}, SPLITS))  # NaN gold, known
+    @example(([np.nan, 2.0, -1.0, np.nan], 3, {1}, SPLITS))  # NaN gold, not known
+    @example(([0.5, np.nan, np.inf, -np.inf, 0.5], 4, {3}, SPLITS))  # NaN, +-inf
+    @example(([np.inf, np.inf, -np.inf], 1, set(), SPLITS))  # nothing known
+    @example(([3.0, np.nan, 3.0, -np.inf], 2, {0, 1, 2}, ()))  # no filter splits
+    def test_equals_the_mask_formula(self, case):
+        scores, gold, known, splits = case
+        n = len(scores)
+        m = bias_model(scores)
+        store = ids_store(n, 1, train=[(0, 0, k) for k in sorted(known)])
+        s = score_candidates(m, 0, 0)
+        np.testing.assert_array_equal(s, scores)
+        allowed = np.ones(n, dtype=bool)
+        if splits:
+            allowed[sorted(known)] = False
+        allowed[gold] = False
+        expected = 1 + int(np.count_nonzero(~(s[allowed] < s[gold])))
+        assert filtered_rank(m, store, (0, 0, gold), filter_splits=splits) == expected
+
+
+class TestTracedCalls:
+    """``perfbench/tracing.py`` patches ``evaluation.filtered_rank`` and
+    ``evaluation.score_candidates`` by name and derives
+    ``evaluation.queries``, ``evaluation.unfiltered_ratio`` and
+    ``model.candidates_scored`` from their calls: the triple as the third
+    positional argument, the filter index as the ``_index`` keyword and
+    the size of the scores."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_rank_and_one_scoring_per_query(self, threads, monkeypatch):
+        from ukge import evaluation
+
+        store = augment_inverse(make_synthetic(seed=2))
+        m = init(Signature(6, 2), store.n_entities, store.n_relations, seed=5)
+        expected = evaluate(m, store)
+        ranks, scored = [], []
+        rank, score_all = evaluation.filtered_rank, evaluation.score_candidates
+
+        def rank_shim(*args, **kwargs):
+            ranks.append((args, kwargs))
+            return rank(*args, **kwargs)
+
+        def score_shim(*args, **kwargs):
+            scores = score_all(*args, **kwargs)
+            scored.append(scores.size)
+            return scores
+
+        monkeypatch.setattr(evaluation, "filtered_rank", rank_shim)
+        monkeypatch.setattr(evaluation, "score_candidates", score_shim)
+        assert evaluate(m, store, threads=threads) == expected
+        assert len(ranks) == len(scored) == store.test.shape[0]
+        assert scored == [m.n_entities] * len(scored)
+        # two threads rank their blocks side by side, so compare as sorted
+        assert sorted(tuple(int(v) for v in args[2]) for args, _ in ranks) == sorted(
+            tuple(int(v) for v in row) for row in store.test
+        )
+        oracle = filter_index_oracle(store, SPLITS)
+        for args, kwargs in ranks:
+            h, r, _ = (int(v) for v in args[2])
+            assert args[0] is m
+            np.testing.assert_array_equal(kwargs["_index"][(h, r)], oracle[(h, r)])
+
+
 def filter_index_oracle(store, splits):
     """The filter index spelled out as a dict of sets."""
     tails: dict[tuple[int, int], set[int]] = {}
@@ -400,7 +487,10 @@ class TestEvaluateMatchesPairPath:
         # coordinate of entity 4 into +0.0 in every batch that holds both
         m.entities[3, sig.p :] = 0.0
         m.entities[4, -1] = -0.0
-        extra = [(0, 0, 1), (1, 0, 0), (0, 0, 0), (2, 1, 3), (4, 1, 2), (5, 3, 2)]
+        # (3, 0, 4) and (3, 1, 5) put the bumped head 3 into evaluate's head
+        # block next to the -0.0 head 4
+        extra = [(0, 0, 1), (1, 0, 0), (0, 0, 0), (2, 1, 3), (4, 1, 2), (5, 3, 2),
+                 (3, 0, 4), (3, 1, 5)]
         store = replace(store, test=np.concatenate([store.test, extra]))
         return m, store
 

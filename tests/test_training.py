@@ -666,7 +666,7 @@ def forbid_row_wise(monkeypatch):
 
 class TestScoringSkipsRowWise:
     """Train, evaluate and predict all score through the coordinate-major
-    forward of ``model.score_columns``."""
+    forward of ``model.move_heads`` and ``model.meet_tails``."""
 
     @pytest.mark.parametrize("geometry", ["ultra", "euclidean"])
     def test_runs_with_the_row_wise_stages_gone(self, geometry, monkeypatch):
