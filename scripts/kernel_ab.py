@@ -1,5 +1,5 @@
-"""A/B timing of one training batch, of one-query scoring and of one
-``evaluate`` call between two ``src/`` trees.
+"""A/B timing of one training batch, of one ``evaluate`` call and of
+one-query scoring between two ``src/`` trees.
 
     python scripts/kernel_ab.py PARENT_SRC CHANGE_SRC [--pairs 4] [--reps 15]
 
@@ -11,25 +11,24 @@ first batch of ``training.fit`` from them (500 positives with 50 negatives
 each at ``Signature(28, 4)``) and times ``training._batch_grads`` on it,
 ``--reps`` times after one warm-up call.  Inside each call it also sums
 the time spent in ``_loss_sum`` and in ``_row_grads``; the scatter is the
-batch's time outside ``_scored_rows``.  Then it times, ``10 * --reps``
-calls each after one warm-up call, ``model.score`` of the batch's first
-triple and ``model.score_candidates`` of its head and relation against
-all 21,845 entities.  It prints the per-process medians of each, their
-medians over the pairs, and the change's batch, score and candidate times
-as a share of the parent's in each pair.  Both trees must give the same
-loss, gradients and scores, bit for bit, or the script fails.
+batch's time outside ``_scored_rows``.  It prints the per-process medians
+of each, their medians over the pairs, and the change's batch time as a
+share of the parent's in each pair.  Both trees must give the same loss
+and gradients, bit for bit, or the script fails.
 
 Sub-millisecond medians of separate processes spread too widely on a small
-shared host, so the query figures are also timed with both trees imported
-in this process under two package names, calls alternating: it builds the
+shared host, so the query calls are timed with both trees imported in this
+process under two package names, calls alternating: it builds the
 query-22k inputs with ``perfbench/workloads.query_setup`` (the same seed),
 loads each tree's store and model from them, takes the first chunk of
 ``EVAL_CHUNK`` test queries as ``workloads._query_chunks`` builds them, and
-times ``--reps`` calls of ``evaluation.evaluate`` on it and ``10 * --reps``
-calls of ``model.score_candidates`` of its first query, each after one
-warm-up call.  It prints each side's median and the median of the change's
-time as a share of the parent call next to it.  Both trees must return
-equal ``EvalReport``s and the same scores bit for bit, or the script fails.
+times ``--reps`` calls of ``evaluation.evaluate`` on it, then ``10 *
+--reps`` calls each of ``model.score_candidates`` of its first query
+against all 21,845 entities and of ``model.score`` of its first triple,
+each after one warm-up call.  It prints each side's median and the median
+of the change's time as a share of the parent call next to it.  Both trees
+must return equal ``EvalReport``s and the same scores bit for bit, or the
+script fails.
 
 With ``--json PATH`` the results are also written to ``PATH``.
 """
@@ -49,21 +48,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("loss_sum", "row_grads", "scatter", "batch")
-QUERIES = ("score", "candidates")  # model.score and model.score_candidates
-SHARED = ("evaluate", "candidates")  # timed with both trees in one process
+SHARED = ("evaluate", "candidates", "score")  # timed with both trees in one process
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def worker(args) -> None:
-    """Time one side; write medians, the batch's loss and gradients and the
-    scores."""
+    """Time one side; write medians and the batch's loss and gradients."""
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
     from time import perf_counter
 
     import numpy as np
 
     import workloads
-    from ukge import model, training
+    from ukge import training
 
     with tempfile.TemporaryDirectory() as workdir:
         store, m, cfg = workloads.train_setup(workloads.FULL, args.seed, workdir)
@@ -86,7 +83,7 @@ def worker(args) -> None:
     training._loss_sum = timed("loss_sum", training._loss_sum)
     training._row_grads = timed("row_grads", training._row_grads)
     training._scored_rows = timed("scored", training._scored_rows)
-    samples = {name: [] for name in STAGES + QUERIES}
+    samples = {name: [] for name in STAGES}
     for rep in range(args.reps + 1):
         for name in spent:
             spent[name] = 0.0
@@ -98,19 +95,7 @@ def worker(args) -> None:
             samples["row_grads"].append(spent["row_grads"])
             samples["scatter"].append(batch_s - spent["scored"])
             samples["batch"].append(batch_s)
-    h, r, t = (int(v) for v in batch[0])
-    queries = {
-        "score": lambda: model.score(m, h, r, t),
-        "candidates": lambda: model.score_candidates(m, h, r),
-    }
-    scores = {}
-    for name, call in queries.items():
-        for rep in range(10 * args.reps + 1):
-            start = perf_counter()
-            scores[name] = call()
-            if rep:
-                samples[name].append(perf_counter() - start)
-    np.savez(args.out, loss=np.float64(loss), **grads, **scores)
+    np.savez(args.out, loss=np.float64(loss), **grads)
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
         json.dump({name: 1e3 * statistics.median(v) for name, v in samples.items()}, fh)
 
@@ -139,6 +124,8 @@ def import_tree(src: str, name: str):
 
 def side_calls(package, paths: dict, ckpt: str, seed: int) -> dict:
     """The calls of :data:`SHARED` on the query-22k inputs, run by ``package``."""
+    import numpy as np
+
     import workloads
 
     kgdata = package.kgdata
@@ -147,10 +134,11 @@ def side_calls(package, paths: dict, ckpt: str, seed: int) -> dict:
     )
     chunk = workloads._query_chunks(store, workloads.EVAL_CHUNK, seed)[0]
     m = package.model.load(ckpt)
-    h, r = (int(v) for v in chunk.test[0, :2])
+    h, r, t = (int(v) for v in chunk.test[0])
     return {
         "evaluate": lambda: dataclasses.asdict(package.evaluation.evaluate(m, chunk)),
         "candidates": lambda: package.model.score_candidates(m, h, r),
+        "score": lambda: np.float64(package.model.score(m, h, r, t)),
     }
 
 
@@ -173,7 +161,7 @@ def shared_process(sides: dict, seed: int, reps: int) -> dict:
         }
     samples = {side: {name: [] for name in SHARED} for side in sides}
     ratios: dict[str, list[float]] = {name: [] for name in SHARED}
-    for name, count in zip(SHARED, (reps, 10 * reps)):
+    for name, count in zip(SHARED, (reps, 10 * reps, 10 * reps)):
         for rep in range(count + 1):
             order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
             took, got = {}, {}
@@ -242,11 +230,8 @@ def main() -> None:
                 runs[side].append(run_side(sides[side], args.seed, args.reps, out))
             a, b = (os.path.join(tmp, f"{side}{i}.npz") for side in sides)
             if not same_bits(a, b):
-                sys.exit(f"pair {i}: loss, gradients or scores differ between the trees")
-    ratios = {
-        name: [c[name] / p[name] for p, c in zip(runs["parent"], runs["change"])]
-        for name in ("batch",) + QUERIES
-    }
+                sys.exit(f"pair {i}: loss or gradients differ between the trees")
+    ratios = {"batch": [c["batch"] / p["batch"] for p, c in zip(runs["parent"], runs["change"])]}
     shared = shared_process(sides, args.seed, args.reps)
     result = {
         "seed": args.seed,
@@ -254,23 +239,24 @@ def main() -> None:
         "reps_per_process": args.reps,
         "per_process_medians_ms": runs,
         "medians_ms": {
-            side: {s: statistics.median(r[s] for r in runs[side]) for s in STAGES + QUERIES}
+            side: {s: statistics.median(r[s] for r in runs[side]) for s in STAGES}
             for side in sides
         },
         "ratio_per_pair": ratios,
         "one_process": shared,
         "bits_equal": True,
     }
-    print(f"{'ms':<10}" + "".join(f"{s:>12}" for s in STAGES + QUERIES))
+    print(f"{'ms':<10}" + "".join(f"{s:>12}" for s in STAGES))
     for side in sides:
         med = result["medians_ms"][side]
-        print(f"{side:<10}" + "".join(f"{med[s]:>12.3f}" for s in STAGES + QUERIES))
+        print(f"{side:<10}" + "".join(f"{med[s]:>12.3f}" for s in STAGES))
     for name, per_pair in ratios.items():
         print(f"change/parent {name} time per pair:", " ".join(f"{r:.3f}" for r in per_pair))
-    print("loss, gradients and scores equal bit for bit in every pair")
+    print("loss and gradients equal bit for bit in every pair")
     calls = shared["calls"]
     print(f"one process, calls alternating ({calls['evaluate']} evaluate calls of "
-          f"{shared['queries_per_evaluate']} queries, {calls['candidates']} score_candidates):")
+          f"{shared['queries_per_evaluate']} queries, {calls['candidates']} score_candidates "
+          f"and {calls['score']} score calls):")
     for name in SHARED:
         med = {side: shared["medians_ms"][side][name] for side in sides}
         print(f"  {name:<11} parent {med['parent']:.3f} ms, change {med['change']:.3f} ms, "

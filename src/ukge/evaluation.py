@@ -22,7 +22,7 @@ import numpy as np
 from .errors import EmptySplitError
 from .kgdata import TripleStore
 from .model import Model, candidate_tails, check_ids, check_store, head_column
-from .model import map_row_blocks, move_heads, score_candidates
+from .model import TRANSPOSE_BLOCK, map_row_blocks, move_heads, score_candidates
 
 HITS_KS = (1, 3, 10)
 
@@ -128,10 +128,9 @@ def evaluate(
 ) -> EvalReport:
     """Rank every triple of ``split`` and aggregate the metrics.
 
-    The moved heads of all queries (:func:`ukge.model.move_heads`), the
-    tail side of the scores (:func:`ukge.model.candidate_tails`) and the
-    filter index of the split's (head, relation) pairs are built once per
-    call; each query meets the shared tail side with its own head column.
+    The tail side of the scores and the filter index are built once per call;
+    each thread moves its queries' heads :data:`TRANSPOSE_BLOCK` at a time,
+    and each query meets the shared tail side with its own head column.
 
     For the standard protocol (head and tail prediction) pass a store that
     has been augmented with inverse relations.  A store with more entities
@@ -141,16 +140,17 @@ def evaluate(
     triples = store.split(split)
     if triples.shape[0] == 0:
         raise EmptySplitError(f"evaluate: split {split!r} is empty")
-    heads = move_heads(m, triples[:, 0], triples[:, 1])
     index = build_filter_index(store, filter_splits, keys=triples[:, :2])
     tails = candidate_tails(m)  # shared read-only by every query and thread
 
     def rank_block(rows: slice) -> list[int]:
-        return [
-            filtered_rank(m, store, triples[i], filter_splits, _index=index, _tails=tails,
-                          _head=head_column(heads, i))
-            for i in range(rows.start, rows.stop)
-        ]
+        ranks = []
+        for lo in range(rows.start, rows.stop, TRANSPOSE_BLOCK):  # bounded head blocks
+            hi = min(lo + TRANSPOSE_BLOCK, rows.stop)
+            heads = move_heads(m, triples[lo:hi, 0], triples[lo:hi, 1])
+            ranks += [filtered_rank(m, store, triples[i], filter_splits, _index=index, _tails=tails,
+                                    _head=head_column(heads, i - lo)) for i in range(lo, hi)]
+        return ranks
 
     parts = map_row_blocks(rank_block, triples.shape[0], threads)
     ranks = [r for part in parts for r in part]

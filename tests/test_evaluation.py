@@ -508,7 +508,9 @@ class TestEvaluateMatchesPairPath:
 
     @pytest.mark.parametrize("operator", sorted(OPERATOR_MODES))
     @pytest.mark.parametrize("geometry", GEOMETRIES)
-    def test_ranks_bitwise(self, geometry, operator):
+    def test_ranks_bitwise(self, geometry, operator, monkeypatch):
+        from ukge import evaluation
+
         m, store = self.setup(geometry, operator)
         expected = self.pair_ranks(m, store)
         assert [filtered_rank(m, store, row) for row in store.test] == expected
@@ -517,6 +519,20 @@ class TestEvaluateMatchesPairPath:
         assert evaluate(m, store, threads=2) == report
         if operator != "rotref":  # the identity relation really meets the short circuit
             assert score(m, 0, 0, 1) == m.biases[0, 0] + m.biases[1, 1] + m.delta
+        # each thread moves its heads at most TRANSPOSE_BLOCK at a time; blocks
+        # of 3 hold the -0.0 head 4 and the bumped head 3 apart on one thread
+        # and together on two
+        widths, move = [], evaluation.move_heads
+
+        def move_shim(m, h, r):
+            widths.append(len(h))
+            return move(m, h, r)
+
+        monkeypatch.setattr(evaluation, "TRANSPOSE_BLOCK", 3)
+        monkeypatch.setattr(evaluation, "move_heads", move_shim)
+        for threads in (1, 2):
+            assert evaluate(m, store, threads=threads) == report
+        assert sum(widths) == 2 * store.test.shape[0] and max(widths) == 3
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_precomputed_tails_equal_candidate_rows(self, geometry):
