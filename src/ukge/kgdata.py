@@ -1,8 +1,8 @@
 """Triple stores: loading, inverse augmentation, graph statistics, synthesis.
 
 Input files are UTF-8 TSV with one ``head<TAB>relation<TAB>tail`` triple per
-line (LF or CRLF endings, no header; a leading byte order mark is skipped;
-bytes that are not UTF-8 are an error at their line).
+line (LF, CRLF or lone CR endings, read alike; no header; a leading byte
+order mark is skipped; bytes that are not UTF-8 are an error at their line).
 Dictionaries number the deduplicated train, valid and test splits, in that
 order, by first appearance, so ids are dense and stable for a fixed input.
 Names are numbered by their UTF-8 bytes in numpy, not as Python strings:
@@ -171,13 +171,15 @@ def _read_fields(path: str) -> tuple[bytes, np.ndarray]:
     three tab-separated fields, and the offset of the tab or LF after each
     field, three per line in file order, duplicates kept.
 
-    The whole file is read once and checked in bulk: valid UTF-8, no CR,
-    and every line two tabs around three non-empty fields.  Any other file
-    goes through :func:`_parse_file`'s line loop, which reads CRLF and lone
-    CR endings and raises the :class:`ParseError` for a bad line; its rows
-    are then written back as such bytes."""
+    The whole file is read once, its CRLF and lone CR endings made LF as
+    :func:`text_lines` ends lines, and checked in bulk: valid UTF-8 and
+    every line two tabs around three non-empty fields.  A file that fails
+    the check goes through :func:`_parse_file`'s line loop only for the
+    :class:`ParseError` of its first bad line."""
     with open(path, "rb") as fh:
         data = fh.read().removeprefix(codecs.BOM_UTF8)
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not data:
         return data, np.empty(0, dtype=np.intp)
     if not data.endswith(b"\n"):
@@ -185,8 +187,7 @@ def _read_fields(path: str) -> tuple[bytes, np.ndarray]:
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero((buf == 9) | (buf == 10))
     if (
-        b"\r" not in data
-        and ends.size % 3 == 0
+        ends.size % 3 == 0
         # tab, tab, LF on each line, checked a column at a time
         and np.all(buf[ends[0::3]] == 9)
         and np.all(buf[ends[1::3]] == 9)
@@ -195,9 +196,8 @@ def _read_fields(path: str) -> tuple[bytes, np.ndarray]:
         and _is_utf8(data)
     ):
         return data, ends
-    data = "".join("\t".join(row) + "\n" for row in _parse_file(path)).encode("utf-8")
-    buf = np.frombuffer(data, dtype=np.uint8)
-    return data, np.flatnonzero((buf == 9) | (buf == 10))
+    _parse_file(path)
+    raise AssertionError(f"{path}: refused in bulk but read line by line")
 
 
 def _is_utf8(data: bytes) -> bool:

@@ -703,10 +703,18 @@ class TestWholeFileReader:
             assert outcome(read_fields, path) == loop
 
     def test_bulk_path_skips_the_line_loop(self, tmp_path, monkeypatch):
+        """Well-formed files with LF, CRLF or mixed line ends, lone CRs
+        among them, never reach the line loop."""
         path = write(tmp_path / "t.tsv", "a\tr\tb\nb\tr\u00e9\tc")
         forbid_line_loop(monkeypatch)
         assert read_fields(path) == ["a", "r", "b", "b", "r\u00e9", "c"]
         assert read_fields(write(tmp_path / "e.tsv", "")) == []
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(b"a\tr\tb\r\nb\tr\xc3\xa9\tc\r\n")
+        assert read_fields(str(crlf)) == ["a", "r", "b", "b", "r\u00e9", "c"]
+        mixed = tmp_path / "mixed.tsv"
+        mixed.write_bytes(b"\xef\xbb\xbfa\tr\tb\rb\tr\tc\r\nc\tr\ta\nd\tr\te\r")
+        assert read_fields(str(mixed)) == ["a", "r", "b", "b", "r", "c", "c", "r", "a", "d", "r", "e"]
 
     @pytest.mark.parametrize("text, line", [("a\tb\nc\n", 1), ("a\tr\tb\nc\td\ne\n", 2)])
     def test_short_lines_that_add_up_to_three_fields(self, tmp_path, text, line):
