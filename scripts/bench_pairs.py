@@ -12,10 +12,19 @@ parent first when ``i`` is even and the change first when it is odd.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles, host-scaled and wall clock, and how many pairs the
-change won (better by the metric's direction, ties not counted), then
-``correct`` and ``failed`` of every run.  With ``--json PATH`` the runs
-and the summary are also written to ``PATH``.  The exit status is 1 when
-any run failed or reported ``correct: false``.  Standard library only.
+change won (better by the metric's direction, ties not counted), and two
+verdicts:
+
+- ``gain_rule_met``: at least ten pairs ran, the change won at least nine
+  tenths of them, and its median is better than the parent's by more
+  than the parent's interquartile range (the rule a claimed gain meets);
+- ``worse_than_bound``: the change's median is worse than the parent's
+  by more than the metric's ``bound`` share.
+
+Then it prints ``correct`` and ``failed`` of every run.  With ``--json
+PATH`` the runs and the summary are also written to ``PATH``.  The exit
+status is 1 when any run failed or reported ``correct: false``.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from pathlib import Path
 SIDES = ("parent", "change")
 COPIED = ("src", "perfbench", "BENCHMARK.json", "pyproject.toml")
 SKIPPED = ("__pycache__", "results", ".work")  # caches and earlier runs' output
+MIN_PAIRS = 10  # the fewest pairs a gain may be claimed on
 
 
 def fresh_copy(side: Path, dest: Path) -> None:
@@ -115,7 +125,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarise(runs: dict, metrics: list[dict]) -> dict:
-    """Per metric and clock: each side's quartiles and the pairs the change won."""
+    """Per metric and clock: each side's quartiles, the pairs the change won
+    and the two verdicts of the module docstring."""
     summary = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -128,14 +139,21 @@ def summarise(runs: dict, metrics: list[dict]) -> dict:
             if not pairs:
                 continue
             won = sum((c < p) if lower else (c > p) for p, c in pairs)
+            sides = {side: dict(zip(("q1", "median", "q3"), quartiles([v[i] for v in pairs])))
+                     for i, side in enumerate(SIDES)}
+            parent, change = sides["parent"], sides["change"]
+            gain = parent["median"] - change["median"]  # > 0: the change is better
+            if not lower:
+                gain = -gain
             summary[f"{name} ({clock})"] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
-                **{side: dict(zip(("q1", "median", "q3"),
-                                  quartiles([v[i] for v in pairs])))
-                   for i, side in enumerate(SIDES)},
+                **sides,
                 "pairs_won_by_change": won,
                 "pairs": len(pairs),
+                "gain_rule_met": len(pairs) >= MIN_PAIRS and 10 * won >= 9 * len(pairs)
+                and gain > parent["q3"] - parent["q1"],
+                "worse_than_bound": -gain > metric["bound"] * abs(parent["median"]),
             }
     return summary
 
@@ -186,7 +204,9 @@ def main(argv=None) -> int:
             for side in SIDES
         )
         print(f"{key:<32} {cells}  change won {row['pairs_won_by_change']} "
-              f"of {row['pairs']} ({row['better']} is better) {row['unit']}")
+              f"of {row['pairs']} ({row['better']} is better) {row['unit']}  "
+              f"gain rule met {row['gain_rule_met']}, "
+              f"worse than bound {row['worse_than_bound']}")
     for side in SIDES:
         print(f"{side} correct: {[r['correct'] for r in runs[side]]} "
               f"failed: {[r['failed'] for r in runs[side]]}")

@@ -26,10 +26,12 @@ inputs, built once with ``perfbench/workloads`` at the workload seed:
 
 ``batch`` and ``evaluate`` run ``--reps`` times and the two scorers ``10 *
 --reps`` times, each after one warm-up call.  The script prints each
-side's median per stage and call, and the median over the calls of the
-change's time as a share of the parent's.  It exits non-zero unless both
-trees return the same loss and gradients, ``EvalReport``s and scores, floats
-compared bit for bit.  One invocation is one process; a claim cites the
+side's median per stage and call, the median over the calls of the
+change's time as a share of the parent's, and each side's median count of
+minor page faults (``ru_minflt``) per call: a call that faults in fresh
+pages times the allocator as well as the code.  It exits non-zero unless
+both trees return the same loss and gradients, ``EvalReport``s and scores,
+floats compared bit for bit.  One invocation is one process; a claim cites the
 ratio medians of at least three.
 
 With ``--json PATH`` the results are also written to ``PATH``.
@@ -42,6 +44,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import resource
 import statistics
 import sys
 import tempfile
@@ -165,19 +168,23 @@ def main() -> None:
 
     samples = {side: {name: [] for name in CALLS + STAGES} for side in sides}
     ratios: dict[str, list[float]] = {name: [] for name in CALLS}
+    faults = {side: {name: [] for name in CALLS} for side in sides}
     for name, count in zip(CALLS, (args.reps, args.reps, 10 * args.reps, 10 * args.reps)):
         for rep in range(count + 1):
             order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
-            took, got = {}, {}
+            took, got, faulted = {}, {}, {}
             for side in order:
+                minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 start = perf_counter()
                 got[side] = calls[side][name]()
                 took[side] = perf_counter() - start
+                faulted[side] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
             if not same(got["parent"], got["change"]):
                 sys.exit(f"{name}: the trees' results differ (floats compared bit for bit)")
             if rep:  # the first call warms up
                 for side in sides:
                     samples[side][name].append(took[side])
+                    faults[side][name].append(faulted[side])
                     if name == "batch":
                         for stage, spent in stages[side](took[side]).items():
                             samples[side][stage].append(spent)
@@ -192,13 +199,19 @@ def main() -> None:
             for side in sides
         },
         "ratio_median": {name: statistics.median(v) for name, v in ratios.items()},
+        "faults": {
+            side: {name: statistics.median(v) for name, v in faults[side].items()}
+            for side in sides
+        },
         "bits_equal": True,
     }
-    print(f"{'ms':<12}{'parent':>10}{'change':>10}   change/parent per call median")
+    print(f"{'ms':<12}{'parent':>10}{'change':>10}   change/parent per call median"
+          f"   minor faults per call, parent/change")
     for name in CALLS[:1] + STAGES + CALLS[1:]:
         row = f"{name:<12}" + "".join(f"{result['medians_ms'][s][name]:>10.3f}" for s in sides)
         if name in ratios:
-            row += f"   {result['ratio_median'][name]:.3f}"
+            row += f"   {result['ratio_median'][name]:<29.3f}" + "/".join(
+                f"{result['faults'][s][name]:g}" for s in sides)
         print(row)
     n = result["calls"]
     print(f"{n['batch']} batch calls, {n['evaluate']} evaluate calls of "

@@ -22,7 +22,9 @@ Conventions used throughout:
 * ``np.arccos`` and ``np.arccosh`` report a zero derivative at the ends of
   their domains, where the true one is infinite,
 * ``np.where`` routes the gradient by its plain boolean condition, and
-  fancy indexing accumulates repeated rows with ``np.add.at``.
+  ``np.minimum(a, b)`` routes it as ``np.where(a <= b, a, b)`` would, ties
+  to ``a``,
+* fancy indexing accumulates repeated rows with ``np.add.at``.
 """
 
 from __future__ import annotations
@@ -286,6 +288,8 @@ _UFUNCS = {
     np.subtract: _binary(np.subtract, lambda g, a, b: g, lambda g, a, b: -g),
     np.multiply: _binary(np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a),
     np.divide: _binary(np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)),
+    np.minimum: _binary(np.minimum, lambda g, a, b: np.where(a <= b, g, 0.0),
+                        lambda g, a, b: np.where(a <= b, 0.0, g)),
     np.negative: _negative,
     np.sqrt: _unary(np.sqrt, lambda v, out: 0.5 / out),
     np.log: _unary(np.log, lambda v, out: 1.0 / v),

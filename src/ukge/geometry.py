@@ -150,7 +150,14 @@ def dot_columns(x, y):
     for j in range(8, end):
         acc[j % 8] += term(j)
     r0, r1, r2, r3, r4, r5, r6, r7 = acc
-    out = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) in place: acc holds fresh arrays
+    r0 += r1
+    r2 += r3
+    r0 += r2
+    r4 += r5
+    r6 += r7
+    r4 += r6
+    out = r0 + r4
     for j in range(end, k):
         out += term(j)
     out += 0.0  # the reduction's start value: a -0.0 sum becomes +0.0
@@ -457,7 +464,12 @@ def _legs_forward(dot, s, rx, nx, ry, ny, same, sig: Signature):
     its legs.  These include every guard's input: the cosine before its
     ``arccos`` clamp, the two ``arccosh`` arguments before theirs, the
     branch choice ``first`` (the x -> y order is taken, ties included) and
-    ``same`` (None when there are none)."""
+    ``same`` (None when there are none).
+
+    The shorter leg is ``np.minimum``'s, which equals ``np.where(first,
+    leg_xy, leg_yx)`` wherever neither leg is NaN (legs are never -0.0).
+    Where one is, the pick falls back to that ``np.where``, which takes
+    ``leg_yx`` beside a NaN ``leg_xy``; ``np.minimum`` would keep the NaN."""
     nn = nx * ny
     cos = dot / nn
     angle = np.arccos(np.clip(cos, -1.0, 1.0))
@@ -467,7 +479,9 @@ def _legs_forward(dot, s, rx, nx, ry, ny, same, sig: Signature):
     leg_xy = rx * angle + sig.alpha * np.arccosh(np.clip(arg_xy, 1.0, None))
     leg_yx = ry * angle + sig.alpha * np.arccosh(np.clip(arg_yx, 1.0, None))
     first = leg_xy <= leg_yx
-    best = np.where(first, leg_xy, leg_yx)
+    best = np.minimum(leg_xy, leg_yx)
+    if not np.all(best == best):  # np.minimum keeps a NaN leg_xy
+        best = np.where(first, leg_xy, leg_yx)
     if np.any(same):
         best = np.where(same, np.zeros(np.shape(same)), best)
     else:

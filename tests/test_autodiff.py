@@ -121,6 +121,23 @@ class TestClipWhereMinimum:
         np.testing.assert_array_equal(a.grad, [1.0, 0.0, 1.0])
         np.testing.assert_array_equal(b.grad, [0.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("b_shape", [(4, 3), (3,)], ids=["same", "broadcast"])
+    def test_minimum_is_where_a_le_b(self, rng, b_shape):
+        """Value and both gradients of ``np.where(a <= b, a, b)``, bit for
+        bit, with exact ties (which route to ``a``) in every column."""
+        a0, b0 = rng.normal(size=(4, 3)), rng.normal(size=b_shape)
+        a0[1] = b0 if b0.ndim == 1 else b0[1]
+        seed = rng.normal(size=(4, 3))
+        got = []
+        for pick in (np.minimum, lambda a, b: np.where(a <= b, a, b)):
+            a, b = Tensor(a0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
+            out = pick(a, b)
+            out.backward(seed)
+            got.append([v.view(np.uint64) for v in (out.value, a.grad, b.grad)])
+        for m, w in zip(*got):
+            np.testing.assert_array_equal(m, w)
+        assert np.array_equal(got[0][1][1], seed[1].view(np.uint64))  # ties go to a
+
 
 class TestShapeOps:
     def test_sum_axis_and_keepdims(self, rng):

@@ -21,6 +21,7 @@ from ukge.errors import (
 from ukge.geometry import (
     EPS_TIME,
     Signature,
+    _legs_forward,
     apply_time_guard,
     cosh_argument,
     dist_hyper,
@@ -465,7 +466,10 @@ class TestCoordinateMajor:
         expected = np.sum(x * y, axis=-1)
         assert not np.signbit(expected[0])  # a row of -0.0 sums to +0.0
         for xc, yc in ((x.T, y.T), (np.ascontiguousarray(x.T), np.ascontiguousarray(y.T))):
+            before = xc.copy(), yc.copy()
             assert_same_bits(dot_columns(xc, yc), expected)
+            for operand, copy in zip((xc, yc), before):  # the sums never alias an operand
+                np.testing.assert_array_equal(operand.view(np.uint64), copy.view(np.uint64))
         # one row against every row, as one-against-all scoring sums it
         assert_same_bits(dot_columns(x[5][:, None], y.T.copy()), np.sum(x[5] * y, axis=-1))
         self.check_single_columns(x, y)
@@ -528,6 +532,35 @@ class TestCoordinateMajor:
         got = manhattan_legs_columns(terms_columns(x.T, sig), cols, sig)
         assert_same_bits(got, dist_manhattan(x, phi(z, sig), sig))
         assert got[10] == 0.0 and np.count_nonzero(got == 0.0) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_legs_forward_picks_as_where(self):
+        """The shorter leg, with the bits of ``np.where(first, leg_xy,
+        leg_yx)``: beside a NaN ``leg_xy`` (``s = inf`` with ``rx * ny``
+        overflowing) that is the finite ``leg_yx``, where ``np.minimum``
+        alone keeps the NaN.  Also a NaN ``leg_yx``, both legs NaN, an exact
+        tie and finite legs either way."""
+        sig = S22
+        rx = np.array([1e200, 1.0, 1.0, 2.0, 1.5, 1.2])
+        ry = np.array([1.0, 1e200, 1.0, 2.0, 1.2, 1.5])
+        nx = np.array([1.0, 1e200, 1.0, 1.5, 1.1, 1.3])
+        ny = np.array([1e200, 1.0, 1.0, 1.5, 1.3, 1.1])
+        s = np.array([np.inf, np.inf, np.nan, 0.5, -0.25, -0.25])
+        dot = np.array([0.5, 0.5, 0.5, 1.0, 0.3, 0.3])
+        same = np.zeros(6, dtype=bool)
+        best, saved = _legs_forward(dot, s, rx, nx, ry, ny, same, sig)
+        _, _, _, angle, arg_xy, arg_yx, first, _ = saved
+        leg_xy = rx * angle + sig.alpha * np.arccosh(np.clip(arg_xy, 1.0, None))
+        leg_yx = ry * angle + sig.alpha * np.arccosh(np.clip(arg_yx, 1.0, None))
+        np.testing.assert_array_equal(np.isnan(leg_xy), [True, False, True, False, False, False])
+        np.testing.assert_array_equal(np.isnan(leg_yx), [False, True, True, False, False, False])
+        assert leg_xy[3] == leg_yx[3] and leg_yx[4] < leg_xy[4] and leg_xy[5] < leg_yx[5]
+        np.testing.assert_array_equal(first, [False, False, False, True, False, True])
+        assert_same_bits(best, np.where(first, leg_xy, leg_yx))
+        assert np.isfinite(best[0]) and best[0] == leg_yx[0]
+        # without a NaN leg, np.minimum's bits
+        best, _ = _legs_forward(dot[3:], s[3:], rx[3:], nx[3:], ry[3:], ny[3:], same[3:], sig)
+        assert_same_bits(best, np.minimum(leg_xy[3:], leg_yx[3:]))
 
 
 class TestSpaceRadius:

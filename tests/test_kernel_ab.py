@@ -36,6 +36,10 @@ def test_the_checkout_on_both_sides(tmp_path):
         assert all(ms > 0 for ms in medians.values())
         assert medians["loss_sum"] + medians["row_grads"] < medians["batch"]
     assert set(record["ratio_median"]) == set(calls)
+    for side in ("parent", "change"):
+        faults = record["faults"][side]
+        assert set(faults) == set(calls)
+        assert all(n >= 0 for n in faults.values())
 
 
 def test_a_loss_one_ulp_off_fails_the_batch(tmp_path):
