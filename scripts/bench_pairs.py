@@ -21,10 +21,12 @@ verdicts:
 - ``worse_than_bound``: the change's median is worse than the parent's
   by more than the metric's ``bound`` share.
 
-Then it prints ``correct`` and ``failed`` of every run.  With ``--json
-PATH`` the runs and the summary are also written to ``PATH``.  The exit
-status is 1 when any run failed or reported ``correct: false``.  Standard
-library only.
+Then it prints ``correct`` and ``failed`` of every run, and each side's
+source size, the lines of ``src/ukge/*.py`` (as ``cat src/ukge/*.py | wc
+-l`` counts them), with the change's net line delta.  With ``--json PATH``
+the runs, the summary and each side's ``src_lines`` are also written to
+``PATH``.  The exit status is 1 when any run failed or reported
+``correct: false``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -70,6 +72,11 @@ def tree_digest(side: Path) -> str:
             digest.update(str(path.relative_to(side)).encode() + b"\0")
             digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def src_lines(side: Path) -> int:
+    """Newlines in ``src/ukge/*.py``, as ``cat src/ukge/*.py | wc -l`` counts."""
+    return sum(path.read_bytes().count(b"\n") for path in (side / "src" / "ukge").glob("*.py"))
 
 
 def git_sha(side: Path) -> str:
@@ -210,6 +217,9 @@ def main(argv=None) -> int:
     for side in SIDES:
         print(f"{side} correct: {[r['correct'] for r in runs[side]]} "
               f"failed: {[r['failed'] for r in runs[side]]}")
+    lines = {side: src_lines(path) for side, path in sides.items()}
+    print(f"src lines: parent {lines['parent']}, change {lines['change']}, "
+          f"net {lines['change'] - lines['parent']:+d}")
     if args.json:
         record = {
             "workload": args.workload,
@@ -220,7 +230,7 @@ def main(argv=None) -> int:
             "first_in_pair": first,
             "byte_compiled": True,
             "sides": {side: {"path": str(path), "git_sha": git_sha(path),
-                             "tree_sha256": tree_digest(path)}
+                             "tree_sha256": tree_digest(path), "src_lines": lines[side]}
                       for side, path in sides.items()},
             "summary": summary,
             "runs": runs,

@@ -18,10 +18,11 @@ bound ``TrainConfig.validate`` states), or a key set twice, is an input
 error at ``path:line``.  A negative ``seed`` (also for ``synth``) or
 ``eval_every``, a non-finite ``margin`` or an ``alpha`` that is not
 positive and finite is an input error from a flag or the file, as is
-``eval --threads`` or ``predict --topk`` below 1, or an ``eval --filter``
-split that is not ``train``, ``valid`` or ``test``, or an output path that
-is a directory, lies in a missing one, or names an input file or another
-output; all are raised before any TSV is read.  Data holding
+``predict --topk`` below 1, or an ``eval --filter`` split that is not
+``train``, ``valid`` or ``test``, or an output path that is a directory,
+lies in a missing one, or names an input file or another output; all are
+raised before any TSV is read.  Every run is deterministic, so the
+``deterministic`` option is accepted and changes nothing.  Data holding
 both ``x`` and ``x_inv``, the name of the inverse of ``x``, is an input
 error too, as is a TSV or config-file line that is not valid UTF-8.
 ``predict`` reads only the names from the TSVs, as UTF-8 bytes: it
@@ -85,7 +86,6 @@ TRAIN_OPTIONS: dict[str, tuple] = {
     "operator": (str, _INIT["operator"], tuple(operators.OPERATOR_MODES)),
     "geometry": (str, _INIT["geometry"], model.GEOMETRIES),
     "optimizer": (str, training.TrainConfig.optimizer, tuple(training.OPTIMIZERS)),
-    "threads": (int, training.TrainConfig.threads, None),
     "deterministic": (_parse_bool, False, None),  # a bare switch as a flag
     "eval_every": (int, 50, None),
 }
@@ -94,7 +94,7 @@ TRAIN_OPTIONS: dict[str, tuple] = {
 #: the ``TrainConfig`` field of each train option that has one
 _CONFIG_FIELDS = dict(
     batch="batch_size", neg="neg_samples", lr="learning_rate", epochs="epochs",
-    optimizer="optimizer", seed="seed", threads="threads",
+    optimizer="optimizer", seed="seed",
 )
 
 
@@ -243,11 +243,10 @@ def cmd_stats(args) -> int:
 
 
 def train_config(options: dict) -> training.TrainConfig:
-    """Validated ``TrainConfig``; ``deterministic`` means one thread."""
+    """Validated ``TrainConfig``; ``deterministic`` changes nothing, as every
+    run is deterministic."""
     cfg = training.TrainConfig(**{f: options[k] for k, f in _CONFIG_FIELDS.items()})
     cfg.validate()
-    if options["deterministic"]:  # for fit and the periodic validation
-        cfg.threads = 1
     return cfg
 
 
@@ -281,9 +280,7 @@ def cmd_train(args) -> int:
     def callback(epoch: int, loss: float, current: model.Model) -> None:
         print(f"epoch {epoch + 1:>4}  loss {loss:.6f}")
         if has_valid and eval_every > 0 and (epoch + 1) % eval_every == 0:
-            report = evaluation.evaluate(
-                current, store, split="valid", threads=cfg.threads
-            )
+            report = evaluation.evaluate(current, store, split="valid")
             print(f"    valid MRR {report.mrr:.4f}  H@10 {report.hits[10]:.4f}")
 
     try:
@@ -329,8 +326,6 @@ def _load_model_for_store(
 
 
 def cmd_eval(args) -> int:
-    if args.threads < 1:
-        raise CliError(f"--threads must be >= 1, got {args.threads}")
     filter_splits = tuple(s.strip() for s in args.filter.split(",") if s.strip())
     for s in filter_splits:
         if s not in kgdata.SPLITS:
@@ -340,9 +335,7 @@ def cmd_eval(args) -> int:
     store = kgdata.augment_inverse(store)
     digests = tuple(map(model.dictionary_digest, (store.entity_names, store.relation_names)))
     m = _load_model_for_store(args, (store.n_entities, store.n_relations), digests)
-    report = evaluation.evaluate(
-        m, store, split="test", filter_splits=filter_splits, threads=args.threads
-    )
+    report = evaluation.evaluate(m, store, split="test", filter_splits=filter_splits)
     print(evaluation.report_table(report, store), end="")
     if args.per_relation:
         with open(args.per_relation, "w", encoding="utf-8", newline="\n") as fh:
@@ -428,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     for key, (parse, default, allowed) in TRAIN_OPTIONS.items():
         flag, help_ = "--" + key.replace("_", "-"), f"default: {default}"
         if parse is _parse_bool:  # --deterministic, the only boolean
-            help_ = "same as --threads 1; every --threads count writes the same bytes"
+            help_ = "accepted for old scripts; every run writes the same bytes"
             p_train.add_argument(flag, action="store_const", const=True, help=help_)
         else:
             p_train.add_argument(flag, type=parse, choices=allowed, help=help_)
@@ -441,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--filter", default="train,valid,test")
     p_eval.add_argument("--per-relation", dest="per_relation",
                         help="write per-relation CSV here")
-    p_eval.add_argument("--threads", type=int, default=1)
 
     p_pred = sub.add_parser("predict", help="top-K tail completions")
     p_pred.add_argument("--model", required=True)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import EmptySplitError
 from .kgdata import TripleStore
 from .model import Model, candidate_tails, check_ids, check_store, head_column
-from .model import TRANSPOSE_BLOCK, map_row_blocks, move_heads, score_candidates
+from .model import TRANSPOSE_BLOCK, move_heads, score_candidates
 
 HITS_KS = (1, 3, 10)
 
@@ -77,12 +77,15 @@ def filtered_rank(
 
     rank = 1 + #{ e != t unfiltered with not score(h, r, e) < score(h, r, t) },
     counted over all entities less the known tails, without a mask.
+    Called without ``_index``, a store with more entities or relations than
+    ``m`` raises :class:`IdLookupError`, as in :func:`evaluate`.
     """
     h, r, t = triple
     check_ids([h, t], m.n_entities, "entity")
     check_ids(r, m.n_relations, "relation")
     h, r, t = int(h), int(r), int(t)
-    if _index is None:  # standalone: index this query's pair only
+    if _index is None:  # standalone: check the store and index this query's pair only
+        check_store(m, store)
         _index = build_filter_index(store, filter_splits, keys=[(h, r)])
     scores = score_candidates(m, h, r, tails=_tails, _head=_head)
     gold = scores[t]
@@ -124,13 +127,12 @@ def evaluate(
     store: TripleStore,
     split: str = "test",
     filter_splits=("train", "valid", "test"),
-    threads: int = 1,
 ) -> EvalReport:
     """Rank every triple of ``split`` and aggregate the metrics.
 
     The tail side of the scores and the filter index are built once per call;
-    each thread moves its queries' heads :data:`TRANSPOSE_BLOCK` at a time,
-    and each query meets the shared tail side with its own head column.
+    the queries' heads are moved :data:`TRANSPOSE_BLOCK` at a time, and each
+    query meets the shared tail side with its own head column.
 
     For the standard protocol (head and tail prediction) pass a store that
     has been augmented with inverse relations.  A store with more entities
@@ -141,19 +143,13 @@ def evaluate(
     if triples.shape[0] == 0:
         raise EmptySplitError(f"evaluate: split {split!r} is empty")
     index = build_filter_index(store, filter_splits, keys=triples[:, :2])
-    tails = candidate_tails(m)  # shared read-only by every query and thread
-
-    def rank_block(rows: slice) -> list[int]:
-        ranks = []
-        for lo in range(rows.start, rows.stop, TRANSPOSE_BLOCK):  # bounded head blocks
-            hi = min(lo + TRANSPOSE_BLOCK, rows.stop)
-            heads = move_heads(m, triples[lo:hi, 0], triples[lo:hi, 1])
-            ranks += [filtered_rank(m, store, triples[i], filter_splits, _index=index, _tails=tails,
-                                    _head=head_column(heads, i - lo)) for i in range(lo, hi)]
-        return ranks
-
-    parts = map_row_blocks(rank_block, triples.shape[0], threads)
-    ranks = [r for part in parts for r in part]
+    tails = candidate_tails(m)  # shared read-only by every query
+    ranks = []
+    for lo in range(0, triples.shape[0], TRANSPOSE_BLOCK):  # bounded head blocks
+        hi = min(lo + TRANSPOSE_BLOCK, triples.shape[0])
+        heads = move_heads(m, triples[lo:hi, 0], triples[lo:hi, 1])
+        ranks += [filtered_rank(m, store, triples[i], filter_splits, _index=index, _tails=tails,
+                                _head=head_column(heads, i - lo)) for i in range(lo, hi)]
     return aggregate_ranks(ranks, triples[:, 1])
 
 

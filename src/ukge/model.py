@@ -39,7 +39,6 @@ import os
 import stat
 import struct
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -170,12 +169,6 @@ def check_margin(delta: float) -> None:
     """Raise :class:`ConfigurationError` unless the margin ``delta`` is finite."""
     if not math.isfinite(delta):
         raise ConfigurationError(f"margin must be finite, got {delta}")
-
-
-def check_threads(threads: int) -> None:
-    """Raise :class:`ConfigurationError` unless ``threads`` is at least 1."""
-    if threads < 1:
-        raise ConfigurationError(f"threads must be >= 1, got {threads}")
 
 
 def init(
@@ -333,20 +326,6 @@ def score_candidates(m: Model, h: int, r: int, *, tails=None, _head=None) -> np.
 def score(m: Model, h: int, r: int, t: int) -> float:
     """Score of one triple (see module docstring for the formula)."""
     return float(score_candidates(m, h, r, tails=candidate_tails(m, [t]))[0])
-
-
-def map_row_blocks(fn, n_rows: int, threads: int) -> list:
-    """``fn(rows)`` for each of ``min(threads, n_rows)`` contiguous row slices
-    (``np.array_split`` sizes), results in block order; the blocks run on a
-    thread pool, a single block inline.  ``threads`` below 1 raises
-    :class:`ConfigurationError` (see :func:`check_threads`)."""
-    check_threads(threads)
-    k = max(1, min(threads, n_rows))
-    if k == 1:
-        return [fn(slice(0, n_rows))]
-    blocks = [slice(b[0], b[-1] + 1) for b in np.array_split(np.arange(n_rows), k)]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, blocks))
 
 
 # --- checkpoints -----------------------------------------------------------------

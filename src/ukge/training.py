@@ -40,9 +40,7 @@ forward, the ``EPS_TIME`` bump of :func:`geometry.point_terms_columns`, adds
 operation turns into a different value.
 
 Determinism: given a seed, shuffles, negative draws, loss traces and final
-parameters are reproducible bit for bit.  Threads score contiguous runs of
-the blocks, at least one block per thread, so every thread count gives the
-same bits too.
+parameters are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -61,8 +59,8 @@ from .errors import (
 )
 from .geometry import apply_time_guard
 from .kgdata import TripleStore
-from .model import Model, candidate_tails, check_ids, check_store, check_threads
-from .model import map_row_blocks, meet_tails, move_heads, parameters
+from .model import Model, candidate_tails, check_ids, check_store, meet_tails
+from .model import move_heads, parameters
 
 PROB_CLAMP = 1e-12
 
@@ -83,7 +81,7 @@ class TrainConfig:
     epochs: int = 200
     optimizer: str = "adam"
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # accepts only 1, for callers that still pass threads=1
 
     def validate(self) -> None:
         if self.batch_size < 1:
@@ -96,7 +94,8 @@ class TrainConfig:
             raise ConfigurationError("epochs must lie in [0, 1000]")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
-        check_threads(self.threads)
+        if self.threads != 1:
+            raise ConfigurationError("threads was removed: training runs one thread")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
 
@@ -210,13 +209,11 @@ def _row_grads(m: Model, saved):
     return g_score, g_head, g_tail, g_theta, g_phi, g_mu
 
 
-def _scored_rows(m: Model, pos: np.ndarray, neg: np.ndarray, threads: int = 1,
-                 grads: bool = True) -> list:
+def _scored_rows(m: Model, pos: np.ndarray, neg: np.ndarray, grads: bool = True) -> list:
     """The one cut of a batch (module docstring): the ``p`` of
     :func:`_loss_sum` and, with ``grads``, the gradients of
     :func:`_row_grads`, one column per scored triple in batch order,
-    positives first.  Each thread of :func:`map_row_blocks` scores a
-    contiguous run of blocks into disjoint columns of these arrays."""
+    positives first, filled block by block."""
     params = parameters(m)
     n_pos, k = neg.shape[:2]
     widths = [()]
@@ -231,19 +228,15 @@ def _scored_rows(m: Model, pos: np.ndarray, neg: np.ndarray, threads: int = 1,
     ends = np.cumsum(sizes)
     rows = [None if w is None else buf[e - size : e].reshape(w + buf.shape[1:])
             for w, size, e in zip(widths, sizes, ends)]
-    step = max(1, min(BLOCK_ROWS // (k + 1), -(-n_pos // threads)))
-
-    def run(blocks: slice) -> None:
-        for i in range(blocks.start * step, blocks.stop * step, step):
-            j = min(i + step, n_pos)
-            _, saved = _loss_sum(m, params, pos[i:j], neg[i:j])
-            block = saved[:1] + (_row_grads(m, saved) if grads else ())
-            for out, b in zip(rows, block):
-                if out is not None:
-                    out[..., i:j] = b[..., : j - i]
-                    out[..., n_pos + i * k : n_pos + j * k] = b[..., j - i :]
-
-    map_row_blocks(run, -(-n_pos // step), threads)
+    step = max(1, BLOCK_ROWS // (k + 1))
+    for i in range(0, n_pos, step):
+        j = min(i + step, n_pos)
+        _, saved = _loss_sum(m, params, pos[i:j], neg[i:j])
+        block = saved[:1] + (_row_grads(m, saved) if grads else ())
+        for out, b in zip(rows, block):
+            if out is not None:
+                out[..., i:j] = b[..., : j - i]
+                out[..., n_pos + i * k : n_pos + j * k] = b[..., j - i :]
     return rows
 
 
@@ -254,11 +247,11 @@ def _scatter(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
     return np.array([np.bincount(idx, row, n_rows) for row in g])
 
 
-def _batch_grads(m: Model, pos: np.ndarray, neg: np.ndarray, threads: int = 1):
+def _batch_grads(m: Model, pos: np.ndarray, neg: np.ndarray):
     """Unnormalised loss of one batch and its gradient per family of
     :func:`parameters` (zeros for families the loss does not reach): the
     sums and scatters run once over :func:`_scored_rows`' arrays."""
-    p, g_score, g_head, g_tail, g_theta, g_phi, g_mu = _scored_rows(m, pos, neg, threads)
+    p, g_score, g_head, g_tail, g_theta, g_phi, g_mu = _scored_rows(m, pos, neg)
     stacked = np.concatenate([pos, neg.reshape(-1, 3)], axis=0)
     h, r, t = stacked[:, 0], stacked[:, 1], stacked[:, 2]
     n, n_rel = m.n_entities, m.n_relations
@@ -438,7 +431,7 @@ def fit(
             neg = _sample_negatives_batch(
                 batch, cfg.neg_samples, trained.n_entities, rng
             )
-            loss_sum, grads = _batch_grads(trained, batch, neg, cfg.threads)
+            loss_sum, grads = _batch_grads(trained, batch, neg)
             if not np.isfinite(loss_sum):
                 raise DivergenceError(
                     f"loss became non-finite in epoch {epoch}",

@@ -34,6 +34,10 @@ def test_one_toy_pair_with_the_checkout_on_both_sides(tmp_path):
     assert record["seeds"] == [3]
     assert record["first_in_pair"] == ["parent"]
     assert record["sides"]["parent"]["tree_sha256"] == record["sides"]["change"]["tree_sha256"]
+    lines = int(subprocess.run("cat src/ukge/*.py | wc -l", shell=True, cwd=ROOT,
+                               capture_output=True, text=True, check=True).stdout)
+    assert record["sides"]["parent"]["src_lines"] == record["sides"]["change"]["src_lines"] == lines
+    assert f"src lines: parent {lines}, change {lines}, net +0" in proc.stdout
     for side in ("parent", "change"):
         (run,) = record["runs"][side]
         assert run["correct"] is True and run["failed"] == 0

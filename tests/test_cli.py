@@ -162,9 +162,9 @@ class TestTrain:
         assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_deterministic_flag_is_one_thread(self, workdir, tmp_path):
-        """``--deterministic --threads 4`` trains, and validates, exactly as
-        ``--threads 1`` does, and so does ``--threads 3``: every thread
-        count writes the same checkpoint and trace bytes."""
+        """Every run is one thread and deterministic: ``--deterministic``
+        trains, and validates, exactly as a run without it, and writes the
+        same checkpoint and trace bytes."""
         args = [
             "train", "--train", f"{workdir['data']}/train.tsv",
             "--valid", f"{workdir['data']}/valid.tsv",
@@ -172,14 +172,12 @@ class TestTrain:
             "--neg", "4", "--seed", "11", "--eval-every", "1",
         ]
         blobs = []
-        for run, extra in (("det", ["--deterministic", "--threads", "4"]),
-                           ("one", ["--threads", "1"]),
-                           ("three", ["--threads", "3"])):
+        for run, extra in (("det", ["--deterministic"]), ("plain", [])):
             out = str(tmp_path / f"{run}.ukge")
             assert main(args + extra + ["--out", out]) == EXIT_OK
             blobs.append((open(out, "rb").read(),
                           open(out + ".trace.csv", "rb").read()))
-        assert blobs[0] == blobs[1] == blobs[2]
+        assert blobs[0] == blobs[1]
 
     def test_custom_trace_path(self, workdir, tmp_path):
         out, trace = str(tmp_path / "m.ukge"), str(tmp_path / "t.csv")
@@ -332,7 +330,6 @@ class TestConfigFile:
             ("neg", "0", "neg_samples must be >= 1"),
             ("lr", "-0.1", "learning_rate must be positive"),
             ("lr", "nan", "learning_rate must be positive"),
-            ("threads", "0", "threads must be >= 1"),
             ("seed", "-2", "seed must be >= 0"),
             ("margin", "nan", "margin must be finite"),
             ("margin", "inf", "margin must be finite"),
@@ -532,19 +529,6 @@ class TestEvalAndPredict:
         assert captured.out == ""
         assert "--topk must be >= 1" in captured.err
 
-    @pytest.mark.parametrize("threads", ["0", "-5"])
-    def test_eval_threads_below_one_rejected(self, tmp_path, capsys, threads):
-        """Rejected before any file is read, as ``predict --topk`` is."""
-        missing = str(tmp_path / "missing")
-        rc = main([
-            "eval", "--model", f"{missing}.ukge", "--train", f"{missing}.tsv",
-            "--test", f"{missing}.tsv", "--threads", threads,
-        ])
-        assert rc == EXIT_INPUT
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"--threads must be >= 1, got {threads}" in captured.err
-
     def test_eval_bad_filter_split_rejected_before_any_file(self, tmp_path, capsys):
         missing = str(tmp_path / "missing")
         rc = main([
@@ -589,7 +573,7 @@ class TestEvalAndPredict:
             raise AssertionError("built an autodiff tensor")
 
         monkeypatch.setattr(autodiff.Tensor, "__init__", no_tape)
-        assert 0.0 < evaluation.evaluate(m, store, threads=2).mrr <= 1.0
+        assert 0.0 < evaluation.evaluate(m, store).mrr <= 1.0
         assert np.all(np.isfinite(model.score_candidates(m, 0, 1)))
         rc = main([
             "predict", "--model", ckpt,
@@ -765,6 +749,34 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["synth", "--out", "/tmp/x", "--rings", "3"])
 
+    @pytest.mark.parametrize("where", ["train flag", "eval flag", "config key", "evaluate"])
+    def test_removed_threads_option_fails_loudly(self, workdir, tmp_path, capsys, where):
+        """``threads`` is removed: the ``train`` and ``eval`` flags are
+        unrecognized arguments and the config key is an unknown option at
+        ``path:line``, each exiting 2; ``evaluate`` takes no such keyword."""
+        from ukge import evaluation
+
+        data = workdir["data"]
+        splits = [f"{data}/{split}.tsv" for split in ("train", "valid", "test")]
+        train = ["train", "--train", splits[0], "--out", str(tmp_path / "m.ukge")]
+        if where == "evaluate":
+            store = kgdata.augment_inverse(kgdata.load_triples(*splits))
+            with pytest.raises(TypeError, match="threads"):
+                evaluation.evaluate(model.load(workdir["ckpt"]), store, threads=1)
+        elif where == "config key":
+            cfg = tmp_path / "train.cfg"
+            cfg.write_text("epochs = 1\nthreads = 1\n")
+            assert main(train + ["--config", str(cfg)]) == EXIT_INPUT
+            assert f"{cfg}:2: unknown option 'threads'" in capsys.readouterr().err
+        else:
+            argv = train if where == "train flag" else [
+                "eval", "--model", workdir["ckpt"], "--train", splits[0], "--test", splits[2],
+            ]
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--threads", "1"])
+            assert exc.value.code == EXIT_INPUT
+            assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+
 
 class TestInverseNameClash:
     """Data holding both ``x`` and ``x_inv`` would give two relations the
@@ -809,7 +821,7 @@ class TestOptionTable:
     def test_train_flags_are_generated_from_the_table(self):
         flags = {s for a in _train_subparser()._actions for s in a.option_strings}
         generated = {"--" + key.replace("_", "-") for key in TRAIN_OPTIONS}
-        assert len(generated) == 15
+        assert len(generated) == 14
         assert flags == generated | {
             "--train", "--valid", "--test", "--out", "--config", "--trace", "-h", "--help",
         }

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ukge.errors import ConfigurationError, EmptySplitError, IdLookupError
+from ukge.errors import EmptySplitError, IdLookupError
 from ukge.evaluation import (
     EvalReport,
     aggregate_ranks,
@@ -195,21 +195,6 @@ class TestEvaluate:
         assert report.hits[1] == 0.5
         assert report.per_relation[0].mrr == 1.0
 
-    def test_thread_count_invariance(self):
-        store = augment_inverse(make_synthetic(seed=1))
-        m = init(S22, store.n_entities, store.n_relations, seed=4)
-        one = evaluate(m, store, threads=1)
-        many = evaluate(m, store, threads=3)
-        assert one.mrr == many.mrr
-        assert one.hits == many.hits
-
-    @pytest.mark.parametrize("threads", [0, -5])
-    def test_threads_below_one_rejected(self, threads):
-        """``map_row_blocks`` states the rule for ``evaluate`` and ``fit``."""
-        m, store = self.hand_setup()
-        with pytest.raises(ConfigurationError, match="threads must be >= 1"):
-            evaluate(m, store, threads=threads)
-
     def test_store_larger_than_model_rejected(self):
         """A known tail past the model's rows is refused up front, and so is
         a relation the model lacks, even one no triple uses."""
@@ -220,6 +205,18 @@ class TestEvaluate:
         ):
             with pytest.raises(IdLookupError, match="store has"):
                 evaluate(m, store)
+
+    def test_standalone_rank_checks_the_store(self):
+        """``filtered_rank`` without ``_index`` refuses the stores that
+        ``evaluate`` refuses; the known tail 4 of a 4-entity model used to
+        raise a bare IndexError."""
+        m, _ = self.hand_setup()
+        for store in (
+            ids_store(5, 2, train=[(1, 0, 4)], test=[(1, 0, 0)]),
+            ids_store(4, 3, train=[(1, 0, 3)], test=[(1, 0, 0)]),
+        ):
+            with pytest.raises(IdLookupError, match="store has"):
+                filtered_rank(m, store, (1, 0, 0))
 
     @pytest.mark.parametrize("split", ["train", "valid", "test"])
     @pytest.mark.parametrize("row, kind", [
@@ -381,8 +378,7 @@ class TestTracedCalls:
     positional argument, the filter index as the ``_index`` keyword and
     the size of the scores."""
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_one_rank_and_one_scoring_per_query(self, threads, monkeypatch):
+    def test_one_rank_and_one_scoring_per_query(self, monkeypatch):
         from ukge import evaluation
 
         store = augment_inverse(make_synthetic(seed=2))
@@ -402,13 +398,12 @@ class TestTracedCalls:
 
         monkeypatch.setattr(evaluation, "filtered_rank", rank_shim)
         monkeypatch.setattr(evaluation, "score_candidates", score_shim)
-        assert evaluate(m, store, threads=threads) == expected
+        assert evaluate(m, store) == expected
         assert len(ranks) == len(scored) == store.test.shape[0]
         assert scored == [m.n_entities] * len(scored)
-        # two threads rank their blocks side by side, so compare as sorted
-        assert sorted(tuple(int(v) for v in args[2]) for args, _ in ranks) == sorted(
+        assert [tuple(int(v) for v in args[2]) for args, _ in ranks] == [
             tuple(int(v) for v in row) for row in store.test
-        )
+        ]
         oracle = filter_index_oracle(store, SPLITS)
         for args, kwargs in ranks:
             h, r, _ = (int(v) for v in args[2])
@@ -516,12 +511,10 @@ class TestEvaluateMatchesPairPath:
         assert [filtered_rank(m, store, row) for row in store.test] == expected
         report = evaluate(m, store)
         assert report == aggregate_ranks(expected, store.test[:, 1])
-        assert evaluate(m, store, threads=2) == report
         if operator != "rotref":  # the identity relation really meets the short circuit
             assert score(m, 0, 0, 1) == m.biases[0, 0] + m.biases[1, 1] + m.delta
-        # each thread moves its heads at most TRANSPOSE_BLOCK at a time; blocks
-        # of 3 hold the -0.0 head 4 and the bumped head 3 apart on one thread
-        # and together on two
+        # heads move at most TRANSPOSE_BLOCK at a time; blocks of 3 hold the
+        # -0.0 head 4 and the bumped head 3 apart
         widths, move = [], evaluation.move_heads
 
         def move_shim(m, h, r):
@@ -530,9 +523,8 @@ class TestEvaluateMatchesPairPath:
 
         monkeypatch.setattr(evaluation, "TRANSPOSE_BLOCK", 3)
         monkeypatch.setattr(evaluation, "move_heads", move_shim)
-        for threads in (1, 2):
-            assert evaluate(m, store, threads=threads) == report
-        assert sum(widths) == 2 * store.test.shape[0] and max(widths) == 3
+        assert evaluate(m, store) == report
+        assert sum(widths) == store.test.shape[0] and max(widths) == 3
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_precomputed_tails_equal_candidate_rows(self, geometry):

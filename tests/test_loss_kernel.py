@@ -213,8 +213,8 @@ class TestNoTape:
 
 class TestBlocks:
     """``_batch_grads`` scores a batch in blocks of at most ``BLOCK_ROWS``
-    scored rows, at least one per thread; neither the block size nor the
-    thread count may move a bit of the loss or the gradients."""
+    scored rows; the block size may not move a bit of the loss or the
+    gradients."""
 
     @staticmethod
     def block_rows(monkeypatch, positives, k):
@@ -263,19 +263,17 @@ class TestBlocks:
         self.block_rows(monkeypatch, 1, 2)
         assert_kernel_equals_tape(m, pos, neg)
 
-    @pytest.mark.parametrize("threads", [1, 2, 8])
-    def test_batch_grads_equal_unblocked(self, monkeypatch, threads):
-        """Blocked on ``threads`` threads equals unblocked on one thread, also
-        with more threads than blocks: 9 positives with no negatives make 3
-        blocks of 3 on one thread."""
+    def test_batch_grads_equal_unblocked(self, monkeypatch):
+        """Blocked equals unblocked, also with no negatives: 9 positives make
+        3 blocks of 3."""
         rng = np.random.default_rng(13)
         m = random_model(Signature(6, 2), "ultra", "rotref", rng, n_entities=20)
         for n, k in ((41, 4), (9, 0)):
             pos, neg = random_batch(m, rng, n, k)
             monkeypatch.setattr(training, "BLOCK_ROWS", 10**9)
-            loss, grads = training._batch_grads(m, pos, neg, 1)
+            loss, grads = training._batch_grads(m, pos, neg)
             self.block_rows(monkeypatch, 3, k)
-            blocked_loss, blocked_grads = training._batch_grads(m, pos, neg, threads)
+            blocked_loss, blocked_grads = training._batch_grads(m, pos, neg)
             assert blocked_loss == loss
             assert list(blocked_grads) == list(grads)
             for name, expected in grads.items():

@@ -10,8 +10,10 @@ import pytest
 from conftest import SCORING_SIGNATURES
 from test_loss_kernel import GEOMETRIES, OPERATORS
 from test_loss_kernel import assert_kernel_equals_tape, random_batch, random_model
-from ukge import operators, training
+from ukge import evaluation, operators, training
 from ukge.geometry import Signature
+from ukge.kgdata import augment_inverse, make_synthetic
+from ukge.model import init
 
 S284 = Signature(28, 4)
 
@@ -36,23 +38,11 @@ def test_kernel_equals_tape_in_blocks(monkeypatch, geometry):
     assert_kernel_equals_tape(m, pos, neg)
 
 
-def test_two_threads_equal_one(monkeypatch):
-    rng = np.random.default_rng(29)
-    m = random_model(S284, "ultra", "rotref", rng, n_entities=40)
-    pos, neg = random_batch(m, rng, 37, 5)
-    monkeypatch.setattr(training, "BLOCK_ROWS", 4 * (5 + 1))
-    loss, grads = training._batch_grads(m, pos, neg, threads=1)
-    loss2, grads2 = training._batch_grads(m, pos, neg, threads=2)
-    assert loss2 == loss
-    assert list(grads2) == list(grads)
-    for name, expected in grads.items():
-        assert np.array_equal(grads2[name], expected), name
-
-
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_batch_counts_the_elements_of_relation_transform(monkeypatch, geometry):
     """The kernel's stages count the elements that ``relation_transform``
-    counts on the batch's gathered rows, also when split into blocks."""
+    counts on the batch's gathered rows, also when split into blocks, and so
+    does ``evaluate`` on its split's gathered (head, relation) rows."""
     rng = np.random.default_rng(30)
     m = random_model(S284, geometry, "rotref", rng)
     pos, neg = random_batch(m, rng, 30, 5)
@@ -66,3 +56,14 @@ def test_batch_counts_the_elements_of_relation_transform(monkeypatch, geometry):
         with operators.count_operations() as counted:
             training._batch_grads(m, pos, neg)
         assert counted.elements == expected.elements > 0
+
+    store = augment_inverse(make_synthetic())
+    m = init(Signature(6, 2), store.n_entities, store.n_relations, seed=7, geometry=geometry)
+    h, r, _ = store.test.T
+    with operators.count_operations() as expected:
+        operators.relation_transform(
+            m.theta[r], m.phi[r], m.mu[r], m.entities[h], m.sig, m.operator
+        )
+    with operators.count_operations() as counted:
+        evaluation.evaluate(m, store)
+    assert counted.elements == expected.elements > 0

@@ -6,7 +6,6 @@ import hashlib
 import json
 import os
 import struct
-import threading
 import time
 import tracemalloc
 
@@ -32,7 +31,6 @@ from ukge.model import (
     dictionary_digest,
     init,
     load,
-    map_row_blocks,
     parameters,
     save,
     score,
@@ -301,21 +299,6 @@ class TestModelContainer:
         apply_time_guard(entities, S22)
         assert entities[0, 2] == EPS_TIME
         np.testing.assert_array_equal(entities[1], [1.0, 2.0, 3.0, 4.0])
-
-
-class TestMapRowBlocks:
-    @pytest.mark.parametrize(
-        "n_rows,threads", [(7, 1), (7, 3), (2, 5), (10, 4), (1, 8)]
-    )
-    def test_blocks_follow_array_split_in_order(self, n_rows, threads):
-        rows = np.arange(n_rows)
-        parts = map_row_blocks(lambda s: rows[s].tolist(), n_rows, threads)
-        assert parts == [b.tolist() for b in np.array_split(rows, min(threads, n_rows))]
-
-    def test_one_block_runs_inline_on_the_whole_range(self):
-        caller = threading.get_ident()
-        seen = map_row_blocks(lambda s: (s, threading.get_ident()), 5, 1)
-        assert seen == [(slice(0, 5), caller)]
 
 
 class TestDigest:

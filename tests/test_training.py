@@ -381,38 +381,14 @@ class TestFit:
         _, trace = fit(m, store, cfg)
         assert trace[-1] < 0.7 * trace[0]
 
-    @pytest.mark.parametrize("geometry", ["ultra", "euclidean"])
-    def test_thread_counts_agree_bitwise(self, geometry):
-        """Every thread count trains the bits of one thread.  32 triples in
-        batches of 10 end with a batch of 2 positives, fewer than 3 or 5
-        threads."""
-        m, store = synth_setup(geometry=geometry)
-        runs = [
-            fit(m, store, TrainConfig(epochs=3, batch_size=10, neg_samples=4,
-                                      threads=threads))
-            for threads in (1, 2, 3, 5)
-        ]
-        one, trace_one = runs[0]
-        assert len(trace_one) == 3
-        for trained, trace in runs[1:]:
-            assert trace == trace_one
-            for name in ("entities", "biases", "theta", "phi", "mu"):
-                assert np.array_equal(getattr(trained, name), getattr(one, name)), name
-
     def test_deterministic_flag_forces_single_thread(self):
-        """The train command's ``deterministic`` option reaches ``fit`` as
-        one thread, whatever ``threads`` says."""
+        """The train command's ``deterministic`` option changes nothing: ``fit``
+        gets the one-thread config it gets without the option."""
         options = {k: v[1] for k, v in TRAIN_OPTIONS.items()}
-        options.update(epochs=2, batch=16, neg=4, threads=8, deterministic=True)
-        det = train_config(options)
+        options.update(epochs=2, batch=16, neg=4)
+        det = train_config({**options, "deterministic": True})
+        assert det == train_config(options)
         assert det.threads == 1
-        options.update(threads=1, deterministic=False)
-        one = train_config(options)
-        m, store = synth_setup()
-        t_det, trace_det = fit(m, store, det)
-        t_one, trace_one = fit(m, store, one)
-        assert trace_det == trace_one
-        np.testing.assert_array_equal(t_det.entities, t_one.entities)
 
     def test_nan_parameters_raise_divergence(self):
         m, store = synth_setup()
@@ -570,12 +546,13 @@ class TestTrainConfig:
         TrainConfig().validate()
 
     def test_effective_threads(self):
-        """``threads`` is the thread count ``fit`` uses: no second field
-        overrides it."""
-        assert TrainConfig(threads=8).threads == 8
-        assert not hasattr(TrainConfig, "effective_threads")
+        """Training runs one thread: ``threads`` accepts only 1, and no second
+        field overrides it."""
+        TrainConfig(threads=1).validate()
+        with pytest.raises(ConfigurationError, match="threads was removed"):
+            TrainConfig(threads=2).validate()
         with pytest.raises(TypeError):
-            TrainConfig(threads=8, deterministic=True)
+            TrainConfig(deterministic=True)
 
 
 class TestOneScoringPath:
