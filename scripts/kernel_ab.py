@@ -29,7 +29,11 @@ inputs, built once with ``perfbench/workloads`` at the workload seed:
 side's median per stage and call, the median over the calls of the
 change's time as a share of the parent's, and each side's median count of
 minor page faults (``ru_minflt``) per call: a call that faults in fresh
-pages times the allocator as well as the code.  It exits non-zero unless
+pages times the allocator as well as the code, so a call whose two sides'
+medians differ is marked (``faults_differ``), as its ratio says little
+about the code.  It also prints each side's tails scored exactly per
+``evaluate`` query (``scored_per_query``), counted by wrapping that tree's
+``evaluation.score_candidates`` as ``perfbench/tracing.py`` does.  It exits non-zero unless
 both trees return the same loss and gradients, ``EvalReport``s and scores,
 floats compared bit for bit.  One invocation is one process; a claim cites the
 ratio medians of at least three.
@@ -84,14 +88,28 @@ def timed(spent: dict, name: str, fn):
 
 
 def side_calls(package, inputs: dict):
-    """The calls of :data:`CALLS` run by ``package`` on ``inputs``, and a
-    function that splits the last batch call's time into :data:`STAGES`."""
+    """The calls of :data:`CALLS` run by ``package`` on ``inputs``, a
+    function that splits the last batch call's time into :data:`STAGES`, and
+    one that returns the tails the last ``evaluate`` call scored exactly."""
     import workloads
 
     training = package.training
     spent = dict.fromkeys(WRAPPED, 0.0)
     for name in WRAPPED:
         setattr(training, name, timed(spent, name, getattr(training, name)))
+    evaluation, scored = package.evaluation, [0]
+    score_all = evaluation.score_candidates
+
+    def counted(*args, **kwargs):
+        scores = score_all(*args, **kwargs)
+        scored[0] += scores.size
+        return scores
+
+    evaluation.score_candidates = counted
+
+    def evaluate():
+        scored[0] = 0
+        return dataclasses.asdict(evaluation.evaluate(m, chunk))
     trained = package.model.load(inputs["train_ckpt"])
     pos, neg = inputs["batch"]
 
@@ -115,11 +133,11 @@ def side_calls(package, inputs: dict):
     h, r, t = (int(v) for v in chunk.test[0])
     calls = {
         "batch": batch,
-        "evaluate": lambda: dataclasses.asdict(package.evaluation.evaluate(m, chunk)),
+        "evaluate": evaluate,
         "candidates": lambda: package.model.score_candidates(m, h, r),
         "score": lambda: package.model.score(m, h, r, t),
     }
-    return calls, stages
+    return calls, stages, lambda: scored[0]
 
 
 def same(a, b) -> bool:
@@ -162,13 +180,16 @@ def main() -> None:
         query = workloads.query_setup(workloads.FULL, args.seed, workdir)
         inputs = {"train_ckpt": train_ckpt, "batch": (pos, neg), "paths": query.paths,
                   "query_ckpt": query.ckpt, "seed": args.seed}
-        calls, stages = {}, {}
+        calls, stages, scored = {}, {}, {}
         for side, src in sides.items():
-            calls[side], stages[side] = side_calls(import_tree(src, f"ukge_{side}"), inputs)
+            calls[side], stages[side], scored[side] = side_calls(
+                import_tree(src, f"ukge_{side}"), inputs
+            )
 
     samples = {side: {name: [] for name in CALLS + STAGES} for side in sides}
     ratios: dict[str, list[float]] = {name: [] for name in CALLS}
     faults = {side: {name: [] for name in CALLS} for side in sides}
+    per_query = {side: [] for side in sides}  # tails scored exactly per evaluate query
     for name, count in zip(CALLS, (args.reps, args.reps, 10 * args.reps, 10 * args.reps)):
         for rep in range(count + 1):
             order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
@@ -188,6 +209,8 @@ def main() -> None:
                     if name == "batch":
                         for stage, spent in stages[side](took[side]).items():
                             samples[side][stage].append(spent)
+                    if name == "evaluate":
+                        per_query[side].append(scored[side]() / workloads.EVAL_CHUNK)
                 ratios[name].append(took["change"] / took["parent"])
 
     result = {
@@ -203,7 +226,12 @@ def main() -> None:
             side: {name: statistics.median(v) for name, v in faults[side].items()}
             for side in sides
         },
+        "scored_per_query": {side: statistics.median(v) for side, v in per_query.items()},
         "bits_equal": True,
+    }
+    result["faults_differ"] = {
+        name: result["faults"]["parent"][name] != result["faults"]["change"][name]
+        for name in CALLS
     }
     print(f"{'ms':<12}{'parent':>10}{'change':>10}   change/parent per call median"
           f"   minor faults per call, parent/change")
@@ -212,11 +240,14 @@ def main() -> None:
         if name in ratios:
             row += f"   {result['ratio_median'][name]:<29.3f}" + "/".join(
                 f"{result['faults'][s][name]:g}" for s in sides)
+            row += "   faults differ" if result["faults_differ"][name] else ""
         print(row)
     n = result["calls"]
     print(f"{n['batch']} batch calls, {n['evaluate']} evaluate calls of "
           f"{workloads.EVAL_CHUNK} queries, {n['candidates']} score_candidates and "
           f"{n['score']} score calls per side, calls alternating;")
+    print("tails scored exactly per evaluate query, parent/change: " + "/".join(
+        f"{result['scored_per_query'][s]:g}" for s in sides))
     print("equal loss, gradients, reports and scores in every call")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -489,6 +489,37 @@ def _legs_forward(dot, s, rx, nx, ry, ny, same, sig: Signature):
     return best, (dot, nn, cos, angle, arg_xy, arg_yx, first, same)
 
 
+def legs_margin(rx, nx, ry, ny, sig: Signature):
+    """``(e, dd)``: fed dot products summed in any two orders, two
+    :func:`_legs_forward` distances of a head (``rx``, ``nx``) and a tail (at
+    most ``ry``, ``ny``) that do not coincide differ in ``d*d`` by at most
+    ``e``, and ``d*d <= dd``.  Take ``u = 2**-53``, ``g(k) = k u / (1 - k
+    u)``, ``HR = max(rx, nx) max(ry, ny)``, ``A = 2 HR / alpha^2`` and ``T =
+    max(rx, ry)``.  A k-term dot product lies within ``g(k) |x| |y|`` of the
+    true one in any order (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, §3.1) and ``|x_s| <= r``, so the rounded cosines
+    differ by ``c = 2 g(q) + 3u``.  ``arccos`` is ½-Hölder at ±1 and
+    Lipschitz inside, ``|arccos a - arccos b| <= arccos(1 - c) <= pi sqrt(c
+    / 2)``: with 4 ulps a path the angles differ by ``e_a = pi (sqrt(c / 2)
+    + 8u)``.  The ``arccosh`` arguments lie in ``[-A, A]`` and, rounded twice
+    a path, differ by ``a = (2 g(p) + 9u) HR / alpha^2``; ``arccosh(1 + a) <=
+    sqrt(2 a)``, so the hyperbolic parts differ by ``e_h = alpha (sqrt(2 a)
+    + 8u arccosh(A))``.  Legs are at most ``L = T pi + alpha arccosh(A)`` and
+    round thrice a path: legs and their minima differ by ``e_d = T e_a + e_h
+    + 7u L``, ``d*d`` by ``(2 L + e_d) e_d + 2u L^2``.  ``e`` doubles that for
+    the norms' rounding and this arithmetic's; ``dd = L^2``; clamps are
+    1-Lipschitz."""
+    u, a2 = 2.0**-53, sig.alpha * sig.alpha
+    g_p, g_q = (k * u / (1.0 - k * u) for k in (sig.p, sig.q))
+    hr, top = np.maximum(rx, nx) * np.maximum(ry, ny) / a2, np.maximum(rx, ry)
+    wide = np.arccosh(np.maximum(2.0 * hr, 1.0))
+    e_a = np.pi * (np.sqrt(g_q + 1.5 * u) + 8.0 * u)
+    e_h = sig.alpha * (np.sqrt(2.0 * (2.0 * g_p + 9.0 * u) * hr) + 8.0 * u * wide)
+    legs = top * np.pi + sig.alpha * wide
+    e_d = top * e_a + e_h + 7.0 * u * legs
+    return 2.0 * ((2.0 * legs + e_d) * e_d + 2.0 * u * legs * legs), legs * legs
+
+
 def _arccosh_leg_vjp(g_leg, arg, sig: Signature):
     """Gradient of ``alpha * arccosh(clip(arg, 1))`` at ``arg``: zero where
     the clamp holds ``arg`` at 1."""

@@ -12,8 +12,9 @@ operators of :mod:`ukge.operators`.  A triple (h, r, t) scores
 with ``delta`` a global margin.  Every score is one coordinate-major
 forward in two halves, :func:`move_heads` then :func:`meet_tails` against
 the tails that :func:`candidate_tails` lays out: training runs both on
-blocks of triples, evaluation each column of its moved query heads against
-shared tails, so a triple gets the same bits wherever it is scored.  The
+blocks of triples, evaluation on the tails whose order against the gold
+:func:`approx_scores`, from matrix products and within a proven margin,
+cannot tell, so a triple gets the same bits wherever it is scored.  The
 ``geometry="euclidean"`` variant is a baseline at identical parameter
 count: the same Givens stages act on the raw parameter vectors, boosts are
 pinned to zero, and the distance is plain Euclidean.
@@ -289,10 +290,10 @@ def move_heads(m: Model, h, r, keep: bool = False) -> tuple:
     return (x, b_h, ops, point) if keep else (x, b_h)
 
 
-def head_column(heads: tuple, i: int) -> tuple:
-    """Column ``i`` of the moved heads ``(x, b_h)`` of :func:`move_heads`."""
-    (x, b_h), col = heads, slice(i, i + 1)
-    return (tuple(a[..., col] for a in x) if isinstance(x, tuple) else x[:, col]), b_h[col]
+def columns(pair: tuple, cols) -> tuple:
+    """Columns ``cols`` of moved heads (:func:`move_heads`) or tails (:func:`candidate_tails`)."""
+    x, b = pair
+    return (tuple(a[..., cols] for a in x) if isinstance(x, tuple) else x[..., cols]), b[cols]
 
 
 def meet_tails(m: Model, x, b_h, side, b_t, keep: bool = False):
@@ -311,6 +312,37 @@ def meet_tails(m: Model, x, b_h, side, b_t, keep: bool = False):
         dist = np.sqrt(geometry.dot_columns(saved, saved))
     s = -dist * dist + b_h + b_t + m.delta
     return (s, dist, saved) if keep else s
+
+
+def approx_scores(m: Model, x, b_h, side, b_t) -> tuple:
+    """``(s, margin)``: :func:`meet_tails` of a few moved heads against the
+    tails, from matrix products, a row per head, and per head a margin that
+    bounds ``|s - exact|`` on its row: :func:`geometry.legs_margin` for ultra;
+    for euclidean's ``|x|^2 + |y|^2 - 2 <x, y>``, within ``(g(d) + 3u) (|x| +
+    |y|)^2`` of ``|x - y|^2`` as the exact path is within ``g(d) + 8u``
+    (that function's notation), doubled; and ``8u (d*d + |b_h| + |b_t| +
+    |delta|)`` for three additions a path and the window of
+    :func:`ukge.evaluation.filtered_rank`.  A score the margin does not
+    cover is NaN: non-finite, or its tail shares the head's first coordinate."""
+    u, ultra = 2.0**-53, m.geometry == "ultra"
+    if ultra:
+        (xs, xt, rx, nx), (ys, yt, ry, ny) = x, side
+        dots = xt.T @ yt
+        err, bound = geometry.legs_margin(rx, nx, np.max(ry), np.max(ny), m.sig)
+    else:
+        xs, ys = x, side
+        xx, yy = (np.einsum("ij,ij->j", a, a) for a in (x, side))
+        bound = (np.sqrt(xx) + np.sqrt(np.max(yy))) ** 2
+        err = 2.0 * (2.0 * m.sig.d * u / (1.0 - m.sig.d * u) + 11.0 * u) * bound
+    s = xs.T @ ys
+    for i in range(b_h.size):  # a row at a time: temporaries of one query's size
+        if ultra:
+            dd = geometry._legs_forward(dots[i], s[i], rx[i], nx[i], ry, ny, False, m.sig)[0] ** 2
+        else:
+            dd = xx[i] + yy - 2.0 * s[i]
+        s[i] = b_h[i] + m.delta + b_t - dd
+    s[np.isinf(s) | (xs[0][:, None] == ys[0])] = np.nan  # NaN stays NaN
+    return s, err + 8.0 * u * (bound + np.abs(b_h) + np.max(np.abs(b_t)) + abs(m.delta))
 
 
 def score_candidates(m: Model, h: int, r: int, *, tails=None, _head=None) -> np.ndarray:
@@ -355,17 +387,7 @@ def save(m: Model, path: str) -> None:
     The bytes go to a temporary file beside ``path`` that is synced to disk
     and then renamed over it, so ``path`` never holds a partial write.
     """
-    header = {
-        "p": m.sig.p,
-        "q": m.sig.q,
-        "alpha": m.sig.alpha,
-        "n_entities": m.n_entities,
-        "n_relations": m.n_relations,
-        "operator": m.operator,
-        "geometry": m.geometry,
-        "entity_digest": m.entity_digest,
-        "relation_digest": m.relation_digest,
-    }
+    header = {key: getattr(m.sig if hasattr(m.sig, key) else m, key) for key in _HEADER_TYPES}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     _check_finite(parameters(m), path)
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"

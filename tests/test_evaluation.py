@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ukge.errors import EmptySplitError, IdLookupError
+from ukge.errors import ConfigurationError, DimensionError, EmptySplitError, IdLookupError
 from ukge.evaluation import (
     EvalReport,
     aggregate_ranks,
@@ -27,8 +27,10 @@ from ukge.kgdata import SPLITS, TripleStore, augment_inverse, make_synthetic
 from ukge.model import (
     GEOMETRIES,
     Model,
+    approx_scores,
     candidate_tails,
     init,
+    move_heads,
     score,
     score_candidates,
 )
@@ -237,6 +239,23 @@ class TestEvaluate:
         with pytest.raises(IdLookupError, match="must be integers"):
             filtered_rank(m, store, (1, 0, 0.5))
 
+    def test_malformed_triple_rejected(self):
+        """A triple of two ids used to raise a bare ValueError ("not enough
+        values to unpack")."""
+        m, store = self.hand_setup()
+        for triple in [(0, 0), (1, 0, 0, 2), np.array([[1, 0, 0]])]:
+            with pytest.raises(DimensionError, match=r"triple .*shape \("):
+                filtered_rank(m, store, triple)
+
+    def test_bare_string_filter_splits_rejected(self):
+        """``filter_splits="test"`` used to be read as the splits 't', 'e',
+        's', 't' and fail on an unknown split 't'."""
+        m, store = self.hand_setup()
+        with pytest.raises(ConfigurationError, match="filter_splits .*'test'"):
+            evaluate(m, store, filter_splits="test")
+        with pytest.raises(ConfigurationError, match="filter_splits"):
+            filtered_rank(m, store, (1, 0, 0), filter_splits="train")
+
     def test_valid_split_selectable(self):
         m, store = self.hand_setup()
         with pytest.raises(EmptySplitError):
@@ -388,7 +407,9 @@ class TestTracedCalls:
         rank, score_all = evaluation.filtered_rank, evaluation.score_candidates
 
         def rank_shim(*args, **kwargs):
-            ranks.append((args, kwargs))
+            # filtered_rank overwrites the verified approximations in place
+            approx, margin = kwargs["_approx"]
+            ranks.append((args, {**kwargs, "_approx": (approx.copy(), margin)}))
             return rank(*args, **kwargs)
 
         def score_shim(*args, **kwargs):
@@ -400,7 +421,7 @@ class TestTracedCalls:
         monkeypatch.setattr(evaluation, "score_candidates", score_shim)
         assert evaluate(m, store) == expected
         assert len(ranks) == len(scored) == store.test.shape[0]
-        assert scored == [m.n_entities] * len(scored)
+        assert scored == [verified_size(args, kwargs) for args, kwargs in ranks]
         assert [tuple(int(v) for v in args[2]) for args, _ in ranks] == [
             tuple(int(v) for v in row) for row in store.test
         ]
@@ -409,6 +430,41 @@ class TestTracedCalls:
             h, r, _ = (int(v) for v in args[2])
             assert args[0] is m
             np.testing.assert_array_equal(kwargs["_index"][(h, r)], oracle[(h, r)])
+
+    def test_few_tails_scored_exactly_when_scores_spread(self, monkeypatch):
+        """With unit-normal entities and biases, as query-22k sets them,
+        evaluate scores exactly under a tenth of the queries' tails."""
+        from ukge import evaluation
+
+        store = augment_inverse(make_synthetic(seed=2))
+        m = init(Signature(6, 2), store.n_entities, store.n_relations, seed=5)
+        rng = np.random.default_rng(6)
+        m.entities[:] = rng.normal(0.0, 1.0, m.entities.shape)
+        m.biases[:] = rng.normal(0.0, 1.0, m.biases.shape)
+        scored, score_all = [], evaluation.score_candidates
+
+        def score_shim(*args, **kwargs):
+            scores = score_all(*args, **kwargs)
+            scored.append(scores.size)
+            return scores
+
+        monkeypatch.setattr(evaluation, "score_candidates", score_shim)
+        evaluate(m, store)
+        assert len(scored) == store.test.shape[0]
+        assert sum(scored) < 0.1 * len(scored) * m.n_entities
+
+
+def verified_size(args, kwargs):
+    """The size of the one exact scoring of a traced ``filtered_rank`` call:
+    the tails within twice the margin of the gold's approximate score, the
+    gold and any NaN included, or every entity when that window is not
+    finite."""
+    approx, margin = kwargs["_approx"]
+    gold = approx[int(args[2][2])]
+    lo, hi = gold - 2.0 * margin, gold + 2.0 * margin
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        return approx.size
+    return int(np.count_nonzero(~((approx < lo) | (approx > hi))))
 
 
 def filter_index_oracle(store, splits):
@@ -549,3 +605,116 @@ class TestEvaluateMatchesPairPath:
                     m.biases[0, 0] + m.biases[[0, 1], 1] + m.delta,
                 )
 
+
+class TestApproxScores:
+    """``approx_scores`` lies within its margin of the exact scores, at
+    coincident and nearly coincident points, cosines of ±1 and ``arccosh``
+    arguments of 1, large radii and alpha != 1, and marks NaN where the
+    coincidence short circuit may apply."""
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("alpha, scale", [(1.0, 1.0), (0.3, 1e3), (2.5, 1e-2), (1.0, 1e6)])
+    def test_within_the_margin(self, geometry, alpha, scale):
+        sig = Signature(28, 4, alpha)
+        m = init(sig, 40, 2, seed=3, operator="rot", geometry=geometry)
+        rng = np.random.default_rng(4)
+        m.entities[:] = rng.normal(0.0, scale, m.entities.shape)
+        m.biases[:] = rng.normal(0.0, 1.0, m.biases.shape)
+        m.theta[0] = m.phi[0] = m.mu[0] = 0.0  # relation 0 is the identity
+        m.entities[1:6] = m.entities[0]  # copies of 0; 2 to 5 then move
+        m.entities[2, 0] = np.nextafter(m.entities[0, 0], np.inf)  # one ulp away
+        m.entities[3, 1] *= 1.0 + 1e-12  # shares the first coordinate only
+        m.entities[4, sig.p :] *= -1.0  # time antiparallel: cosine -1
+        m.entities[5, :2] += 1.0  # another space part, the same time: cosine 1
+        queries = [(0, 0), (0, 1), (7, 1), (4, 0)]
+        heads = move_heads(m, *np.transpose(queries))
+        approx, margin = approx_scores(m, *heads, *candidate_tails(m))
+        for row, margin_row, (h, r) in zip(approx, margin, queries):
+            exact = score_candidates(m, h, r)
+            covered = ~np.isnan(row)
+            assert covered.sum() >= m.n_entities - 4  # at most 0, 1, 3 and 4
+            assert np.all(np.abs(row[covered] - exact[covered]) <= margin_row)
+        # under the identity, head 0 shares its first coordinate with tails
+        # 0, 1, 3 and 4, and the exact scores of 0 and 1 take the short circuit
+        np.testing.assert_array_equal(np.flatnonzero(np.isnan(approx[0])), [0, 1, 3, 4])
+        assert score(m, 0, 0, 1) == m.biases[0, 0] + m.biases[1, 1] + m.delta
+
+    def test_non_finite_tails_make_the_margin_non_finite(self):
+        m = init(Signature(6, 2), 8, 1, seed=1)
+        m.entities[5] = np.nan
+        _, margin = approx_scores(m, *move_heads(m, [0], [0]), *candidate_tails(m))
+        assert np.isnan(margin[0])
+
+
+@st.composite
+def rank_models(draw):
+    """A small model over :data:`SCORING_SIGNATURES`, both geometries and
+    every operator, whose entities and biases are copied, nudged by one
+    part in 1e13 or 1e9, or spread, and a store of random triples."""
+    sig = draw(st.sampled_from(SCORING_SIGNATURES))
+    geometry = draw(st.sampled_from(GEOMETRIES))
+    operator = draw(st.sampled_from(sorted(OPERATOR_MODES)))
+    seed = draw(st.integers(0, 2**16))
+    n, n_rel = 10, 3
+    m = init(sig, n, n_rel, seed=seed, operator=operator, geometry=geometry)
+    rng = np.random.default_rng(seed)
+    m.entities[:] = rng.normal(0.0, draw(st.sampled_from([0.01, 1.0, 30.0])), m.entities.shape)
+    m.biases[:] = rng.normal(0.0, 1.0, m.biases.shape)
+    m.theta[0] = m.phi[0] = m.mu[0] = 0.0  # the identity for rot and ref
+    nudge = draw(st.sampled_from([0.0, 1e-13, 1e-9]))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=4)):
+        m.entities[dst] = m.entities[src] * (1.0 + nudge * rng.normal(size=sig.d))
+        m.biases[dst, 1] = m.biases[src, 1]
+    triples = st.tuples(st.integers(0, n - 1), st.integers(0, n_rel - 1), st.integers(0, n - 1))
+    train = draw(st.lists(triples, max_size=15))
+    test = draw(st.lists(triples, min_size=1, max_size=8))
+    return m, ids_store(n, n_rel, train=train, test=test)
+
+
+class TestFilteredRanksMatchExactScores:
+    """The filtered ranks of ``evaluate`` and ``filtered_rank`` equal the
+    mask formula over the exact scores of ``score_candidates``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rank_models())
+    def test_equals_the_mask_formula(self, case):
+        m, store = case
+        index = filter_index_oracle(store, SPLITS)
+        expected = []
+        for h, r, t in store.test:
+            scores = score_candidates(m, h, r)
+            allowed = np.ones(m.n_entities, dtype=bool)
+            allowed[index[(h, r)]] = False
+            allowed[t] = False
+            expected.append(1 + int(np.count_nonzero(~(scores[allowed] < scores[t]))))
+        assert [filtered_rank(m, store, row) for row in store.test] == expected
+        assert evaluate(m, store) == aggregate_ranks(expected, store.test[:, 1])
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_exact_ties_that_the_approximation_splits(self, geometry):
+        """Tails whose tail biases make their exact scores tie the gold's bit
+        for bit, while their approximate scores fall on either side of it:
+        each counts against the gold, as only the exact scores can tell."""
+        sig = Signature(28, 4)
+        m = init(sig, 60, 1, seed=8, geometry=geometry)
+        rng = np.random.default_rng(9)
+        m.entities[:] = rng.normal(0.0, 1.0, m.entities.shape)
+        gold, tied = 0, np.arange(1, 41)
+        target = score_candidates(m, 5, 0)[gold]
+        for j in tied:  # step the tail bias by ulps until the exact scores tie
+            m.biases[j, 1] += target - score(m, 5, 0, int(j))
+            for _ in range(64):
+                gap = score(m, 5, 0, int(j)) - target
+                if gap == 0.0:
+                    break
+                m.biases[j, 1] = np.nextafter(m.biases[j, 1], -np.inf if gap > 0 else np.inf)
+        exact = score_candidates(m, 5, 0)
+        tied = tied[exact[tied] == exact[gold]]
+        approx, _ = approx_scores(m, *move_heads(m, [5], [0]), *candidate_tails(m))
+        assert tied.size > 30
+        assert np.any(approx[0, tied] < approx[0, gold])  # these would be lost
+        store = ids_store(60, 1, train=[], test=[(5, 0, gold)])
+        expected = 1 + int(np.count_nonzero(exact[1:] >= exact[gold]))
+        assert filtered_rank(m, store, (5, 0, gold)) == expected
+        assert evaluate(m, store).mrr == 1.0 / expected

@@ -28,6 +28,7 @@ from ukge.geometry import (
     dist_manhattan,
     dist_sphere,
     dot_columns,
+    legs_margin,
     manhattan_legs_columns,
     manifold_defect,
     norm,
@@ -561,6 +562,71 @@ class TestCoordinateMajor:
         # without a NaN leg, np.minimum's bits
         best, _ = _legs_forward(dot[3:], s[3:], rx[3:], nx[3:], ry[3:], ny[3:], same[3:], sig)
         assert_same_bits(best, np.minimum(leg_xy[3:], leg_yx[3:]))
+
+
+#: unit roundoff of float64, and one ulp below 1
+U = 2.0**-53
+
+
+def gamma(k):
+    """Higham's ``gamma_k``: the relative error bound of a k-term sum."""
+    return k * U / (1.0 - k * U)
+
+
+class TestLegsMargin:
+    """``legs_margin`` bounds how far ``d*d`` of :func:`_legs_forward` moves
+    when both dot products move by as much as any summation order may move
+    them, ``2 gamma_p r_x r_y`` in space and ``2 gamma_q n_x n_y`` in time,
+    in either direction: at cosines of ±1 and one ulp inside, ``arccosh``
+    arguments of 1 and a few ulps above, large radii and alpha != 1."""
+
+    #: target cosines: ±1, one ulp inside each, a generic one
+    COSINES = [1.0, 1.0 - U, -1.0, -1.0 + U, 0.3]
+    #: target arccosh arguments: 1, a few ulps above, a generic one
+    ARGS = [1.0, 1.0 + 2 * U, 1.0 + 8 * U, 3.0]
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.3, 2.5])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("sig_pq", [(28, 4), (6, 2)])
+    def test_moved_dot_products_stay_within(self, alpha, scale, sig_pq):
+        sig = Signature(*sig_pq, alpha)
+        rng = np.random.default_rng(int(scale) + sig.d)
+        z = rng.normal(0.0, scale, (8, sig.d))
+        z[5:, : sig.p] = z[0, : sig.p]  # tails 5-7 share the head's space: argument 1
+        x = terms_columns(phi(z[:1], sig).T, sig)
+        side = terms_columns(phi(z[1:], sig).T, sig)
+        _, _, rx, nx = x
+        _, _, ry, ny = side
+        e, dd = legs_margin(rx, nx, ry.max(), ny.max(), sig)
+        cos, arg = (g.reshape(-1, 1) for g in np.meshgrid(self.COSINES, self.ARGS))
+        dot = cos * (nx * ny)  # every target pair against every tail
+        # the space dot at the target argument, where |s| <= |x_s| |y_s| allows
+        reach = np.sqrt(rx * rx - alpha * alpha) * np.sqrt(ry * ry - alpha * alpha)
+        s = np.clip(rx * ny - arg * (alpha * alpha), -reach, reach)
+        exact = _legs_forward(dot, s, rx, nx, ry, ny, False, sig)[0]
+        assert np.all(exact * exact <= dd * (1 + 1e-12))
+        for sign_t, sign_s in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
+            moved = _legs_forward(
+                dot + sign_t * 2 * gamma(sig.q) * nx * ny,
+                s + sign_s * 2 * gamma(sig.p) * rx * ry,
+                rx, nx, ry, ny, False, sig,
+            )[0]
+            assert np.all(np.abs(moved * moved - exact * exact) <= e)
+
+    def test_clamped_ends_move_by_a_square_root(self):
+        """From cosine 1 and argument 1, where the distance is 0, the legs
+        move by about the square root of the dot products' error, far beyond
+        any Lipschitz bound; the margin covers ``d*d`` there and is within a
+        small factor of ``2 L`` times that move, ``L^2`` being ``dd``."""
+        sig = Signature(28, 4, 1.0)
+        rx = nx = ry = ny = np.array([3.0])
+        e, dd = legs_margin(rx, nx, 3.0, 3.0, sig)
+        s, error = rx * ny - 1.0, 2 * gamma(28) * rx * ry
+        assert _legs_forward(nx * ny, s, rx, nx, ry, ny, False, sig)[0][0] == 0.0
+        moved = _legs_forward(nx * ny * (1 - 2 * gamma(4)), s - error,
+                              rx, nx, ry, ny, False, sig)[0]
+        assert moved[0] > 1e6 * error[0]
+        assert moved[0] ** 2 <= e[0] <= 8 * np.sqrt(dd[0]) * moved[0]
 
 
 class TestSpaceRadius:

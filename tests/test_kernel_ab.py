@@ -40,6 +40,21 @@ def test_the_checkout_on_both_sides(tmp_path):
         faults = record["faults"][side]
         assert set(faults) == set(calls)
         assert all(n >= 0 for n in faults.values())
+    assert set(record["faults_differ"]) == set(calls)
+    for name, differ in record["faults_differ"].items():
+        assert differ == (record["faults"]["parent"][name] != record["faults"]["change"][name])
+        assert ("faults differ" in row(proc.stdout, name)) == differ
+    # one tree on both sides: the same tails, at least the gold per query and
+    # fewer than every one of the 21,845
+    scored = record["scored_per_query"]
+    assert set(scored) == {"parent", "change"} and scored["parent"] == scored["change"]
+    assert 1 <= scored["parent"] < 21845
+    assert f"per evaluate query, parent/change: {scored['parent']:g}/" in proc.stdout
+
+
+def row(stdout: str, name: str) -> str:
+    """The table row of the call ``name``."""
+    return next(line for line in stdout.splitlines() if line.split()[:1] == [name])
 
 
 def test_a_loss_one_ulp_off_fails_the_batch(tmp_path):
