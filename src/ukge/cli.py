@@ -28,14 +28,13 @@ error too, as is a TSV or config-file line that is not valid UTF-8.
 ``predict`` reads only the names from the TSVs, as UTF-8 bytes: it
 checks the entity digest on those bytes, finds ``--head`` among them and
 decodes only the names it prints (all of them for an unknown ``--head``).
-The argument parser is built once per process, and :func:`main` looks its
-subcommand's function up by name when it runs.
+The argument parser is built once, when this module is imported, and
+:func:`main` looks its subcommand's function up by name when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 
@@ -454,14 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """:func:`build_parser`, built once per process."""
-    return build_parser()
+#: the parser, built once when the module is imported
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     # looked up when called, so a wrapper set on the module takes effect
     command = globals()[f"cmd_{args.command}"]
     try:

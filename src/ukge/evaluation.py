@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, EmptySplitError
+from .errors import ConfigurationError, DimensionError, EmptySplitError, PreconditionError
 from .kgdata import TripleStore
 from .model import Model, approx_scores, candidate_tails, check_ids, check_store, columns
 from .model import TRANSPOSE_BLOCK, move_heads, score_candidates
@@ -92,8 +92,8 @@ def filtered_rank(m: Model, store: TripleStore, triple, filter_splits=("train", 
     if _index is None:  # standalone: check the store and index this query's pair only
         check_store(m, store)
         _index = build_filter_index(store, filter_splits, keys=[(h, r)])
-    tails = candidate_tails(m) if _tails is None else _tails
-    head = move_heads(m, [h], [r]) if _head is None else _head
+    tails = candidate_tails(m)[0] if _tails is None else _tails
+    head = move_heads(m, [h], [r])[0] if _head is None else _head
     scores, margin = _approx or next(zip(*approx_scores(m, *head, *tails)))
     lo, hi = scores[t] - 2.0 * margin, scores[t] + 2.0 * margin  # NaN or infinite: all verified
     verify = np.flatnonzero(~((scores < lo) | (scores > hi)))
@@ -110,11 +110,18 @@ def filtered_rank(m: Model, store: TripleStore, triple, filter_splits=("train", 
 
 def aggregate_ranks(ranks, relations) -> EvalReport:
     """Fold per-triple ranks into global and per-relation MRR and Hits@K for
-    each K of :data:`HITS_KS`."""
-    ranks = np.asarray(ranks, dtype=np.int64)
-    relations = np.asarray(relations, dtype=np.int64)
+    each K of :data:`HITS_KS`.  Ranks and relations that are not two 1-d
+    arrays of one length raise :class:`DimensionError`, and a rank that is
+    not a whole number of at least 1 raises :class:`PreconditionError`."""
+    ranks, relations = np.asarray(ranks), np.asarray(relations)
+    if ranks.ndim != 1 or relations.shape != ranks.shape:
+        raise DimensionError(f"aggregate_ranks: ranks of shape {ranks.shape} and relations "
+                             f"of shape {relations.shape} are not 1-d and of one length")
     if ranks.size == 0:
         raise EmptySplitError("aggregate_ranks: no ranks to aggregate")
+    if not np.all(np.isfinite(ranks) & (ranks >= 1) & (np.floor(ranks) == ranks)):
+        raise PreconditionError("aggregate_ranks: ranks must be whole numbers of at least 1")
+    ranks, relations = ranks.astype(np.int64), relations.astype(np.int64)
     rr = 1.0 / ranks
     per_relation: dict[int, RelationMetrics] = {}
     for rel in np.unique(relations):
@@ -150,11 +157,11 @@ def evaluate(m: Model, store: TripleStore, split: str = "test",
     if triples.shape[0] == 0:
         raise EmptySplitError(f"evaluate: split {split!r} is empty")
     index = build_filter_index(store, filter_splits, keys=triples[:, :2])
-    tails = candidate_tails(m)  # shared read-only by every query
+    tails = candidate_tails(m)[0]  # shared read-only by every query
     ranks = []
     for lo in range(0, triples.shape[0], TRANSPOSE_BLOCK):  # bounded head blocks
         hi = min(lo + TRANSPOSE_BLOCK, triples.shape[0])
-        heads = move_heads(m, triples[lo:hi, 0], triples[lo:hi, 1])
+        heads = move_heads(m, triples[lo:hi, 0], triples[lo:hi, 1])[0]
         for j in range(0, hi - lo, APPROX_BLOCK):  # each row with its margin
             approx = zip(*approx_scores(m, *columns(heads, slice(j, j + APPROX_BLOCK)), *tails))
             ranks += [filtered_rank(m, store, triples[lo + i], filter_splits, _index=index,

@@ -33,12 +33,13 @@ sums their dot products over whole rows in the order ``np.sum`` adds one
 C-ordered row, so each point gets the bits the row-wise functions give
 it.  Scoring takes a point's terms from :func:`terms_columns` (points on
 the manifold) or :func:`point_terms_columns` (free parameters) and the
-distance from :func:`manhattan_legs_columns`; the last two keep, when
-asked, the intermediates that the kernel's vector-Jacobian products
-(:func:`phi_columns_vjp`, :func:`point_terms_columns_vjp`,
-:func:`manhattan_legs_columns_vjp`) read.  The row-wise :func:`phi` and
-:func:`dist_manhattan` return their values alone: they are the reference
-that the autodiff tape differentiates and the tests compare with.
+distance from :func:`manhattan_legs_columns`; the last two return
+``(value, saved)``, ``saved`` the intermediates that the kernel's
+vector-Jacobian products (:func:`phi_columns_vjp`,
+:func:`point_terms_columns_vjp`, :func:`manhattan_legs_columns_vjp`)
+read, and callers after values alone take ``[0]``.  The row-wise
+:func:`phi` and :func:`dist_manhattan` return values alone: they are the
+reference that the autodiff tape differentiates and the tests compare with.
 """
 
 from __future__ import annotations
@@ -356,12 +357,12 @@ def terms_columns(x, sig: Signature):
     return s, t, np.sqrt(dot_columns(s, s) + sig.alpha * sig.alpha), np.sqrt(dot_columns(t, t))
 
 
-def point_terms_columns(z, sig: Signature, keep: bool = False):
-    """:func:`terms_columns` of :func:`phi` of the free parameters ``z``,
-    all coordinate-major: ``z`` is ``(d, N)``, one row per coordinate, and the
-    result is ``(space, time, r, n)`` with ``space`` of shape ``(p, N)``,
-    ``time`` of shape ``(q, N)`` and ``r``, ``n`` of shape ``(N,)``.  With
-    ``keep`` it comes with the intermediates that :func:`phi_columns_vjp`
+def point_terms_columns(z, sig: Signature):
+    """``(terms, saved)``: the :func:`terms_columns` of :func:`phi` of the
+    free parameters ``z``, all coordinate-major: ``z`` is ``(d, N)``, one row
+    per coordinate, and ``terms`` is ``(space, time, r, n)`` with ``space`` of
+    shape ``(p, N)``, ``time`` of shape ``(q, N)`` and ``r``, ``n`` of shape
+    ``(N,)``; ``saved`` is ``(t, tn, unit)``, what :func:`phi_columns_vjp`
     reads: the (bumped) time block, its norm and its direction.
 
     The arithmetic is :func:`phi`'s and :func:`terms_columns`', with every
@@ -381,8 +382,7 @@ def point_terms_columns(z, sig: Signature, keep: bool = False):
     r = np.sqrt(dot_columns(s, s) + sig.alpha * sig.alpha)
     unit = t / tn
     time = unit * r
-    terms = s, time, r, np.sqrt(dot_columns(time, time))
-    return (terms, (t, tn, unit)) if keep else terms
+    return (s, time, r, np.sqrt(dot_columns(time, time))), (t, tn, unit)
 
 
 def point_terms_columns_vjp(terms, g_terms, sig: Signature) -> np.ndarray:
@@ -410,8 +410,7 @@ def point_terms_columns_vjp(terms, g_terms, sig: Signature) -> np.ndarray:
 def phi_columns_vjp(terms, saved, g: np.ndarray, sig: Signature) -> np.ndarray:
     """Gradient with respect to the free parameters ``z`` of
     :func:`point_terms_columns` given the gradient ``g``, ``(d, N)``, of the
-    point ``phi(z)``; ``terms`` and ``saved`` are what it returned with
-    ``keep``.
+    point ``phi(z)``; ``terms`` and ``saved`` are what it returned.
 
     The products and sums are those of the autodiff tape's reverse sweep
     over :func:`phi`, in its order, with each sum over a block from
@@ -437,24 +436,23 @@ def phi_columns_vjp(terms, saved, g: np.ndarray, sig: Signature) -> np.ndarray:
     return g_z
 
 
-def manhattan_legs_columns(tx, side, sig: Signature, keep: bool = False):
-    """:func:`dist_manhattan` between points and their candidates, from
-    coordinate-major terms: ``side`` is ``(space, time, r, n)`` of ``N``
-    candidates as :func:`point_terms_columns` gives them, and ``tx`` either
-    the same of ``N`` points or the :func:`terms_columns` of one point, a
-    ``(d, 1)`` column that every candidate then meets.  :func:`dot_columns`
-    gives both dot products the row-wise bits, so every distance equals the
-    row-wise one.  With ``keep`` it comes with the intermediates that
-    :func:`manhattan_legs_columns_vjp` reads (see :func:`_legs_forward`)."""
+def manhattan_legs_columns(tx, side, sig: Signature):
+    """``(dist, saved)``: :func:`dist_manhattan` between points and their
+    candidates, from coordinate-major terms, with the intermediates that
+    :func:`manhattan_legs_columns_vjp` reads (see :func:`_legs_forward`).
+    ``side`` is ``(space, time, r, n)`` of ``N`` candidates as
+    :func:`point_terms_columns` gives them, and ``tx`` either the same of
+    ``N`` points or the :func:`terms_columns` of one point, a ``(d, 1)``
+    column that every candidate then meets.  :func:`dot_columns` gives both
+    dot products the row-wise bits, so every distance equals the row-wise
+    one."""
     xs, xt, rx, nx = tx
     ys, yt, ry, ny = side
     same = ys[0] == xs[0]
     if np.any(same):
         same &= np.all(ys == xs, axis=0)
         same &= np.all(yt == xt, axis=0)
-    dot, s = dot_columns(xt, yt), dot_columns(xs, ys)
-    dist, saved = _legs_forward(dot, s, rx, nx, ry, ny, same, sig)
-    return (dist, saved) if keep else dist
+    return _legs_forward(dot_columns(xt, yt), dot_columns(xs, ys), rx, nx, ry, ny, same, sig)
 
 
 def _legs_forward(dot, s, rx, nx, ry, ny, same, sig: Signature):
@@ -532,7 +530,7 @@ def _arccosh_leg_vjp(g_leg, arg, sig: Signature):
 def manhattan_legs_columns_vjp(tx, ty, saved, g: np.ndarray, sig: Signature):
     """Gradients of the coordinate-major terms of both points given the
     gradient ``g`` of the distance; ``saved`` comes from
-    :func:`manhattan_legs_columns` with ``keep``.
+    :func:`manhattan_legs_columns`.
 
     Returns two ``(space, time, r, n)`` tuples for
     :func:`point_terms_columns_vjp`.  A clamped ``arccos`` or ``arccosh``

@@ -35,13 +35,13 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     EmptySplitError,
-    IdLookupError,
     NameLookupError,
     ParseError,
     PreconditionError,
     StateError,
     UndefinedMetricError,
 )
+from .model import check_ids
 
 SPLITS = ("train", "valid", "test")
 
@@ -494,8 +494,7 @@ def krackhardt_score(store: TripleStore, relation: int) -> float:
     number of reachable pairs.  Both counts are exact integers, so the score
     is the same float a BFS from every node gives.
     """
-    if not 0 <= relation < store.n_relations:
-        raise IdLookupError(f"relation id {relation} out of range")
+    check_ids(relation, store.n_relations, "relation")
     triples = store.all_triples()
     edges = triples[triples[:, 1] == relation]
     if edges.shape[0] == 0:

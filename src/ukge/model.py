@@ -11,13 +11,15 @@ operators of :mod:`ukge.operators`.  A triple (h, r, t) scores
 
 with ``delta`` a global margin.  Every score is one coordinate-major
 forward in two halves, :func:`move_heads` then :func:`meet_tails` against
-the tails that :func:`candidate_tails` lays out: training runs both on
-blocks of triples, evaluation on the tails whose order against the gold
-:func:`approx_scores`, from matrix products and within a proven margin,
-cannot tell, so a triple gets the same bits wherever it is scored.  The
-``geometry="euclidean"`` variant is a baseline at identical parameter
-count: the same Givens stages act on the raw parameter vectors, boosts are
-pinned to zero, and the distance is plain Euclidean.
+the tails that :func:`candidate_tails` lays out.  All three return
+``(value, saved)``, ``saved`` the intermediates that the training kernel's
+gradients read, and callers after values alone take ``[0]``.  Training
+runs both on blocks of triples, evaluation on the tails whose order
+against the gold :func:`approx_scores`, from matrix products and within a
+proven margin, cannot tell, so a triple gets the same bits wherever it is
+scored.  The ``geometry="euclidean"`` variant is a baseline at identical
+parameter count: the same Givens stages act on the raw parameter vectors,
+boosts are pinned to zero, and the distance is plain Euclidean.
 
 Checkpoints are a small binary format: magic ``UKGE``, a little-endian u32
 format version, a u32 header length, a canonical JSON header, then raw
@@ -238,15 +240,15 @@ def parameters(m: Model) -> dict[str, np.ndarray]:
     }
 
 
-def candidate_tails(m: Model, candidates=None, keep: bool = False) -> tuple:
-    """``(side, tail biases)`` of the candidate tails (default: all), the
-    tail side of :func:`meet_tails`.  ``side`` comes from one transposed
-    copy of their free parameters, ``(d, N)``, filled
+def candidate_tails(m: Model, candidates=None) -> tuple:
+    """``((side, tail biases), saved)`` of the candidate tails (default:
+    all), the tail side of :func:`meet_tails`.  ``side`` comes from one
+    transposed copy of their free parameters, ``(d, N)``, filled
     :data:`TRANSPOSE_BLOCK` rows at a time: for ultra it is their
-    :func:`geometry.point_terms_columns`, with ``keep`` together with the
-    intermediates that :func:`geometry.phi_columns_vjp` reads, and for
-    euclidean the copy itself.  :func:`ukge.evaluation.evaluate` builds it
-    once for every query, the training kernel once per block."""
+    :func:`geometry.point_terms_columns` and ``saved`` the intermediates that
+    :func:`geometry.phi_columns_vjp` reads, and for euclidean the copy itself
+    and ``saved`` None.  :func:`ukge.evaluation.evaluate` builds it once for
+    every query, the training kernel once per block."""
     if candidates is None:
         cand, n = slice(None), m.n_entities
     else:
@@ -254,40 +256,36 @@ def candidate_tails(m: Model, candidates=None, keep: bool = False) -> tuple:
         check_ids(cand, m.n_entities, "entity")
         cand = cand.astype(np.int64, copy=False).reshape(-1)
         n = cand.size
-    side = np.empty((m.sig.d, n))
+    side, saved = np.empty((m.sig.d, n)), None
     for lo in range(0, n, TRANSPOSE_BLOCK):
         hi = min(lo + TRANSPOSE_BLOCK, n)
         rows = m.entities[lo:hi] if candidates is None else m.entities[cand[lo:hi]]
         side[:, lo:hi] = rows.T
     if m.geometry == "ultra":
-        side = geometry.point_terms_columns(side, m.sig, keep)
-    return side, m.biases[cand, 1]
+        side, saved = geometry.point_terms_columns(side, m.sig)
+    return (side, m.biases[cand, 1]), saved
 
 
-def move_heads(m: Model, h, r, keep: bool = False) -> tuple:
-    """``(x, b_h)``: the heads ``h`` moved under the relations ``r`` (id
-    arrays of one length), a column each with its sums from
-    :func:`geometry.dot_columns`, so the same bits in a block of any width,
-    and their head biases.  Ultra moves by phi
+def move_heads(m: Model, h, r) -> tuple:
+    """``((x, b_h), (ops, point))``: the heads ``h`` moved under the
+    relations ``r`` (id arrays of one length), a column each with its sums
+    from :func:`geometry.dot_columns`, so the same bits in a block of any
+    width, and their head biases.  Ultra moves by phi
     (:func:`geometry.point_terms_columns`), then the relation operator
     (:func:`operators.transform_columns`), and ``x`` is the
     :func:`geometry.terms_columns` of the result; euclidean moves the raw
-    vector with the boosts pinned to 0.  With ``keep`` it returns ``(x, b_h,
-    ops, point)``, ``point`` phi's terms and intermediates (None for
+    vector with the boosts pinned to 0.  ``ops`` are the operator's
+    intermediates and ``point`` phi's terms and intermediates (None for
     euclidean), what :func:`ukge.training._row_grads` reads."""
-    sig = m.sig
-    z = m.entities[h].T.copy()
-    point = None
+    z, point = m.entities[h].T.copy(), None
     if m.geometry == "ultra":
-        point = geometry.point_terms_columns(z, sig, keep=True)
-        z, mu = np.concatenate(point[0][:2]), m.mu
-    else:
-        mu = np.zeros_like(m.mu)
-    x, ops = operators.transform_columns(m.theta, m.phi, mu, r, z, sig, m.operator)
+        point = geometry.point_terms_columns(z, m.sig)
+        z = np.concatenate(point[0][:2])
+    mu = np.zeros_like(m.mu) if point is None else m.mu
+    x, ops = operators.transform_columns(m.theta, m.phi, mu, r, z, m.sig, m.operator)
     if m.geometry == "ultra":
-        x = geometry.terms_columns(x, sig)
-    b_h = m.biases[h, 0]
-    return (x, b_h, ops, point) if keep else (x, b_h)
+        x = geometry.terms_columns(x, m.sig)
+    return (x, m.biases[h, 0]), (ops, point)
 
 
 def columns(pair: tuple, cols) -> tuple:
@@ -296,22 +294,19 @@ def columns(pair: tuple, cols) -> tuple:
     return (tuple(a[..., cols] for a in x) if isinstance(x, tuple) else x[..., cols]), b[cols]
 
 
-def meet_tails(m: Model, x, b_h, side, b_t, keep: bool = False):
-    """Scores ``s = -d^2 + b_h + b_t + delta`` of the moved heads ``x, b_h``
-    (:func:`move_heads`) against the tails ``side, b_t`` of
-    :func:`candidate_tails` with the same ``keep``: one column per pair, or
-    one head column that meets every tail, by
-    :func:`geometry.manhattan_legs_columns` or the Euclidean distance.  With
-    ``keep`` it returns ``(s, d, saved)``, ``saved`` the legs'
-    intermediates or the euclidean difference."""
+def meet_tails(m: Model, x, b_h, side, b_t):
+    """``(s, (d, saved))``: the scores ``s = -d^2 + b_h + b_t + delta`` of
+    the moved heads ``x, b_h`` (:func:`move_heads`) against the tails
+    ``side, b_t`` of :func:`candidate_tails`, one column per pair, or one
+    head column that meets every tail, by
+    :func:`geometry.manhattan_legs_columns` or the Euclidean distance ``d``;
+    ``saved`` is the legs' intermediates or the euclidean difference."""
     if m.geometry == "ultra":
-        side = side[0] if keep else side
-        dist, saved = geometry.manhattan_legs_columns(x, side, m.sig, keep=True)
+        dist, saved = geometry.manhattan_legs_columns(x, side, m.sig)
     else:
         saved = x - side
         dist = np.sqrt(geometry.dot_columns(saved, saved))
-    s = -dist * dist + b_h + b_t + m.delta
-    return (s, dist, saved) if keep else s
+    return -dist * dist + b_h + b_t + m.delta, (dist, saved)
 
 
 def approx_scores(m: Model, x, b_h, side, b_t) -> tuple:
@@ -347,17 +342,18 @@ def approx_scores(m: Model, x, b_h, side, b_t) -> tuple:
 
 def score_candidates(m: Model, h: int, r: int, *, tails=None, _head=None) -> np.ndarray:
     """:func:`meet_tails` of (h, r, e) for every tail ``e`` of ``tails``
-    (:func:`candidate_tails`, default: all entities): the head is one
-    ``(d, 1)`` column of :func:`move_heads`, or ``_head`` if moved already."""
+    (the value of :func:`candidate_tails`, default: all entities): the head
+    is one ``(d, 1)`` column of :func:`move_heads`' value, or ``_head`` if
+    moved already."""
     check_ids(h, m.n_entities, "entity")
     check_ids(r, m.n_relations, "relation")
-    head = move_heads(m, [h], [r]) if _head is None else _head
-    return meet_tails(m, *head, *(candidate_tails(m) if tails is None else tails))
+    head = move_heads(m, [h], [r])[0] if _head is None else _head
+    return meet_tails(m, *head, *(candidate_tails(m)[0] if tails is None else tails))[0]
 
 
 def score(m: Model, h: int, r: int, t: int) -> float:
     """Score of one triple (see module docstring for the formula)."""
-    return float(score_candidates(m, h, r, tails=candidate_tails(m, [t]))[0])
+    return float(score_candidates(m, h, r, tails=candidate_tails(m, [t])[0])[0])
 
 
 # --- checkpoints -----------------------------------------------------------------

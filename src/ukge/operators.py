@@ -17,17 +17,16 @@ both stages.
 
 Dense d x d realisations are only materialised for verification
 (:func:`as_dense`, :func:`j_orth_defect`); the apply path touches O(d)
-elements per point, which :func:`count_operations` can measure.  Every
-score (:func:`ukge.model.move_heads`) runs the same stages on
-coordinate-major points, one row per coordinate, through
-:func:`transform_columns`, which keeps their intermediates and counts the
-elements the row form counts; training gets their gradients from
-:func:`transform_columns_vjp`.
+elements per point, which :func:`count_operations` blocks, nested or not,
+measure.  Every score (:func:`ukge.model.move_heads`) runs the same
+stages on coordinate-major points, one row per coordinate, through
+:func:`transform_columns`, which returns their intermediates with its
+value and counts the elements the row form counts; training gets their
+gradients from :func:`transform_columns_vjp`.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -49,7 +48,8 @@ OPERATOR_MODES = {
 
 # --- element-operation accounting -------------------------------------------
 
-_counting = threading.local()
+#: the counters of the open :func:`count_operations` blocks, outermost first
+_counters: list = []
 
 
 class OperationCounter:
@@ -61,18 +61,19 @@ class OperationCounter:
 
 @contextmanager
 def count_operations():
-    """Context manager measuring elements touched by apply-path calls."""
+    """Context manager measuring elements touched by apply-path calls.
+    Blocks nest: every open block counts, and its counter keeps its tally
+    after it closes."""
     counter = OperationCounter()
-    _counting.counter = counter
+    _counters.append(counter)
     try:
         yield counter
     finally:
-        _counting.counter = None
+        _counters.remove(counter)
 
 
 def _count(n: int) -> None:
-    counter = getattr(_counting, "counter", None)
-    if counter is not None:
+    for counter in _counters:
         counter.elements += int(n)
 
 

@@ -147,17 +147,18 @@ def _loss_sum(m: Model, params: dict, pos: np.ndarray, neg: np.ndarray):
     The scores are :func:`model.meet_tails` of the triples' heads and
     relations, moved by :func:`model.move_heads`, against their tails,
     built by :func:`model.candidate_tails`; this adds the sigmoid, the
-    clamp and the log loss.  ``params`` is :func:`parameters` of ``m``,
-    whose arrays the forward reads from ``m``.
+    clamp and the log loss.  The intermediates start with ``p`` and hold
+    the tails' phi ones as ``tail_phi`` (None for euclidean).  ``params`` is
+    :func:`parameters` of ``m``, whose arrays the forward reads from ``m``.
     """
     n_pos = pos.shape[0]
     stacked = np.concatenate([pos, neg.reshape(-1, 3)], axis=0)
-    tails = candidate_tails(m, stacked[:, 2], keep=True)
-    x, b_h, ops, point = move_heads(m, stacked[:, 0], stacked[:, 1], keep=True)
-    scores, dist, met = meet_tails(m, x, b_h, *tails, keep=True)
+    (side, b_t), tail_phi = candidate_tails(m, stacked[:, 2])
+    (x, b_h), (ops, point) = move_heads(m, stacked[:, 0], stacked[:, 1])
+    scores, (dist, met) = meet_tails(m, x, b_h, side, b_t)
     prob = _sigmoid(scores)
     p = np.clip(prob, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return _log_loss(p, n_pos), (p, n_pos, prob, dist, ops, point, tails[0], x, met)
+    return _log_loss(p, n_pos), (p, n_pos, prob, dist, ops, point, side, tail_phi, x, met)
 
 
 def _log_loss(p: np.ndarray, n_pos: int):
@@ -168,10 +169,10 @@ def _log_loss(p: np.ndarray, n_pos: int):
 
 def _row_grads(m: Model, saved):
     """Per-triple gradients of :func:`_loss_sum`'s total, from its
-    intermediates ``saved``: ``(g_score, g_head, g_tail, g_theta, g_phi,
-    g_mu)``, one column per scored triple in the order :func:`_loss_sum`
-    stacks them and one row per coordinate (``g_mu`` is None where the
-    boosts are pinned).
+    intermediates ``saved``, one tuple for either geometry: ``(g_score,
+    g_head, g_tail, g_theta, g_phi, g_mu)``, one column per scored triple in
+    the order :func:`_loss_sum` stacks them and one row per coordinate
+    (``g_mu`` is None where the boosts are pinned).
 
     The VJPs run in reverse: probability clamp and sigmoid, score, distance,
     the operator's U, H and V stages, then ``phi``.  Each replays, in order,
@@ -180,7 +181,7 @@ def _row_grads(m: Model, saved):
     the tape's bit for bit.  Clamped values pass zero gradient.
     """
     sig = m.sig
-    p, n_pos, prob, dist, ops, point, side, tx, met = saved
+    p, n_pos, prob, dist, ops, point, ty, tail_phi, tx, met = saved
     # d total / d p: -1/p for positives, 1/(1 - p) for negatives
     g_p = np.concatenate([-(1.0 / p[:n_pos]), 1.0 / (1.0 - p[n_pos:])])
     inside = (prob > PROB_CLAMP) & (prob < 1.0 - PROB_CLAMP)
@@ -190,11 +191,10 @@ def _row_grads(m: Model, saved):
     g_dist = g_score * -dist
     g_dist = g_dist + g_dist
     if m.geometry == "ultra":
-        ty, phi_t = side
         g_tx, g_ty = geometry.manhattan_legs_columns_vjp(tx, ty, met, g_dist, sig)
         g_moved = geometry.point_terms_columns_vjp(tx, g_tx, sig)
         g_tail = geometry.phi_columns_vjp(
-            ty, phi_t, geometry.point_terms_columns_vjp(ty, g_ty, sig), sig
+            ty, tail_phi, geometry.point_terms_columns_vjp(ty, g_ty, sig), sig
         )
     else:
         # d = norm(met): one term per factor of met * met

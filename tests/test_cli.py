@@ -718,17 +718,22 @@ class TestPredictFindsWholeNames:
 
 
 class TestOneParser:
-    def test_built_once(self):
+    def test_built_once(self, tmp_path, monkeypatch):
+        """The parser is built when ``cli`` is imported: ``main`` never
+        calls ``build_parser``."""
         from ukge import cli
 
-        assert cli._parser() is cli._parser()
+        def fail():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", fail)
+        assert main(["synth", "--out", str(tmp_path)]) == 0
 
     def test_command_looked_up_when_called(self, tmp_path, monkeypatch):
         """A wrapper set on the module after the parser is built is the one
         called, as a tracer that patches ``cli.cmd_synth`` needs."""
         from ukge import cli
 
-        cli._parser()
         calls = []
         monkeypatch.setattr(cli, "cmd_synth", lambda args: calls.append(args.out) or 7)
         assert main(["synth", "--out", str(tmp_path)]) == 7

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ukge.errors import ConfigurationError, DimensionError, EmptySplitError, IdLookupError
+from ukge.errors import PreconditionError
 from ukge.evaluation import (
     EvalReport,
     aggregate_ranks,
@@ -173,6 +174,23 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(EmptySplitError):
             aggregate_ranks([], [])
+
+    @pytest.mark.parametrize("ranks, relations", [
+        ([1, 2, 3], [0, 1]), ([1, 2], [0, 1, 2]), ([[1, 2]], [[0, 0]]), (1, 0), ([1, 2], [[0, 0]]),
+    ])
+    def test_unpaired_shapes_rejected(self, ranks, relations):
+        """``[1, 2, 3]`` with ``[0, 1]`` used to raise a bare IndexError."""
+        with pytest.raises(DimensionError, match="one length"):
+            aggregate_ranks(ranks, relations)
+
+    @pytest.mark.parametrize("ranks", [[0], [1, -2], [1.7, 2.2], [1.0, np.nan], [np.inf]])
+    def test_ranks_that_are_not_ranks_rejected(self, ranks):
+        """A rank of 0 used to give MRR inf, and 1.7 was truncated to 1."""
+        with pytest.raises(PreconditionError, match="whole numbers"):
+            aggregate_ranks(ranks, [0] * len(ranks))
+
+    def test_whole_float_ranks_accepted(self):
+        assert aggregate_ranks([1.0, 2.0, 4.0], [0, 0, 1]) == aggregate_ranks([1, 2, 4], [0, 0, 1])
 
 
 class TestEvaluate:
@@ -595,13 +613,13 @@ class TestEvaluateMatchesPairPath:
             for h, r in [(0, 0), (3, 2), (2, 1), (4, 0)]:
                 rows = score_triples(m, np.full(cand.size, h), np.full(cand.size, r), cand)
                 np.testing.assert_array_equal(
-                    score_candidates(m, h, r, tails=candidate_tails(m, cand)), rows
+                    score_candidates(m, h, r, tails=candidate_tails(m, cand)[0]), rows
                 )
                 rows = score_triples(m, np.full(every.size, h), np.full(every.size, r), every)
                 np.testing.assert_array_equal(score_candidates(m, h, r), rows)
             if operator == "rot":  # the moved head 0 meets candidates 0 and 1
                 np.testing.assert_array_equal(
-                    score_candidates(m, 0, 0, tails=candidate_tails(m, [0, 1])),
+                    score_candidates(m, 0, 0, tails=candidate_tails(m, [0, 1])[0]),
                     m.biases[0, 0] + m.biases[[0, 1], 1] + m.delta,
                 )
 
@@ -627,8 +645,8 @@ class TestApproxScores:
         m.entities[4, sig.p :] *= -1.0  # time antiparallel: cosine -1
         m.entities[5, :2] += 1.0  # another space part, the same time: cosine 1
         queries = [(0, 0), (0, 1), (7, 1), (4, 0)]
-        heads = move_heads(m, *np.transpose(queries))
-        approx, margin = approx_scores(m, *heads, *candidate_tails(m))
+        heads = move_heads(m, *np.transpose(queries))[0]
+        approx, margin = approx_scores(m, *heads, *candidate_tails(m)[0])
         for row, margin_row, (h, r) in zip(approx, margin, queries):
             exact = score_candidates(m, h, r)
             covered = ~np.isnan(row)
@@ -642,7 +660,7 @@ class TestApproxScores:
     def test_non_finite_tails_make_the_margin_non_finite(self):
         m = init(Signature(6, 2), 8, 1, seed=1)
         m.entities[5] = np.nan
-        _, margin = approx_scores(m, *move_heads(m, [0], [0]), *candidate_tails(m))
+        _, margin = approx_scores(m, *move_heads(m, [0], [0])[0], *candidate_tails(m)[0])
         assert np.isnan(margin[0])
 
 
@@ -711,7 +729,7 @@ class TestFilteredRanksMatchExactScores:
                 m.biases[j, 1] = np.nextafter(m.biases[j, 1], -np.inf if gap > 0 else np.inf)
         exact = score_candidates(m, 5, 0)
         tied = tied[exact[tied] == exact[gold]]
-        approx, _ = approx_scores(m, *move_heads(m, [5], [0]), *candidate_tails(m))
+        approx, _ = approx_scores(m, *move_heads(m, [5], [0])[0], *candidate_tails(m)[0])
         assert tied.size > 30
         assert np.any(approx[0, tied] < approx[0, gold])  # these would be lost
         store = ids_store(60, 1, train=[], test=[(5, 0, gold)])

@@ -149,7 +149,7 @@ class TestDiffeomorphism:
         z = np.concatenate([rng.normal(size=time.shape), time], axis=1)
 
         def bumped(z):
-            time = point_terms_columns(z.T.copy(), S22, keep=True)[1][0]
+            time = point_terms_columns(z.T.copy(), S22)[1][0]
             return np.any(time != z[:, 2:].T, axis=0)
 
         would_bump = bumped(z)
@@ -169,7 +169,7 @@ class TestDiffeomorphism:
         apply_time_guard(guarded, S22)
         assert np.linalg.norm(guarded[0, 2:]) >= EPS_TIME
         assert np.signbit(guarded[0, 2]) == (t0 < 0.0)
-        tn = point_terms_columns(z.T.copy(), S22, keep=True)[1][1]
+        tn = point_terms_columns(z.T.copy(), S22)[1][1]
         assert tn[0] >= EPS_TIME
         np.testing.assert_array_equal(phi(guarded, S22), phi(z, S22))
 
@@ -515,7 +515,7 @@ class TestCoordinateMajor:
             x = phi(rows, sig)
             expected = terms_columns(x.T.copy(), sig)
             self.check_row_terms(expected, x, sig)
-            got = point_terms_columns(rows.T.copy(), sig)
+            got = point_terms_columns(rows.T.copy(), sig)[0]
             for e, g in zip(expected, got):
                 assert_same_bits(g, e)
         for x in phi(z, sig)[:, None]:
@@ -529,8 +529,8 @@ class TestCoordinateMajor:
         z = rng.normal(0.0, 2.0, (50, sig.d))
         z[10, sig.p + sig.q - 1] = -0.0
         x = phi(z[[10]], sig)
-        cols = point_terms_columns(z.T.copy(), sig)
-        got = manhattan_legs_columns(terms_columns(x.T, sig), cols, sig)
+        cols = point_terms_columns(z.T.copy(), sig)[0]
+        got = manhattan_legs_columns(terms_columns(x.T, sig), cols, sig)[0]
         assert_same_bits(got, dist_manhattan(x, phi(z, sig), sig))
         assert got[10] == 0.0 and np.count_nonzero(got == 0.0) == 1
 

@@ -342,6 +342,18 @@ class TestKrackhardt:
         with pytest.raises(IdLookupError):
             krackhardt_score(store, 5)
 
+    @pytest.mark.parametrize("relation", [1.5, 0.0, np.float64(0.0), True, np.bool_(True), "0"])
+    def test_relation_id_not_an_integer(self, relation):
+        """``1.5`` used to raise a bare TypeError, and ``True`` and
+        ``np.float64(0.0)`` passed as relations 1 and 0."""
+        with pytest.raises(IdLookupError, match="must be integers"):
+            krackhardt_score(make_synthetic(), relation)
+
+    def test_integer_types_accepted(self):
+        store = make_synthetic()
+        for relation in (np.int64(1), np.uint8(1), np.int32(1)):
+            assert krackhardt_score(store, relation) == krackhardt_score(store, 1)
+
     def test_counts_all_splits(self):
         store = store_from(
             [("a", "r0", "b"), ("b", "r1", "c")],

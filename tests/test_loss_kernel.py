@@ -113,9 +113,7 @@ def leg_terms(m, triples):
     )
     tx = geometry.terms_columns(moved.T.copy(), m.sig)
     ty = geometry.terms_columns(geometry.phi(m.entities[t], m.sig).T.copy(), m.sig)
-    _, (_, _, cos, angle, arg_xy, arg_yx, _, same) = geometry.manhattan_legs_columns(
-        tx, ty, m.sig, keep=True
-    )
+    _, (_, _, cos, angle, arg_xy, arg_yx, _, same) = geometry.manhattan_legs_columns(tx, ty, m.sig)
     alpha = m.sig.alpha
     leg_xy = tx[2] * angle + alpha * np.arccosh(np.clip(arg_xy, 1.0, None))
     leg_yx = ty[2] * angle + alpha * np.arccosh(np.clip(arg_yx, 1.0, None))

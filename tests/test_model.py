@@ -106,7 +106,7 @@ class TestScoring:
     def test_candidate_subset(self):
         m = init(S62, 7, 3, seed=5)
         full = score_candidates(m, 2, 1)
-        sub = score_candidates(m, 2, 1, tails=candidate_tails(m, [4, 0, 6]))
+        sub = score_candidates(m, 2, 1, tails=candidate_tails(m, [4, 0, 6])[0])
         assert_close(sub, full[[4, 0, 6]], rtol=0, atol=0)
 
     def test_id_range_checks(self):
@@ -137,7 +137,7 @@ class TestScoring:
         for ids in ((np.int32(0), np.uint8(0), np.int64(1)), (np.array(0), 0, np.array(1))):
             assert score(m, *ids) == expected
         np.testing.assert_array_equal(
-            candidate_tails(m, np.array([1], dtype=np.uint16))[1], candidate_tails(m, [1])[1]
+            candidate_tails(m, np.array([1], dtype=np.uint16))[0][1], candidate_tails(m, [1])[0][1]
         )
 
     def test_euclidean_distance_path(self):
@@ -180,22 +180,23 @@ class TestCandidateTails:
         expected = m.entities.T if cand is None else m.entities.T[:, cand]
         seen = []
 
-        def capture(z, sig, keep=False):
+        def capture(z, sig):
             seen.append(z.copy())
-            return point_terms_columns(z, sig, keep)
+            return point_terms_columns(z, sig)
 
         monkeypatch.setattr("ukge.geometry.point_terms_columns", capture)
-        side, b_t = candidate_tails(m, cand)
+        (side, b_t), saved = candidate_tails(m, cand)
         assert same_bits(b_t, m.biases[:, 1] if cand is None else m.biases[cand, 1])
         if geometry == "euclidean":
             assert seen == []
+            assert saved is None
             assert same_bits(side, expected)
         else:
             (raw,) = seen
             assert same_bits(raw, expected)
-            want = point_terms_columns(expected.copy(), S62)
+            want, want_saved = point_terms_columns(expected.copy(), S62)
             assert len(side) == len(want)
-            for got, term in zip(side, want):
+            for got, term in zip(side + saved, want + want_saved):
                 assert same_bits(got, term)
 
 

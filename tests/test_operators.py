@@ -455,6 +455,18 @@ class TestOperationCounting:
         relation_apply(r, np.zeros(4), S22)  # not recorded
         assert c.elements == seen
 
+    def test_nested_blocks_all_count(self, rng):
+        """Every open block counts, and closing an inner block leaves the
+        outer one counting (it used to stop it)."""
+        r = RelationParams.random(S22, rng)
+        with count_operations() as outer:
+            with count_operations() as inner:
+                relation_apply(r, np.zeros(4), S22)
+            once = inner.elements
+            relation_apply(r, np.zeros(4), S22)
+        assert once > 0 and inner.elements == once
+        assert outer.elements == 2 * once
+
     def test_batch_scales_with_rows(self, rng):
         r = RelationParams.random(S22, rng)
         with count_operations() as c1:
