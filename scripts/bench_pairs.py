@@ -1,14 +1,18 @@
 """Alternating A/B runs of one benchmark workload between two checkouts.
 
     python scripts/bench_pairs.py PARENT CHANGE --workload query-22k \
-        --pairs 10 --first-seed 6001 [--scale full] [--seconds 25] [--json PATH]
+        --pairs 10 --first-seed 6001 [--scale full] [--seconds 25] [--json PATH] \
+        [--no-compile]
 
 ``PARENT`` and ``CHANGE`` are checkout directories.  Every run starts from
 a fresh copy of its side's ``src/``, ``perfbench/`` (without its results),
 ``BENCHMARK.json`` and ``pyproject.toml``, byte-compiled with
 ``python -m compileall -q src perfbench`` before ``perfbench/run.py`` runs
-in it.  Pair ``i`` runs both sides with seed ``FIRST_SEED + i``, the
-parent first when ``i`` is even and the change first when it is odd.
+in it.  With ``--no-compile`` that step is skipped and ``run.py`` runs with
+``PYTHONDONTWRITEBYTECODE=1``, so every module is compiled at import, as in
+a checkout no earlier run has left caches in.  Pair ``i`` runs both sides
+with seed ``FIRST_SEED + i``, the parent first when ``i`` is even and the
+change first when it is odd.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles, host-scaled and wall clock, and how many pairs the
@@ -25,8 +29,9 @@ Then it prints ``correct`` and ``failed`` of every run, and each side's
 source size, the lines of ``src/ukge/*.py`` (as ``cat src/ukge/*.py | wc
 -l`` counts them), with the change's net line delta.  With ``--json PATH``
 the runs, the summary and each side's ``src_lines`` are also written to
-``PATH``.  The exit status is 1 when any run failed or reported
-``correct: false``.  Standard library only.
+``PATH``, with ``byte_compiled`` telling which of the two modes ran.  The
+exit status is 1 when any run failed or reported ``correct: false``.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -47,16 +53,18 @@ SKIPPED = ("__pycache__", "results", ".work")  # caches and earlier runs' output
 MIN_PAIRS = 10  # the fewest pairs a gain may be claimed on
 
 
-def fresh_copy(side: Path, dest: Path) -> None:
-    """Copy the benchmarked files of ``side`` to ``dest`` and byte-compile."""
+def fresh_copy(side: Path, dest: Path, byte_compile: bool) -> None:
+    """Copy the benchmarked files of ``side`` to ``dest``, and byte-compile
+    them if ``byte_compile``."""
     dest.mkdir()
     for name in COPIED:
         if (side / name).is_dir():
             shutil.copytree(side / name, dest / name, ignore=shutil.ignore_patterns(*SKIPPED))
         else:
             shutil.copy2(side / name, dest / name)
-    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
-                   cwd=dest, check=True, stdout=subprocess.DEVNULL)
+    if byte_compile:
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                       cwd=dest, check=True, stdout=subprocess.DEVNULL)
 
 
 def tree_digest(side: Path) -> str:
@@ -101,11 +109,12 @@ def wall_clock(stdout: str, names) -> dict[str, float]:
 
 
 def run_once(side: Path, workdir: Path, args, seed: int, names) -> dict:
-    fresh_copy(side, workdir)
+    fresh_copy(side, workdir, not args.no_compile)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1") if args.no_compile else None
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
          "--seconds", str(args.seconds), "--scale", args.scale],
-        cwd=workdir, capture_output=True, text=True,
+        cwd=workdir, capture_output=True, text=True, env=env,
     )
     shutil.rmtree(workdir, ignore_errors=True)
     try:
@@ -176,6 +185,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=None,
                         help="seconds per run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--json", type=Path)
+    parser.add_argument("--no-compile", action="store_true",
+                        help="skip compileall and write no bytecode: compile at import")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, path in sides.items():
@@ -204,7 +215,8 @@ def main(argv=None) -> int:
                       f"failed {run['failed']}", flush=True)
 
     summary = summarise(runs, metrics)
-    print(f"\n{args.workload}, {args.pairs} pairs, byte-compiled; median [q1, q3]")
+    mode = "compiled at import" if args.no_compile else "byte-compiled"
+    print(f"\n{args.workload}, {args.pairs} pairs, {mode}; median [q1, q3]")
     for key, row in summary.items():
         cells = "  ".join(
             f"{side} {row[side]['median']:.6g} [{row[side]['q1']:.6g}, {row[side]['q3']:.6g}]"
@@ -228,7 +240,7 @@ def main(argv=None) -> int:
             "pairs": args.pairs,
             "seeds": [args.first_seed + i for i in range(args.pairs)],
             "first_in_pair": first,
-            "byte_compiled": True,
+            "byte_compiled": not args.no_compile,
             "sides": {side: {"path": str(path), "git_sha": git_sha(path),
                              "tree_sha256": tree_digest(path), "src_lines": lines[side]}
                       for side, path in sides.items()},

@@ -112,7 +112,9 @@ def aggregate_ranks(ranks, relations) -> EvalReport:
     """Fold per-triple ranks into global and per-relation MRR and Hits@K for
     each K of :data:`HITS_KS`.  Ranks and relations that are not two 1-d
     arrays of one length raise :class:`DimensionError`, and a rank that is
-    not a whole number of at least 1 raises :class:`PreconditionError`."""
+    not a whole number of at least 1 raises :class:`PreconditionError`, a
+    relation id that is negative or not an integer (``bool`` is not)
+    :class:`IdLookupError`."""
     ranks, relations = np.asarray(ranks), np.asarray(relations)
     if ranks.ndim != 1 or relations.shape != ranks.shape:
         raise DimensionError(f"aggregate_ranks: ranks of shape {ranks.shape} and relations "
@@ -121,6 +123,7 @@ def aggregate_ranks(ranks, relations) -> EvalReport:
         raise EmptySplitError("aggregate_ranks: no ranks to aggregate")
     if not np.all(np.isfinite(ranks) & (ranks >= 1) & (np.floor(ranks) == ranks)):
         raise PreconditionError("aggregate_ranks: ranks must be whole numbers of at least 1")
+    check_ids(relations, np.iinfo(np.int64).max, "relation")
     ranks, relations = ranks.astype(np.int64), relations.astype(np.int64)
     rr = 1.0 / ranks
     per_relation: dict[int, RelationMetrics] = {}

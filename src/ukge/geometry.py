@@ -489,14 +489,16 @@ def _legs_forward(dot, s, rx, nx, ry, ny, same, sig: Signature):
 
 def legs_margin(rx, nx, ry, ny, sig: Signature):
     """``(e, dd)``: fed dot products summed in any two orders, two
-    :func:`_legs_forward` distances of a head (``rx``, ``nx``) and a tail (at
-    most ``ry``, ``ny``) that do not coincide differ in ``d*d`` by at most
-    ``e``, and ``d*d <= dd``.  Take ``u = 2**-53``, ``g(k) = k u / (1 - k
-    u)``, ``HR = max(rx, nx) max(ry, ny)``, ``A = 2 HR / alpha^2`` and ``T =
-    max(rx, ry)``.  A k-term dot product lies within ``g(k) |x| |y|`` of the
-    true one in any order (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, §3.1) and ``|x_s| <= r``, so the rounded cosines
-    differ by ``c = 2 g(q) + 3u``.  ``arccos`` is ½-Hölder at ±1 and
+    :func:`_legs_forward` distances of a head (``rx``, ``nx``) and a tail of
+    ``ry``, ``ny`` (the candidate tails' arrays, or one tail's values) that
+    do not coincide differ in ``d*d`` by at most ``e``, and so does the one
+    leg of :func:`ukge.model.approx_scores` from either; ``d*d <= dd``.
+    Take ``u = 2**-53``, ``g(k) = k u / (1 - k u)``, ``HR = max(rx, nx)
+    max(ry, ny)``, ``A = 2 HR / alpha^2`` and ``T = max(rx, ry)``, the tails'
+    largest values throughout.  A k-term dot product lies within ``g(k) |x|
+    |y|`` of the true one in any order (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, §3.1) and ``|x_s| <= r``, so the rounded
+    cosines differ by ``c = 2 g(q) + 3u``.  ``arccos`` is ½-Hölder at ±1 and
     Lipschitz inside, ``|arccos a - arccos b| <= arccos(1 - c) <= pi sqrt(c
     / 2)``: with 4 ulps a path the angles differ by ``e_a = pi (sqrt(c / 2)
     + 8u)``.  The ``arccosh`` arguments lie in ``[-A, A]`` and, rounded twice
@@ -504,17 +506,33 @@ def legs_margin(rx, nx, ry, ny, sig: Signature):
     sqrt(2 a)``, so the hyperbolic parts differ by ``e_h = alpha (sqrt(2 a)
     + 8u arccosh(A))``.  Legs are at most ``L = T pi + alpha arccosh(A)`` and
     round thrice a path: legs and their minima differ by ``e_d = T e_a + e_h
-    + 7u L``, ``d*d`` by ``(2 L + e_d) e_d + 2u L^2``.  ``e`` doubles that for
-    the norms' rounding and this arithmetic's; ``dd = L^2``; clamps are
-    1-Lipschitz."""
+    + 7u L``.
+
+    The one leg ``min(rx, ry) angle + alpha arccosh(clip(A_xy, 1))`` lies
+    within ``alpha |arccosh(clip(A_xy, 1)) - arccosh(clip(A_yx, 1))|`` of
+    ``min(leg_xy, leg_yx)`` from the same dot products: it is ``leg_xy``
+    where ``rx <= ry``, and ``leg_yx`` with the other hyperbolic part
+    otherwise.  The true arguments differ by ``(rx ny - ry nx) / alpha^2 =
+    (rx (ny - ry) + ry (rx - nx)) / alpha^2``, at most ``a_s = (rx max|ny -
+    ry| + max(ry) |rx - nx|) / alpha^2 + 10u HR / alpha^2`` once each is
+    rounded thrice, so by the same Hölder bound, with 4 ulps an ``arccosh``
+    and 2 a leg, it moves by ``e_s = alpha (sqrt(2 a_s) + 8u arccosh(A)) +
+    4u L``.  Points on the manifold have ``n = r`` up to rounding, so ``a_s``
+    is of the order of ``u A``.  ``d*d`` differs by ``(2 L + e) e + 2u L^2``
+    with ``e = e_d + e_s``; ``e`` doubles that for the norms' rounding and
+    this arithmetic's; ``dd = L^2``; clamps are 1-Lipschitz."""
     u, a2 = 2.0**-53, sig.alpha * sig.alpha
     g_p, g_q = (k * u / (1.0 - k * u) for k in (sig.p, sig.q))
+    skew = np.max(np.abs(ny - ry))
+    ry, ny = np.max(ry), np.max(ny)
     hr, top = np.maximum(rx, nx) * np.maximum(ry, ny) / a2, np.maximum(rx, ry)
     wide = np.arccosh(np.maximum(2.0 * hr, 1.0))
     e_a = np.pi * (np.sqrt(g_q + 1.5 * u) + 8.0 * u)
     e_h = sig.alpha * (np.sqrt(2.0 * (2.0 * g_p + 9.0 * u) * hr) + 8.0 * u * wide)
     legs = top * np.pi + sig.alpha * wide
-    e_d = top * e_a + e_h + 7.0 * u * legs
+    a_s = (rx * skew + ry * np.abs(rx - nx)) / a2 + 10.0 * u * hr
+    e_s = sig.alpha * (np.sqrt(2.0 * a_s) + 8.0 * u * wide) + 4.0 * u * legs
+    e_d = top * e_a + e_h + 7.0 * u * legs + e_s
     return 2.0 * ((2.0 * legs + e_d) * e_d + 2.0 * u * legs * legs), legs * legs
 
 

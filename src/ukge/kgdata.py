@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     EmptySplitError,
+    IdLookupError,
     NameLookupError,
     ParseError,
     PreconditionError,
@@ -494,6 +495,8 @@ def krackhardt_score(store: TripleStore, relation: int) -> float:
     number of reachable pairs.  Both counts are exact integers, so the score
     is the same float a BFS from every node gives.
     """
+    if np.ndim(relation) != 0:
+        raise IdLookupError(f"relation must be one id, got shape {np.shape(relation)}")
     check_ids(relation, store.n_relations, "relation")
     triples = store.all_triples()
     edges = triples[triples[:, 1] == relation]

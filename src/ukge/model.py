@@ -17,9 +17,13 @@ gradients read, and callers after values alone take ``[0]``.  Training
 runs both on blocks of triples, evaluation on the tails whose order
 against the gold :func:`approx_scores`, from matrix products and within a
 proven margin, cannot tell, so a triple gets the same bits wherever it is
-scored.  The ``geometry="euclidean"`` variant is a baseline at identical
-parameter count: the same Givens stages act on the raw parameter vectors,
-boosts are pinned to zero, and the distance is plain Euclidean.
+scored.  Heads and tails lie on the manifold, where a point's time norm
+equals its radius up to rounding, so :func:`approx_scores` takes one leg
+of the two, one ``arccosh`` a tail, and its margin also covers how far
+that leg lies from the shorter.  The ``geometry="euclidean"`` variant is a
+baseline at identical parameter count: the same Givens stages act on the
+raw parameter vectors, boosts are pinned to zero, and the distance is
+plain Euclidean.
 
 Checkpoints are a small binary format: magic ``UKGE``, a little-endian u32
 format version, a u32 header length, a canonical JSON header, then raw
@@ -312,18 +316,26 @@ def meet_tails(m: Model, x, b_h, side, b_t):
 def approx_scores(m: Model, x, b_h, side, b_t) -> tuple:
     """``(s, margin)``: :func:`meet_tails` of a few moved heads against the
     tails, from matrix products, a row per head, and per head a margin that
-    bounds ``|s - exact|`` on its row: :func:`geometry.legs_margin` for ultra;
-    for euclidean's ``|x|^2 + |y|^2 - 2 <x, y>``, within ``(g(d) + 3u) (|x| +
-    |y|)^2`` of ``|x - y|^2`` as the exact path is within ``g(d) + 8u``
-    (that function's notation), doubled; and ``8u (d*d + |b_h| + |b_t| +
-    |delta|)`` for three additions a path and the window of
-    :func:`ukge.evaluation.filtered_rank`.  A score the margin does not
-    cover is NaN: non-finite, or its tail shares the head's first coordinate."""
+    bounds ``|s - exact|`` on its row.
+
+    Ultra takes one leg, ``min(rx, ry) angle + alpha arccosh(clip(A_xy,
+    1))``, with the angle's cosine ``dot / (nx ny)`` and ``A_xy = (rx ny -
+    s) / alpha^2`` rounded as in :func:`geometry._legs_forward`, each row
+    written in place through two work buffers of one query's size; its
+    margin is :func:`geometry.legs_margin`'s, which also bounds how far that
+    leg lies from the shorter of the two.  Euclidean takes ``|x|^2 + |y|^2 -
+    2 <x, y>``, within ``(g(d) + 3u) (|x| + |y|)^2`` of ``|x - y|^2`` as
+    the exact path is within ``g(d) + 8u`` (that function's notation),
+    doubled.  Both add ``8u (d*d + |b_h| + |b_t| + |delta|)`` for three
+    additions a path and the window of :func:`ukge.evaluation.filtered_rank`.
+    A score the margin does not cover is NaN: non-finite, or its tail shares
+    the head's first coordinate."""
     u, ultra = 2.0**-53, m.geometry == "ultra"
     if ultra:
         (xs, xt, rx, nx), (ys, yt, ry, ny) = x, side
         dots = xt.T @ yt
-        err, bound = geometry.legs_margin(rx, nx, np.max(ry), np.max(ny), m.sig)
+        err, bound = geometry.legs_margin(rx, nx, ry, ny, m.sig)
+        leg, hyp = np.empty(ry.shape), np.empty(ry.shape)
     else:
         xs, ys = x, side
         xx, yy = (np.einsum("ij,ij->j", a, a) for a in (x, side))
@@ -332,10 +344,21 @@ def approx_scores(m: Model, x, b_h, side, b_t) -> tuple:
     s = xs.T @ ys
     for i in range(b_h.size):  # a row at a time: temporaries of one query's size
         if ultra:
-            dd = geometry._legs_forward(dots[i], s[i], rx[i], nx[i], ry, ny, False, m.sig)[0] ** 2
+            np.multiply(ny, nx[i], out=leg)
+            np.divide(dots[i], leg, out=leg)
+            np.clip(leg, -1.0, 1.0, out=leg)
+            np.arccos(leg, out=leg)
+            leg *= np.minimum(ry, rx[i], out=hyp)
+            np.multiply(ny, rx[i], out=hyp)
+            hyp -= s[i]
+            hyp /= m.sig.alpha * m.sig.alpha
+            np.arccosh(np.maximum(hyp, 1.0, out=hyp), out=hyp)
+            hyp *= m.sig.alpha
+            leg += hyp
+            np.multiply(leg, leg, out=leg)
+            np.subtract(np.add(b_t, b_h[i] + m.delta, out=hyp), leg, out=s[i])
         else:
-            dd = xx[i] + yy - 2.0 * s[i]
-        s[i] = b_h[i] + m.delta + b_t - dd
+            s[i] = b_h[i] + m.delta + b_t - (xx[i] + yy - 2.0 * s[i])
     s[np.isinf(s) | (xs[0][:, None] == ys[0])] = np.nan  # NaN stays NaN
     return s, err + 8.0 * u * (bound + np.abs(b_h) + np.max(np.abs(b_t)) + abs(m.delta))
 

@@ -32,6 +32,7 @@ def test_one_toy_pair_with_the_checkout_on_both_sides(tmp_path):
     assert proc.returncode == 0, proc.stderr + proc.stdout
     record = json.loads(out.read_text())
     assert record["seeds"] == [3]
+    assert record["byte_compiled"] is True
     assert record["first_in_pair"] == ["parent"]
     assert record["sides"]["parent"]["tree_sha256"] == record["sides"]["change"]["tree_sha256"]
     lines = int(subprocess.run("cat src/ukge/*.py | wc -l", shell=True, cwd=ROOT,
@@ -50,6 +51,24 @@ def test_one_toy_pair_with_the_checkout_on_both_sides(tmp_path):
         assert row["gain_rule_met"] is False  # one pair is no claim
         assert row["worse_than_bound"] in (True, False)
     assert "parent correct: [True] failed: [0]" in proc.stdout
+
+
+def test_one_toy_pair_compiled_at_import(tmp_path):
+    out = tmp_path / "pairs.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(ROOT), str(ROOT),
+         "--workload", "query-22k", "--pairs", "1", "--first-seed", "4",
+         "--scale", "toy", "--seconds", "1", "--json", str(out), "--no-compile"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    record = json.loads(out.read_text())
+    assert record["byte_compiled"] is False
+    assert "query-22k, 1 pairs, compiled at import" in proc.stdout
+    for side in ("parent", "change"):
+        (run,) = record["runs"][side]
+        assert run["correct"] is True and run["failed"] == 0
+        assert set(run["host_scaled"]) == {m["name"] for m in BENCH["end_to_end"]}
 
 
 def synthetic_runs(name, parent, change):

@@ -189,6 +189,14 @@ class TestAggregate:
         with pytest.raises(PreconditionError, match="whole numbers"):
             aggregate_ranks(ranks, [0] * len(ranks))
 
+    @pytest.mark.parametrize("relations", [[0.5, 1.7], [0.0, 1.0], [True, False], [-1, 0],
+                                           np.array([2**63 + 5, 1], dtype=np.uint64)])
+    def test_relations_that_are_not_ids_rejected(self, relations):
+        """``[0.5, 1.7]`` used to report relations 0 and 1, and ``[-1, 0]``
+        a relation -1."""
+        with pytest.raises(IdLookupError, match="relation id"):
+            aggregate_ranks([1, 2], relations)
+
     def test_whole_float_ranks_accepted(self):
         assert aggregate_ranks([1.0, 2.0, 4.0], [0, 0, 1]) == aggregate_ranks([1, 2, 4], [0, 0, 1])
 
@@ -656,6 +664,36 @@ class TestApproxScores:
         # 0, 1, 3 and 4, and the exact scores of 0 and 1 take the short circuit
         np.testing.assert_array_equal(np.flatnonzero(np.isnan(approx[0])), [0, 1, 3, 4])
         assert score(m, 0, 0, 1) == m.biases[0, 0] + m.biases[1, 1] + m.delta
+
+    @pytest.mark.parametrize("alpha, scale", [(1.0, 1.0), (2.5, 1e-2), (1.0, 0.1)])
+    def test_boosted_heads_and_tails_off_the_manifold(self, alpha, scale):
+        """Heads moved by a rotation alone and under boosts ``mu`` up to 6,
+        whose time norms ``nx`` part from their radii ``rx`` by rounding, and a
+        third of the tails with their time norm ``ny`` scaled by ``1 + 1e-6``,
+        off the manifold on purpose: there the one leg parts from the shorter
+        of the two by far more than the dot products' rounding moves them, and
+        the margin still covers it."""
+        sig = Signature(28, 4, alpha)
+        m = init(sig, 60, 3, seed=5, operator="rot", geometry="ultra")
+        rng = np.random.default_rng(6)
+        m.entities[:] = rng.normal(0.0, scale, m.entities.shape)
+        m.biases[:] = rng.normal(0.0, 1.0, m.biases.shape)
+        m.mu[:] = rng.uniform(-6.0, 6.0, m.mu.shape)
+        m.mu[0] = 0.0
+        m.mu[1] = [6.0, -6.0, 6.0, 0.0]
+        (ys, yt, ry, ny), b_t = candidate_tails(m)[0]
+        ny = ny.copy()
+        ny[::3] *= 1.0 + 1e-6
+        tails = ((ys, yt, ry, ny), b_t)
+        queries = [(h, r) for h in (0, 7, 19, 33) for r in range(3)]
+        heads = move_heads(m, *np.transpose(queries))[0]
+        assert np.any(heads[0][2] != heads[0][3])  # rx != nx
+        approx, margin = approx_scores(m, *heads, *tails)
+        for row, margin_row, (h, r) in zip(approx, margin, queries):
+            exact = score_candidates(m, h, r, tails=tails)
+            covered = ~np.isnan(row)
+            assert covered.sum() >= m.n_entities - 1  # at most the head itself
+            assert np.all(np.abs(row[covered] - exact[covered]) <= margin_row)
 
     def test_non_finite_tails_make_the_margin_non_finite(self):
         m = init(Signature(6, 2), 8, 1, seed=1)

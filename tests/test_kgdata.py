@@ -349,6 +349,13 @@ class TestKrackhardt:
         with pytest.raises(IdLookupError, match="must be integers"):
             krackhardt_score(make_synthetic(), relation)
 
+    @pytest.mark.parametrize("relation", [[1], [0, 1], np.array([[1]]), np.int64([1])])
+    def test_relation_that_is_not_one_id(self, relation):
+        """``[1]`` used to pass as relation 1, and ``[0, 1]`` raised a bare
+        numpy ValueError."""
+        with pytest.raises(IdLookupError, match="one id"):
+            krackhardt_score(make_synthetic(), relation)
+
     def test_integer_types_accepted(self):
         store = make_synthetic()
         for relation in (np.int64(1), np.uint8(1), np.int32(1)):
