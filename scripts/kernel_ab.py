@@ -32,8 +32,11 @@ minor page faults (``ru_minflt``) per call: a call that faults in fresh
 pages times the allocator as well as the code, so a call whose two sides'
 medians differ is marked (``faults_differ``), as its ratio says little
 about the code.  It also prints each side's tails scored exactly per
-``evaluate`` query (``scored_per_query``), counted by wrapping that tree's
-``evaluation.score_candidates`` as ``perfbench/tracing.py`` does.  It exits non-zero unless
+``evaluate`` query, counted by wrapping that tree's
+``evaluation.score_candidates`` as ``perfbench/tracing.py`` does: the
+median over the calls of each call's mean (``scored_per_query``), and the
+mean and the maximum over every query of every call
+(``scored_per_query_mean``, ``scored_per_query_max``).  It exits non-zero unless
 both trees return the same loss and gradients, ``EvalReport``s and scores,
 floats compared bit for bit.  One invocation is one process; a claim cites the
 ratio medians of at least three.
@@ -90,25 +93,26 @@ def timed(spent: dict, name: str, fn):
 def side_calls(package, inputs: dict):
     """The calls of :data:`CALLS` run by ``package`` on ``inputs``, a
     function that splits the last batch call's time into :data:`STAGES`, and
-    one that returns the tails the last ``evaluate`` call scored exactly."""
+    one that returns the tails the last ``evaluate`` call scored exactly,
+    query by query."""
     import workloads
 
     training = package.training
     spent = dict.fromkeys(WRAPPED, 0.0)
     for name in WRAPPED:
         setattr(training, name, timed(spent, name, getattr(training, name)))
-    evaluation, scored = package.evaluation, [0]
+    evaluation, scored = package.evaluation, []
     score_all = evaluation.score_candidates
 
     def counted(*args, **kwargs):
         scores = score_all(*args, **kwargs)
-        scored[0] += scores.size
+        scored.append(scores.size)
         return scores
 
     evaluation.score_candidates = counted
 
     def evaluate():
-        scored[0] = 0
+        scored.clear()
         return dataclasses.asdict(evaluation.evaluate(m, chunk))
     trained = package.model.load(inputs["train_ckpt"])
     pos, neg = inputs["batch"]
@@ -137,7 +141,7 @@ def side_calls(package, inputs: dict):
         "candidates": lambda: package.model.score_candidates(m, h, r),
         "score": lambda: package.model.score(m, h, r, t),
     }
-    return calls, stages, lambda: scored[0]
+    return calls, stages, lambda: list(scored)
 
 
 def same(a, b) -> bool:
@@ -189,7 +193,7 @@ def main() -> None:
     samples = {side: {name: [] for name in CALLS + STAGES} for side in sides}
     ratios: dict[str, list[float]] = {name: [] for name in CALLS}
     faults = {side: {name: [] for name in CALLS} for side in sides}
-    per_query = {side: [] for side in sides}  # tails scored exactly per evaluate query
+    per_call = {side: [] for side in sides}  # tails scored exactly, each call's queries
     for name, count in zip(CALLS, (args.reps, args.reps, 10 * args.reps, 10 * args.reps)):
         for rep in range(count + 1):
             order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
@@ -210,7 +214,7 @@ def main() -> None:
                         for stage, spent in stages[side](took[side]).items():
                             samples[side][stage].append(spent)
                     if name == "evaluate":
-                        per_query[side].append(scored[side]() / workloads.EVAL_CHUNK)
+                        per_call[side].append(scored[side]())
                 ratios[name].append(took["change"] / took["parent"])
 
     result = {
@@ -226,7 +230,13 @@ def main() -> None:
             side: {name: statistics.median(v) for name, v in faults[side].items()}
             for side in sides
         },
-        "scored_per_query": {side: statistics.median(v) for side, v in per_query.items()},
+        "scored_per_query": {
+            side: statistics.median(statistics.mean(c) for c in v) for side, v in per_call.items()
+        },
+        "scored_per_query_mean": {
+            side: statistics.mean(n for c in v for n in c) for side, v in per_call.items()
+        },
+        "scored_per_query_max": {side: max(n for c in v for n in c) for side, v in per_call.items()},
         "bits_equal": True,
     }
     result["faults_differ"] = {
@@ -246,8 +256,10 @@ def main() -> None:
     print(f"{n['batch']} batch calls, {n['evaluate']} evaluate calls of "
           f"{workloads.EVAL_CHUNK} queries, {n['candidates']} score_candidates and "
           f"{n['score']} score calls per side, calls alternating;")
-    print("tails scored exactly per evaluate query, parent/change: " + "/".join(
-        f"{result['scored_per_query'][s]:g}" for s in sides))
+    print("tails scored exactly per evaluate query, parent/change: " + "; ".join(
+        label + "/".join(f"{result[key][s]:g}" for s in sides) for label, key in (
+            ("", "scored_per_query"), ("mean ", "scored_per_query_mean"),
+            ("max ", "scored_per_query_max"))))
     print("equal loss, gradients, reports and scores in every call")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -7,10 +7,11 @@ candidate set — except the gold tail itself — and ties are resolved
 pessimistically: the rank counts every unfiltered competitor not scoring
 strictly below the gold tail.  A non-finite score therefore never improves
 a rank: a NaN gold ranks last and a NaN competitor counts against the gold.
-Tails are scored from matrix products first, and exactly only where that
-approximation's proven margin cannot place them against the gold.  Head
-prediction is realised upstream by evaluating over a store augmented with
-inverse relations.
+Tails are scored in float32 from matrix products first, each within a
+proven margin of its exact score, and exactly only where those margins
+cannot place them against the gold; an exact score outside its margin
+raises :class:`NumericError`.  Head prediction is realised upstream by
+evaluating over a store augmented with inverse relations.
 """
 
 from __future__ import annotations
@@ -21,14 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, EmptySplitError, PreconditionError
+from .errors import ConfigurationError, DimensionError, EmptySplitError, NumericError
+from .errors import PreconditionError
 from .kgdata import TripleStore
-from .model import Model, approx_scores, candidate_tails, check_ids, check_store, columns
-from .model import TRANSPOSE_BLOCK, move_heads, score_candidates
+from .model import Model, approx_scores, approx_side, candidate_tails, check_ids, check_store
+from .model import TRANSPOSE_BLOCK, columns, move_heads, score_candidates
 
 HITS_KS = (1, 3, 10)
 
-APPROX_BLOCK = 8  #: heads per matrix product in :func:`evaluate`: 1.4 MB at 21,845 tails
+APPROX_BLOCK = 16  #: heads per matrix product in :func:`evaluate`: 1.4 MB at 21,845 tails
 
 
 @dataclass
@@ -79,9 +81,12 @@ def filtered_rank(m: Model, store: TripleStore, triple, filter_splits=("train", 
     ``m`` raises :class:`IdLookupError`, as in :func:`evaluate`.
 
     Tails are first scored by :func:`model.approx_scores` (``_approx``: this
-    query's row and margin ``M``, if done); one :func:`score_candidates` call
-    scores those within ``2 M`` of the gold's approximation exactly, NaNs and
-    the gold included, and the rest lie on the side their approximation shows.
+    query's row and margins ``M``, if done); one :func:`score_candidates`
+    call scores exactly each tail ``e`` with ``|s_e - s_t| <= M_e + M_t``
+    between the approximations, NaNs and the gold included, and the rest
+    lie on the side their approximation shows.  Each exact score must lie
+    within its tail's margin of a non-NaN approximation, or the query
+    raises :class:`NumericError`.
     """
     if np.shape(triple) != (3,):
         raise DimensionError(f"a triple is (head, relation, tail), got shape {np.shape(triple)}")
@@ -94,17 +99,24 @@ def filtered_rank(m: Model, store: TripleStore, triple, filter_splits=("train", 
         _index = build_filter_index(store, filter_splits, keys=[(h, r)])
     tails = candidate_tails(m)[0] if _tails is None else _tails
     head = move_heads(m, [h], [r])[0] if _head is None else _head
-    scores, margin = _approx or next(zip(*approx_scores(m, *head, *tails)))
-    lo, hi = scores[t] - 2.0 * margin, scores[t] + 2.0 * margin  # NaN or infinite: all verified
-    verify = np.flatnonzero(~((scores < lo) | (scores > hi)))
-    scores[verify] = score_candidates(m, h, r, tails=columns(tails, verify), _head=head)
-    gold = scores[t]
-    # not gold < gold holds even for a NaN gold: the gold counts itself once
-    rank = scores.size - np.count_nonzero(scores < gold)
+    scores, margin = _approx or next(zip(*approx_scores(m, *head, approx_side(m, tails))))
+    gap = scores - scores[t]
+    np.abs(gap, out=gap)
+    gap -= margin  # NaN, or an infinite window, fails the comparison: such tails are verified
+    verify = np.flatnonzero(~(gap > margin[t]))
+    exact = score_candidates(m, h, r, tails=columns(tails, verify), _head=head)
+    approx = scores[verify]
+    if not np.all((np.abs(exact - approx) <= margin[verify]) | np.isnan(approx)):
+        raise NumericError(f"query ({h}, {r}, {t}): an exact score lies outside the margin "
+                           f"of its approximation")
+    gold = exact[np.searchsorted(verify, t)]
+    below = scores < scores[t]
+    below[verify] = exact < gold  # not gold < gold, even for a NaN gold: it counts itself once
+    rank = scores.size - np.count_nonzero(below)
     known = _index.get((h, r))
     if known is not None:
         known = known[known != t]
-        rank -= known.size - np.count_nonzero(scores[known] < gold)
+        rank -= known.size - np.count_nonzero(below[known])
     return int(rank)
 
 
@@ -146,10 +158,11 @@ def evaluate(m: Model, store: TripleStore, split: str = "test",
              filter_splits=("train", "valid", "test")) -> EvalReport:
     """Rank every triple of ``split`` and aggregate the metrics.
 
-    The tail side and the filter index are built once per call; the queries'
-    heads are moved :data:`TRANSPOSE_BLOCK` at a time and meet the tails
-    :data:`APPROX_BLOCK` at a time in :func:`model.approx_scores`, before
-    :func:`filtered_rank` scores exactly what their margins leave open.
+    The tail side, its float32 copy (:func:`model.approx_side`) and the
+    filter index are built once per call; the queries' heads are moved
+    :data:`TRANSPOSE_BLOCK` at a time and meet the tails :data:`APPROX_BLOCK`
+    at a time in :func:`model.approx_scores`, before :func:`filtered_rank`
+    scores exactly what their margins leave open.
 
     For the standard protocol (head and tail prediction) pass a store that
     has been augmented with inverse relations.  A store with more entities
@@ -161,12 +174,13 @@ def evaluate(m: Model, store: TripleStore, split: str = "test",
         raise EmptySplitError(f"evaluate: split {split!r} is empty")
     index = build_filter_index(store, filter_splits, keys=triples[:, :2])
     tails = candidate_tails(m)[0]  # shared read-only by every query
+    side = approx_side(m, tails, APPROX_BLOCK)
     ranks = []
     for lo in range(0, triples.shape[0], TRANSPOSE_BLOCK):  # bounded head blocks
         hi = min(lo + TRANSPOSE_BLOCK, triples.shape[0])
         heads = move_heads(m, triples[lo:hi, 0], triples[lo:hi, 1])[0]
         for j in range(0, hi - lo, APPROX_BLOCK):  # each row with its margin
-            approx = zip(*approx_scores(m, *columns(heads, slice(j, j + APPROX_BLOCK)), *tails))
+            approx = zip(*approx_scores(m, *columns(heads, slice(j, j + APPROX_BLOCK)), side))
             ranks += [filtered_rank(m, store, triples[lo + i], filter_splits, _index=index,
                                     _tails=tails, _head=columns(heads, slice(i, i + 1)), _approx=a)
                       for i, a in enumerate(approx, j)]

@@ -15,15 +15,15 @@ the tails that :func:`candidate_tails` lays out.  All three return
 ``(value, saved)``, ``saved`` the intermediates that the training kernel's
 gradients read, and callers after values alone take ``[0]``.  Training
 runs both on blocks of triples, evaluation on the tails whose order
-against the gold :func:`approx_scores`, from matrix products and within a
-proven margin, cannot tell, so a triple gets the same bits wherever it is
-scored.  Heads and tails lie on the manifold, where a point's time norm
-equals its radius up to rounding, so :func:`approx_scores` takes one leg
-of the two, one ``arccosh`` a tail, and its margin also covers how far
-that leg lies from the shorter.  The ``geometry="euclidean"`` variant is a
-baseline at identical parameter count: the same Givens stages act on the
-raw parameter vectors, boosts are pinned to zero, and the distance is
-plain Euclidean.
+against the gold :func:`approx_scores`, in float32 from matrix products
+and within a proven margin per tail, cannot tell, so a triple gets the
+same bits wherever it is scored.  Heads and tails lie on the manifold,
+where a point's time norm equals its radius up to rounding, so
+:func:`approx_scores` takes one leg of the two, one ``arccosh`` a tail,
+and its margin also covers how far that leg lies from the shorter.  The
+``geometry="euclidean"`` variant is a baseline at identical parameter
+count: the same Givens stages act on the raw parameter vectors, boosts are
+pinned to zero, and the distance is plain Euclidean.
 
 Checkpoints are a small binary format: magic ``UKGE``, a little-endian u32
 format version, a u32 header length, a canonical JSON header, then raw
@@ -71,6 +71,13 @@ GEOMETRIES = ("ultra", "euclidean")
 #: time: a (1024, d) block stays in cache, where one strided copy of the
 #: whole table does not
 TRANSPOSE_BLOCK = 1024
+
+#: largest ``|b_t|`` and ``|b_h + delta|`` that :func:`approx_scores`
+#: rounds to float32
+F32_BIAS = 2.0**60
+
+#: rows that each call of :func:`approx_scores`' pass takes at once
+APPROX_ROWS = 4
 
 
 def layout(sig: Signature, n_entities: int, n_relations: int) -> dict[str, tuple]:
@@ -313,54 +320,138 @@ def meet_tails(m: Model, x, b_h, side, b_t):
     return -dist * dist + b_h + b_t + m.delta, (dist, saved)
 
 
-def approx_scores(m: Model, x, b_h, side, b_t) -> tuple:
-    """``(s, margin)``: :func:`meet_tails` of a few moved heads against the
-    tails, from matrix products, a row per head, and per head a margin that
-    bounds ``|s - exact|`` on its row.
+def _in_f32_range(r, n, bias, sig: Signature) -> np.ndarray:
+    """Whether each point's radius ``r``, time norm ``n`` and ``bias``, and
+    ``alpha``, lie where :func:`approx_scores`' float32 margin holds."""
+    lo, hi = geometry.F32_RANGE
+    keep = (r >= lo) & (r <= hi) & (n >= lo) & (n <= hi) & (np.abs(bias) <= F32_BIAS)
+    return keep & (lo <= sig.alpha <= hi)
 
-    Ultra takes one leg, ``min(rx, ry) angle + alpha arccosh(clip(A_xy,
-    1))``, with the angle's cosine ``dot / (nx ny)`` and ``A_xy = (rx ny -
-    s) / alpha^2`` rounded as in :func:`geometry._legs_forward`, each row
-    written in place through two work buffers of one query's size; its
-    margin is :func:`geometry.legs_margin`'s, which also bounds how far that
-    leg lies from the shorter of the two.  Euclidean takes ``|x|^2 + |y|^2 -
-    2 <x, y>``, within ``(g(d) + 3u) (|x| + |y|)^2`` of ``|x - y|^2`` as
-    the exact path is within ``g(d) + 8u`` (that function's notation),
-    doubled.  Both add ``8u (d*d + |b_h| + |b_t| + |delta|)`` for three
-    additions a path and the window of :func:`ukge.evaluation.filtered_rank`.
-    A score the margin does not cover is NaN: non-finite, or its tail shares
-    the head's first coordinate."""
-    u, ultra = 2.0**-53, m.geometry == "ultra"
-    if ultra:
-        (xs, xt, rx, nx), (ys, yt, ry, ny) = x, side
-        dots = xt.T @ yt
-        err, bound = geometry.legs_margin(rx, nx, ry, ny, m.sig)
-        leg, hyp = np.empty(ry.shape), np.empty(ry.shape)
+
+def approx_side(m: Model, tails, rows: int = 1) -> tuple:
+    """The tail side of :func:`approx_scores` from the value ``tails`` of
+    :func:`candidate_tails`, with work arrays for ``rows`` heads a call:
+    ``(cols, b_t, first, bad, bounds, work)``.  Ultra rounds the tails'
+    terms to float32 once, the operands of the cosine and the ``arccosh``
+    argument, ``cols = (y_t / ny, (y_s, ny / alpha^2), ry)``; ``bad`` lists
+    the tails whose ``ry`` or ``ny`` lies outside
+    :data:`geometry.F32_RANGE`, or whose bias exceeds :data:`F32_BIAS`,
+    rounded as harmless stand-ins, and ``bounds`` holds the others' largest
+    ``ry``, ``ny``, ``|ny - ry|`` and ``|b_t|``.  Euclidean keeps its
+    float64 columns with their squared norms, ``bad`` the non-finite ones,
+    and ``bounds`` holds the largest norm and ``|b_t|``.  ``first`` is every
+    tail's first coordinate in float64, and the same sorted."""
+    side, b_t = tails
+    n = b_t.size
+    if m.geometry == "ultra":
+        ys, yt, ry, ny = side
+        keep = _in_f32_range(ry, ny, b_t, m.sig)
+        bad = np.flatnonzero(~keep)
+        if bad.size:
+            ys, yt, b_t = (np.where(keep, a, 0.0) for a in (ys, yt, b_t))
+            ry, ny = (np.where(keep, a, 1.0) for a in (ry, ny))
+        cos, arg = np.empty(yt.shape, np.float32), np.empty((m.sig.p + 1, n), np.float32)
+        np.multiply(yt, geometry.cos_shrink(m.sig) / ny, out=cos)
+        arg[:-1] = ys
+        np.divide(ny, m.sig.alpha * m.sig.alpha, out=arg[-1])
+        cols = (cos, arg, ry.astype(np.float32))
+        bounds = tuple(np.max(a, initial=0.0) for a in (ry, ny, np.abs(ny - ry), np.abs(b_t)))
+        dtype, first, blocks = np.float32, side[0][0], 3
     else:
-        xs, ys = x, side
-        xx, yy = (np.einsum("ij,ij->j", a, a) for a in (x, side))
-        bound = (np.sqrt(xx) + np.sqrt(np.max(yy))) ** 2
-        err = 2.0 * (2.0 * m.sig.d * u / (1.0 - m.sig.d * u) + 11.0 * u) * bound
-    s = xs.T @ ys
-    for i in range(b_h.size):  # a row at a time: temporaries of one query's size
-        if ultra:
-            np.multiply(ny, nx[i], out=leg)
-            np.divide(dots[i], leg, out=leg)
-            np.clip(leg, -1.0, 1.0, out=leg)
-            np.arccos(leg, out=leg)
-            leg *= np.minimum(ry, rx[i], out=hyp)
-            np.multiply(ny, rx[i], out=hyp)
-            hyp -= s[i]
-            hyp /= m.sig.alpha * m.sig.alpha
-            np.arccosh(np.maximum(hyp, 1.0, out=hyp), out=hyp)
-            hyp *= m.sig.alpha
-            leg += hyp
-            np.multiply(leg, leg, out=leg)
-            np.subtract(np.add(b_t, b_h[i] + m.delta, out=hyp), leg, out=s[i])
-        else:
+        yy = np.einsum("ij,ij->j", side, side)
+        keep = np.isfinite(yy) & np.isfinite(b_t)
+        bad, cols = np.flatnonzero(~keep), (side, yy)
+        bounds = tuple(np.max(a, initial=0.0, where=keep) for a in (np.sqrt(yy), np.abs(b_t)))
+        dtype, first, blocks = np.float64, side[0], 1
+    work = [np.empty((rows, n), dtype) for _ in range(blocks)], np.empty((2, APPROX_ROWS, n), dtype)
+    return cols, b_t.astype(dtype), (first, np.sort(first)), bad, bounds, work
+
+
+def approx_scores(m: Model, x, b_h, side) -> tuple:
+    """``(s, margin)``: :func:`meet_tails` of a few moved heads ``x, b_h``
+    (:func:`move_heads`) against the tails of :func:`approx_side`, from
+    matrix products, a row per head, and per tail a margin that bounds
+    ``|s - exact|``.  Both are ``side``'s work arrays, which its next call
+    overwrites.
+
+    Ultra runs in float32.  One product gives the cosines ``<x_t / nx, y_t
+    / ny>``, another the ``arccosh`` arguments ``A = <(-x_s / alpha^2, rx),
+    (y_s, ny / alpha^2)>``, and each row takes one leg, ``min(rx, ry)
+    arccos(c) + alpha arccosh(max(A, 1))``, then its margin, the bound of
+    :func:`geometry.legs_margin` on ``d*d``, from the same ``c`` and ``A``,
+    in about 20 in-place calls on :data:`APPROX_ROWS` rows at a time.  To
+    that bound it adds ``2u dd + 3u (|b_h + delta| + max |b_t|)`` for the
+    float32 score's roundings and ``4w (dd + |b_h| + max |b_t| + |delta|)``
+    for the exact path's (``u = 2**-24``, ``w = 2**-53``), with the same
+    factor ``1 + 2^-16``.  Euclidean stays in float64 and takes ``|x|^2 +
+    |y|^2 - 2 <x, y>``, within ``(g(d) + 3w) (|x| + |y|)^2`` of ``|x -
+    y|^2`` as the exact path is within ``g(d) + 8w`` (``g`` of
+    :func:`geometry.legs_margin` with ``w``), doubled, plus ``8w (d*d +
+    |b_h| + |b_t| + |delta|)`` for three additions a path and the window of
+    :func:`ukge.evaluation.filtered_rank`, one margin for all of a head's
+    tails.  A head outside the range of
+    :func:`approx_side` or with a non-finite margin, and a tail in its
+    ``bad``, score NaN with an infinite margin.  Any other score the margin
+    does not cover is NaN too: non-finite, or its tail shares the head's
+    first coordinate."""
+    cols, b_t, (first, ordered), bad, bounds, (blocks, (c, t)) = side
+    k, n, u, w = b_h.size, b_t.size, 2.0**-24, 2.0**-53
+    blocks = [a[:k] if k <= a.shape[0] else np.empty((k, n), a.dtype) for a in blocks]
+    if m.geometry == "ultra":
+        (xs, xt, rx, nx), (y_cos, y_arg, ry), alpha = x, cols, m.sig.alpha
+        bias = b_h + m.delta
+        ok = _in_f32_range(rx, nx, bias, m.sig)
+        rx, nx, bias = (np.where(ok, a, 1.0) for a in (rx, nx, bias))  # stand-ins, scored NaN
+        cos, arg, err, dd = geometry.legs_margin(rx, nx, *bounds[:3], m.sig)
+        err = err + (1.0 + 2.0**-16) * (2.01 * u * dd + 3.01 * u * (np.abs(bias) + bounds[3])
+                                         + 4.01 * w * (dd + np.abs(b_h) + bounds[3] + abs(m.delta)))
+        x_cos = np.where(ok, xt / nx, 0.0).astype(np.float32)
+        x_arg = np.where(ok, np.concatenate([xs / -(alpha * alpha), rx[None]]), 0.0).astype(np.float32)
+        dots, s, margin = blocks
+        np.matmul(x_cos.T, y_cos, out=dots)
+        np.matmul(x_arg.T, y_arg, out=s)
+        rx, bias, a_c, a_a, k_a, f_a, err = (
+            np.asarray(a, dtype=np.float32)[:, None] for a in (rx, bias, cos[0], *arg, err))
+        k_c, f_c = np.float32(cos[1]), np.float32(cos[2])
+        for i in range(0, k, APPROX_ROWS):
+            rows = slice(i, i + APPROX_ROWS)
+            cos_i, arg_i, margin_i = dots[rows], s[rows], margin[rows]
+            leg, tmp = c[: cos_i.shape[0]], t[: cos_i.shape[0]]
+            np.arccos(cos_i, out=leg)
+            leg *= np.minimum(ry, rx[rows], out=tmp)
+            np.arccosh(np.maximum(arg_i, 1.0, out=tmp), out=tmp)
+            if alpha != 1.0:
+                tmp *= alpha
+            leg += tmp
+            leg *= leg
+            np.abs(cos_i, out=cos_i)  # the margin, from the cosine and the argument
+            np.subtract(k_c, cos_i, out=cos_i)
+            np.divide(a_c[rows], np.maximum(cos_i, f_c, out=cos_i), out=cos_i)
+            np.subtract(arg_i, k_a[rows], out=tmp)
+            np.divide(a_a[rows], np.maximum(tmp, f_a[rows], out=tmp), out=tmp)
+            cos_i += tmp
+            np.add(cos_i, err[rows], out=margin_i)
+            np.subtract(np.add(b_t, bias[rows], out=tmp), leg, out=arg_i)
+        s[~ok], margin[~ok] = np.nan, np.inf
+    else:
+        (s,), (ys, yy), xs = blocks, cols, x
+        xx = np.einsum("ij,ij->j", x, x)
+        bound = (np.sqrt(xx) + bounds[0]) ** 2
+        err = 2.0 * (2.0 * m.sig.d * w / (1.0 - m.sig.d * w) + 11.0 * w) * bound
+        err += 8.0 * w * (bound + np.abs(b_h) + bounds[1] + abs(m.delta))
+        ok = np.isfinite(err)
+        margin = np.broadcast_to(np.where(ok, err, np.inf)[:, None], s.shape)
+        np.matmul(x.T, ys, out=s)
+        for i in range(k):
             s[i] = b_h[i] + m.delta + b_t - (xx[i] + yy - 2.0 * s[i])
-    s[np.isinf(s) | (xs[0][:, None] == ys[0])] = np.nan  # NaN stays NaN
-    return s, err + 8.0 * u * (bound + np.abs(b_h) + np.max(np.abs(b_t)) + abs(m.delta))
+        s[np.isinf(s) | ~ok[:, None]] = np.nan
+    x0 = xs[0]
+    for i in np.flatnonzero(ordered[np.minimum(np.searchsorted(ordered, x0), n - 1)] == x0):
+        s[i, first == x0[i]] = np.nan  # NaN stays NaN
+    if bad.size:
+        margin = margin if margin.flags.writeable else margin.copy()  # euclidean's broadcast
+        s[:, bad], margin[:, bad] = np.nan, np.inf
+    return s, margin
 
 
 def score_candidates(m: Model, h: int, r: int, *, tails=None, _head=None) -> np.ndarray:

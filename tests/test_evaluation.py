@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ukge.errors import ConfigurationError, DimensionError, EmptySplitError, IdLookupError
-from ukge.errors import PreconditionError
+from ukge.errors import NumericError, PreconditionError
 from ukge.evaluation import (
     EvalReport,
     aggregate_ranks,
@@ -29,6 +29,7 @@ from ukge.model import (
     GEOMETRIES,
     Model,
     approx_scores,
+    approx_side,
     candidate_tails,
     init,
     move_heads,
@@ -433,9 +434,9 @@ class TestTracedCalls:
         rank, score_all = evaluation.filtered_rank, evaluation.score_candidates
 
         def rank_shim(*args, **kwargs):
-            # filtered_rank overwrites the verified approximations in place
+            # the next block of approx_scores overwrites the row and its margins
             approx, margin = kwargs["_approx"]
-            ranks.append((args, {**kwargs, "_approx": (approx.copy(), margin)}))
+            ranks.append((args, {**kwargs, "_approx": (approx.copy(), margin.copy())}))
             return rank(*args, **kwargs)
 
         def score_shim(*args, **kwargs):
@@ -482,15 +483,14 @@ class TestTracedCalls:
 
 def verified_size(args, kwargs):
     """The size of the one exact scoring of a traced ``filtered_rank`` call:
-    the tails within twice the margin of the gold's approximate score, the
-    gold and any NaN included, or every entity when that window is not
-    finite."""
+    the tails whose approximate score lies within their margin plus the
+    gold's of the gold's approximate score, the gold and any NaN included,
+    or every entity when the gold's window is not finite."""
     approx, margin = kwargs["_approx"]
-    gold = approx[int(args[2][2])]
-    lo, hi = gold - 2.0 * margin, gold + 2.0 * margin
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    t = int(args[2][2])
+    if not (np.isfinite(approx[t]) and np.isfinite(margin[t])):
         return approx.size
-    return int(np.count_nonzero(~((approx < lo) | (approx > hi))))
+    return int(np.count_nonzero(~(np.abs(approx - approx[t]) > margin + margin[t])))
 
 
 def filter_index_oracle(store, splits):
@@ -638,9 +638,10 @@ class TestApproxScores:
     arguments of 1, large radii and alpha != 1, and marks NaN where the
     coincidence short circuit may apply."""
 
-    @pytest.mark.parametrize("geometry", GEOMETRIES)
-    @pytest.mark.parametrize("alpha, scale", [(1.0, 1.0), (0.3, 1e3), (2.5, 1e-2), (1.0, 1e6)])
-    def test_within_the_margin(self, geometry, alpha, scale):
+    @staticmethod
+    def fixture(geometry, alpha, scale):
+        """40 entities at ``scale``, with copies of entity 0 nudged to
+        coincide, nearly coincide, and meet it at cosines of ±1."""
         sig = Signature(28, 4, alpha)
         m = init(sig, 40, 2, seed=3, operator="rot", geometry=geometry)
         rng = np.random.default_rng(4)
@@ -652,14 +653,20 @@ class TestApproxScores:
         m.entities[3, 1] *= 1.0 + 1e-12  # shares the first coordinate only
         m.entities[4, sig.p :] *= -1.0  # time antiparallel: cosine -1
         m.entities[5, :2] += 1.0  # another space part, the same time: cosine 1
+        return m
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("alpha, scale", [(1.0, 1.0), (0.3, 1e3), (2.5, 1e-2), (1.0, 1e6)])
+    def test_within_the_margin(self, geometry, alpha, scale):
+        m = self.fixture(geometry, alpha, scale)
         queries = [(0, 0), (0, 1), (7, 1), (4, 0)]
         heads = move_heads(m, *np.transpose(queries))[0]
-        approx, margin = approx_scores(m, *heads, *candidate_tails(m)[0])
+        approx, margin = approx_scores(m, *heads, approx_side(m, candidate_tails(m)[0], 4))
         for row, margin_row, (h, r) in zip(approx, margin, queries):
             exact = score_candidates(m, h, r)
             covered = ~np.isnan(row)
             assert covered.sum() >= m.n_entities - 4  # at most 0, 1, 3 and 4
-            assert np.all(np.abs(row[covered] - exact[covered]) <= margin_row)
+            assert np.all(np.abs(row[covered] - exact[covered]) <= margin_row[covered])
         # under the identity, head 0 shares its first coordinate with tails
         # 0, 1, 3 and 4, and the exact scores of 0 and 1 take the short circuit
         np.testing.assert_array_equal(np.flatnonzero(np.isnan(approx[0])), [0, 1, 3, 4])
@@ -688,18 +695,75 @@ class TestApproxScores:
         queries = [(h, r) for h in (0, 7, 19, 33) for r in range(3)]
         heads = move_heads(m, *np.transpose(queries))[0]
         assert np.any(heads[0][2] != heads[0][3])  # rx != nx
-        approx, margin = approx_scores(m, *heads, *tails)
+        approx, margin = approx_scores(m, *heads, approx_side(m, tails, len(queries)))
         for row, margin_row, (h, r) in zip(approx, margin, queries):
             exact = score_candidates(m, h, r, tails=tails)
             covered = ~np.isnan(row)
             assert covered.sum() >= m.n_entities - 1  # at most the head itself
-            assert np.all(np.abs(row[covered] - exact[covered]) <= margin_row)
+            assert np.all(np.abs(row[covered] - exact[covered]) <= margin_row[covered])
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.3])
+    def test_one_leg_far_from_the_shorter(self, alpha):
+        """Tails that share head 0's space part under the identity but for
+        1e-3 on its first coordinate, with their time norm ``ny`` scaled by
+        ``1 + 1e-4``: the one leg's ``arccosh`` argument is about ``1 + r^2
+        1e-4 / alpha^2`` where the shorter leg's is about 1, a gap the
+        margin's one-leg term must cover."""
+        sig = Signature(28, 4, alpha)
+        m = init(sig, 30, 1, seed=7, operator="rot", geometry="ultra")
+        rng = np.random.default_rng(8)
+        m.entities[:] = rng.normal(0.0, 1.0, m.entities.shape)
+        m.theta[0] = m.phi[0] = m.mu[0] = 0.0
+        m.entities[1:6, : sig.p] = m.entities[0, : sig.p]
+        m.entities[1:6, 0] += 1e-3
+        (ys, yt, ry, ny), b_t = candidate_tails(m)[0]
+        ny = ny.copy()
+        ny[1:6] *= 1.0 + 1e-4
+        tails = ((ys, yt, ry, ny), b_t)
+        approx, margin = approx_scores(m, *move_heads(m, [0], [0])[0], approx_side(m, tails))
+        exact = score_candidates(m, 0, 0, tails=tails)
+        assert not np.any(np.isnan(approx[0, 1:]))
+        assert np.all(np.abs(approx[0, 1:] - exact[1:]) <= margin[0, 1:])
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_zero_margins_fail_the_proof(self, geometry, monkeypatch):
+        """With every margin 0, the exact score of a verified tail lies
+        outside its approximation's margin, and the query is named; a
+        euclidean approximation may equal the exact score, but not both of
+        two queries'."""
+        from ukge import evaluation
+
+        m, approx = self.fixture(geometry, 1.0, 1.0), evaluation.approx_scores
+
+        def zero_margins(*args):
+            s, margin = approx(*args)
+            return s, np.zeros(s.shape, margin.dtype)
+
+        monkeypatch.setattr(evaluation, "approx_scores", zero_margins)
+        store = ids_store(40, 2, train=[], test=[(7, 1, 9), (12, 0, 30)])
+        with pytest.raises(NumericError, match=r"query \((7, 1, 9|12, 0, 30)\)"):
+            evaluate(m, store)
+        raised = 0
+        for h, r, t in store.test:
+            try:
+                filtered_rank(m, store, (h, r, t))
+            except NumericError as exc:
+                assert f"query ({h}, {r}, {t})" in str(exc)
+                raised += 1
+        assert raised == 2 or (geometry == "euclidean" and raised == 1)
 
     def test_non_finite_tails_make_the_margin_non_finite(self):
-        m = init(Signature(6, 2), 8, 1, seed=1)
-        m.entities[5] = np.nan
-        _, margin = approx_scores(m, *move_heads(m, [0], [0])[0], *candidate_tails(m)[0])
-        assert np.isnan(margin[0])
+        """A NaN tail scores NaN with an infinite margin and leaves the other
+        tails' margins finite; a NaN head's whole row is so."""
+        for geometry in GEOMETRIES:
+            m = init(Signature(6, 2), 8, 1, seed=1, geometry=geometry)
+            m.entities[5] = np.nan
+            side = approx_side(m, candidate_tails(m)[0])  # work for one head: two take more
+            approx, margin = approx_scores(m, *move_heads(m, [0, 5], [0, 0])[0], side)
+            assert np.isnan(approx[0, 5]) and np.isinf(margin[0, 5])
+            others = np.arange(8) != 5
+            assert np.all(np.isfinite(approx[0, others]) & np.isfinite(margin[0, others]))
+            assert np.all(np.isnan(approx[1])) and np.all(np.isinf(margin[1]))
 
 
 @st.composite
@@ -732,10 +796,8 @@ class TestFilteredRanksMatchExactScores:
     """The filtered ranks of ``evaluate`` and ``filtered_rank`` equal the
     mask formula over the exact scores of ``score_candidates``."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(rank_models())
-    def test_equals_the_mask_formula(self, case):
-        m, store = case
+    @staticmethod
+    def check_ranks(m, store):
         index = filter_index_oracle(store, SPLITS)
         expected = []
         for h, r, t in store.test:
@@ -746,6 +808,33 @@ class TestFilteredRanksMatchExactScores:
             expected.append(1 + int(np.count_nonzero(~(scores[allowed] < scores[t]))))
         assert [filtered_rank(m, store, row) for row in store.test] == expected
         assert evaluate(m, store) == aggregate_ranks(expected, store.test[:, 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(rank_models())
+    def test_equals_the_mask_formula(self, case):
+        self.check_ranks(*case)
+
+    @pytest.mark.parametrize("scale", [1e-25, 1e25])
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_float32_underflow_and_overflow(self, geometry, scale):
+        """Entities at 1e-25, whose products underflow in float32, and at
+        1e25, whose radii and squares overflow it, for every operator; there
+        the ultra approximation is NaN with infinite margins, so every tail
+        is verified."""
+        for seed, operator in enumerate(sorted(OPERATOR_MODES)):
+            m = init(Signature(28, 4), 30, 3, seed=seed, operator=operator, geometry=geometry)
+            rng = np.random.default_rng(seed)
+            m.entities[:] = rng.normal(0.0, scale, m.entities.shape)
+            m.biases[:] = rng.normal(0.0, 1.0, m.biases.shape)
+            m.theta[0] = m.phi[0] = m.mu[0] = 0.0  # the identity for rot and ref
+            m.entities[1] = m.entities[0]
+            triples = rng.integers(0, [30, 3, 30], size=(40, 3))
+            self.check_ranks(m, ids_store(30, 3, train=triples[:30], test=triples[30:]))
+            approx, margin = approx_scores(m, *move_heads(m, [5], [1])[0],
+                                           approx_side(m, candidate_tails(m)[0]))
+            overflows = scale > 1.0 and geometry == "ultra"
+            assert np.all(np.isnan(approx) & np.isinf(margin)) == overflows
+            assert np.all(np.isfinite(approx) & np.isfinite(margin)) != overflows
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_exact_ties_that_the_approximation_splits(self, geometry):
@@ -767,7 +856,7 @@ class TestFilteredRanksMatchExactScores:
                 m.biases[j, 1] = np.nextafter(m.biases[j, 1], -np.inf if gap > 0 else np.inf)
         exact = score_candidates(m, 5, 0)
         tied = tied[exact[tied] == exact[gold]]
-        approx, _ = approx_scores(m, *move_heads(m, [5], [0])[0], *candidate_tails(m)[0])
+        approx, _ = approx_scores(m, *move_heads(m, [5], [0])[0], approx_side(m, candidate_tails(m)[0]))
         assert tied.size > 30
         assert np.any(approx[0, tied] < approx[0, gold])  # these would be lost
         store = ids_store(60, 1, train=[], test=[(5, 0, gold)])

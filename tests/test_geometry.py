@@ -1,5 +1,7 @@
 """Pseudo-hyperboloid geometry: frozen examples, invariants, gradients."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,11 @@ from ukge.errors import (
 )
 from ukge.geometry import (
     EPS_TIME,
+    ULPS,
     Signature,
     _legs_forward,
     apply_time_guard,
+    cos_shrink,
     cosh_argument,
     dist_hyper,
     dist_manhattan,
@@ -469,6 +473,7 @@ class TestCoordinateMajor:
         for xc, yc in ((x.T, y.T), (np.ascontiguousarray(x.T), np.ascontiguousarray(y.T))):
             before = xc.copy(), yc.copy()
             assert_same_bits(dot_columns(xc, yc), expected)
+            assert_same_bits(dot_columns(xc[:, 5:8], yc[:, 5:8]), expected[5:8])  # few columns
             for operand, copy in zip((xc, yc), before):  # the sums never alias an operand
                 np.testing.assert_array_equal(operand.view(np.uint64), copy.view(np.uint64))
         # one row against every row, as one-against-all scoring sums it
@@ -564,26 +569,49 @@ class TestCoordinateMajor:
         assert_same_bits(best, np.minimum(leg_xy[3:], leg_yx[3:]))
 
 
-#: unit roundoff of float64, and one ulp below 1
+#: unit roundoffs of float64 and float32, and one ulp below 1 in each
 U = 2.0**-53
+U32 = 2.0**-24
 
 
-def gamma(k):
+def gamma(k, u=U):
     """Higham's ``gamma_k``: the relative error bound of a k-term sum."""
-    return k * U / (1.0 - k * U)
+    return k * u / (1.0 - k * u)
+
+
+def float32_leg(cos, arg, rmin, alpha):
+    """The one leg of ``approx_scores``, ``rmin arccos(cos) + alpha
+    arccosh(max(arg, 1))``, in float32, as float64."""
+    f = np.float32
+    cos, arg, rmin = (np.asarray(a, dtype=f) for a in (cos, arg, rmin))
+    leg = np.arccos(cos) * rmin + f(alpha) * np.arccosh(np.maximum(arg, f(1.0)))
+    return leg.astype(np.float64)
+
+
+def margin_at(terms, cos, arg):
+    """The bound of :func:`legs_margin`'s ``terms`` at a float32 cosine and
+    argument, in float64."""
+    (a, k_c, f_c), (b, k_a, f_a), e, _ = terms
+    cos, arg = np.float64(cos), np.float64(arg)
+    return a / np.maximum(k_c - np.abs(cos), f_c) + b / np.maximum(arg - k_a, f_a) + e
 
 
 class TestLegsMargin:
-    """``legs_margin`` bounds how far ``d*d`` of :func:`_legs_forward` moves
-    when both dot products move by as much as any summation order may move
-    them, ``2 gamma_p r_x r_y`` in space and ``2 gamma_q n_x n_y`` in time,
-    in either direction: at cosines of ±1 and one ulp inside, ``arccosh``
-    arguments of 1 and a few ulps above, large radii and alpha != 1."""
+    """``legs_margin`` bounds how far the float32 one leg of
+    ``approx_scores``, squared, lies from ``d*d`` of :func:`_legs_forward`
+    when both paths' cosines and ``arccosh`` arguments move by as much as
+    rounding and any summation order may move them, in either direction:
+    the float64 dot products by ``2 gamma_p r_x r_y`` and ``2 gamma_q n_x
+    n_y``, the float32 cosine by ``gamma_q + 2u`` beside
+    :func:`cos_shrink`, the float32 argument by ``gamma_(p+1) + 2u`` times
+    its terms' magnitudes; at cosines of ±1 and one ulp inside,
+    ``arccosh`` arguments of 1 and a few ulps above, large radii and alpha
+    != 1."""
 
-    #: target cosines: ±1, one ulp inside each, a generic one
-    COSINES = [1.0, 1.0 - U, -1.0, -1.0 + U, 0.3]
-    #: target arccosh arguments: 1, a few ulps above, a generic one
-    ARGS = [1.0, 1.0 + 2 * U, 1.0 + 8 * U, 3.0]
+    #: target cosines: ±1, one float32 ulp inside each, a generic one
+    COSINES = [1.0, 1.0 - U32, -1.0, -1.0 + U32, 0.3]
+    #: target arccosh arguments: 1, a few float32 ulps above, a generic one
+    ARGS = [1.0, 1.0 + 4 * U32, 1.0 + 16 * U32, 3.0]
 
     @pytest.mark.parametrize("alpha", [1.0, 0.3, 2.5])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
@@ -597,36 +625,83 @@ class TestLegsMargin:
         side = terms_columns(phi(z[1:], sig).T, sig)
         _, _, rx, nx = x
         _, _, ry, ny = side
-        e, dd = legs_margin(rx, nx, ry.max(), ny.max(), sig)
+        terms = legs_margin(rx, nx, ry.max(), ny.max(), np.max(np.abs(ny - ry)), sig)
         cos, arg = (g.reshape(-1, 1) for g in np.meshgrid(self.COSINES, self.ARGS))
         dot = cos * (nx * ny)  # every target pair against every tail
         # the space dot at the target argument, where |s| <= |x_s| |y_s| allows
         reach = np.sqrt(rx * rx - alpha * alpha) * np.sqrt(ry * ry - alpha * alpha)
         s = np.clip(rx * ny - arg * (alpha * alpha), -reach, reach)
         exact = _legs_forward(dot, s, rx, nx, ry, ny, False, sig)[0]
-        assert np.all(exact * exact <= dd * (1 + 1e-12))
-        for sign_t, sign_s in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
+        assert np.all(exact * exact <= terms[3] * (1 + 1e-12))
+        true_cos, true_arg = dot / (nx * ny), (rx * ny - s) / (alpha * alpha)
+        move_cos = gamma(sig.q, U32) + 2 * U32
+        move_arg = (gamma(sig.p + 1, U32) + 2 * U32) * (rx * ny + reach) / (alpha * alpha)
+        signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        for (sign_t, sign_s), (sign_c, sign_a) in itertools.product(signs, signs):
             moved = _legs_forward(
                 dot + sign_t * 2 * gamma(sig.q) * nx * ny,
                 s + sign_s * 2 * gamma(sig.p) * rx * ry,
                 rx, nx, ry, ny, False, sig,
             )[0]
-            assert np.all(np.abs(moved * moved - exact * exact) <= e)
+            c32 = np.float32(true_cos * cos_shrink(sig) + sign_c * move_cos)
+            a32 = np.float32(true_arg + sign_a * move_arg)
+            assert np.all(np.abs(c32) < 1.0)  # the shrink spares the clamp
+            leg = float32_leg(c32, a32, np.minimum(rx, ry), alpha)
+            assert np.all(np.abs(leg * leg - moved * moved) <= margin_at(terms, c32, a32))
 
     def test_clamped_ends_move_by_a_square_root(self):
-        """From cosine 1 and argument 1, where the distance is 0, the legs
-        move by about the square root of the dot products' error, far beyond
-        any Lipschitz bound; the margin covers ``d*d`` there and is within a
-        small factor of ``2 L`` times that move, ``L^2`` being ``dd``."""
+        """From cosine 1 and argument 1, where the distance is 0, the float32
+        leg moves by about the square root of its products' error, far
+        beyond any Lipschitz bound; the margin covers ``L*L`` there and is
+        within a small factor of ``2 L`` times that move, ``L^2`` being
+        ``dd``."""
         sig = Signature(28, 4, 1.0)
         rx = nx = ry = ny = np.array([3.0])
-        e, dd = legs_margin(rx, nx, 3.0, 3.0, sig)
-        s, error = rx * ny - 1.0, 2 * gamma(28) * rx * ry
+        terms = legs_margin(rx, nx, 3.0, 3.0, 0.0, sig)
+        s, dd = rx * ny - 1.0, terms[3]
         assert _legs_forward(nx * ny, s, rx, nx, ry, ny, False, sig)[0][0] == 0.0
-        moved = _legs_forward(nx * ny * (1 - 2 * gamma(4)), s - error,
-                              rx, nx, ry, ny, False, sig)[0]
-        assert moved[0] > 1e6 * error[0]
-        assert moved[0] ** 2 <= e[0] <= 8 * np.sqrt(dd[0]) * moved[0]
+        c32 = np.float32(cos_shrink(sig) - gamma(4, U32) - 2 * U32)
+        a32 = np.float32(1.0 + (gamma(29, U32) + 2 * U32) * (rx * ny + rx * ry))
+        moved = float32_leg(c32, a32, rx, 1.0)
+        assert moved[0] > 1e3 * U32
+        assert moved[0] ** 2 <= margin_at(terms, c32, a32)[0] <= 8 * np.sqrt(dd[0]) * moved[0]
+
+
+class TestUlps:
+    """``np.arccos`` and ``np.arccosh`` stay within the :data:`ULPS` ulps
+    that ``legs_margin`` assumes of them, in float64 against
+    ``np.longdouble`` and in float32 against float64, on dense grids next to
+    ±1 and 1 and over wide arguments; a numpy whose functions are less
+    accurate fails here instead of breaking the filter's proof."""
+
+    @staticmethod
+    def grids(dtype):
+        """Arguments of ``arccos`` and of ``arccosh`` in ``dtype``."""
+        eps, steps = np.finfo(dtype).eps, np.arange(4096)
+        rng = np.random.default_rng(3)
+        near = 1.0 - steps * (eps / 2)  # every one of the first 4096 below 1
+        apart = np.logspace(np.log10(eps), 0.0, 4096)
+        cos = np.concatenate([near, -near, 1.0 - apart, apart - 1.0, rng.uniform(-1, 1, 8192)])
+        wide = np.logspace(0.0, np.log10(np.finfo(dtype).max) - 1.0, 4096)
+        arg = np.concatenate([1.0 + steps * eps, 1.0 + apart, wide, rng.uniform(1, 100, 8192)])
+        return cos.astype(dtype), arg.astype(dtype)
+
+    @staticmethod
+    def ulps(got, reference):
+        """Errors of ``got`` in ulps of its own type."""
+        gap = np.abs(got.astype(reference.dtype) - reference)
+        return gap / np.spacing(np.abs(got)).astype(reference.dtype)
+
+    def test_float32_against_float64(self):
+        for fn, x in zip((np.arccos, np.arccosh), self.grids(np.float32)):
+            assert fn(x).dtype == np.float32
+            assert np.max(self.ulps(fn(x), fn(x.astype(np.float64)))) <= ULPS
+
+    def test_float64_against_longdouble(self):
+        if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+            pytest.skip("np.longdouble is no wider than float64 here")
+        for fn, x in zip((np.arccos, np.arccosh), self.grids(np.float64)):
+            assert np.max(self.ulps(fn(x), fn(x.astype(np.longdouble)))) <= ULPS
 
 
 class TestSpaceRadius:

@@ -50,6 +50,13 @@ def test_the_checkout_on_both_sides(tmp_path):
     assert set(scored) == {"parent", "change"} and scored["parent"] == scored["change"]
     assert 1 <= scored["parent"] < 21845
     assert f"per evaluate query, parent/change: {scored['parent']:g}/" in proc.stdout
+    # with one call, its mean is the median; the busiest query at least that
+    mean, most = record["scored_per_query_mean"], record["scored_per_query_max"]
+    assert set(mean) == set(most) == {"parent", "change"}
+    assert mean["parent"] == mean["change"] == scored["parent"]
+    assert most["parent"] == most["change"] and isinstance(most["parent"], int)
+    assert mean["parent"] <= most["parent"] <= 21845
+    assert f"; mean {mean['parent']:g}/{mean['change']:g}; max {most['parent']}/" in proc.stdout
 
 
 def row(stdout: str, name: str) -> str:
