@@ -23,9 +23,12 @@ inputs, built once with ``perfbench/workloads`` at the workload seed:
 - ``candidates`` and ``score``: ``model.score_candidates`` of that chunk's
   first query against all 21,845 entities, and ``model.score`` of its
   first triple.
+- ``load``: ``model.load`` of the query checkpoint, which lays the entity
+  table out coordinate-major; a ``predict`` call pays it and
+  ``candidates``.
 
-``batch`` and ``evaluate`` run ``--reps`` times and the two scorers ``10 *
---reps`` times, each after one warm-up call.  The script prints each
+``batch`` and ``evaluate`` run ``--reps`` times and the other three calls
+``10 * --reps`` times, each after one warm-up call.  The script prints each
 side's median per stage and call, the median over the calls of the
 change's time as a share of the parent's, and each side's median count of
 minor page faults (``ru_minflt``) per call: a call that faults in fresh
@@ -37,8 +40,8 @@ about the code.  It also prints each side's tails scored exactly per
 median over the calls of each call's mean (``scored_per_query``), and the
 mean and the maximum over every query of every call
 (``scored_per_query_mean``, ``scored_per_query_max``).  It exits non-zero unless
-both trees return the same loss and gradients, ``EvalReport``s and scores,
-floats compared bit for bit.  One invocation is one process; a claim cites the
+both trees return the same loss and gradients, ``EvalReport``s, scores and
+loaded parameters, floats compared bit for bit.  One invocation is one process; a claim cites the
 ratio medians of at least three.
 
 With ``--json PATH`` the results are also written to ``PATH``.
@@ -59,7 +62,7 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLS = ("batch", "evaluate", "candidates", "score")
+CALLS = ("batch", "evaluate", "candidates", "score", "load")
 STAGES = ("loss_sum", "row_grads", "scatter")  # the split of a batch call
 WRAPPED = ("_loss_sum", "_row_grads", "_scored_rows")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -140,6 +143,7 @@ def side_calls(package, inputs: dict):
         "evaluate": evaluate,
         "candidates": lambda: package.model.score_candidates(m, h, r),
         "score": lambda: package.model.score(m, h, r, t),
+        "load": lambda: package.model.parameters(package.model.load(inputs["query_ckpt"])),
     }
     return calls, stages, lambda: list(scored)
 
@@ -189,33 +193,33 @@ def main() -> None:
             calls[side], stages[side], scored[side] = side_calls(
                 import_tree(src, f"ukge_{side}"), inputs
             )
-
-    samples = {side: {name: [] for name in CALLS + STAGES} for side in sides}
-    ratios: dict[str, list[float]] = {name: [] for name in CALLS}
-    faults = {side: {name: [] for name in CALLS} for side in sides}
-    per_call = {side: [] for side in sides}  # tails scored exactly, each call's queries
-    for name, count in zip(CALLS, (args.reps, args.reps, 10 * args.reps, 10 * args.reps)):
-        for rep in range(count + 1):
-            order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
-            took, got, faulted = {}, {}, {}
-            for side in order:
-                minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                start = perf_counter()
-                got[side] = calls[side][name]()
-                took[side] = perf_counter() - start
-                faulted[side] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
-            if not same(got["parent"], got["change"]):
-                sys.exit(f"{name}: the trees' results differ (floats compared bit for bit)")
-            if rep:  # the first call warms up
-                for side in sides:
-                    samples[side][name].append(took[side])
-                    faults[side][name].append(faulted[side])
-                    if name == "batch":
-                        for stage, spent in stages[side](took[side]).items():
-                            samples[side][stage].append(spent)
-                    if name == "evaluate":
-                        per_call[side].append(scored[side]())
-                ratios[name].append(took["change"] / took["parent"])
+        # the loop stays in the directory: ``load`` reads the query checkpoint
+        samples = {side: {name: [] for name in CALLS + STAGES} for side in sides}
+        ratios: dict[str, list[float]] = {name: [] for name in CALLS}
+        faults = {side: {name: [] for name in CALLS} for side in sides}
+        per_call = {side: [] for side in sides}  # tails scored exactly, each call's queries
+        for name, count in zip(CALLS, (args.reps, args.reps) + (10 * args.reps,) * 3):
+            for rep in range(count + 1):
+                order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
+                took, got, faulted = {}, {}, {}
+                for side in order:
+                    minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                    start = perf_counter()
+                    got[side] = calls[side][name]()
+                    took[side] = perf_counter() - start
+                    faulted[side] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
+                if not same(got["parent"], got["change"]):
+                    sys.exit(f"{name}: the trees' results differ (floats compared bit for bit)")
+                if rep:  # the first call warms up
+                    for side in sides:
+                        samples[side][name].append(took[side])
+                        faults[side][name].append(faulted[side])
+                        if name == "batch":
+                            for stage, spent in stages[side](took[side]).items():
+                                samples[side][stage].append(spent)
+                        if name == "evaluate":
+                            per_call[side].append(scored[side]())
+                    ratios[name].append(took["change"] / took["parent"])
 
     result = {
         "seed": args.seed,
@@ -255,12 +259,12 @@ def main() -> None:
     n = result["calls"]
     print(f"{n['batch']} batch calls, {n['evaluate']} evaluate calls of "
           f"{workloads.EVAL_CHUNK} queries, {n['candidates']} score_candidates and "
-          f"{n['score']} score calls per side, calls alternating;")
+          f"{n['score']} score and {n['load']} load calls per side, calls alternating;")
     print("tails scored exactly per evaluate query, parent/change: " + "; ".join(
         label + "/".join(f"{result[key][s]:g}" for s in sides) for label, key in (
             ("", "scored_per_query"), ("mean ", "scored_per_query_mean"),
             ("max ", "scored_per_query_max"))))
-    print("equal loss, gradients, reports and scores in every call")
+    print("equal loss, gradients, reports and scores, and loaded parameters, in every call")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=1)

@@ -291,12 +291,12 @@ def floor_shift(t0):
 
 def apply_time_guard(entities: np.ndarray, sig: Signature) -> None:
     """In place: shift the first time coordinate of each row whose time norm
-    fell below :data:`EPS_TIME` by :func:`floor_shift`, the rows
-    :func:`phi` bumps."""
-    time = entities[:, sig.p :]
-    small = norm(time) < EPS_TIME
+    (by :func:`dot_columns`, in any memory order) fell below :data:`EPS_TIME`
+    by :func:`floor_shift`, the columns :func:`point_terms_columns` bumps."""
+    time = entities.T[sig.p :]
+    small = np.sqrt(dot_columns(time, time)) < EPS_TIME
     if np.any(small):
-        time[small, 0] += floor_shift(time[small, 0])
+        time[0, small] += floor_shift(time[0, small])
 
 
 # --- conic projection and distances -----------------------------------------

@@ -25,15 +25,18 @@ and its margin also covers how far that leg lies from the shorter.  The
 count: the same Givens stages act on the raw parameter vectors, boosts are
 pinned to zero, and the distance is plain Euclidean.
 
-Checkpoints are a small binary format: magic ``UKGE``, a little-endian u32
-format version, a u32 header length, a canonical JSON header, then raw
-little-endian float64 payload arrays in :func:`layout` order.  A checkpoint
-must be a regular file, as every file :func:`save` writes is.  Loading
-reads and checks the prefix and every header field, compares the payload
-size the header promises with the file's size before it allocates
-anything, then reads the payload into one float64 array whose slices are
-the families, and rejects non-finite values; saving writes each family
-from its own buffer and replaces the target atomically.
+The entity table is coordinate-major in memory and row-major on disk:
+``m.entities`` is the float64, F-ordered ``(N, d)`` view of a C-ordered
+``(d, N)`` buffer, which every scoring path reads in place as
+``m.entities.T`` and :func:`coordinate_major` fills in blocks once, when a
+:class:`Model` is built or loaded.  A checkpoint is a regular file: magic
+``UKGE``, a little-endian u32 format version, a u32 header length, a
+canonical JSON header, then raw little-endian float64 row-major payload
+arrays in :func:`layout` order.  Loading checks the prefix, every header
+field and the promised payload size against the file's size before it
+allocates, reads the payload into one array, the entity table a block of
+rows at a time into its coordinate-major slice, and rejects non-finite
+values; saving replaces the target atomically.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ FORMAT_VERSION = 1
 
 GEOMETRIES = ("ultra", "euclidean")
 
-#: rows of the entity table that :func:`candidate_tails` transposes at a
+#: rows of the entity table that :func:`coordinate_major` transposes at a
 #: time: a (1024, d) block stays in cache, where one strided copy of the
 #: whole table does not
 TRANSPOSE_BLOCK = 1024
@@ -104,7 +107,7 @@ class Model:
     :func:`layout`."""
 
     sig: Signature
-    entities: np.ndarray  # free parameters, space then time
+    entities: np.ndarray  # free parameters, space then time, coordinate-major
     biases: np.ndarray  # column 0 head-role, column 1 tail-role
     theta: np.ndarray  # U-stage Givens angles
     phi: np.ndarray  # V-stage Givens angles
@@ -127,6 +130,9 @@ class Model:
                 raise DimensionError(
                     f"{name} has shape {np.shape(value)}, expected {shapes[name]}"
                 )
+        e = self.entities
+        if e.dtype != np.float64 or not e.T.flags.c_contiguous:
+            self.entities = coordinate_major(lambda lo, hi: e[lo:hi], np.empty(e.shape[::-1]))
 
     @property
     def n_entities(self) -> int:
@@ -137,8 +143,26 @@ class Model:
         return self.theta.shape[0]
 
     def clone(self) -> "Model":
-        arrays = {k: v.copy() for k, v in parameters(self).items() if k != "delta"}
+        arrays = {k: v.copy(order="K") for k, v in parameters(self).items() if k != "delta"}
         return replace(self, **arrays)
+
+
+def coordinate_major(rows, out: np.ndarray) -> np.ndarray:
+    """``out.T``: the ``(n, d)`` table whose rows ``lo`` to ``hi`` are
+    ``rows(lo, hi)``, copied :data:`TRANSPOSE_BLOCK` rows at a time into
+    ``out``, a C-ordered ``(d, n)`` float64 buffer."""
+    n = out.shape[1]
+    for lo in range(0, n, TRANSPOSE_BLOCK):
+        out[:, lo : lo + TRANSPOSE_BLOCK] = rows(lo, min(lo + TRANSPOSE_BLOCK, n)).T
+    return out.T
+
+
+def check_int(**values) -> None:
+    """Raise :class:`ConfigurationError` naming the first of ``values`` that
+    is not an integer (``bool`` is not, numpy integers are)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 def check_ids(ids, n: int, kind: str) -> None:
@@ -203,9 +227,10 @@ def init(
     time coordinate is shifted by +1 so the time-norm floor holds; biases
     start at zero; Givens angles are uniform on (-pi, pi); boosts are
     N(0, 0.01^2) (zero for the Euclidean baseline, which never uses them).
-    A non-finite ``delta`` or a negative ``seed`` raises
-    :class:`ConfigurationError`.
+    A non-finite ``delta``, a negative ``seed``, or counts or a seed that
+    are not integers raise :class:`ConfigurationError`.
     """
+    check_int(n_entities=n_entities, n_relations=n_relations, seed=seed)
     if n_entities < 1 or n_relations < 1:
         raise ConfigurationError("need at least one entity and one relation")
     check_margin(delta)
@@ -222,21 +247,12 @@ def init(
     mu = rng.normal(0.0, 0.01, shapes["mu"])
     if geometry == "euclidean":
         mu = np.zeros_like(mu)
-    entities = np.concatenate([space, time], axis=1)
+    entities = coordinate_major(lambda lo, hi: np.concatenate([space[lo:hi], time[lo:hi]], axis=1),
+                                np.empty((sig.d, n_entities)))
     apply_time_guard(entities, sig)
-    return Model(
-        sig=sig,
-        entities=entities,
-        biases=np.zeros(shapes["biases"]),
-        theta=theta,
-        phi=phi,
-        mu=mu,
-        delta=float(delta),
-        operator=operator,
-        geometry=geometry,
-        entity_digest=entity_digest,
-        relation_digest=relation_digest,
-    )
+    return Model(sig, entities, np.zeros(shapes["biases"]), theta, phi, mu, float(delta),
+                 operator=operator, geometry=geometry, entity_digest=entity_digest,
+                 relation_digest=relation_digest)
 
 
 # --- scoring -------------------------------------------------------------------
@@ -253,25 +269,18 @@ def parameters(m: Model) -> dict[str, np.ndarray]:
 
 def candidate_tails(m: Model, candidates=None) -> tuple:
     """``((side, tail biases), saved)`` of the candidate tails (default:
-    all), the tail side of :func:`meet_tails`.  ``side`` comes from one
-    transposed copy of their free parameters, ``(d, N)``, filled
-    :data:`TRANSPOSE_BLOCK` rows at a time: for ultra it is their
-    :func:`geometry.point_terms_columns` and ``saved`` the intermediates that
-    :func:`geometry.phi_columns_vjp` reads, and for euclidean the copy itself
-    and ``saved`` None.  :func:`ukge.evaluation.evaluate` builds it once for
-    every query, the training kernel once per block."""
-    if candidates is None:
-        cand, n = slice(None), m.n_entities
-    else:
+    all), the tail side of :func:`meet_tails`, from their free parameters,
+    ``m.entities.T`` itself for all, else its gathered columns: for ultra
+    their :func:`geometry.point_terms_columns` and the intermediates that
+    :func:`geometry.phi_columns_vjp` reads, for euclidean the parameters
+    and None.  :func:`ukge.evaluation.evaluate` builds it once for every
+    query, the training kernel once per block."""
+    side, saved, cand = m.entities.T, None, slice(None)
+    if candidates is not None:
         cand = np.asarray(candidates)
         check_ids(cand, m.n_entities, "entity")
         cand = cand.astype(np.int64, copy=False).reshape(-1)
-        n = cand.size
-    side, saved = np.empty((m.sig.d, n)), None
-    for lo in range(0, n, TRANSPOSE_BLOCK):
-        hi = min(lo + TRANSPOSE_BLOCK, n)
-        rows = m.entities[lo:hi] if candidates is None else m.entities[cand[lo:hi]]
-        side[:, lo:hi] = rows.T
+        side = np.take(side, cand, axis=1)
     if m.geometry == "ultra":
         side, saved = geometry.point_terms_columns(side, m.sig)
     return (side, m.biases[cand, 1]), saved
@@ -288,7 +297,7 @@ def move_heads(m: Model, h, r) -> tuple:
     vector with the boosts pinned to 0.  ``ops`` are the operator's
     intermediates and ``point`` phi's terms and intermediates (None for
     euclidean), what :func:`ukge.training._row_grads` reads."""
-    z, point = m.entities[h].T.copy(), None
+    z, point = np.take(m.entities.T, h, axis=1), None
     if m.geometry == "ultra":
         point = geometry.point_terms_columns(z, m.sig)
         z = np.concatenate(point[0][:2])
@@ -506,8 +515,8 @@ def save(m: Model, path: str) -> None:
             fh.write(MAGIC)
             fh.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
             fh.write(blob)
-            for arr in parameters(m).values():
-                fh.write(np.ascontiguousarray(arr, dtype="<f8"))  # its buffer, no copy
+            for arr in parameters(m).values():  # row-major: the entity table is copied
+                fh.write(np.ascontiguousarray(arr, dtype="<f8"))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -566,19 +575,23 @@ def load(path: str) -> Model:
             )
         if held > need:
             raise CorruptHeaderError(f"{path}: {held - need} trailing bytes")
+
+        def read(out):  # the payload's next out.size values, native
+            if fh.readinto(memoryview(out).cast("B")) < out.nbytes:  # the file shrank since fstat
+                raise TruncatedPayloadError(
+                    f"{path}: payload holds {fh.tell() - 12 - hlen} bytes, header promises {need}"
+                )
+            return out.astype(np.float64, copy=False)  # no copy on little-endian hosts
+
+        # one array, as in the file: a table-sized one of its own raised the peak RSS
+        n, d = shapes.pop("entities")
         payload = np.empty(need // 8, dtype="<f8")
-        got = fh.readinto(memoryview(payload).cast("B"))
-        if got < need:  # the file shrank since fstat
-            raise TruncatedPayloadError(
-                f"{path}: payload holds {got} bytes, header promises {need}"
-            )
-    payload = payload.astype(np.float64, copy=False)  # no copy on little-endian hosts
-    arrays = {}
-    offset = 0
-    for name, shape in shapes.items():
-        count = math.prod(shape)
-        arrays[name] = payload[offset : offset + count].reshape(shape)
-        offset += count
+        block = np.empty((min(n, TRANSPOSE_BLOCK), d), dtype="<f8")
+        table = payload[: n * d].reshape(d, n)
+        arrays = {"entities": coordinate_major(lambda lo, hi: read(block[: hi - lo]), table)}
+        rest = read(payload[n * d :])
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+    arrays |= {k: a.reshape(s) for (k, s), a in zip(shapes.items(), np.split(rest, ends[:-1]))}
     _check_finite(arrays, path)
     try:
         return Model(sig=sig, delta=float(arrays.pop("delta")), **arrays, **header)

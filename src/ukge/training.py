@@ -12,7 +12,10 @@ operator, two-leg distance with its clamps and branch selection) by a
 hand-written kernel: its forward pass is :func:`model.move_heads` then
 :func:`model.meet_tails`, the forward that evaluation and ``predict``
 score with, run on a block of triples with its intermediates kept, one row
-per coordinate and one column per scored triple; then the vector-Jacobian
+per coordinate and one column per scored triple, as the entity table, its
+gradient and its optimizer moments lie in memory: :mod:`ukge.model` holds
+the table row-major only on disk and transposes it in blocks once, when it
+builds or loads a model.  Then the vector-Jacobian
 product of each stage runs in reverse, each one next to its forward in
 :mod:`ukge.geometry` and :mod:`ukge.operators`.  Clamped values
 contribute zero gradient and distance-branch ties follow the first
@@ -59,7 +62,7 @@ from .errors import (
 )
 from .geometry import apply_time_guard
 from .kgdata import TripleStore
-from .model import Model, candidate_tails, check_ids, check_store, meet_tails
+from .model import Model, candidate_tails, check_ids, check_int, check_store, meet_tails
 from .model import move_heads, parameters
 
 PROB_CLAMP = 1e-12
@@ -84,6 +87,7 @@ class TrainConfig:
     threads: int = 1  # accepts only 1, for callers that still pass threads=1
 
     def validate(self) -> None:
+        check_int(**{k: getattr(self, k) for k in ("batch_size", "neg_samples", "epochs", "seed")})
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         if self.neg_samples < 1:
@@ -259,11 +263,8 @@ def _batch_grads(m: Model, pos: np.ndarray, neg: np.ndarray):
     for out, g_h, g_t in zip(entities, g_head, g_tail):
         np.add(np.bincount(h, g_h, n), np.bincount(t, g_t, n), out=out)
     return float(_log_loss(p, pos.shape[0])), {
-        # C order, like the optimizer's moments, which it reads beside them
-        "entities": np.ascontiguousarray(entities.T),
-        "biases": np.stack(
-            [np.bincount(h, g_score, n), np.bincount(t, g_score, n)], axis=1
-        ),
+        "entities": entities.T,  # in the table's own layout
+        "biases": np.stack([np.bincount(h, g_score, n), np.bincount(t, g_score, n)], axis=1),
         "theta": _scatter(r, g_theta, n_rel).T,
         "phi": _scatter(r, g_phi, n_rel).T,
         "mu": np.zeros_like(m.mu) if g_mu is None else _scatter(r, g_mu, n_rel).T,
@@ -319,9 +320,7 @@ def gradients(
     pos, neg = _as_batch(m, positives, negatives, "gradients")
     inv_n = 1.0 / pos.shape[0]
     out = {k: g * inv_n for k, g in _batch_grads(m, pos, neg)[1].items()}
-    ent = out.pop("entities")
-    out["entity_space"] = ent[:, : m.sig.p]
-    out["entity_time"] = ent[:, m.sig.p :]
+    out["entity_space"], out["entity_time"] = np.split(out.pop("entities"), [m.sig.p], axis=1)
     out["delta"] = np.float64(out["delta"])
     return out
 
@@ -330,16 +329,16 @@ def gradients(
 
 
 class Adam:
-    """Adam with the standard bias-corrected moments."""
+    """Adam with the standard bias-corrected moments, each laid out as its parameter."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, shapes: dict[str, tuple], lr: float):
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros(s) for k, s in shapes.items()}
-        self.v = {k: np.zeros(s) for k, s in shapes.items()}
-        self._work = {k: (np.empty(s), np.empty(s)) for k, s in shapes.items()}
+        self.m = {k: np.zeros_like(p) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+        self._work = {k: (np.empty_like(p), np.empty_like(p)) for k, p in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """One update in place, with the operations and rounding of
@@ -365,14 +364,14 @@ class Adam:
 
 
 class Adagrad:
-    """Adagrad with per-coordinate accumulated squared gradients."""
+    """Adagrad with per-coordinate squared-gradient sums, laid out as their parameters."""
 
     EPS = 1e-10
 
-    def __init__(self, shapes: dict[str, tuple], lr: float):
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.lr = lr
-        self.acc = {k: np.zeros(s) for k, s in shapes.items()}
-        self._work = {k: (np.empty(s), np.empty(s)) for k, s in shapes.items()}
+        self.acc = {k: np.zeros_like(p) for k, p in params.items()}
+        self._work = {k: (np.empty_like(p), np.empty_like(p)) for k, p in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """One update in place, with the operations and rounding of
@@ -418,8 +417,7 @@ def fit(
     # delta is a hyperparameter; the Euclidean baseline never uses its boosts
     frozen = ("delta",) if trained.geometry == "ultra" else ("delta", "mu")
     params = {k: v for k, v in parameters(trained).items() if k not in frozen}
-    shapes = {k: v.shape for k, v in params.items()}
-    opt = OPTIMIZERS[cfg.optimizer](shapes, cfg.learning_rate)
+    opt = OPTIMIZERS[cfg.optimizer](params, cfg.learning_rate)
     trace: list[float] = []
     last_good = trained.clone()
     n = triples.shape[0]

@@ -28,8 +28,9 @@ def test_the_checkout_on_both_sides(tmp_path):
     assert proc.returncode == 0, proc.stderr + proc.stdout
     record = json.loads(out.read_text())
     assert record["bits_equal"] is True
-    calls = ("batch", "evaluate", "candidates", "score")
-    assert record["calls"] == {"batch": 1, "evaluate": 1, "candidates": 10, "score": 10}
+    calls = ("batch", "evaluate", "candidates", "score", "load")
+    assert record["calls"] == {"batch": 1, "evaluate": 1, "candidates": 10, "score": 10,
+                               "load": 10}
     for side in ("parent", "change"):
         medians = record["medians_ms"][side]
         assert set(medians) == {*calls, "loss_sum", "row_grads", "scatter"}

@@ -22,7 +22,9 @@ from ukge.errors import (
     VersionMismatchError,
 )
 from ukge.geometry import EPS_TIME, Signature, point_terms_columns
-from ukge.kgdata import augment_inverse, make_synthetic
+from ukge.cli import main as cli_main
+from ukge.evaluation import evaluate
+from ukge.kgdata import augment_inverse, load_triples, make_synthetic
 from ukge.model import (
     TRANSPOSE_BLOCK,
     Model,
@@ -263,6 +265,19 @@ class TestInit:
         with pytest.raises(ConfigurationError, match="seed must be >= 0"):
             init(S22, 2, 1, seed=-1)
 
+    @pytest.mark.parametrize("field", ["n_entities", "n_relations", "seed"])
+    @pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(2.0), True, "2", None])
+    def test_non_integer_sizes_and_seed_rejected(self, field, bad):
+        """A typed error, not numpy's TypeError, and ``True`` is not 1."""
+        args = {"n_entities": 2, "n_relations": 1, "seed": 0, field: bad}
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            init(S22, args.pop("n_entities"), args.pop("n_relations"), **args)
+
+    def test_numpy_integer_sizes_and_seed_accepted(self):
+        m = init(S22, np.int64(3), np.int32(2), seed=np.uint8(4))
+        assert (m.n_entities, m.n_relations) == (3, 2)
+        assert same_bits(m.entities, init(S22, 3, 2, seed=4).entities)
+
 
 class TestModelContainer:
     @pytest.mark.parametrize("p,q", [(3, 1), (4, 1), (3, 2)])
@@ -300,6 +315,98 @@ class TestModelContainer:
         apply_time_guard(entities, S22)
         assert entities[0, 2] == EPS_TIME
         np.testing.assert_array_equal(entities[1], [1.0, 2.0, 3.0, 4.0])
+
+
+class TestLayout:
+    """The entity table is coordinate-major in memory: the F-ordered float64
+    view of a C-ordered (d, N) buffer, which the scoring paths read in place."""
+
+    @staticmethod
+    def built(how: str, tmp_path) -> Model:
+        m = init(S62, 9, 4, seed=3)
+        if how == "clone":
+            return m.clone()
+        if how == "load":
+            save(m, str(tmp_path / "m.ukge"))
+            return load(str(tmp_path / "m.ukge"))
+        if how == "fit":
+            store = augment_inverse(make_synthetic(seed=0))
+            m = init(S62, store.n_entities, store.n_relations, seed=3)
+            return fit(m, store, TrainConfig(epochs=1, batch_size=8, neg_samples=4))[0]
+        if how == "c arrays":
+            c = {k: np.ascontiguousarray(v) for k, v in parameters(m).items() if k != "delta"}
+            assert c["entities"].flags.c_contiguous and not c["entities"].flags.f_contiguous
+            back = Model(sig=S62, delta=m.delta, operator=m.operator, **c)
+            assert same_bits(back.entities, m.entities)
+            return back
+        return m
+
+    @pytest.mark.parametrize("how", ["init", "clone", "load", "fit", "c arrays"])
+    def test_every_model_holds_it_coordinate_major(self, how, tmp_path):
+        m = self.built(how, tmp_path)
+        assert m.entities.dtype == np.float64
+        assert m.entities.flags.f_contiguous and not m.entities.flags.c_contiguous
+        assert m.entities.T.flags.c_contiguous
+        for name in ("biases", "theta", "phi", "mu"):
+            assert getattr(m, name).flags.c_contiguous
+
+    def test_euclidean_tails_are_the_table_itself(self):
+        m = init(S62, 40, 2, seed=1, geometry="euclidean")
+        side = candidate_tails(m)[0][0]
+        assert np.shares_memory(side, m.entities)
+        assert same_bits(side, m.entities.T)
+
+    @pytest.mark.parametrize("geometry", ["ultra", "euclidean"])
+    def test_evaluate_and_predict_leave_the_table_unchanged(self, geometry, tmp_path,
+                                                            monkeypatch, capsys):
+        data = str(tmp_path / "data")
+        assert cli_main(["synth", "--out", data]) == 0
+        files = [f"{data}/{split}.tsv" for split in ("train", "valid", "test")]
+        store = augment_inverse(load_triples(*files))
+        m = init(S62, store.n_entities, store.n_relations, seed=2, geometry=geometry,
+                 entity_digest=dictionary_digest(store.entity_names),
+                 relation_digest=dictionary_digest(store.relation_names))
+        m.entities += np.random.default_rng(2).normal(0.0, 1.0, m.entities.shape)
+        before = m.entities.copy(order="K")
+        evaluate(m, store)
+        assert same_bits(m.entities, before)
+
+        ckpt = str(tmp_path / "m.ukge")
+        save(m, ckpt)
+        loaded = []
+
+        def keep(path):
+            loaded.append(load(path))
+            return loaded[-1]
+
+        monkeypatch.setattr("ukge.model.load", keep)
+        args = ["--train", files[0], "--valid", files[1], "--test", files[2]]
+        head, rel = store.entity_names[0], store.relation_names[0]
+        assert cli_main(["predict", "--model", ckpt, *args, "--head", head, "--rel", rel]) == 0
+        assert capsys.readouterr().out
+        (predicted,) = loaded
+        assert same_bits(predicted.entities, before)
+
+    @pytest.mark.parametrize("q", [8, 10])
+    def test_time_guard_bumps_the_columns_the_forward_bumps(self, q):
+        """Time norms a few ulps either side of the floor, on an F-ordered
+        table: the guard's norms are the forward's, added pairwise, so both
+        bump the same columns by the same shift."""
+        sig = Signature(q, q, 1.0)
+        rng = np.random.default_rng(q)
+        n = 512
+        time = rng.normal(0.0, 1.0, (n, q))
+        target = EPS_TIME * (1.0 + rng.integers(-8, 9, n) * 2.0**-52)
+        time *= (target / np.sqrt(np.sum(time * time, axis=1)))[:, None]
+        table = np.asfortranarray(np.concatenate([rng.normal(0.0, 1.0, (n, q)), time], axis=1))
+        before = table.copy(order="K")
+        apply_time_guard(table, sig)
+        guarded = np.flatnonzero(np.any(table != before, axis=1))
+        _, (t, _, _) = point_terms_columns(before.T, sig)
+        forward = np.flatnonzero(np.any(t != before.T[q:], axis=0))
+        assert 0 < guarded.size < n
+        assert np.array_equal(guarded, forward)
+        assert np.array_equal(table.T[q:], t)
 
 
 class TestDigest:
@@ -474,10 +581,11 @@ class TestCheckpoint:
     def test_loaded_families_are_separate_native_arrays(self, tmp_path):
         _, back = self.roundtrip(init(S62, 9, 4, seed=3), tmp_path)
         families = [v for k, v in parameters(back).items() if k != "delta"]
-        for arr in families:
+        for k, arr in zip(("entities", "biases", "theta", "phi", "mu"), families):
             assert arr.dtype == np.float64 and arr.dtype.isnative
             assert arr.flags.writeable and arr.flags.aligned
-            assert arr.flags.c_contiguous
+            # the entity table is coordinate-major, every other family row-major
+            assert arr.flags.f_contiguous if k == "entities" else arr.flags.c_contiguous
         for i, a in enumerate(families):
             for b in families[i + 1 :]:
                 assert not np.shares_memory(a, b)

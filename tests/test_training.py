@@ -18,6 +18,7 @@ from ukge.errors import (
     IdLookupError,
     NonFiniteGradientError,
 )
+from ukge.evaluation import evaluate
 from ukge.geometry import EPS_TIME, Signature
 from ukge.kgdata import augment_inverse, make_synthetic
 from ukge.model import Model, init, parameters
@@ -251,14 +252,14 @@ class TestGradients:
 class TestOptimizers:
     def test_adam_first_step_is_signed_lr(self):
         p = {"w": np.array([1.0, -2.0])}
-        opt = Adam({"w": (2,)}, lr=0.1)
+        opt = Adam(p, lr=0.1)
         opt.step(p, {"w": np.array([0.5, -0.25])})
         # bias-corrected first step: lr * g / (|g| + eps) ~ lr * sign(g)
         assert_close(p["w"], [0.9, -1.9], rtol=1e-6)
 
     def test_adagrad_steps(self):
         p = {"w": np.array([1.0])}
-        opt = Adagrad({"w": (1,)}, lr=0.5)
+        opt = Adagrad(p, lr=0.5)
         eps = 1e-10
         opt.step(p, {"w": np.array([2.0])})
         first = 1.0 - 0.5 * 2.0 / (2.0 + eps)
@@ -268,8 +269,8 @@ class TestOptimizers:
         assert_close(p["w"], [first - 1.0 / (np.sqrt(8.0) + eps)], rtol=1e-12)
 
     def test_adam_moment_decay(self):
-        opt = Adam({"w": (1,)}, lr=1.0)
         p = {"w": np.array([0.0])}
+        opt = Adam(p, lr=1.0)
         opt.step(p, {"w": np.array([1.0])})
         opt.step(p, {"w": np.array([0.0])})
         assert opt.t == 2
@@ -283,7 +284,7 @@ class TestOptimizers:
         shapes = {"w": (40, 8), "b": (40, 2), "s": (3,)}
         params = {k: rng.normal(size=s) for k, s in shapes.items()}
         ref = {k: v.copy() for k, v in params.items()}
-        opt = OPTIMIZERS[optimizer](shapes, lr=5e-3)
+        opt = OPTIMIZERS[optimizer](params, lr=5e-3)
         m = {k: np.zeros(s) for k, s in shapes.items()}
         v = {k: np.zeros(s) for k, s in shapes.items()}
         b1, b2 = 0.9, 0.999
@@ -302,6 +303,17 @@ class TestOptimizers:
                     ref[k] -= 5e-3 * g / (np.sqrt(v[k]) + 1e-10)
             for k in shapes:
                 assert np.array_equal(params[k], ref[k]), (t, k)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "adagrad"])
+    def test_moments_take_their_parameters_memory_order(self, optimizer):
+        params = {"f": np.asfortranarray(np.ones((5, 3))), "c": np.ones((5, 3))}
+        opt = OPTIMIZERS[optimizer](params, lr=0.1)
+        states = [opt.m, opt.v] if optimizer == "adam" else [opt.acc]
+        states += [{k: w[i] for k, w in opt._work.items()} for i in range(2)]
+        for state in states:
+            assert state["f"].flags.f_contiguous and not state["f"].flags.c_contiguous
+            assert state["c"].flags.c_contiguous and not state["c"].flags.f_contiguous
+            assert not any(np.shares_memory(state[k], params[k]) for k in params)
 
 
 def synth_setup(geometry="ultra", operator="rot", seed=0):
@@ -466,6 +478,25 @@ class TestFit:
             fit(m, empty, TrainConfig(epochs=1))
 
 
+class TestTableDtype:
+    """The model holds its entity table in float64 whatever the input's
+    dtype, so training and ranking see the float64 cast's bits."""
+
+    @pytest.mark.parametrize("geometry", ["ultra", "euclidean"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_any_numeric_table_trains_and_ranks_as_its_float64_cast(self, dtype, geometry):
+        m, store = synth_setup(geometry=geometry)
+        table = np.random.default_rng(3).normal(0.0, 2.0, m.entities.shape).astype(dtype)
+        a, b = replace(m, entities=table), replace(m, entities=table.astype(np.float64))
+        assert a.entities.dtype == np.float64 and a.entities.flags.f_contiguous
+        cfg = TrainConfig(epochs=1, batch_size=8, neg_samples=4)
+        (ta, trace_a), (tb, trace_b) = fit(a, store, cfg), fit(b, store, cfg)
+        assert trace_a == trace_b
+        for name, value in parameters(ta).items():
+            assert np.asarray(value).tobytes() == np.asarray(parameters(tb)[name]).tobytes()
+        assert evaluate(ta, store) == evaluate(tb, store)
+
+
 class TestPlainLoss:
     """``bce_loss`` scores the plain arrays: no tape, the tape's bits."""
 
@@ -541,6 +572,20 @@ class TestTrainConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
             TrainConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("field", ["batch_size", "neg_samples", "epochs", "seed"])
+    @pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(2.0), True, "2", None])
+    def test_rejects_non_integer_sizes_and_seed(self, field, bad):
+        """A typed error, not numpy's TypeError, and ``True`` is not 1."""
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: bad}).validate()
+        m, store = synth_setup()
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            fit(m, store, TrainConfig(**{"epochs": 1, field: bad}))
+
+    def test_numpy_integers_accepted(self):
+        TrainConfig(batch_size=np.int64(8), neg_samples=np.int32(4), epochs=np.uint16(1),
+                    seed=np.int64(3)).validate()
 
     def test_defaults_valid(self):
         TrainConfig().validate()
