@@ -36,10 +36,14 @@ pages times the allocator as well as the code, so a call whose two sides'
 medians differ is marked (``faults_differ``), as its ratio says little
 about the code.  It also prints each side's tails scored exactly per
 ``evaluate`` query, counted by wrapping that tree's
-``evaluation.score_candidates`` as ``perfbench/tracing.py`` does: the
-median over the calls of each call's mean (``scored_per_query``), and the
-mean and the maximum over every query of every call
-(``scored_per_query_mean``, ``scored_per_query_max``).  It exits non-zero unless
+``evaluation.score_candidates`` and ``evaluation.filtered_rank`` as
+``perfbench/tracing.py`` does: a query's tails are those scored during its
+``filtered_rank`` call, plus the exact scores handed to it as
+``_verified`` where its block of queries was scored in one call, and they
+must add up to every tail scored.  It prints the median over the calls of
+each call's mean (``scored_per_query``), and the mean and the maximum over
+every query of every call (``scored_per_query_mean``,
+``scored_per_query_max``).  It exits non-zero unless
 both trees return the same loss and gradients, ``EvalReport``s, scores and
 loaded parameters, floats compared bit for bit.  One invocation is one process; a claim cites the
 ratio medians of at least three.
@@ -104,19 +108,30 @@ def side_calls(package, inputs: dict):
     spent = dict.fromkeys(WRAPPED, 0.0)
     for name in WRAPPED:
         setattr(training, name, timed(spent, name, getattr(training, name)))
-    evaluation, scored = package.evaluation, []
-    score_all = evaluation.score_candidates
+    evaluation, scored, sizes = package.evaluation, [], []
+    score_all, rank = evaluation.score_candidates, evaluation.filtered_rank
 
     def counted(*args, **kwargs):
         scores = score_all(*args, **kwargs)
-        scored.append(scores.size)
+        sizes.append(scores.size)
         return scores
 
-    evaluation.score_candidates = counted
+    def ranked(*args, **kwargs):
+        before = len(sizes)
+        result = rank(*args, **kwargs)
+        handed = kwargs.get("_verified")  # scored with its block, before the call
+        scored.append(sum(sizes[before:]) + (0 if handed is None else handed[2].size))
+        return result
+
+    evaluation.score_candidates, evaluation.filtered_rank = counted, ranked
 
     def evaluate():
         scored.clear()
-        return dataclasses.asdict(evaluation.evaluate(m, chunk))
+        sizes.clear()
+        report = dataclasses.asdict(evaluation.evaluate(m, chunk))
+        if sum(scored) != sum(sizes):
+            sys.exit("evaluate: the tails scored exactly do not add up to the queries' tails")
+        return report
     trained = package.model.load(inputs["train_ckpt"])
     pos, neg = inputs["batch"]
 

@@ -7,10 +7,11 @@ candidate set — except the gold tail itself — and ties are resolved
 pessimistically: the rank counts every unfiltered competitor not scoring
 strictly below the gold tail.  A non-finite score therefore never improves
 a rank: a NaN gold ranks last and a NaN competitor counts against the gold.
-Tails are scored in float32 from matrix products first, each within a
-proven margin of its exact score, and exactly only where those margins
-cannot place them against the gold; an exact score outside its margin
-raises :class:`NumericError`.  Head prediction is realised upstream by
+Tails are scored in float32 from matrix products first, a block of
+queries at a time, and exactly, in one call per block, only where their
+proven margins cannot place them against the gold; the margins are
+computed only near the gold, and an exact score outside its margin raises
+:class:`NumericError`.  Head prediction is realised upstream by
 evaluating over a store augmented with inverse relations.
 """
 
@@ -25,8 +26,8 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, EmptySplitError, NumericError
 from .errors import PreconditionError
 from .kgdata import TripleStore
-from .model import Model, approx_scores, approx_side, candidate_tails, check_ids, check_store
-from .model import TRANSPOSE_BLOCK, columns, move_heads, score_candidates
+from .model import Model, approx_margins, approx_scores, approx_side, candidate_tails, check_ids
+from .model import TRANSPOSE_BLOCK, check_store, columns, move_heads, score_candidates
 
 HITS_KS = (1, 3, 10)
 
@@ -70,9 +71,32 @@ def build_filter_index(store: TripleStore, splits, keys) -> dict[tuple[int, int]
     }
 
 
+def _verify_block(m: Model, side: tuple, tails: tuple, heads: tuple, queries) -> list:
+    """Per query of ``queries``, (h, r, t) rows whose moved heads are
+    ``heads``: ``(s, verify, exact, margin)``, its row of
+    :func:`model.approx_scores`, the tails ``e`` for which ``|s_e - s_t| >
+    M_e + M_t`` does not hold (NaNs and the gold included), their exact
+    scores and their margins.  :func:`model.approx_margins` gives ``M_e``
+    only in each row's window, where the test fails with the row's ceiling
+    for ``M_e``: as the ceiling bounds every ``M_e`` and subtraction is
+    monotone, the window holds every verified tail.  One
+    :func:`score_candidates` call scores a block's verified pairs."""
+    s, ceiling = approx_scores(m, *heads, side)
+    at = np.arange(len(queries))
+    gold, gold_margin = s[at, queries[:, 2]], approx_margins(side, at, queries[:, 2])
+    windows = [np.flatnonzero(~(np.abs(s[i] - gold[i]) - ceiling[i] > gold_margin[i])) for i in at]
+    rows, cols = np.repeat(at, [w.size for w in windows]), np.concatenate(windows)
+    margin = approx_margins(side, rows, cols)
+    keep = ~(np.abs(s[rows, cols] - gold[rows]) - margin > gold_margin[rows])
+    rows, cols, margin = rows[keep], cols[keep], margin[keep]
+    exact = score_candidates(m, queries[rows, 0], queries[rows, 1], tails=columns(tails, cols),
+                             _head=columns(heads, rows))
+    ends = np.searchsorted(rows, np.append(at, at.size))
+    return [(s[i], cols[a:b], exact[a:b], margin[a:b]) for i, a, b in zip(at, ends, ends[1:])]
+
+
 def filtered_rank(m: Model, store: TripleStore, triple, filter_splits=("train", "valid", "test"),
-                  _index: dict | None = None, _tails: tuple | None = None,
-                  _head: tuple | None = None, _approx: tuple | None = None) -> int:
+                  _index: dict | None = None, _verified: tuple | None = None) -> int:
     """Pessimistic filtered rank of the gold tail among all entities.
 
     rank = 1 + #{ e != t unfiltered with not score(h, r, e) < score(h, r, t) },
@@ -80,33 +104,29 @@ def filtered_rank(m: Model, store: TripleStore, triple, filter_splits=("train", 
     Called without ``_index``, a store with more entities or relations than
     ``m`` raises :class:`IdLookupError`, as in :func:`evaluate`.
 
-    Tails are first scored by :func:`model.approx_scores` (``_approx``: this
-    query's row and margins ``M``, if done); one :func:`score_candidates`
-    call scores exactly each tail ``e`` with ``|s_e - s_t| <= M_e + M_t``
-    between the approximations, NaNs and the gold included, and the rest
-    lie on the side their approximation shows.  Each exact score must lie
-    within its tail's margin of a non-NaN approximation, or the query
-    raises :class:`NumericError`.
+    ``_verified`` is this query's entry of :func:`_verify_block`, which a
+    standalone call runs on a block of one: the tails it verified are
+    ranked by their exact scores, and the rest lie on the side their
+    approximation shows.  Each exact score must lie within its tail's margin
+    of a non-NaN approximation, or the query raises :class:`NumericError`.
     """
     if np.shape(triple) != (3,):
         raise DimensionError(f"a triple is (head, relation, tail), got shape {np.shape(triple)}")
     h, r, t = triple
-    check_ids([h, t], m.n_entities, "entity")
+    check_ids(h, m.n_entities, "entity")
+    check_ids(t, m.n_entities, "entity")
     check_ids(r, m.n_relations, "relation")
     h, r, t = int(h), int(r), int(t)
     if _index is None:  # standalone: check the store and index this query's pair only
         check_store(m, store)
         _index = build_filter_index(store, filter_splits, keys=[(h, r)])
-    tails = candidate_tails(m)[0] if _tails is None else _tails
-    head = move_heads(m, [h], [r])[0] if _head is None else _head
-    scores, margin = _approx or next(zip(*approx_scores(m, *head, approx_side(m, tails))))
-    gap = scores - scores[t]
-    np.abs(gap, out=gap)
-    gap -= margin  # NaN, or an infinite window, fails the comparison: such tails are verified
-    verify = np.flatnonzero(~(gap > margin[t]))
-    exact = score_candidates(m, h, r, tails=columns(tails, verify), _head=head)
+    if _verified is None:
+        tails = candidate_tails(m)[0]
+        _verified, = _verify_block(m, approx_side(m, tails), tails, move_heads(m, [h], [r])[0],
+                                   np.array([(h, r, t)]))
+    scores, verify, exact, margin = _verified
     approx = scores[verify]
-    if not np.all((np.abs(exact - approx) <= margin[verify]) | np.isnan(approx)):
+    if not np.all((np.abs(exact - approx) <= margin) | np.isnan(approx)):
         raise NumericError(f"query ({h}, {r}, {t}): an exact score lies outside the margin "
                            f"of its approximation")
     gold = exact[np.searchsorted(verify, t)]
@@ -160,9 +180,9 @@ def evaluate(m: Model, store: TripleStore, split: str = "test",
 
     The tail side, its float32 copy (:func:`model.approx_side`) and the
     filter index are built once per call; the queries' heads are moved
-    :data:`TRANSPOSE_BLOCK` at a time and meet the tails :data:`APPROX_BLOCK`
-    at a time in :func:`model.approx_scores`, before :func:`filtered_rank`
-    scores exactly what their margins leave open.
+    :data:`TRANSPOSE_BLOCK` at a time and verified :data:`APPROX_BLOCK` at
+    a time by :func:`_verify_block`, before :func:`filtered_rank` ranks
+    each.
 
     For the standard protocol (head and tail prediction) pass a store that
     has been augmented with inverse relations.  A store with more entities
@@ -179,11 +199,11 @@ def evaluate(m: Model, store: TripleStore, split: str = "test",
     for lo in range(0, triples.shape[0], TRANSPOSE_BLOCK):  # bounded head blocks
         hi = min(lo + TRANSPOSE_BLOCK, triples.shape[0])
         heads = move_heads(m, triples[lo:hi, 0], triples[lo:hi, 1])[0]
-        for j in range(0, hi - lo, APPROX_BLOCK):  # each row with its margin
-            approx = zip(*approx_scores(m, *columns(heads, slice(j, j + APPROX_BLOCK)), side))
-            ranks += [filtered_rank(m, store, triples[lo + i], filter_splits, _index=index,
-                                    _tails=tails, _head=columns(heads, slice(i, i + 1)), _approx=a)
-                      for i, a in enumerate(approx, j)]
+        for j in range(0, hi - lo, APPROX_BLOCK):
+            block = slice(j, j + APPROX_BLOCK)
+            verified = _verify_block(m, side, tails, columns(heads, block), triples[lo:hi][block])
+            ranks += [filtered_rank(m, store, triples[i], filter_splits, _index=index, _verified=v)
+                      for i, v in enumerate(verified, lo + j)]
     return aggregate_ranks(ranks, triples[:, 1])
 
 

@@ -566,7 +566,7 @@ def legs_margin(rx, nx, ry, ny, skew, sig: Signature):
     ``|L*L - d*d| <= 2 L`` times that: ``a = 2 L rx dc``, ``b = 2 L alpha
     dA``, ``e = 2 L e_l``, ``dd = L^2``.  ``a``, ``b`` and ``e`` carry a
     factor ``1 + 2^-16`` for the bound's own float32 arithmetic and the
-    window's comparisons in :func:`ukge.evaluation.filtered_rank`; ``k_c``
+    window's comparisons in :func:`ukge.evaluation.evaluate`; ``k_c``
     is lowered by ``3u``, ``k_a`` raised and the floors lowered so that
     their float32 roundings keep the bound."""
     u, w, alpha = 2.0**-24, 2.0**-53, sig.alpha

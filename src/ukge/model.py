@@ -14,16 +14,17 @@ forward in two halves, :func:`move_heads` then :func:`meet_tails` against
 the tails that :func:`candidate_tails` lays out.  All three return
 ``(value, saved)``, ``saved`` the intermediates that the training kernel's
 gradients read, and callers after values alone take ``[0]``.  Training
-runs both on blocks of triples, evaluation on the tails whose order
-against the gold :func:`approx_scores`, in float32 from matrix products
-and within a proven margin per tail, cannot tell, so a triple gets the
-same bits wherever it is scored.  Heads and tails lie on the manifold,
-where a point's time norm equals its radius up to rounding, so
-:func:`approx_scores` takes one leg of the two, one ``arccosh`` a tail,
-and its margin also covers how far that leg lies from the shorter.  The
-``geometry="euclidean"`` variant is a baseline at identical parameter
-count: the same Givens stages act on the raw parameter vectors, boosts are
-pinned to zero, and the distance is plain Euclidean.
+runs both on blocks of triples, evaluation on the (query, tail) pairs
+whose order against the gold :func:`approx_scores`, in float32 from
+matrix products, cannot tell within the proven margins of
+:func:`approx_margins`, so a triple gets the same bits wherever it is
+scored.  Heads and tails lie on the manifold, where a point's time norm
+equals its radius up to rounding, so :func:`approx_scores` takes one leg
+of the two, one ``arccosh`` a tail, and its margin also covers how far
+that leg lies from the shorter.  The ``geometry="euclidean"`` variant is
+a baseline at identical parameter count: the same Givens stages act on
+the raw parameter vectors, boosts are pinned to zero, and the distance
+is plain Euclidean.
 
 The entity table is coordinate-major in memory and row-major on disk:
 ``m.entities`` is the float64, F-ordered ``(N, d)`` view of a C-ordered
@@ -373,37 +374,42 @@ def approx_side(m: Model, tails, rows: int = 1) -> tuple:
         bounds = tuple(np.max(a, initial=0.0, where=keep) for a in (np.sqrt(yy), np.abs(b_t)))
         dtype, first, blocks = np.float64, side[0], 1
     work = [np.empty((rows, n), dtype) for _ in range(blocks)], np.empty((2, APPROX_ROWS, n), dtype)
-    return cols, b_t.astype(dtype), (first, np.sort(first)), bad, bounds, work
+    return cols, b_t.astype(dtype), (first, np.sort(first)), bad, bounds, (*work, [])
 
 
 def approx_scores(m: Model, x, b_h, side) -> tuple:
-    """``(s, margin)``: :func:`meet_tails` of a few moved heads ``x, b_h``
+    """``(s, ceiling)``: :func:`meet_tails` of a few moved heads ``x, b_h``
     (:func:`move_heads`) against the tails of :func:`approx_side`, from
-    matrix products, a row per head, and per tail a margin that bounds
-    ``|s - exact|``.  Both are ``side``'s work arrays, which its next call
-    overwrites.
+    matrix products, a row per head, in ``side``'s work arrays, which its
+    next call overwrites; :func:`approx_margins` then bounds ``|s - exact|``
+    at any (row, tail) pair, and each row's ceiling bounds its margins.
 
-    Ultra runs in float32.  One product gives the cosines ``<x_t / nx, y_t
-    / ny>``, another the ``arccosh`` arguments ``A = <(-x_s / alpha^2, rx),
-    (y_s, ny / alpha^2)>``, and each row takes one leg, ``min(rx, ry)
-    arccos(c) + alpha arccosh(max(A, 1))``, then its margin, the bound of
-    :func:`geometry.legs_margin` on ``d*d``, from the same ``c`` and ``A``,
-    in about 20 in-place calls on :data:`APPROX_ROWS` rows at a time.  To
-    that bound it adds ``2u dd + 3u (|b_h + delta| + max |b_t|)`` for the
-    float32 score's roundings and ``4w (dd + |b_h| + max |b_t| + |delta|)``
-    for the exact path's (``u = 2**-24``, ``w = 2**-53``), with the same
-    factor ``1 + 2^-16``.  Euclidean stays in float64 and takes ``|x|^2 +
-    |y|^2 - 2 <x, y>``, within ``(g(d) + 3w) (|x| + |y|)^2`` of ``|x -
-    y|^2`` as the exact path is within ``g(d) + 8w`` (``g`` of
-    :func:`geometry.legs_margin` with ``w``), doubled, plus ``8w (d*d +
-    |b_h| + |b_t| + |delta|)`` for three additions a path and the window of
-    :func:`ukge.evaluation.filtered_rank`, one margin for all of a head's
-    tails.  A head outside the range of
-    :func:`approx_side` or with a non-finite margin, and a tail in its
-    ``bad``, score NaN with an infinite margin.  Any other score the margin
-    does not cover is NaN too: non-finite, or its tail shares the head's
-    first coordinate."""
-    cols, b_t, (first, ordered), bad, bounds, (blocks, (c, t)) = side
+    Ultra runs in float32.  One product gives the cosines ``c = <x_t / nx,
+    y_t / ny>``, another the ``arccosh`` arguments ``A = <(-x_s / alpha^2,
+    rx), (y_s, ny / alpha^2)>``, both kept, and each row takes one leg,
+    ``min(rx, ry) arccos(c) + alpha arccosh(max(A, 1))``, in about ten
+    in-place calls on :data:`APPROX_ROWS` rows at a time.  A margin is the
+    bound of :func:`geometry.legs_margin` on ``d*d``, ``a_c / max(k_c - |c|,
+    f_c) + a_a / max(A - k_a, f_a) + e``, whose ``e`` also takes ``2u dd +
+    3u (|b_h + delta| + max |b_t|)`` for the float32 score's roundings and
+    ``4w (dd + |b_h| + max |b_t| + |delta|)`` for the exact path's (``u =
+    2**-24``, ``w = 2**-53``), with the same factor ``1 + 2^-16``.  The
+    ceiling is that float32 expression with each ``max(., f)`` replaced by
+    its floor ``f``: as ``a >= 0``, ``max(., f) >= f``, and correctly
+    rounded division and addition are monotone, it is at least every margin
+    of its row; a NaN margin takes a NaN ``c`` or ``A``, so a NaN score, or
+    an infinite ``a_a``, so an infinite ceiling.  Euclidean stays in float64
+    and takes ``|x|^2 + |y|^2 - 2 <x, y>``, within ``(g(d) + 3w) (|x| +
+    |y|)^2`` of ``|x - y|^2`` as the exact path is within ``g(d) + 8w``
+    (``g`` of :func:`geometry.legs_margin` with ``w``), doubled, plus ``8w
+    (d*d + |b_h| + |b_t| + |delta|)`` for three additions a path and the
+    window of :func:`ukge.evaluation.evaluate`, one margin for all of a
+    head's tails and its ceiling.  A head outside the range of
+    :func:`approx_side` or with a non-finite margin scores NaN with an
+    infinite ceiling, and a tail in its ``bad`` NaN with an infinite margin.
+    Any other score the margin does not cover is NaN too: non-finite, or its
+    tail shares the head's first coordinate."""
+    cols, b_t, (first, ordered), bad, bounds, (blocks, (c, t), last) = side
     k, n, u, w = b_h.size, b_t.size, 2.0**-24, 2.0**-53
     blocks = [a[:k] if k <= a.shape[0] else np.empty((k, n), a.dtype) for a in blocks]
     if m.geometry == "ultra":
@@ -412,36 +418,30 @@ def approx_scores(m: Model, x, b_h, side) -> tuple:
         ok = _in_f32_range(rx, nx, bias, m.sig)
         rx, nx, bias = (np.where(ok, a, 1.0) for a in (rx, nx, bias))  # stand-ins, scored NaN
         cos, arg, err, dd = geometry.legs_margin(rx, nx, *bounds[:3], m.sig)
-        err = err + (1.0 + 2.0**-16) * (2.01 * u * dd + 3.01 * u * (np.abs(bias) + bounds[3])
-                                         + 4.01 * w * (dd + np.abs(b_h) + bounds[3] + abs(m.delta)))
+        err = np.where(ok, err + (1.0 + 2.0**-16) * (  # a head out of range: every margin inf
+            2.01 * u * dd + 3.01 * u * (np.abs(bias) + bounds[3])
+            + 4.01 * w * (dd + np.abs(b_h) + bounds[3] + abs(m.delta))), np.inf)
         x_cos = np.where(ok, xt / nx, 0.0).astype(np.float32)
         x_arg = np.where(ok, np.concatenate([xs / -(alpha * alpha), rx[None]]), 0.0).astype(np.float32)
-        dots, s, margin = blocks
+        dots, args, s = blocks
         np.matmul(x_cos.T, y_cos, out=dots)
-        np.matmul(x_arg.T, y_arg, out=s)
-        rx, bias, a_c, a_a, k_a, f_a, err = (
-            np.asarray(a, dtype=np.float32)[:, None] for a in (rx, bias, cos[0], *arg, err))
-        k_c, f_c = np.float32(cos[1]), np.float32(cos[2])
+        np.matmul(x_arg.T, y_arg, out=args)
+        terms = a_c, _, f_c, a_a, _, f_a, err = [np.float32(a) for a in (*cos, *arg, err)]
+        ceiling = a_c / f_c + a_a / f_a + err
+        rx, bias = (np.asarray(a, dtype=np.float32)[:, None] for a in (rx, bias))
         for i in range(0, k, APPROX_ROWS):
             rows = slice(i, i + APPROX_ROWS)
-            cos_i, arg_i, margin_i = dots[rows], s[rows], margin[rows]
-            leg, tmp = c[: cos_i.shape[0]], t[: cos_i.shape[0]]
-            np.arccos(cos_i, out=leg)
+            leg, tmp = c[: len(s[rows])], t[: len(s[rows])]
+            np.arccos(dots[rows], out=leg)
             leg *= np.minimum(ry, rx[rows], out=tmp)
-            np.arccosh(np.maximum(arg_i, 1.0, out=tmp), out=tmp)
+            np.arccosh(np.maximum(args[rows], 1.0, out=tmp), out=tmp)
             if alpha != 1.0:
                 tmp *= alpha
             leg += tmp
             leg *= leg
-            np.abs(cos_i, out=cos_i)  # the margin, from the cosine and the argument
-            np.subtract(k_c, cos_i, out=cos_i)
-            np.divide(a_c[rows], np.maximum(cos_i, f_c, out=cos_i), out=cos_i)
-            np.subtract(arg_i, k_a[rows], out=tmp)
-            np.divide(a_a[rows], np.maximum(tmp, f_a[rows], out=tmp), out=tmp)
-            cos_i += tmp
-            np.add(cos_i, err[rows], out=margin_i)
-            np.subtract(np.add(b_t, bias[rows], out=tmp), leg, out=arg_i)
-        s[~ok], margin[~ok] = np.nan, np.inf
+            np.subtract(np.add(b_t, bias[rows], out=tmp), leg, out=s[rows])
+        s[~ok] = np.nan
+        last[:] = dots, args, terms
     else:
         (s,), (ys, yy), xs = blocks, cols, x
         xx = np.einsum("ij,ij->j", x, x)
@@ -449,29 +449,52 @@ def approx_scores(m: Model, x, b_h, side) -> tuple:
         err = 2.0 * (2.0 * m.sig.d * w / (1.0 - m.sig.d * w) + 11.0 * w) * bound
         err += 8.0 * w * (bound + np.abs(b_h) + bounds[1] + abs(m.delta))
         ok = np.isfinite(err)
-        margin = np.broadcast_to(np.where(ok, err, np.inf)[:, None], s.shape)
+        ceiling = np.where(ok, err, np.inf)
         np.matmul(x.T, ys, out=s)
         for i in range(k):
             s[i] = b_h[i] + m.delta + b_t - (xx[i] + yy - 2.0 * s[i])
         s[np.isinf(s) | ~ok[:, None]] = np.nan
+        last[:] = (ceiling,)
     x0 = xs[0]
     for i in np.flatnonzero(ordered[np.minimum(np.searchsorted(ordered, x0), n - 1)] == x0):
         s[i, first == x0[i]] = np.nan  # NaN stays NaN
-    if bad.size:
-        margin = margin if margin.flags.writeable else margin.copy()  # euclidean's broadcast
-        s[:, bad], margin[:, bad] = np.nan, np.inf
-    return s, margin
+    s[:, bad] = np.nan
+    return s, ceiling
 
 
-def score_candidates(m: Model, h: int, r: int, *, tails=None, _head=None) -> np.ndarray:
+def approx_margins(side, rows, cols) -> np.ndarray:
+    """The margins of :func:`approx_scores`' last call on ``side`` at the
+    (row, tail) pairs ``rows, cols``, two id arrays of one length, in that
+    call's float32 (euclidean: float64) arithmetic, so each has the bits of
+    the margin's expression there; infinite for a head outside the range and
+    for a tail in ``bad``."""
+    bad, last = side[3], side[5][2]
+    if len(last) == 1:  # euclidean: one margin a head, its ceiling
+        margin = last[0][rows]
+    else:
+        dots, args, (a_c, k_c, f_c, a_a, k_a, f_a, err) = last
+        margin = (a_c[rows] / np.maximum(k_c - np.abs(dots[rows, cols]), f_c)
+                  + a_a[rows] / np.maximum(args[rows, cols] - k_a[rows], f_a[rows]) + err[rows])
+    margin[np.isin(cols, bad)] = np.inf
+    return margin
+
+
+def score_candidates(m: Model, h, r, *, tails=None, _head=None) -> np.ndarray:
     """:func:`meet_tails` of (h, r, e) for every tail ``e`` of ``tails``
     (the value of :func:`candidate_tails`, default: all entities): the head
     is one ``(d, 1)`` column of :func:`move_heads`' value, or ``_head`` if
-    moved already."""
+    moved already.  1-d id arrays ``h`` and ``r`` of the tails' length pair
+    up with them, a triple a column, each with the bits of the one-head
+    call (:func:`geometry.dot_columns` adds alike at any width); other
+    arrays raise :class:`DimensionError`."""
     check_ids(h, m.n_entities, "entity")
     check_ids(r, m.n_relations, "relation")
-    head = move_heads(m, [h], [r])[0] if _head is None else _head
-    return meet_tails(m, *head, *(candidate_tails(m)[0] if tails is None else tails))[0]
+    tails = candidate_tails(m)[0] if tails is None else tails
+    if (np.ndim(h) or np.ndim(r)) and not np.shape(h) == np.shape(r) == tails[1].shape:
+        raise DimensionError(f"score_candidates: heads {np.shape(h)} and relations "
+                             f"{np.shape(r)} do not pair with {tails[1].size} tails")
+    head = move_heads(m, np.atleast_1d(h), np.atleast_1d(r))[0] if _head is None else _head
+    return meet_tails(m, *head, *tails)[0]
 
 
 def score(m: Model, h: int, r: int, t: int) -> float:

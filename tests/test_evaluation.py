@@ -28,6 +28,7 @@ from ukge.kgdata import SPLITS, TripleStore, augment_inverse, make_synthetic
 from ukge.model import (
     GEOMETRIES,
     Model,
+    approx_margins,
     approx_scores,
     approx_side,
     candidate_tails,
@@ -266,6 +267,16 @@ class TestEvaluate:
         with pytest.raises(IdLookupError, match="must be integers"):
             filtered_rank(m, store, (1, 0, 0.5))
 
+    @pytest.mark.parametrize("triple", [(True, 0, 1), (0, True, 1), (0, 0, True)])
+    def test_bool_ids_rejected(self, triple):
+        """A bool head or tail is refused as a bool relation is; checked
+        with the other id of the pair in one array, it used to be read as
+        entity 1 and ranked."""
+        store = augment_inverse(make_synthetic(seed=2))
+        m = init(Signature(6, 2), store.n_entities, store.n_relations, seed=5)
+        with pytest.raises(IdLookupError, match="must be integers, got bool"):
+            filtered_rank(m, store, triple)
+
     def test_malformed_triple_rejected(self):
         """A triple of two ids used to raise a bare ValueError ("not enough
         values to unpack")."""
@@ -425,18 +436,26 @@ class TestTracedCalls:
     the size of the scores."""
 
     def test_one_rank_and_one_scoring_per_query(self, monkeypatch):
+        """One ``filtered_rank`` call per query, handed the tails that every
+        tail's margin verifies, and one ``score_candidates`` call per block
+        of :data:`evaluation.APPROX_BLOCK` queries that scores those tails."""
         from ukge import evaluation
 
         store = augment_inverse(make_synthetic(seed=2))
         m = init(Signature(6, 2), store.n_entities, store.n_relations, seed=5)
         expected = evaluate(m, store)
-        ranks, scored = [], []
-        rank, score_all = evaluation.filtered_rank, evaluation.score_candidates
+        ranks, scored, rows = [], [], []
+        rank, score_all, approx = (
+            evaluation.filtered_rank, evaluation.score_candidates, evaluation.approx_scores)
+
+        def approx_shim(m, x, b_h, side):
+            # every tail's margin, before the next block overwrites the work arrays
+            s, ceiling = approx(m, x, b_h, side)
+            rows.extend(zip(s.copy(), every_margin(side, b_h.size)))
+            return s, ceiling
 
         def rank_shim(*args, **kwargs):
-            # the next block of approx_scores overwrites the row and its margins
-            approx, margin = kwargs["_approx"]
-            ranks.append((args, {**kwargs, "_approx": (approx.copy(), margin.copy())}))
+            ranks.append((args, kwargs))
             return rank(*args, **kwargs)
 
         def score_shim(*args, **kwargs):
@@ -444,11 +463,17 @@ class TestTracedCalls:
             scored.append(scores.size)
             return scores
 
+        monkeypatch.setattr(evaluation, "approx_scores", approx_shim)
         monkeypatch.setattr(evaluation, "filtered_rank", rank_shim)
         monkeypatch.setattr(evaluation, "score_candidates", score_shim)
         assert evaluate(m, store) == expected
-        assert len(ranks) == len(scored) == store.test.shape[0]
-        assert scored == [verified_size(args, kwargs) for args, kwargs in ranks]
+        n = store.test.shape[0]
+        assert n <= evaluation.TRANSPOSE_BLOCK  # one head block, so blocks of APPROX_BLOCK
+        assert len(ranks) == len(rows) == n and len(scored) == -(-n // evaluation.APPROX_BLOCK)
+        assert sum(scored) == sum(kwargs["_verified"][1].size for _, kwargs in ranks)
+        for (args, kwargs), (approx_row, margin) in zip(ranks, rows):
+            np.testing.assert_array_equal(
+                kwargs["_verified"][1], verified_tails(approx_row, margin, int(args[2][2])))
         assert [tuple(int(v) for v in args[2]) for args, _ in ranks] == [
             tuple(int(v) for v in row) for row in store.test
         ]
@@ -477,20 +502,32 @@ class TestTracedCalls:
 
         monkeypatch.setattr(evaluation, "score_candidates", score_shim)
         evaluate(m, store)
-        assert len(scored) == store.test.shape[0]
-        assert sum(scored) < 0.1 * len(scored) * m.n_entities
+        assert sum(scored) < 0.1 * store.test.shape[0] * m.n_entities
 
 
-def verified_size(args, kwargs):
-    """The size of the one exact scoring of a traced ``filtered_rank`` call:
-    the tails whose approximate score lies within their margin plus the
-    gold's of the gold's approximate score, the gold and any NaN included,
-    or every entity when the gold's window is not finite."""
-    approx, margin = kwargs["_approx"]
-    t = int(args[2][2])
+def verified_tails(approx, margin, t):
+    """The tails that a query with the approximate scores ``approx`` and
+    the margins ``margin`` scores exactly: those whose approximate score
+    lies within their margin plus the gold's of the gold's approximate
+    score, the gold and any NaN included, or every entity when the gold's
+    window is not finite."""
     if not (np.isfinite(approx[t]) and np.isfinite(margin[t])):
-        return approx.size
-    return int(np.count_nonzero(~(np.abs(approx - approx[t]) > margin + margin[t])))
+        return np.arange(approx.size)
+    return np.flatnonzero(~(np.abs(approx - approx[t]) > margin + margin[t]))
+
+
+def every_margin(side, k):
+    """:func:`approx_margins` of every (row, tail) pair of the last
+    ``approx_scores`` call on ``side``, one row per head of its ``k``."""
+    n = side[1].size
+    return approx_margins(side, np.repeat(np.arange(k), n), np.tile(np.arange(n), k)).reshape(k, n)
+
+
+def assert_ceiling(approx, margin, ceiling):
+    """Every margin of a non-NaN approximate score is at most its row's
+    ceiling, which therefore opens a window around the gold that holds
+    every tail the margins verify."""
+    assert np.all((margin <= ceiling[:, None]) | np.isnan(approx))
 
 
 def filter_index_oracle(store, splits):
@@ -632,6 +669,41 @@ class TestEvaluateMatchesPairPath:
                 )
 
 
+    @pytest.mark.parametrize("operator", sorted(OPERATOR_MODES))
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_pairwise_scores_equal_per_query_calls(self, geometry, operator):
+        """``score_candidates`` with 1-d id arrays ``h`` and ``r`` scores one
+        (h, r, e) a column, with the bits of each query's own call, on both
+        sides of the few-column branch of ``dot_columns`` and with the
+        copies, the NaN entity and the bumped head of :meth:`setup`."""
+        rng = np.random.default_rng(7)
+        for sig in SCORING_SIGNATURES:
+            m, _ = self.setup(geometry, operator, sig)
+            fixed = np.array([(0, 0, 1), (0, 0, 0), (2, 1, 3), (3, 0, 4), (4, 2, 2)])
+            for width in (1, 5, 40):
+                drawn = rng.integers(0, [m.n_entities, m.n_relations, m.n_entities], (width, 3))
+                h, r, e = np.concatenate([fixed, drawn])[:width].T
+                pairs = score_candidates(m, h, r, tails=candidate_tails(m, e)[0])
+                single = [score_candidates(m, a, b, tails=candidate_tails(m, [c])[0])[0]
+                          for a, b, c in zip(h, r, e)]
+                every = [score_candidates(m, a, b)[c] for a, b, c in zip(h, r, e)]
+                for expected in (single, every):  # a NaN's sign may differ
+                    np.testing.assert_array_equal(pairs, expected)
+                    np.testing.assert_array_equal(np.signbit(pairs) & ~np.isnan(pairs),
+                                                  np.signbit(expected) & ~np.isnan(pairs))
+
+    def test_pairwise_shapes_checked(self):
+        """Id arrays must be 1-d and as long as the tails; one id and one
+        array, or a 2-d array, do not pair."""
+        m, _ = self.setup("ultra", "rotref")
+        tails = candidate_tails(m, [1, 2, 3])[0]
+        for h, r in [([0, 1], [0, 0]), ([0, 1, 2], 0), (0, [0, 0, 0]),
+                     (np.zeros((1, 3), int), np.zeros((1, 3), int)), ([0, 1, 2], [0, 0])]:
+            with pytest.raises(DimensionError, match="do not pair with 3 tails"):
+                score_candidates(m, h, r, tails=tails)
+        assert score_candidates(m, [0, 1, 2], [0, 0, 1], tails=tails).shape == (3,)
+
+
 class TestApproxScores:
     """``approx_scores`` lies within its margin of the exact scores, at
     coincident and nearly coincident points, cosines of ±1 and ``arccosh``
@@ -661,7 +733,10 @@ class TestApproxScores:
         m = self.fixture(geometry, alpha, scale)
         queries = [(0, 0), (0, 1), (7, 1), (4, 0)]
         heads = move_heads(m, *np.transpose(queries))[0]
-        approx, margin = approx_scores(m, *heads, approx_side(m, candidate_tails(m)[0], 4))
+        side = approx_side(m, candidate_tails(m)[0], 4)
+        approx, ceiling = approx_scores(m, *heads, side)
+        margin = every_margin(side, 4)
+        assert_ceiling(approx, margin, ceiling)
         for row, margin_row, (h, r) in zip(approx, margin, queries):
             exact = score_candidates(m, h, r)
             covered = ~np.isnan(row)
@@ -695,7 +770,10 @@ class TestApproxScores:
         queries = [(h, r) for h in (0, 7, 19, 33) for r in range(3)]
         heads = move_heads(m, *np.transpose(queries))[0]
         assert np.any(heads[0][2] != heads[0][3])  # rx != nx
-        approx, margin = approx_scores(m, *heads, approx_side(m, tails, len(queries)))
+        side = approx_side(m, tails, len(queries))
+        approx, ceiling = approx_scores(m, *heads, side)
+        margin = every_margin(side, len(queries))
+        assert_ceiling(approx, margin, ceiling)
         for row, margin_row, (h, r) in zip(approx, margin, queries):
             exact = score_candidates(m, h, r, tails=tails)
             covered = ~np.isnan(row)
@@ -720,26 +798,31 @@ class TestApproxScores:
         ny = ny.copy()
         ny[1:6] *= 1.0 + 1e-4
         tails = ((ys, yt, ry, ny), b_t)
-        approx, margin = approx_scores(m, *move_heads(m, [0], [0])[0], approx_side(m, tails))
+        side = approx_side(m, tails)
+        approx, ceiling = approx_scores(m, *move_heads(m, [0], [0])[0], side)
+        margin = every_margin(side, 1)
+        assert_ceiling(approx, margin, ceiling)
         exact = score_candidates(m, 0, 0, tails=tails)
         assert not np.any(np.isnan(approx[0, 1:]))
         assert np.all(np.abs(approx[0, 1:] - exact[1:]) <= margin[0, 1:])
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_zero_margins_fail_the_proof(self, geometry, monkeypatch):
-        """With every margin 0, the exact score of a verified tail lies
-        outside its approximation's margin, and the query is named; a
-        euclidean approximation may equal the exact score, but not both of
-        two queries'."""
+        """With every margin and ceiling 0, the exact score of a verified
+        tail lies outside its approximation's margin, and the query is
+        named; a euclidean approximation may equal the exact score, but not
+        both of two queries'."""
         from ukge import evaluation
 
-        m, approx = self.fixture(geometry, 1.0, 1.0), evaluation.approx_scores
+        m = self.fixture(geometry, 1.0, 1.0)
+        approx, margins = evaluation.approx_scores, evaluation.approx_margins
 
-        def zero_margins(*args):
-            s, margin = approx(*args)
-            return s, np.zeros(s.shape, margin.dtype)
+        def zero_ceilings(*args):
+            s, ceiling = approx(*args)
+            return s, np.zeros_like(ceiling)
 
-        monkeypatch.setattr(evaluation, "approx_scores", zero_margins)
+        monkeypatch.setattr(evaluation, "approx_scores", zero_ceilings)
+        monkeypatch.setattr(evaluation, "approx_margins", lambda *a: np.zeros_like(margins(*a)))
         store = ids_store(40, 2, train=[], test=[(7, 1, 9), (12, 0, 30)])
         with pytest.raises(NumericError, match=r"query \((7, 1, 9|12, 0, 30)\)"):
             evaluate(m, store)
@@ -759,7 +842,10 @@ class TestApproxScores:
             m = init(Signature(6, 2), 8, 1, seed=1, geometry=geometry)
             m.entities[5] = np.nan
             side = approx_side(m, candidate_tails(m)[0])  # work for one head: two take more
-            approx, margin = approx_scores(m, *move_heads(m, [0, 5], [0, 0])[0], side)
+            approx, ceiling = approx_scores(m, *move_heads(m, [0, 5], [0, 0])[0], side)
+            margin = every_margin(side, 2)
+            assert_ceiling(approx, margin, ceiling)
+            assert np.isinf(ceiling[1])
             assert np.isnan(approx[0, 5]) and np.isinf(margin[0, 5])
             others = np.arange(8) != 5
             assert np.all(np.isfinite(approx[0, others]) & np.isfinite(margin[0, others]))
@@ -830,8 +916,10 @@ class TestFilteredRanksMatchExactScores:
             m.entities[1] = m.entities[0]
             triples = rng.integers(0, [30, 3, 30], size=(40, 3))
             self.check_ranks(m, ids_store(30, 3, train=triples[:30], test=triples[30:]))
-            approx, margin = approx_scores(m, *move_heads(m, [5], [1])[0],
-                                           approx_side(m, candidate_tails(m)[0]))
+            side = approx_side(m, candidate_tails(m)[0])
+            approx, ceiling = approx_scores(m, *move_heads(m, [5], [1])[0], side)
+            margin = every_margin(side, 1)
+            assert_ceiling(approx, margin, ceiling)
             overflows = scale > 1.0 and geometry == "ultra"
             assert np.all(np.isnan(approx) & np.isinf(margin)) == overflows
             assert np.all(np.isfinite(approx) & np.isfinite(margin)) != overflows
