@@ -23,23 +23,23 @@ arc between time directions at fixed space component plus a hyperboloid
 geodesic between conic sections, with both legs in closed form.  The conic
 projection :func:`project_conic` and the legs :func:`dist_sphere` and
 :func:`dist_hyper` spell the same construction out step by step, checking
-their preconditions; they are the reference the closed form is tested against.
+their preconditions, and stay as the reference the closed form is tested against.
 
-All functions are plain numpy, with point coordinates along the last axis
-and batch axes in front, except the ``*_columns`` functions of scoring,
-which the training kernel and one-against-all evaluation share: they keep
-points coordinate-major, one row per coordinate, and :func:`dot_columns`
-sums their dot products over whole rows in the order ``np.sum`` adds one
-C-ordered row, so each point gets the bits the row-wise functions give
-it.  Scoring takes a point's terms from :func:`terms_columns` (points on
-the manifold) or :func:`point_terms_columns` (free parameters) and the
-distance from :func:`manhattan_legs_columns`; the last two return
+:func:`phi` and :func:`dist_manhattan` are computed once, by the
+``*_columns`` functions that training, evaluation and ``predict`` run on
+coordinate-major points, one row per coordinate; :func:`dot_columns` sums
+their dot products over whole rows in the order ``np.sum`` adds one
+C-ordered row.  Scoring takes a point's terms from :func:`terms_columns`
+(points on the manifold) or :func:`point_terms_columns` (free parameters)
+and the distance from :func:`manhattan_legs_columns`; the last two return
 ``(value, saved)``, ``saved`` the intermediates that the kernel's
 vector-Jacobian products (:func:`phi_columns_vjp`,
 :func:`point_terms_columns_vjp`, :func:`manhattan_legs_columns_vjp`)
-read, and callers after values alone take ``[0]``.  The row-wise
-:func:`phi` and :func:`dist_manhattan` return values alone: they are the
-reference that the autodiff tape differentiates and the tests compare with.
+read, and callers after values alone take ``[0]``.  Every other function
+takes points along the last axis, batch axes in front; :func:`phi` and
+:func:`dist_manhattan` run the kernels through :func:`to_columns` and
+:func:`to_rows`, the same bits in any memory order, and the tests hold
+them to the row-wise copies the tape differentiates (``tests/tape_oracle.py``).
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ _PARALLEL_RTOL = 1e-8  # same-direction check in dist_hyper
 class Signature:
     """Ambient signature (p, q) and manifold radius alpha.
 
-    ``p`` counts space dimensions, ``q`` time dimensions; ``p >= q >= 1`` and
+    ``p`` counts space dimensions, ``q`` time dimensions, both integers by
+    :func:`check_int`'s rule and kept as ``int``; ``p >= q >= 1`` and
     ``alpha > 0``.  Relation operators additionally require ``p`` and ``q``
     even, a rule that :func:`ukge.operators.require_even` states.
     """
@@ -90,8 +91,9 @@ class Signature:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
-            raise ConfigurationError("signature dimensions must be integers")
+        check_int(p=self.p, q=self.q)
+        for name in ("p", "q"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.q < 1 or self.p < self.q:
             raise ConfigurationError(
                 f"signature requires p >= q >= 1, got p={self.p}, q={self.q}"
@@ -102,6 +104,14 @@ class Signature:
     def d(self) -> int:
         """Ambient dimension p + q."""
         return self.p + self.q
+
+
+def check_int(**values) -> None:
+    """Raise :class:`ConfigurationError` naming the first of ``values`` that
+    is not an integer (``bool`` is not, numpy integers are)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 def check_alpha(alpha: float) -> None:
@@ -180,22 +190,47 @@ def dot_columns(x, y):
     return out
 
 
-def _check_last_dim(x, expect: int, name: str) -> None:
-    shape = np.shape(x)
-    if len(shape) == 0 or shape[-1] != expect:
-        raise DimensionError(f"{name}: expected last dimension {expect}, got shape {shape}")
+def batch_of(name: str, *arrays) -> tuple:
+    """The broadcast batch shape of ``arrays``, pairs ``(x, k)`` of an array
+    and the size its last axis must have; :class:`DimensionError` names
+    ``name`` when a size is wrong or the batch shapes do not broadcast."""
+    shapes = [np.shape(x) for x, _ in arrays]
+    for shape, (_, k) in zip(shapes, arrays):
+        if shape[-1:] != (k,):
+            raise DimensionError(f"{name}: expected last dimension {k}, got shape {shape}")
+    try:
+        return np.broadcast_shapes(*(shape[:-1] for shape in shapes))
+    except ValueError:
+        raise DimensionError(f"{name}: batch shapes of {shapes} do not broadcast") from None
+
+
+def to_columns(x, batch: tuple) -> np.ndarray:
+    """Points ``x``, coordinates along the last axis, broadcast to the batch
+    shape ``batch`` and laid out coordinate-major: a C-ordered float64
+    ``(d, N)`` array, with no copy when ``x`` is the transpose of one."""
+    x = np.asarray(x, dtype=np.float64)
+    x = x if x.shape[:-1] == batch else np.broadcast_to(x, batch + x.shape[-1:])
+    return np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
+
+
+def to_rows(batch: tuple, *blocks) -> np.ndarray:
+    """The C-ordered points of batch shape ``batch`` whose coordinates are
+    the rows of the coordinate-major ``blocks``, stacked in order: a later
+    ``np.sum`` over a point then adds as :func:`dot_columns` does."""
+    out = np.empty(batch + (sum(len(b) for b in blocks),))
+    np.concatenate([b.T for b in blocks], axis=1, out=out.reshape(-1, out.shape[-1]))
+    return out
 
 
 def split_spacetime(x, sig: Signature):
     """Split points into (space, time) components along the last axis."""
-    _check_last_dim(x, sig.d, "split_spacetime")
+    batch_of("split_spacetime", (x, sig.d))
     return x[..., : sig.p], x[..., sig.p :]
 
 
 def qdot(x, y, sig: Signature):
     """Scalar product of signature (p, q): space dot minus time dot."""
-    _check_last_dim(x, sig.d, "qdot")
-    _check_last_dim(y, sig.d, "qdot")
+    batch_of("qdot", (x, sig.d), (y, sig.d))
     xs, xt = x[..., : sig.p], x[..., sig.p :]
     ys, yt = y[..., : sig.p], y[..., sig.p :]
     return np.sum(xs * ys, axis=-1) - np.sum(xt * yt, axis=-1)
@@ -204,10 +239,8 @@ def qdot(x, y, sig: Signature):
 def space_radius(space, sig: Signature):
     """Radius ``sqrt(alpha^2 + |space|^2)`` of the time sphere over ``space``.
 
-    This is the single shared implementation used by :func:`phi`,
-    :func:`psi_inv`, :func:`dist_manhattan` (as the sphere-leg radius) and the
-    reference legs :func:`project_conic` and :func:`dist_sphere`, so that
-    coincident inputs produce bitwise-identical radii.
+    Shared by :func:`psi_inv` and the reference legs :func:`project_conic`
+    and :func:`dist_sphere`; :func:`terms_columns` gives each column its bits.
     """
     return np.sqrt(np.sum(space * space, axis=-1) + sig.alpha * sig.alpha)
 
@@ -215,7 +248,7 @@ def space_radius(space, sig: Signature):
 def manifold_defect(x, sig: Signature) -> np.ndarray:
     """Absolute deviation ``| <x,x>_q + alpha^2 |`` (diagnostic, plain arrays)."""
     v = np.asarray(x, dtype=np.float64)
-    _check_last_dim(v, sig.d, "manifold_defect")
+    batch_of("manifold_defect", (v, sig.d))
     return np.abs(qdot(v, v, sig) + sig.alpha * sig.alpha)
 
 
@@ -244,7 +277,9 @@ def psi(x, sig: Signature):
 def psi_inv(z, sig: Signature):
     """Inverse of :func:`psi`: lift (space, sphere-time) back to the manifold."""
     v, u = z
-    _check_last_dim(u, sig.q, "psi_inv")
+    batch_of("psi_inv", (v, sig.p), (u, sig.q))
+    if np.shape(v)[:-1] != np.shape(u)[:-1]:
+        raise DimensionError(f"psi_inv: space {np.shape(v)} and time {np.shape(u)} batches differ")
     un = np.asarray(norm(u))
     if np.any(np.abs(un - sig.alpha) > _SPHERE_RTOL * sig.alpha):
         raise PreconditionError(
@@ -263,23 +298,12 @@ def phi(z, sig: Signature):
     Rows whose time norm has fallen below :data:`EPS_TIME` get that amount
     added to their first time coordinate, with the coordinate's sign
     (:func:`floor_shift`), before mapping, so the map never divides by a
-    norm below the floor during optimisation.
+    norm below the floor during optimisation.  This is
+    :func:`point_terms_columns` on the points laid out by :func:`to_columns`.
     """
-    _check_last_dim(z, sig.d, "phi")
-    s, t = z[..., : sig.p], z[..., sig.p :]
-    tn = norm(t, keepdims=True)
-    small = (tn < EPS_TIME)[..., 0]
-    if np.any(small):
-        bump = np.zeros(np.shape(t))
-        bump[..., 0] = np.where(small, floor_shift(t[..., 0]), 0.0)
-        t = t + bump
-        tn = norm(t, keepdims=True)
-    # normalise first: for q = 1 this makes the time coordinate exactly
-    # +/- radius, so projections of coincident points collapse exactly
-    unit = t / tn
-    radius = space_radius(s, sig)
-    scale = np.reshape(radius, np.shape(radius) + (1,))
-    return np.concatenate([s, unit * scale], axis=-1)
+    batch = batch_of("phi", (z, sig.d))
+    (s, time, _, _), _ = point_terms_columns(to_columns(z, batch), sig)
+    return to_rows(batch, s, time)
 
 
 def floor_shift(t0):
@@ -367,7 +391,7 @@ def terms_columns(x, sig: Signature):
     for on-manifold points ``x`` held coordinate-major as ``(d, N)``:
     ``(space, time, r, n)``, with ``r`` the :func:`space_radius` and ``n``
     the time :func:`norm` of each column, both of shape ``(N,)`` and from
-    :func:`dot_columns`, so each column gets the bits its row would."""
+    :func:`dot_columns`."""
     s, t = x[: sig.p], x[sig.p :]
     return s, t, np.sqrt(dot_columns(s, s) + sig.alpha * sig.alpha), np.sqrt(dot_columns(t, t))
 
@@ -380,11 +404,9 @@ def point_terms_columns(z, sig: Signature):
     ``(N,)``; ``saved`` is ``(t, tn, unit)``, what :func:`phi_columns_vjp`
     reads: the (bumped) time block, its norm and its direction.
 
-    The arithmetic is :func:`phi`'s and :func:`terms_columns`', with every
-    sum of squares from :func:`dot_columns`, so each column gets the bits
-    that :func:`phi`, :func:`space_radius` and :func:`norm` give its row.
-    As in :func:`phi`, a column below the time-norm floor makes the bump
-    add ``+0.0`` to every time coordinate of the batch.
+    Every sum of squares is from :func:`dot_columns`.  A column below the
+    time-norm floor makes the bump add ``+0.0`` to every time coordinate of
+    the batch.
     """
     s, t = z[: sig.p], z[sig.p :]
     tn = np.sqrt(dot_columns(t, t))
@@ -395,6 +417,8 @@ def point_terms_columns(z, sig: Signature):
         t = t + bump
         tn = np.sqrt(dot_columns(t, t))
     r = np.sqrt(dot_columns(s, s) + sig.alpha * sig.alpha)
+    # normalise first: for q = 1 this makes the time coordinate exactly
+    # +/- radius, so projections of coincident points collapse exactly
     unit = t / tn
     time = unit * r
     return (s, time, r, np.sqrt(dot_columns(time, time))), (t, tn, unit)
@@ -427,12 +451,12 @@ def phi_columns_vjp(terms, saved, g: np.ndarray, sig: Signature) -> np.ndarray:
     :func:`point_terms_columns` given the gradient ``g``, ``(d, N)``, of the
     point ``phi(z)``; ``terms`` and ``saved`` are what it returned.
 
-    The products and sums are those of the autodiff tape's reverse sweep
-    over :func:`phi`, in its order, with each sum over a block from
-    :func:`dot_columns`: each block receives its direct share first and then
-    both factors of its own sum of squares, so the result matches the tape
-    bit for bit.  The ``EPS_TIME`` bump is a constant shift and passes the
-    time gradient through unchanged.
+    The products and sums are those of the tape's reverse sweep over the
+    row-wise ``phi`` of ``tests/tape_oracle.py``, in its order, each sum
+    over a block from :func:`dot_columns`: each block receives its direct
+    share first and then both factors of its own sum of squares, so the
+    result matches the tape bit for bit.  The ``EPS_TIME`` bump is a
+    constant shift and passes the time gradient through unchanged.
     """
     s, _, r, _ = terms
     t, tn, unit = saved
@@ -458,9 +482,8 @@ def manhattan_legs_columns(tx, side, sig: Signature):
     ``side`` is ``(space, time, r, n)`` of ``N`` candidates as
     :func:`point_terms_columns` gives them, and ``tx`` either the same of
     ``N`` points or the :func:`terms_columns` of one point, a ``(d, 1)``
-    column that every candidate then meets.  :func:`dot_columns` gives both
-    dot products the row-wise bits, so every distance equals the row-wise
-    one."""
+    column that every candidate then meets; both dot products are
+    :func:`dot_columns`'."""
     xs, xt, rx, nx = tx
     ys, yt, ry, ny = side
     same = ys[0] == xs[0]
@@ -651,19 +674,10 @@ def dist_manhattan(x, y, sig: Signature):
     Symmetric by construction and nonnegative.  Coordinatewise-identical
     pairs short-circuit to exactly zero: the inverse trigonometric legs lose
     half the float precision near coincidence, so without the short circuit
-    d(x, x) lands near 1e-7 instead of 0.  The per-point terms are
-    :func:`terms_columns`' row by row, and the legs come from
-    :func:`_legs_forward`, which :func:`manhattan_legs_columns` shares.
+    d(x, x) lands near 1e-7 instead of 0.  The batch axes of ``x`` and
+    ``y`` broadcast; this is :func:`manhattan_legs_columns` on the
+    :func:`terms_columns` of the points laid out by :func:`to_columns`.
     """
-    xs, xt = split_spacetime(x, sig)
-    rx, nx = space_radius(xs, sig), norm(xt)
-    ys, yt = split_spacetime(y, sig)
-    ry, ny = space_radius(ys, sig), norm(yt)
-    # coincident rows share their first coordinate: compare whole rows only
-    # where that column matches
-    same = xs[..., 0] == ys[..., 0]
-    if np.any(same):
-        same &= np.all(xs == ys, axis=-1)
-        same &= np.all(xt == yt, axis=-1)
-    dot, s = np.sum(xt * yt, axis=-1), np.sum(xs * ys, axis=-1)
-    return _legs_forward(dot, s, rx, nx, ry, ny, same, sig)[0]
+    batch = batch_of("dist_manhattan", (x, sig.d), (y, sig.d))
+    tx, ty = (terms_columns(to_columns(v, batch), sig) for v in (x, y))
+    return manhattan_legs_columns(tx, ty, sig)[0].reshape(batch)

@@ -64,7 +64,7 @@ from .errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from .geometry import Signature, apply_time_guard
+from .geometry import Signature, apply_time_guard, check_int
 
 MAGIC = b"UKGE"
 FORMAT_VERSION = 1
@@ -156,14 +156,6 @@ def coordinate_major(rows, out: np.ndarray) -> np.ndarray:
     for lo in range(0, n, TRANSPOSE_BLOCK):
         out[:, lo : lo + TRANSPOSE_BLOCK] = rows(lo, min(lo + TRANSPOSE_BLOCK, n)).T
     return out.T
-
-
-def check_int(**values) -> None:
-    """Raise :class:`ConfigurationError` naming the first of ``values`` that
-    is not an integer (``bool`` is not, numpy integers are)."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 def check_ids(ids, n: int, kind: str) -> None:

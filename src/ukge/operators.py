@@ -18,11 +18,14 @@ both stages.
 Dense d x d realisations are only materialised for verification
 (:func:`as_dense`, :func:`j_orth_defect`); the apply path touches O(d)
 elements per point, which :func:`count_operations` blocks, nested or not,
-measure.  Every score (:func:`ukge.model.move_heads`) runs the same
-stages on coordinate-major points, one row per coordinate, through
-:func:`transform_columns`, which returns their intermediates with its
-value and counts the elements the row form counts; training gets their
-gradients from :func:`transform_columns_vjp`.
+measure.  Each stage is computed once, on coordinate-major points, one
+row per coordinate, by :func:`transform_columns`, which every score
+(:func:`ukge.model.move_heads`) runs and which returns their
+intermediates with its value; training gets their gradients from
+:func:`transform_columns_vjp`.  The public stages run the same kernels
+on points laid out by :func:`ukge.geometry.to_columns`; the tests hold
+them to the row-wise copies that the tape differentiates
+(``tests/tape_oracle.py``).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .geometry import Signature
+from .geometry import Signature, batch_of, to_columns, to_rows
 
 ROTATION = "rotation"
 REFLECTION = "reflection"
@@ -193,8 +196,8 @@ def require_even(sig: Signature) -> None:
 
 def block_orthogonal_apply(angles, x, sig: Signature, mode: str):
     """Apply the block Givens stage (see :func:`_givens`) over consecutive
-    pairs of full ambient points; ``angles`` may carry batch axes matching
-    ``x``'s.
+    pairs of full ambient points; the batch axes of ``angles`` and ``x``
+    broadcast.
 
     Requires ``p`` and ``q`` even; because pairing is consecutive and ``p`` is
     even, the space and time blocks are handled in one pass — the first p/2
@@ -203,28 +206,21 @@ def block_orthogonal_apply(angles, x, sig: Signature, mode: str):
     if mode not in (ROTATION, REFLECTION):
         raise ConfigurationError(f"unknown Givens mode {mode!r}")
     require_even(sig)
-    if np.shape(x)[-1] != sig.d or np.shape(angles)[-1] != sig.d // 2:
-        raise DimensionError(
-            f"block_orthogonal_apply: expected points of dimension {sig.d} "
-            f"and {sig.d // 2} angles, got {np.shape(x)[-1]} and {np.shape(angles)[-1]}"
-        )
-    shape = np.shape(x)
-    pairs = np.reshape(x, shape[:-1] + (shape[-1] // 2, 2))
-    a2, b2 = _givens(np.cos(angles), np.sin(angles), pairs[..., 0], pairs[..., 1], mode)
-    return np.reshape(np.stack([a2, b2], axis=-1), shape)
+    batch = batch_of("block_orthogonal_apply", (angles, sig.d // 2), (x, sig.d))
+    a = to_columns(angles, batch)
+    return to_rows(batch, _givens_columns(np.cos(a), np.sin(a), to_columns(x, batch), mode))
 
 
 def hyper_rot_apply(mu, x, sig: Signature):
     """Hyperbolic rotation: shear space dim ``i`` with time dim ``p + i``.
 
     Each coupled pair transforms by ``[[cosh m, sinh m], [sinh m, cosh m]]``;
-    space dims beyond ``q`` pass through unchanged.
+    space dims beyond ``q`` pass through unchanged.  The batch axes of
+    ``mu`` and ``x`` broadcast.
     """
-    if np.shape(x)[-1] != sig.d:
-        raise DimensionError(f"hyper_rot_apply: expected points of dimension {sig.d}")
-    if np.shape(mu)[-1] != sig.q:
-        raise DimensionError(f"hyper_rot_apply: expected {sig.q} boost magnitudes")
-    return _boost(np.cosh(mu), np.sinh(mu), x, sig)
+    batch = batch_of("hyper_rot_apply", (mu, sig.q), (x, sig.d))
+    m = to_columns(mu, batch)
+    return to_rows(batch, _boost_columns(np.cosh(m), np.sinh(m), to_columns(x, batch), sig))
 
 
 def _shear(ch, sh, a, mid, t, axis: int):
@@ -233,11 +229,6 @@ def _shear(ch, sh, a, mid, t, axis: int):
     a2, t2 = ch * a + sh * t, sh * a + ch * t
     _count(2 * np.size(ch) + 2 * np.size(a2) + np.size(a) + np.size(mid) + np.size(t))
     return np.concatenate([a2, mid, t2], axis=axis)
-
-
-def _boost(ch, sh, x, sig: Signature):
-    """The boost with ``cosh`` and ``sinh`` of its magnitudes ``ch``, ``sh``."""
-    return _shear(ch, sh, x[..., : sig.q], x[..., sig.q : sig.p], x[..., sig.p :], -1)
 
 
 def _boost_columns(ch, sh, x, sig: Signature) -> np.ndarray:
@@ -266,15 +257,18 @@ def _boost_columns_vjp(ch, sh, x, g, sig: Signature, mu_grad: bool):
 def relation_transform(theta, phi, mu, x, sig: Signature, operator: str = "rotref"):
     """Apply ``U_theta . H_mu . V_phi`` to points, in O(d) per point.
 
-    ``theta``, ``phi`` and ``mu`` are raw parameter arrays (possibly batched
-    per point row); ``operator`` selects the stage modes.
+    ``theta``, ``phi`` and ``mu`` are raw parameter arrays whose batch axes
+    broadcast with the points'; ``operator`` selects the stage modes.  This
+    is :func:`transform_columns` with one relation per point.
     """
     if operator not in OPERATOR_MODES:
         raise ConfigurationError(f"unknown operator flavour {operator!r}")
-    u_mode, v_mode = OPERATOR_MODES[operator]
-    y = block_orthogonal_apply(phi, x, sig, v_mode)
-    y = hyper_rot_apply(mu, y, sig)
-    return block_orthogonal_apply(theta, y, sig, u_mode)
+    require_even(sig)
+    half = sig.d // 2
+    batch = batch_of("relation_transform", (theta, half), (phi, half), (mu, sig.q), (x, sig.d))
+    params = (to_columns(v, batch).T for v in (theta, phi, mu))
+    rows = np.arange(np.prod(batch, dtype=int))
+    return to_rows(batch, transform_columns(*params, rows, to_columns(x, batch), sig, operator)[0])
 
 
 def transform_columns(theta, phi, mu, rows, x, sig: Signature, operator: str):
@@ -284,9 +278,8 @@ def transform_columns(theta, phi, mu, rows, x, sig: Signature, operator: str):
     each stage's input and the cosines and sines of its angles or boosts.
 
     The cosines and sines are taken of the smaller of the relation table
-    and the gathered columns; being elementwise, they carry the bits of the
-    per-row values :func:`relation_transform` computes either way, and
-    every stage adds and multiplies as its row form does.
+    and the gathered columns; being elementwise, they carry the same bits
+    either way.
     """
     u_mode, v_mode = OPERATOR_MODES[operator]
     few = np.size(rows) < len(theta)
@@ -307,7 +300,7 @@ def transform_columns_vjp(saved, g, sig: Signature, operator: str, mu_grad: bool
     :func:`transform_columns` given the gradient ``g`` of its output, stage
     by stage in reverse: U, H, V.  Each stage replays the products and sums
     that the autodiff tape records when it differentiates :func:`_givens`
-    and :func:`_boost`, so the result matches the tape bit for bit.  Boosts
+    and :func:`_shear`, so the result matches the tape bit for bit.  Boosts
     held constant (the Euclidean baseline pins them to 0) take
     ``mu_grad=False`` and get None."""
     u_mode, v_mode = OPERATOR_MODES[operator]

@@ -60,9 +60,9 @@ from .errors import (
     EmptySplitError,
     NonFiniteGradientError,
 )
-from .geometry import apply_time_guard
+from .geometry import apply_time_guard, check_int
 from .kgdata import TripleStore
-from .model import Model, candidate_tails, check_ids, check_int, check_store, meet_tails
+from .model import Model, candidate_tails, check_ids, check_store, meet_tails
 from .model import move_heads, parameters
 
 PROB_CLAMP = 1e-12

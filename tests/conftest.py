@@ -47,6 +47,16 @@ def assert_close(actual, expected, rtol=1e-10, atol=1e-12):
     np.testing.assert_allclose(actual, expected, rtol=rtol, atol=atol)
 
 
+def assert_same_bits(actual, expected):
+    """Equal bit for bit, where a NaN matches any NaN: numpy's compiled
+    loops pick which of two NaNs an addition keeps."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    np.testing.assert_array_equal(actual[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     SCORING_SIGNATURES,
+    assert_same_bits,
     central_diff,
     random_free_params,
     random_manifold_points,
 )
-from ukge.autodiff import Tensor
+import tape_oracle
 from ukge.errors import (
     ConfigurationError,
     DegeneratePointError,
@@ -72,6 +73,24 @@ class TestSignature:
     def test_non_integer_dimensions(self):
         with pytest.raises(ConfigurationError):
             Signature(2.0, 2, 1.0)
+
+    @pytest.mark.parametrize("p,q", [(True, True), (6, True), (np.bool_(True), 1), (6.0, 2)])
+    def test_bools_and_floats_are_not_integers(self, p, q):
+        """The rule of ``check_int``: a bool or a float is not an integer."""
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            Signature(p, q)
+
+    def test_numpy_integers_are_stored_as_int(self, tmp_path):
+        """A numpy integer is an integer, kept as ``int``: the signature
+        equals, hashes and checkpoints as the one built from ``int``s."""
+        from ukge.model import init, save
+
+        sig = Signature(np.int64(6), np.int32(2))
+        assert type(sig.p) is int and type(sig.q) is int
+        assert sig == Signature(6, 2) and hash(sig) == hash(Signature(6, 2))
+        for name, s in (("numpy", sig), ("int", Signature(6, 2))):
+            save(init(s, 5, 2, seed=1), str(tmp_path / name))
+        assert (tmp_path / "numpy").read_bytes() == (tmp_path / "int").read_bytes()
 
 
 class TestBilinearForm:
@@ -204,14 +223,9 @@ class TestDiffeomorphism:
         sig = S22
         z0 = random_free_params(sig, 3, rng)
         w = rng.normal(size=(3, sig.d))
-
-        def f(z):
-            return np.sum(phi(z, sig) * w)
-
-        t = Tensor(z0, requires_grad=True)
-        f(t).backward()
+        (grad,) = tape_oracle.tape_grad(lambda z: tape_oracle.phi(z, sig) * w, z0)
         numeric = central_diff(lambda v: float(np.sum(np.asarray(phi(v, sig)) * w)), z0, h=1e-6)
-        np.testing.assert_allclose(t.grad, numeric, rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-8)
 
 
 class TestProjection:
@@ -417,33 +431,33 @@ class TestDistances:
         y = np.asarray(phi(z2, sig))
 
         def f(z):
-            d = dist_manhattan(phi(z, sig), y, sig)
-            return np.sum(d * d)
+            d = tape_oracle.dist_manhattan(tape_oracle.phi(z, sig), y, sig)
+            return d * d
 
-        t = Tensor(z1, requires_grad=True)
-        f(t).backward()
+        (grad,) = tape_oracle.tape_grad(f, z1)
 
         def scalar(v):
             d = np.asarray(dist_manhattan(np.asarray(phi(v, sig)), y, sig))
             return float((d * d).sum())
 
         numeric = central_diff(scalar, z1, h=1e-6)
-        np.testing.assert_allclose(t.grad, numeric, rtol=1e-4, atol=1e-7)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-4, atol=1e-7)
 
 
-def assert_same_bits(actual, expected):
-    """Equal bit for bit, where a NaN matches any NaN: numpy's compiled
-    loops pick which of two NaNs an addition keeps."""
-    actual, expected = np.asarray(actual), np.asarray(expected)
-    assert actual.shape == expected.shape
-    nan = np.isnan(expected)
-    np.testing.assert_array_equal(np.isnan(actual), nan)
-    np.testing.assert_array_equal(actual[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+def layouts(x):
+    """``x`` C-ordered, F-ordered, as the transposed view of a
+    coordinate-major copy and as a strided view."""
+    yield x
+    yield np.asfortranarray(x)
+    yield np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+    yield np.repeat(x, 2, axis=-1)[..., ::2]
 
 
 class TestCoordinateMajor:
     """``dot_columns`` and ``point_terms_columns`` give each column the bits
-    that ``np.sum`` and the row-wise functions give its row."""
+    that ``np.sum`` and the tape oracle's row-wise functions give its row,
+    and the public ``phi`` and ``dist_manhattan`` give each point those
+    bits, whatever its batch shape and memory order."""
 
     SPECIAL = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, 1.0])
 
@@ -503,12 +517,13 @@ class TestCoordinateMajor:
         for g, e in zip(got, (xs.T, xt.T, space_radius(xs, sig), norm(xt))):
             assert_same_bits(g, e)
 
-    @pytest.mark.parametrize("sig", [S22] + SCORING_SIGNATURES)
+    @pytest.mark.parametrize("sig", [S22] + SCORING_SIGNATURES + [S11, S21])
     def test_point_terms_columns_equal_rows(self, sig):
         """Also with a row below the time-norm floor, whose bump turns the
         batch's -0.0 time coordinates into +0.0, and without one; and
         ``terms_columns`` of each point alone, the single column that
-        one-triple scoring and a query head take."""
+        one-triple scoring and a query head take.  ``phi`` gives the
+        oracle's bits at batch shapes (), (1,), (n,) and (a, b)."""
         rng = np.random.default_rng(sig.d)
         z = rng.normal(0.0, 2.0, (40, sig.d))
         z[3, sig.p :] = 0.0
@@ -516,6 +531,10 @@ class TestCoordinateMajor:
         z[5, sig.p :], z[5, sig.p] = 0.0, -0.5e-8
         z[6, sig.p + sig.q - 1] = -0.0
         z[7] = z[8]
+        for rows in (z, z[6:], z[9], z[9:10], z.reshape(4, 10, sig.d)):
+            got = phi(rows, sig)
+            assert got.flags.c_contiguous
+            assert_same_bits(got, tape_oracle.phi(rows, sig))
         for rows in (z, z[6:]):
             x = phi(rows, sig)
             expected = terms_columns(x.T.copy(), sig)
@@ -526,18 +545,40 @@ class TestCoordinateMajor:
         for x in phi(z, sig)[:, None]:
             self.check_row_terms(terms_columns(x.T, sig), x, sig)
 
-    @pytest.mark.parametrize("sig", SCORING_SIGNATURES)
+    @pytest.mark.parametrize("sig", SCORING_SIGNATURES + [S11, S21])
     def test_legs_columns_equal_legs(self, sig):
         """One point against every candidate, a copy of it among them at
-        exact zero distance."""
+        exact zero distance; ``dist_manhattan`` gives the oracle's bits
+        there and at batch shapes (), (1,), (n,) and (a, b)."""
         rng = np.random.default_rng(sig.d)
         z = rng.normal(0.0, 2.0, (50, sig.d))
         z[10, sig.p + sig.q - 1] = -0.0
         x = phi(z[[10]], sig)
+        y = phi(z, sig)
         cols = point_terms_columns(z.T.copy(), sig)[0]
         got = manhattan_legs_columns(terms_columns(x.T, sig), cols, sig)[0]
-        assert_same_bits(got, dist_manhattan(x, phi(z, sig), sig))
+        assert_same_bits(got, tape_oracle.dist_manhattan(x, y, sig))
         assert got[10] == 0.0 and np.count_nonzero(got == 0.0) == 1
+        rev = y[::-1].copy()
+        for a, b in ((x, y), (y[10], y), (y, y[10]), (y[3], y[4]), (y[:1], y[1:2]), (y, rev),
+                     (y.reshape(5, 10, -1), rev.reshape(5, 10, -1)), (y[:10], y.reshape(5, 10, -1))):
+            assert_same_bits(dist_manhattan(a, b, sig), tape_oracle.dist_manhattan(a, b, sig))
+
+    def test_bits_do_not_depend_on_memory_order(self):
+        """C-ordered, F-ordered and transposed-view points give ``phi`` and
+        ``dist_manhattan`` the same bits: ``np.sum`` over a row that is not
+        contiguous adds in sequence, and 8 or more coordinates are added
+        pairwise where they are."""
+        for sig in SCORING_SIGNATURES:
+            rng = np.random.default_rng(sig.d)
+            z = rng.normal(0.0, 2.0, (3, 40, sig.d))
+            x, y = phi(z[:, :20], sig), phi(z[:, 20:], sig)
+            want_phi, want_dist = phi(z, sig), dist_manhattan(x, y, sig)
+            for zl, xl, yl in zip(layouts(z), layouts(x), layouts(y)):
+                assert_same_bits(phi(zl, sig), want_phi)
+                assert_same_bits(phi(zl[0], sig), want_phi[0])
+                assert_same_bits(dist_manhattan(xl, yl, sig), want_dist)
+                assert_same_bits(dist_manhattan(xl[0], yl[0], sig), want_dist[0])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_legs_forward_picks_as_where(self):

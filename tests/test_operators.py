@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ukge.autodiff import Tensor
+import tape_oracle
+from ukge import geometry, operators
 from ukge.errors import ConfigurationError, DimensionError
-from ukge.geometry import Signature, manifold_defect, qdot
+from ukge.geometry import Signature, dist_manhattan, manifold_defect, phi, psi_inv, qdot
 from ukge.operators import (
     OPERATOR_MODES,
     REFLECTION,
@@ -33,7 +34,7 @@ from ukge.operators import (
     transform_columns,
 )
 
-from conftest import assert_close, random_manifold_points
+from conftest import assert_close, assert_same_bits, random_manifold_points
 from dense_boost import lorentz_boost
 
 S11 = Signature(1, 1, 1.0)
@@ -259,21 +260,43 @@ class TestRelationOperator:
                 assert_close(fast, x @ m.T, atol=1e-10)
                 assert_close(as_dense(r, sig, flavour), m, atol=1e-12)
 
-    @pytest.mark.parametrize("columns", [1, 2, 5, 6, 40])
-    def test_columns_equal_the_rows_bitwise(self, rng, columns):
-        """``transform_columns`` gives each column the bits that
-        ``relation_transform`` gives its row, with fewer columns than the
-        5 relations (trig of the gathered columns) or at least as many
-        (trig of the relation table)."""
+    @pytest.mark.parametrize("params,points", [
+        pytest.param((n,), (n,), id=str(n)) for n in (1, 2, 5, 6, 40)
+    ] + [
+        pytest.param((), (), id="one"), pytest.param((2, 3), (2, 3), id="2x3"),
+        pytest.param((), (7,), id="one-relation"), pytest.param((7,), (), id="one-point"),
+        pytest.param((3, 1), (4,), id="3x1-by-4"),
+    ])
+    def test_columns_equal_the_rows_bitwise(self, rng, params, points):
+        """``transform_columns`` gives each column the bits that the tape
+        oracle's row-wise ``relation_transform`` gives its row, with fewer
+        columns than the 5 relations (trig of the gathered columns) or at
+        least as many (trig of the relation table); the public
+        ``relation_transform``, ``block_orthogonal_apply`` and
+        ``hyper_rot_apply`` give each point those bits, C-ordered, with the
+        batch shapes ``params`` and ``points`` broadcast."""
         sig = Signature(6, 2, 1.0)
         theta, phi = rng.normal(size=(2, 5, sig.d // 2))
         mu = rng.normal(size=(5, sig.q))
-        rows = rng.integers(0, 5, columns)
-        x = rng.normal(size=(columns, sig.d))
+        rows = rng.integers(0, 5, params)
+        x = rng.normal(size=points + (sig.d,))
+        batch = np.broadcast_shapes(params, points)
+        xb = np.broadcast_to(x, batch + (sig.d,))
+        cols = np.broadcast_to(rows, batch).ravel()
         for flavour in OPERATOR_MODES:
-            moved, _ = transform_columns(theta, phi, mu, rows, x.T.copy(), sig, flavour)
-            expected = relation_transform(theta[rows], phi[rows], mu[rows], x, sig, flavour)
-            np.testing.assert_array_equal(moved, expected.T)
+            expected = tape_oracle.relation_transform(theta[rows], phi[rows], mu[rows], xb, sig, flavour)
+            moved, _ = transform_columns(theta, phi, mu, cols, xb.reshape(-1, sig.d).T.copy(), sig, flavour)
+            np.testing.assert_array_equal(moved, expected.reshape(-1, sig.d).T)
+            got = relation_transform(theta[rows], phi[rows], mu[rows], x, sig, flavour)
+            assert got.flags.c_contiguous
+            assert_same_bits(got, expected)
+        for mode in (ROTATION, REFLECTION):
+            got = block_orthogonal_apply(theta[rows], x, sig, mode)
+            assert got.flags.c_contiguous
+            assert_same_bits(got, tape_oracle.givens_apply(theta[rows], xb, mode))
+        got = hyper_rot_apply(mu[rows], x, sig)
+        assert got.flags.c_contiguous
+        assert_same_bits(got, tape_oracle.boost_apply(mu[rows], xb, sig))
 
     def test_j_orthogonal_all_flavours(self, rng):
         for sig in (S22, S62, Signature(28, 4, 1.0)):
@@ -346,19 +369,17 @@ class TestRelationOperator:
             out = relation_transform(theta, phi, mu, x, S22)
             return float(np.sum(np.asarray(out) * w))
 
-        t = Tensor(theta0, requires_grad=True)
-        f = Tensor(phi0, requires_grad=True)
-        m = Tensor(mu0, requires_grad=True)
-        out = relation_transform(t, f, m, x, S22)
-        np.sum(out * w).backward()
-        assert_close(
-            t.grad, central_diff(lambda a: loss_np(a, phi0, mu0), theta0), rtol=1e-6
+        g_theta, g_phi, g_mu = tape_oracle.tape_grad(
+            lambda t, f, m: tape_oracle.relation_transform(t, f, m, x, S22) * w, theta0, phi0, mu0
         )
         assert_close(
-            f.grad, central_diff(lambda a: loss_np(theta0, a, mu0), phi0), rtol=1e-6
+            g_theta, central_diff(lambda a: loss_np(a, phi0, mu0), theta0), rtol=1e-6
         )
         assert_close(
-            m.grad, central_diff(lambda a: loss_np(theta0, phi0, a), mu0), rtol=1e-6
+            g_phi, central_diff(lambda a: loss_np(theta0, a, mu0), phi0), rtol=1e-6
+        )
+        assert_close(
+            g_mu, central_diff(lambda a: loss_np(theta0, phi0, a), mu0), rtol=1e-6
         )
 
 
@@ -490,3 +511,98 @@ def test_operator_always_j_orthogonal(seed, flavour, pq):
     r = RelationParams.random(sig, np.random.default_rng(seed))
     r.mu *= 2.0  # boosts of scale 2
     assert j_orth_defect(as_dense(r, sig, flavour), sig) < 1e-9
+
+
+# --- the public stages run the column kernels ----------------------------------------
+
+
+def forbid_column_kernels(monkeypatch):
+    """Make the coordinate-major kernels that train, evaluate and predict
+    run raise: a public stage that runs them then raises too."""
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("ran a column kernel")
+
+    for owner, name in [(geometry, "point_terms_columns"), (geometry, "terms_columns"),
+                        (geometry, "manhattan_legs_columns"), (operators, "_givens_columns"),
+                        (operators, "_boost_columns"), (operators, "transform_columns")]:
+        monkeypatch.setattr(owner, name, kernel)
+
+
+@pytest.mark.parametrize("stage", [
+    lambda r, x: phi(x, S22),
+    lambda r, x: dist_manhattan(x, x[::-1], S22),
+    lambda r, x: block_orthogonal_apply(r.theta, x, S22, ROTATION),
+    lambda r, x: hyper_rot_apply(r.mu, x, S22),
+    lambda r, x: relation_transform(r.theta, r.phi, r.mu, x, S22),
+    lambda r, x: relation_apply(r, x, S22),
+    lambda r, x: as_dense(r, S22),
+], ids=["phi", "dist_manhattan", "block_orthogonal_apply", "hyper_rot_apply",
+        "relation_transform", "relation_apply", "as_dense"])
+def test_public_stages_run_the_column_kernels(stage, rng, monkeypatch):
+    r = RelationParams.random(S22, rng)
+    x = random_manifold_points(S22, 3, rng)
+    assert np.all(np.isfinite(stage(r, x)))
+    forbid_column_kernels(monkeypatch)
+    with pytest.raises(AssertionError, match="column kernel"):
+        stage(r, x)
+
+
+# --- typed errors -----------------------------------------------------------------------
+
+
+Z2, Z3, Z4, Z6 = np.zeros(2), np.zeros(3), np.zeros(4), np.zeros(6)
+S32, S21 = Signature(3, 2, 1.0), Signature(2, 1, 1.0)
+
+#: (name, call, error): every malformed argument of the stages, each with
+#: the error it must raise
+TYPED_ERRORS = [
+    ("dist_manhattan batches", lambda: dist_manhattan(np.zeros((2, 4)), np.zeros((3, 4)), S22),
+     DimensionError),
+    ("dist_manhattan size", lambda: dist_manhattan(Z3, Z4, S22), DimensionError),
+    ("qdot batches", lambda: qdot(np.zeros((2, 4)), np.zeros((3, 4)), S22), DimensionError),
+    ("qdot size", lambda: qdot(Z4, Z3, S22), DimensionError),
+    ("phi size", lambda: phi(Z3, S22), DimensionError),
+    ("phi scalar", lambda: phi(1.0, S22), DimensionError),
+    ("psi_inv batches", lambda: psi_inv((np.zeros((2, 2)), np.ones((1, 2)) / np.sqrt(2.0)), S22),
+     DimensionError),
+    ("psi_inv space size", lambda: psi_inv((Z3, np.array([1.0, 0.0])), S22), DimensionError),
+    ("psi_inv time size", lambda: psi_inv((Z2, np.array([1.0, 0.0, 0.0])), S22), DimensionError),
+    ("givens batches",
+     lambda: block_orthogonal_apply(np.zeros((2, 2)), np.zeros((3, 4)), S22, ROTATION),
+     DimensionError),
+    ("givens points", lambda: block_orthogonal_apply(Z2, Z3, S22, ROTATION), DimensionError),
+    ("givens angles", lambda: block_orthogonal_apply(Z3, Z4, S22, ROTATION), DimensionError),
+    ("givens mode", lambda: block_orthogonal_apply(Z2, Z4, S22, "shear"), ConfigurationError),
+    ("givens odd p", lambda: block_orthogonal_apply(Z2, Z4, S32, ROTATION), ConfigurationError),
+    ("givens odd q",
+     lambda: block_orthogonal_apply(Z2, Z4, S21, ROTATION), ConfigurationError),
+    ("boost batches", lambda: hyper_rot_apply(np.zeros((2, 2)), np.zeros((3, 6)), S42),
+     DimensionError),
+    ("boost points", lambda: hyper_rot_apply(Z2, np.zeros(5), S42), DimensionError),
+    ("boost magnitudes", lambda: hyper_rot_apply(Z3, Z6, S42), DimensionError),
+    ("transform batches",
+     lambda: relation_transform(np.zeros((2, 2)), Z2, Z2, np.zeros((3, 4)), S22), DimensionError),
+    ("transform theta", lambda: relation_transform(Z3, Z2, Z2, Z4, S22), DimensionError),
+    ("transform phi", lambda: relation_transform(Z2, Z3, Z2, Z4, S22), DimensionError),
+    ("transform mu", lambda: relation_transform(Z2, Z2, Z3, Z4, S22), DimensionError),
+    ("transform x", lambda: relation_transform(Z2, Z2, Z2, Z3, S22), DimensionError),
+    ("transform operator", lambda: relation_transform(Z2, Z2, Z2, Z4, S22, "spiral"),
+     ConfigurationError),
+    ("transform odd p", lambda: relation_transform(Z2, Z2, Z2, Z4, S32), ConfigurationError),
+    ("transform odd q", lambda: relation_transform(Z2, Z2, Z2, Z4, S21), ConfigurationError),
+    ("apply theta",
+     lambda: relation_apply(RelationParams(Z3, Z2, Z2), Z4, S22), DimensionError),
+    ("apply mu", lambda: relation_apply(RelationParams(Z2, Z2, Z3), Z4, S22), DimensionError),
+    ("apply operator",
+     lambda: relation_apply(RelationParams(Z2, Z2, Z2), Z4, S22, "spiral"), ConfigurationError),
+    ("dense operator", lambda: as_dense(RelationParams(Z2, Z2, Z2), S22, "spiral"),
+     ConfigurationError),
+]
+
+
+@pytest.mark.parametrize("call,error", [case[1:] for case in TYPED_ERRORS],
+                         ids=[case[0] for case in TYPED_ERRORS])
+def test_malformed_arguments_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
