@@ -38,9 +38,9 @@ about the code.  It also prints each side's tails scored exactly per
 ``evaluate`` query, counted by wrapping that tree's
 ``evaluation.score_candidates`` and ``evaluation.filtered_rank`` as
 ``perfbench/tracing.py`` does: a query's tails are those scored during its
-``filtered_rank`` call, plus the exact scores handed to it as
-``_verified`` where its block of queries was scored in one call, and they
-must add up to every tail scored.  It prints the median over the calls of
+``filtered_rank`` call, plus the exact scores handed to it in
+``_verified``, ``(scores, verify, exact)``, where its block of queries was
+scored in one call, and they must add up to every tail scored.  It prints the median over the calls of
 each call's mean (``scored_per_query``), and the mean and the maximum over
 every query of every call (``scored_per_query_mean``,
 ``scored_per_query_max``).  It exits non-zero unless

@@ -61,15 +61,6 @@ TOL_MANIFOLD = 1e-9
 #: Lower bound enforced on the norm of free time components.
 EPS_TIME = 1e-8
 
-#: radii, time norms and ``alpha`` within which :func:`legs_margin` holds for
-#: float32 arithmetic: no product overflows and underflow stays negligible
-F32_RANGE = (2.0**-20, 2.0**30)
-
-#: ulps of error that :func:`legs_margin` allows ``np.arccos`` and
-#: ``np.arccosh``, in float32 and float64; ``tests/test_geometry.py`` pins
-#: the installed numpy's to it
-ULPS = 4
-
 # Tolerances for precondition checks on the reference distance legs.
 _SPHERE_RTOL = 1e-8  # |norm(u) - alpha| <= alpha * _SPHERE_RTOL in psi_inv
 _SPACE_ATOL = 1e-8  # shared-space check in dist_sphere
@@ -154,9 +145,7 @@ def dot_columns(x, y):
     k, n = x.shape
     if n == 1:
         n = y.shape[1]
-    if n == 1:  # one column: a C-ordered row, summed by np.sum itself
-        return np.sum(x.T * y.T, axis=-1)
-    if n < _SUM_COLUMNS:  # and so a few
+    if n < _SUM_COLUMNS:  # a few columns: C-ordered rows, summed by np.sum itself
         return np.sum(np.multiply(x.T, y.T, order="C"), axis=-1)
     if k > _PAIRWISE_BLOCK:
         half = k // 2 - (k // 2) % 8
@@ -229,11 +218,13 @@ def split_spacetime(x, sig: Signature):
 
 
 def qdot(x, y, sig: Signature):
-    """Scalar product of signature (p, q): space dot minus time dot."""
+    """Scalar product of signature (p, q): space dot minus time dot, each
+    ``np.sum`` over a C-ordered product, so the same bits in any memory order."""
     batch_of("qdot", (x, sig.d), (y, sig.d))
     xs, xt = x[..., : sig.p], x[..., sig.p :]
     ys, yt = y[..., : sig.p], y[..., sig.p :]
-    return np.sum(xs * ys, axis=-1) - np.sum(xt * yt, axis=-1)
+    return (np.sum(np.multiply(xs, ys, order="C"), axis=-1)
+            - np.sum(np.multiply(xt, yt, order="C"), axis=-1))
 
 
 def space_radius(space, sig: Signature):
@@ -523,95 +514,6 @@ def _legs_forward(dot, s, rx, nx, ry, ny, same, sig: Signature):
     else:
         same = None
     return best, (dot, nn, cos, angle, arg_xy, arg_yx, first, same)
-
-
-def cos_shrink(sig: Signature) -> float:
-    """``1 - 2 g(q) - 4u`` (:func:`legs_margin`'s notation): the factor on
-    the tails' float32 time directions that keeps every float32 cosine of
-    :func:`ukge.model.approx_scores` inside ``[-1, 1]``, so that no clamp is
-    needed."""
-    u = 2.0**-24
-    return 1.0 - 2.0 * sig.q * u / (1.0 - sig.q * u) - 4.0 * u
-
-
-def legs_margin(rx, nx, ry, ny, skew, sig: Signature):
-    """``((a, k_c, f_c), (b, k_a, f_a), e, dd)``: per head of radius ``rx``
-    and time norm ``nx`` (arrays or scalars), the terms of a per-tail bound
-    on how far ``L*L``, the float32 one leg of
-    :func:`ukge.model.approx_scores` squared, lies from ``d*d`` of
-    :func:`_legs_forward`,
-
-        |L*L - d*d| <= a / max(k_c - |c|, f_c) + b / max(A - k_a, f_a) + e,
-
-    with ``c`` the pass's float32 cosine and ``A`` its float32 ``arccosh``
-    argument before the clamp; ``ry``, ``ny`` are the tails' largest radius
-    and time norm, ``skew`` their largest ``|ny - ry|``, and ``L*L, d*d <=
-    dd``.  Every radius, time norm and ``alpha`` lies in :data:`F32_RANGE`,
-    and no tail coincides with the head.
-
-    Take ``u = 2**-24``, ``w = 2**-53``, ``g(k) = k u / (1 - k u)`` (``G(k)``
-    with ``w``), ``HR = max(rx, nx) max(ry, ny) / alpha^2``, about 1 or more
-    as ``r >= alpha``, ``T = max(rx, ry)``, ``W = arccosh(2 HR (1 + 2^-20) + dA)`` above every
-    ``arccosh`` of either path and ``L = (T pi + alpha W) (1 + 2^-20)`` above
-    either leg, and compare both paths with the true distances of the
-    float64 inputs.  ``c`` is one float32 product, in any order, of ``x_t /
-    nx`` and ``y_t / ny`` times :func:`cos_shrink`, each coordinate rounded
-    once from float64; by Higham (*Accuracy and Stability of Numerical
-    Algorithms*, 2002, §3.1), with ``|x_t| / nx <= 1 + 2^-40``, ``|c| < 1``
-    and ``c`` lies within ``dc = (3 g(q) + 7u) (1 + 2^-20)`` of the true
-    cosine.  ``A`` is one float32 product of ``(-x_s / alpha^2, rx)`` and
-    ``(y_s, ny / alpha^2)``, whose terms' magnitudes sum to at most ``2 HR``,
-    so it lies within ``dA = (2 g(p + 1) + 5u + (p + 1) 2^-52) (1 + 2^-20)
-    HR`` of the true ``A``; the ``2^-52`` term, and the ``u`` it adds to
-    ``dc``, cover underflow (``2^-124`` a coordinate) in the range.
-    ``arccos`` is Lipschitz with ``1 / sqrt(1 - y^2) <= 1 / (1 - y)`` on
-    ``[-y, y]``, so where ``y = |c| + dc < 1`` the angle moves by at most
-    ``dc / (1 - dc - |c|)``, and it is ½-Hölder, ``|arccos a - arccos b| <=
-    arccos(1 - |a - b|) <= pi sqrt(|a - b| / 2)``, everywhere.  With ``k_c =
-    1 - dc`` and ``f_c = dc / (pi sqrt(dc / 2))``, ``dc / max(k_c - |c|,
-    f_c)`` is the Lipschitz bound where that lies below the Hölder one, and
-    the Hölder one elsewhere.  Likewise ``arccosh`` moves by at most ``dA /
-    (A - 1 - dA)`` where ``A - dA > 1``, as ``sqrt(y^2 - 1) >= y - 1``, and
-    by ``arccosh(1 + dA) <= sqrt(2 dA)`` everywhere: ``k_a = 1 + dA``, ``f_a
-    = sqrt(dA / 2)``.  The leg ``min(rx, ry) angle + alpha arccosh`` takes
-    :data:`ULPS` ulps an ``arccos`` and an ``arccosh`` (``8u pi`` and ``8u
-    W``) and three roundings, ``g(3) L``.  The true one leg lies within
-    ``e_s = alpha sqrt(2 a_s)`` of the shorter of the two, ``a_s = (rx skew
-    + ry |rx - nx|) / alpha^2`` bounding ``|A_xy - A_yx| = |rx ny - ry nx| /
-    alpha^2``: it is ``leg_xy`` where ``rx <= ry`` and ``leg_yx`` with the
-    other ``arccosh`` otherwise.  The float64 distance, fed dot products in
-    any order, lies within ``e_64 = T pi (sqrt(G(q) + 1.5w) + 8w) + alpha
-    (sqrt(2 (2 G(p) + 9w) HR) + 8w W) + 7w L`` of the true one: its cosine
-    is within ``G(q) + 2w``, its argument within ``(G(p) + 5w) HR``, with
-    :data:`ULPS` ulps a function and ``arccos``, ``arccosh`` ½-Hölder as
-    above.  So ``|L - d| <= rx angle + alpha arccosh + e_l`` with those
-    moves and ``e_l = 8u (rx pi + alpha W) + g(3) L + e_s + e_64``, and
-    ``|L*L - d*d| <= 2 L`` times that: ``a = 2 L rx dc``, ``b = 2 L alpha
-    dA``, ``e = 2 L e_l``, ``dd = L^2``.  ``a``, ``b`` and ``e`` carry a
-    factor ``1 + 2^-16`` for the bound's own float32 arithmetic and the
-    window's comparisons in :func:`ukge.evaluation.evaluate`; ``k_c``
-    is lowered by ``3u``, ``k_a`` raised and the floors lowered so that
-    their float32 roundings keep the bound."""
-    u, w, alpha = 2.0**-24, 2.0**-53, sig.alpha
-    a2, up = alpha * alpha, 1.0 + 2.0**-20
-    g3, g_p, g_q, big_p, big_q = (
-        k * e / (1.0 - k * e) for k, e in ((3, u), (sig.p + 1, u), (sig.q, u), (sig.p, w), (sig.q, w))
-    )
-    dc = (3.0 * g_q + 7.0 * u) * up
-    hr = np.maximum(rx, nx) * max(ry, ny) / a2
-    da = (2.0 * g_p + 5.0 * u + (sig.p + 1) * 2.0**-52) * up * hr
-    wide = np.arccosh(np.maximum(2.0 * hr * up + da, 1.0))
-    top = np.maximum(rx, ry)
-    legs = (top * np.pi + alpha * wide) * up
-    ulp_w, ulp_u = 2 * ULPS * w, 2 * ULPS * u
-    e_64 = (top * np.pi * (np.sqrt(big_q + 1.5 * w) + ulp_w)
-            + alpha * (np.sqrt(2.0 * (2.0 * big_p + 9.0 * w) * hr) + ulp_w * wide) + 7.0 * w * legs)
-    e_s = alpha * np.sqrt(2.0 * (rx * skew + ry * np.abs(rx - nx)) / a2)
-    e_l = ulp_u * (rx * np.pi + alpha * wide) + g3 * legs + e_s + e_64
-    scale = 2.0 * legs * (1.0 + 2.0**-16)
-    cos = (scale * rx * dc, 1.0 - dc - 3.0 * u, np.sqrt(2.0 * dc) / np.pi * (1.0 - 2.0**-16))
-    arg = (scale * alpha * da, (1.0 + da) * up, np.sqrt(0.5 * da) * (1.0 - 2.0**-16))
-    return cos, arg, scale * e_l, legs * legs
 
 
 def _arccosh_leg_vjp(g_leg, arg, sig: Signature):

@@ -42,6 +42,7 @@ from .errors import (
     StateError,
     UndefinedMetricError,
 )
+from .geometry import check_int
 from .model import check_ids
 
 SPLITS = ("train", "valid", "test")
@@ -592,8 +593,9 @@ def make_synthetic(
     child->parent edges carry relation ``isa``, plus a directed ring under
     relation ``next`` over the first ``cycle`` leaves (default: all leaves).
     The union of edges is shuffled with the seed and split 80/10/10 into
-    train/valid/test.
+    train/valid/test.  A bad size or seed raises :class:`ConfigurationError`.
     """
+    check_int(levels=levels, branching=branching, seed=seed, cycle=0 if cycle is None else cycle)
     if levels < 2:
         raise ConfigurationError("make_synthetic: need at least 2 levels")
     if branching < 2:  # one leaf cannot carry a ring

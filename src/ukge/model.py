@@ -15,16 +15,11 @@ the tails that :func:`candidate_tails` lays out.  All three return
 ``(value, saved)``, ``saved`` the intermediates that the training kernel's
 gradients read, and callers after values alone take ``[0]``.  Training
 runs both on blocks of triples, evaluation on the (query, tail) pairs
-whose order against the gold :func:`approx_scores`, in float32 from
-matrix products, cannot tell within the proven margins of
-:func:`approx_margins`, so a triple gets the same bits wherever it is
-scored.  Heads and tails lie on the manifold, where a point's time norm
-equals its radius up to rounding, so :func:`approx_scores` takes one leg
-of the two, one ``arccosh`` a tail, and its margin also covers how far
-that leg lies from the shorter.  The ``geometry="euclidean"`` variant is
-a baseline at identical parameter count: the same Givens stages act on
-the raw parameter vectors, boosts are pinned to zero, and the distance
-is plain Euclidean.
+whose order against the gold its filter (:mod:`ukge.evaluation`) cannot
+tell, so a triple gets the same bits wherever it is scored.  The
+``geometry="euclidean"`` variant is a baseline at identical parameter
+count: the same Givens stages act on the raw parameter vectors, boosts
+are pinned to zero, and the distance is plain Euclidean.
 
 The entity table is coordinate-major in memory and row-major on disk:
 ``m.entities`` is the float64, F-ordered ``(N, d)`` view of a C-ordered
@@ -75,13 +70,6 @@ GEOMETRIES = ("ultra", "euclidean")
 #: time: a (1024, d) block stays in cache, where one strided copy of the
 #: whole table does not
 TRANSPOSE_BLOCK = 1024
-
-#: largest ``|b_t|`` and ``|b_h + delta|`` that :func:`approx_scores`
-#: rounds to float32
-F32_BIAS = 2.0**60
-
-#: rows that each call of :func:`approx_scores`' pass takes at once
-APPROX_ROWS = 4
 
 
 def layout(sig: Signature, n_entities: int, n_relations: int) -> dict[str, tuple]:
@@ -320,155 +308,6 @@ def meet_tails(m: Model, x, b_h, side, b_t):
         saved = x - side
         dist = np.sqrt(geometry.dot_columns(saved, saved))
     return -dist * dist + b_h + b_t + m.delta, (dist, saved)
-
-
-def _in_f32_range(r, n, bias, sig: Signature) -> np.ndarray:
-    """Whether each point's radius ``r``, time norm ``n`` and ``bias``, and
-    ``alpha``, lie where :func:`approx_scores`' float32 margin holds."""
-    lo, hi = geometry.F32_RANGE
-    keep = (r >= lo) & (r <= hi) & (n >= lo) & (n <= hi) & (np.abs(bias) <= F32_BIAS)
-    return keep & (lo <= sig.alpha <= hi)
-
-
-def approx_side(m: Model, tails, rows: int = 1) -> tuple:
-    """The tail side of :func:`approx_scores` from the value ``tails`` of
-    :func:`candidate_tails`, with work arrays for ``rows`` heads a call:
-    ``(cols, b_t, first, bad, bounds, work)``.  Ultra rounds the tails'
-    terms to float32 once, the operands of the cosine and the ``arccosh``
-    argument, ``cols = (y_t / ny, (y_s, ny / alpha^2), ry)``; ``bad`` lists
-    the tails whose ``ry`` or ``ny`` lies outside
-    :data:`geometry.F32_RANGE`, or whose bias exceeds :data:`F32_BIAS`,
-    rounded as harmless stand-ins, and ``bounds`` holds the others' largest
-    ``ry``, ``ny``, ``|ny - ry|`` and ``|b_t|``.  Euclidean keeps its
-    float64 columns with their squared norms, ``bad`` the non-finite ones,
-    and ``bounds`` holds the largest norm and ``|b_t|``.  ``first`` is every
-    tail's first coordinate in float64, and the same sorted."""
-    side, b_t = tails
-    n = b_t.size
-    if m.geometry == "ultra":
-        ys, yt, ry, ny = side
-        keep = _in_f32_range(ry, ny, b_t, m.sig)
-        bad = np.flatnonzero(~keep)
-        if bad.size:
-            ys, yt, b_t = (np.where(keep, a, 0.0) for a in (ys, yt, b_t))
-            ry, ny = (np.where(keep, a, 1.0) for a in (ry, ny))
-        cos, arg = np.empty(yt.shape, np.float32), np.empty((m.sig.p + 1, n), np.float32)
-        np.multiply(yt, geometry.cos_shrink(m.sig) / ny, out=cos)
-        arg[:-1] = ys
-        np.divide(ny, m.sig.alpha * m.sig.alpha, out=arg[-1])
-        cols = (cos, arg, ry.astype(np.float32))
-        bounds = tuple(np.max(a, initial=0.0) for a in (ry, ny, np.abs(ny - ry), np.abs(b_t)))
-        dtype, first, blocks = np.float32, side[0][0], 3
-    else:
-        yy = np.einsum("ij,ij->j", side, side)
-        keep = np.isfinite(yy) & np.isfinite(b_t)
-        bad, cols = np.flatnonzero(~keep), (side, yy)
-        bounds = tuple(np.max(a, initial=0.0, where=keep) for a in (np.sqrt(yy), np.abs(b_t)))
-        dtype, first, blocks = np.float64, side[0], 1
-    work = [np.empty((rows, n), dtype) for _ in range(blocks)], np.empty((2, APPROX_ROWS, n), dtype)
-    return cols, b_t.astype(dtype), (first, np.sort(first)), bad, bounds, (*work, [])
-
-
-def approx_scores(m: Model, x, b_h, side) -> tuple:
-    """``(s, ceiling)``: :func:`meet_tails` of a few moved heads ``x, b_h``
-    (:func:`move_heads`) against the tails of :func:`approx_side`, from
-    matrix products, a row per head, in ``side``'s work arrays, which its
-    next call overwrites; :func:`approx_margins` then bounds ``|s - exact|``
-    at any (row, tail) pair, and each row's ceiling bounds its margins.
-
-    Ultra runs in float32.  One product gives the cosines ``c = <x_t / nx,
-    y_t / ny>``, another the ``arccosh`` arguments ``A = <(-x_s / alpha^2,
-    rx), (y_s, ny / alpha^2)>``, both kept, and each row takes one leg,
-    ``min(rx, ry) arccos(c) + alpha arccosh(max(A, 1))``, in about ten
-    in-place calls on :data:`APPROX_ROWS` rows at a time.  A margin is the
-    bound of :func:`geometry.legs_margin` on ``d*d``, ``a_c / max(k_c - |c|,
-    f_c) + a_a / max(A - k_a, f_a) + e``, whose ``e`` also takes ``2u dd +
-    3u (|b_h + delta| + max |b_t|)`` for the float32 score's roundings and
-    ``4w (dd + |b_h| + max |b_t| + |delta|)`` for the exact path's (``u =
-    2**-24``, ``w = 2**-53``), with the same factor ``1 + 2^-16``.  The
-    ceiling is that float32 expression with each ``max(., f)`` replaced by
-    its floor ``f``: as ``a >= 0``, ``max(., f) >= f``, and correctly
-    rounded division and addition are monotone, it is at least every margin
-    of its row; a NaN margin takes a NaN ``c`` or ``A``, so a NaN score, or
-    an infinite ``a_a``, so an infinite ceiling.  Euclidean stays in float64
-    and takes ``|x|^2 + |y|^2 - 2 <x, y>``, within ``(g(d) + 3w) (|x| +
-    |y|)^2`` of ``|x - y|^2`` as the exact path is within ``g(d) + 8w``
-    (``g`` of :func:`geometry.legs_margin` with ``w``), doubled, plus ``8w
-    (d*d + |b_h| + |b_t| + |delta|)`` for three additions a path and the
-    window of :func:`ukge.evaluation.evaluate`, one margin for all of a
-    head's tails and its ceiling.  A head outside the range of
-    :func:`approx_side` or with a non-finite margin scores NaN with an
-    infinite ceiling, and a tail in its ``bad`` NaN with an infinite margin.
-    Any other score the margin does not cover is NaN too: non-finite, or its
-    tail shares the head's first coordinate."""
-    cols, b_t, (first, ordered), bad, bounds, (blocks, (c, t), last) = side
-    k, n, u, w = b_h.size, b_t.size, 2.0**-24, 2.0**-53
-    blocks = [a[:k] if k <= a.shape[0] else np.empty((k, n), a.dtype) for a in blocks]
-    if m.geometry == "ultra":
-        (xs, xt, rx, nx), (y_cos, y_arg, ry), alpha = x, cols, m.sig.alpha
-        bias = b_h + m.delta
-        ok = _in_f32_range(rx, nx, bias, m.sig)
-        rx, nx, bias = (np.where(ok, a, 1.0) for a in (rx, nx, bias))  # stand-ins, scored NaN
-        cos, arg, err, dd = geometry.legs_margin(rx, nx, *bounds[:3], m.sig)
-        err = np.where(ok, err + (1.0 + 2.0**-16) * (  # a head out of range: every margin inf
-            2.01 * u * dd + 3.01 * u * (np.abs(bias) + bounds[3])
-            + 4.01 * w * (dd + np.abs(b_h) + bounds[3] + abs(m.delta))), np.inf)
-        x_cos = np.where(ok, xt / nx, 0.0).astype(np.float32)
-        x_arg = np.where(ok, np.concatenate([xs / -(alpha * alpha), rx[None]]), 0.0).astype(np.float32)
-        dots, args, s = blocks
-        np.matmul(x_cos.T, y_cos, out=dots)
-        np.matmul(x_arg.T, y_arg, out=args)
-        terms = a_c, _, f_c, a_a, _, f_a, err = [np.float32(a) for a in (*cos, *arg, err)]
-        ceiling = a_c / f_c + a_a / f_a + err
-        rx, bias = (np.asarray(a, dtype=np.float32)[:, None] for a in (rx, bias))
-        for i in range(0, k, APPROX_ROWS):
-            rows = slice(i, i + APPROX_ROWS)
-            leg, tmp = c[: len(s[rows])], t[: len(s[rows])]
-            np.arccos(dots[rows], out=leg)
-            leg *= np.minimum(ry, rx[rows], out=tmp)
-            np.arccosh(np.maximum(args[rows], 1.0, out=tmp), out=tmp)
-            if alpha != 1.0:
-                tmp *= alpha
-            leg += tmp
-            leg *= leg
-            np.subtract(np.add(b_t, bias[rows], out=tmp), leg, out=s[rows])
-        s[~ok] = np.nan
-        last[:] = dots, args, terms
-    else:
-        (s,), (ys, yy), xs = blocks, cols, x
-        xx = np.einsum("ij,ij->j", x, x)
-        bound = (np.sqrt(xx) + bounds[0]) ** 2
-        err = 2.0 * (2.0 * m.sig.d * w / (1.0 - m.sig.d * w) + 11.0 * w) * bound
-        err += 8.0 * w * (bound + np.abs(b_h) + bounds[1] + abs(m.delta))
-        ok = np.isfinite(err)
-        ceiling = np.where(ok, err, np.inf)
-        np.matmul(x.T, ys, out=s)
-        for i in range(k):
-            s[i] = b_h[i] + m.delta + b_t - (xx[i] + yy - 2.0 * s[i])
-        s[np.isinf(s) | ~ok[:, None]] = np.nan
-        last[:] = (ceiling,)
-    x0 = xs[0]
-    for i in np.flatnonzero(ordered[np.minimum(np.searchsorted(ordered, x0), n - 1)] == x0):
-        s[i, first == x0[i]] = np.nan  # NaN stays NaN
-    s[:, bad] = np.nan
-    return s, ceiling
-
-
-def approx_margins(side, rows, cols) -> np.ndarray:
-    """The margins of :func:`approx_scores`' last call on ``side`` at the
-    (row, tail) pairs ``rows, cols``, two id arrays of one length, in that
-    call's float32 (euclidean: float64) arithmetic, so each has the bits of
-    the margin's expression there; infinite for a head outside the range and
-    for a tail in ``bad``."""
-    bad, last = side[3], side[5][2]
-    if len(last) == 1:  # euclidean: one margin a head, its ceiling
-        margin = last[0][rows]
-    else:
-        dots, args, (a_c, k_c, f_c, a_a, k_a, f_a, err) = last
-        margin = (a_c[rows] / np.maximum(k_c - np.abs(dots[rows, cols]), f_c)
-                  + a_a[rows] / np.maximum(args[rows, cols] - k_a[rows], f_a[rows]) + err[rows])
-    margin[np.isin(cols, bad)] = np.inf
-    return margin
 
 
 def score_candidates(m: Model, h, r, *, tails=None, _head=None) -> np.ndarray:

@@ -111,9 +111,18 @@ def sample_negatives(
     triple, k: int, n_entities: int, rng: np.random.Generator
 ) -> np.ndarray:
     """``k`` corruptions of one triple: head or tail (fair coin) replaced
-    by a uniform entity.  Deterministic under a fixed generator state."""
-    row = np.asarray(triple, dtype=np.int64).reshape(1, 3)
-    return _sample_negatives_batch(row, k, n_entities, rng)[0]
+    by a uniform entity.  Deterministic under a fixed generator state.
+    Sizes that are not integers, ``k < 0`` or ``n_entities < 1`` raise
+    :class:`ConfigurationError`, a triple not of three ids
+    :class:`DimensionError`, an entity id out of range :class:`IdLookupError`."""
+    check_int(k=k, n_entities=n_entities)
+    if k < 0 or n_entities < 1:
+        raise ConfigurationError(f"sample_negatives: k={k} or n_entities={n_entities} too small")
+    row = np.asarray(triple)
+    if row.shape != (3,):
+        raise DimensionError(f"a triple is (head, relation, tail), got shape {row.shape}")
+    check_ids(row[::2], n_entities, "entity")
+    return _sample_negatives_batch(row.astype(np.int64).reshape(1, 3), k, n_entities, rng)[0]
 
 
 def _sample_negatives_batch(

@@ -15,8 +15,12 @@ from hypothesis import strategies as st
 from ukge.errors import ConfigurationError, DimensionError, EmptySplitError, IdLookupError
 from ukge.errors import NumericError, PreconditionError
 from ukge.evaluation import (
+    APPROX_BLOCK,
     EvalReport,
     aggregate_ranks,
+    approx_margins,
+    approx_scores,
+    approx_side,
     build_filter_index,
     evaluate,
     filtered_rank,
@@ -28,9 +32,6 @@ from ukge.kgdata import SPLITS, TripleStore, augment_inverse, make_synthetic
 from ukge.model import (
     GEOMETRIES,
     Model,
-    approx_margins,
-    approx_scores,
-    approx_side,
     candidate_tails,
     init,
     move_heads,
@@ -450,9 +451,9 @@ class TestTracedCalls:
 
         def approx_shim(m, x, b_h, side):
             # every tail's margin, before the next block overwrites the work arrays
-            s, ceiling = approx(m, x, b_h, side)
-            rows.extend(zip(s.copy(), every_margin(side, b_h.size)))
-            return s, ceiling
+            s, ceiling, terms = approx(m, x, b_h, side)
+            rows.extend(zip(s.copy(), every_margin(s, terms)))
+            return s, ceiling, terms
 
         def rank_shim(*args, **kwargs):
             ranks.append((args, kwargs))
@@ -516,11 +517,11 @@ def verified_tails(approx, margin, t):
     return np.flatnonzero(~(np.abs(approx - approx[t]) > margin + margin[t]))
 
 
-def every_margin(side, k):
-    """:func:`approx_margins` of every (row, tail) pair of the last
-    ``approx_scores`` call on ``side``, one row per head of its ``k``."""
-    n = side[1].size
-    return approx_margins(side, np.repeat(np.arange(k), n), np.tile(np.arange(n), k)).reshape(k, n)
+def every_margin(s, terms):
+    """:func:`approx_margins` of every (row, tail) pair of an
+    ``approx_scores`` call that returned the scores ``s`` and ``terms``."""
+    k, n = s.shape
+    return approx_margins(terms, np.repeat(np.arange(k), n), np.tile(np.arange(n), k)).reshape(k, n)
 
 
 def assert_ceiling(approx, margin, ceiling):
@@ -733,9 +734,9 @@ class TestApproxScores:
         m = self.fixture(geometry, alpha, scale)
         queries = [(0, 0), (0, 1), (7, 1), (4, 0)]
         heads = move_heads(m, *np.transpose(queries))[0]
-        side = approx_side(m, candidate_tails(m)[0], 4)
-        approx, ceiling = approx_scores(m, *heads, side)
-        margin = every_margin(side, 4)
+        side = approx_side(m, candidate_tails(m)[0])
+        approx, ceiling, terms = approx_scores(m, *heads, side)
+        margin = every_margin(approx, terms)
         assert_ceiling(approx, margin, ceiling)
         for row, margin_row, (h, r) in zip(approx, margin, queries):
             exact = score_candidates(m, h, r)
@@ -770,9 +771,9 @@ class TestApproxScores:
         queries = [(h, r) for h in (0, 7, 19, 33) for r in range(3)]
         heads = move_heads(m, *np.transpose(queries))[0]
         assert np.any(heads[0][2] != heads[0][3])  # rx != nx
-        side = approx_side(m, tails, len(queries))
-        approx, ceiling = approx_scores(m, *heads, side)
-        margin = every_margin(side, len(queries))
+        side = approx_side(m, tails)
+        approx, ceiling, terms = approx_scores(m, *heads, side)
+        margin = every_margin(approx, terms)
         assert_ceiling(approx, margin, ceiling)
         for row, margin_row, (h, r) in zip(approx, margin, queries):
             exact = score_candidates(m, h, r, tails=tails)
@@ -799,8 +800,8 @@ class TestApproxScores:
         ny[1:6] *= 1.0 + 1e-4
         tails = ((ys, yt, ry, ny), b_t)
         side = approx_side(m, tails)
-        approx, ceiling = approx_scores(m, *move_heads(m, [0], [0])[0], side)
-        margin = every_margin(side, 1)
+        approx, ceiling, terms = approx_scores(m, *move_heads(m, [0], [0])[0], side)
+        margin = every_margin(approx, terms)
         assert_ceiling(approx, margin, ceiling)
         exact = score_candidates(m, 0, 0, tails=tails)
         assert not np.any(np.isnan(approx[0, 1:]))
@@ -818,8 +819,8 @@ class TestApproxScores:
         approx, margins = evaluation.approx_scores, evaluation.approx_margins
 
         def zero_ceilings(*args):
-            s, ceiling = approx(*args)
-            return s, np.zeros_like(ceiling)
+            s, ceiling, terms = approx(*args)
+            return s, np.zeros_like(ceiling), terms
 
         monkeypatch.setattr(evaluation, "approx_scores", zero_ceilings)
         monkeypatch.setattr(evaluation, "approx_margins", lambda *a: np.zeros_like(margins(*a)))
@@ -841,9 +842,10 @@ class TestApproxScores:
         for geometry in GEOMETRIES:
             m = init(Signature(6, 2), 8, 1, seed=1, geometry=geometry)
             m.entities[5] = np.nan
-            side = approx_side(m, candidate_tails(m)[0])  # work for one head: two take more
-            approx, ceiling = approx_scores(m, *move_heads(m, [0, 5], [0, 0])[0], side)
-            margin = every_margin(side, 2)
+            side = approx_side(m, candidate_tails(m)[0])  # work for APPROX_BLOCK heads
+            heads = [0, 5] + [0] * (APPROX_BLOCK - 1)  # one more than that
+            approx, ceiling, terms = approx_scores(m, *move_heads(m, heads, [0] * len(heads))[0], side)
+            margin = every_margin(approx, terms)
             assert_ceiling(approx, margin, ceiling)
             assert np.isinf(ceiling[1])
             assert np.isnan(approx[0, 5]) and np.isinf(margin[0, 5])
@@ -917,8 +919,8 @@ class TestFilteredRanksMatchExactScores:
             triples = rng.integers(0, [30, 3, 30], size=(40, 3))
             self.check_ranks(m, ids_store(30, 3, train=triples[:30], test=triples[30:]))
             side = approx_side(m, candidate_tails(m)[0])
-            approx, ceiling = approx_scores(m, *move_heads(m, [5], [1])[0], side)
-            margin = every_margin(side, 1)
+            approx, ceiling, terms = approx_scores(m, *move_heads(m, [5], [1])[0], side)
+            margin = every_margin(approx, terms)
             assert_ceiling(approx, margin, ceiling)
             overflows = scale > 1.0 and geometry == "ultra"
             assert np.all(np.isnan(approx) & np.isinf(margin)) == overflows
@@ -944,7 +946,7 @@ class TestFilteredRanksMatchExactScores:
                 m.biases[j, 1] = np.nextafter(m.biases[j, 1], -np.inf if gap > 0 else np.inf)
         exact = score_candidates(m, 5, 0)
         tied = tied[exact[tied] == exact[gold]]
-        approx, _ = approx_scores(m, *move_heads(m, [5], [0])[0], approx_side(m, candidate_tails(m)[0]))
+        approx = approx_scores(m, *move_heads(m, [5], [0])[0], approx_side(m, candidate_tails(m)[0]))[0]
         assert tied.size > 30
         assert np.any(approx[0, tied] < approx[0, gold])  # these would be lost
         store = ids_store(60, 1, train=[], test=[(5, 0, gold)])

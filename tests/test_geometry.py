@@ -21,19 +21,17 @@ from ukge.errors import (
     DimensionError,
     PreconditionError,
 )
+from ukge.evaluation import ULPS, cos_shrink, legs_margin
 from ukge.geometry import (
     EPS_TIME,
-    ULPS,
     Signature,
     _legs_forward,
     apply_time_guard,
-    cos_shrink,
     cosh_argument,
     dist_hyper,
     dist_manhattan,
     dist_sphere,
     dot_columns,
-    legs_margin,
     manhattan_legs_columns,
     manifold_defect,
     norm,
@@ -104,6 +102,23 @@ class TestBilinearForm:
         y = rng.normal(size=(7, 4))
         expect = (x[:, :2] * y[:, :2]).sum(-1) - (x[:, 2:] * y[:, 2:]).sum(-1)
         np.testing.assert_allclose(qdot(x, y, S22), expect)
+
+    def test_same_bits_in_any_memory_order(self, rng):
+        """F-ordered, strided and batch-transposed points give ``qdot``,
+        ``manifold_defect`` and ``cosh_argument`` the bits of C-ordered ones,
+        whose sums ``np.sum`` adds pairwise."""
+        sig = Signature(28, 4)
+        x, y = (random_manifold_points(sig, 400, rng).reshape(20, 20, sig.d) for _ in range(2))
+        layouts = [
+            np.asfortranarray,
+            lambda a: np.repeat(a, 2, axis=-1)[..., ::2],
+            lambda a: np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2),
+        ]
+        for layout in layouts:
+            a, b = layout(x), layout(y)
+            assert_same_bits(qdot(a, b, sig), qdot(x, y, sig))
+            assert_same_bits(cosh_argument(a, b, sig), cosh_argument(x, y, sig))
+            assert_same_bits(manifold_defect(a, sig), manifold_defect(x, sig))
 
     def test_wrong_dimension_raises(self):
         with pytest.raises(DimensionError):

@@ -531,6 +531,15 @@ class TestSynthetic:
         with pytest.raises(ConfigurationError):
             make_synthetic(seed=-1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("levels", 2.5), ("levels", True), ("branching", 2.0), ("seed", 1.5), ("cycle", 2.5),
+    ])
+    def test_sizes_and_seed_must_be_integers(self, name, value):
+        """A float size or seed is refused, not rounded: ``cycle=2.5`` once
+        built a ring of 3 leaves."""
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            make_synthetic(**{name: value})
+
     def test_one_child_per_node_names_branching(self):
         """One leaf cannot carry a ring: the error names ``branching``, not
         the ``cycle`` the caller never gave."""

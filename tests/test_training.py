@@ -85,6 +85,22 @@ class TestNegativeSampling:
         freq = np.mean(neg[:, 0] != 3)
         assert abs(freq - 0.5) < 0.01
 
+    @pytest.mark.parametrize("triple, k, n_entities, error", [
+        ((3, 1, 7), -1, 50, ConfigurationError),
+        ((3, 1, 7), 2.5, 50, ConfigurationError),
+        ((3, 1, 7), True, 50, ConfigurationError),
+        ((3, 1, 7), 2, 0, ConfigurationError),
+        ((3, 1, 7), 2, 7.0, ConfigurationError),
+        ((3, 1), 2, 50, DimensionError),
+        ((3, 1, 7, 0), 2, 50, DimensionError),
+        ((3, 1, 50), 2, 50, IdLookupError),
+        ((-1, 1, 7), 2, 50, IdLookupError),
+        ((3.0, 1, 7), 2, 50, IdLookupError),
+    ])
+    def test_malformed_arguments_raise_typed_errors(self, triple, k, n_entities, error):
+        with pytest.raises(error):
+            sample_negatives(triple, k, n_entities, np.random.default_rng(0))
+
     def test_deterministic(self):
         a = sample_negatives((0, 0, 1), 16, 9, np.random.default_rng(5))
         b = sample_negatives((0, 0, 1), 16, 9, np.random.default_rng(5))
