@@ -29,9 +29,12 @@ Then it prints ``correct`` and ``failed`` of every run, and each side's
 source size, the lines of ``src/ukge/*.py`` (as ``cat src/ukge/*.py | wc
 -l`` counts them), with the change's net line delta.  With ``--json PATH``
 the runs, the summary and each side's ``src_lines`` are also written to
-``PATH``, with ``byte_compiled`` telling which of the two modes ran.  The
-exit status is 1 when any run failed or reported ``correct: false``.
-Standard library only.
+``PATH``, with ``byte_compiled`` telling which of the two modes ran and
+``numpy_simd_found`` the SIMD extensions that numpy finds in the runs'
+interpreter and environment, as ``np.show_runtime()`` reports them, so
+that a bit-for-bit claim names its kernels.  The exit status is 1 when
+any run failed or reported ``correct: false``.  Standard library only:
+the runs' interpreter is asked.
 """
 
 from __future__ import annotations
@@ -51,6 +54,19 @@ SIDES = ("parent", "change")
 COPIED = ("src", "perfbench", "BENCHMARK.json", "pyproject.toml")
 SKIPPED = ("__pycache__", "results", ".work")  # caches and earlier runs' output
 MIN_PAIRS = 10  # the fewest pairs a gain may be claimed on
+
+# Prints, as JSON, the "found" list of np.show_runtime()'s "simd_extensions":
+# the CPU features that numpy dispatches kernels for.  show_runtime imports
+# pprint when called, so the list is caught before it is printed.
+SIMD_PROBE = """
+import contextlib, io, json, pprint
+import numpy as np
+shown = []
+pprint.pprint = shown.append
+with contextlib.redirect_stdout(io.StringIO()):
+    np.show_runtime()
+print(json.dumps(next(d["simd_extensions"]["found"] for d in shown[0] if "simd_extensions" in d)))
+"""
 
 
 def fresh_copy(side: Path, dest: Path, byte_compile: bool) -> None:
@@ -85,6 +101,15 @@ def tree_digest(side: Path) -> str:
 def src_lines(side: Path) -> int:
     """Newlines in ``src/ukge/*.py``, as ``cat src/ukge/*.py | wc -l`` counts."""
     return sum(path.read_bytes().count(b"\n") for path in (side / "src" / "ukge").glob("*.py"))
+
+
+def simd_found() -> list[str]:
+    """The SIMD extensions that numpy finds when this interpreter runs with
+    this environment, as ``np.show_runtime()`` reports them: the kernels a
+    run's bits come from."""
+    proc = subprocess.run([sys.executable, "-c", SIMD_PROBE], capture_output=True, text=True,
+                          check=True, timeout=120)
+    return json.loads(proc.stdout)
 
 
 def git_sha(side: Path) -> str:
@@ -200,6 +225,8 @@ def main(argv=None) -> int:
         args.seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
     names = {m["name"] for m in metrics}
+    simd = simd_found()
+    print(f"numpy SIMD extensions found: {' '.join(simd) or 'none'}", flush=True)
 
     runs = {side: [] for side in SIDES}
     first = []
@@ -241,6 +268,7 @@ def main(argv=None) -> int:
             "seeds": [args.first_seed + i for i in range(args.pairs)],
             "first_in_pair": first,
             "byte_compiled": not args.no_compile,
+            "numpy_simd_found": simd,
             "sides": {side: {"path": str(path), "git_sha": git_sha(path),
                              "tree_sha256": tree_digest(path), "src_lines": lines[side]}
                       for side, path in sides.items()},

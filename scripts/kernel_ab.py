@@ -48,7 +48,10 @@ both trees return the same loss and gradients, ``EvalReport``s, scores and
 loaded parameters, floats compared bit for bit.  One invocation is one process; a claim cites the
 ratio medians of at least three.
 
-With ``--json PATH`` the results are also written to ``PATH``.
+With ``--json PATH`` the results are also written to ``PATH``, with
+``numpy_simd_found`` the SIMD extensions that numpy finds in this process,
+as ``np.show_runtime()`` reports them (:func:`bench_pairs.simd_found`):
+the kernels whose bits the two trees matched on.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
+
+from bench_pairs import simd_found
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLS = ("batch", "evaluate", "candidates", "score", "load")
@@ -257,6 +262,7 @@ def main() -> None:
         },
         "scored_per_query_max": {side: max(n for c in v for n in c) for side, v in per_call.items()},
         "bits_equal": True,
+        "numpy_simd_found": simd_found(),
     }
     result["faults_differ"] = {
         name: result["faults"]["parent"][name] != result["faults"]["change"][name]
@@ -279,7 +285,8 @@ def main() -> None:
         label + "/".join(f"{result[key][s]:g}" for s in sides) for label, key in (
             ("", "scored_per_query"), ("mean ", "scored_per_query_mean"),
             ("max ", "scored_per_query_max"))))
-    print("equal loss, gradients, reports and scores, and loaded parameters, in every call")
+    print("equal loss, gradients, reports and scores, and loaded parameters, in every call, "
+          f"with numpy's SIMD extensions {' '.join(result['numpy_simd_found']) or 'none'}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=1)

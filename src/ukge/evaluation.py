@@ -25,8 +25,8 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, EmptySplitError, NumericError, PreconditionError
 from .geometry import Signature
 from .kgdata import TripleStore
-from .model import TRANSPOSE_BLOCK, Model, candidate_tails, check_ids, check_store, columns
-from .model import move_heads, score_candidates
+from .model import TRANSPOSE_BLOCK, Model, candidate_tails, check_ids, check_store, check_triples
+from .model import columns, move_heads, score_candidates
 
 HITS_KS = (1, 3, 10)
 
@@ -354,24 +354,21 @@ def filtered_rank(m: Model, store: TripleStore, triple, filter_splits=("train", 
 
     rank = 1 + #{ e != t unfiltered with not score(h, r, e) < score(h, r, t) },
     counted over all entities less the known tails, without a mask.
-    Called without ``_index``, a store with more entities or relations than
-    ``m`` raises :class:`IdLookupError`, as in :func:`evaluate`.
+    Called without ``_index``, it checks ``triple`` (:func:`check_triples`)
+    and ``store`` (:func:`check_store`), which :func:`evaluate` checks once.
 
     ``_verified`` is this query's entry of :func:`_verify_block`, which a
     standalone call runs on a block of one: the tails it verified are
     ranked by their exact scores, and the rest lie on the side their
     approximation shows.
     """
-    if np.shape(triple) != (3,):
-        raise DimensionError(f"a triple is (head, relation, tail), got shape {np.shape(triple)}")
-    h, r, t = triple
-    check_ids(h, m.n_entities, "entity")
-    check_ids(t, m.n_entities, "entity")
-    check_ids(r, m.n_relations, "relation")
-    h, r, t = int(h), int(r), int(t)
-    if _index is None:  # standalone: check the store and index this query's pair only
+    if _index is None:  # standalone: check the query and the store, index this pair only
+        if np.shape(triple) != (3,):
+            raise DimensionError(f"a triple is (head, relation, tail), got shape {np.shape(triple)}")
+        check_triples(triple, m.n_entities, m.n_relations)
         check_store(m, store)
-        _index = build_filter_index(store, filter_splits, keys=[(h, r)])
+        _index = build_filter_index(store, filter_splits, keys=triple[:2])
+    h, r, t = (int(i) for i in triple)
     if _verified is None:
         tails = candidate_tails(m)[0]
         _verified, = _verify_block(m, approx_side(m, tails), tails, move_heads(m, [h], [r])[0],
@@ -432,8 +429,8 @@ def evaluate(m: Model, store: TripleStore, split: str = "test",
     :func:`filtered_rank` ranks each query.
 
     For the standard protocol (head and tail prediction) pass a store that
-    has been augmented with inverse relations.  A store with more entities
-    or relations than ``m`` raises :class:`IdLookupError` up front.
+    has been augmented with inverse relations.  :func:`check_store` checks
+    the store up front, once per call.
     """
     check_store(m, store)
     triples = store.split(split)

@@ -43,7 +43,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .geometry import check_int
-from .model import check_ids
+from .model import check_ids, check_triples
 
 SPLITS = ("train", "valid", "test")
 
@@ -501,6 +501,7 @@ def krackhardt_score(store: TripleStore, relation: int) -> float:
     check_ids(relation, store.n_relations, "relation")
     triples = store.all_triples()
     edges = triples[triples[:, 1] == relation]
+    check_triples(edges, store.n_entities, store.n_relations)
     if edges.shape[0] == 0:
         raise UndefinedMetricError(
             f"relation {store.relation_names[relation]!r} has no edges"

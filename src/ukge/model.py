@@ -158,18 +158,31 @@ def check_ids(ids, n: int, kind: str) -> None:
         raise IdLookupError(f"{kind} id {bad.flat[0]} out of range [0, {n})")
 
 
+def check_triples(triples, n_entities: int, n_relations: int) -> None:
+    """The one rule for (head, relation, tail) ids: a last axis of 3, else
+    :class:`DimensionError`, then :func:`check_ids` of heads and tails below
+    ``n_entities`` and relations below ``n_relations``.  Input that is not an
+    array is also refused for a bool among its ints, which ``np.asarray`` reads as 0 or 1."""
+    ids = np.asarray(triples)
+    if ids.shape[-1:] != (3,):
+        raise DimensionError(f"triples are (head, relation, tail) rows, got shape {ids.shape}")
+    if not isinstance(triples, np.ndarray) and ids.dtype.kind in "iu" and any(
+            np.asarray(v).dtype == bool for v in np.asarray(triples, dtype=object).flat):
+        raise IdLookupError("triple ids must be integers, got bool")
+    check_ids(ids[..., ::2], n_entities, "entity")
+    check_ids(ids[..., 1], n_relations, "relation")
+
+
 def check_store(m: Model, store) -> None:
-    """Raise :class:`IdLookupError` when ``store`` numbers more entities or
-    relations than ``m`` has rows for, or a triple of a split holds an id
-    outside the store's dictionaries."""
+    """Raise :class:`IdLookupError` if ``store``'s dictionaries outnumber
+    ``m``'s rows, then :func:`check_triples` each split against them."""
     if store.n_entities > m.n_entities or store.n_relations > m.n_relations:
         raise IdLookupError(
             f"store has {store.n_entities} entities / {store.n_relations} "
             f"relations, model {m.n_entities} / {m.n_relations}"
         )
     for split in (store.train, store.valid, store.test):
-        check_ids(split[:, ::2], store.n_entities, "entity")
-        check_ids(split[:, 1], store.n_relations, "relation")
+        check_triples(split, store.n_entities, store.n_relations)
 
 
 def joined_digest(joined) -> str:
@@ -318,8 +331,9 @@ def score_candidates(m: Model, h, r, *, tails=None, _head=None) -> np.ndarray:
     up with them, a triple a column, each with the bits of the one-head
     call (:func:`geometry.dot_columns` adds alike at any width); other
     arrays raise :class:`DimensionError`."""
-    check_ids(h, m.n_entities, "entity")
-    check_ids(r, m.n_relations, "relation")
+    if _head is None:  # a moved head's ids were checked where they entered
+        check_ids(h, m.n_entities, "entity")
+        check_ids(r, m.n_relations, "relation")
     tails = candidate_tails(m)[0] if tails is None else tails
     if (np.ndim(h) or np.ndim(r)) and not np.shape(h) == np.shape(r) == tails[1].shape:
         raise DimensionError(f"score_candidates: heads {np.shape(h)} and relations "

@@ -62,7 +62,7 @@ from .errors import (
 )
 from .geometry import apply_time_guard, check_int
 from .kgdata import TripleStore
-from .model import Model, candidate_tails, check_ids, check_store, meet_tails
+from .model import Model, candidate_tails, check_store, check_triples, meet_tails
 from .model import move_heads, parameters
 
 PROB_CLAMP = 1e-12
@@ -113,16 +113,15 @@ def sample_negatives(
     """``k`` corruptions of one triple: head or tail (fair coin) replaced
     by a uniform entity.  Deterministic under a fixed generator state.
     Sizes that are not integers, ``k < 0`` or ``n_entities < 1`` raise
-    :class:`ConfigurationError`, a triple not of three ids
-    :class:`DimensionError`, an entity id out of range :class:`IdLookupError`."""
+    :class:`ConfigurationError` and a triple not of three ids :class:`DimensionError`;
+    its ids go through :func:`check_triples`, with no upper bound on the relation."""
     check_int(k=k, n_entities=n_entities)
     if k < 0 or n_entities < 1:
         raise ConfigurationError(f"sample_negatives: k={k} or n_entities={n_entities} too small")
-    row = np.asarray(triple)
-    if row.shape != (3,):
-        raise DimensionError(f"a triple is (head, relation, tail), got shape {row.shape}")
-    check_ids(row[::2], n_entities, "entity")
-    return _sample_negatives_batch(row.astype(np.int64).reshape(1, 3), k, n_entities, rng)[0]
+    if np.shape(triple) != (3,):
+        raise DimensionError(f"a triple is (head, relation, tail), got shape {np.shape(triple)}")
+    check_triples(triple, n_entities, np.iinfo(np.int64).max)
+    return _sample_negatives_batch(np.array([triple], np.int64), k, n_entities, rng)[0]
 
 
 def _sample_negatives_batch(
@@ -285,8 +284,8 @@ def _as_batch(m: Model, positives, negatives, caller: str) -> tuple[np.ndarray, 
     """(N, 3) positives and (N, k, 3) negatives, k = 0 when none are given.
 
     Positives that are not whole triples, or negatives that are not whole
-    triples for each positive, raise :class:`DimensionError`; an id outside
-    ``m``, or not an integer, raises :class:`IdLookupError`."""
+    triples for each positive, raise :class:`DimensionError`; then both must
+    pass :func:`check_triples` against ``m``."""
     pos = np.asarray(positives)
     if pos.size % 3:
         raise DimensionError(
@@ -301,12 +300,9 @@ def _as_batch(m: Model, positives, negatives, caller: str) -> tuple[np.ndarray, 
             f"{caller}: negatives of shape {neg.shape} do not split into the same "
             f"number of (h, r, t) triples for each of {pos.shape[0]} positives"
         )
-    if not neg.size:
-        neg = np.empty((pos.shape[0], 0, 3), dtype=np.int64)
-    neg = neg.reshape(pos.shape[0], -1, 3)
-    for ids in (pos, neg.reshape(-1, 3)):
-        check_ids(ids[:, ::2], m.n_entities, "entity")
-        check_ids(ids[:, 1], m.n_relations, "relation")
+    for ids in (positives, negatives) if neg.size else (positives,):
+        check_triples(ids, m.n_entities, m.n_relations)
+    neg = neg.reshape(pos.shape[0], -1, 3) if neg.size else np.empty((pos.shape[0], 0, 3), np.int64)
     return pos.astype(np.int64, copy=False), neg.astype(np.int64, copy=False)
 
 

@@ -3,8 +3,11 @@ both sides; no timing gate.  Its verdicts are tested on synthetic runs."""
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +36,8 @@ def test_one_toy_pair_with_the_checkout_on_both_sides(tmp_path):
     record = json.loads(out.read_text())
     assert record["seeds"] == [3]
     assert record["byte_compiled"] is True
+    assert record["numpy_simd_found"] == load_script().simd_found()
+    assert "numpy SIMD extensions found: " in proc.stdout
     assert record["first_in_pair"] == ["parent"]
     assert record["sides"]["parent"]["tree_sha256"] == record["sides"]["change"]["tree_sha256"]
     lines = int(subprocess.run("cat src/ukge/*.py | wc -l", shell=True, cwd=ROOT,
@@ -69,6 +74,23 @@ def test_one_toy_pair_compiled_at_import(tmp_path):
         (run,) = record["runs"][side]
         assert run["correct"] is True and run["failed"] == 0
         assert set(run["host_scaled"]) == {m["name"] for m in BENCH["end_to_end"]}
+
+
+def test_simd_found_is_what_numpy_reports_for_the_runs_environment(monkeypatch):
+    """The list of ``np.show_runtime()``, asked of a fresh interpreter with
+    this environment, so a feature switched off for the runs drops out."""
+    import numpy as np
+
+    found = load_script().simd_found()
+    assert all(isinstance(f, str) for f in found)
+    shown = io.StringIO()
+    with contextlib.redirect_stdout(shown):
+        np.show_runtime()
+    assert f"'found':{found!r}".replace(" ", "") in "".join(shown.getvalue().split())
+    if found:
+        disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "")
+        monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", f"{disabled} {found[-1]}")
+        assert load_script().simd_found() == found[:-1]
 
 
 def synthetic_runs(name, parent, change):

@@ -263,6 +263,38 @@ class TestEvaluate:
         with pytest.raises(IdLookupError, match=f"{kind} id -?[0-9]+ out of range"):
             evaluate(m, ids_store(4, 2, **rows))
 
+    @pytest.mark.parametrize("split", ["train", "valid", "test"])
+    def test_split_not_of_triples_rejected(self, split):
+        """A split of (n, 2) rows used to pass the store check and fail in
+        the filter index with a bare numpy ValueError."""
+        m, store = self.hand_setup()
+        store = replace(store, **{split: np.array([[1, 0], [2, 1]])})
+        with pytest.raises(DimensionError, match=r"\(head, relation, tail\) rows"):
+            evaluate(m, store)
+
+    def test_ids_checked_once_per_call(self, monkeypatch):
+        """``evaluate`` checks a store's ids once, up front, so its
+        ``check_ids`` calls do not grow with its queries; ``filtered_rank``
+        used to check each query's three ids again."""
+        from ukge import evaluation, model
+
+        store = augment_inverse(make_synthetic(seed=2))
+        m = init(Signature(6, 2), store.n_entities, store.n_relations, seed=5)
+        kinds, check = [], model.check_ids
+
+        def counted(ids, n, kind):
+            kinds.append(kind)
+            check(ids, n, kind)
+
+        monkeypatch.setattr(model, "check_ids", counted)
+        monkeypatch.setattr(evaluation, "check_ids", counted)
+        counts = []
+        for n in (16, 64):
+            kinds.clear()
+            evaluate(m, replace(store, test=np.resize(store.train, (n, 3))))
+            counts.append(len(kinds))
+        assert counts[0] == counts[1] > 0
+
     def test_float_triple_rejected(self):
         m, store = self.hand_setup()
         with pytest.raises(IdLookupError, match="must be integers"):

@@ -4,6 +4,7 @@ no timing gate."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -12,6 +13,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+
+
+def simd_found() -> list[str]:
+    """``scripts/bench_pairs.py``'s ``simd_found``, which kernel_ab.py imports."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.simd_found()
 
 
 def kernel_ab(parent, change, *args) -> subprocess.CompletedProcess:
@@ -28,6 +37,9 @@ def test_the_checkout_on_both_sides(tmp_path):
     assert proc.returncode == 0, proc.stderr + proc.stdout
     record = json.loads(out.read_text())
     assert record["bits_equal"] is True
+    found = simd_found()
+    assert record["numpy_simd_found"] == found
+    assert f"numpy's SIMD extensions {' '.join(found) or 'none'}" in proc.stdout
     calls = ("batch", "evaluate", "candidates", "score", "load")
     assert record["calls"] == {"batch": 1, "evaluate": 1, "candidates": 10, "score": 10,
                                "load": 10}

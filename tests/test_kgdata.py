@@ -342,6 +342,13 @@ class TestKrackhardt:
         with pytest.raises(IdLookupError):
             krackhardt_score(store, 5)
 
+    def test_edge_outside_the_store_rejected(self):
+        """A store whose only triple names entity 5 of 2 used to score 1.0."""
+        none = np.empty((0, 3), dtype=np.int64)
+        store = TripleStore(["a", "b"], ["r"], np.array([[0, 0, 5]]), none, none)
+        with pytest.raises(IdLookupError, match="entity id 5 out of range"):
+            krackhardt_score(store, 0)
+
     @pytest.mark.parametrize("relation", [1.5, 0.0, np.float64(0.0), True, np.bool_(True), "0"])
     def test_relation_id_not_an_integer(self, relation):
         """``1.5`` used to raise a bare TypeError, and ``True`` and

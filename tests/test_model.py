@@ -51,12 +51,16 @@ def tiny_model(**overrides) -> Model:
 
     The points sit at two-leg distance exactly a + b = 1.6 (hyperbolic leg
     0.7, spherical leg 0.9), so the score formula can be checked by hand.
+    The second point's coordinates are written out bit for bit, not
+    computed: numpy's ``sinh`` rounds by 1 ulp differently on a CPU without
+    AVX-512, and :class:`TestFrozenFormat`'s digests pin the format only.
     """
-    a, b = 0.7, 0.9
     entities = np.array(
         [
             [0.0, 0.0, 1.0, 0.0],
-            [np.sinh(a), 0.0, np.cosh(a) * np.cos(b), np.cosh(a) * np.sin(b)],
+            [float.fromhex("0x1.8465153d5bdbdp-1"), 0.0,  # sinh(0.7)
+             float.fromhex("0x1.8f79b9b0ec829p-1"),  # cosh(0.7) cos(0.9)
+             float.fromhex("0x1.f766fe82a4f9bp-1")],  # cosh(0.7) sin(0.9)
         ]
     )
     fields = dict(

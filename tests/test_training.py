@@ -96,6 +96,8 @@ class TestNegativeSampling:
         ((3, 1, 50), 2, 50, IdLookupError),
         ((-1, 1, 7), 2, 50, IdLookupError),
         ((3.0, 1, 7), 2, 50, IdLookupError),
+        ((3, -1, 7), 2, 50, IdLookupError),  # used to return corruptions with relation -1
+        ((True, 0, 7), 2, 50, IdLookupError),  # used to corrupt entity 1
     ])
     def test_malformed_arguments_raise_typed_errors(self, triple, k, n_entities, error):
         with pytest.raises(error):
@@ -156,6 +158,10 @@ class TestLoss:
         ([[0, 0, 1.5]], None),  # would score tail 1
         ([[0, 0, 0]], [[[0, 0.5, 1]]]),
         (np.array([[True, False, True]]), None),
+        # a bool among ints used to be read as 0 or 1: relation 1, head 1
+        ([(0, True, 1)], None),
+        ([(True, 0, 1)], None),
+        ([[0, 0, 0]], [[[0, 0, True]]]),
     ])
     def test_non_integer_ids_rejected(self, pos, neg):
         m = identity_model(n_entities=2)
