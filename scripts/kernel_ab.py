@@ -12,10 +12,13 @@ inputs, built once with ``perfbench/workloads`` at the workload seed:
   ``training.fit`` and its negatives (500 positives with 50 negatives each
   at ``Signature(28, 4)``), drawn once from the train-22k inputs of
   ``workloads.train_setup``, whose model is saved once and loaded with
-  each tree's own ``model.load``.  Each tree's ``_loss_sum``,
-  ``_row_grads`` and ``_scored_rows`` are wrapped to split the call:
-  ``loss_sum`` and ``row_grads`` sum the time spent in the first two, and
-  ``scatter`` is the batch's time outside ``_scored_rows``.
+  each tree's own ``model.load``.  A tree whose ``fit`` makes its gradient
+  arrays once, with ``training._grad_arrays``, and passes them to each
+  batch gets them the same way, made once before the calls, so the call
+  is timed as ``fit`` runs it.  Each tree's ``_loss_sum`` and
+  ``_row_grads``, those of the two it has, are wrapped to split the call:
+  ``loss_sum`` and ``row_grads`` sum the time spent in each, and
+  ``scatter`` is the batch's time outside both.
 - ``evaluate``: ``evaluation.evaluate`` on the first chunk of
   ``EVAL_CHUNK`` test queries, as ``workloads._query_chunks`` builds them
   from the query-22k inputs of ``workloads.query_setup``; each tree loads
@@ -34,8 +37,12 @@ change's time as a share of the parent's, and each side's median count of
 minor page faults (``ru_minflt``) per call: a call that faults in fresh
 pages times the allocator as well as the code, so a call whose two sides'
 medians differ is marked (``faults_differ``), as its ratio says little
-about the code.  It also prints each side's tails scored exactly per
-``evaluate`` query, counted by wrapping that tree's
+about the code.  After the timed calls, one more untimed call of each
+kind runs on each side under ``tracemalloc``, and its peak of traced
+memory is printed and kept as ``peak_kb``: the memory a call allocates and
+holds at once (not what was made before it, as those gradient arrays),
+read without slowing a timed call.  It also prints each side's tails
+scored exactly per ``evaluate`` query, counted by wrapping that tree's
 ``evaluation.score_candidates`` and ``evaluation.filtered_rank`` as
 ``perfbench/tracing.py`` does: a query's tails are those scored during its
 ``filtered_rank`` call, plus the exact scores handed to it in
@@ -65,6 +72,7 @@ import resource
 import statistics
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -73,7 +81,7 @@ from bench_pairs import simd_found
 ROOT = Path(__file__).resolve().parent.parent
 CALLS = ("batch", "evaluate", "candidates", "score", "load")
 STAGES = ("loss_sum", "row_grads", "scatter")  # the split of a batch call
-WRAPPED = ("_loss_sum", "_row_grads", "_scored_rows")
+WRAPPED = ("_loss_sum", "_row_grads")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -112,7 +120,8 @@ def side_calls(package, inputs: dict):
     training = package.training
     spent = dict.fromkeys(WRAPPED, 0.0)
     for name in WRAPPED:
-        setattr(training, name, timed(spent, name, getattr(training, name)))
+        if hasattr(training, name):
+            setattr(training, name, timed(spent, name, getattr(training, name)))
     evaluation, scored, sizes = package.evaluation, [], []
     score_all, rank = evaluation.score_candidates, evaluation.filtered_rank
 
@@ -139,16 +148,18 @@ def side_calls(package, inputs: dict):
         return report
     trained = package.model.load(inputs["train_ckpt"])
     pos, neg = inputs["batch"]
+    # a tree whose fit makes its gradient arrays once gets them once here
+    held = (training._grad_arrays(trained),) if hasattr(training, "_grad_arrays") else ()
 
     def batch():
         for name in WRAPPED:
             spent[name] = 0.0
-        loss, grads = training._batch_grads(trained, pos, neg)
+        loss, grads = training._batch_grads(trained, pos, neg, *held)
         return {"loss": loss, **grads}
 
     def stages(took: float) -> dict:
         return {"loss_sum": spent["_loss_sum"], "row_grads": spent["_row_grads"],
-                "scatter": took - spent["_scored_rows"]}
+                "scatter": took - spent["_loss_sum"] - spent["_row_grads"]}
 
     paths = inputs["paths"]
     kgdata = package.kgdata
@@ -240,6 +251,13 @@ def main() -> None:
                         if name == "evaluate":
                             per_call[side].append(scored[side]())
                     ratios[name].append(took["change"] / took["parent"])
+        peak_kb = {side: {} for side in sides}
+        for name in CALLS:  # untimed: tracemalloc slows every allocation
+            for side in sides:
+                tracemalloc.start()
+                calls[side][name]()
+                peak_kb[side][name] = tracemalloc.get_traced_memory()[1] / 1024
+                tracemalloc.stop()
 
     result = {
         "seed": args.seed,
@@ -254,6 +272,7 @@ def main() -> None:
             side: {name: statistics.median(v) for name, v in faults[side].items()}
             for side in sides
         },
+        "peak_kb": peak_kb,
         "scored_per_query": {
             side: statistics.median(statistics.mean(c) for c in v) for side, v in per_call.items()
         },
@@ -269,12 +288,13 @@ def main() -> None:
         for name in CALLS
     }
     print(f"{'ms':<12}{'parent':>10}{'change':>10}   change/parent per call median"
-          f"   minor faults per call, parent/change")
+          f"   minor faults per call, parent/change   peak KB, parent/change")
     for name in CALLS[:1] + STAGES + CALLS[1:]:
         row = f"{name:<12}" + "".join(f"{result['medians_ms'][s][name]:>10.3f}" for s in sides)
         if name in ratios:
-            row += f"   {result['ratio_median'][name]:<29.3f}" + "/".join(
-                f"{result['faults'][s][name]:g}" for s in sides)
+            faults = "/".join(f"{result['faults'][s][name]:g}" for s in sides)
+            row += f"   {result['ratio_median'][name]:<29.3f}{faults:<39}" + "/".join(
+                f"{peak_kb[s][name]:.0f}" for s in sides)
             row += "   faults differ" if result["faults_differ"][name] else ""
         print(row)
     n = result["calls"]

@@ -28,19 +28,27 @@ production module imports it.  The global margin ``delta`` is a
 hyperparameter: its gradient is reported by :func:`gradients` but
 :func:`fit` never updates it.
 
-A batch is scored in blocks of positives, each with its negatives, of at most
-:data:`BLOCK_ROWS` scored rows, so that the hundred or so elementwise passes
-of the forward and VJP stages run on cache-sized arrays.  Every stage acts
-on each scored triple alone, so a block's per-triple results are those of
-one pass over the whole batch; they are written into the batch's order,
-and the loss sums and the gradient scatters, one ``bincount`` per
-coordinate, then run once over those arrays.  Each float operation is
-thus the unblocked pass's, in its order, and the block size moves no bit
-of the loss or the gradients.  The one batch-wide step of the
-forward, the ``EPS_TIME`` bump of :func:`geometry.point_terms_columns`, adds
-``+0.0`` to the other triples of its block; that changes only an exact
+A batch is walked in blocks of at most :data:`BLOCK_ROWS` scored triples,
+positives first, then negatives, in batch order, so that the hundred or so
+elementwise passes of the forward and VJP stages run on cache-sized arrays.
+Every stage acts on each scored triple alone, so a block's per-triple
+results are those of one pass over the whole batch.  Each block's gradients
+are added at once into per-fit arrays, one ``np.add.at`` per coordinate,
+which from zeros adds each entry's terms in batch order, as ``bincount``
+does (heads and tails apart, then added); the loss, the bias ``bincount``s
+and the ``delta`` sum run once over the batch's ``p`` and ``g_score``.  Each
+float operation is thus the unblocked pass's, in its order, and the block
+size moves no bit of the loss or the gradients.  The one batch-wide step of
+the forward, the ``EPS_TIME`` bump of :func:`geometry.point_terms_columns`,
+adds ``+0.0`` to the other triples of its block; that changes only an exact
 ``-0.0`` time coordinate into ``+0.0``, a sign of zero that no later
 operation turns into a different value.
+
+:func:`fit` holds the entity table, the optimizer's moments, two gradient
+accumulators, one block's intermediates and the last epoch's copy of the
+model, none of which grows with the batch; only the ids, ``p`` and
+``g_score`` hold one entry per scored triple.
+The optimizers step in flat slices of :data:`STEP_CHUNK` elements.
 
 Determinism: given a seed, shuffles, negative draws, loss traces and final
 parameters are reproducible bit for bit.
@@ -67,9 +75,13 @@ from .model import move_heads, parameters
 
 PROB_CLAMP = 1e-12
 
-# Scored triples per block of _scored_rows: a block's (d x triples) float64
+# Scored triples per block of _walk: a block's (d x triples) float64
 # intermediates (512 KB at d = 32) stay in a core's L2 cache.
 BLOCK_ROWS = 2048
+
+# Elements per slice of an optimizer step: its operands and two work
+# buffers (128 KB each) stay in a core's L2 cache.
+STEP_CHUNK = 1 << 14
 
 PARAM_FAMILIES = ("entity_space", "entity_time", "biases", "theta", "phi", "mu", "delta")
 
@@ -221,63 +233,62 @@ def _row_grads(m: Model, saved):
     return g_score, g_head, g_tail, g_theta, g_phi, g_mu
 
 
-def _scored_rows(m: Model, pos: np.ndarray, neg: np.ndarray, grads: bool = True) -> list:
-    """The one cut of a batch (module docstring): the ``p`` of
-    :func:`_loss_sum` and, with ``grads``, the gradients of
-    :func:`_row_grads`, one column per scored triple in batch order,
-    positives first, filled block by block."""
+def _grad_arrays(m: Model) -> dict[str, np.ndarray]:
+    """Uninitialised gradient accumulators of ``m``, one per family but
+    ``delta``, and ``tails``, the entity gradient of the tail role, each
+    coordinate-major as the entity table: a coordinate's entries lie together."""
+    grads = {k: np.empty(v.shape[::-1]).T for k, v in parameters(m).items() if k != "delta"}
+    return grads | {"tails": np.empty_like(grads["entities"])}
+
+
+def _walk(m: Model, stacked: np.ndarray, n_pos: int, grads: dict | None = None):
+    """The one walk of a batch (module docstring) over ``stacked``, its
+    ``n_pos`` positives then its negatives: the ``p`` of :func:`_loss_sum`,
+    one entry per scored triple, and with ``grads`` the ``g_score`` of
+    :func:`_row_grads`, its other gradients added into ``grads`` block by
+    block by :func:`_scatter`."""
     params = parameters(m)
-    n_pos, k = neg.shape[:2]
-    widths = [()]
-    if grads:  # g_score, g_head, g_tail, g_theta, g_phi, g_mu (None if pinned)
-        ent = m.entities.shape[1:]
-        widths += [(), ent, ent, m.theta.shape[1:], m.phi.shape[1:],
-                   m.mu.shape[1:] if m.geometry == "ultra" else None]
-    # one allocation for all: numpy asks for huge pages from 4 MB up, which
-    # spares the thousands of faults of first writes to 4 KB pages
-    sizes = [0 if w is None else int(np.prod(w)) for w in widths]
-    buf = np.empty((sum(sizes), n_pos * (k + 1)))
-    ends = np.cumsum(sizes)
-    rows = [None if w is None else buf[e - size : e].reshape(w + buf.shape[1:])
-            for w, size, e in zip(widths, sizes, ends)]
-    step = max(1, BLOCK_ROWS // (k + 1))
-    for i in range(0, n_pos, step):
-        j = min(i + step, n_pos)
-        _, saved = _loss_sum(m, params, pos[i:j], neg[i:j])
-        block = saved[:1] + (_row_grads(m, saved) if grads else ())
-        for out, b in zip(rows, block):
-            if out is not None:
-                out[..., i:j] = b[..., : j - i]
-                out[..., n_pos + i * k : n_pos + j * k] = b[..., j - i :]
-    return rows
+    p = np.empty(stacked.shape[0])
+    g_score = None if grads is None else np.empty_like(p)
+    cuts = [*range(0, n_pos, BLOCK_ROWS), *range(n_pos, p.size, BLOCK_ROWS), p.size]
+    for lo, hi in zip(cuts, cuts[1:]):
+        block, none = stacked[lo:hi], stacked[:0]
+        saved = _loss_sum(m, params, *((block, none) if lo < n_pos else (none, block)))[1]
+        p[lo:hi] = saved[0]
+        if grads is not None:
+            g_score[lo:hi] = _scatter(grads, block, *_row_grads(m, saved))
+        del saved  # so that one block's intermediates are alive at a time
+    return p, g_score
 
 
-def _scatter(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
-    """Columns of the coordinate-major ``g`` summed into ``n_rows`` columns
-    by ``idx``: one ``bincount`` per coordinate, which adds in column order
-    exactly as ``np.add.at`` does."""
-    return np.array([np.bincount(idx, row, n_rows) for row in g])
+def _scatter(grads: dict, block: np.ndarray, g_score, *block_grads) -> np.ndarray:
+    """``g_score``, once the block's other gradients of :func:`_row_grads`
+    are added into ``grads`` by the block's ids (module docstring)."""
+    h, r, t = block.T.copy()  # add.at reads contiguous ids faster
+    for name, idx, g in zip(("entities", "tails", "theta", "phi", "mu"), (h, t, r, r, r),
+                            block_grads):
+        if g is not None:  # g_mu is None where the boosts are pinned
+            for out, row in zip(grads[name].T, g):
+                np.add.at(out, idx, row)
+    return g_score
 
 
-def _batch_grads(m: Model, pos: np.ndarray, neg: np.ndarray):
+def _batch_grads(m: Model, pos: np.ndarray, neg: np.ndarray, grads: dict | None = None):
     """Unnormalised loss of one batch and its gradient per family of
-    :func:`parameters` (zeros for families the loss does not reach): the
-    sums and scatters run once over :func:`_scored_rows`' arrays."""
-    p, g_score, g_head, g_tail, g_theta, g_phi, g_mu = _scored_rows(m, pos, neg)
+    :func:`parameters` (zeros for families the loss does not reach), summed
+    into ``grads``, :func:`_grad_arrays` of ``m`` (fresh ones by default),
+    which it zeroes first and whose arrays it returns."""
+    grads = _grad_arrays(m) if grads is None else grads
+    for g in grads.values():
+        g.fill(0.0)
     stacked = np.concatenate([pos, neg.reshape(-1, 3)], axis=0)
-    h, r, t = stacked[:, 0], stacked[:, 1], stacked[:, 2]
-    n, n_rel = m.n_entities, m.n_relations
-    entities = np.empty((m.sig.d, n))  # heads and tails apart, then added
-    for out, g_h, g_t in zip(entities, g_head, g_tail):
-        np.add(np.bincount(h, g_h, n), np.bincount(t, g_t, n), out=out)
-    return float(_log_loss(p, pos.shape[0])), {
-        "entities": entities.T,  # in the table's own layout
-        "biases": np.stack([np.bincount(h, g_score, n), np.bincount(t, g_score, n)], axis=1),
-        "theta": _scatter(r, g_theta, n_rel).T,
-        "phi": _scatter(r, g_phi, n_rel).T,
-        "mu": np.zeros_like(m.mu) if g_mu is None else _scatter(r, g_mu, n_rel).T,
-        "delta": g_score.sum(),
-    }
+    p, g_score = _walk(m, stacked, pos.shape[0], grads)
+    h, t = stacked[:, 0], stacked[:, 2]
+    grads["entities"] += grads["tails"]  # heads and tails apart, then added
+    grads["biases"][:, 0] = np.bincount(h, g_score, m.n_entities)
+    grads["biases"][:, 1] = np.bincount(t, g_score, m.n_entities)
+    families = {k: grads[k] for k in ("entities", "biases", "theta", "phi", "mu")}
+    return float(_log_loss(p, pos.shape[0])), families | {"delta": g_score.sum()}
 
 
 def _as_batch(m: Model, positives, negatives, caller: str) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +321,7 @@ def bce_loss(m: Model, positives: np.ndarray, negatives: np.ndarray | None = Non
     """Mean binary cross-entropy of a batch: the loss kernel's forward pass
     alone."""
     pos, neg = _as_batch(m, positives, negatives, "bce_loss")
-    (p,) = _scored_rows(m, pos, neg, grads=False)
+    p, _ = _walk(m, np.concatenate([pos, neg.reshape(-1, 3)], axis=0), pos.shape[0])
     return float(_log_loss(p, pos.shape[0])) / pos.shape[0]
 
 
@@ -333,8 +344,21 @@ def gradients(
 # --- optimisers -----------------------------------------------------------------
 
 
+def _chunks(p: np.ndarray, *others: np.ndarray):
+    """Flat slices of at most :data:`STEP_CHUNK` elements of ``p``, a C- or
+    Fortran-contiguous array, in its memory order, each with the matching
+    slices of ``others``, arrays of its shape (copied if laid out otherwise)."""
+    order = "F" if p.flags.f_contiguous and not p.flags.c_contiguous else "C"
+    if not p.flags[order + "_CONTIGUOUS"]:
+        raise DimensionError(f"an optimizer steps contiguous parameters, got strides {p.strides}")
+    flat = [a.reshape(-1, order=order) for a in (p, *others)]
+    for lo in range(0, p.size, STEP_CHUNK):
+        yield [a[lo : lo + STEP_CHUNK] for a in flat]
+
+
 class Adam:
-    """Adam with the standard bias-corrected moments, each laid out as its parameter."""
+    """Adam with the standard bias-corrected moments, each laid out as its
+    parameter, stepped in :func:`_chunks` through two chunk-sized buffers."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -343,7 +367,7 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p) for k, p in params.items()}
         self.v = {k: np.zeros_like(p) for k, p in params.items()}
-        self._work = {k: (np.empty_like(p), np.empty_like(p)) for k, p in params.items()}
+        self._chunk = (np.empty(STEP_CHUNK), np.empty(STEP_CHUNK))
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """One update in place, with the operations and rounding of
@@ -352,43 +376,44 @@ class Adam:
         self.t += 1
         b1c = 1.0 - self.BETA1**self.t
         b2c = 1.0 - self.BETA2**self.t
-        for k, p in params.items():
-            g, m, v = grads[k], self.m[k], self.v[k]
-            a, b = self._work[k]
-            m *= self.BETA1
-            m += np.multiply(1.0 - self.BETA1, g, out=a)
-            v *= self.BETA2
-            np.multiply(1.0 - self.BETA2, g, out=a)
-            v += np.multiply(a, g, out=a)
-            np.divide(m, b1c, out=a)
-            a *= self.lr
-            np.divide(v, b2c, out=b)
-            np.sqrt(b, out=b)
-            b += self.EPS
-            p -= np.divide(a, b, out=a)
+        for k, param in params.items():
+            for p, m, v, g in _chunks(param, self.m[k], self.v[k], grads[k]):
+                a, b = (w[: p.size] for w in self._chunk)
+                m *= self.BETA1
+                m += np.multiply(1.0 - self.BETA1, g, out=a)
+                v *= self.BETA2
+                np.multiply(1.0 - self.BETA2, g, out=a)
+                v += np.multiply(a, g, out=a)
+                np.divide(m, b1c, out=a)
+                a *= self.lr
+                np.divide(v, b2c, out=b)
+                np.sqrt(b, out=b)
+                b += self.EPS
+                p -= np.divide(a, b, out=a)
 
 
 class Adagrad:
-    """Adagrad with per-coordinate squared-gradient sums, laid out as their parameters."""
+    """Adagrad with per-coordinate squared-gradient sums, laid out as their
+    parameters, stepped in :func:`_chunks` through two chunk-sized buffers."""
 
     EPS = 1e-10
 
     def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.lr = lr
         self.acc = {k: np.zeros_like(p) for k, p in params.items()}
-        self._work = {k: (np.empty_like(p), np.empty_like(p)) for k, p in params.items()}
+        self._chunk = (np.empty(STEP_CHUNK), np.empty(STEP_CHUNK))
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """One update in place, with the operations and rounding of
         ``acc += g * g`` and ``p -= lr * g / (sqrt(acc) + eps)``."""
-        for k, p in params.items():
-            g, acc = grads[k], self.acc[k]
-            a, b = self._work[k]
-            acc += np.multiply(g, g, out=a)
-            np.multiply(self.lr, g, out=a)
-            np.sqrt(acc, out=b)
-            b += self.EPS
-            p -= np.divide(a, b, out=a)
+        for k, param in params.items():
+            for p, acc, g in _chunks(param, self.acc[k], grads[k]):
+                a, b = (w[: p.size] for w in self._chunk)
+                acc += np.multiply(g, g, out=a)
+                np.multiply(self.lr, g, out=a)
+                np.sqrt(acc, out=b)
+                b += self.EPS
+                p -= np.divide(a, b, out=a)
 
 
 OPTIMIZERS = {"adam": Adam, "adagrad": Adagrad}
@@ -423,6 +448,7 @@ def fit(
     frozen = ("delta",) if trained.geometry == "ultra" else ("delta", "mu")
     params = {k: v for k, v in parameters(trained).items() if k not in frozen}
     opt = OPTIMIZERS[cfg.optimizer](params, cfg.learning_rate)
+    grad_arrays = _grad_arrays(trained)
     trace: list[float] = []
     last_good = trained.clone()
     n = triples.shape[0]
@@ -434,7 +460,7 @@ def fit(
             neg = _sample_negatives_batch(
                 batch, cfg.neg_samples, trained.n_entities, rng
             )
-            loss_sum, grads = _batch_grads(trained, batch, neg)
+            loss_sum, grads = _batch_grads(trained, batch, neg, grad_arrays)
             if not np.isfinite(loss_sum):
                 raise DivergenceError(
                     f"loss became non-finite in epoch {epoch}",
@@ -442,7 +468,7 @@ def fit(
                     epoch=epoch,
                 )
             inv_b = 1.0 / batch.shape[0]
-            for k in params:  # in place: the arrays are this batch's own
+            for k in params:  # in place: the arrays are fit's own
                 grads[k] *= inv_b
                 if not np.all(np.isfinite(grads[k])):
                     raise NonFiniteGradientError(

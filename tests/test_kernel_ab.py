@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
@@ -54,6 +56,20 @@ def test_the_checkout_on_both_sides(tmp_path):
         assert set(faults) == set(calls)
         assert all(n >= 0 for n in faults.values())
     assert set(record["faults_differ"]) == set(calls)
+    # one untimed call per side under tracemalloc: the same tree's arrays
+    # peak alike (the Python objects around them may differ by a few
+    # hundred bytes), and a batch holds at least its loss's p vector
+    peaks = record["peak_kb"]
+    assert set(peaks) == {"parent", "change"}
+    for side in ("parent", "change"):
+        assert set(peaks[side]) == set(calls)
+        assert all(kb > 0 for kb in peaks[side].values())
+    assert peaks["parent"]["batch"] == pytest.approx(peaks["change"]["batch"], abs=4)
+    assert peaks["parent"]["batch"] > 500 * 51 * 8 / 1024
+    for name in calls:
+        assert row(proc.stdout, name).endswith(
+            f"{peaks['parent'][name]:.0f}/{peaks['change'][name]:.0f}"
+            + ("   faults differ" if record["faults_differ"][name] else ""))
     for name, differ in record["faults_differ"].items():
         assert differ == (record["faults"]["parent"][name] != record["faults"]["change"][name])
         assert ("faults differ" in row(proc.stdout, name)) == differ

@@ -246,6 +246,32 @@ class TestBlocks:
         self.block_rows(monkeypatch, 1, 2)
         assert_kernel_equals_tape(m, pos, neg)
 
+    def test_scatter_keeps_batch_order_across_blocks(self, monkeypatch):
+        """Positives fill two blocks, then the negatives four.  Entity 0 is
+        the head of the two positives of the late positive block and the
+        head and a tail of the negatives of the first two positives: the
+        tape sums its terms in batch order, all positives first, so a scatter
+        that took each positive's negatives next to it would add them in
+        another order."""
+        rng = np.random.default_rng(14)
+        m = random_model(Signature(4, 2), "ultra", "rotref", rng, n_entities=4)
+        pos = np.array([[1, 0, 2], [2, 1, 3], [3, 0, 1], [1, 1, 2], [2, 0, 3], [3, 1, 1],
+                        [1, 0, 3], [2, 1, 1], [3, 0, 2], [1, 1, 3], [0, 0, 1], [0, 1, 2]])
+        neg = np.stack([pos, pos], axis=1)
+        neg[:, 0, 0] = pos[:, 0] % 3 + 1
+        neg[:, 1, 2] = pos[:, 2] % 3 + 1
+        neg[:2] = [[[0, 0, 0], [0, 0, 2]], [[0, 1, 3], [0, 1, 0]]]
+        loss_sum, blocks = training._loss_sum, []
+
+        def spy(m, params, pos, neg):
+            blocks.append((pos.shape[0], np.size(neg) // 3))
+            return loss_sum(m, params, pos, neg)
+
+        monkeypatch.setattr(training, "BLOCK_ROWS", 6)
+        monkeypatch.setattr(training, "_loss_sum", spy)
+        assert_kernel_equals_tape(m, pos, neg)
+        assert blocks == [(6, 0), (6, 0), (0, 6), (0, 6), (0, 6), (0, 6)]
+
     def test_time_bump_and_negative_zero_in_different_blocks(self, monkeypatch):
         """The ``EPS_TIME`` bump adds ``+0.0`` to every other row of its
         block, which turns an exact ``-0.0`` time coordinate into ``+0.0``

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -331,11 +332,24 @@ class TestOptimizers:
         params = {"f": np.asfortranarray(np.ones((5, 3))), "c": np.ones((5, 3))}
         opt = OPTIMIZERS[optimizer](params, lr=0.1)
         states = [opt.m, opt.v] if optimizer == "adam" else [opt.acc]
-        states += [{k: w[i] for k, w in opt._work.items()} for i in range(2)]
         for state in states:
             assert state["f"].flags.f_contiguous and not state["f"].flags.c_contiguous
             assert state["c"].flags.c_contiguous and not state["c"].flags.f_contiguous
             assert not any(np.shares_memory(state[k], params[k]) for k in params)
+        # the step's two work buffers are the optimizer's own, one chunk each
+        assert len(opt._chunk) == 2
+        for work in opt._chunk:
+            assert not any(np.shares_memory(work, p) for p in params.values())
+            assert not any(np.shares_memory(work, s[k]) for s in states for k in params)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "adagrad"])
+    def test_strided_parameters_rejected(self, optimizer):
+        """A step runs on flat slices of each parameter's memory, so a
+        parameter that is a strided view would be updated in a copy."""
+        params = {"w": np.ones((4, 6))[:, ::2]}
+        opt = OPTIMIZERS[optimizer](params, lr=0.1)
+        with pytest.raises(DimensionError, match="contiguous"):
+            opt.step(params, {"w": np.ones((4, 3))})
 
 
 def synth_setup(geometry="ultra", operator="rot", seed=0):
@@ -559,10 +573,10 @@ class TestPlainLoss:
         )
         neg = training._sample_negatives_batch(pos, 4, 30, rng)
         unblocked = training._loss_sum(m, parameters(m), pos, neg)[0] / pos.shape[0]
-        loss_sum, positives = training._loss_sum, []
+        loss_sum, blocks = training._loss_sum, []
 
         def spy(m, params, pos, neg):
-            positives.append(pos.shape[0])
+            blocks.append((pos.shape[0], np.size(neg) // 3))
             return loss_sum(m, params, pos, neg)
 
         def no_vjp(*args):
@@ -572,7 +586,41 @@ class TestPlainLoss:
         monkeypatch.setattr(training, "_loss_sum", spy)
         monkeypatch.setattr(training, "_row_grads", no_vjp)
         assert bce_loss(m, pos, neg) == unblocked
-        assert max(positives) <= 3 and sum(positives) == 11
+        assert all(n_pos + n_neg <= training.BLOCK_ROWS for n_pos, n_neg in blocks)
+        # batch order: no positive is scored after a negative
+        first_negative = next(i for i, (_, n_neg) in enumerate(blocks) if n_neg)
+        assert not any(n_pos for n_pos, _ in blocks[first_negative:])
+        assert sum(n_pos for n_pos, _ in blocks) == 11
+        assert sum(n_neg for _, n_neg in blocks) == 44
+
+
+class TestMemory:
+    def test_batch_memory_does_not_grow_with_the_batch(self):
+        """Counted in bytes under ``tracemalloc``, not timed: a batch of 13
+        blocks' worth of scored triples peaks at no more than 1.25 times one
+        block's worth on the same model.  What a batch holds beside its one
+        block of intermediates and its per-family gradients is a few vectors
+        of one entry per scored triple."""
+        from ukge import training
+
+        m = init(Signature(28, 4), 20_000, 22, seed=1)
+        rng = np.random.default_rng(2)
+
+        def peak(n_pos, k):
+            pos = np.stack([rng.integers(0, 20_000, n_pos), rng.integers(0, 22, n_pos),
+                            rng.integers(0, 20_000, n_pos)], axis=1)
+            neg = training._sample_negatives_batch(pos, k, 20_000, rng)
+            tracemalloc.start()
+            try:
+                training._batch_grads(m, pos, neg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(40, 50)  # 2,040 scored triples: at most BLOCK_ROWS
+        thirteen = peak(520, 50)  # 26,520: 13 times as many
+        assert 40 * 51 <= training.BLOCK_ROWS < 520 * 51 / 12
+        assert thirteen <= 1.25 * one, (one, thirteen)
 
 
 class TestTrainConfig:
