@@ -1,5 +1,5 @@
-"""A/B timing of one training batch and of the query calls between two
-``src/`` trees, both imported in one process.
+"""A/B timing of one training batch, of the query calls and of the TSV
+writer between two ``src/`` trees, both imported in one process.
 
     python scripts/kernel_ab.py PARENT_SRC CHANGE_SRC [--reps 15] [--seed 1] [--json PATH]
 
@@ -29,8 +29,11 @@ inputs, built once with ``perfbench/workloads`` at the workload seed:
 - ``load``: ``model.load`` of the query checkpoint, which lays the entity
   table out coordinate-major; a ``predict`` call pays it and
   ``candidates``.
+- ``write``: ``kgdata.write_split_tsv`` of the train split of each tree's
+  ``load_triples`` of the query-22k inputs (30,582 lines, 21,845 entity
+  names), as the set-ups write their splits, each tree to its own file.
 
-``batch`` and ``evaluate`` run ``--reps`` times and the other three calls
+``batch`` and ``evaluate`` run ``--reps`` times and the other four calls
 ``10 * --reps`` times, each after one warm-up call.  The script prints each
 side's median per stage and call, the median over the calls of the
 change's time as a share of the parent's, and each side's median count of
@@ -52,7 +55,8 @@ each call's mean (``scored_per_query``), and the mean and the maximum over
 every query of every call (``scored_per_query_mean``,
 ``scored_per_query_max``).  It exits non-zero unless
 both trees return the same loss and gradients, ``EvalReport``s, scores and
-loaded parameters, floats compared bit for bit.  One invocation is one process; a claim cites the
+loaded parameters, floats compared bit for bit, and write files of the
+same bytes.  One invocation is one process; a claim cites the
 ratio medians of at least three.
 
 With ``--json PATH`` the results are also written to ``PATH``, with
@@ -79,7 +83,7 @@ from time import perf_counter
 from bench_pairs import simd_found
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLS = ("batch", "evaluate", "candidates", "score", "load")
+CALLS = ("batch", "evaluate", "candidates", "score", "load", "write")
 STAGES = ("loss_sum", "row_grads", "scatter")  # the split of a batch call
 WRAPPED = ("_loss_sum", "_row_grads")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -163,9 +167,14 @@ def side_calls(package, inputs: dict):
 
     paths = inputs["paths"]
     kgdata = package.kgdata
-    store = kgdata.augment_inverse(
-        kgdata.load_triples(paths["train"], paths["valid"], paths["test"])
-    )
+    base = kgdata.load_triples(paths["train"], paths["valid"], paths["test"])
+    store = kgdata.augment_inverse(base)
+    written = Path(inputs["workdir"]) / f"{package.__name__}.tsv"
+
+    def write() -> Path:
+        kgdata.write_split_tsv(base, "train", str(written))
+        return written
+
     chunk = workloads._query_chunks(store, workloads.EVAL_CHUNK, inputs["seed"])[0]
     m = package.model.load(inputs["query_ckpt"])
     h, r, t = (int(v) for v in chunk.test[0])
@@ -175,15 +184,19 @@ def side_calls(package, inputs: dict):
         "candidates": lambda: package.model.score_candidates(m, h, r),
         "score": lambda: package.model.score(m, h, r, t),
         "load": lambda: package.model.parameters(package.model.load(inputs["query_ckpt"])),
+        "write": write,
     }
     return calls, stages, lambda: list(scored)
 
 
 def same(a, b) -> bool:
-    """Whether ``a`` and ``b`` are equal: dicts key by key, arrays and
-    numbers by dtype, shape and value, float64 bit for bit."""
+    """Whether ``a`` and ``b`` are equal: dicts key by key, paths by their
+    files' bytes, arrays and numbers by dtype, shape and value, float64 bit
+    for bit."""
     import numpy as np
 
+    if isinstance(a, Path):
+        return isinstance(b, Path) and a.read_bytes() == b.read_bytes()
     if isinstance(a, dict):
         return isinstance(b, dict) and a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
     a, b = np.asarray(a), np.asarray(b)
@@ -218,18 +231,19 @@ def main() -> None:
         workloads.model.save(m, train_ckpt)
         query = workloads.query_setup(workloads.FULL, args.seed, workdir)
         inputs = {"train_ckpt": train_ckpt, "batch": (pos, neg), "paths": query.paths,
-                  "query_ckpt": query.ckpt, "seed": args.seed}
+                  "query_ckpt": query.ckpt, "seed": args.seed, "workdir": workdir}
         calls, stages, scored = {}, {}, {}
         for side, src in sides.items():
             calls[side], stages[side], scored[side] = side_calls(
                 import_tree(src, f"ukge_{side}"), inputs
             )
         # the loop stays in the directory: ``load`` reads the query checkpoint
+        # and ``write`` writes there
         samples = {side: {name: [] for name in CALLS + STAGES} for side in sides}
         ratios: dict[str, list[float]] = {name: [] for name in CALLS}
         faults = {side: {name: [] for name in CALLS} for side in sides}
         per_call = {side: [] for side in sides}  # tails scored exactly, each call's queries
-        for name, count in zip(CALLS, (args.reps, args.reps) + (10 * args.reps,) * 3):
+        for name, count in zip(CALLS, (args.reps, args.reps) + (10 * args.reps,) * 4):
             for rep in range(count + 1):
                 order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
                 took, got, faulted = {}, {}, {}
@@ -300,12 +314,14 @@ def main() -> None:
     n = result["calls"]
     print(f"{n['batch']} batch calls, {n['evaluate']} evaluate calls of "
           f"{workloads.EVAL_CHUNK} queries, {n['candidates']} score_candidates and "
-          f"{n['score']} score and {n['load']} load calls per side, calls alternating;")
+          f"{n['score']} score, {n['load']} load and {n['write']} write calls per side, "
+          "calls alternating;")
     print("tails scored exactly per evaluate query, parent/change: " + "; ".join(
         label + "/".join(f"{result[key][s]:g}" for s in sides) for label, key in (
             ("", "scored_per_query"), ("mean ", "scored_per_query_mean"),
             ("max ", "scored_per_query_max"))))
-    print("equal loss, gradients, reports and scores, and loaded parameters, in every call, "
+    print("equal loss, gradients, reports and scores, loaded parameters and written bytes "
+          "in every call, "
           f"with numpy's SIMD extensions {' '.join(result['numpy_simd_found']) or 'none'}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

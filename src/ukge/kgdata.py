@@ -12,7 +12,9 @@ every field from there; :func:`read_names`, which ``predict`` calls,
 numbers none.  The distinct names are gathered into one buffer of UTF-8
 bytes, an LF after each (:class:`Names`), that is decoded in one call or a
 name at a time.  For valid UTF-8, equal bytes are equal strings, so the
-numbering is the one string keys would give.
+numbering is the one string keys would give.  :func:`write_split_tsv`
+encodes the dictionaries once as :class:`Names` and gathers each line's
+names from those bytes, after refusing ids and names no TSV can hold.
 Stores are treated as immutable after construction; :func:`augment_inverse`
 returns a new store with an inverse relation (and reversed triples) added
 for every base relation, which is how head prediction is realised
@@ -304,13 +306,19 @@ def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[by_sight], ids
 
 
+def _gather(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """``(chunk, bounds)``: the spans ``buf[start:start + length]``, one or
+    more, joined in one new array, and 0 then the offset ending each span."""
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    return buf[np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], lengths)], bounds
+
+
 def _names(buf: np.ndarray, fields: tuple[np.ndarray, np.ndarray], first: np.ndarray) -> Names:
     """The fields of ``fields`` (starts, lengths) at the indices ``first``,
     in that order, gathered from ``buf`` into one :class:`Names`."""
     starts, lengths = fields[0][first], fields[1][first]
-    spans = lengths + 1  # each name with the LF after it
-    bounds = np.concatenate([[0], np.cumsum(spans)])
-    chunk = buf[np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], spans)]
+    spans = lengths + 1  # each name with the tab or LF after it
+    chunk, bounds = _gather(buf, starts, spans)
     chunk[bounds[1:] - 1] = 10
     return Names(b"\n" + chunk.tobytes(), bounds)
 
@@ -634,12 +642,44 @@ def make_synthetic(
     )
 
 
+#: lines that :func:`write_split_tsv` gathers and writes at a time
+WRITE_LINES = 4096
+
+
+def _tsv_names(entities: Sequence[str], relations: Sequence[str]) -> Names:
+    """The entity names, then the relation names, encoded once as one
+    :class:`Names`.  A name that no TSV field can hold, empty, with a tab,
+    LF or CR, or not encodable in UTF-8 (a lone surrogate), raises
+    :class:`PreconditionError` naming its dictionary and it.  The check runs
+    on the encoded bytes, and on each name only to find the first refused."""
+    data = "\n".join(["", *entities, *relations, ""]).encode("utf-8", "surrogatepass")
+    bounds = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10)
+    if (bounds.size == len(entities) + len(relations) + 1 and np.all(np.diff(bounds) > 1)
+            and b"\t" not in data and b"\r" not in data and _is_utf8(data)):
+        return Names(data, bounds)
+    for kind, names in (("entity", entities), ("relation", relations)):
+        for name in names:
+            text = name.encode("utf-8", "surrogatepass")
+            if not text or not _is_utf8(text) or any(c in text for c in b"\t\n\r"):
+                raise PreconditionError(f"{kind} name {name!r} cannot be a TSV field")
+    raise AssertionError("names refused in bulk but not one by one")
+
+
 def write_split_tsv(store: TripleStore, split: str, path: str) -> None:
-    """Write one split back to TSV (names, LF endings)."""
+    """Write one split back to TSV (names, LF endings), :data:`WRITE_LINES`
+    lines at a time, each gathered from the names' UTF-8 bytes as three
+    spans, a name and the LF after it each, the first two LFs made tabs.
+    Ids outside the dictionaries raise :class:`IdLookupError` and names no
+    TSV can hold :class:`PreconditionError`, before the file is opened."""
     rows = store.split(split)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for h, r, t in rows:
-            fh.write(
-                f"{store.entity_names[h]}\t{store.relation_names[r]}\t"
-                f"{store.entity_names[t]}\n"
-            )
+    check_triples(rows, store.n_entities, store.n_relations)
+    names = _tsv_names(store.entity_names, store.relation_names)
+    buf = np.frombuffer(names.data, dtype=np.uint8)
+    starts, lengths = names.bounds[:-1] + 1, np.diff(names.bounds)  # each name with its LF
+    with open(path, "wb") as fh:
+        for at in range(0, len(rows), WRITE_LINES):
+            ids = np.add(rows[at : at + WRITE_LINES], [0, store.n_entities, 0], dtype=np.intp)
+            chunk, bounds = _gather(buf, starts[ids.ravel()], lengths[ids.ravel()])
+            chunk[bounds[1::3] - 1] = 9
+            chunk[bounds[2::3] - 1] = 9
+            fh.write(chunk)

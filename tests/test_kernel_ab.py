@@ -1,6 +1,6 @@
 """Smoke tests of scripts/kernel_ab.py: one repetition, this checkout's
-``src/`` on both sides, then against a copy that moves the loss by one ulp;
-no timing gate."""
+``src/`` on both sides, then against a copy that moves the loss by one ulp
+and one whose TSV writer adds a byte; no timing gate."""
 
 from __future__ import annotations
 
@@ -42,9 +42,9 @@ def test_the_checkout_on_both_sides(tmp_path):
     found = simd_found()
     assert record["numpy_simd_found"] == found
     assert f"numpy's SIMD extensions {' '.join(found) or 'none'}" in proc.stdout
-    calls = ("batch", "evaluate", "candidates", "score", "load")
+    calls = ("batch", "evaluate", "candidates", "score", "load", "write")
     assert record["calls"] == {"batch": 1, "evaluate": 1, "candidates": 10, "score": 10,
-                               "load": 10}
+                               "load": 10, "write": 10}
     for side in ("parent", "change"):
         medians = record["medians_ms"][side]
         assert set(medians) == {*calls, "loss_sum", "row_grads", "scatter"}
@@ -66,6 +66,9 @@ def test_the_checkout_on_both_sides(tmp_path):
         assert all(kb > 0 for kb in peaks[side].values())
     assert peaks["parent"]["batch"] == pytest.approx(peaks["change"]["batch"], abs=4)
     assert peaks["parent"]["batch"] > 500 * 51 * 8 / 1024
+    # a write holds at least the names of both dictionaries, encoded once
+    assert peaks["parent"]["write"] == pytest.approx(peaks["change"]["write"], abs=4)
+    assert peaks["parent"]["write"] > 21845 * 3 / 1024
     for name in calls:
         assert row(proc.stdout, name).endswith(
             f"{peaks['parent'][name]:.0f}/{peaks['change'][name]:.0f}"
@@ -105,3 +108,21 @@ def test_a_loss_one_ulp_off_fails_the_batch(tmp_path):
     proc = kernel_ab(SRC, src)
     assert proc.returncode != 0
     assert proc.stderr.startswith("batch: the trees' results differ"), proc.stderr
+
+
+def test_a_written_byte_more_fails_the_write(tmp_path):
+    """The parent side's writer adds an LF: every other call agrees, and
+    the set-up, which writes with the change's tree, loads as before."""
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "ukge" / "kgdata.py", "a", encoding="utf-8") as fh:
+        fh.write(
+            "\n\n_bulk_write = write_split_tsv\n\n\n"
+            "def write_split_tsv(store, split, path):\n"
+            "    _bulk_write(store, split, path)\n"
+            "    with open(path, \"ab\") as fh:\n"
+            "        fh.write(b\"\\n\")\n"
+        )
+    proc = kernel_ab(src, SRC)
+    assert proc.returncode != 0
+    assert proc.stderr.startswith("write: the trees' results differ"), proc.stderr

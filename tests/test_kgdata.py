@@ -154,19 +154,25 @@ class TestParsing:
             store.split("dev")
 
     def test_tsv_roundtrip(self, tmp_path):
+        """The written split loads back as the same triples of names, in
+        order, and its names are numbered by first appearance in it."""
         original = make_synthetic(seed=3)
         path = str(tmp_path / "out.tsv")
         write_split_tsv(original, "train", path)
         back = load_triples(path)
-        names = {
-            (original.entity_names[h], original.relation_names[r], original.entity_names[t])
-            for h, r, t in original.train
-        }
-        names_back = {
-            (back.entity_names[h], back.relation_names[r], back.entity_names[t])
-            for h, r, t in back.train
-        }
-        assert names == names_back
+
+        def named(store):
+            return [
+                (store.entity_names[h], store.relation_names[r], store.entity_names[t])
+                for h, r, t in store.train
+            ]
+
+        rows = named(original)
+        assert len(set(rows)) == len(rows)  # no duplicate for the reader to drop
+        assert named(back) == rows
+        assert back.entity_names == list(dict.fromkeys(n for h, _, t in rows for n in (h, t)))
+        assert back.relation_names == list(dict.fromkeys(r for _, r, _ in rows))
+        assert back.valid.shape == back.test.shape == (0, 3)
 
 
 class TestAugmentation:
@@ -942,3 +948,107 @@ class TestLazyNameMaps:
         assert renamed.entity_id("z") == 2
         with pytest.raises(NameLookupError):
             renamed.entity_id("a")
+
+
+@st.composite
+def writable_stores(draw):
+    """A store of 1-8 entity names (multi-byte UTF-8 and NULs among them)
+    and 1-3 relation names, with up to 10 triples per split, some repeated;
+    a split may be empty."""
+    entities = draw(st.lists(names, min_size=1, max_size=8))
+    relations = draw(st.lists(names, min_size=1, max_size=3))
+    ids = st.tuples(st.integers(0, len(entities) - 1), st.integers(0, len(relations) - 1),
+                    st.integers(0, len(entities) - 1))
+
+    def split():
+        rows = draw(st.lists(ids, max_size=10))
+        if rows:
+            rows = draw(st.permutations(rows + draw(st.lists(st.sampled_from(rows), max_size=4))))
+        return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+    return TripleStore(entities, relations, split(), split(), split())
+
+
+class TestWriteSplitTsv:
+    """The bulk writer writes the bytes of the line loop in ``tsv_oracle``
+    and refuses, before the file is opened, what no TSV can hold."""
+
+    @staticmethod
+    def assert_writes_like_the_line_loop(store, root):
+        from tsv_oracle import write_split_lines
+
+        for split in ("train", "valid", "test"):
+            expected, got = os.path.join(root, "lines.tsv"), os.path.join(root, "bulk.tsv")
+            write_split_lines(store, split, expected)
+            write_split_tsv(store, split, got)
+            with open(expected, "rb") as a, open(got, "rb") as b:
+                assert a.read() == b.read(), split
+
+    @settings(max_examples=150, deadline=None)
+    @given(store=writable_stores(), lines=st.sampled_from([1, 2, 3, 4096]))
+    def test_bytes_match_the_line_loop(self, store, lines):
+        """Also in chunks of 1-3 lines, so that chunk edges fall anywhere."""
+        from unittest import mock
+
+        from ukge import kgdata
+
+        with tempfile.TemporaryDirectory() as root, mock.patch.object(
+                kgdata, "WRITE_LINES", lines):
+            self.assert_writes_like_the_line_loop(store, root)
+
+    def test_query_scale_splits_match_the_line_loop(self, tmp_path):
+        """``make_synthetic(8, 4, seed=7)``: 21,845 names and 30,582 train
+        lines, so several chunks and a last partial one."""
+        store = make_synthetic(8, 4, seed=7)
+        assert store.train.shape[0] == 30_582 and store.n_entities == 21_845
+        self.assert_writes_like_the_line_loop(store, str(tmp_path))
+
+    @pytest.mark.parametrize("row", [(0, 0, -1), (-1, 0, 1), (0, 0, 3), (0, 1, 2), (0, -1, 2)])
+    def test_ids_outside_the_dictionaries_are_refused(self, tmp_path, row):
+        """``(0, 0, -1)`` once wrote the last entity's name, and an id past
+        the end raised a bare ``IndexError``; the old file keeps its bytes."""
+        store = TripleStore(["a", "b", "c"], ["r"], np.array([[0, 0, 1], row]),
+                            np.empty((0, 3), dtype=np.int64), np.empty((0, 3), dtype=np.int64))
+        path = tmp_path / "train.tsv"
+        path.write_bytes(b"old bytes\n")
+        with pytest.raises(IdLookupError, match="out of range"):
+            write_split_tsv(store, "train", str(path))
+        assert path.read_bytes() == b"old bytes\n"
+
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb", "", "b\ud800", "\udcff"])
+    @pytest.mark.parametrize("kind", ["entity", "relation"])
+    def test_names_no_tsv_can_hold_are_refused(self, tmp_path, bad, kind):
+        """A tab, CR or empty name once wrote a file that ``load_triples``
+        refuses, and a lone surrogate left the file half written; the old
+        file keeps its bytes, even when the split to write is empty."""
+        entities, relations = ["a", "b"], ["r"]
+        (entities if kind == "entity" else relations).append(bad)
+        train = np.array([[0, 0, 1]] * 3, dtype=np.int64)
+        store = TripleStore(entities, relations, train, train[:0], train[:0])
+        for split in ("train", "test"):
+            path = tmp_path / f"{split}.tsv"
+            path.write_bytes(b"old bytes\n")
+            with pytest.raises(PreconditionError) as exc:
+                write_split_tsv(store, split, str(path))
+            assert str(exc.value) == f"{kind} name {bad!r} cannot be a TSV field"
+            assert path.read_bytes() == b"old bytes\n"
+
+    def test_memory_does_not_grow_with_the_split(self, tmp_path):
+        """Counted in bytes under ``tracemalloc``: writing query-22k's train
+        split peaks at no more than 3 MB, and four times its lines with the
+        same names at no more than 1.1 times that."""
+        store = make_synthetic(8, 4, seed=7)
+        longer = replace(store, train=np.tile(store.train, (4, 1)))
+
+        def peak(s):
+            tracemalloc.start()
+            try:
+                write_split_tsv(s, "train", str(tmp_path / "train.tsv"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(store), peak(longer)
+        assert one <= 3 * 2**20, one
+        assert four <= 1.1 * one, (one, four)
+        assert os.path.getsize(tmp_path / "train.tsv") > 4 * store.train.shape[0] * 10
