@@ -1,5 +1,6 @@
-"""A/B timing of one training batch, of the query calls and of the TSV
-writer between two ``src/`` trees, both imported in one process.
+"""A/B timing of one training batch, of the query calls, of the TSV writer
+and of the hierarchy scores between two ``src/`` trees, both imported in
+one process.
 
     python scripts/kernel_ab.py PARENT_SRC CHANGE_SRC [--reps 15] [--seed 1] [--json PATH]
 
@@ -32,8 +33,12 @@ inputs, built once with ``perfbench/workloads`` at the workload seed:
 - ``write``: ``kgdata.write_split_tsv`` of the train split of each tree's
   ``load_triples`` of the query-22k inputs (30,582 lines, 21,845 entity
   names), as the set-ups write their splits, each tree to its own file.
+- ``hierarchy``: ``kgdata.hierarchy_scores`` of each tree's
+  ``load_triples`` of the stats-ring inputs of ``workloads.stats_setup``
+  (a 5,461-node ``isa`` tree and a 4,096-node ``next`` ring), as
+  ``ukge stats`` scores them.
 
-``batch`` and ``evaluate`` run ``--reps`` times and the other four calls
+``batch`` and ``evaluate`` run ``--reps`` times and the other five calls
 ``10 * --reps`` times, each after one warm-up call.  The script prints each
 side's median per stage and call, the median over the calls of the
 change's time as a share of the parent's, and each side's median count of
@@ -54,10 +59,11 @@ scored in one call, and they must add up to every tail scored.  It prints the me
 each call's mean (``scored_per_query``), and the mean and the maximum over
 every query of every call (``scored_per_query_mean``,
 ``scored_per_query_max``).  It exits non-zero unless
-both trees return the same loss and gradients, ``EvalReport``s, scores and
-loaded parameters, floats compared bit for bit, and write files of the
-same bytes.  One invocation is one process; a claim cites the
-ratio medians of at least three.
+both trees return the same loss and gradients, ``EvalReport``s, scores,
+loaded parameters and hierarchy scores, floats compared bit for bit and
+``None`` in the same places, and write files of the same bytes.  One
+invocation is one process; a claim cites the ratio medians of at least
+three.
 
 With ``--json PATH`` the results are also written to ``PATH``, with
 ``numpy_simd_found`` the SIMD extensions that numpy finds in this process,
@@ -83,7 +89,7 @@ from time import perf_counter
 from bench_pairs import simd_found
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLS = ("batch", "evaluate", "candidates", "score", "load", "write")
+CALLS = ("batch", "evaluate", "candidates", "score", "load", "write", "hierarchy")
 STAGES = ("loss_sum", "row_grads", "scatter")  # the split of a batch call
 WRAPPED = ("_loss_sum", "_row_grads")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -175,6 +181,9 @@ def side_calls(package, inputs: dict):
         kgdata.write_split_tsv(base, "train", str(written))
         return written
 
+    stats = inputs["stats_paths"]
+    ring = kgdata.load_triples(stats["train"], stats["valid"], stats["test"])
+
     chunk = workloads._query_chunks(store, workloads.EVAL_CHUNK, inputs["seed"])[0]
     m = package.model.load(inputs["query_ckpt"])
     h, r, t = (int(v) for v in chunk.test[0])
@@ -185,16 +194,21 @@ def side_calls(package, inputs: dict):
         "score": lambda: package.model.score(m, h, r, t),
         "load": lambda: package.model.parameters(package.model.load(inputs["query_ckpt"])),
         "write": write,
+        "hierarchy": lambda: kgdata.hierarchy_scores(ring),
     }
     return calls, stages, lambda: list(scored)
 
 
 def same(a, b) -> bool:
-    """Whether ``a`` and ``b`` are equal: dicts key by key, paths by their
-    files' bytes, arrays and numbers by dtype, shape and value, float64 bit
-    for bit."""
+    """Whether ``a`` and ``b`` are equal: dicts key by key, lists item by
+    item, ``None`` only to ``None``, paths by their files' bytes, arrays and
+    numbers by dtype, shape and value, float64 bit for bit."""
     import numpy as np
 
+    if a is None or b is None:
+        return a is b
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(same, a, b))
     if isinstance(a, Path):
         return isinstance(b, Path) and a.read_bytes() == b.read_bytes()
     if isinstance(a, dict):
@@ -230,8 +244,11 @@ def main() -> None:
         train_ckpt = os.path.join(workdir, "train.ukge")
         workloads.model.save(m, train_ckpt)
         query = workloads.query_setup(workloads.FULL, args.seed, workdir)
+        stats_dir = os.path.join(workdir, "stats")  # its splits must not replace query's
+        os.mkdir(stats_dir)
         inputs = {"train_ckpt": train_ckpt, "batch": (pos, neg), "paths": query.paths,
-                  "query_ckpt": query.ckpt, "seed": args.seed, "workdir": workdir}
+                  "query_ckpt": query.ckpt, "seed": args.seed, "workdir": workdir,
+                  "stats_paths": workloads.stats_setup(workloads.FULL, args.seed, stats_dir)}
         calls, stages, scored = {}, {}, {}
         for side, src in sides.items():
             calls[side], stages[side], scored[side] = side_calls(
@@ -243,7 +260,7 @@ def main() -> None:
         ratios: dict[str, list[float]] = {name: [] for name in CALLS}
         faults = {side: {name: [] for name in CALLS} for side in sides}
         per_call = {side: [] for side in sides}  # tails scored exactly, each call's queries
-        for name, count in zip(CALLS, (args.reps, args.reps) + (10 * args.reps,) * 4):
+        for name, count in zip(CALLS, (args.reps, args.reps) + (10 * args.reps,) * 5):
             for rep in range(count + 1):
                 order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
                 took, got, faulted = {}, {}, {}
@@ -314,14 +331,14 @@ def main() -> None:
     n = result["calls"]
     print(f"{n['batch']} batch calls, {n['evaluate']} evaluate calls of "
           f"{workloads.EVAL_CHUNK} queries, {n['candidates']} score_candidates and "
-          f"{n['score']} score, {n['load']} load and {n['write']} write calls per side, "
-          "calls alternating;")
+          f"{n['score']} score, {n['load']} load, {n['write']} write and "
+          f"{n['hierarchy']} hierarchy calls per side, calls alternating;")
     print("tails scored exactly per evaluate query, parent/change: " + "; ".join(
         label + "/".join(f"{result[key][s]:g}" for s in sides) for label, key in (
             ("", "scored_per_query"), ("mean ", "scored_per_query_mean"),
             ("max ", "scored_per_query_max"))))
-    print("equal loss, gradients, reports and scores, loaded parameters and written bytes "
-          "in every call, "
+    print("equal loss, gradients, reports and scores, loaded parameters, written bytes "
+          "and hierarchy scores in every call, "
           f"with numpy's SIMD extensions {' '.join(result['numpy_simd_found']) or 'none'}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -30,7 +30,7 @@ import difflib
 import io
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -484,39 +484,43 @@ def _tarjan(start: list[int], succ: list[int]) -> tuple[list[int], int]:
     return comp, n_comp
 
 
-def krackhardt_score(store: TripleStore, relation: int) -> float:
-    """Hierarchy score of one relation's directed graph.
+def _walk_counts(heads: np.ndarray, tails: np.ndarray, n: int) -> tuple[int, int] | None:
+    """``(total, one_way)`` pair counts of :func:`krackhardt_score` for edges
+    over nodes ``0..n-1``, without self-loops, that give each node at most
+    one successor, by numpy pointer doubling: ``ceil(log2 n)`` squarings of
+    the successor map land every node on its cycle, and a second doubling
+    gives each node its cycle's least id and its steps to that cycle.
+    ``None`` for any other graph."""
+    step = np.arange(n)  # a node without a successor is its own
+    step[heads] = tails
+    if not np.array_equal(step[heads], tails):
+        return None  # some node has two successors
+    rounds = (n - 1).bit_length()  # 2**rounds >= n steps end every walk on its cycle
+    land = step
+    for _ in range(rounds):
+        land = land[land]
+    tail = np.bincount(land, minlength=n) == 0  # the nodes on no cycle
+    least, steps = np.where(tail, n, np.arange(n)), tail.astype(np.int64)
+    for _ in range(rounds):
+        least = np.minimum(least, least[step])
+        steps += steps[step]
+        step = step[step]
+    length = np.bincount(least[~tail], minlength=n)  # each cycle's, at its least id
+    # a tail node reaches steps - 1 more tail nodes and all L of its cycle, none back
+    one_way = int(np.sum(steps[tail] - 1 + length[least[tail]]))
+    return int(length @ (length - 1)) + one_way, one_way
 
-    Over the subgraph induced by the relation's edges, consider every ordered
-    pair (u, v) with u != v such that v is reachable from u along directed
-    edges; the score is the fraction of those pairs where u is *not*
-    reachable back from v.  Self-loops and repeated edges change nothing.
-    Chains score 1.0, cycles 0.0.
 
-    Counted over the strongly connected components (SCCs): the s(s - 1)
-    ordered pairs inside a component of size s are mutual, and every
+def _reach_counts(heads: np.ndarray, tails: np.ndarray, n: int) -> tuple[int, int]:
+    """``(total, one_way)`` pair counts of :func:`krackhardt_score` for any
+    edges over nodes ``0..n-1``, over the strongly connected components:
+    the s(s - 1) ordered pairs inside one of size s are mutual, and every
     reachable pair across components is one-way.  An iterative Tarjan pass
-    finds the components in O(V + E) time.  One pass over them in Tarjan's
-    emission order (successors first) then builds each component's reach
-    set as a Python ``int`` bitset, the OR of its successor components' sets:
-    one OR of at most V bits per edge of the component DAG.  A set is freed
-    once its last predecessor has read it, so memory never grows with the
-    number of reachable pairs.  Both counts are exact integers, so the score
-    is the same float a BFS from every node gives.
-    """
-    if np.ndim(relation) != 0:
-        raise IdLookupError(f"relation must be one id, got shape {np.shape(relation)}")
-    check_ids(relation, store.n_relations, "relation")
-    triples = store.all_triples()
-    edges = triples[triples[:, 1] == relation]
-    check_triples(edges, store.n_entities, store.n_relations)
-    if edges.shape[0] == 0:
-        raise UndefinedMetricError(
-            f"relation {store.relation_names[relation]!r} has no edges"
-        )
-    nodes, dense = np.unique(edges[:, [0, 2]], return_inverse=True)
-    heads, tails = dense.reshape(-1, 2).T
-    start, succ = _csr(heads, tails, len(nodes))
+    finds them in O(V + E) time.  One pass in its emission order (successors
+    first) builds each component's reach set as a Python ``int`` bitset, the
+    OR of its successor components' sets, and frees it once its last
+    predecessor has read it, so memory never grows with the reachable pairs."""
+    start, succ = _csr(heads, tails, n)
     comp, n_comp = _tarjan(start.tolist(), succ.tolist())
     # the condensation DAG: distinct edges between components
     comp = np.asarray(comp)
@@ -545,6 +549,43 @@ def krackhardt_score(store: TripleStore, relation: int) -> float:
         one_way += across_pairs
         if readers[c]:
             below[c] = reach | (((1 << s) - 1) << offsets[c])
+    return total, one_way
+
+
+def krackhardt_score(store: TripleStore, relation: int) -> float:
+    """Hierarchy score of one relation's directed graph.
+
+    Over the subgraph induced by the relation's edges, consider every ordered
+    pair (u, v) with u != v such that v is reachable from u along directed
+    edges; the score is the fraction of those pairs where u is *not*
+    reachable back from v.  Self-loops and repeated edges change nothing.
+    Chains score 1.0, cycles 0.0.
+
+    The graph picks how the pairs are counted.  Where every node has at
+    most one successor other than itself (a child->parent tree, a chain, a
+    ring, tails running into cycles), :func:`_walk_counts` follows the walks
+    by pointer doubling.  Where every node has at most one predecessor (a
+    parent->child tree), it follows them in the transposed graph Gᵀ, which
+    scores the same: u reaches v in G exactly when v reaches u in Gᵀ.  Any
+    other graph, where a node reaches a union of sets rather than one walk,
+    goes to :func:`_reach_counts`.  Both count exact integers, so the score
+    is the same float a BFS from every node gives.
+    """
+    if np.ndim(relation) != 0:
+        raise IdLookupError(f"relation must be one id, got shape {np.shape(relation)}")
+    check_ids(relation, store.n_relations, "relation")
+    triples = store.all_triples()
+    edges = triples[triples[:, 1] == relation]
+    check_triples(edges, store.n_entities, store.n_relations)
+    if edges.shape[0] == 0:
+        raise UndefinedMetricError(
+            f"relation {store.relation_names[relation]!r} has no edges"
+        )
+    nodes, dense = np.unique(edges[:, [0, 2]], return_inverse=True)
+    heads, tails = dense.reshape(-1, 2).T
+    heads, tails, n = heads[heads != tails], tails[heads != tails], len(nodes)
+    total, one_way = (_walk_counts(heads, tails, n) or _walk_counts(tails, heads, n)
+                      or _reach_counts(heads, tails, n))
     if total == 0:
         raise UndefinedMetricError(
             f"relation {store.relation_names[relation]!r} connects no ordered pairs"
@@ -563,11 +604,16 @@ def relation_counts(store: TripleStore) -> np.ndarray:
 
 
 def hierarchy_scores(store: TripleStore) -> list[float | None]:
-    """:func:`krackhardt_score` per relation id, ``None`` where undefined."""
+    """:func:`krackhardt_score` per relation id, ``None`` where undefined,
+    each on a store of its relation's edges alone, sorted out once."""
+    triples = store.all_triples()
+    rows = triples[np.argsort(triples[:, 1], kind="stable")]
+    bounds = np.searchsorted(rows[:, 1], np.arange(store.n_relations + 1))
     scores: list[float | None] = []
-    for rid in range(store.n_relations):
+    empty = rows[:0]
+    for rid, own in enumerate(np.split(rows, bounds)[1:-1]):  # ids out of range left out
         try:
-            scores.append(krackhardt_score(store, rid))
+            scores.append(krackhardt_score(replace(store, train=own, valid=empty, test=empty), rid))
         except UndefinedMetricError:
             scores.append(None)
     return scores
@@ -649,18 +695,22 @@ WRITE_LINES = 4096
 def _tsv_names(entities: Sequence[str], relations: Sequence[str]) -> Names:
     """The entity names, then the relation names, encoded once as one
     :class:`Names`.  A name that no TSV field can hold, empty, with a tab,
-    LF or CR, or not encodable in UTF-8 (a lone surrogate), raises
-    :class:`PreconditionError` naming its dictionary and it.  The check runs
-    on the encoded bytes, and on each name only to find the first refused."""
+    LF or CR, not encodable in UTF-8 (a lone surrogate), or led by U+FEFF,
+    which starts a file as a byte order mark, raises :class:`PreconditionError`
+    naming its dictionary and it.  The check runs on the encoded bytes, and
+    on each name only to find the first refused."""
     data = "\n".join(["", *entities, *relations, ""]).encode("utf-8", "surrogatepass")
     bounds = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10)
     if (bounds.size == len(entities) + len(relations) + 1 and np.all(np.diff(bounds) > 1)
-            and b"\t" not in data and b"\r" not in data and _is_utf8(data)):
+            and b"\t" not in data and b"\r" not in data and _is_utf8(data)
+            # one byte first, by memchr: a search for four bytes is far slower
+            and (b"\xef" not in data or b"\n" + codecs.BOM_UTF8 not in data)):
         return Names(data, bounds)
     for kind, names in (("entity", entities), ("relation", relations)):
         for name in names:
             text = name.encode("utf-8", "surrogatepass")
-            if not text or not _is_utf8(text) or any(c in text for c in b"\t\n\r"):
+            if (not text or not _is_utf8(text) or any(c in text for c in b"\t\n\r")
+                    or text.startswith(codecs.BOM_UTF8)):
                 raise PreconditionError(f"{kind} name {name!r} cannot be a TSV field")
     raise AssertionError("names refused in bulk but not one by one")
 

@@ -1,6 +1,7 @@
 """Smoke tests of scripts/kernel_ab.py: one repetition, this checkout's
 ``src/`` on both sides, then against a copy that moves the loss by one ulp
-and one whose TSV writer adds a byte; no timing gate."""
+and one whose TSV writer adds a byte, and its comparison of hierarchy
+scores; no timing gate."""
 
 from __future__ import annotations
 
@@ -42,9 +43,10 @@ def test_the_checkout_on_both_sides(tmp_path):
     found = simd_found()
     assert record["numpy_simd_found"] == found
     assert f"numpy's SIMD extensions {' '.join(found) or 'none'}" in proc.stdout
-    calls = ("batch", "evaluate", "candidates", "score", "load", "write")
+    calls = ("batch", "evaluate", "candidates", "score", "load", "write", "hierarchy")
     assert record["calls"] == {"batch": 1, "evaluate": 1, "candidates": 10, "score": 10,
-                               "load": 10, "write": 10}
+                               "load": 10, "write": 10, "hierarchy": 10}
+    assert "10 write and 10 hierarchy calls per side" in proc.stdout
     for side in ("parent", "change"):
         medians = record["medians_ms"][side]
         assert set(medians) == {*calls, "loss_sum", "row_grads", "scatter"}
@@ -69,6 +71,8 @@ def test_the_checkout_on_both_sides(tmp_path):
     # a write holds at least the names of both dictionaries, encoded once
     assert peaks["parent"]["write"] == pytest.approx(peaks["change"]["write"], abs=4)
     assert peaks["parent"]["write"] > 21845 * 3 / 1024
+    # the scores hold the 9,556 stats-ring triples, sorted once by relation
+    assert peaks["parent"]["hierarchy"] > 9556 * 3 * 8 / 1024
     for name in calls:
         assert row(proc.stdout, name).endswith(
             f"{peaks['parent'][name]:.0f}/{peaks['change'][name]:.0f}"
@@ -126,3 +130,21 @@ def test_a_written_byte_more_fails_the_write(tmp_path):
     proc = kernel_ab(src, SRC)
     assert proc.returncode != 0
     assert proc.stderr.startswith("write: the trees' results differ"), proc.stderr
+
+
+def test_hierarchy_scores_compare_bit_for_bit_with_none_in_place():
+    """``same`` of two ``hierarchy_scores`` lists: a ``None`` matches only
+    ``None``, and floats match only bit for bit."""
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        spec = importlib.util.spec_from_file_location("kernel_ab", ROOT / "scripts" / "kernel_ab.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    assert module.same([1.0, None, 0.25], [1.0, None, 0.25])
+    for other in ([1.0, 0.0, 0.25], [1.0, None], [1.0, None, 0.25, None],
+                  [1.0, None, float.fromhex("0x1.0000000000001p-2")]):
+        assert not module.same([1.0, None, 0.25], other)
+        assert not module.same(other, [1.0, None, 0.25])
+    assert not module.same([0.0], [-0.0])

@@ -442,12 +442,50 @@ def cycle_or_chain(n, closed):
     return TripleStore([f"e{i}" for i in range(n)], ["r"], edges, edges[:0], edges[:0])
 
 
+@st.composite
+def walk_graphs(draw):
+    """A store whose one relation gives each of up to 12 nodes at most one
+    successor other than itself, or, drawn reversed, at most one
+    predecessor: tails running into cycles, sinks, self-loops on top, each
+    edge in one or more splits, and entities that no edge touches."""
+    n = draw(st.integers(1, 12))
+    succ = draw(st.lists(st.none() | st.integers(0, n - 1), min_size=n, max_size=n))
+    edges = [(u, v) for u, v in enumerate(succ) if v is not None]
+    edges += [(v, v) for v in draw(st.lists(st.integers(0, n - 1), max_size=3))]
+    if draw(st.booleans()):
+        edges = [(v, u) for u, v in edges]
+    splits: list[list[tuple[int, int, int]]] = [[], [], []]
+    for u, v in edges:
+        for where in draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)):
+            splits[where].append((u, 0, v))
+    arrays = [
+        np.asarray(draw(st.permutations(rows)), dtype=np.int64).reshape(len(rows), 3)
+        for rows in splits
+    ]
+    return TripleStore([f"e{i}" for i in range(n + draw(st.integers(0, 3)))], ["r"], *arrays)
+
+
+def never_tarjan(*args):
+    raise AssertionError("_tarjan entered")
+
+
 class TestKrackhardtMatchesBfs:
     @settings(max_examples=300, deadline=None)
     @given(store=relation_graphs())
     def test_random_digraphs(self, store):
         for relation in range(store.n_relations):
             assert_matches_bfs(store, relation)
+
+    @settings(max_examples=300, deadline=None)
+    @given(store=walk_graphs())
+    def test_graphs_of_one_successor_or_one_predecessor(self, store):
+        """Scored by pointer doubling, never by Tarjan's pass."""
+        from unittest import mock
+
+        from ukge import kgdata
+
+        with mock.patch.object(kgdata, "_tarjan", never_tarjan):
+            assert_matches_bfs(store, 0)
 
     def test_synthetic_stores(self):
         for store in (
@@ -477,6 +515,54 @@ class TestKrackhardtScale:
     def test_long_chain_needs_no_recursion(self):
         # 20,000 nested calls would pass Python's default recursion limit
         assert krackhardt_score(cycle_or_chain(20_000, closed=False), 0) == 1.0
+
+    def test_ring_memory_grows_linearly(self):
+        """Four times the nodes, at most 4.5 times the peak."""
+
+        def peak(n):
+            store = cycle_or_chain(n, closed=True)
+            tracemalloc.start()
+            try:
+                assert krackhardt_score(store, 0) == 0.0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(50_000), peak(200_000)
+        assert large <= 4.5 * small, (small, large)
+
+
+class TestKrackhardtPaths:
+    """Which of the two counts runs is chosen by the graph."""
+
+    def test_walk_shaped_relations_never_enter_tarjan(self, monkeypatch):
+        """A child->parent tree and a ring, the same tree parent->child (one
+        predecessor each) and a 20,000-node chain."""
+        from ukge import kgdata
+
+        monkeypatch.setattr(kgdata, "_tarjan", never_tarjan)
+        store = make_synthetic(levels=7, branching=4)
+        assert hierarchy_scores(store) == [1.0, 0.0]
+        up = store.all_triples()
+        down = up[up[:, 1] == 0][:, ::-1]
+        assert krackhardt_score(replace(store, train=down, valid=down[:0], test=down[:0]), 0) == 1.0
+        assert krackhardt_score(cycle_or_chain(20_000, closed=False), 0) == 1.0
+
+    def test_two_successors_and_two_predecessors_enter_tarjan(self, monkeypatch):
+        from ukge import kgdata
+
+        calls = []
+        real = kgdata._tarjan
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kgdata, "_tarjan", counting)
+        # a has successors b and c, and c has predecessors a and d
+        store = store_from([("a", "r", "b"), ("a", "r", "c"), ("d", "r", "c")])
+        assert krackhardt_score(store, 0) == krackhardt_bfs_oracle(store, 0) == 1.0
+        assert len(calls) == 1
 
 
 class TestStatsCsvQuoting:
@@ -1032,6 +1118,32 @@ class TestWriteSplitTsv:
                 write_split_tsv(store, split, str(path))
             assert str(exc.value) == f"{kind} name {bad!r} cannot be a TSV field"
             assert path.read_bytes() == b"old bytes\n"
+
+    @pytest.mark.parametrize("kind", ["entity", "relation"])
+    def test_a_leading_byte_order_mark_is_refused(self, tmp_path, kind):
+        """Entities ``["\\ufeffa", "b"]`` once wrote ``ef bb bf 61 09 ...``,
+        which ``load_triples`` skips as a byte order mark, so they loaded
+        back as ``['a', 'b']``; the old file keeps its bytes."""
+        bad = "\ufeff" + ("a" if kind == "entity" else "r")
+        entities, relations = (["a", "b"], [bad]) if kind == "relation" else ([bad, "b"], ["r"])
+        train = np.array([[0, 0, 1]], dtype=np.int64)
+        store = TripleStore(entities, relations, train, train[:0], train[:0])
+        path = tmp_path / "train.tsv"
+        path.write_bytes(b"old bytes\n")
+        with pytest.raises(PreconditionError) as exc:
+            write_split_tsv(store, "train", str(path))
+        assert str(exc.value) == f"{kind} name {bad!r} cannot be a TSV field"
+        assert path.read_bytes() == b"old bytes\n"
+
+    def test_a_byte_order_mark_inside_a_name_loads_back(self, tmp_path):
+        train = np.array([[0, 0, 1]], dtype=np.int64)
+        store = TripleStore(["a\ufeff", "b"], ["r\ufeffs"], train, train[:0], train[:0])
+        path = str(tmp_path / "train.tsv")
+        write_split_tsv(store, "train", path)
+        loaded = load_triples(path)
+        assert list(loaded.entity_names) == ["a\ufeff", "b"]
+        assert list(loaded.relation_names) == ["r\ufeffs"]
+        np.testing.assert_array_equal(loaded.train, train)
 
     def test_memory_does_not_grow_with_the_split(self, tmp_path):
         """Counted in bytes under ``tracemalloc``: writing query-22k's train
