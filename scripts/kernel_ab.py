@@ -1,6 +1,6 @@
-"""A/B timing of one training batch, of the query calls, of the TSV writer
-and of the hierarchy scores between two ``src/`` trees, both imported in
-one process.
+"""A/B timing of one training batch, of the query calls, of the TSV reader
+and writer and of the hierarchy scores between two ``src/`` trees, both
+imported in one process.
 
     python scripts/kernel_ab.py PARENT_SRC CHANGE_SRC [--reps 15] [--seed 1] [--json PATH]
 
@@ -37,8 +37,16 @@ inputs, built once with ``perfbench/workloads`` at the workload seed:
   ``load_triples`` of the stats-ring inputs of ``workloads.stats_setup``
   (a 5,461-node ``isa`` tree and a 4,096-node ``next`` ring), as
   ``ukge stats`` scores them.
+- ``names``: ``kgdata.read_names`` of the query-22k TSVs (38,228 lines,
+  21,845 entity names), as ``predict`` reads them; the two sides' name
+  bytes, bounds and counts of entities seen before the test split must
+  be equal.
+- ``predict``: one in-process ``cli.main(["predict", ...])`` of the first
+  request of the query-22k workload against its TSVs and checkpoint, as
+  the benchmark times it; the exit codes and the stdout bytes must be
+  equal.
 
-``batch`` and ``evaluate`` run ``--reps`` times and the other five calls
+``batch`` and ``evaluate`` run ``--reps`` times and the other seven calls
 ``10 * --reps`` times, each after one warm-up call.  The script prints each
 side's median per stage and call, the median over the calls of the
 change's time as a share of the parent's, and each side's median count of
@@ -61,7 +69,8 @@ every query of every call (``scored_per_query_mean``,
 ``scored_per_query_max``).  It exits non-zero unless
 both trees return the same loss and gradients, ``EvalReport``s, scores,
 loaded parameters and hierarchy scores, floats compared bit for bit and
-``None`` in the same places, and write files of the same bytes.  One
+``None`` in the same places, write files of the same bytes, read the same
+names and print the same predictions.  One
 invocation is one process; a claim cites the ratio medians of at least
 three.
 
@@ -74,8 +83,11 @@ the kernels whose bits the two trees matched on.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import importlib
 import importlib.util
+import io
 import json
 import os
 import resource
@@ -89,7 +101,8 @@ from time import perf_counter
 from bench_pairs import simd_found
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLS = ("batch", "evaluate", "candidates", "score", "load", "write", "hierarchy")
+CALLS = ("batch", "evaluate", "candidates", "score", "load", "write", "hierarchy", "names",
+         "predict")
 STAGES = ("loss_sum", "row_grads", "scatter")  # the split of a batch call
 WRAPPED = ("_loss_sum", "_row_grads")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -125,6 +138,7 @@ def side_calls(package, inputs: dict):
     function that splits the last batch call's time into :data:`STAGES`, and
     one that returns the tails the last ``evaluate`` call scored exactly,
     query by query."""
+    import numpy as np
     import workloads
 
     training = package.training
@@ -184,6 +198,26 @@ def side_calls(package, inputs: dict):
     stats = inputs["stats_paths"]
     ring = kgdata.load_triples(stats["train"], stats["valid"], stats["test"])
 
+    def names() -> dict:
+        entities, relations, n_seen = kgdata.read_names(paths["train"], paths["valid"],
+                                                        paths["test"])
+        return {"entities": np.frombuffer(entities.data, dtype=np.uint8),
+                "entity_bounds": entities.bounds, "n_seen": n_seen,
+                "relations": np.frombuffer(relations.data, dtype=np.uint8),
+                "relation_bounds": relations.bounds}
+
+    cli = importlib.import_module(f"{package.__name__}.cli")
+    head, rel = inputs["request"]
+    argv = ["predict", "--model", inputs["query_ckpt"], "--train", paths["train"],
+            "--valid", paths["valid"], "--test", paths["test"], "--head", head, "--rel", rel,
+            "--topk", str(workloads.TOPK)]
+
+    def predict() -> dict:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        return {"code": code, "stdout": np.frombuffer(out.getvalue().encode(), dtype=np.uint8)}
+
     chunk = workloads._query_chunks(store, workloads.EVAL_CHUNK, inputs["seed"])[0]
     m = package.model.load(inputs["query_ckpt"])
     h, r, t = (int(v) for v in chunk.test[0])
@@ -195,6 +229,8 @@ def side_calls(package, inputs: dict):
         "load": lambda: package.model.parameters(package.model.load(inputs["query_ckpt"])),
         "write": write,
         "hierarchy": lambda: kgdata.hierarchy_scores(ring),
+        "names": names,
+        "predict": predict,
     }
     return calls, stages, lambda: list(scored)
 
@@ -248,6 +284,7 @@ def main() -> None:
         os.mkdir(stats_dir)
         inputs = {"train_ckpt": train_ckpt, "batch": (pos, neg), "paths": query.paths,
                   "query_ckpt": query.ckpt, "seed": args.seed, "workdir": workdir,
+                  "request": query.requests[0],
                   "stats_paths": workloads.stats_setup(workloads.FULL, args.seed, stats_dir)}
         calls, stages, scored = {}, {}, {}
         for side, src in sides.items():
@@ -260,7 +297,7 @@ def main() -> None:
         ratios: dict[str, list[float]] = {name: [] for name in CALLS}
         faults = {side: {name: [] for name in CALLS} for side in sides}
         per_call = {side: [] for side in sides}  # tails scored exactly, each call's queries
-        for name, count in zip(CALLS, (args.reps, args.reps) + (10 * args.reps,) * 5):
+        for name, count in zip(CALLS, (args.reps, args.reps) + (10 * args.reps,) * 7):
             for rep in range(count + 1):
                 order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
                 took, got, faulted = {}, {}, {}
@@ -331,14 +368,15 @@ def main() -> None:
     n = result["calls"]
     print(f"{n['batch']} batch calls, {n['evaluate']} evaluate calls of "
           f"{workloads.EVAL_CHUNK} queries, {n['candidates']} score_candidates and "
-          f"{n['score']} score, {n['load']} load, {n['write']} write and "
-          f"{n['hierarchy']} hierarchy calls per side, calls alternating;")
+          f"{n['score']} score, {n['load']} load, {n['write']} write, "
+          f"{n['hierarchy']} hierarchy, {n['names']} names and {n['predict']} predict calls "
+          "per side, calls alternating;")
     print("tails scored exactly per evaluate query, parent/change: " + "; ".join(
         label + "/".join(f"{result[key][s]:g}" for s in sides) for label, key in (
             ("", "scored_per_query"), ("mean ", "scored_per_query_mean"),
             ("max ", "scored_per_query_max"))))
-    print("equal loss, gradients, reports and scores, loaded parameters, written bytes "
-          "and hierarchy scores in every call, "
+    print("equal loss, gradients, reports and scores, loaded parameters, written bytes, "
+          "hierarchy scores, names and predictions in every call, "
           f"with numpy's SIMD extensions {' '.join(result['numpy_simd_found']) or 'none'}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -5,11 +5,15 @@ line (LF, CRLF or lone CR endings, read alike; no header; a leading byte
 order mark is skipped; bytes that are not UTF-8 are an error at their line).
 Dictionaries number the deduplicated train, valid and test splits, in that
 order, by first appearance, so ids are dense and stable for a fixed input.
-Names are numbered by their UTF-8 bytes in numpy, not as Python strings:
-each field becomes a key of 8-byte words, and one sort groups equal keys
-and finds each distinct name's first field.  :func:`load_triples` numbers
-every field from there; :func:`read_names`, which ``predict`` calls,
-numbers none.  The distinct names are gathered into one buffer of UTF-8
+The splits are joined into one buffer and scanned once for their tabs and
+LFs, and checked in bulk; only splits that fail go back, one by one, to a
+line loop for the first bad line.  Names are numbered by their UTF-8 bytes
+in numpy, not as Python strings: each field becomes a key of 8-byte words,
+and one sort groups equal keys and finds each distinct name's first field;
+a one-word key that fits in one word with its row number is sorted packed
+with it, so each key's rows come out in file order.  :func:`load_triples`
+numbers every field from there; :func:`read_names`, which ``predict``
+calls, numbers none.  The distinct names are gathered into one buffer of UTF-8
 bytes, an LF after each (:class:`Names`), that is decoded in one call or a
 name at a time.  For valid UTF-8, equal bytes are equal strings, so the
 numbering is the one string keys would give.  :func:`write_split_tsv`
@@ -170,35 +174,46 @@ def _parse_file(path: str) -> list[tuple[str, ...]]:
     return rows
 
 
-def _read_fields(path: str) -> tuple[bytes, np.ndarray]:
-    """``(data, ends)`` of a TSV split: its UTF-8 bytes as LF-ended lines of
-    three tab-separated fields, and the offset of the tab or LF after each
-    field, three per line in file order, duplicates kept.
-
-    The whole file is read once, its CRLF and lone CR endings made LF as
-    :func:`text_lines` ends lines, and checked in bulk: valid UTF-8 and
-    every line two tabs around three non-empty fields.  A file that fails
-    the check goes through :func:`_parse_file`'s line loop only for the
-    :class:`ParseError` of its first bad line."""
+def _file_bytes(path: str) -> bytes:
+    """A TSV split's bytes as LF-ended lines: a leading byte order mark
+    dropped, CRLF and lone CR endings made LF as :func:`text_lines` ends
+    lines, and an LF added after a last line that has none."""
     with open(path, "rb") as fh:
         data = fh.read().removeprefix(codecs.BOM_UTF8)
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if not data:
-        return data, np.empty(0, dtype=np.intp)
-    if not data.endswith(b"\n"):
+    if data and not data.endswith(b"\n"):
         data += b"\n"
+    return data
+
+
+def _separators(data: bytes) -> np.ndarray | None:
+    """The offset of each tab and LF of ``data``, LF-ended lines, if every
+    line is two tabs around three non-empty fields and ``data`` is UTF-8;
+    ``None`` if not.  One scan finds them, and the checks run in bulk."""
     buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero((buf == 9) | (buf == 10))
+    sep = buf - np.uint8(9)  # tab and LF to 0 and 1, every other byte above
+    sep = np.less(sep, 2, out=sep.view(bool))
+    ends = np.flatnonzero(sep)
     if (
         ends.size % 3 == 0
-        # tab, tab, LF on each line, checked a column at a time
-        and np.all(buf[ends[0::3]] == 9)
-        and np.all(buf[ends[1::3]] == 9)
-        and np.all(buf[ends[2::3]] == 10)
-        and np.diff(ends, prepend=-1).min() > 1
+        and buf[ends].tobytes() == b"\t\t\n" * (ends.size // 3)
+        # no empty field: no separator first, and none beside another
+        and not sep[:1].any() and not (sep[1:] & sep[:-1]).any()
         and _is_utf8(data)
     ):
+        return ends
+    return None
+
+
+def _read_fields(path: str) -> tuple[bytes, np.ndarray]:
+    """``(data, ends)`` of a TSV split: its :func:`_file_bytes` and their
+    :func:`_separators`, three per line, duplicates kept.  A file refused
+    goes through :func:`_parse_file`'s line loop only for the
+    :class:`ParseError` of its first bad line."""
+    data = _file_bytes(path)
+    ends = _separators(data)
+    if ends is not None:
         return data, ends
     _parse_file(path)
     raise AssertionError(f"{path}: refused in bulk but read line by line")
@@ -216,34 +231,45 @@ def _is_utf8(data: bytes) -> bool:
 
 
 def _read_splits(train_path, valid_path, test_path):
-    """The fields of the given splits, one split after another:
-    ``(buf, rows, nul, entities, relations)``.  ``buf`` holds the bytes of
-    :func:`_read_fields` of every split, then zeros enough for
-    :func:`_name_keys`; ``entities`` is the ``(starts, lengths)`` of the
-    head and tail fields in file order (heads before tails within a line)
-    and ``relations`` that of the relation fields, each field being
-    ``buf[start:start + length]``; ``rows`` counts each split's lines (0 for
-    a missing split); ``nul`` tells whether any field holds a NUL byte.
-    Every file is read before an empty train split is refused."""
-    none = (b"", np.empty(0, dtype=np.intp))
-    splits = [_read_fields(path) if path else none for path in (train_path, valid_path, test_path)]
-    if not splits[0][1].size:
+    """The fields of the given splits, one after another: ``(buf, rows, nul,
+    entities, relations)``.  ``buf`` is every split's :func:`_file_bytes`
+    and 8 zero bytes, joined and scanned once by :func:`_separators` (each
+    split ends in LF, so it ends a line); ``entities`` is the ``(starts,
+    lengths)`` of the head and tail fields in file order, heads first in a
+    line, ``relations`` that of the relation fields, a field being
+    ``buf[start:start + length]``; ``rows`` counts each split's lines, 0 if
+    missing; ``nul`` tells whether a field holds a NUL byte.  Refused or
+    unreadable splits are read again alone, in order, for the first error;
+    every file is read before an empty train split is refused."""
+    paths = (train_path, valid_path, test_path)
+    splits: list[bytes] = []
+    for path in paths:
+        try:
+            splits.append(_file_bytes(path) if path else b"")
+        except OSError:  # raised again below, after an earlier split's error
+            break
+    data = b"".join([*splits, bytes(8)])
+    ends = _separators(data)
+    if ends is None or len(splits) < len(paths):
+        for path in filter(None, paths):
+            _read_fields(path)
+        raise AssertionError("splits refused together but read one by one")
+    # each split's lines: a third of the separators before its end
+    rows = np.diff(np.searchsorted(ends, np.cumsum([len(split) for split in splits])) // 3,
+                   prepend=0).tolist()
+    if not rows[0]:
         raise EmptySplitError(f"{train_path}: train split is empty")
-    offsets = np.cumsum([0] + [len(split_data) for split_data, _ in splits])
-    ends = np.concatenate([split_ends + at for (_, split_ends), at in zip(splits, offsets)])
-    data = b"".join(split_data for split_data, _ in splits)
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    lengths = ends - starts
-    buf = np.frombuffer(data + bytes(8 * _words(lengths.max())), dtype=np.uint8)
-    rows = [split_ends.size // 3 for _, split_ends in splits]
-    by_kind = [a.reshape(-1, 3) for a in (starts, lengths)]
-    entities = tuple(a[:, 0::2].ravel() for a in by_kind)
-    return buf, rows, b"\0" in data, entities, tuple(a[:, 1] for a in by_kind)
-
-
-def _words(length) -> int:
-    """The uint64 words that ``length`` bytes fill."""
-    return -(-int(length) // 8)
+    lines = ends.reshape(-1, 3)
+    # a head starts after the last line's LF, a relation and a tail after a tab
+    starts = np.empty((lines.shape[0], 2), dtype=np.intp)
+    starts[0, 0] = 0
+    np.add(lines[:-1, 2], 1, out=starts[1:, 0])
+    np.add(lines[:, 1], 1, out=starts[:, 1])
+    relation_starts = lines[:, 0] + 1
+    buf = np.frombuffer(data, dtype=np.uint8)
+    entities = (starts.ravel(), (lines[:, 0::2] - starts).ravel())
+    relations = (relation_starts, lines[:, 1] - relation_starts)
+    return buf, rows, any(b"\0" in split for split in splits), entities, relations
 
 
 #: ``_MASKS[n]`` keeps the first ``n`` bytes of a little-endian uint64 word
@@ -255,13 +281,20 @@ def _name_keys(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, nul: bo
     the bytes as little-endian uint64 words, zero-padded to the longest
     field's word count, then the length if any field holds a NUL byte (zero
     padding alone makes ``a`` and ``a\\0`` equal).  A key of one word is a
-    1-D array, a longer one a (fields, words) array."""
-    width = _words(lengths.max())
+    1-D array, a longer one a (fields, words) array.  ``buf`` ends in 8
+    bytes past the last field's separator."""
+    width = -(-int(lengths.max()) // 8)  # the words the longest field fills
     # every offset of buf read as a little-endian word, unaligned
     words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    if width == 1 and not nul:
+        keys = words[starts]
+        keys &= _MASKS[lengths]
+        return keys
     keys = np.empty((starts.size, width + nul), dtype=np.uint64)
     for k in range(width):
-        keys[:, k] = words[starts + 8 * k] & _MASKS[np.clip(lengths - 8 * k, 0, 8)]
+        # a word past a field's end is masked to 0, wherever it is read
+        at = np.minimum(starts + 8 * k, words.size - 1)
+        keys[:, k] = words[at] & _MASKS[np.clip(lengths - 8 * k, 0, 8)]
     if nul:
         keys[:, width] = lengths
     return keys[:, 0] if keys.shape[1] == 1 else keys
@@ -271,14 +304,23 @@ def _key_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(order, new, first)`` of ``keys``, a non-empty 1-D array or one
     key per row: the rows sorted by key, where each run of equal keys
     starts in that order, and each distinct key's first row, by key."""
-    order = np.argsort(keys) if keys.ndim == 1 else np.lexsort(keys.T)
-    ranked = keys[order]
+    bits = (len(keys) - 1).bit_length()  # of the largest row number
+    packs = keys.ndim == 1 and keys.min() >= 0 and int(keys.max()).bit_length() + bits <= 64
+    if packs:  # key and row in one word: one sort orders rows by key, then row
+        packed = np.left_shift(keys, bits, dtype=np.uint64, casting="unsafe")
+        packed |= np.arange(len(keys), dtype=np.uint64)
+        packed.sort()
+        order = (packed & np.uint64((1 << bits) - 1)).view(np.intp)
+        ranked = np.right_shift(packed, bits, out=packed)
+    else:
+        order = np.argsort(keys) if keys.ndim == 1 else np.lexsort(keys.T)
+        ranked = keys[order]
     new = np.empty(len(keys), dtype=bool)
     new[0] = True
     changed = ranked[1:] != ranked[:-1]
     new[1:] = changed if keys.ndim == 1 else changed.any(axis=1)
-    # argsort is not stable: the first row of a key is its group's least index
-    return order, new, np.minimum.reduceat(order, np.flatnonzero(new))
+    # packed, a run's rows ascend; argsort is not stable: take the least
+    return order, new, order[new] if packs else np.minimum.reduceat(order, np.flatnonzero(new))
 
 
 def _first_rows(keys: np.ndarray) -> np.ndarray:
@@ -594,13 +636,11 @@ def krackhardt_score(store: TripleStore, relation: int) -> float:
 
 
 def relation_counts(store: TripleStore) -> np.ndarray:
-    """Triple count per relation over all splits."""
-    counts = np.zeros(store.n_relations, dtype=np.int64)
+    """Triple count per relation over all splits; ids outside the
+    dictionaries raise :class:`IdLookupError`."""
     triples = store.all_triples()
-    if triples.size:
-        ids, freq = np.unique(triples[:, 1], return_counts=True)
-        counts[ids] = freq
-    return counts
+    check_triples(triples, store.n_entities, store.n_relations)
+    return np.bincount(triples[:, 1].astype(np.intp, copy=False), minlength=store.n_relations)
 
 
 def hierarchy_scores(store: TripleStore) -> list[float | None]:

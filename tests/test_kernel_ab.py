@@ -1,6 +1,7 @@
 """Smoke tests of scripts/kernel_ab.py: one repetition, this checkout's
-``src/`` on both sides, then against a copy that moves the loss by one ulp
-and one whose TSV writer adds a byte, and its comparison of hierarchy
+``src/`` on both sides, then against copies that move the loss by one ulp,
+add a byte to the TSV writer's file, count one entity fewer in the names
+read or print one prediction fewer, and its comparison of hierarchy
 scores; no timing gate."""
 
 from __future__ import annotations
@@ -43,10 +44,12 @@ def test_the_checkout_on_both_sides(tmp_path):
     found = simd_found()
     assert record["numpy_simd_found"] == found
     assert f"numpy's SIMD extensions {' '.join(found) or 'none'}" in proc.stdout
-    calls = ("batch", "evaluate", "candidates", "score", "load", "write", "hierarchy")
+    calls = ("batch", "evaluate", "candidates", "score", "load", "write", "hierarchy", "names",
+             "predict")
     assert record["calls"] == {"batch": 1, "evaluate": 1, "candidates": 10, "score": 10,
-                               "load": 10, "write": 10, "hierarchy": 10}
-    assert "10 write and 10 hierarchy calls per side" in proc.stdout
+                               "load": 10, "write": 10, "hierarchy": 10, "names": 10,
+                               "predict": 10}
+    assert "10 write, 10 hierarchy, 10 names and 10 predict calls per side" in proc.stdout
     for side in ("parent", "change"):
         medians = record["medians_ms"][side]
         assert set(medians) == {*calls, "loss_sum", "row_grads", "scatter"}
@@ -73,6 +76,12 @@ def test_the_checkout_on_both_sides(tmp_path):
     assert peaks["parent"]["write"] > 21845 * 3 / 1024
     # the scores hold the 9,556 stats-ring triples, sorted once by relation
     assert peaks["parent"]["hierarchy"] > 9556 * 3 * 8 / 1024
+    # the names hold the 76,456 entity fields' starts, and a predict call
+    # reads the names and loads the 21,845 x 32 float64 entity table
+    assert peaks["parent"]["names"] == pytest.approx(peaks["change"]["names"], abs=4)
+    assert peaks["parent"]["names"] > 76456 * 8 / 1024
+    assert peaks["parent"]["predict"] == pytest.approx(peaks["change"]["predict"], abs=4)
+    assert peaks["parent"]["predict"] > max(21845 * 32 * 8 / 1024, peaks["parent"]["names"])
     for name in calls:
         assert row(proc.stdout, name).endswith(
             f"{peaks['parent'][name]:.0f}/{peaks['change'][name]:.0f}"
@@ -130,6 +139,39 @@ def test_a_written_byte_more_fails_the_write(tmp_path):
     proc = kernel_ab(src, SRC)
     assert proc.returncode != 0
     assert proc.stderr.startswith("write: the trees' results differ"), proc.stderr
+
+
+def test_a_name_count_off_by_one_fails_the_names(tmp_path):
+    """The parent side's ``read_names`` counts one entity fewer before the
+    test split: the calls ahead of ``names`` agree, and ``names`` fails."""
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "ukge" / "kgdata.py", "a", encoding="utf-8") as fh:
+        fh.write(
+            "\n\n_bulk_read_names = read_names\n\n\n"
+            "def read_names(*paths):\n"
+            "    entities, relations, n_seen = _bulk_read_names(*paths)\n"
+            "    return entities, relations, n_seen - 1\n"
+        )
+    proc = kernel_ab(src, SRC)
+    assert proc.returncode != 0
+    assert proc.stderr.startswith("names: the trees' results differ"), proc.stderr
+
+
+def test_a_prediction_line_fewer_fails_the_predict(tmp_path):
+    """The parent side's ``predict`` prints one line fewer: every other
+    call agrees, and ``predict`` fails."""
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "ukge" / "cli.py", "a", encoding="utf-8") as fh:
+        fh.write(
+            "\n\n_all_top_k = top_k\n\n\n"
+            "def top_k(scores, k):\n"
+            "    return _all_top_k(scores, k)[:-1]\n"
+        )
+    proc = kernel_ab(src, SRC)
+    assert proc.returncode != 0
+    assert proc.stderr.startswith("predict: the trees' results differ"), proc.stderr
 
 
 def test_hierarchy_scores_compare_bit_for_bit_with_none_in_place():

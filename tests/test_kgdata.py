@@ -28,7 +28,9 @@ from ukge.errors import (
 )
 from ukge.kgdata import (
     TripleStore,
+    _first_rows,
     _first_seen,
+    _name_keys,
     _parse_file,
     _read_fields,
     augment_inverse,
@@ -381,6 +383,20 @@ class TestKrackhardt:
             test=[("a", "r0", "c")],
         )
         np.testing.assert_array_equal(relation_counts(store), [3, 1])
+
+    @pytest.mark.parametrize("row", [[0, 3, 1], [0, -1, 1], [2, 0, 1]])
+    def test_counts_refuse_ids_outside_the_dictionaries(self, row):
+        """An id past the dictionary raised a bare IndexError, and a
+        negative relation id was counted as the last relation."""
+        empty = np.empty((0, 3), dtype=np.int64)
+        store = TripleStore(["a", "b"], ["r"], np.array([[0, 0, 1], row]), empty, empty)
+        with pytest.raises(IdLookupError, match="out of range"):
+            relation_counts(store)
+
+    def test_counts_of_a_store_without_triples(self):
+        empty = np.empty((0, 3))  # float, as np.empty makes it
+        store = TripleStore(["a"], ["r", "s"], empty, empty, empty)
+        assert relation_counts(store).tolist() == [0, 0]
 
     def test_stats_csv_layout(self):
         store = store_from([("a", "isa", "b"), ("b", "isa", "c")])
@@ -912,6 +928,137 @@ class TestByteNumbering:
         assert ids.tolist() == packed_ids.tolist()
         seen = list(dict.fromkeys(map(tuple, rows.tolist())))
         assert [seen.index(tuple(row)) for row in rows.tolist()] == ids.tolist()
+
+
+def first_seen_oracle(keys):
+    """``(first, ids)`` of :func:`_first_seen` by a dict of first sightings."""
+    seen = {}
+    for row, key in enumerate(keys):
+        seen.setdefault(key, row)
+    first = list(seen.values())
+    return first, [first.index(seen[key]) for key in keys]
+
+
+#: names whose keys are one word with the top bit set, several words, or
+#: hold NUL bytes (equal to a shorter name once zero-padded)
+KEY_NAMES = ["a", "b", "ab", "\u00e9", "\u00e9" * 4, "\u00ff" * 4, "\u65e5\u672c", "a" * 8,
+             "a" * 9, "\u00e9" * 5, "x" * 17, "a\x00", "\x00", "a\x00\x00", "\x00" * 9]
+
+
+@st.composite
+def boundary_keys(draw):
+    """1-D integer keys whose largest key's bits plus the largest row's bits
+    make exactly 64 (one packed word) or 65 (too many for one), as uint64,
+    or as int64 now and then with negative keys."""
+    n = draw(st.integers(1, 40))
+    total = draw(st.sampled_from([64, 65] if n > 1 else [64]))
+    key_bits = total - (n - 1).bit_length()
+    top = 1 << (key_bits - 1)
+    pool = [v for v in (top, top + 1, top | 1 << (key_bits - 2), 0, 1, 2**32, 7)
+            if v.bit_length() <= key_bits]
+    keys = [draw(st.sampled_from(pool)) for _ in range(n)]
+    keys[draw(st.integers(0, n - 1))] = top + 1  # the largest key: key_bits bits
+    signed = key_bits < 63 and draw(st.booleans())
+    if signed:
+        keys = [-key if draw(st.booleans()) else key for key in keys]
+    return np.array(keys, dtype=np.int64 if signed else np.uint64)
+
+
+class TestPackedKeyGroups:
+    """:func:`_first_seen` and :func:`_first_rows` number keys by first
+    sighting, whether key and row share one sorted word or not."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(keys=boundary_keys())
+    def test_boundary_keys_match_the_oracle(self, keys):
+        first, ids = first_seen_oracle(keys.tolist())
+        got_first, got_ids = _first_seen(keys)
+        assert got_first.tolist() == first and got_ids.tolist() == ids
+        assert _first_rows(keys).tolist() == first
+
+    @settings(max_examples=300, deadline=None)
+    @given(names=st.lists(st.sampled_from(KEY_NAMES), min_size=1, max_size=60))
+    def test_name_keys_match_the_oracle(self, names):
+        """Keys of 8-byte names with the top bit set, multi-byte UTF-8,
+        names holding NUL and names of several words, read from one buffer
+        as the reader lays it out: each name and its LF, then 8 zero bytes."""
+        fields = [name.encode("utf-8") for name in names]
+        data = b"".join(field + b"\n" for field in fields) + bytes(8)
+        lengths = np.array([len(field) for field in fields])
+        starts = np.concatenate([[0], np.cumsum(lengths + 1)[:-1]])
+        keys = _name_keys(np.frombuffer(data, dtype=np.uint8), starts, lengths,
+                          any(b"\0" in field for field in fields))
+        first, ids = first_seen_oracle(fields)
+        got_first, got_ids = _first_seen(keys)
+        assert got_first.tolist() == first and got_ids.tolist() == ids
+        assert _first_rows(keys).tolist() == first
+
+    def test_one_word_keys_sort_packed(self, monkeypatch):
+        """Query-22k's 76,456 entity fields pack key and row into one word,
+        so no argsort runs."""
+        import ukge.kgdata as kgdata
+
+        fields = [b"n%d" % (i % 21845) for i in range(76456)]
+        lengths = np.array([len(field) for field in fields])
+        starts = np.concatenate([[0], np.cumsum(lengths + 1)[:-1]])
+        data = b"".join(field + b"\n" for field in fields) + bytes(8)
+        keys = _name_keys(np.frombuffer(data, dtype=np.uint8), starts, lengths, False)
+        monkeypatch.setattr(kgdata.np, "argsort", None)
+        assert _first_rows(keys).tolist() == list(range(21845))
+
+
+class TestOnePassReader:
+    """The splits are joined and scanned once; a refused buffer is read
+    again file by file for the first bad file's error."""
+
+    @pytest.mark.parametrize("load", [load_triples, load_names])
+    def test_a_valid_split_that_starts_with_a_tab(self, tmp_path, load):
+        train = write(tmp_path / "train.tsv", "a\tr\tb\n")
+        valid = write(tmp_path / "valid.tsv", "\tr\tb\n")
+        with pytest.raises(ParseError) as exc:
+            load(train, valid)
+        assert str(exc.value) == f"{valid}:1: expected 3 tab-separated fields"
+
+    @pytest.mark.parametrize("load", [load_triples, load_names])
+    def test_a_train_split_whose_last_line_has_no_lf(self, tmp_path, load):
+        """Joined as read, ``c<TAB>r`` and ``<TAB>b`` would make one good line."""
+        train = write(tmp_path / "train.tsv", "a\tr\tb\nc\tr")
+        valid = write(tmp_path / "valid.tsv", "\tb\n")
+        with pytest.raises(ParseError) as exc:
+            load(train, valid)
+        assert str(exc.value) == f"{train}:2: expected 3 tab-separated fields"
+
+    @pytest.mark.parametrize("load", [load_triples, load_names])
+    def test_a_bad_split_is_reported_before_a_missing_one(self, tmp_path, load):
+        train = write(tmp_path / "train.tsv", "a\tr\n")
+        missing = str(tmp_path / "valid.tsv")
+        with pytest.raises(ParseError, match=":1: expected 3 tab-separated fields"):
+            load(train, missing)
+        write(tmp_path / "train.tsv", "a\tr\tb\n")
+        with pytest.raises(FileNotFoundError):
+            load(train, missing)
+
+    def test_memory_grows_with_the_input(self, tmp_path):
+        """Counted in bytes under ``tracemalloc``: reading query-22k's names
+        peaks at no more than 9 times its TSVs' bytes (10.7 times with a
+        copy of the joined bytes and every field's offsets held at once),
+        and four times its lines at no more than 4.4 times that."""
+
+        def peak(levels):
+            store = make_synthetic(levels, 4, seed=7)
+            paths = [str(tmp_path / f"{levels}{split}.tsv") for split in ("train", "valid", "test")]
+            for split, path in zip(("train", "valid", "test"), paths):
+                write_split_tsv(store, split, path)
+            tracemalloc.start()
+            try:
+                read_names(*paths)
+                return tracemalloc.get_traced_memory()[1], sum(map(os.path.getsize, paths))
+            finally:
+                tracemalloc.stop()
+
+        (one, size), (four, _) = peak(8), peak(9)
+        assert one <= 9 * size, (one, size)
+        assert four <= 4.4 * one, (one, four)
 
 
 class TestLoadNames:
