@@ -37,6 +37,12 @@ inputs, built once with ``perfbench/workloads`` at the workload seed:
   ``load_triples`` of the stats-ring inputs of ``workloads.stats_setup``
   (a 5,461-node ``isa`` tree and a 4,096-node ``next`` ring), as
   ``ukge stats`` scores them.
+- ``hierarchy-fb``: ``kgdata.hierarchy_scores`` of a random store of
+  FB15k-237's shape, built here from seed 0 (:func:`fb_shaped_triples`):
+  14,541 entities, 474 relations and 310,116 train triples, relation
+  sizes Zipf with exponent 1.1, heads and tails uniform.  Unlike
+  stats-ring's, most of its larger relations give some node two
+  successors and two predecessors.
 - ``names``: ``kgdata.read_names`` of the query-22k TSVs (38,228 lines,
   21,845 entity names), as ``predict`` reads them; the two sides' name
   bytes, bounds and counts of entities seen before the test split must
@@ -46,10 +52,11 @@ inputs, built once with ``perfbench/workloads`` at the workload seed:
   the benchmark times it; the exit codes and the stdout bytes must be
   equal.
 
-``batch`` and ``evaluate`` run ``--reps`` times and the other seven calls
-``10 * --reps`` times, each after one warm-up call.  The script prints each
-side's median per stage and call, the median over the calls of the
-change's time as a share of the parent's, and each side's median count of
+``batch``, ``evaluate`` and ``hierarchy-fb`` run ``--reps`` times and the
+other seven calls ``10 * --reps`` times, each after one warm-up call.  The
+script prints each side's median per stage and call, the median over the
+calls of the change's time as a share of the parent's, and each side's
+median count of
 minor page faults (``ru_minflt``) per call: a call that faults in fresh
 pages times the allocator as well as the code, so a call whose two sides'
 medians differ is marked (``faults_differ``), as its ratio says little
@@ -101,8 +108,10 @@ from time import perf_counter
 from bench_pairs import simd_found
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLS = ("batch", "evaluate", "candidates", "score", "load", "write", "hierarchy", "names",
-         "predict")
+CALLS = ("batch", "evaluate", "candidates", "score", "load", "write", "hierarchy",
+         "hierarchy-fb", "names", "predict")
+SLOW = ("batch", "evaluate", "hierarchy-fb")  # run --reps times, the others 10 times as often
+FB_SHAPE = (14_541, 474, 310_116)  # FB15k-237's entities, relations and train triples
 STAGES = ("loss_sum", "row_grads", "scatter")  # the split of a batch call
 WRAPPED = ("_loss_sum", "_row_grads")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -118,6 +127,20 @@ def import_tree(src: str, name: str):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return package
+
+
+def fb_shaped_triples(seed: int = 0):
+    """Train triples of a random store of :data:`FB_SHAPE`: each triple's
+    relation drawn with weight ``rank ** -1.1``, its head and tail
+    uniformly."""
+    import numpy as np
+
+    n_entities, n_relations, n_triples = FB_SHAPE
+    rng = np.random.default_rng(seed)
+    weights = np.arange(1, n_relations + 1) ** -1.1
+    relations = rng.choice(n_relations, size=n_triples, p=weights / weights.sum())
+    heads, tails = rng.integers(0, n_entities, size=(2, n_triples))
+    return np.stack([heads, relations, tails], axis=1)
 
 
 def timed(spent: dict, name: str, fn):
@@ -197,6 +220,9 @@ def side_calls(package, inputs: dict):
 
     stats = inputs["stats_paths"]
     ring = kgdata.load_triples(stats["train"], stats["valid"], stats["test"])
+    fb = inputs["fb_triples"]
+    fb_store = kgdata.TripleStore([f"e{i}" for i in range(FB_SHAPE[0])],
+                                  [f"r{i}" for i in range(FB_SHAPE[1])], fb, fb[:0], fb[:0])
 
     def names() -> dict:
         entities, relations, n_seen = kgdata.read_names(paths["train"], paths["valid"],
@@ -229,6 +255,7 @@ def side_calls(package, inputs: dict):
         "load": lambda: package.model.parameters(package.model.load(inputs["query_ckpt"])),
         "write": write,
         "hierarchy": lambda: kgdata.hierarchy_scores(ring),
+        "hierarchy-fb": lambda: kgdata.hierarchy_scores(fb_store),
         "names": names,
         "predict": predict,
     }
@@ -285,7 +312,8 @@ def main() -> None:
         inputs = {"train_ckpt": train_ckpt, "batch": (pos, neg), "paths": query.paths,
                   "query_ckpt": query.ckpt, "seed": args.seed, "workdir": workdir,
                   "request": query.requests[0],
-                  "stats_paths": workloads.stats_setup(workloads.FULL, args.seed, stats_dir)}
+                  "stats_paths": workloads.stats_setup(workloads.FULL, args.seed, stats_dir),
+                  "fb_triples": fb_shaped_triples()}
         calls, stages, scored = {}, {}, {}
         for side, src in sides.items():
             calls[side], stages[side], scored[side] = side_calls(
@@ -297,8 +325,8 @@ def main() -> None:
         ratios: dict[str, list[float]] = {name: [] for name in CALLS}
         faults = {side: {name: [] for name in CALLS} for side in sides}
         per_call = {side: [] for side in sides}  # tails scored exactly, each call's queries
-        for name, count in zip(CALLS, (args.reps, args.reps) + (10 * args.reps,) * 7):
-            for rep in range(count + 1):
+        for name in CALLS:
+            for rep in range(args.reps * (1 if name in SLOW else 10) + 1):
                 order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
                 took, got, faulted = {}, {}, {}
                 for side in order:
@@ -369,7 +397,8 @@ def main() -> None:
     print(f"{n['batch']} batch calls, {n['evaluate']} evaluate calls of "
           f"{workloads.EVAL_CHUNK} queries, {n['candidates']} score_candidates and "
           f"{n['score']} score, {n['load']} load, {n['write']} write, "
-          f"{n['hierarchy']} hierarchy, {n['names']} names and {n['predict']} predict calls "
+          f"{n['hierarchy']} hierarchy, {n['hierarchy-fb']} hierarchy-fb, {n['names']} names "
+          f"and {n['predict']} predict calls "
           "per side, calls alternating;")
     print("tails scored exactly per evaluate query, parent/change: " + "; ".join(
         label + "/".join(f"{result[key][s]:g}" for s in sides) for label, key in (

@@ -529,24 +529,34 @@ def _tarjan(start: list[int], succ: list[int]) -> tuple[list[int], int]:
 def _walk_counts(heads: np.ndarray, tails: np.ndarray, n: int) -> tuple[int, int] | None:
     """``(total, one_way)`` pair counts of :func:`krackhardt_score` for edges
     over nodes ``0..n-1``, without self-loops, that give each node at most
-    one successor, by numpy pointer doubling: ``ceil(log2 n)`` squarings of
-    the successor map land every node on its cycle, and a second doubling
-    gives each node its cycle's least id and its steps to that cycle.
-    ``None`` for any other graph."""
+    one successor, by numpy pointer doubling: squarings of the successor map
+    land every node on its cycle (skipped where every node has a predecessor:
+    the map is then a permutation), and a second doubling gives each node
+    its cycle's least id and its steps to that cycle.  Each stops once a
+    squaring changes nothing, within ``ceil(log2 n)`` rounds, so a tree takes
+    about ``log2`` of its depth.  ``None`` for any other graph."""
     step = np.arange(n)  # a node without a successor is its own
     step[heads] = tails
     if not np.array_equal(step[heads], tails):
         return None  # some node has two successors
     rounds = (n - 1).bit_length()  # 2**rounds >= n steps end every walk on its cycle
-    land = step
-    for _ in range(rounds):
-        land = land[land]
-    tail = np.bincount(land, minlength=n) == 0  # the nodes on no cycle
+    tail = np.bincount(step, minlength=n) == 0  # no predecessor, so on no cycle
+    rho = tail.any()  # else every node is on a cycle, and every steps count 0
+    if rho:
+        land = step
+        for _ in range(rounds):
+            land, last = land[land], land
+            if np.array_equal(land, last):  # every walk has landed
+                break
+        tail = np.bincount(land, minlength=n) == 0  # the nodes on no cycle
     least, steps = np.where(tail, n, np.arange(n)), tail.astype(np.int64)
     for _ in range(rounds):
-        least = np.minimum(least, least[step])
-        steps += steps[step]
-        step = step[step]
+        more = np.minimum(least, least[step])
+        if np.array_equal(more, least):
+            break  # every walk has met its cycle, so its steps are counted too
+        if rho:
+            steps += steps[step]
+        least, step = more, step[step]
     length = np.bincount(least[~tail], minlength=n)  # each cycle's, at its least id
     # a tail node reaches steps - 1 more tail nodes and all L of its cycle, none back
     one_way = int(np.sum(steps[tail] - 1 + length[least[tail]]))
@@ -594,7 +604,7 @@ def _reach_counts(heads: np.ndarray, tails: np.ndarray, n: int) -> tuple[int, in
     return total, one_way
 
 
-def krackhardt_score(store: TripleStore, relation: int) -> float:
+def krackhardt_score(store: TripleStore, relation: int, *, _slot: np.ndarray | None = None) -> float:
     """Hierarchy score of one relation's directed graph.
 
     Over the subgraph induced by the relation's edges, consider every ordered
@@ -612,20 +622,32 @@ def krackhardt_score(store: TripleStore, relation: int) -> float:
     other graph, where a node reaches a union of sets rather than one walk,
     goes to :func:`_reach_counts`.  Both count exact integers, so the score
     is the same float a BFS from every node gives.
+
+    Nodes are numbered in time linear in the edges, with no sort: each end
+    of an edge writes its field position into ``_slot``, an intp table over
+    entity ids whose contents do not matter (:func:`hierarchy_scores` lends
+    one), and the fields that read their own position back are numbered in
+    field order.  Pair counts do not depend on the numbering.
     """
     if np.ndim(relation) != 0:
         raise IdLookupError(f"relation must be one id, got shape {np.shape(relation)}")
     check_ids(relation, store.n_relations, "relation")
     triples = store.all_triples()
-    edges = triples[triples[:, 1] == relation]
+    on = triples[:, 1] == relation
+    edges = triples if on.all() else triples[on]  # hierarchy_scores lends its own rows
     check_triples(edges, store.n_entities, store.n_relations)
     if edges.shape[0] == 0:
         raise UndefinedMetricError(
             f"relation {store.relation_names[relation]!r} has no edges"
         )
-    nodes, dense = np.unique(edges[:, [0, 2]], return_inverse=True)
-    heads, tails = dense.reshape(-1, 2).T
-    heads, tails, n = heads[heads != tails], tails[heads != tails], len(nodes)
+    slot = np.empty(store.n_entities, dtype=np.intp) if _slot is None else _slot
+    ends, field = edges[:, ::2].ravel(), np.arange(2 * edges.shape[0])
+    slot[ends] = field  # which write a repeated id keeps does not matter
+    named = np.flatnonzero(slot[ends] == field)  # one field per node, in field order
+    slot[ends[named]] = np.arange(named.size)
+    heads, tails = slot[ends].reshape(-1, 2).T
+    moves = heads != tails
+    heads, tails, n = heads[moves], tails[moves], named.size
     total, one_way = (_walk_counts(heads, tails, n) or _walk_counts(tails, heads, n)
                       or _reach_counts(heads, tails, n))
     if total == 0:
@@ -645,15 +667,22 @@ def relation_counts(store: TripleStore) -> np.ndarray:
 
 def hierarchy_scores(store: TripleStore) -> list[float | None]:
     """:func:`krackhardt_score` per relation id, ``None`` where undefined,
-    each on a store of its relation's edges alone, sorted out once."""
-    triples = store.all_triples()
-    rows = triples[np.argsort(triples[:, 1], kind="stable")]
-    bounds = np.searchsorted(rows[:, 1], np.arange(store.n_relations + 1))
+    each on a store of its relation's edges alone.  The triples are split
+    by one stable (radix) sort of a narrow relation key, where ids outside
+    the dictionary read ``n_relations`` and are left out, and every call
+    borrows one numbering table."""
+    triples, n = store.all_triples(), store.n_relations
+    rel = triples[:, 1]
+    key = np.where((rel >= 0) & (rel < n), rel, n).astype(np.min_scalar_type(n))
+    rows = triples[np.argsort(key, kind="stable")]
+    bounds = np.cumsum(np.bincount(key, minlength=n + 1))[:-1]
+    slot = np.empty(store.n_entities, dtype=np.intp)
     scores: list[float | None] = []
     empty = rows[:0]
-    for rid, own in enumerate(np.split(rows, bounds)[1:-1]):  # ids out of range left out
+    for rid, own in enumerate(np.split(rows, bounds)[:-1]):
         try:
-            scores.append(krackhardt_score(replace(store, train=own, valid=empty, test=empty), rid))
+            scores.append(krackhardt_score(replace(store, train=own, valid=empty, test=empty), rid,
+                                           _slot=slot))
         except UndefinedMetricError:
             scores.append(None)
     return scores

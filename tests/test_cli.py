@@ -880,9 +880,9 @@ class TestStatsComputesHierarchyOnce:
         calls = []
         real = kgdata.krackhardt_score
 
-        def counting(store, relation):
+        def counting(store, relation, **kwargs):
             calls.append(relation)
-            return real(store, relation)
+            return real(store, relation, **kwargs)
 
         monkeypatch.setattr(kgdata, "krackhardt_score", counting)
         csv = str(tmp_path / "stats.csv")

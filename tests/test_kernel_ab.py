@@ -1,8 +1,8 @@
 """Smoke tests of scripts/kernel_ab.py: one repetition, this checkout's
 ``src/`` on both sides, then against copies that move the loss by one ulp,
 add a byte to the TSV writer's file, count one entity fewer in the names
-read or print one prediction fewer, and its comparison of hierarchy
-scores; no timing gate."""
+read, print one prediction fewer or count one pair more in a hierarchy
+score, and its comparison of hierarchy scores; no timing gate."""
 
 from __future__ import annotations
 
@@ -44,12 +44,13 @@ def test_the_checkout_on_both_sides(tmp_path):
     found = simd_found()
     assert record["numpy_simd_found"] == found
     assert f"numpy's SIMD extensions {' '.join(found) or 'none'}" in proc.stdout
-    calls = ("batch", "evaluate", "candidates", "score", "load", "write", "hierarchy", "names",
-             "predict")
+    calls = ("batch", "evaluate", "candidates", "score", "load", "write", "hierarchy",
+             "hierarchy-fb", "names", "predict")
     assert record["calls"] == {"batch": 1, "evaluate": 1, "candidates": 10, "score": 10,
-                               "load": 10, "write": 10, "hierarchy": 10, "names": 10,
-                               "predict": 10}
-    assert "10 write, 10 hierarchy, 10 names and 10 predict calls per side" in proc.stdout
+                               "load": 10, "write": 10, "hierarchy": 10, "hierarchy-fb": 1,
+                               "names": 10, "predict": 10}
+    assert ("10 write, 10 hierarchy, 1 hierarchy-fb, 10 names and 10 predict calls per side"
+            in proc.stdout)
     for side in ("parent", "change"):
         medians = record["medians_ms"][side]
         assert set(medians) == {*calls, "loss_sum", "row_grads", "scatter"}
@@ -76,6 +77,8 @@ def test_the_checkout_on_both_sides(tmp_path):
     assert peaks["parent"]["write"] > 21845 * 3 / 1024
     # the scores hold the 9,556 stats-ring triples, sorted once by relation
     assert peaks["parent"]["hierarchy"] > 9556 * 3 * 8 / 1024
+    # and the FB15k-237-shaped store's 310,116 triples
+    assert peaks["parent"]["hierarchy-fb"] > 310116 * 3 * 8 / 1024
     # the names hold the 76,456 entity fields' starts, and a predict call
     # reads the names and loads the 21,845 x 32 float64 entity table
     assert peaks["parent"]["names"] == pytest.approx(peaks["change"]["names"], abs=4)
@@ -172,6 +175,24 @@ def test_a_prediction_line_fewer_fails_the_predict(tmp_path):
     proc = kernel_ab(src, SRC)
     assert proc.returncode != 0
     assert proc.stderr.startswith("predict: the trees' results differ"), proc.stderr
+
+
+def test_a_pair_count_off_by_one_fails_the_fb_shaped_hierarchy(tmp_path):
+    """The parent side counts one reachable pair more in every relation
+    that takes the strongly connected components: stats-ring's ``hierarchy``
+    never does and agrees, and ``hierarchy-fb`` fails."""
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "ukge" / "kgdata.py", "a", encoding="utf-8") as fh:
+        fh.write(
+            "\n\n_exact_reach_counts = _reach_counts\n\n\n"
+            "def _reach_counts(heads, tails, n):\n"
+            "    total, one_way = _exact_reach_counts(heads, tails, n)\n"
+            "    return total + 1, one_way\n"
+        )
+    proc = kernel_ab(src, SRC)
+    assert proc.returncode != 0
+    assert proc.stderr.startswith("hierarchy-fb: the trees' results differ"), proc.stderr
 
 
 def test_hierarchy_scores_compare_bit_for_bit_with_none_in_place():

@@ -262,9 +262,21 @@ def krackhardt_bfs_oracle(store, relation):
         raise UndefinedMetricError(
             f"relation {store.relation_names[relation]!r} has no edges"
         )
+    total, one_way = bfs_pair_counts(edges[:, 0], edges[:, 2])
+    if total == 0:
+        raise UndefinedMetricError(
+            f"relation {store.relation_names[relation]!r} connects no ordered pairs"
+        )
+    return one_way / total
+
+
+def bfs_pair_counts(heads, tails):
+    """``(total, one_way)``: the ordered pairs u != v where v is reachable
+    from u along the edges ``heads[i] -> tails[i]``, and those of them where
+    u is not reachable back, by BFS from every node."""
     adj: dict[int, list[int]] = {}
     nodes: set[int] = set()
-    for h, _, t in edges:
+    for h, t in zip(heads, tails):
         adj.setdefault(int(h), []).append(int(t))
         nodes.add(int(h))
         nodes.add(int(t))
@@ -289,11 +301,7 @@ def krackhardt_bfs_oracle(store, relation):
             total += 1
             if u not in reach[v]:
                 one_way += 1
-    if total == 0:
-        raise UndefinedMetricError(
-            f"relation {store.relation_names[relation]!r} connects no ordered pairs"
-        )
-    return one_way / total
+    return total, one_way
 
 
 class TestKrackhardt:
@@ -512,6 +520,133 @@ class TestKrackhardtMatchesBfs:
             assert hierarchy_scores(store) == [
                 krackhardt_bfs_oracle(store, r) for r in range(store.n_relations)
             ]
+
+
+def scores_or_none(store):
+    """:func:`krackhardt_score` of each relation alone, ``None`` where undefined."""
+    scores = []
+    for relation in range(store.n_relations):
+        try:
+            scores.append(krackhardt_score(store, relation))
+        except UndefinedMetricError:
+            scores.append(None)
+    return scores
+
+
+class TestHierarchyScores:
+    @pytest.mark.parametrize("bad", [-1, 2, 256, 65_536])
+    def test_relation_ids_outside_the_dictionary_are_left_out(self, bad, monkeypatch):
+        """A triple whose relation id is outside a 2-relation dictionary
+        reaches no relation's call.  A narrow sort key cast without a range
+        guard wraps 256 and 65,536 to relation 0."""
+        from ukge import kgdata
+
+        rows = np.array([[0, 0, 1], [2, bad, 0], [1, 0, 2], [1, 1, 2]])
+        store = TripleStore(["a", "b", "c"], ["r0", "r1"], rows, rows[:0], rows[:0])
+        real, seen = kgdata.krackhardt_score, []
+
+        def recording(store, relation, **kwargs):
+            seen.append((relation, store.all_triples()[:, 1].tolist()))
+            return real(store, relation, **kwargs)
+
+        monkeypatch.setattr(kgdata, "krackhardt_score", recording)
+        assert hierarchy_scores(store) == [1.0, 1.0]  # c -> a would close a cycle
+        assert seen == [(0, [0, 0]), (1, [1])]
+
+    def test_relations_that_share_entities(self):
+        """One numbering table serves every relation of a call: a chain, a
+        cycle over two of its nodes and a third node, a star into the chain's
+        head and a relation without edges, each as scored alone."""
+        store = store_from(
+            [("a", "chain", "b"), ("b", "chain", "c"), ("c", "chain", "d"),
+             ("c", "ring", "d"), ("d", "ring", "e"), ("e", "ring", "c"),
+             ("x", "star", "a"), ("y", "star", "a"), ("d", "star", "a")]
+        )
+        store = replace(store, relation_names=[*store.relation_names, "none"])
+        expected = [1.0, 0.0, 1.0, None]
+        assert scores_or_none(store) == expected
+        assert hierarchy_scores(store) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(store=relation_graphs())
+    def test_random_relations_that_share_entities(self, store):
+        assert hierarchy_scores(store) == scores_or_none(store)
+
+    @settings(max_examples=200, deadline=None)
+    @given(store=relation_graphs() | walk_graphs(), data=st.data())
+    def test_scores_ignore_which_ids_the_entities_have(self, store, data):
+        """Entity ids permuted within a larger dictionary change no score."""
+        size = store.n_entities + data.draw(st.integers(0, 40))
+        ids = np.asarray(data.draw(st.permutations(range(size))), dtype=np.int64)
+
+        def moved(split):
+            out = split.copy()
+            out[:, ::2] = ids[split[:, ::2]]
+            return out
+
+        other = TripleStore([f"x{i}" for i in range(size)], store.relation_names,
+                            moved(store.train), moved(store.valid), moved(store.test))
+        expected = scores_or_none(store)
+        assert scores_or_none(other) == expected
+        assert hierarchy_scores(other) == expected
+
+
+def walk_counts(pairs, n):
+    """``_walk_counts`` of edges ``pairs`` over nodes ``0..n-1``, tried as
+    given and then transposed, as :func:`krackhardt_score` tries them."""
+    from ukge.kgdata import _walk_counts
+
+    heads, tails = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    return _walk_counts(heads, tails, n) or _walk_counts(tails, heads, n)
+
+
+class TestWalkCounts:
+    """Pair counts of the doubling, whose loops stop at their fixed point,
+    against BFS from every node."""
+
+    def check(self, pairs):
+        n = 1 + max(max(pair) for pair in pairs)
+        heads, tails = zip(*pairs)
+        assert walk_counts(pairs, n) == bfs_pair_counts(heads, tails)
+
+    def test_disjoint_cycles_without_tails(self):
+        """Every node has a predecessor, so the landing is skipped."""
+        pairs, start = [], 0
+        for length in (2, 3, 5, 8, 1 << 5):
+            pairs += [(start + i, start + (i + 1) % length) for i in range(length)]
+            start += length
+        self.check(pairs)
+
+    @pytest.mark.parametrize("tail, cycle", [(1, 2), (5, 3), (9, 2), (2, 7), (16, 4), (33, 31)])
+    def test_a_tail_running_into_a_cycle(self, tail, cycle):
+        ring = [(tail + i, tail + (i + 1) % cycle) for i in range(cycle)]
+        self.check([(i, i + 1) for i in range(tail)] + ring)
+
+    def test_tails_of_many_lengths_into_two_cycles(self):
+        """A rho with branches of depth 1 to 12 into a 3-cycle, and a chain
+        of 40 into a 2-cycle."""
+        pairs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3)]
+        node = 5
+        for depth in range(1, 13):
+            path = [node + i for i in range(depth)]
+            pairs += list(zip(path, path[1:] + [depth % 3]))
+            node += depth
+        pairs += [(node + i, node + i + 1) for i in range(39)] + [(node + 39, 3)]
+        self.check(pairs)
+
+    @pytest.mark.parametrize("inward", [True, False])
+    def test_a_star_of_depth_one(self, inward):
+        pairs = [(leaf, 0) if inward else (0, leaf) for leaf in range(1, 30)]
+        assert walk_counts(pairs, 30) == (29, 29)
+        self.check(pairs)
+
+    def test_a_long_chain_does_not_stop_early(self):
+        """TestKrackhardtScale's 20,000-node chain: every one of its n(n - 1)/2
+        pairs is one-way, which a doubling left a round early undercounts."""
+        n = 20_000
+        pairs = [(i, i + 1) for i in range(n - 1)]
+        assert walk_counts(pairs, n) == (n * (n - 1) // 2, n * (n - 1) // 2)
+        assert walk_counts(pairs[::-1], n) == (n * (n - 1) // 2, n * (n - 1) // 2)
 
 
 class TestKrackhardtScale:
