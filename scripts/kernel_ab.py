@@ -1,6 +1,6 @@
 """A/B timing of one training batch, of the query calls, of the TSV reader
-and writer and of the hierarchy scores between two ``src/`` trees, both
-imported in one process.
+and writer, of building a store and of the hierarchy scores between two
+``src/`` trees, both imported in one process.
 
     python scripts/kernel_ab.py PARENT_SRC CHANGE_SRC [--reps 15] [--seed 1] [--json PATH]
 
@@ -33,6 +33,11 @@ inputs, built once with ``perfbench/workloads`` at the workload seed:
 - ``write``: ``kgdata.write_split_tsv`` of the train split of each tree's
   ``load_triples`` of the query-22k inputs (30,582 lines, 21,845 entity
   names), as the set-ups write their splits, each tree to its own file.
+- ``store``: ``kgdata.augment_inverse(kgdata.load_triples(...))`` of the
+  query-22k TSVs, as the set-up builds its store; the two sides' stores
+  must be equal, field by field.  A tree whose store checks its triples
+  when it is built pays that check here, once per store, where
+  ``evaluate`` no longer pays it on every call.
 - ``hierarchy``: ``kgdata.hierarchy_scores`` of each tree's
   ``load_triples`` of the stats-ring inputs of ``workloads.stats_setup``
   (a 5,461-node ``isa`` tree and a 4,096-node ``next`` ring), as
@@ -53,7 +58,7 @@ inputs, built once with ``perfbench/workloads`` at the workload seed:
   equal.
 
 ``batch``, ``evaluate`` and ``hierarchy-fb`` run ``--reps`` times and the
-other seven calls ``10 * --reps`` times, each after one warm-up call.  The
+other eight calls ``10 * --reps`` times, each after one warm-up call.  The
 script prints each side's median per stage and call, the median over the
 calls of the change's time as a share of the parent's, and each side's
 median count of
@@ -75,9 +80,9 @@ each call's mean (``scored_per_query``), and the mean and the maximum over
 every query of every call (``scored_per_query_mean``,
 ``scored_per_query_max``).  It exits non-zero unless
 both trees return the same loss and gradients, ``EvalReport``s, scores,
-loaded parameters and hierarchy scores, floats compared bit for bit and
-``None`` in the same places, write files of the same bytes, read the same
-names and print the same predictions.  One
+loaded parameters, stores and hierarchy scores, floats compared bit for
+bit and ``None`` in the same places, write files of the same bytes, read
+the same names and print the same predictions.  One
 invocation is one process; a claim cites the ratio medians of at least
 three.
 
@@ -108,7 +113,7 @@ from time import perf_counter
 from bench_pairs import simd_found
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLS = ("batch", "evaluate", "candidates", "score", "load", "write", "hierarchy",
+CALLS = ("batch", "evaluate", "candidates", "score", "load", "write", "store", "hierarchy",
          "hierarchy-fb", "names", "predict")
 SLOW = ("batch", "evaluate", "hierarchy-fb")  # run --reps times, the others 10 times as often
 FB_SHAPE = (14_541, 474, 310_116)  # FB15k-237's entities, relations and train triples
@@ -254,6 +259,8 @@ def side_calls(package, inputs: dict):
         "score": lambda: package.model.score(m, h, r, t),
         "load": lambda: package.model.parameters(package.model.load(inputs["query_ckpt"])),
         "write": write,
+        "store": lambda: kgdata.augment_inverse(
+            kgdata.load_triples(paths["train"], paths["valid"], paths["test"])),
         "hierarchy": lambda: kgdata.hierarchy_scores(ring),
         "hierarchy-fb": lambda: kgdata.hierarchy_scores(fb_store),
         "names": names,
@@ -264,12 +271,17 @@ def side_calls(package, inputs: dict):
 
 def same(a, b) -> bool:
     """Whether ``a`` and ``b`` are equal: dicts key by key, lists item by
-    item, ``None`` only to ``None``, paths by their files' bytes, arrays and
+    item, dataclasses (stores) by class name and then field by field,
+    ``None`` only to ``None``, strings and paths by their bytes, arrays and
     numbers by dtype, shape and value, float64 bit for bit."""
     import numpy as np
 
     if a is None or b is None:
         return a is b
+    if isinstance(a, str):
+        return isinstance(b, str) and a == b
+    if dataclasses.is_dataclass(a):
+        return type(a).__name__ == type(b).__name__ and same(vars(a), vars(b))
     if isinstance(a, list):
         return isinstance(b, list) and len(a) == len(b) and all(map(same, a, b))
     if isinstance(a, Path):
@@ -396,7 +408,7 @@ def main() -> None:
     n = result["calls"]
     print(f"{n['batch']} batch calls, {n['evaluate']} evaluate calls of "
           f"{workloads.EVAL_CHUNK} queries, {n['candidates']} score_candidates and "
-          f"{n['score']} score, {n['load']} load, {n['write']} write, "
+          f"{n['score']} score, {n['load']} load, {n['write']} write, {n['store']} store, "
           f"{n['hierarchy']} hierarchy, {n['hierarchy-fb']} hierarchy-fb, {n['names']} names "
           f"and {n['predict']} predict calls "
           "per side, calls alternating;")
@@ -405,7 +417,7 @@ def main() -> None:
             ("", "scored_per_query"), ("mean ", "scored_per_query_mean"),
             ("max ", "scored_per_query_max"))))
     print("equal loss, gradients, reports and scores, loaded parameters, written bytes, "
-          "hierarchy scores, names and predictions in every call, "
+          "stores, hierarchy scores, names and predictions in every call, "
           f"with numpy's SIMD extensions {' '.join(result['numpy_simd_found']) or 'none'}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

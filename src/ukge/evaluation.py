@@ -355,7 +355,8 @@ def filtered_rank(m: Model, store: TripleStore, triple, filter_splits=("train", 
     rank = 1 + #{ e != t unfiltered with not score(h, r, e) < score(h, r, t) },
     counted over all entities less the known tails, without a mask.
     Called without ``_index``, it checks ``triple`` (:func:`check_triples`)
-    and ``store`` (:func:`check_store`), which :func:`evaluate` checks once.
+    and that ``m`` covers ``store`` (:func:`check_store`), which
+    :func:`evaluate` checks once; the store checked its ids when it was built.
 
     ``_verified`` is this query's entry of :func:`_verify_block`, which a
     standalone call runs on a block of one: the tails it verified are
@@ -429,8 +430,8 @@ def evaluate(m: Model, store: TripleStore, split: str = "test",
     :func:`filtered_rank` ranks each query.
 
     For the standard protocol (head and tail prediction) pass a store that
-    has been augmented with inverse relations.  :func:`check_store` checks
-    the store up front, once per call.
+    has been augmented with inverse relations.  Its ids were checked when it
+    was built; :func:`check_store` checks that ``m`` covers it, once per call.
     """
     check_store(m, store)
     triples = store.split(split)

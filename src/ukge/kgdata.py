@@ -18,12 +18,12 @@ bytes, an LF after each (:class:`Names`), that is decoded in one call or a
 name at a time.  For valid UTF-8, equal bytes are equal strings, so the
 numbering is the one string keys would give.  :func:`write_split_tsv`
 encodes the dictionaries once as :class:`Names` and gathers each line's
-names from those bytes, after refusing ids and names no TSV can hold.
-Stores are treated as immutable after construction; :func:`augment_inverse`
-returns a new store with an inverse relation (and reversed triples) added
-for every base relation, which is how head prediction is realised
-downstream.  The inverse of ``x`` is named ``x_inv``, so a store holding
-both ``x`` and ``x_inv`` is refused.
+names from those bytes, after refusing names no TSV can hold.  A
+:class:`TripleStore` checks its ids once, when it is built, and holds its
+splits read-only; :func:`augment_inverse` returns a new store with an
+inverse relation (and reversed triples) added for every base relation,
+which is how head prediction is realised downstream.  The inverse of
+``x`` is named ``x_inv``, so a store with both ``x`` and ``x_inv`` is refused.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    DimensionError,
     EmptySplitError,
     IdLookupError,
     NameLookupError,
@@ -59,7 +60,9 @@ INVERSE_SUFFIX = "_inv"
 
 @dataclass
 class TripleStore:
-    """Entity/relation dictionaries plus integer triple arrays per split."""
+    """Entity/relation dictionaries plus int64 triple rows per split, checked once, when the
+    store is built or replaced, then held read-only: a split not of ``(n, 3)`` rows raises
+    :class:`DimensionError`, an id not an integer or outside them :class:`IdLookupError`."""
 
     entity_names: list[str]
     relation_names: list[str]
@@ -68,6 +71,15 @@ class TripleStore:
     test: np.ndarray
     augmented: bool = False
     test_only_entities: list[str] = field(default_factory=list)
+
+    def __post_init__(self):  # a view when a split is int64, so no copy
+        for name in SPLITS:
+            check_triples(getattr(self, name), self.n_entities, self.n_relations)
+            rows = np.asarray(getattr(self, name)).astype(np.int64, copy=False).view()
+            if rows.ndim != 2:
+                raise DimensionError(f"triples are (head, relation, tail) rows, got shape {rows.shape}")
+            rows.flags.writeable = False
+            setattr(self, name, rows)
 
     @property
     def n_entities(self) -> int:
@@ -449,21 +461,12 @@ def augment_inverse(store: TripleStore) -> TripleStore:
     if store.augmented:
         raise StateError("store is already augmented with inverse relations")
     inverses = inverse_names(store.relation_names)
+    entities, relations = list(store.entity_names), list(store.relation_names) + inverses
     n_base = store.n_relations
-    def reverse(arr: np.ndarray) -> np.ndarray:
-        if arr.size == 0:
-            return arr
-        rev = np.stack([arr[:, 2], arr[:, 1] + n_base, arr[:, 0]], axis=1)
-        return np.concatenate([arr, rev], axis=0)
-    return TripleStore(
-        entity_names=list(store.entity_names),
-        relation_names=list(store.relation_names) + inverses,
-        train=reverse(store.train),
-        valid=reverse(store.valid),
-        test=reverse(store.test),
-        augmented=True,
-        test_only_entities=list(store.test_only_entities),
-    )
+    splits = [np.concatenate([rows, np.stack([rows[:, 2], rows[:, 1] + n_base, rows[:, 0]], axis=1)])
+              for rows in (store.train, store.valid, store.test)]
+    return TripleStore(entities, relations, *splits, augmented=True,
+                       test_only_entities=list(store.test_only_entities))
 
 
 # --- graph statistics -------------------------------------------------------
@@ -627,7 +630,8 @@ def krackhardt_score(store: TripleStore, relation: int, *, _slot: np.ndarray | N
     of an edge writes its field position into ``_slot``, an intp table over
     entity ids whose contents do not matter (:func:`hierarchy_scores` lends
     one), and the fields that read their own position back are numbered in
-    field order.  Pair counts do not depend on the numbering.
+    field order.  Pair counts do not depend on the numbering.  The store
+    checked its edges when it was built; ``relation`` is checked here.
     """
     if np.ndim(relation) != 0:
         raise IdLookupError(f"relation must be one id, got shape {np.shape(relation)}")
@@ -635,7 +639,6 @@ def krackhardt_score(store: TripleStore, relation: int, *, _slot: np.ndarray | N
     triples = store.all_triples()
     on = triples[:, 1] == relation
     edges = triples if on.all() else triples[on]  # hierarchy_scores lends its own rows
-    check_triples(edges, store.n_entities, store.n_relations)
     if edges.shape[0] == 0:
         raise UndefinedMetricError(
             f"relation {store.relation_names[relation]!r} has no edges"
@@ -658,24 +661,18 @@ def krackhardt_score(store: TripleStore, relation: int, *, _slot: np.ndarray | N
 
 
 def relation_counts(store: TripleStore) -> np.ndarray:
-    """Triple count per relation over all splits; ids outside the
-    dictionaries raise :class:`IdLookupError`."""
-    triples = store.all_triples()
-    check_triples(triples, store.n_entities, store.n_relations)
-    return np.bincount(triples[:, 1].astype(np.intp, copy=False), minlength=store.n_relations)
+    """Triple count per relation over all splits."""
+    return np.bincount(store.all_triples()[:, 1], minlength=store.n_relations)
 
 
 def hierarchy_scores(store: TripleStore) -> list[float | None]:
     """:func:`krackhardt_score` per relation id, ``None`` where undefined,
-    each on a store of its relation's edges alone.  The triples are split
-    by one stable (radix) sort of a narrow relation key, where ids outside
-    the dictionary read ``n_relations`` and are left out, and every call
-    borrows one numbering table."""
+    each on a store of its relation's edges alone, split by one stable (radix)
+    sort of a narrow relation key; every call borrows one numbering table."""
     triples, n = store.all_triples(), store.n_relations
-    rel = triples[:, 1]
-    key = np.where((rel >= 0) & (rel < n), rel, n).astype(np.min_scalar_type(n))
+    key = triples[:, 1].astype(np.min_scalar_type(n))
     rows = triples[np.argsort(key, kind="stable")]
-    bounds = np.cumsum(np.bincount(key, minlength=n + 1))[:-1]
+    bounds = np.cumsum(np.bincount(key, minlength=n))
     slot = np.empty(store.n_entities, dtype=np.intp)
     scores: list[float | None] = []
     empty = rows[:0]
@@ -788,10 +785,9 @@ def write_split_tsv(store: TripleStore, split: str, path: str) -> None:
     """Write one split back to TSV (names, LF endings), :data:`WRITE_LINES`
     lines at a time, each gathered from the names' UTF-8 bytes as three
     spans, a name and the LF after it each, the first two LFs made tabs.
-    Ids outside the dictionaries raise :class:`IdLookupError` and names no
-    TSV can hold :class:`PreconditionError`, before the file is opened."""
+    Names no TSV can hold raise :class:`PreconditionError` before the file
+    is opened; the store checked its ids when it was built."""
     rows = store.split(split)
-    check_triples(rows, store.n_entities, store.n_relations)
     names = _tsv_names(store.entity_names, store.relation_names)
     buf = np.frombuffer(names.data, dtype=np.uint8)
     starts, lengths = names.bounds[:-1] + 1, np.diff(names.bounds)  # each name with its LF

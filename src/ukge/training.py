@@ -434,8 +434,9 @@ def fit(
 
     The input model is left untouched.  Losses going non-finite abort with
     :class:`DivergenceError` carrying the last epoch's parameters; non-finite
-    gradients abort naming the offending parameter family.  A store with more
-    entities or relations than ``m`` raises :class:`IdLookupError` up front.
+    gradients abort naming the offending parameter family.  The store's ids
+    were checked when it was built; a store with more entities or relations
+    than ``m`` raises :class:`IdLookupError` up front.
     """
     cfg.validate()
     check_store(m, store)

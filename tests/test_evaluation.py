@@ -266,11 +266,11 @@ class TestEvaluate:
     @pytest.mark.parametrize("split", ["train", "valid", "test"])
     def test_split_not_of_triples_rejected(self, split):
         """A split of (n, 2) rows used to pass the store check and fail in
-        the filter index with a bare numpy ValueError."""
-        m, store = self.hand_setup()
-        store = replace(store, **{split: np.array([[1, 0], [2, 1]])})
+        the filter index with a bare numpy ValueError; the store now refuses
+        it when it is built, before ``evaluate`` can see it."""
+        _, store = self.hand_setup()
         with pytest.raises(DimensionError, match=r"\(head, relation, tail\) rows"):
-            evaluate(m, store)
+            replace(store, **{split: np.array([[1, 0], [2, 1]])})
 
     def test_ids_checked_once_per_call(self, monkeypatch):
         """``evaluate`` checks a store's ids once, up front, so its

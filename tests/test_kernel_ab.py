@@ -2,7 +2,8 @@
 ``src/`` on both sides, then against copies that move the loss by one ulp,
 add a byte to the TSV writer's file, count one entity fewer in the names
 read, print one prediction fewer or count one pair more in a hierarchy
-score, and its comparison of hierarchy scores; no timing gate."""
+score, and its comparison of stores and of hierarchy scores; no timing
+gate."""
 
 from __future__ import annotations
 
@@ -44,13 +45,13 @@ def test_the_checkout_on_both_sides(tmp_path):
     found = simd_found()
     assert record["numpy_simd_found"] == found
     assert f"numpy's SIMD extensions {' '.join(found) or 'none'}" in proc.stdout
-    calls = ("batch", "evaluate", "candidates", "score", "load", "write", "hierarchy",
+    calls = ("batch", "evaluate", "candidates", "score", "load", "write", "store", "hierarchy",
              "hierarchy-fb", "names", "predict")
     assert record["calls"] == {"batch": 1, "evaluate": 1, "candidates": 10, "score": 10,
-                               "load": 10, "write": 10, "hierarchy": 10, "hierarchy-fb": 1,
-                               "names": 10, "predict": 10}
-    assert ("10 write, 10 hierarchy, 1 hierarchy-fb, 10 names and 10 predict calls per side"
-            in proc.stdout)
+                               "load": 10, "write": 10, "store": 10, "hierarchy": 10,
+                               "hierarchy-fb": 1, "names": 10, "predict": 10}
+    assert ("10 write, 10 store, 10 hierarchy, 1 hierarchy-fb, 10 names and 10 predict calls "
+            "per side" in proc.stdout)
     for side in ("parent", "change"):
         medians = record["medians_ms"][side]
         assert set(medians) == {*calls, "loss_sum", "row_grads", "scatter"}
@@ -195,9 +196,8 @@ def test_a_pair_count_off_by_one_fails_the_fb_shaped_hierarchy(tmp_path):
     assert proc.stderr.startswith("hierarchy-fb: the trees' results differ"), proc.stderr
 
 
-def test_hierarchy_scores_compare_bit_for_bit_with_none_in_place():
-    """``same`` of two ``hierarchy_scores`` lists: a ``None`` matches only
-    ``None``, and floats match only bit for bit."""
+def kernel_ab_module():
+    """``scripts/kernel_ab.py``, imported."""
     sys.path.insert(0, str(ROOT / "scripts"))
     try:
         spec = importlib.util.spec_from_file_location("kernel_ab", ROOT / "scripts" / "kernel_ab.py")
@@ -205,6 +205,32 @@ def test_hierarchy_scores_compare_bit_for_bit_with_none_in_place():
         spec.loader.exec_module(module)
     finally:
         sys.path.remove(str(ROOT / "scripts"))
+    return module
+
+
+def test_stores_compare_field_by_field():
+    """``same`` of two stores: equal when every field is, and not when one
+    id, one name or the augmented flag differs."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    from ukge.kgdata import TripleStore
+
+    module = kernel_ab_module()
+    empty = np.empty((0, 3), dtype=np.int64)
+    store = TripleStore(["a", "b"], ["r"], np.array([[0, 0, 1]]), empty, empty)
+    assert module.same(store, replace(store))
+    for other in (replace(store, train=np.array([[1, 0, 0]])),
+                  replace(store, entity_names=["a", "c"]), replace(store, augmented=True)):
+        assert not module.same(store, other)
+        assert not module.same(other, store)
+
+
+def test_hierarchy_scores_compare_bit_for_bit_with_none_in_place():
+    """``same`` of two ``hierarchy_scores`` lists: a ``None`` matches only
+    ``None``, and floats match only bit for bit."""
+    module = kernel_ab_module()
     assert module.same([1.0, None, 0.25], [1.0, None, 0.25])
     for other in ([1.0, 0.0, 0.25], [1.0, None], [1.0, None, 0.25, None],
                   [1.0, None, float.fromhex("0x1.0000000000001p-2")]):

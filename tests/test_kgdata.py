@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from ukge import model
 from ukge.errors import (
     ConfigurationError,
+    DimensionError,
     EmptySplitError,
     IdLookupError,
     NameLookupError,
@@ -359,11 +360,11 @@ class TestKrackhardt:
             krackhardt_score(store, 5)
 
     def test_edge_outside_the_store_rejected(self):
-        """A store whose only triple names entity 5 of 2 used to score 1.0."""
+        """A store whose only triple names entity 5 of 2 used to score 1.0;
+        it is now refused when it is built."""
         none = np.empty((0, 3), dtype=np.int64)
-        store = TripleStore(["a", "b"], ["r"], np.array([[0, 0, 5]]), none, none)
         with pytest.raises(IdLookupError, match="entity id 5 out of range"):
-            krackhardt_score(store, 0)
+            TripleStore(["a", "b"], ["r"], np.array([[0, 0, 5]]), none, none)
 
     @pytest.mark.parametrize("relation", [1.5, 0.0, np.float64(0.0), True, np.bool_(True), "0"])
     def test_relation_id_not_an_integer(self, relation):
@@ -394,12 +395,12 @@ class TestKrackhardt:
 
     @pytest.mark.parametrize("row", [[0, 3, 1], [0, -1, 1], [2, 0, 1]])
     def test_counts_refuse_ids_outside_the_dictionaries(self, row):
-        """An id past the dictionary raised a bare IndexError, and a
-        negative relation id was counted as the last relation."""
+        """An id past the dictionary raised a bare IndexError in
+        ``relation_counts``, and a negative relation id was counted as the
+        last relation; the store now refuses both when it is built."""
         empty = np.empty((0, 3), dtype=np.int64)
-        store = TripleStore(["a", "b"], ["r"], np.array([[0, 0, 1], row]), empty, empty)
         with pytest.raises(IdLookupError, match="out of range"):
-            relation_counts(store)
+            TripleStore(["a", "b"], ["r"], np.array([[0, 0, 1], row]), empty, empty)
 
     def test_counts_of_a_store_without_triples(self):
         empty = np.empty((0, 3))  # float, as np.empty makes it
@@ -535,23 +536,13 @@ def scores_or_none(store):
 
 class TestHierarchyScores:
     @pytest.mark.parametrize("bad", [-1, 2, 256, 65_536])
-    def test_relation_ids_outside_the_dictionary_are_left_out(self, bad, monkeypatch):
+    def test_relation_ids_outside_the_dictionary_are_left_out(self, bad):
         """A triple whose relation id is outside a 2-relation dictionary
-        reaches no relation's call.  A narrow sort key cast without a range
-        guard wraps 256 and 65,536 to relation 0."""
-        from ukge import kgdata
-
+        never reaches ``hierarchy_scores``, whose narrow sort key would wrap
+        256 and 65,536 to relation 0: the store refuses it when it is built."""
         rows = np.array([[0, 0, 1], [2, bad, 0], [1, 0, 2], [1, 1, 2]])
-        store = TripleStore(["a", "b", "c"], ["r0", "r1"], rows, rows[:0], rows[:0])
-        real, seen = kgdata.krackhardt_score, []
-
-        def recording(store, relation, **kwargs):
-            seen.append((relation, store.all_triples()[:, 1].tolist()))
-            return real(store, relation, **kwargs)
-
-        monkeypatch.setattr(kgdata, "krackhardt_score", recording)
-        assert hierarchy_scores(store) == [1.0, 1.0]  # c -> a would close a cycle
-        assert seen == [(0, [0, 0]), (1, [1])]
+        with pytest.raises(IdLookupError, match=f"relation id {bad} out of range"):
+            TripleStore(["a", "b", "c"], ["r0", "r1"], rows, rows[:0], rows[:0])
 
     def test_relations_that_share_entities(self):
         """One numbering table serves every relation of a call: a chain, a
@@ -814,6 +805,78 @@ class TestStoreBasics:
         store = store_from([("a", "r", "b"), ("b", "s", "c")])
         assert store.n_entities == 3
         assert store.n_relations == 2
+
+
+def two_entity_store(train=((0, 0, 1),), test=None):
+    """A store of entities ``a`` and ``b`` and relation ``r``, splits as given."""
+    empty = np.empty((0, 3), dtype=np.int64)
+    return TripleStore(["a", "b"], ["r"], train, empty, empty if test is None else test)
+
+
+def write_into_train():
+    two_entity_store().train[0, 0] = 1
+
+
+#: (case, build, error, message): each ``build`` is refused where a store is built
+BAD_STORES = [
+    ("float ids", lambda: two_entity_store(np.array([[0.0, 0.0, 1.0]])), IdLookupError,
+     "entity ids must be integers, got float64"),
+    ("(n, 2) rows", lambda: two_entity_store(np.array([[0, 1], [1, 0]])), DimensionError,
+     r"\(head, relation, tail\) rows, got shape \(2, 2\)"),
+    ("a 1-D (3,) split", lambda: two_entity_store(np.array([0, 0, 1])), DimensionError,
+     r"\(head, relation, tail\) rows, got shape \(3,\)"),
+    ("a negative id", lambda: two_entity_store([[0, 0, 1], [-1, 0, 1]]), IdLookupError,
+     r"entity id -1 out of range \[0, 2\)"),
+    ("a head past the entities", lambda: two_entity_store([[2, 0, 1]]), IdLookupError,
+     r"entity id 2 out of range \[0, 2\)"),
+    ("a relation past the relations", lambda: two_entity_store([[0, 1, 1]]), IdLookupError,
+     r"relation id 1 out of range \[0, 1\)"),
+    ("a tail past the entities", lambda: two_entity_store([[0, 0, 2]]), IdLookupError,
+     r"entity id 2 out of range \[0, 2\)"),
+    ("a bool among a list's ints", lambda: two_entity_store([[0, True, 1]]), IdLookupError,
+     "triple ids must be integers, got bool"),
+    ("[[0, 5, 9]] augmented",  # once passed on as [[0, 5, 9], [9, 6, 0]]
+     lambda: augment_inverse(two_entity_store([[0, 5, 9]])), IdLookupError,
+     r"entity id 9 out of range \[0, 2\)"),
+    ("a write into store.train", write_into_train, ValueError, "read-only"),
+    ("replace(store, test=bad)", lambda: replace(two_entity_store(), test=[[0, 0, 7]]),
+     IdLookupError, r"entity id 7 out of range \[0, 2\)"),
+]
+
+
+class TestStoreChecks:
+    """A store checks its splits when it is built, and holds them read-only."""
+
+    @pytest.mark.parametrize("case, build, error, message", BAD_STORES,
+                             ids=[case[0] for case in BAD_STORES])
+    def test_bad_stores_are_refused_where_they_are_built(self, case, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
+    def test_splits_are_read_only_int64_rows(self):
+        store = two_entity_store(np.array([[0, 0, 1]], dtype=np.int32),
+                                 np.empty((0, 3)))  # float, as np.empty makes it
+        for split in (store.train, store.valid, store.test):
+            assert split.dtype == np.int64 and split.ndim == 2 and split.shape[1] == 3
+            assert not split.flags.writeable
+        train = np.array([[0, 0, 1]])
+        store = two_entity_store(train)
+        train[0, 2] = 0  # the caller's array stays writable; the store holds a view
+        assert store.train.base is train
+
+    def test_float_empty_splits_beside_int_rows(self):
+        """An int64 train split beside ``np.empty((0, 3))`` valid and test
+        splits made a float64 ``all_triples``, which ``hierarchy_scores``
+        and ``relation_counts`` refused as float ids."""
+        empty = np.empty((0, 3))
+        store = TripleStore(["a", "b"], ["r"], np.array([[0, 0, 1]]), empty, empty)
+        assert store.all_triples().dtype == np.int64
+        assert hierarchy_scores(store) == [1.0]
+        assert relation_counts(store).tolist() == [1]
+
+    def test_a_store_without_relations_scores_to_nothing(self):
+        empty = np.empty((0, 3), dtype=np.int64)
+        assert hierarchy_scores(TripleStore(["a"], [], empty, empty, empty)) == []
 
 
 class TestLineEndings:
@@ -1374,13 +1437,13 @@ class TestWriteSplitTsv:
     @pytest.mark.parametrize("row", [(0, 0, -1), (-1, 0, 1), (0, 0, 3), (0, 1, 2), (0, -1, 2)])
     def test_ids_outside_the_dictionaries_are_refused(self, tmp_path, row):
         """``(0, 0, -1)`` once wrote the last entity's name, and an id past
-        the end raised a bare ``IndexError``; the old file keeps its bytes."""
-        store = TripleStore(["a", "b", "c"], ["r"], np.array([[0, 0, 1], row]),
-                            np.empty((0, 3), dtype=np.int64), np.empty((0, 3), dtype=np.int64))
+        the end raised a bare ``IndexError``; the store now refuses both when
+        it is built, so no writer can reach the old file, which keeps its bytes."""
         path = tmp_path / "train.tsv"
         path.write_bytes(b"old bytes\n")
         with pytest.raises(IdLookupError, match="out of range"):
-            write_split_tsv(store, "train", str(path))
+            TripleStore(["a", "b", "c"], ["r"], np.array([[0, 0, 1], row]),
+                        np.empty((0, 3), dtype=np.int64), np.empty((0, 3), dtype=np.int64))
         assert path.read_bytes() == b"old bytes\n"
 
     @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb", "", "b\ud800", "\udcff"])

@@ -30,6 +30,7 @@ from ukge.model import (
     Model,
     apply_time_guard,
     candidate_tails,
+    check_triples,
     dictionary_digest,
     init,
     load,
@@ -164,6 +165,27 @@ def same_bits(actual, expected) -> bool:
     """Equal shapes and equal bytes in C order (no NaN occurs here)."""
     actual, expected = np.asarray(actual), np.asarray(expected)
     return actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
+
+
+class TestCheckTriples:
+    @pytest.mark.parametrize("bad", ["negative", "past the bound"])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_one_bad_id_is_named(self, row, column, bad):
+        """One bad id in the first or the last row fails the reductions, and
+        the message names it, as the mask alone did."""
+        triples = np.random.default_rng(3).integers(0, 3, (50, 3))
+        bound = 3 if column == 1 else 5  # 5 entities, 3 relations
+        value = -1 if bad == "negative" else bound
+        triples[row, column] = value
+        kind = "relation" if column == 1 else "entity"
+        with pytest.raises(IdLookupError, match=rf"^{kind} id {value} out of range \[0, {bound}\)$"):
+            check_triples(triples, 5, 3)
+
+    def test_the_first_bad_entity_is_named_before_any_relation(self):
+        triples = np.array([[0, 9, 1], [0, 0, 7], [8, 0, 1]])
+        with pytest.raises(IdLookupError, match="^entity id 7 out of range"):
+            check_triples(triples, 5, 3)
 
 
 class TestCandidateTails:
