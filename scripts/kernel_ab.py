@@ -1,13 +1,14 @@
-"""A/B timing of one training batch, of the query calls, of the TSV reader
-and writer, of building a store and of the hierarchy scores between two
-``src/`` trees, both imported in one process.
+"""A/B timing of single package calls between two ``src/`` trees, both
+imported in one process.
 
     python scripts/kernel_ab.py PARENT_SRC CHANGE_SRC [--reps 15] [--seed 1] [--json PATH]
 
-The trees are imported under two package names, with BLAS on one thread,
-and every call runs on both trees in turn: the parent first on even
-repetitions, the change first on odd ones.  Both trees read the same
-inputs, built once with ``perfbench/workloads`` at the workload seed:
+The trees are imported under two package names, with BLAS on one thread:
+the parent's first at odd ``--seed`` and the change's first at even, so
+that seeds 1-3 see both orders (``imported_first``).  Every call runs on
+both trees in turn: the parent first on even repetitions, the change first
+on odd ones.  Both trees read the same inputs, built once with
+``perfbench/workloads`` at the workload seed:
 
 - ``batch``: ``training._batch_grads`` on the first batch of
   ``training.fit`` and its negatives (500 positives with 50 negatives each
@@ -57,34 +58,30 @@ inputs, built once with ``perfbench/workloads`` at the workload seed:
   the benchmark times it; the exit codes and the stdout bytes must be
   equal.
 
-``batch``, ``evaluate`` and ``hierarchy-fb`` run ``--reps`` times and the
-other eight calls ``10 * --reps`` times, each after one warm-up call.  The
-script prints each side's median per stage and call, the median over the
-calls of the change's time as a share of the parent's, and each side's
-median count of
-minor page faults (``ru_minflt``) per call: a call that faults in fresh
-pages times the allocator as well as the code, so a call whose two sides'
-medians differ is marked (``faults_differ``), as its ratio says little
-about the code.  After the timed calls, one more untimed call of each
-kind runs on each side under ``tracemalloc``, and its peak of traced
-memory is printed and kept as ``peak_kb``: the memory a call allocates and
-holds at once (not what was made before it, as those gradient arrays),
-read without slowing a timed call.  It also prints each side's tails
-scored exactly per ``evaluate`` query, counted by wrapping that tree's
+Every call runs ``--reps`` times its count in :data:`CALLS`, each after
+one warm-up call.  The script prints each side's median per stage and
+call, the median over the calls of the change's time as a share of the
+parent's, and each side's median count of minor page faults
+(``ru_minflt``) per call: a call that faults in fresh pages times the
+allocator as well as the code, so a call whose two sides' medians differ
+is marked (``faults_differ``), as its ratio says little about the code.
+After the timed calls, one more untimed call of each kind runs on each
+side under ``tracemalloc``, and its peak of traced memory is printed and
+kept as ``peak_kb``: the memory a call allocates and holds at once (not
+what was made before it, as those gradient arrays), read without slowing a
+timed call.  It also prints each side's tails scored exactly per
+``evaluate`` query, counted by wrapping that tree's
 ``evaluation.score_candidates`` and ``evaluation.filtered_rank`` as
 ``perfbench/tracing.py`` does: a query's tails are those scored during its
 ``filtered_rank`` call, plus the exact scores handed to it in
 ``_verified``, ``(scores, verify, exact)``, where its block of queries was
-scored in one call, and they must add up to every tail scored.  It prints the median over the calls of
-each call's mean (``scored_per_query``), and the mean and the maximum over
-every query of every call (``scored_per_query_mean``,
-``scored_per_query_max``).  It exits non-zero unless
-both trees return the same loss and gradients, ``EvalReport``s, scores,
-loaded parameters, stores and hierarchy scores, floats compared bit for
-bit and ``None`` in the same places, write files of the same bytes, read
-the same names and print the same predictions.  One
-invocation is one process; a claim cites the ratio medians of at least
-three.
+scored in one call, and they must add up to every tail scored.  It prints
+the median over the calls of each call's mean (``scored_per_query``), and
+the mean and the maximum over every query of every call
+(``scored_per_query_mean``, ``scored_per_query_max``).  It exits non-zero
+unless both trees return the same result from every call, compared by
+:func:`same`.  One invocation is one process; a claim cites the ratio
+medians of at least three.
 
 With ``--json PATH`` the results are also written to ``PATH``, with
 ``numpy_simd_found`` the SIMD extensions that numpy finds in this process,
@@ -113,9 +110,9 @@ from time import perf_counter
 from bench_pairs import simd_found
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLS = ("batch", "evaluate", "candidates", "score", "load", "write", "store", "hierarchy",
-         "hierarchy-fb", "names", "predict")
-SLOW = ("batch", "evaluate", "hierarchy-fb")  # run --reps times, the others 10 times as often
+# each call's runs per --reps, in print order
+CALLS = {"batch": 1, "evaluate": 1, "candidates": 10, "score": 10, "load": 10, "write": 10,
+         "store": 10, "hierarchy": 10, "hierarchy-fb": 1, "names": 10, "predict": 10}
 FB_SHAPE = (14_541, 474, 310_116)  # FB15k-237's entities, relations and train triples
 STAGES = ("loss_sum", "row_grads", "scatter")  # the split of a batch call
 WRAPPED = ("_loss_sum", "_row_grads")
@@ -162,7 +159,7 @@ def timed(spent: dict, name: str, fn):
 
 
 def side_calls(package, inputs: dict):
-    """The calls of :data:`CALLS` run by ``package`` on ``inputs``, a
+    """The calls run by ``package`` on ``inputs``, keyed as :data:`CALLS`, a
     function that splits the last batch call's time into :data:`STAGES`, and
     one that returns the tails the last ``evaluate`` call scored exactly,
     query by query."""
@@ -266,6 +263,9 @@ def side_calls(package, inputs: dict):
         "names": names,
         "predict": predict,
     }
+    if calls.keys() != CALLS.keys():
+        sys.exit(f"side_calls: missing {sorted(CALLS.keys() - calls.keys())}, "
+                 f"extra {sorted(calls.keys() - CALLS.keys())}")
     return calls, stages, lambda: list(scored)
 
 
@@ -327,18 +327,19 @@ def main() -> None:
                   "stats_paths": workloads.stats_setup(workloads.FULL, args.seed, stats_dir),
                   "fb_triples": fb_shaped_triples()}
         calls, stages, scored = {}, {}, {}
-        for side, src in sides.items():
+        imported = list(sides) if args.seed % 2 else list(sides)[::-1]
+        for side in imported:
             calls[side], stages[side], scored[side] = side_calls(
-                import_tree(src, f"ukge_{side}"), inputs
+                import_tree(sides[side], f"ukge_{side}"), inputs
             )
         # the loop stays in the directory: ``load`` reads the query checkpoint
         # and ``write`` writes there
-        samples = {side: {name: [] for name in CALLS + STAGES} for side in sides}
+        samples = {side: {name: [] for name in [*CALLS, *STAGES]} for side in sides}
         ratios: dict[str, list[float]] = {name: [] for name in CALLS}
         faults = {side: {name: [] for name in CALLS} for side in sides}
         per_call = {side: [] for side in sides}  # tails scored exactly, each call's queries
         for name in CALLS:
-            for rep in range(args.reps * (1 if name in SLOW else 10) + 1):
+            for rep in range(args.reps * CALLS[name] + 1):
                 order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
                 took, got, faulted = {}, {}, {}
                 for side in order:
@@ -369,6 +370,7 @@ def main() -> None:
 
     result = {
         "seed": args.seed,
+        "imported_first": imported[0],
         "calls": {name: len(v) for name, v in ratios.items()},
         "queries_per_evaluate": workloads.EVAL_CHUNK,
         "medians_ms": {
@@ -397,7 +399,7 @@ def main() -> None:
     }
     print(f"{'ms':<12}{'parent':>10}{'change':>10}   change/parent per call median"
           f"   minor faults per call, parent/change   peak KB, parent/change")
-    for name in CALLS[:1] + STAGES + CALLS[1:]:
+    for name in [*CALLS][:1] + [*STAGES] + [*CALLS][1:]:  # the batch, then its stages
         row = f"{name:<12}" + "".join(f"{result['medians_ms'][s][name]:>10.3f}" for s in sides)
         if name in ratios:
             faults = "/".join(f"{result['faults'][s][name]:g}" for s in sides)
@@ -405,19 +407,14 @@ def main() -> None:
                 f"{peak_kb[s][name]:.0f}" for s in sides)
             row += "   faults differ" if result["faults_differ"][name] else ""
         print(row)
-    n = result["calls"]
-    print(f"{n['batch']} batch calls, {n['evaluate']} evaluate calls of "
-          f"{workloads.EVAL_CHUNK} queries, {n['candidates']} score_candidates and "
-          f"{n['score']} score, {n['load']} load, {n['write']} write, {n['store']} store, "
-          f"{n['hierarchy']} hierarchy, {n['hierarchy-fb']} hierarchy-fb, {n['names']} names "
-          f"and {n['predict']} predict calls "
-          "per side, calls alternating;")
+    print("calls per side, alternating: " + ", ".join(
+        f"{n} {name}" for name, n in result["calls"].items())
+        + f"; {workloads.EVAL_CHUNK} queries an evaluate call")
     print("tails scored exactly per evaluate query, parent/change: " + "; ".join(
         label + "/".join(f"{result[key][s]:g}" for s in sides) for label, key in (
             ("", "scored_per_query"), ("mean ", "scored_per_query_mean"),
             ("max ", "scored_per_query_max"))))
-    print("equal loss, gradients, reports and scores, loaded parameters, written bytes, "
-          "stores, hierarchy scores, names and predictions in every call, "
+    print("the same result from every call, compared by same(), "
           f"with numpy's SIMD extensions {' '.join(result['numpy_simd_found']) or 'none'}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -1,9 +1,6 @@
 """Smoke tests of scripts/kernel_ab.py: one repetition, this checkout's
-``src/`` on both sides, then against copies that move the loss by one ulp,
-add a byte to the TSV writer's file, count one entity fewer in the names
-read, print one prediction fewer or count one pair more in a hierarchy
-score, and its comparison of stores and of hierarchy scores; no timing
-gate."""
+``src/`` on both sides, then against copies that move one call's result,
+and its comparison ``same``; no timing gate."""
 
 from __future__ import annotations
 
@@ -12,20 +9,31 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ukge.kgdata import TripleStore
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
-def simd_found() -> list[str]:
-    """``scripts/bench_pairs.py``'s ``simd_found``, which kernel_ab.py imports."""
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.simd_found()
+def kernel_ab_module():
+    """``scripts/kernel_ab.py``, imported."""
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        spec = importlib.util.spec_from_file_location("kernel_ab", ROOT / "scripts" / "kernel_ab.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    return module
+
+
+KAB = kernel_ab_module()
 
 
 def kernel_ab(parent, change, *args) -> subprocess.CompletedProcess:
@@ -42,19 +50,17 @@ def test_the_checkout_on_both_sides(tmp_path):
     assert proc.returncode == 0, proc.stderr + proc.stdout
     record = json.loads(out.read_text())
     assert record["bits_equal"] is True
-    found = simd_found()
+    assert record["imported_first"] == "parent"  # at the default --seed 1
+    found = KAB.simd_found()
     assert record["numpy_simd_found"] == found
     assert f"numpy's SIMD extensions {' '.join(found) or 'none'}" in proc.stdout
-    calls = ("batch", "evaluate", "candidates", "score", "load", "write", "store", "hierarchy",
-             "hierarchy-fb", "names", "predict")
-    assert record["calls"] == {"batch": 1, "evaluate": 1, "candidates": 10, "score": 10,
-                               "load": 10, "write": 10, "store": 10, "hierarchy": 10,
-                               "hierarchy-fb": 1, "names": 10, "predict": 10}
-    assert ("10 write, 10 store, 10 hierarchy, 1 hierarchy-fb, 10 names and 10 predict calls "
-            "per side" in proc.stdout)
+    calls = KAB.CALLS  # with --reps 1, each call runs its count once
+    assert record["calls"] == calls
+    assert ("calls per side, alternating: " + ", ".join(f"{n} {name}" for name, n in calls.items())
+            in proc.stdout)
     for side in ("parent", "change"):
         medians = record["medians_ms"][side]
-        assert set(medians) == {*calls, "loss_sum", "row_grads", "scatter"}
+        assert set(medians) == {*calls, *KAB.STAGES}
         assert all(ms > 0 for ms in medians.values())
         assert medians["loss_sum"] + medians["row_grads"] < medians["batch"]
     assert set(record["ratio_median"]) == set(calls)
@@ -113,127 +119,80 @@ def row(stdout: str, name: str) -> str:
     return next(line for line in stdout.splitlines() if line.split()[:1] == [name])
 
 
-def test_a_loss_one_ulp_off_fails_the_batch(tmp_path):
+MUTANTS = [
+    # the loss one ulp off fails the batch
+    ("training.py", "_exact_log_loss = _log_loss\n\n\ndef _log_loss(p, n_pos):\n"
+     "    return np.nextafter(_exact_log_loss(p, n_pos), np.inf)\n", "change", "batch"),
+    # the parent side's writer adds an LF: every other call agrees, and the
+    # set-up, which writes with the change's tree, loads as before
+    ("kgdata.py", "_bulk_write = write_split_tsv\n\n\ndef write_split_tsv(store, split, path):\n"
+     "    _bulk_write(store, split, path)\n    with open(path, 'ab') as fh:\n"
+     "        fh.write(b'\\n')\n", "parent", "write"),
+    # the parent side's read_names counts one entity fewer before the test
+    # split: the calls ahead of names agree, and names fails
+    ("kgdata.py", "_bulk_read_names = read_names\n\n\ndef read_names(*paths):\n"
+     "    entities, relations, n_seen = _bulk_read_names(*paths)\n"
+     "    return entities, relations, n_seen - 1\n", "parent", "names"),
+    # the parent side's predict prints one line fewer: every other call
+    # agrees, and predict fails
+    ("cli.py", "_all_top_k = top_k\n\n\ndef top_k(scores, k):\n"
+     "    return _all_top_k(scores, k)[:-1]\n", "parent", "predict"),
+    # the parent side counts one reachable pair more in every relation that
+    # takes the strongly connected components: stats-ring's hierarchy never
+    # does and agrees, and the FB15k-237-shaped one fails
+    ("kgdata.py", "_exact_reach_counts = _reach_counts\n\n\ndef _reach_counts(heads, tails, n):\n"
+     "    total, one_way = _exact_reach_counts(heads, tails, n)\n    return total + 1, one_way\n",
+     "parent", "hierarchy-fb"),
+]
+
+
+@pytest.mark.parametrize("module, appended, mutated, fails", MUTANTS, ids=[m[3] for m in MUTANTS])
+def test_a_mutant_fails_its_call(tmp_path, module, appended, mutated, fails):
     src = tmp_path / "src"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    with open(src / "ukge" / "training.py", "a", encoding="utf-8") as fh:
-        fh.write(
-            "\n\n_exact_log_loss = _log_loss\n\n\n"
-            "def _log_loss(p, n_pos):\n"
-            "    return np.nextafter(_exact_log_loss(p, n_pos), np.inf)\n"
-        )
-    proc = kernel_ab(SRC, src)
+    with open(src / "ukge" / module, "a", encoding="utf-8") as fh:
+        fh.write("\n\n" + appended)
+    proc = kernel_ab(*((src, SRC) if mutated == "parent" else (SRC, src)))
     assert proc.returncode != 0
-    assert proc.stderr.startswith("batch: the trees' results differ"), proc.stderr
+    assert proc.stderr.startswith(f"{fails}: the trees' results differ"), proc.stderr
 
 
-def test_a_written_byte_more_fails_the_write(tmp_path):
-    """The parent side's writer adds an LF: every other call agrees, and
-    the set-up, which writes with the change's tree, loads as before."""
-    src = tmp_path / "src"
-    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    with open(src / "ukge" / "kgdata.py", "a", encoding="utf-8") as fh:
-        fh.write(
-            "\n\n_bulk_write = write_split_tsv\n\n\n"
-            "def write_split_tsv(store, split, path):\n"
-            "    _bulk_write(store, split, path)\n"
-            "    with open(path, \"ab\") as fh:\n"
-            "        fh.write(b\"\\n\")\n"
-        )
-    proc = kernel_ab(src, SRC)
-    assert proc.returncode != 0
-    assert proc.stderr.startswith("write: the trees' results differ"), proc.stderr
+def test_every_call_is_documented():
+    for name in KAB.CALLS:
+        assert f"``{name}``" in KAB.__doc__, name
 
 
-def test_a_name_count_off_by_one_fails_the_names(tmp_path):
-    """The parent side's ``read_names`` counts one entity fewer before the
-    test split: the calls ahead of ``names`` agree, and ``names`` fails."""
-    src = tmp_path / "src"
-    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    with open(src / "ukge" / "kgdata.py", "a", encoding="utf-8") as fh:
-        fh.write(
-            "\n\n_bulk_read_names = read_names\n\n\n"
-            "def read_names(*paths):\n"
-            "    entities, relations, n_seen = _bulk_read_names(*paths)\n"
-            "    return entities, relations, n_seen - 1\n"
-        )
-    proc = kernel_ab(src, SRC)
-    assert proc.returncode != 0
-    assert proc.stderr.startswith("names: the trees' results differ"), proc.stderr
+EMPTY = np.empty((0, 3), dtype=np.int64)
+STORE = TripleStore(["a", "b"], ["r"], np.array([[0, 0, 1]]), EMPTY, EMPTY)
+NAN = np.array([np.nan])
+SAME = [
+    # stores compare field by field: equal when every field is, and not
+    # when one id, one name or the augmented flag differs
+    (STORE, replace(STORE), True),
+    (STORE, replace(STORE, train=np.array([[1, 0, 0]])), False),
+    (STORE, replace(STORE, entity_names=["a", "c"]), False),
+    (STORE, replace(STORE, augmented=True), False),
+    # hierarchy scores: a None matches only None, floats only bit for bit
+    ([1.0, None, 0.25], [1.0, None, 0.25], True),
+    ([1.0, None, 0.25], [1.0, 0.0, 0.25], False),
+    ([1.0, None, 0.25], [1.0, None], False),
+    ([1.0, None, 0.25], [1.0, None, 0.25, None], False),
+    ([1.0, None, 0.25], [1.0, None, float.fromhex("0x1.0000000000001p-2")], False),
+    ([0.0], [-0.0], False),
+    ({"a": 1}, {"b": 1}, False),  # dicts whose keys differ
+    (np.arange(3), np.arange(3.0), False),  # int64 against float64 of equal values
+    (np.arange(3.0), np.arange(3.0).reshape(1, 3), False),
+    (Path("x1"), Path("x2"), True),  # files of the same bytes, written below
+    (Path("x1"), Path("y1"), False),
+    (NAN, NAN.copy(), True),  # the same NaN bits
+    (NAN, (NAN.view(np.uint64) + np.uint64(1)).view(np.float64), False),  # another payload
+]
 
 
-def test_a_prediction_line_fewer_fails_the_predict(tmp_path):
-    """The parent side's ``predict`` prints one line fewer: every other
-    call agrees, and ``predict`` fails."""
-    src = tmp_path / "src"
-    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    with open(src / "ukge" / "cli.py", "a", encoding="utf-8") as fh:
-        fh.write(
-            "\n\n_all_top_k = top_k\n\n\n"
-            "def top_k(scores, k):\n"
-            "    return _all_top_k(scores, k)[:-1]\n"
-        )
-    proc = kernel_ab(src, SRC)
-    assert proc.returncode != 0
-    assert proc.stderr.startswith("predict: the trees' results differ"), proc.stderr
-
-
-def test_a_pair_count_off_by_one_fails_the_fb_shaped_hierarchy(tmp_path):
-    """The parent side counts one reachable pair more in every relation
-    that takes the strongly connected components: stats-ring's ``hierarchy``
-    never does and agrees, and ``hierarchy-fb`` fails."""
-    src = tmp_path / "src"
-    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    with open(src / "ukge" / "kgdata.py", "a", encoding="utf-8") as fh:
-        fh.write(
-            "\n\n_exact_reach_counts = _reach_counts\n\n\n"
-            "def _reach_counts(heads, tails, n):\n"
-            "    total, one_way = _exact_reach_counts(heads, tails, n)\n"
-            "    return total + 1, one_way\n"
-        )
-    proc = kernel_ab(src, SRC)
-    assert proc.returncode != 0
-    assert proc.stderr.startswith("hierarchy-fb: the trees' results differ"), proc.stderr
-
-
-def kernel_ab_module():
-    """``scripts/kernel_ab.py``, imported."""
-    sys.path.insert(0, str(ROOT / "scripts"))
-    try:
-        spec = importlib.util.spec_from_file_location("kernel_ab", ROOT / "scripts" / "kernel_ab.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(ROOT / "scripts"))
-    return module
-
-
-def test_stores_compare_field_by_field():
-    """``same`` of two stores: equal when every field is, and not when one
-    id, one name or the augmented flag differs."""
-    from dataclasses import replace
-
-    import numpy as np
-
-    from ukge.kgdata import TripleStore
-
-    module = kernel_ab_module()
-    empty = np.empty((0, 3), dtype=np.int64)
-    store = TripleStore(["a", "b"], ["r"], np.array([[0, 0, 1]]), empty, empty)
-    assert module.same(store, replace(store))
-    for other in (replace(store, train=np.array([[1, 0, 0]])),
-                  replace(store, entity_names=["a", "c"]), replace(store, augmented=True)):
-        assert not module.same(store, other)
-        assert not module.same(other, store)
-
-
-def test_hierarchy_scores_compare_bit_for_bit_with_none_in_place():
-    """``same`` of two ``hierarchy_scores`` lists: a ``None`` matches only
-    ``None``, and floats match only bit for bit."""
-    module = kernel_ab_module()
-    assert module.same([1.0, None, 0.25], [1.0, None, 0.25])
-    for other in ([1.0, 0.0, 0.25], [1.0, None], [1.0, None, 0.25, None],
-                  [1.0, None, float.fromhex("0x1.0000000000001p-2")]):
-        assert not module.same([1.0, None, 0.25], other)
-        assert not module.same(other, [1.0, None, 0.25])
-    assert not module.same([0.0], [-0.0])
+@pytest.mark.parametrize("a, b, equal", SAME)
+def test_same(tmp_path, monkeypatch, a, b, equal):
+    monkeypatch.chdir(tmp_path)
+    for path in (a, b):
+        if isinstance(path, Path):
+            path.write_text(path.name[0])
+    assert KAB.same(a, b) is equal and KAB.same(b, a) is equal
