@@ -63,8 +63,9 @@ one warm-up call.  The script prints each side's median per stage and
 call, the median over the calls of the change's time as a share of the
 parent's, and each side's median count of minor page faults
 (``ru_minflt``) per call: a call that faults in fresh pages times the
-allocator as well as the code, so a call whose two sides' medians differ
-is marked (``faults_differ``), as its ratio says little about the code.
+allocator as well as the code, so a call where one side's median lies
+outside the other side's interquartile range of counts is marked
+(:func:`faults_differ`), as its ratio says little about the code.
 After the timed calls, one more untimed call of each kind runs on each
 side under ``tracemalloc``, and its peak of traced memory is printed and
 kept as ``peak_kb``: the memory a call allocates and holds at once (not
@@ -104,10 +105,11 @@ import statistics
 import sys
 import tempfile
 import tracemalloc
+from collections.abc import Sequence
 from pathlib import Path
 from time import perf_counter
 
-from bench_pairs import simd_found
+from bench_pairs import quartiles, simd_found
 
 ROOT = Path(__file__).resolve().parent.parent
 # each call's runs per --reps, in print order
@@ -269,8 +271,22 @@ def side_calls(package, inputs: dict):
     return calls, stages, lambda: list(scored)
 
 
+def faults_differ(parent: list[int], change: list[int]) -> bool:
+    """Whether one side's median of per-call fault counts lies outside the
+    other side's interquartile range of them, as a gain's median must lie
+    outside the parent's (``bench_pairs``): a difference of medians alone
+    is often noise, even on one tree."""
+
+    def outside(a: list[int], b: list[int]) -> bool:
+        low, _, high = quartiles(b)
+        return not low <= statistics.median(a) <= high
+
+    return outside(parent, change) or outside(change, parent)
+
+
 def same(a, b) -> bool:
-    """Whether ``a`` and ``b`` are equal: dicts key by key, lists item by
+    """Whether ``a`` and ``b`` are equal: dicts key by key, lists and other
+    sequences (a store's name dictionaries, lists or ``Names``) item by
     item, dataclasses (stores) by class name and then field by field,
     ``None`` only to ``None``, strings and paths by their bytes, arrays and
     numbers by dtype, shape and value, float64 bit for bit."""
@@ -282,8 +298,9 @@ def same(a, b) -> bool:
         return isinstance(b, str) and a == b
     if dataclasses.is_dataclass(a):
         return type(a).__name__ == type(b).__name__ and same(vars(a), vars(b))
-    if isinstance(a, list):
-        return isinstance(b, list) and len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, Sequence) and not isinstance(a, tuple):
+        return (isinstance(b, Sequence) and not isinstance(b, (str, tuple)) and len(a) == len(b)
+                and all(map(same, a, b)))
     if isinstance(a, Path):
         return isinstance(b, Path) and a.read_bytes() == b.read_bytes()
     if isinstance(a, dict):
@@ -394,8 +411,7 @@ def main() -> None:
         "numpy_simd_found": simd_found(),
     }
     result["faults_differ"] = {
-        name: result["faults"]["parent"][name] != result["faults"]["change"][name]
-        for name in CALLS
+        name: faults_differ(faults["parent"][name], faults["change"][name]) for name in CALLS
     }
     print(f"{'ms':<12}{'parent':>10}{'change':>10}   change/parent per call median"
           f"   minor faults per call, parent/change   peak KB, parent/change")

@@ -26,7 +26,7 @@ raised before any TSV is read.  Every run is deterministic, so the
 both ``x`` and ``x_inv``, the name of the inverse of ``x``, is an input
 error too, as is a TSV or config-file line that is not valid UTF-8.
 ``predict`` reads only the names from the TSVs, as UTF-8 bytes: it
-checks the entity digest on those bytes, finds ``--head`` among them and
+checks the digests on those bytes, finds ``--head`` among them and
 decodes only the names it prints (all of them for an unknown ``--head``).
 The argument parser is built once, when this module is imported, and
 :func:`main` looks its subcommand's function up by name when it runs.
@@ -304,9 +304,7 @@ def _load_model_for_store(
 ) -> model.Model:
     """The checkpoint ``args.model``, checked against the name dictionaries
     of the augmented store: their ``sizes`` (entities, relations), then
-    their ``digests``, which the caller computes with
-    :func:`model.dictionary_digest` or, from the names' bytes,
-    :func:`model.joined_digest`."""
+    their ``digests`` (:func:`model.dictionary_digest`)."""
     m = model.load(args.model)
     if (m.n_entities, m.n_relations) != sizes:
         raise DigestMismatchError(
@@ -363,13 +361,9 @@ def cmd_predict(args) -> int:
     # the training data, and only the names printed are decoded
     entities, relations, n_seen = kgdata.read_names(args.train, args.valid, args.test)
     _note_test_only(len(entities) - n_seen)
-    relations = list(relations)
     relations += kgdata.inverse_names(relations)
-    m = _load_model_for_store(
-        args,
-        (len(entities), len(relations)),
-        (model.joined_digest(entities.joined), model.dictionary_digest(relations)),
-    )
+    m = _load_model_for_store(args, (len(entities), len(relations)),
+                              tuple(map(model.dictionary_digest, (entities, relations))))
     h = kgdata.name_id(args.head, entities, "entity")
     r = kgdata.name_id(args.rel, relations, "relation")
     scores = model.score_candidates(m, h, r)

@@ -5,25 +5,20 @@ line (LF, CRLF or lone CR endings, read alike; no header; a leading byte
 order mark is skipped; bytes that are not UTF-8 are an error at their line).
 Dictionaries number the deduplicated train, valid and test splits, in that
 order, by first appearance, so ids are dense and stable for a fixed input.
-The splits are joined into one buffer and scanned once for their tabs and
-LFs, and checked in bulk; only splits that fail go back, one by one, to a
-line loop for the first bad line.  Names are numbered by their UTF-8 bytes
-in numpy, not as Python strings: each field becomes a key of 8-byte words,
-and one sort groups equal keys and finds each distinct name's first field;
-a one-word key that fits in one word with its row number is sorted packed
-with it, so each key's rows come out in file order.  :func:`load_triples`
-numbers every field from there; :func:`read_names`, which ``predict``
-calls, numbers none.  The distinct names are gathered into one buffer of UTF-8
-bytes, an LF after each (:class:`Names`), that is decoded in one call or a
-name at a time.  For valid UTF-8, equal bytes are equal strings, so the
-numbering is the one string keys would give.  :func:`write_split_tsv`
-encodes the dictionaries once as :class:`Names` and gathers each line's
-names from those bytes, after refusing names no TSV can hold.  A
-:class:`TripleStore` checks its ids once, when it is built, and holds its
-splits read-only; :func:`augment_inverse` returns a new store with an
-inverse relation (and reversed triples) added for every base relation,
-which is how head prediction is realised downstream.  The inverse of
-``x`` is named ``x_inv``, so a store with both ``x`` and ``x_inv`` is refused.
+The splits are joined into one buffer, scanned once for their tabs and LFs
+and checked in bulk; only splits that fail go back, one by one, to a line
+loop for the first bad line.  Names are numbered by their UTF-8 bytes in
+numpy (:func:`_name_keys`, :func:`_key_groups`), which for valid UTF-8 is
+the numbering string keys would give: :func:`load_triples` numbers every
+field, :func:`read_names`, which ``predict`` calls, none.  Each dictionary
+is one :class:`Names`, the distinct names' UTF-8 bytes with an LF after
+each, decoded a name or a slice at a time.  A :class:`TripleStore` holds
+two, encoding names given as strings once, and checks its ids once, when
+it is built; :func:`write_split_tsv` gathers each line's names from those
+bytes.  :func:`augment_inverse` returns a new store with an inverse
+relation (and reversed triples) added for every base relation, which is
+how head prediction is realised downstream.  The inverse of ``x`` is named
+``x_inv``, so a store with both ``x`` and ``x_inv`` is refused.
 """
 
 from __future__ import annotations
@@ -58,14 +53,68 @@ SPLITS = ("train", "valid", "test")
 INVERSE_SUFFIX = "_inv"
 
 
+class Names(Sequence):
+    """A name dictionary held as the UTF-8 bytes of its names: ``data`` is
+    an LF, then each name in id order followed by an LF, and ``bounds`` the
+    offsets of those LFs, so name ``i`` is ``data[bounds[i] + 1:bounds[i +
+    1]]``.  No name holds an LF.  A name is decoded when it is read, a slice
+    or all of them in one call; :meth:`index` finds a name among the bytes,
+    so :func:`name_id` decodes nothing for a known name.  Dictionaries are
+    equal when their bytes are."""
+
+    def __init__(self, data: bytes, bounds: np.ndarray):
+        self.data, self.bounds = data, bounds
+
+    def __len__(self) -> int:
+        return self.bounds.size - 1
+
+    def __getitem__(self, i):
+        ids = range(len(self))[i]  # an id, or a slice's ids
+        if not isinstance(ids, range):
+            return self.data[self.bounds[ids] + 1 : self.bounds[ids + 1]].decode("utf-8")
+        if ids.step != 1 or not ids:
+            return [self[k] for k in ids]
+        lo, hi = self.bounds[ids.start] + 1, self.bounds[ids.stop]
+        return self.data[lo:hi].decode("utf-8").split("\n")
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other):
+        return self.data == other.data if isinstance(other, Names) else NotImplemented
+
+    __hash__ = None
+
+    def __add__(self, other: Names) -> Names:
+        return Names(self.data + other.data[1:],
+                     np.concatenate([self.bounds, other.bounds[1:] + self.bounds[-1]]))
+
+    @property
+    def joined(self) -> memoryview:
+        """The names' UTF-8 bytes in id order joined by LF, not copied."""
+        return memoryview(self.data)[1:-1]
+
+    def index(self, name: str) -> int:
+        """The id of ``name``; :class:`ValueError` when no name has its
+        UTF-8 bytes, and for a ``name`` that holds an LF or that UTF-8
+        cannot encode (a lone surrogate, whose bytes no name holds)."""
+        key = name.encode("utf-8", "surrogatepass")
+        # an LF on both sides matches whole names only
+        at = -1 if b"\n" in key else self.data.find(b"\n" + key + b"\n")
+        if at < 0:
+            raise ValueError(f"{name!r} is not a name")
+        return int(np.searchsorted(self.bounds, at))
+
+
 @dataclass
 class TripleStore:
     """Entity/relation dictionaries plus int64 triple rows per split, checked once, when the
     store is built or replaced, then held read-only: a split not of ``(n, 3)`` rows raises
-    :class:`DimensionError`, an id not an integer or outside them :class:`IdLookupError`."""
+    :class:`DimensionError`, an id not an integer or outside them :class:`IdLookupError`.
+    Dictionaries given as strings are held as their :func:`encode_names`, a :class:`Names` as is."""
 
-    entity_names: list[str]
-    relation_names: list[str]
+    entity_names: Names
+    relation_names: Names
     train: np.ndarray  # (n, 3) int64 rows (h, r, t)
     valid: np.ndarray
     test: np.ndarray
@@ -73,6 +122,9 @@ class TripleStore:
     test_only_entities: list[str] = field(default_factory=list)
 
     def __post_init__(self):  # a view when a split is int64, so no copy
+        for kind in ("entity", "relation"):
+            if not isinstance(names := getattr(self, f"{kind}_names"), Names):
+                setattr(self, f"{kind}_names", encode_names(names, kind))
         for name in SPLITS:
             check_triples(getattr(self, name), self.n_entities, self.n_relations)
             rows = np.asarray(getattr(self, name)).astype(np.int64, copy=False).view()
@@ -104,7 +156,7 @@ class TripleStore:
         return np.concatenate([self.train, self.valid, self.test], axis=0)
 
 
-def name_id(name: str, names: list[str], kind: str) -> int:
+def name_id(name: str, names: Names, kind: str) -> int:
     """Id of ``name`` in ``names``; an unknown name raises
     :class:`NameLookupError` listing up to three close matches."""
     try:
@@ -115,45 +167,31 @@ def name_id(name: str, names: list[str], kind: str) -> int:
         raise NameLookupError(f"unknown {kind} {name!r}{hint}") from None
 
 
-class Names(Sequence):
-    """A name dictionary held as the UTF-8 bytes of its names: ``data`` is
-    an LF, then each name in id order followed by an LF, and ``bounds`` the
-    offsets of those LFs, so name ``i`` is ``data[bounds[i] + 1:bounds[i +
-    1]]``.  No name holds an LF.  A name is decoded when it is read, and
-    iterating decodes them all in one call; :meth:`index` finds a name
-    among the bytes, so :func:`name_id` decodes nothing for a known name."""
+#: a name no TSV field can hold: empty, led by U+FEFF, which starts a file as
+#: a byte order mark, or with a tab, LF, CR or a lone surrogate (not UTF-8)
+_NOT_A_FIELD = re.compile(r"\A(?:\ufeff|\Z)|[\t\n\r\ud800-\udfff]")
 
-    def __init__(self, data: bytes, bounds: np.ndarray):
-        self.data, self.bounds = data, bounds
 
-    def __len__(self) -> int:
-        return self.bounds.size - 1
+def _writable(names: Names, kind: str, given: Sequence[str] | None = None) -> Names:
+    """``names``, if a TSV field can hold each, checked in bulk on their
+    bytes; else :class:`PreconditionError` naming ``kind`` and the first
+    refused of them, or of ``given``, the strings they were encoded from."""
+    data, given = names.data, names if given is None else given
+    # one byte first, by memchr: a search for four bytes is far slower
+    if (len(given) != len(names) or np.any(np.diff(names.bounds) == 1) or b"\t" in data
+            or b"\r" in data or (b"\xef" in data and b"\n" + codecs.BOM_UTF8 in data)
+            or not _is_utf8(data)):
+        bad = next(name for name in given if _NOT_A_FIELD.search(name))
+        raise PreconditionError(f"{kind} name {bad!r} cannot be a TSV field")
+    return names
 
-    def __getitem__(self, i: int) -> str:
-        i = range(len(self))[i]
-        return self.data[self.bounds[i] + 1 : self.bounds[i + 1]].decode("utf-8")
 
-    def __iter__(self):
-        return iter(self.data[1:-1].decode("utf-8").split("\n"))
-
-    @property
-    def joined(self) -> memoryview:
-        """The names' UTF-8 bytes in id order joined by LF, not copied."""
-        return memoryview(self.data)[1:-1]
-
-    def index(self, name: str) -> int:
-        """The id of ``name``; :class:`ValueError` when no name has its
-        UTF-8 bytes, and for a ``name`` that holds an LF or that UTF-8
-        cannot encode (a lone surrogate)."""
-        try:
-            key = name.encode("utf-8")
-        except UnicodeEncodeError:  # a lone surrogate, which no name holds
-            raise ValueError(f"{name!r} is not a name") from None
-        # an LF on both sides matches whole names only
-        at = -1 if b"\n" in key else self.data.find(b"\n" + key + b"\n")
-        if at < 0:
-            raise ValueError(f"{name!r} is not a name")
-        return int(np.searchsorted(self.bounds, at))
+def encode_names(names: Sequence[str], kind: str) -> Names:
+    """``names`` encoded once, as :class:`Names`, if a TSV field can hold
+    each of them (:func:`_writable`)."""
+    data = "\n".join(["", *names, ""]).encode("utf-8", "surrogatepass")
+    return _writable(Names(data, np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10)),
+                     kind, names)
 
 
 #: the characters that ``errors="surrogateescape"`` decodes bytes outside UTF-8 to
@@ -397,8 +435,8 @@ def load_triples(
     )
     first, entity_ids = _first_seen(_name_keys(buf, *entity_fields, nul))
     relation_first, relation_ids = _first_seen(_name_keys(buf, *relation_fields, nul))
-    entities = list(_names(buf, entity_fields, first))
-    relations = list(_names(buf, relation_fields, relation_first))
+    entities = _names(buf, entity_fields, first)
+    relations = _names(buf, relation_fields, relation_first)
     n_seen = int(np.searchsorted(first, 2 * (rows[0] + rows[1])))
     triples = np.empty((relation_ids.size, 3), dtype=np.int64)
     triples[:, 0::2] = entity_ids.reshape(-1, 2)
@@ -419,12 +457,10 @@ def read_names(
     valid_path: str | None = None,
     test_path: str | None = None,
 ) -> tuple[Names, Names, int]:
-    """``(entity names, relation names, entities seen before the test
-    split)`` of :func:`load_triples` on the same files, with the same
-    errors, as :class:`Names`: the distinct names' UTF-8 bytes, none of
-    them decoded.  It builds no triples and numbers no field; it finds each
-    distinct name's first field.  Deduplication keeps first occurrences, so
-    it never changes the first-seen order of names."""
+    """The two dictionaries of :func:`load_triples` on the same files, with
+    the same errors, and the count of entities seen before the test split.
+    It builds no triples and numbers no field, only finding each distinct
+    name's first field, which deduplication never moves."""
     buf, rows, nul, entity_fields, relation_fields = _read_splits(
         train_path, valid_path, test_path
     )
@@ -436,16 +472,17 @@ def read_names(
     )
 
 
-def inverse_names(relation_names: list[str]) -> list[str]:
+def inverse_names(relation_names: Names) -> Names:
     """The inverse relation's name for each of ``relation_names``, in order
-    (``x`` -> ``x_inv``).  A relation named like an inverse, ``x`` beside
-    ``x_inv``, raises :class:`PreconditionError`."""
-    inverses = [name + INVERSE_SUFFIX for name in relation_names]
-    clash = sorted(set(inverses).intersection(relation_names))
+    (``x`` -> ``x_inv``), made from their bytes.  A relation named like an
+    inverse, ``x`` beside ``x_inv``, raises :class:`PreconditionError`."""
+    clash = sorted({name + INVERSE_SUFFIX for name in relation_names}.intersection(relation_names))
     if clash:
         base = clash[0].removesuffix(INVERSE_SUFFIX)
         raise PreconditionError(f"relation {clash[0]!r} clashes with the inverse of {base!r}")
-    return inverses
+    suffix = INVERSE_SUFFIX.encode("utf-8")  # each LF after a name moves by its length
+    return Names(b"\n" + relation_names.data[1:].replace(b"\n", suffix + b"\n"),
+                 relation_names.bounds + len(suffix) * np.arange(relation_names.bounds.size))
 
 
 def augment_inverse(store: TripleStore) -> TripleStore:
@@ -460,12 +497,11 @@ def augment_inverse(store: TripleStore) -> TripleStore:
     """
     if store.augmented:
         raise StateError("store is already augmented with inverse relations")
-    inverses = inverse_names(store.relation_names)
-    entities, relations = list(store.entity_names), list(store.relation_names) + inverses
+    relations = store.relation_names + inverse_names(store.relation_names)
     n_base = store.n_relations
     splits = [np.concatenate([rows, np.stack([rows[:, 2], rows[:, 1] + n_base, rows[:, 0]], axis=1)])
               for rows in (store.train, store.valid, store.test)]
-    return TripleStore(entities, relations, *splits, augmented=True,
+    return TripleStore(store.entity_names, relations, *splits, augmented=True,
                        test_only_entities=list(store.test_only_entities))
 
 
@@ -758,37 +794,15 @@ def make_synthetic(
 WRITE_LINES = 4096
 
 
-def _tsv_names(entities: Sequence[str], relations: Sequence[str]) -> Names:
-    """The entity names, then the relation names, encoded once as one
-    :class:`Names`.  A name that no TSV field can hold, empty, with a tab,
-    LF or CR, not encodable in UTF-8 (a lone surrogate), or led by U+FEFF,
-    which starts a file as a byte order mark, raises :class:`PreconditionError`
-    naming its dictionary and it.  The check runs on the encoded bytes, and
-    on each name only to find the first refused."""
-    data = "\n".join(["", *entities, *relations, ""]).encode("utf-8", "surrogatepass")
-    bounds = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10)
-    if (bounds.size == len(entities) + len(relations) + 1 and np.all(np.diff(bounds) > 1)
-            and b"\t" not in data and b"\r" not in data and _is_utf8(data)
-            # one byte first, by memchr: a search for four bytes is far slower
-            and (b"\xef" not in data or b"\n" + codecs.BOM_UTF8 not in data)):
-        return Names(data, bounds)
-    for kind, names in (("entity", entities), ("relation", relations)):
-        for name in names:
-            text = name.encode("utf-8", "surrogatepass")
-            if (not text or not _is_utf8(text) or any(c in text for c in b"\t\n\r")
-                    or text.startswith(codecs.BOM_UTF8)):
-                raise PreconditionError(f"{kind} name {name!r} cannot be a TSV field")
-    raise AssertionError("names refused in bulk but not one by one")
-
-
 def write_split_tsv(store: TripleStore, split: str, path: str) -> None:
     """Write one split back to TSV (names, LF endings), :data:`WRITE_LINES`
     lines at a time, each gathered from the names' UTF-8 bytes as three
     spans, a name and the LF after it each, the first two LFs made tabs.
-    Names no TSV can hold raise :class:`PreconditionError` before the file
-    is opened; the store checked its ids when it was built."""
+    A name no TSV field can hold (a loaded one may start with U+FEFF)
+    raises :class:`PreconditionError` before the file is opened; the store
+    checked its ids when it was built."""
     rows = store.split(split)
-    names = _tsv_names(store.entity_names, store.relation_names)
+    names = _writable(store.entity_names, "entity") + _writable(store.relation_names, "relation")
     buf = np.frombuffer(names.data, dtype=np.uint8)
     starts, lengths = names.bounds[:-1] + 1, np.diff(names.bounds)  # each name with its LF
     with open(path, "wb") as fh:

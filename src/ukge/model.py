@@ -187,16 +187,10 @@ def check_store(m: Model, store) -> None:
         )
 
 
-def joined_digest(joined) -> str:
-    """The digest of a name dictionary given as ``joined``, the UTF-8 bytes
-    of its names in id order joined by LF: their SHA-256, in hex."""
-    return hashlib.sha256(joined).hexdigest()
-
-
-def dictionary_digest(names: list[str]) -> str:
-    """Stable digest of a name dictionary in id order (:func:`joined_digest`
-    of the names joined by LF)."""
-    return joined_digest("\n".join(names).encode("utf-8"))
+def dictionary_digest(names) -> str:
+    """The digest of a name dictionary, a :class:`kgdata.Names`: the
+    SHA-256, in hex, of its names' UTF-8 bytes in id order joined by LF."""
+    return hashlib.sha256(names.joined).hexdigest()
 
 
 def check_margin(delta: float) -> None:

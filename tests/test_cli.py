@@ -670,7 +670,7 @@ class TestPredictFindsWholeNames:
         train = root / "train.tsv"
         train.write_bytes(self.TRAIN.encode("utf-8"))
         store = kgdata.augment_inverse(kgdata.load_triples(str(train)))
-        assert store.entity_names == ["n12", "n1", "a\x00b", "\u00e9\u20ac", "xn1", "last"]
+        assert list(store.entity_names) == ["n12", "n1", "a\x00b", "\u00e9\u20ac", "xn1", "last"]
         m = model.init(
             Signature(2, 2), store.n_entities, store.n_relations, seed=5,
             entity_digest=model.dictionary_digest(store.entity_names),

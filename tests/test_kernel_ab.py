@@ -79,7 +79,7 @@ def test_the_checkout_on_both_sides(tmp_path):
         assert all(kb > 0 for kb in peaks[side].values())
     assert peaks["parent"]["batch"] == pytest.approx(peaks["change"]["batch"], abs=4)
     assert peaks["parent"]["batch"] > 500 * 51 * 8 / 1024
-    # a write holds at least the names of both dictionaries, encoded once
+    # a write holds at least the names of both dictionaries, joined once
     assert peaks["parent"]["write"] == pytest.approx(peaks["change"]["write"], abs=4)
     assert peaks["parent"]["write"] > 21845 * 3 / 1024
     # the scores hold the 9,556 stats-ring triples, sorted once by relation
@@ -97,7 +97,8 @@ def test_the_checkout_on_both_sides(tmp_path):
             f"{peaks['parent'][name]:.0f}/{peaks['change'][name]:.0f}"
             + ("   faults differ" if record["faults_differ"][name] else ""))
     for name, differ in record["faults_differ"].items():
-        assert differ == (record["faults"]["parent"][name] != record["faults"]["change"][name])
+        # a median lies inside its own side's quartiles, so equal medians are never flagged
+        assert not differ or record["faults"]["parent"][name] != record["faults"]["change"][name]
         assert ("faults differ" in row(proc.stdout, name)) == differ
     # one tree on both sides: the same tails, at least the gold per query and
     # fewer than every one of the 21,845
@@ -157,6 +158,20 @@ def test_a_mutant_fails_its_call(tmp_path, module, appended, mutated, fails):
     assert proc.stderr.startswith(f"{fails}: the trees' results differ"), proc.stderr
 
 
+@pytest.mark.parametrize("parent, change, differ", [
+    # one tree's noise: medians 3 and 4, each inside the other's quartiles
+    ([2, 3, 3, 5, 6], [2, 3, 4, 4, 6], False),
+    # one call on each side, as batch runs at --reps 1: equal counts only
+    ([7], [7], False),
+    ([7], [8], True),
+    # the change faults in fresh pages on every call: 40 lies above 3-5
+    ([2, 3, 4, 5, 6], [38, 40, 40, 41, 44], True),
+])
+def test_faults_differ_outside_the_quartiles(parent, change, differ):
+    assert KAB.faults_differ(parent, change) is differ
+    assert KAB.faults_differ(change, parent) is differ
+
+
 def test_every_call_is_documented():
     for name in KAB.CALLS:
         assert f"``{name}``" in KAB.__doc__, name
@@ -171,6 +186,9 @@ SAME = [
     (STORE, replace(STORE), True),
     (STORE, replace(STORE, train=np.array([[1, 0, 0]])), False),
     (STORE, replace(STORE, entity_names=["a", "c"]), False),
+    # a name dictionary against a list of its names, as a parent holding lists
+    (STORE.entity_names, ["a", "b"], True),
+    (STORE.entity_names, ["a"], False),
     (STORE, replace(STORE, augmented=True), False),
     # hierarchy scores: a None matches only None, floats only bit for bit
     ([1.0, None, 0.25], [1.0, None, 0.25], True),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import os
 import tempfile
@@ -35,6 +36,7 @@ from ukge.kgdata import (
     _parse_file,
     _read_fields,
     augment_inverse,
+    encode_names,
     hierarchy_scores,
     inverse_names,
     krackhardt_score,
@@ -86,8 +88,8 @@ class TestParsing:
         train = write(tmp_path / "train.tsv", "a\tr\tb\nb\tr\tc\n")
         valid = write(tmp_path / "valid.tsv", "c\tr\ta\n")
         store = load_triples(train, valid)
-        assert store.entity_names == ["a", "b", "c"]
-        assert store.relation_names == ["r"]
+        assert list(store.entity_names) == ["a", "b", "c"]
+        assert list(store.relation_names) == ["r"]
         np.testing.assert_array_equal(store.train, [[0, 0, 1], [1, 0, 2]])
         np.testing.assert_array_equal(store.valid, [[2, 0, 0]])
         assert store.test.shape == (0, 3)
@@ -95,8 +97,8 @@ class TestParsing:
     def test_first_seen_id_order(self, tmp_path):
         train = write(tmp_path / "t.tsv", "z\tr2\ty\ny\tr1\tx\n")
         store = load_triples(train)
-        assert store.entity_names == ["z", "y", "x"]
-        assert store.relation_names == ["r2", "r1"]
+        assert list(store.entity_names) == ["z", "y", "x"]
+        assert list(store.relation_names) == ["r2", "r1"]
         assert store.entity_id("x") == 2
         assert store.relation_id("r1") == 1
 
@@ -173,8 +175,8 @@ class TestParsing:
         rows = named(original)
         assert len(set(rows)) == len(rows)  # no duplicate for the reader to drop
         assert named(back) == rows
-        assert back.entity_names == list(dict.fromkeys(n for h, _, t in rows for n in (h, t)))
-        assert back.relation_names == list(dict.fromkeys(r for _, r, _ in rows))
+        assert list(back.entity_names) == list(dict.fromkeys(n for h, _, t in rows for n in (h, t)))
+        assert list(back.relation_names) == list(dict.fromkeys(r for _, r, _ in rows))
         assert back.valid.shape == back.test.shape == (0, 3)
 
 
@@ -182,7 +184,7 @@ class TestAugmentation:
     def test_inverse_ids_and_names(self):
         store = store_from([("a", "r0", "b"), ("b", "r1", "c")])
         aug = augment_inverse(store)
-        assert aug.relation_names == ["r0", "r1", "r0_inv", "r1_inv"]
+        assert list(aug.relation_names) == ["r0", "r1", "r0_inv", "r1_inv"]
         assert aug.augmented
         # reversed copies appended in order, inverse id = base + 2
         np.testing.assert_array_equal(
@@ -212,7 +214,7 @@ class TestAugmentation:
     def test_original_untouched(self):
         store = store_from([("a", "r", "b")])
         augment_inverse(store)
-        assert store.relation_names == ["r"]
+        assert list(store.relation_names) == ["r"]
         assert not store.augmented
 
     @pytest.mark.parametrize(
@@ -227,12 +229,12 @@ class TestAugmentation:
         with pytest.raises(PreconditionError, match=repr(clash)):
             augment_inverse(store)
         with pytest.raises(PreconditionError, match=repr(clash)):
-            inverse_names(relations)
+            inverse_names(store.relation_names)
 
     def test_inverse_names_are_the_augmented_tail(self):
         store = store_from([("a", "x", "b"), ("b", "y", "a")])
-        assert inverse_names(store.relation_names) == ["x_inv", "y_inv"]
-        assert augment_inverse(store).relation_names == ["x", "y", "x_inv", "y_inv"]
+        assert list(inverse_names(store.relation_names)) == ["x_inv", "y_inv"]
+        assert list(augment_inverse(store).relation_names) == ["x", "y", "x_inv", "y_inv"]
 
 
 def closure_khs(edges, n):
@@ -342,7 +344,6 @@ class TestKrackhardt:
 
     def test_relation_without_edges(self):
         store = store_from([("a", "r0", "b")])
-        store.relation_names.append("r1")
         store2 = TripleStore(
             store.entity_names, ["r0", "r1"], store.train, store.valid, store.test
         )
@@ -723,8 +724,8 @@ class TestSynthetic:
     def test_default_shape(self):
         store = make_synthetic()
         assert store.n_entities == 13  # 1 + 3 + 9
-        assert store.entity_names == [f"n{i}" for i in range(13)]
-        assert store.relation_names == ["isa", "next"]
+        assert list(store.entity_names) == [f"n{i}" for i in range(13)]
+        assert list(store.relation_names) == ["isa", "next"]
         assert store.train.shape == (16, 3)
         assert store.valid.shape == (2, 3)
         assert store.test.shape == (3, 3)
@@ -887,7 +888,7 @@ class TestLineEndings:
         crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
         a = load_triples(lf)
         b = load_triples(str(crlf))
-        assert b.entity_names == a.entity_names == ["a", "b", "c"]
+        assert b.entity_names == a.entity_names and list(a.entity_names) == ["a", "b", "c"]
         assert b.relation_names == a.relation_names
         for split in ("train", "valid", "test"):
             np.testing.assert_array_equal(b.split(split), a.split(split))
@@ -899,7 +900,7 @@ class TestLineEndings:
         bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
         a = load_triples(plain)
         b = load_triples(str(bom))
-        assert b.entity_names == a.entity_names == ["a", "b"]
+        assert b.entity_names == a.entity_names and list(a.entity_names) == ["a", "b"]
         assert b.relation_names == a.relation_names
         np.testing.assert_array_equal(b.train, a.train)
 
@@ -1083,7 +1084,7 @@ class TestWholeFileReader:
         store = load_triples(*paths)
         entities, relations, arrays, test_only = load_oracle(splits)
         assert {len(name.encode()) for name in entities} <= set(range(9, 41))
-        assert store.entity_names == entities and store.relation_names == relations
+        assert list(store.entity_names) == entities and list(store.relation_names) == relations
         assert store.test_only_entities == test_only
         for split, expected in zip(("train", "valid", "test"), arrays):
             assert store.split(split).tolist() == [list(row) for row in expected]
@@ -1112,8 +1113,8 @@ class TestByteNumbering:
     def test_a_nul_byte_makes_another_name(self, tmp_path):
         path = write(tmp_path / "t.tsv", "a\tr\ta\x00\na\x00\tr\x00\ta\n")
         store = load_triples(path)
-        assert store.entity_names == ["a", "a\x00"]
-        assert store.relation_names == ["r", "r\x00"]
+        assert list(store.entity_names) == ["a", "a\x00"]
+        assert list(store.relation_names) == ["r", "r\x00"]
         assert store.train.tolist() == [[0, 0, 1], [1, 1, 0]]
         assert load_names(path) == (["a", "a\x00"], ["r", "r\x00"], 2)
 
@@ -1278,8 +1279,8 @@ class TestLoadNames:
             store = outcome(load_triples, *paths)
         if isinstance(store, TripleStore):
             entities, relations, n_seen = names
-            assert entities == store.entity_names
-            assert relations == store.relation_names
+            assert entities == list(store.entity_names)
+            assert relations == list(store.relation_names)
             assert sorted(entities[n_seen:]) == store.test_only_entities
         else:
             assert names == store
@@ -1311,10 +1312,12 @@ class TestReadNames:
             store = load_triples(*paths)
             names = load_names(*paths)
         assert n_seen == store.n_entities - len(store.test_only_entities)
-        assert names == (store.entity_names, store.relation_names, n_seen)
+        assert names == (list(store.entity_names), list(store.relation_names), n_seen)
         for got, expected in ((entities, store.entity_names), (relations, store.relation_names)):
-            assert model.joined_digest(got.joined) == model.dictionary_digest(expected)
-            assert len(got) == len(expected) and list(got) == expected
+            assert got == expected
+            digest = hashlib.sha256("\n".join(expected).encode("utf-8")).hexdigest()
+            assert model.dictionary_digest(got) == digest
+            assert len(got) == len(expected) and list(got) == list(expected)
             for i, name in enumerate(expected):
                 assert got[i] == name and got.index(name) == i
             for absent in {name[:-1] for name in expected} | {name + "\n" for name in expected}:
@@ -1340,8 +1343,8 @@ class TestLoadMatchesSpec:
         entities, relations, arrays, test_only = load_oracle(
             [rows for rows, _ in (train, valid, test)]
         )
-        assert store.entity_names == entities
-        assert store.relation_names == relations
+        assert list(store.entity_names) == entities
+        assert list(store.relation_names) == relations
         assert store.test_only_entities == test_only
         for split, expected in zip(("train", "valid", "test"), arrays):
             got = store.split(split)
@@ -1379,6 +1382,66 @@ class TestLazyNameMaps:
         assert renamed.entity_id("z") == 2
         with pytest.raises(NameLookupError):
             renamed.entity_id("a")
+
+
+class TestStoreNames:
+    """A store holds each dictionary as :class:`Names`: one given as strings
+    is encoded once, when the store is built, and a :class:`Names` is held
+    as it is."""
+
+    TRAIN = np.array([[0, 0, 1]], dtype=np.int64)
+
+    def build(self, entities, relations=("r",)):
+        return TripleStore(entities, list(relations), self.TRAIN, self.TRAIN[:0], self.TRAIN[:0])
+
+    def test_an_lf_in_a_name_is_refused_when_the_store_is_built(self):
+        """Entities ``['a\\nb', 'c']`` and ``['a', 'b\\nc']`` had one size and
+        one digest, so a checkpoint trained on one passed the digest check
+        against the other, and ``['a', 'b\\nc']`` digested like ``['a', 'b',
+        'c']``."""
+        for entities, bad in ((["a\nb", "c"], "a\nb"), (["a", "b\nc"], "b\nc")):
+            with pytest.raises(PreconditionError) as exc:
+                self.build(entities)
+            assert str(exc.value) == f"entity name {bad!r} cannot be a TSV field"
+
+    def test_a_lone_surrogate_is_refused_when_the_store_is_built(self):
+        """``['a', 'b\\udcff']`` built a store whose entity digest raised a
+        bare ``UnicodeEncodeError``."""
+        with pytest.raises(PreconditionError) as exc:
+            self.build(["a", "b\udcff"])
+        assert str(exc.value) == "entity name 'b\\udcff' cannot be a TSV field"
+
+    def test_strings_and_bytes_make_one_dictionary(self, tmp_path):
+        """A store built from strings holds the bytes that loading its
+        written split gives, and a replaced or augmented store shares the
+        loaded dictionaries, not a copy."""
+        built = self.build(["a", "b\u00e9"], ["r"])
+        path = str(tmp_path / "train.tsv")
+        write_split_tsv(built, "train", path)
+        loaded = load_triples(path)
+        assert loaded.entity_names == built.entity_names
+        assert loaded.relation_names == built.relation_names
+        assert replace(loaded, train=loaded.train[:0]).entity_names is loaded.entity_names
+        augmented = augment_inverse(loaded)
+        assert augmented.entity_names is loaded.entity_names
+        assert augmented.relation_names == encode_names(["r", "r_inv"], "relation")
+
+    def test_slices_decode_their_range(self):
+        names = ["a", "bc", "d\u00e9", "e"]
+        held = encode_names(names, "entity")
+        for part in (slice(None), slice(1, 3), slice(2, None), slice(3, 1), slice(-2, None),
+                     slice(None, None, 2), slice(None, None, -1), slice(10, None)):
+            assert held[part] == names[part], part
+        empty = encode_names([], "entity")
+        assert len(empty) == 0 and empty[:] == [] and list(empty) == []
+
+    def test_equal_by_bytes_and_unhashable(self):
+        ab = encode_names(["a", "b"], "entity")
+        assert ab == encode_names(["a", "b"], "relation")
+        assert ab != encode_names(["b", "a"], "entity")
+        assert ab != ["a", "b"] and list(ab) == ["a", "b"]
+        with pytest.raises(TypeError):
+            hash(ab)
 
 
 @st.composite
@@ -1450,29 +1513,48 @@ class TestWriteSplitTsv:
     @pytest.mark.parametrize("kind", ["entity", "relation"])
     def test_names_no_tsv_can_hold_are_refused(self, tmp_path, bad, kind):
         """A tab, CR or empty name once wrote a file that ``load_triples``
-        refuses, and a lone surrogate left the file half written; the old
-        file keeps its bytes, even when the split to write is empty."""
+        refuses, and a lone surrogate left the file half written; the store
+        now refuses such a name when it is built or replaced, so no writer
+        can reach the old file, which keeps its bytes."""
         entities, relations = ["a", "b"], ["r"]
         (entities if kind == "entity" else relations).append(bad)
         train = np.array([[0, 0, 1]] * 3, dtype=np.int64)
-        store = TripleStore(entities, relations, train, train[:0], train[:0])
-        for split in ("train", "test"):
-            path = tmp_path / f"{split}.tsv"
-            path.write_bytes(b"old bytes\n")
-            with pytest.raises(PreconditionError) as exc:
-                write_split_tsv(store, split, str(path))
-            assert str(exc.value) == f"{kind} name {bad!r} cannot be a TSV field"
-            assert path.read_bytes() == b"old bytes\n"
+        path = tmp_path / "train.tsv"
+        path.write_bytes(b"old bytes\n")
+        with pytest.raises(PreconditionError) as exc:
+            TripleStore(entities, relations, train, train[:0], train[:0])
+        assert str(exc.value) == f"{kind} name {bad!r} cannot be a TSV field"
+        good = TripleStore(["a", "b", "c"], ["r", "s"], train, train[:0], train[:0])
+        with pytest.raises(PreconditionError) as exc:
+            replace(good, **{f"{kind}_names": entities if kind == "entity" else relations})
+        assert str(exc.value) == f"{kind} name {bad!r} cannot be a TSV field"
+        assert path.read_bytes() == b"old bytes\n"
 
     @pytest.mark.parametrize("kind", ["entity", "relation"])
     def test_a_leading_byte_order_mark_is_refused(self, tmp_path, kind):
         """Entities ``["\\ufeffa", "b"]`` once wrote ``ef bb bf 61 09 ...``,
         which ``load_triples`` skips as a byte order mark, so they loaded
-        back as ``['a', 'b']``; the old file keeps its bytes."""
+        back as ``['a', 'b']``; a store built from strings now refuses the
+        name when it is built, so the old file keeps its bytes."""
         bad = "\ufeff" + ("a" if kind == "entity" else "r")
         entities, relations = (["a", "b"], [bad]) if kind == "relation" else ([bad, "b"], ["r"])
         train = np.array([[0, 0, 1]], dtype=np.int64)
-        store = TripleStore(entities, relations, train, train[:0], train[:0])
+        path = tmp_path / "train.tsv"
+        path.write_bytes(b"old bytes\n")
+        with pytest.raises(PreconditionError) as exc:
+            TripleStore(entities, relations, train, train[:0], train[:0])
+        assert str(exc.value) == f"{kind} name {bad!r} cannot be a TSV field"
+        assert path.read_bytes() == b"old bytes\n"
+
+    @pytest.mark.parametrize("kind, line", [("entity", "\ufeffc\tr\td\n"),
+                                            ("relation", "c\t\ufeffr\td\n")])
+    def test_a_loaded_name_led_by_a_byte_order_mark_is_refused(self, tmp_path, kind, line):
+        """A line after the first may start a name with U+FEFF, which
+        ``load_triples`` keeps as it is; the writer refuses that name before
+        it opens the file, which keeps its bytes."""
+        store = load_triples(write(tmp_path / "in.tsv", "a\tr\tb\n" + line))
+        bad = "\ufeff" + ("c" if kind == "entity" else "r")
+        assert bad in list(getattr(store, f"{kind}_names"))
         path = tmp_path / "train.tsv"
         path.write_bytes(b"old bytes\n")
         with pytest.raises(PreconditionError) as exc:

@@ -24,7 +24,7 @@ from ukge.errors import (
 from ukge.geometry import EPS_TIME, Signature, point_terms_columns
 from ukge.cli import main as cli_main
 from ukge.evaluation import evaluate
-from ukge.kgdata import augment_inverse, load_triples, make_synthetic
+from ukge.kgdata import augment_inverse, encode_names, load_triples, make_synthetic
 from ukge.model import (
     TRANSPOSE_BLOCK,
     Model,
@@ -435,15 +435,19 @@ class TestLayout:
         assert np.array_equal(table.T[q:], t)
 
 
+def digest_of(names: list[str]) -> str:
+    return dictionary_digest(encode_names(names, "entity"))
+
+
 class TestDigest:
     def test_frozen_value(self):
         assert (
-            dictionary_digest(["a", "b"])
+            digest_of(["a", "b"])
             == "7e18f737311b2dc3b2f269dd78396b0351f14fb66efa879f768cb23181883c78"
         )
 
     def test_order_sensitive(self):
-        assert dictionary_digest(["a", "b"]) != dictionary_digest(["b", "a"])
+        assert digest_of(["a", "b"]) != digest_of(["b", "a"])
 
 
 class TestCheckpoint:
