@@ -186,9 +186,6 @@ SAME = [
     (STORE, replace(STORE), True),
     (STORE, replace(STORE, train=np.array([[1, 0, 0]])), False),
     (STORE, replace(STORE, entity_names=["a", "c"]), False),
-    # a name dictionary against a list of its names, as a parent holding lists
-    (STORE.entity_names, ["a", "b"], True),
-    (STORE.entity_names, ["a"], False),
     (STORE, replace(STORE, augmented=True), False),
     # hierarchy scores: a None matches only None, floats only bit for bit
     ([1.0, None, 0.25], [1.0, None, 0.25], True),
@@ -204,6 +201,9 @@ SAME = [
     (Path("x1"), Path("y1"), False),
     (NAN, NAN.copy(), True),  # the same NaN bits
     (NAN, (NAN.view(np.uint64) + np.uint64(1)).view(np.float64), False),  # another payload
+    # a name dictionary against a list of its names, as a parent holding lists
+    (STORE.entity_names, ["a", "b"], True),
+    (STORE.entity_names, ["a"], False),
 ]
 
 
